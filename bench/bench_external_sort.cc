@@ -1,10 +1,10 @@
-// External-sort optimization ladder: serial baseline, +parallel run
-// formation (8 threads), +loser-tree merge, +write-behind run output,
-// over TIGER-shaped relations at increasing sizes. Every rung must
-// produce byte-identical output pages and identical modeled io_seconds
-// to the serial baseline — asserted, not assumed — so the only thing the
-// ladder moves is host wall time (records/s) and io_wall_seconds. One
-// JSON summary line per (dataset, rung) for the tracking dashboards.
+// External-sort ladder: serial baseline, then +parallel run formation (8
+// threads), over TIGER-shaped relations at increasing sizes. Both rungs
+// merge with the loser tree. Every rung must produce byte-identical
+// output pages and identical modeled io_seconds to the serial baseline —
+// asserted, not assumed — so the only thing the ladder moves is host wall
+// time (records/s) and io_wall_seconds. One JSON summary line per
+// (dataset, rung) for the tracking dashboards.
 // `--n=...` overrides the largest size (CI smoke); `--threads=...` the
 // parallel rung width.
 
@@ -29,15 +29,11 @@ namespace {
 struct Rung {
   const char* name;
   bool parallel = false;
-  bool loser_tree = false;
-  bool write_behind = false;
 };
 
 constexpr Rung kLadder[] = {
-    {"serial", false, false, false},
-    {"+parallel-runs", true, false, false},
-    {"+loser-tree", true, true, false},
-    {"+write-behind", true, true, true},
+    {"serial", false},
+    {"+parallel-runs", true},
 };
 
 struct SortRun {
@@ -61,14 +57,9 @@ SortRun RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
   disk.ResetStats();
 
   SortConfig config;
-  config.parallel_runs = rung.parallel;
   config.threads = rung.parallel ? threads : 1;
-  config.write_behind = rung.write_behind;
-  config.merge_structure = rung.loser_tree ? MergeStructure::kLoserTree
-                                           : MergeStructure::kBinaryHeap;
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch.get(),
-                                           OrderByYLo(), nullptr,
-                                           PrefetchContext(), config);
+                                           OrderByYLo(), nullptr, config);
 
   WallTimer wall;
   auto sorted = sorter.Sort(StreamRange{input.get(), 0, n}, output.get());
@@ -155,8 +146,7 @@ void Run(uint64_t max_n, uint32_t threads) {
       "Ladder contract: output pages and modeled io_seconds are "
       "byte-identical on every rung;\nonly wall time and io_wall move. "
       "The +parallel-runs rung's speedup tracks the\nmachine's core count "
-      "(run formation is compare-bound); +loser-tree is algorithmic\nand "
-      "helps on any machine.\n");
+      "(run formation is compare-bound).\n");
 }
 
 }  // namespace

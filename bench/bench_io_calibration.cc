@@ -14,8 +14,8 @@
 // point of printing the fit instead of hard-coding it.
 //
 // Phase 2: the TIGER ladder workload (same generator as the paper-figure
-// benches) joined by each algorithm with scratch/spill on real files and
-// prefetch on. The last line is a machine-readable JSON summary.
+// benches) joined by each algorithm with scratch/spill on real files. The
+// last line is a machine-readable JSON summary.
 //
 //   bench_io_calibration [--pages=N] [--scale=F] [--datasets=NJ]
 
@@ -131,15 +131,14 @@ void Run(const BenchConfig& config, uint64_t pages) {
       c.fitted.avg_access_ms, c.fitted.transfer_mb_per_s,
       c.fitted.write_factor);
 
-  // One join per algorithm on file-backed scratch with prefetch on. The
+  // One join per algorithm on file-backed scratch. The
   // modeled column uses the *fitted* machine, so a perfect model (and a
   // calibration that generalizes) would put both columns within a small
   // factor of each other.
   const std::string dataset =
       config.datasets.empty() ? std::string("NJ") : config.datasets.front();
   const LoadedDataset& data = GetDataset(dataset, config.scale);
-  std::printf("-- dataset %s (scale %.4g), file-backed scratch, prefetch on "
-              "--\n",
+  std::printf("-- dataset %s (scale %.4g), file-backed scratch --\n",
               dataset.c_str(), config.scale);
   std::printf("%-6s | %12s | %12s | %10s | %10s\n", "Algo", "modeled I/O s",
               "measured s", "pages rd", "pages wr");
@@ -157,7 +156,6 @@ void Run(const BenchConfig& config, uint64_t pages) {
     Workload w = MakeWorkload(data, c.fitted, /*build_trees=*/true);
     JoinOptions options = config.ScaledOptions();
     options.storage = storage;
-    options.prefetch = true;
     auto stats = RunJoin(&w, algo, options);
     SJ_CHECK_OK(stats.status());
     std::printf("%-6s | %12.4f | %12.4f | %10llu | %10llu\n", ToString(algo),

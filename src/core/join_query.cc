@@ -199,7 +199,7 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
     // the other executors never read it.
     plan.decision =
         joiner_->Plan(plan.inputs[0], plan.inputs[1], plan.prune_histogram(0),
-                      plan.prune_histogram(1), plan.options,
+                      plan.prune_histogram(1), &plan.options,
                       /*exact_pbsm_preplan=*/plan_only);
     if (algorithm_ != JoinAlgorithm::kAuto) {
       plan.decision.algorithm = algorithm_;

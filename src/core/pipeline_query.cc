@@ -650,7 +650,6 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   ctx.disk = &op_disk;
   ctx.arbiter = arbiter.get();
   ctx.storage = options_.storage.get();
-  ctx.prefetch = PrefetchContextOf(options_);
 
   PipelineStats out;
   ThreadCpuTimer cpu;
@@ -712,8 +711,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
       SJ_ASSIGN_OR_RETURN(
           std::unique_ptr<RectResolver> resolver,
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
-                              ctx.storage, ctx.prefetch,
-                              "pipeline.in" + std::to_string(i),
+                              ctx.storage, "pipeline.in" + std::to_string(i),
                               SortConfigOf(options_)));
       resolver_ptrs.push_back(resolver.get());
       resolvers.push_back(std::move(resolver));

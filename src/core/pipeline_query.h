@@ -195,14 +195,8 @@ class PipelineQuery {
   PipelineQuery& Threads(uint32_t n) { return Mutate([&](JoinOptions& o) { o.num_threads = n; }); }
   PipelineQuery& MemoryBytes(size_t bytes) { return Mutate([&](JoinOptions& o) { o.memory_bytes = bytes; }); }
   PipelineQuery& Storage(std::shared_ptr<StorageFactory> factory) { return Mutate([&](JoinOptions& o) { o.storage = std::move(factory); }); }
-  PipelineQuery& Prefetch(bool on) { return Mutate([&](JoinOptions& o) { o.prefetch = on; }); }
-  /// Parallel run formation in the pipeline's external sorts; identical
-  /// output and modeled io_seconds at any thread count.
-  PipelineQuery& SortParallelRuns(bool on) { return Mutate([&](JoinOptions& o) { o.sort_parallel_runs = on; }); }
   /// External-merge fan-in (0 = auto; see JoinOptions::merge_fan_in).
   PipelineQuery& MergeFanIn(uint32_t fan_in) { return Mutate([&](JoinOptions& o) { o.merge_fan_in = fan_in; }); }
-  /// Write-behind run output: like Prefetch, moves io_wall_seconds only.
-  PipelineQuery& SortWriteBehind(bool on) { return Mutate([&](JoinOptions& o) { o.sort_write_behind = on; }); }
 
   JoinOptions& mutable_options() { return options_; }
   const JoinOptions& options() const { return options_; }

@@ -4,30 +4,17 @@
 #include <cmath>
 #include <string>
 
-#include "core/join_query.h"
 #include "join/partition_plan.h"
-#include "sort/sort_config.h"
 
 namespace sj {
 
 PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
                                  const GridHistogram* hist_a,
-                                 const GridHistogram* hist_b) const {
-  return Plan(a, b, hist_a, hist_b, options_);
-}
-
-PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
-                                 const GridHistogram* hist_a,
                                  const GridHistogram* hist_b,
-                                 const JoinOptions& options) const {
-  return Plan(a, b, hist_a, hist_b, options, /*exact_pbsm_preplan=*/true);
-}
-
-PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
-                                 const GridHistogram* hist_a,
-                                 const GridHistogram* hist_b,
-                                 const JoinOptions& options,
+                                 const JoinOptions* options_override,
                                  bool exact_pbsm_preplan) const {
+  const JoinOptions& options =
+      options_override != nullptr ? *options_override : options_;
   PlanDecision decision;
   const uint64_t total_pages = a.pages() + b.pages();
   const uint64_t total_bytes_est = (a.count() + b.count()) * sizeof(RectF);
@@ -70,10 +57,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   // Sort CPU is the one term that scales down with worker threads (run
   // formation parallelizes), so with threads the streaming plans get
   // cheaper relative to the index traversals.
-  const uint32_t sort_threads =
-      options.sort_parallel_runs && !SortSerialOnly()
-          ? std::max<uint32_t>(1, options.num_threads)
-          : 1;
+  const uint32_t sort_threads = std::max<uint32_t>(1, options.num_threads);
   decision.sort_cpu_seconds = cost_model_.SortCpuSeconds(
       a.count() + b.count(), sort_grant, sort_threads);
   decision.stream_cost_seconds =
@@ -196,26 +180,6 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
         "random index reads would cost more than streaming; ignoring index";
   }
   return finalize(decision);
-}
-
-Result<JoinStats> SpatialJoiner::Join(const JoinInput& a, const JoinInput& b,
-                                      JoinSink* sink, JoinAlgorithm algorithm,
-                                      const GridHistogram* hist_a,
-                                      const GridHistogram* hist_b) {
-  return JoinQuery(*this)
-      .Input(a)
-      .Input(b)
-      .WithHistogram(0, hist_a)
-      .WithHistogram(1, hist_b)
-      .Algorithm(algorithm)
-      .Run(sink);
-}
-
-Result<MultiwayStats> SpatialJoiner::MultiwayJoin(
-    const std::vector<JoinInput>& inputs, TupleSink* sink) {
-  JoinQuery query(*this);
-  for (const JoinInput& input : inputs) query.Input(input);
-  return query.Run(sink);
 }
 
 }  // namespace sj

@@ -19,10 +19,9 @@ namespace sj {
 /// JoinOptions for every query posed against it.
 ///
 /// Queries are built with JoinQuery (core/join_query.h), which compiles a
-/// CompiledPlan and dispatches to the ExecutorRegistry; the Join and
-/// MultiwayJoin methods below are thin compatibility wrappers over that
-/// pipeline. The joiner itself only plans (Plan — pure cost-model
-/// arithmetic, no I/O) and carries state; it is never mutated by a query,
+/// CompiledPlan and dispatches to the ExecutorRegistry. The joiner itself
+/// only plans (Plan — pure cost-model arithmetic, no I/O) and carries
+/// state; it is never mutated by a query,
 /// so one joiner can serve many concurrent query *descriptions* (actual
 /// executions share the DiskModel and must be serialized by the caller).
 class SpatialJoiner {
@@ -34,55 +33,19 @@ class SpatialJoiner {
 
   /// Chooses an algorithm for the pair of inputs. Histograms (over a
   /// shared grid) refine the touched-fraction estimate; without them the
-  /// planner falls back to extent-overlap ratios.
-  PlanDecision Plan(const JoinInput& a, const JoinInput& b,
-                    const GridHistogram* hist_a = nullptr,
-                    const GridHistogram* hist_b = nullptr) const;
-
-  /// Plan under explicit options (the per-query variant: JoinQuery passes
-  /// its effective options so overrides like Refine(true) price the
-  /// refinement term consistently). The 4-argument form above is this
-  /// with the joiner's own defaults.
-  PlanDecision Plan(const JoinInput& a, const JoinInput& b,
-                    const GridHistogram* hist_a, const GridHistogram* hist_b,
-                    const JoinOptions& options) const;
-
-  /// Plan with control over the PBSM pre-plan fidelity:
-  /// `exact_pbsm_preplan` = true (the default elsewhere) runs the real
+  /// planner falls back to extent-overlap ratios. `options` overrides the
+  /// joiner's defaults (null = the joiner's own): JoinQuery passes its
+  /// effective options so overrides like Refine(true) price the
+  /// refinement term consistently. `exact_pbsm_preplan` runs the real
   /// PartitionPlanner when adaptive partitioning has histograms, so
   /// Explain reports the exact grid; false keeps the cheap formula
-  /// estimates — JoinQuery::Run uses this, because a PBSM execution
-  /// plans its own grid anyway and every other algorithm ignores it.
+  /// estimates — JoinQuery::Run uses this, because a PBSM execution plans
+  /// its own grid anyway and every other algorithm ignores it.
   PlanDecision Plan(const JoinInput& a, const JoinInput& b,
-                    const GridHistogram* hist_a, const GridHistogram* hist_b,
-                    const JoinOptions& options, bool exact_pbsm_preplan) const;
-
-  /// Legacy pairwise entry point — equivalent to
-  ///
-  ///   JoinQuery(*this).Input(a).Input(b)
-  ///       .WithHistogram(0, hist_a).WithHistogram(1, hist_b)
-  ///       .Algorithm(algorithm).Run(sink)
-  ///
-  /// New code should build the JoinQuery directly: it attaches histograms
-  /// to inputs instead of a positional tail, overrides any option per
-  /// query, and selects non-intersection predicates.
-  [[deprecated(
-      "build a JoinQuery instead: JoinQuery(joiner).Input(a).Input(b)"
-      ".Run(sink) — see the migration table in README.md")]]
-  Result<JoinStats> Join(const JoinInput& a, const JoinInput& b,
-                         JoinSink* sink,
-                         JoinAlgorithm algorithm = JoinAlgorithm::kAuto,
-                         const GridHistogram* hist_a = nullptr,
-                         const GridHistogram* hist_b = nullptr);
-
-  /// Legacy k-way entry point (§4's extension) — equivalent to a
-  /// JoinQuery with every element of `inputs` added via Input() and run
-  /// against a TupleSink.
-  [[deprecated(
-      "build a JoinQuery instead: add each input with .Input() and Run "
-      "against a TupleSink — see the migration table in README.md")]]
-  Result<MultiwayStats> MultiwayJoin(const std::vector<JoinInput>& inputs,
-                                     TupleSink* sink);
+                    const GridHistogram* hist_a = nullptr,
+                    const GridHistogram* hist_b = nullptr,
+                    const JoinOptions* options = nullptr,
+                    bool exact_pbsm_preplan = true) const;
 
   const CostModel& cost_model() const { return cost_model_; }
   DiskModel* disk() const { return disk_; }

@@ -29,9 +29,9 @@ struct DiskStats {
   double io_seconds = 0.0;
   /// Measured wall-clock seconds spent inside actual StorageBackend
   /// reads/writes charged to this model (near zero for MemoryBackend,
-  /// real transfer time for FileBackend). Background prefetch reports its
-  /// fetch time here too, so overlapped fetches can sum to more than the
-  /// elapsed wall time of the join.
+  /// real transfer time for FileBackend). Parallel workers report their
+  /// transfer time here too, so the sum can exceed the elapsed wall time
+  /// of the join.
   double io_wall_seconds = 0.0;
 
   DiskStats operator-(const DiskStats& o) const;
@@ -96,7 +96,7 @@ class DiskModel {
   /// Accumulates measured wall-clock seconds spent in real backend I/O.
   /// Kept separate from Read/Write so the *modeled* charge stream (and
   /// with it stream-detection state) is identical whether the bytes moved
-  /// synchronously or on a prefetch thread.
+  /// on the consuming thread or on a worker.
   void AddIoWall(double seconds);
 
   /// Consistent snapshots (by value: the counters may move concurrently).

@@ -46,9 +46,7 @@ class Pager {
   /// on the consumer/producer thread in serial order even when the byte
   /// transfer ran early or late on a worker — parallel run formation
   /// replays the serial charge sequence after its workers moved the
-  /// bytes, and a write-behind writer charges at flush submission while
-  /// the transfer completes in the background. ChargeWrite advances the
-  /// allocation watermark like WriteRun.
+  /// bytes. ChargeWrite advances the allocation watermark like WriteRun.
   void ChargeRead(PageId first, uint32_t npages);
   void ChargeWrite(PageId first, uint32_t npages);
 
@@ -61,10 +59,10 @@ class Pager {
   /// Direct access to the backing storage for readers that do their own
   /// cost accounting (the parallel refinement executor reads a shared
   /// feature store from many workers and charges each worker's private
-  /// DiskModel shard; BlockPrefetcher fetches ahead on a background
-  /// task). Both backends are safe for concurrent page-granular access,
-  /// but a page's *content* is only stable once its stream is finished —
-  /// fetch immutable ranges only.
+  /// DiskModel shard; parallel run formation moves its runs' bytes
+  /// through it). Both backends are safe for concurrent page-granular
+  /// access, but a page's *content* is only stable once its stream is
+  /// finished — fetch immutable ranges only.
   StorageBackend* backend() const { return backend_.get(); }
 
   /// Pages allocated so far (>= backend page count until they are written).

@@ -1,220 +1,29 @@
 #ifndef USJ_IO_PREFETCH_H_
 #define USJ_IO_PREFETCH_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <thread>
-#include <vector>
 
 #include "io/pager.h"
 #include "io/stream.h"
-#include "util/logging.h"
-#include "util/status.h"
 
 namespace sj {
 
-class ThreadPool;
+// Names the benchmark driver in perfbench/ still spells. Stream I/O is
+// synchronous on every backend, so there is nothing left to prefetch: the
+// context is empty and the reader is a plain StreamReader. Library code
+// names StreamReader and passes no context.
 
-/// How (and whether) the I/O-bound readers of one join overlap their next
-/// block fetch with the current block's processing. Carried alongside
-/// JoinOptions into every adoption point (external-sort merge, PQ spill
-/// cursors, PBSM partition loads, FeatureStore batches).
-struct PrefetchContext {
-  /// Off by default: prefetch only moves *when* bytes arrive, never which
-  /// requests are charged, but it spends an extra block buffer and a
-  /// background task per reader.
-  bool enabled = false;
-  /// Fetches are submitted here when set (the service's shared workers);
-  /// null makes each prefetcher lazily own one dedicated thread. Not
-  /// owned; must outlive the prefetchers using it.
-  ThreadPool* pool = nullptr;
-};
+/// Empty; produced by PrefetchContextOf (join/join_types.h) and accepted
+/// by SortRectsByYLo (sort/external_sort.h) for the driver's call sites.
+struct PrefetchContext {};
 
-/// One contiguous page run of a fetch.
-struct PageRun {
-  PageId first = 0;
-  uint32_t npages = 0;
-};
-
-/// Double-buffering engine: fetches a set of page runs from a pager's
-/// backend on a background task while the consumer drains the previous
-/// buffer.
-///
-/// The deterministic-output contract of the repo (same results and same
-/// modeled io_seconds at any thread count) is preserved by splitting the
-/// two halves of a read:
-///   - the *byte transfer* (StorageBackend::ReadPage) happens early, on
-///     the background task, and is wall-timed;
-///   - the *modeled charge* (DiskModel::Read) happens at Finish(), on the
-///     consumer thread, in consumption order — exactly when and where the
-///     synchronous path would have charged it.
-///
-/// A fetch submitted to a ThreadPool is *claimable*: Finish() on a fetch
-/// the pool has not started yet runs it inline on the consumer, so a
-/// consumer never blocks on pool scheduling (and nested pool waits cannot
-/// deadlock). The pager must outlive the prefetcher; only the pager's
-/// backend is touched off-thread (concurrent reads are safe on both
-/// backends as long as nothing writes the file).
-class BlockPrefetcher {
- public:
-  BlockPrefetcher(Pager* pager, ThreadPool* pool);
-  ~BlockPrefetcher();
-
-  BlockPrefetcher(const BlockPrefetcher&) = delete;
-  BlockPrefetcher& operator=(const BlockPrefetcher&) = delete;
-
-  /// Begins fetching `runs` into the internal buffer. No modeled charges
-  /// are made. Requires no fetch in flight.
-  void Start(std::vector<PageRun> runs);
-
-  /// Waits for (or claims and runs) the fetch, charges each run to the
-  /// pager's own DiskModel/device in run order plus the measured fetch
-  /// wall time, and swaps the fetched bytes into `*out` (sized to the run
-  /// total). Returns the backend read status.
-  Status Finish(std::vector<uint8_t>* out);
-
-  /// As Finish(), but modeled charges and wall time land on
-  /// `charge_disk`/`charge_dev` (a refinement batch's private shard)
-  /// instead of the pager's own model.
-  Status FinishCharged(std::vector<uint8_t>* out, DiskModel* charge_disk,
-                       uint32_t charge_dev);
-
-  /// True between Start() and Finish().
-  bool in_flight() const;
-
- private:
-  enum class State { kIdle, kQueued, kRunning, kDone };
-
-  /// Everything the background task touches, shared so a queued pool task
-  /// can outlive the prefetcher harmlessly (it finds the fetch already
-  /// claimed/cancelled and backs off without touching the pager).
-  struct Shared {
-    Pager* pager = nullptr;
-    std::mutex mu;
-    std::condition_variable cv;
-    State state = State::kIdle;
-    bool stop = false;  // Dedicated-thread shutdown flag.
-    std::vector<PageRun> runs;
-    std::vector<uint8_t> buf;
-    Status status;
-    double wall_seconds = 0.0;
-  };
-
-  /// CAS kQueued -> kRunning under the lock; the winner runs the fetch.
-  static bool TryClaim(Shared* s);
-  /// The byte transfer; call only after a successful TryClaim.
-  static void DoFetch(Shared* s);
-  static void ThreadLoop(const std::shared_ptr<Shared>& s);
-
-  std::shared_ptr<Shared> shared_;
-  ThreadPool* pool_;
-  std::thread thread_;  // Lazily started when pool_ == nullptr.
-};
-
-/// Drop-in replacement for StreamReader<T> that overlaps the fetch of
-/// block N+1 with the consumption of block N. Construction immediately
-/// begins fetching the first block in the background (so a reader created
-/// ahead of need — the next PBSM partition's stream — pulls its data while
-/// the current partition sweeps). With `ctx.enabled == false` it degrades
-/// to exactly the synchronous StreamReader behaviour and spawns nothing.
+/// A StreamReader under the driver's name, with its context argument.
 template <typename T>
-class PrefetchingStreamReader {
-  static_assert(std::is_trivially_copyable_v<T>);
-
+class PrefetchingStreamReader : public StreamReader<T> {
  public:
-  static constexpr uint32_t kRecordsPerPage = StreamReader<T>::kRecordsPerPage;
-
   PrefetchingStreamReader(Pager* pager, PageId first_page,
-                          uint64_t record_count, const PrefetchContext& ctx,
-                          uint32_t block_pages = kStreamBlockPages)
-      : pager_(pager),
-        first_page_(first_page),
-        remaining_(record_count),
-        unfetched_(record_count),
-        block_pages_(block_pages),
-        buffer_(block_pages * kPageSize),
-        enabled_(ctx.enabled && record_count > 0) {
-    SJ_CHECK(block_pages_ > 0);
-    if (enabled_) prefetcher_.emplace(pager, ctx.pool);
-    QueueNext();
-  }
-
-  PrefetchingStreamReader(const PrefetchingStreamReader&) = delete;
-  PrefetchingStreamReader& operator=(const PrefetchingStreamReader&) = delete;
-
-  /// Next record, or nullopt at end of stream.
-  std::optional<T> Next() {
-    if (remaining_ == 0) return std::nullopt;
-    if (records_left_in_block_ == 0) FillBlock();
-    const uint32_t idx = block_record_cursor_++;
-    records_left_in_block_--;
-    remaining_--;
-    const uint32_t page_in_block = idx / kRecordsPerPage;
-    const uint32_t slot = idx % kRecordsPerPage;
-    T rec;
-    std::memcpy(&rec,
-                buffer_.data() + page_in_block * kPageSize + slot * sizeof(T),
-                sizeof(T));
-    return rec;
-  }
-
-  /// Records not yet returned.
-  uint64_t remaining() const { return remaining_; }
-  bool Done() const { return remaining_ == 0; }
-
- private:
-  /// Computes the next block's extent; when enabled, begins fetching it.
-  void QueueNext() {
-    if (unfetched_ == 0) {
-      pending_take_ = 0;
-      return;
-    }
-    const uint64_t per_block = uint64_t{kRecordsPerPage} * block_pages_;
-    pending_take_ = std::min<uint64_t>(unfetched_, per_block);
-    pending_npages_ = static_cast<uint32_t>(
-        (pending_take_ + kRecordsPerPage - 1) / kRecordsPerPage);
-    const uint64_t first = first_page_ + fetch_page_offset_;
-    SJ_CHECK(first + pending_npages_ <= uint64_t{kInvalidPageId})
-        << "stream on pager '" << pager_->name() << "' reads past the "
-        << "32-bit PageId space (block at page " << first << " + "
-        << pending_npages_ << " pages)";
-    pending_first_ = static_cast<PageId>(first);
-    fetch_page_offset_ += pending_npages_;
-    unfetched_ -= pending_take_;
-    if (enabled_) prefetcher_->Start({{pending_first_, pending_npages_}});
-  }
-
-  void FillBlock() {
-    SJ_DCHECK(pending_take_ > 0);
-    const uint64_t take = pending_take_;
-    if (enabled_) {
-      SJ_CHECK_OK(prefetcher_->Finish(&buffer_));
-    } else {
-      SJ_CHECK_OK(
-          pager_->ReadRun(pending_first_, pending_npages_, buffer_.data()));
-    }
-    QueueNext();
-    records_left_in_block_ = take;
-    block_record_cursor_ = 0;
-  }
-
-  Pager* pager_;
-  PageId first_page_;
-  uint64_t remaining_;
-  uint64_t unfetched_;
-  uint32_t block_pages_;
-  std::vector<uint8_t> buffer_;
-  bool enabled_;
-  std::optional<BlockPrefetcher> prefetcher_;
-  uint64_t fetch_page_offset_ = 0;
-  PageId pending_first_ = 0;
-  uint32_t pending_npages_ = 0;
-  uint64_t pending_take_ = 0;
-  uint64_t records_left_in_block_ = 0;
-  uint32_t block_record_cursor_ = 0;
+                          uint64_t record_count, const PrefetchContext&)
+      : StreamReader<T>(pager, first_page, record_count) {}
 };
 
 }  // namespace sj

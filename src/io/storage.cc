@@ -19,7 +19,7 @@ namespace sj {
 // pointer fetched under the lock stays valid. Concurrent access to the
 // *same* page's bytes remains the caller's contract, as before — this
 // only stops distinct-page readers and writers (parallel run formation,
-// prefetch, write-behind) from serializing on one lock per 8 KB copy.
+// parallel refinement) from serializing on one lock per 8 KB copy.
 Status MemoryBackend::ReadPage(uint64_t page, void* buf) {
   const uint8_t* src = nullptr;
   {

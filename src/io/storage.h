@@ -36,8 +36,8 @@ class StorageBackend {
 /// DiskModel provides the timing, so there is no reason to touch the real
 /// disk, and page images stay byte-exact.
 ///
-/// Thread-safe at page granularity (a mutex guards the page table), so a
-/// background prefetch may read finished pages of a file while the owner
+/// Thread-safe at page granularity (a mutex guards the page table), so
+/// parallel workers may read finished pages of a file while the owner
 /// appends new ones. Reading a page *while it is being written* still
 /// yields an unspecified mix — callers must only fetch immutable ranges.
 class MemoryBackend : public StorageBackend {
@@ -110,8 +110,8 @@ class FileBackend : public StorageBackend {
   int fd_;
   /// Byte length of everything written through (or present at open of)
   /// this backend; an EOF before this offset is a mid-file short read —
-  /// an I/O error — not sparse zero territory. Atomic so background
-  /// prefetch reads may overlap appends (pread/pwrite themselves are
+  /// an I/O error — not sparse zero territory. Atomic so concurrent
+  /// page reads may overlap appends (pread/pwrite themselves are
   /// position-independent and safe to mix across threads).
   std::atomic<uint64_t> size_bytes_;
   std::atomic<uint64_t> page_count_;

@@ -276,9 +276,7 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
           SortRectsByYLo(input.stream().range, prepared.scratch.get(),
                          prepared.sorted.get(),
                          plan.options.memory_bytes / 2,
-                         plan.arbiter.get(),
-                         PrefetchContextOf(plan.options),
-                         SortConfigOf(plan.options)));
+                         plan.arbiter.get(), SortConfigOf(plan.options)));
       prepared.source = std::make_unique<SortedStreamSource>(sorted);
       return prepared;
     }

@@ -60,9 +60,9 @@ std::string JoinStats::Describe(const MachineModel& m) const {
      << ObservedIoSeconds() << " s I/O + " << ScaledCpuSeconds(m)
      << " s CPU)";
   if (disk.io_wall_seconds > 0.0) {
-    // Real bytes moved (file backend and/or prefetch): the measured wall
-    // next to the modeled figure. Overlapped background fetches can sum
-    // to more than elapsed time.
+    // Real bytes moved (file backend): the measured wall next to the
+    // modeled figure. Parallel workers' transfers can sum to more than
+    // elapsed time.
     os.precision(4);
     os << "; measured " << disk.io_wall_seconds << " s I/O wall";
   }

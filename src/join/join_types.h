@@ -81,19 +81,20 @@ struct JoinOptions {
   /// write and one read pass over each input.
   bool fuse_merge_sweep = false;
   /// Worker threads for the parallel phases (PBSM partition pairs, SSSJ
-  /// strips, multiway strips). 1 = serial. Each parallel unit runs against
-  /// a private DiskModel shard and a private sink that are merged in unit
-  /// order afterwards, so output pairs and modeled I/O stats are identical
-  /// for every value of this knob.
+  /// strips, multiway strips, external-sort run formation). 1 = serial.
+  /// Each parallel unit runs against a private DiskModel shard and a
+  /// private sink that are merged in unit order afterwards, so output
+  /// pairs and modeled I/O stats are identical for every value of this
+  /// knob.
   uint32_t num_threads = 1;
   /// Vertical strips for the parallel multiway path. Fixed (instead of
   /// derived from num_threads) so the decomposition — and with it the
   /// result order and modeled I/O — does not change with the thread count.
   uint32_t multiway_strips = 64;
-  /// Filter-and-refine pipeline: when true, SpatialJoiner::Join and
-  /// MultiwayJoin treat the MBR join as the filter step, resolve every
-  /// candidate against the inputs' FeatureStores (JoinInput::WithFeatures)
-  /// and emit only pairs/tuples whose exact geometries intersect.
+  /// Filter-and-refine pipeline: when true, pairwise and k-way queries
+  /// treat the MBR join as the filter step, resolve every candidate
+  /// against the inputs' FeatureStores (JoinInput::WithFeatures) and emit
+  /// only pairs/tuples whose exact geometries intersect.
   bool refine = false;
   /// Candidate pairs per refinement batch — the parallel work unit, which
   /// also bounds the feature pages a batch pins in memory (at most one
@@ -120,50 +121,24 @@ struct JoinOptions {
   /// thread-safe. Results and modeled I/O are identical on any backend —
   /// only io_wall_seconds changes.
   std::shared_ptr<StorageFactory> storage;
-  /// Double-buffered read-ahead in the streaming readers (external-sort
-  /// merge, PQ spill cursors, PBSM partition loads, refinement batches):
-  /// block N+1 fetches on a background task while block N drains. Fetches
-  /// go to worker_pool when set, else each reader owns one thread. Never
-  /// changes results, candidate counts, or modeled io_seconds — prefetch
-  /// only moves *when* bytes arrive, never which requests are charged.
-  /// Off by default (costs an extra block buffer per reader).
-  bool prefetch = false;
-  /// Parallel run formation in the external sorts: input chunks sort and
-  /// write as independent units on the worker pool (up to num_threads),
-  /// with the modeled I/O charges replayed in serial order afterwards —
-  /// output bytes and modeled io_seconds are identical at any thread
-  /// count. No effect when num_threads <= 1.
-  bool sort_parallel_runs = true;
   /// External-merge fan-in. 0 = auto: the planner picks the smallest
   /// fan-in that adds no merge pass over the maximum width and spends the
   /// freed budget on larger per-run read blocks. Explicit values are
   /// clamped to [2, layout fan-in].
   uint32_t merge_fan_in = 0;
-  /// Write-behind run output: a sort/spill writer's filled block flushes
-  /// on a background task while the next block fills. Like prefetch, only
-  /// io_wall_seconds moves — page images, allocation order, and modeled
-  /// io_seconds are unchanged. Off by default (one extra write block per
-  /// open writer).
-  bool sort_write_behind = false;
 };
 
-/// The PrefetchContext a query's options describe (threaded through to
-/// every adoption point alongside the options themselves).
-inline PrefetchContext PrefetchContextOf(const JoinOptions& options) {
-  PrefetchContext ctx;
-  ctx.enabled = options.prefetch;
-  ctx.pool = options.worker_pool;
-  return ctx;
+/// The benchmark driver's empty PrefetchContext (see io/prefetch.h).
+inline PrefetchContext PrefetchContextOf(const JoinOptions&) {
+  return PrefetchContext();
 }
 
 /// The SortConfig a query's options describe (threaded through to every
-/// external-sort instantiation, like PrefetchContextOf).
+/// external-sort instantiation).
 inline SortConfig SortConfigOf(const JoinOptions& options) {
   SortConfig config;
-  config.parallel_runs = options.sort_parallel_runs;
   config.threads = std::max<uint32_t>(1, options.num_threads);
   config.pool = options.worker_pool;
-  config.write_behind = options.sort_write_behind;
   config.merge_fan_in = options.merge_fan_in;
   return config;
 }

@@ -86,11 +86,11 @@ Result<std::vector<PartitionFile>> MakePartitionFiles(StorageFactory* storage,
   return files;
 }
 
-Result<std::vector<RectF>> Drain(PrefetchingStreamReader<RectF>* reader,
-                                 uint64_t count) {
+Result<std::vector<RectF>> Drain(const StreamRange& range) {
   std::vector<RectF> out;
-  out.reserve(count);
-  while (std::optional<RectF> r = reader->Next()) out.push_back(*r);
+  out.reserve(range.count);
+  StreamReader<RectF> reader(range.pager, range.first_page, range.count);
+  while (std::optional<RectF> r = reader.Next()) out.push_back(*r);
   return out;
 }
 
@@ -223,10 +223,6 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
     std::unique_ptr<MemoryArbiter> memory;
     std::unique_ptr<Pager> pager_a, pager_b;
     StreamRange range_a, range_b;
-    /// Partition-load readers. Normally created by the task itself; in
-    /// serial prefetch mode the *previous* task creates them early so the
-    /// next pair's stream fetches while the current pair sorts and sweeps.
-    std::unique_ptr<PrefetchingStreamReader<RectF>> reader_a, reader_b;
     CollectingSink sink;
     uint64_t output = 0;
     size_t max_sweep_bytes = 0;
@@ -241,7 +237,6 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   // (in the same partition order the pooled merge below replays them),
   // so serial runs keep O(1) result buffering.
   const bool pooled = options.num_threads > 1 && p > 1;
-  const PrefetchContext prefetch = PrefetchContextOf(options);
   std::vector<PartitionTask> tasks(p);
   // The per-task budget is the partition-phase budget the planner sized
   // partitions for (the raw knob, not the query-floor-clamped budget):
@@ -262,16 +257,6 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
                             files_b[i].range.count};
   }
 
-  // Opens both partition-load readers of one task. With prefetch on,
-  // construction immediately begins fetching each stream's first block in
-  // the background.
-  auto open_readers = [&](PartitionTask& t) {
-    t.reader_a = std::make_unique<PrefetchingStreamReader<RectF>>(
-        t.range_a.pager, t.range_a.first_page, t.range_a.count, prefetch);
-    t.reader_b = std::make_unique<PrefetchingStreamReader<RectF>>(
-        t.range_b.pager, t.range_b.first_page, t.range_b.count, prefetch);
-  };
-
   SJ_RETURN_IF_ERROR(ParallelFor(
       options.worker_pool, options.num_threads, p, [&](uint64_t i) -> Status {
         PartitionTask& t = tasks[i];
@@ -289,24 +274,9 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
         // signal (previously an ad-hoc comparison against the raw knob).
         Result<MemoryGrant> load =
             t.memory->Acquire(grants::kPbsmPartition, t.part_bytes);
-        if (load.ok() && t.reader_a == nullptr) open_readers(t);
-        // Serial handoff: tasks run inline in partition order, so opening
-        // the next pair's readers now lets its streams fetch while this
-        // pair sorts and sweeps. Charges still happen at consumption, on
-        // the next task's private shard, so modeled I/O is unchanged. (A
-        // reader pair abandoned by an overflowing next task just cancels
-        // its fetch — no charges were made.)
-        if (!pooled && prefetch.enabled && i + 1 < p &&
-            tasks[i + 1].reader_a == nullptr) {
-          open_readers(tasks[i + 1]);
-        }
         if (load.ok()) {
-          SJ_ASSIGN_OR_RETURN(std::vector<RectF> ra,
-                              Drain(t.reader_a.get(), t.range_a.count));
-          SJ_ASSIGN_OR_RETURN(std::vector<RectF> rb,
-                              Drain(t.reader_b.get(), t.range_b.count));
-          t.reader_a.reset();
-          t.reader_b.reset();
+          SJ_ASSIGN_OR_RETURN(std::vector<RectF> ra, Drain(t.range_a));
+          SJ_ASSIGN_OR_RETURN(std::vector<RectF> rb, Drain(t.range_b));
           std::sort(ra.begin(), ra.end(), OrderByYLo());
           std::sort(rb.begin(), rb.end(), OrderByYLo());
           VectorRectSource sa(&ra), sb(&rb);
@@ -319,35 +289,31 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
         } else {
           // Overflow fallback: external sort this partition and sweep the
           // sorted streams (grant-governed through the task's arbiter).
-          // Readers the previous task opened ahead are cancelled unread —
-          // they made no charges, so modeled I/O matches the serial path.
           t.overflowed = true;
-          t.reader_a.reset();
-          t.reader_b.reset();
           SJ_ASSIGN_OR_RETURN(
               std::unique_ptr<Pager> scratch,
               MakePager(options.storage.get(), t.disk.get(),
                         "pbsm.overflow." + std::to_string(i)));
           // Partitions are the parallel unit; their overflow sorts stay
-          // single-threaded but keep the write-behind/fan-in knobs.
+          // single-threaded but keep the fan-in knob.
           SortConfig overflow_sort = SortConfigOf(options);
           overflow_sort.threads = 1;
           SJ_ASSIGN_OR_RETURN(
               StreamRange sa_range,
               SortRectsByYLo(t.range_a, scratch.get(), scratch.get(),
                              options.memory_bytes / 2, t.memory.get(),
-                             prefetch, overflow_sort, &t.sort_stats));
+                             overflow_sort, &t.sort_stats));
           SJ_ASSIGN_OR_RETURN(
               StreamRange sb_range,
               SortRectsByYLo(t.range_b, scratch.get(), scratch.get(),
                              options.memory_bytes / 2, t.memory.get(),
-                             prefetch, overflow_sort, &t.sort_stats));
+                             overflow_sort, &t.sort_stats));
           MemoryGrant sweep_grant = t.memory->AcquireShrinkable(
               grants::kSweep, t.part_bytes, /*floor_bytes=*/0);
-          PrefetchingStreamReader<RectF> reader_a(
-              sa_range.pager, sa_range.first_page, sa_range.count, prefetch);
-          PrefetchingStreamReader<RectF> reader_b(
-              sb_range.pager, sb_range.first_page, sb_range.count, prefetch);
+          StreamReader<RectF> reader_a(sa_range.pager, sa_range.first_page,
+                                       sa_range.count);
+          StreamReader<RectF> reader_b(sb_range.pager, sb_range.first_page,
+                                       sb_range.count);
           sweep_stats = SweepJoinWithKind(options.partition_sweep, extent,
                                           options.striped_strips, reader_a,
                                           reader_b, emit);

@@ -89,8 +89,7 @@ Result<JoinStats> PQJoinIndexStream(const RTree& a, const DatasetRef& b,
       StreamRange sorted_b,
       SortRectsByYLo(b.range, scratch.get(), sorted.get(),
                      options.memory_bytes / 2, scope.get(),
-                     PrefetchContextOf(options), SortConfigOf(options),
-                     &sort_stats));
+                     SortConfigOf(options), &sort_stats));
   RTreePQSource source_a(&a);
   SortedStreamSource source_b(sorted_b);
   SJ_ASSIGN_OR_RETURN(RectF extent_b, EnsureExtent(b));

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <memory>
 
-#include "io/prefetch.h"
+#include "io/stream.h"
 #include "join/strip_map.h"
 #include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
@@ -11,20 +11,6 @@
 #include "util/timer.h"
 
 namespace sj {
-namespace {
-
-/// Adapter: a (prefetching) stream reader as a sweep source.
-class StreamSource {
- public:
-  StreamSource(const StreamRange& range, const PrefetchContext& prefetch)
-      : reader_(range.pager, range.first_page, range.count, prefetch) {}
-  std::optional<RectF> Next() { return reader_.Next(); }
-
- private:
-  PrefetchingStreamReader<RectF> reader_;
-};
-
-}  // namespace
 
 size_t EstimateSweepBytes(uint64_t records) {
   return static_cast<size_t>(
@@ -66,7 +52,6 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   JoinMeasurement measurement(disk);
   SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
   StorageFactory* storage = options.storage.get();
-  const PrefetchContext prefetch = PrefetchContextOf(options);
   const SortConfig sort_config = SortConfigOf(options);
   SortStats sort_stats;
 
@@ -80,43 +65,51 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     sink->Emit(ra.id, rb.id);
   };
 
+  // Ablation: merge the runs straight into the sweep. Saves one write
+  // and one read pass per input, but only when each input's runs fit one
+  // merge pass; otherwise the join materializes the sorted streams below.
+  bool fused = false;
   if (options.fuse_merge_sweep) {
-    // Ablation: merge the runs straight into the sweep. Saves one write
-    // and one read pass per input. The sorters' run grants are released
-    // before the sweep acquires its own; the merge readers keep only
-    // their small blocks.
+    // The sorters' run grants are released before the sweep acquires its
+    // own; the merge readers keep only their small blocks.
     const size_t half = options.memory_bytes / 2;
     std::vector<StreamRange> ra, rb;
     {
       ExternalSorter<RectF, OrderByYLo> sorter_a(half, runs_a.get(),
                                                  OrderByYLo(), scope.get(),
-                                                 prefetch, sort_config);
+                                                 sort_config);
       ExternalSorter<RectF, OrderByYLo> sorter_b(half, runs_b.get(),
                                                  OrderByYLo(), scope.get(),
-                                                 prefetch, sort_config);
-      SJ_RETURN_IF_ERROR(sorter_a.FormRuns(a.range, &ra));
-      SJ_RETURN_IF_ERROR(sorter_b.FormRuns(b.range, &rb));
-      SJ_CHECK(ra.size() <= sorter_a.MaxFanIn() &&
-               rb.size() <= sorter_b.MaxFanIn())
-          << "fused SSSJ requires a single merge pass";
-      sort_stats.Fold(sorter_a.stats());
-      sort_stats.Fold(sorter_b.stats());
+                                                 sort_config);
+      // Run formation cuts an input into ceil(count / RunCapacity())
+      // runs; the fused merge reads them all at once.
+      auto one_pass = [](const ExternalSorter<RectF, OrderByYLo>& sorter,
+                         uint64_t count) {
+        const uint64_t cap = sorter.RunCapacity();
+        return (count + cap - 1) / cap <= sorter.MaxFanIn();
+      };
+      fused = one_pass(sorter_a, a.count()) && one_pass(sorter_b, b.count());
+      if (fused) {
+        SJ_RETURN_IF_ERROR(sorter_a.FormRuns(a.range, &ra));
+        SJ_RETURN_IF_ERROR(sorter_b.FormRuns(b.range, &rb));
+        sort_stats.Fold(sorter_a.stats());
+        sort_stats.Fold(sorter_b.stats());
+      }
     }
-    MemoryGrant sweep_grant = scope->AcquireShrinkable(
-        grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
-    MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
-                                              /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
-    MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
-                                              /*block_pages=*/8, OrderByYLo(),
-                                              prefetch,
-                                              sort_config.merge_structure);
-    sweep_stats =
-        SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
-                          source_a, source_b, emit);
-    sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-  } else {
+    if (fused) {
+      MemoryGrant sweep_grant = scope->AcquireShrinkable(
+          grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
+      MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
+                                                /*block_pages=*/8);
+      MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
+                                                /*block_pages=*/8);
+      sweep_stats = SweepJoinWithKind(options.stream_sweep, extent,
+                                      options.striped_strips, source_a,
+                                      source_b, emit);
+      sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
+    }
+  }
+  if (!fused) {
     SJ_ASSIGN_OR_RETURN(auto sorted_a,
                         MakePager(storage, disk, "sssj.sorted.a"));
     SJ_ASSIGN_OR_RETURN(auto sorted_b,
@@ -124,16 +117,17 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     SJ_ASSIGN_OR_RETURN(
         StreamRange sa,
         SortRectsByYLo(a.range, runs_a.get(), sorted_a.get(),
-                       options.memory_bytes / 2, scope.get(), prefetch,
-                       sort_config, &sort_stats));
+                       options.memory_bytes / 2, scope.get(), sort_config,
+                       &sort_stats));
     SJ_ASSIGN_OR_RETURN(
         StreamRange sb,
         SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
-                       options.memory_bytes / 2, scope.get(), prefetch,
-                       sort_config, &sort_stats));
+                       options.memory_bytes / 2, scope.get(), sort_config,
+                       &sort_stats));
     MemoryGrant sweep_grant = scope->AcquireShrinkable(
         grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
-    StreamSource source_a(sa, prefetch), source_b(sb, prefetch);
+    StreamReader<RectF> source_a(sa.pager, sa.first_page, sa.count);
+    StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
     sweep_stats =
         SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
                           source_a, source_b, emit);
@@ -213,7 +207,6 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   writer_grant.NoteUsage(size_t{2} * map.strips() * writer_block_pages *
                          kPageSize);
   StorageFactory* storage = options.storage.get();
-  const PrefetchContext prefetch = PrefetchContextOf(options);
   auto make_files = [storage, disk, writer_block_pages](
                         const char* side,
                         uint32_t k) -> Result<std::vector<StripFile>> {
@@ -269,7 +262,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   };
   // Strips are the parallel unit here: their internal sorts stay
   // single-threaded (nested run-formation fan-out would only contend for
-  // the same workers), but the write-behind and fan-in knobs still apply.
+  // the same workers), but the fan-in knob still applies.
   SortConfig strip_sort_config = SortConfigOf(options);
   strip_sort_config.threads = 1;
   // Inline runs (same condition as ParallelFor's) stream pairs straight
@@ -304,20 +297,18 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
             StreamRange sa,
             SortRectsByYLo(t.range_a, scratch.get(), sorted.get(),
                            options.memory_bytes / 2, t.memory.get(),
-                           prefetch, strip_sort_config, &t.sort_stats));
+                           strip_sort_config, &t.sort_stats));
         SJ_ASSIGN_OR_RETURN(
             StreamRange sb,
             SortRectsByYLo(t.range_b, scratch.get(), sorted.get(),
                            options.memory_bytes / 2, t.memory.get(),
-                           prefetch, strip_sort_config, &t.sort_stats));
+                           strip_sort_config, &t.sort_stats));
         MemoryGrant sweep_grant = t.memory->AcquireShrinkable(
             grants::kSweep,
             EstimateSweepBytes(t.range_a.count + t.range_b.count),
             /*floor_bytes=*/0);
-        PrefetchingStreamReader<RectF> reader_a(sa.pager, sa.first_page,
-                                                sa.count, prefetch);
-        PrefetchingStreamReader<RectF> reader_b(sb.pager, sb.first_page,
-                                                sb.count, prefetch);
+        StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
+        StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
         auto emit = [&](const RectF& ra, const RectF& rb) {
           // Report only in the strip owning the overlap's left edge.
           if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {

@@ -11,7 +11,6 @@
 #include "core/memory_arbiter.h"
 #include "histogram/grid_histogram.h"
 #include "io/pager.h"
-#include "io/prefetch.h"
 #include "io/stream.h"
 #include "join/executor.h"
 #include "join/multiway.h"
@@ -23,13 +22,12 @@ namespace sj {
 
 /// Resources an operator pipeline executes against: the query's disk
 /// model, its MemoryArbiter (every operator grant draws from here, so one
-/// budget bounds the whole tree), the scratch storage choice, and the
-/// prefetch context. All borrowed; the pipeline driver owns the lifetime.
+/// budget bounds the whole tree) and the scratch storage choice. All
+/// borrowed; the pipeline driver owns the lifetime.
 struct PipelineContext {
   DiskModel* disk = nullptr;
   MemoryArbiter* arbiter = nullptr;
   StorageFactory* storage = nullptr;
-  PrefetchContext prefetch;
 };
 
 /// Per-operator counters, collected into PipelineStats::operators.

@@ -29,8 +29,8 @@ Result<StreamRange> TreeToStream(const RTree& tree, Pager* pager) {
 
 Result<std::unique_ptr<RectResolver>> RectResolver::Build(
     const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
-    StorageFactory* storage, const PrefetchContext& prefetch,
-    const std::string& name, const SortConfig& sort_config) {
+    StorageFactory* storage, const std::string& name,
+    const SortConfig& sort_config) {
   SJ_CHECK(disk != nullptr && arbiter != nullptr);
   auto resolver = std::unique_ptr<RectResolver>(new RectResolver());
   resolver->count_ = input.count();
@@ -74,7 +74,7 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
   }
   ExternalSorter<RectF, OrderById> sorter(resolver->grant_.bytes(),
                                           resolver->scratch_.get(), OrderById(),
-                                          arbiter, prefetch, sort_config);
+                                          arbiter, sort_config);
   SJ_ASSIGN_OR_RETURN(StreamRange sorted,
                       sorter.Sort(raw, resolver->scratch_.get()));
   resolver->first_page_ = sorted.first_page;

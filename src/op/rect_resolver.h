@@ -8,7 +8,6 @@
 
 #include "core/memory_arbiter.h"
 #include "io/pager.h"
-#include "io/prefetch.h"
 #include "io/storage.h"
 #include "join/executor.h"
 #include "util/result.h"
@@ -51,12 +50,11 @@ class RectResolver {
   /// The build scan is charged to `disk`; scratch files for the external
   /// path come from `storage` (null = in-memory backend). `name` prefixes
   /// the scratch pager name. `sort_config` shapes the external path's
-  /// id-sort (parallel runs / write-behind / fan-in; same table bytes
-  /// either way).
+  /// id-sort (formation threads / fan-in; same table bytes either way).
   static Result<std::unique_ptr<RectResolver>> Build(
       const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
-      StorageFactory* storage, const PrefetchContext& prefetch,
-      const std::string& name, const SortConfig& sort_config = SortConfig());
+      StorageFactory* storage, const std::string& name,
+      const SortConfig& sort_config = SortConfig());
 
   /// Resolves ids[i] into (*out)[i] (out is resized). Every id must exist
   /// in the input; an unknown id is an Internal error (it would mean the

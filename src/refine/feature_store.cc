@@ -73,87 +73,49 @@ Result<uint64_t> FeatureStore::FetchBatch(Span<const ObjectId> ids,
                                           std::vector<Segment>* out,
                                           DiskModel* charge,
                                           uint32_t charge_dev) const {
-  SJ_ASSIGN_OR_RETURN(PendingBatch batch, StartBatch(ids));
-  return FinishBatch(std::move(batch), out, charge, charge_dev);
-}
-
-Result<FeatureStore::PendingBatch> FeatureStore::StartBatch(
-    Span<const ObjectId> ids, const PrefetchContext& prefetch) const {
-  PendingBatch batch;
-  batch.ids_.assign(ids.begin(), ids.end());
-  if (ids.empty()) return std::move(batch);
-  batch.pages_.reserve(ids.size());
+  if (ids.empty()) return uint64_t{0};
+  std::vector<PageId> pages;  // Distinct data pages, ascending.
+  pages.reserve(ids.size());
   for (const ObjectId id : ids) {
     SJ_ASSIGN_OR_RETURN(PageId page, DataPageOf(id));
-    batch.pages_.push_back(page);
+    pages.push_back(page);
   }
-  std::sort(batch.pages_.begin(), batch.pages_.end());
-  batch.pages_.erase(std::unique(batch.pages_.begin(), batch.pages_.end()),
-                     batch.pages_.end());
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
 
   // Runs of consecutive pages become single requests, in ascending page
-  // order; slot i of the batch buffer holds pages_[i].
+  // order; slot i of the buffer holds pages[i].
+  std::vector<uint8_t> buffer(pages.size() * kPageSize);
   size_t i = 0;
-  while (i < batch.pages_.size()) {
+  while (i < pages.size()) {
     size_t j = i + 1;
-    while (j < batch.pages_.size() &&
-           batch.pages_[j] == batch.pages_[j - 1] + 1 &&
+    while (j < pages.size() && pages[j] == pages[j - 1] + 1 &&
            j - i < kStreamBlockPages) {
       ++j;
     }
-    batch.runs_.push_back(
-        PageRun{batch.pages_[i], static_cast<uint32_t>(j - i)});
+    const uint32_t npages = static_cast<uint32_t>(j - i);
+    uint8_t* dst = buffer.data() + i * kPageSize;
+    if (charge == nullptr) {
+      SJ_RETURN_IF_ERROR(pager_->ReadRun(pages[i], npages, dst));
+    } else {
+      charge->Read(charge_dev, pages[i], npages);
+      WallTimer wall;
+      for (uint32_t k = 0; k < npages; ++k) {
+        SJ_RETURN_IF_ERROR(pager_->backend()->ReadPage(
+            pages[i] + k, dst + size_t{k} * kPageSize));
+      }
+      charge->AddIoWall(wall.Elapsed());
+    }
     i = j;
   }
 
-  if (prefetch.enabled) {
-    batch.prefetcher_ =
-        std::make_unique<BlockPrefetcher>(pager_, prefetch.pool);
-    batch.prefetcher_->Start(batch.runs_);
-  }
-  return std::move(batch);
-}
-
-Result<uint64_t> FeatureStore::FinishBatch(PendingBatch batch,
-                                           std::vector<Segment>* out,
-                                           DiskModel* charge,
-                                           uint32_t charge_dev) const {
-  if (batch.ids_.empty()) return uint64_t{0};
-  DiskModel* disk = charge != nullptr ? charge : pager_->disk();
-  const uint32_t dev = charge != nullptr ? charge_dev : pager_->device_id();
-  std::vector<uint8_t> buffer;
-  if (batch.prefetcher_ != nullptr) {
-    // Bytes were moved (or are being moved) in the background; the
-    // modeled charges land here, on the consuming thread, in plan order.
-    SJ_RETURN_IF_ERROR(batch.prefetcher_->FinishCharged(&buffer, disk, dev));
-  } else {
-    buffer.resize(batch.pages_.size() * kPageSize);
-    size_t slot = 0;
-    for (const PageRun& run : batch.runs_) {
-      uint8_t* dst = buffer.data() + slot * kPageSize;
-      if (charge == nullptr) {
-        SJ_RETURN_IF_ERROR(pager_->ReadRun(run.first, run.npages, dst));
-      } else {
-        charge->Read(charge_dev, run.first, run.npages);
-        WallTimer wall;
-        for (uint32_t k = 0; k < run.npages; ++k) {
-          SJ_RETURN_IF_ERROR(pager_->backend()->ReadPage(
-              run.first + k, dst + k * kPageSize));
-        }
-        charge->AddIoWall(wall.Elapsed());
-      }
-      slot += run.npages;
-    }
-  }
-
-  out->reserve(out->size() + batch.ids_.size());
-  for (const ObjectId id : batch.ids_) {
+  out->reserve(out->size() + ids.size());
+  for (const ObjectId id : ids) {
     const uint64_t index = static_cast<uint64_t>(id) - base_id_;
     const PageId page =
         static_cast<PageId>(first_data_page_ + index / kRecordsPerPage);
     const size_t slot_in_buffer =
-        std::lower_bound(batch.pages_.begin(), batch.pages_.end(), page) -
-        batch.pages_.begin();
+        std::lower_bound(pages.begin(), pages.end(), page) - pages.begin();
     Segment s;
     std::memcpy(&s,
                 buffer.data() + slot_in_buffer * kPageSize +
@@ -161,7 +123,7 @@ Result<uint64_t> FeatureStore::FinishBatch(PendingBatch batch,
                 sizeof(Segment));
     out->push_back(s);
   }
-  return static_cast<uint64_t>(batch.pages_.size());
+  return static_cast<uint64_t>(pages.size());
 }
 
 }  // namespace sj

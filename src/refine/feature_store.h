@@ -1,14 +1,12 @@
 #ifndef USJ_REFINE_FEATURE_STORE_H_
 #define USJ_REFINE_FEATURE_STORE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "geometry/segment.h"
 #include "io/disk_model.h"
 #include "io/pager.h"
-#include "io/prefetch.h"
 #include "io/stream.h"
 #include "util/result.h"
 #include "util/span.h"
@@ -85,43 +83,6 @@ class FeatureStore {
                               std::vector<Segment>* out,
                               DiskModel* charge = nullptr,
                               uint32_t charge_dev = 0) const;
-
-  /// A batch fetch in flight: created by StartBatch(), consumed by
-  /// FinishBatch(). Movable; must be finished (or destroyed with no
-  /// prefetch pending) before the store's pager goes away.
-  class PendingBatch {
-   public:
-    PendingBatch() = default;
-    PendingBatch(PendingBatch&&) = default;
-    PendingBatch& operator=(PendingBatch&&) = default;
-
-   private:
-    friend class FeatureStore;
-    std::vector<ObjectId> ids_;
-    std::vector<PageId> pages_;        // Distinct data pages, ascending.
-    std::vector<PageRun> runs_;        // `pages_` coalesced into requests.
-    std::unique_ptr<BlockPrefetcher> prefetcher_;
-  };
-
-  /// Plans the page reads for `ids` (distinct pages, ascending, runs of
-  /// consecutive pages coalesced) and — when `prefetch.enabled` — starts
-  /// moving the bytes on a background task. This is the refinement
-  /// read-ahead hook: RefinePairs starts batch N+1 before refining batch
-  /// N, so the next batch's pages arrive while the current one computes.
-  /// FinishBatch() applies the modeled charges in plan order on the
-  /// calling thread, so results and modeled I/O are identical with
-  /// prefetch on or off.
-  Result<PendingBatch> StartBatch(
-      Span<const ObjectId> ids,
-      const PrefetchContext& prefetch = PrefetchContext()) const;
-
-  /// Completes a StartBatch(): appends the geometry of every id (input
-  /// order, duplicates allowed) to `out` and charges the modeled reads —
-  /// to the store's own pager when `charge` is null, else to
-  /// `charge`/`charge_dev` (see FetchBatch). Returns data pages read.
-  Result<uint64_t> FinishBatch(PendingBatch batch, std::vector<Segment>* out,
-                               DiskModel* charge = nullptr,
-                               uint32_t charge_dev = 0) const;
 
  private:
   FeatureStore(Pager* pager, PageId header_page, uint64_t count,

@@ -92,56 +92,28 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
   // to the caller's sink in the same order the pooled merge replays them.
   const bool pooled = options.num_threads > 1 && nbatches > 1;
 
-  // Read-ahead: batch i starts batch i+1's page fetches before refining,
-  // so the next batch's bytes arrive while this batch computes. Serial
-  // only (inline ParallelFor runs batches in index order); pool workers
-  // already overlap each other. Modeled charges land in FinishBatch on
-  // the consuming batch's own shard, so stats are unchanged.
-  const PrefetchContext prefetch = PrefetchContextOf(options);
-  const bool read_ahead = prefetch.enabled && !pooled;
-  std::vector<FeatureStore::PendingBatch> fetch_a(nbatches), fetch_b(nbatches);
-  std::vector<uint8_t> started(nbatches, 0);
-  auto start_batch = [&](uint64_t i) -> Status {
-    const uint64_t lo = i * batch;
-    const uint64_t hi = std::min(n, lo + batch);
-    std::vector<ObjectId> ids_a, ids_b;
-    ids_a.reserve(hi - lo);
-    ids_b.reserve(hi - lo);
-    for (uint64_t k = lo; k < hi; ++k) {
-      ids_a.push_back(candidates[k].a);
-      ids_b.push_back(candidates[k].b);
-    }
-    SJ_ASSIGN_OR_RETURN(
-        fetch_a[i],
-        store_a.StartBatch(Span<const ObjectId>(ids_a.data(), ids_a.size()),
-                           prefetch));
-    SJ_ASSIGN_OR_RETURN(
-        fetch_b[i],
-        store_b.StartBatch(Span<const ObjectId>(ids_b.data(), ids_b.size()),
-                           prefetch));
-    started[i] = 1;
-    return Status::OK();
-  };
-
   SJ_RETURN_IF_ERROR(ParallelFor(
       options.worker_pool, options.num_threads, nbatches, [&](uint64_t i) -> Status {
         BatchShard& shard = shards[i];
         ThreadCpuTimer cpu;
         const uint64_t lo = i * batch;
         const uint64_t hi = std::min(n, lo + batch);
-        if (started[i] == 0) SJ_RETURN_IF_ERROR(start_batch(i));
-        if (read_ahead && i + 1 < nbatches && started[i + 1] == 0) {
-          SJ_RETURN_IF_ERROR(start_batch(i + 1));
+        std::vector<ObjectId> ids_a, ids_b;
+        ids_a.reserve(hi - lo);
+        ids_b.reserve(hi - lo);
+        for (uint64_t k = lo; k < hi; ++k) {
+          ids_a.push_back(candidates[k].a);
+          ids_b.push_back(candidates[k].b);
         }
         std::vector<Segment> geom_a, geom_b;
         SJ_ASSIGN_OR_RETURN(
             uint64_t pages_a,
-            store_a.FinishBatch(std::move(fetch_a[i]), &geom_a,
-                                shard.disk.get(), shard.devices[0]));
+            store_a.FetchBatch(Span<const ObjectId>(ids_a.data(), ids_a.size()),
+                               &geom_a, shard.disk.get(), shard.devices[0]));
         SJ_ASSIGN_OR_RETURN(
             uint64_t pages_b,
-            store_b.FinishBatch(std::move(fetch_b[i]), &geom_b,
-                                shard.disk.get(), shard.devices[1]));
+            store_b.FetchBatch(Span<const ObjectId>(ids_b.data(), ids_b.size()),
+                               &geom_b, shard.disk.get(), shard.devices[1]));
         shard.pages_read = pages_a + pages_b;
         JoinSink* out = pooled ? static_cast<JoinSink*>(&buffered[i]) : sink;
         // Whole-batch predicate evaluation (join/predicate_batch.h): one

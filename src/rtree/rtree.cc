@@ -193,8 +193,7 @@ Result<RTree> RTree::BulkLoadHilbert(Pager* tree_pager,
 
   // Sort by Hilbert key.
   ExternalSorter<HilbertRect, HilbertLess> sorter(
-      memory_bytes, scratch, HilbertLess(), /*arbiter=*/nullptr,
-      PrefetchContext(), sort_config);
+      memory_bytes, scratch, HilbertLess(), /*arbiter=*/nullptr, sort_config);
   SJ_ASSIGN_OR_RETURN(StreamRange sorted, sorter.Sort(keyed, scratch));
 
   // Pass 3: pack leaves in key order; leaves land on consecutive pages.
@@ -227,8 +226,7 @@ Result<RTree> RTree::BulkLoadSTR(Pager* tree_pager, const StreamRange& input,
 
   // Sort everything by center x.
   ExternalSorter<RectF, CenterXLess> sorter(
-      memory_bytes, scratch, CenterXLess(), /*arbiter=*/nullptr,
-      PrefetchContext(), sort_config);
+      memory_bytes, scratch, CenterXLess(), /*arbiter=*/nullptr, sort_config);
   SJ_ASSIGN_OR_RETURN(StreamRange by_x, sorter.Sort(input, scratch));
 
   const uint64_t leaf_cap = std::max<uint64_t>(

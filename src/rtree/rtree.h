@@ -62,8 +62,8 @@ class RTree {
  public:
   /// Bulk loads from an unsorted stream of rectangles. `scratch` holds the
   /// Hilbert-keyed runs during sorting; `memory_bytes` bounds the sorter.
-  /// `sort_config` carries the parallel-runs / write-behind / fan-in knobs
-  /// for the key sort (the built tree is identical either way).
+  /// `sort_config` carries the formation threads and merge fan-in for the
+  /// key sort (the built tree is identical either way).
   static Result<RTree> BulkLoadHilbert(Pager* tree_pager,
                                        const StreamRange& input,
                                        Pager* scratch,

@@ -47,19 +47,9 @@ class ExternalPriorityQueue {
   /// `memory_bytes` bounds the in-memory heap; each spilled run adds one
   /// small streaming buffer on top. With an arbiter, the budget is
   /// acquired as a tracked "pq.queue" grant (shrunk to what is left).
-  /// With `prefetch` enabled, each spill cursor double-buffers (its next
-  /// block fetches in the background while the current one drains); with
-  /// `config.write_behind`, each spill's run writer flushes its filled
-  /// block on a background task while the next packs. Neither changes
-  /// pop order or modeled io_seconds.
   ExternalPriorityQueue(size_t memory_bytes, Pager* spill, Less less = Less(),
-                        MemoryArbiter* arbiter = nullptr,
-                        const PrefetchContext& prefetch = PrefetchContext(),
-                        const SortConfig& config = SortConfig())
-      : less_(less), spill_(spill), prefetch_(prefetch) {
-    const SortConfig effective = EffectiveSortConfig(config);
-    write_behind_.enabled = effective.write_behind;
-    write_behind_.pool = effective.pool;
+                        MemoryArbiter* arbiter = nullptr)
+      : less_(less), spill_(spill) {
     if (arbiter != nullptr) {
       grant_ = arbiter->AcquireShrinkable(grants::kPqQueue, memory_bytes,
                                           kMinHeapRecords * sizeof(T));
@@ -127,7 +117,7 @@ class ExternalPriorityQueue {
     bool operator()(const T& a, const T& b) const { return less(b, a); }
   };
   struct RunCursor {
-    std::unique_ptr<PrefetchingStreamReader<T>> reader;
+    std::unique_ptr<StreamReader<T>> reader;
     std::optional<T> head;
   };
 
@@ -160,7 +150,7 @@ class ExternalPriorityQueue {
     grant_.NoteUsage(MemoryBytes());
     std::sort(heap_.begin(), heap_.end(), less_);
     const size_t keep = heap_.size() / 2;
-    StreamWriter<T> writer(spill_, run_block_pages_, write_behind_);
+    StreamWriter<T> writer(spill_, run_block_pages_);
     const PageId first = writer.first_page();
     for (size_t i = keep; i < heap_.size(); ++i) writer.Append(heap_[i]);
     auto n = writer.Finish();
@@ -169,8 +159,8 @@ class ExternalPriorityQueue {
     std::make_heap(heap_.begin(), heap_.end(), HeapGreater{less_});
 
     RunCursor cursor;
-    cursor.reader = std::make_unique<PrefetchingStreamReader<T>>(
-        spill_, first, n.value(), prefetch_, run_block_pages_);
+    cursor.reader = std::make_unique<StreamReader<T>>(spill_, first, n.value(),
+                                                      run_block_pages_);
     cursor.head = cursor.reader->Next();
     SJ_CHECK(cursor.head.has_value());
     cursors_.push_back(std::move(cursor));
@@ -179,8 +169,6 @@ class ExternalPriorityQueue {
 
   Less less_;
   Pager* spill_;
-  PrefetchContext prefetch_;
-  WriteBehindContext write_behind_;
   size_t heap_capacity_ = kMinHeapRecords;
   uint32_t run_block_pages_ = 1;
   std::vector<T> heap_;

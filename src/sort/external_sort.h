@@ -13,7 +13,6 @@
 #include "io/pager.h"
 #include "io/prefetch.h"
 #include "io/stream.h"
-#include "io/write_behind.h"
 #include "sort/loser_tree.h"
 #include "sort/run_layout.h"
 #include "sort/sort_config.h"
@@ -44,29 +43,25 @@ struct StreamRange {
 /// experiment in the paper one merge pass suffices; multi-pass merging
 /// exists for robustness and is covered by tests.
 ///
-/// Three optional perf layers (SortConfig), all bit-identical to the
-/// serial pipeline in output bytes and modeled io_seconds:
+/// Two perf layers, both bit-identical to the serial pipeline in output
+/// bytes and modeled io_seconds:
 ///
-///  * Parallel run formation: chunks are sorted and written as
-///    independent units on the worker pool. Chunk boundaries are fixed at
-///    RunCapacity() records regardless of thread count, unit extents are
-///    pre-allocated in unit order (reproducing the serial pager layout),
-///    workers move bytes through the raw backend (wall-timed only), and
-///    the coordinator replays the exact serial modeled-charge sequence
-///    afterwards — so run contents, page images and DiskModel state match
-///    the serial path request for request. Units model the serial
-///    machine: the reported grant usage is the serial-equivalent
-///    footprint (one chunk + one write block), the same convention the
-///    strip/partition parallelism uses; real transient memory is
-///    threads x that.
+///  * Parallel run formation (SortConfig::threads > 1): chunks are sorted
+///    and written as independent units on the worker pool. Chunk
+///    boundaries are fixed at RunCapacity() records regardless of thread
+///    count, unit extents are pre-allocated in unit order (reproducing the
+///    serial pager layout), workers move bytes through the raw backend
+///    (wall-timed only), and the coordinator replays the exact serial
+///    modeled-charge sequence afterwards — so run contents, page images
+///    and DiskModel state match the serial path request for request.
+///    Units model the serial machine: the reported grant usage is the
+///    serial-equivalent footprint (one chunk + one write block), the same
+///    convention the strip/partition parallelism uses; real transient
+///    memory is threads x that.
 ///  * Loser-tree merge: one leaf-to-root path (ceil(log2 k) comparisons)
 ///    per record instead of two heap sifts, stable on (key, source), fed
 ///    by a RunLayout::PlanMerge fan-in that trades pass count against
 ///    read-block size under the grant.
-///  * Write-behind output: run and merge writers flush the filled block
-///    on a background task while the next fills (StreamWriter's
-///    double-buffered mode); modeled charges stay on the producer in
-///    stream order, so only io_wall_seconds moves.
 ///
 /// T must be trivially copyable; Less must be a strict weak ordering
 /// (ties break by source run, so even non-total orders merge
@@ -81,17 +76,10 @@ class ExternalSorter {
   /// sizing arithmetic). When `arbiter` is given, the sorter acquires its
   /// budget as a tracked grant — shrunk to what the arbiter has left —
   /// and reports its run-buffer usage against it.
-  /// With `prefetch` enabled, the merge phase double-buffers every run
-  /// reader (block N+1 fetches in the background while block N drains);
-  /// results and modeled I/O are identical either way.
   ExternalSorter(size_t memory_bytes, Pager* scratch, Less less = Less(),
                  MemoryArbiter* arbiter = nullptr,
-                 const PrefetchContext& prefetch = PrefetchContext(),
                  const SortConfig& config = SortConfig())
-      : scratch_(scratch),
-        less_(less),
-        prefetch_(prefetch),
-        config_(EffectiveSortConfig(config)) {
+      : scratch_(scratch), less_(less), config_(config) {
     if (arbiter != nullptr) {
       grant_ = arbiter->AcquireShrinkable(grants::kSortRuns, memory_bytes,
                                           RunLayout::kMinSortMemoryBytes);
@@ -175,15 +163,7 @@ class ExternalSorter {
   static constexpr uint32_t kRecordsPerPage = StreamWriter<T>::kRecordsPerPage;
 
   uint32_t FormationThreads() const {
-    if (!config_.parallel_runs) return 1;
     return std::max<uint32_t>(1, config_.threads);
-  }
-
-  WriteBehindContext WriteBehindOf() const {
-    WriteBehindContext wb;
-    wb.enabled = config_.write_behind;
-    wb.pool = config_.pool;
-    return wb;
   }
 
   /// Pages a run of `count` records occupies: the serial writer flushes in
@@ -208,8 +188,7 @@ class ExternalSorter {
       if (rec.has_value()) chunk.push_back(*rec);
       if ((!rec.has_value() && !chunk.empty()) || chunk.size() >= cap) {
         std::sort(chunk.begin(), chunk.end(), less_);
-        StreamWriter<T> writer(scratch_, layout_.write_block_pages,
-                               WriteBehindOf());
+        StreamWriter<T> writer(scratch_, layout_.write_block_pages);
         const PageId first = writer.first_page();
         for (const T& t : chunk) writer.Append(t);
         SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
@@ -335,7 +314,7 @@ class ExternalSorter {
 
   /// Replays the serial modeled-charge sequence on the coordinator after
   /// the workers moved the bytes, in the exact order the serial pipeline
-  /// issues it: the input StreamReader charges a 64-page block whenever
+  /// issues it: the input stream reader charges a 64-page block whenever
   /// the next record is beyond the buffered range, so each unit first
   /// charges the read blocks needed to cover its records, then its run's
   /// flush-block writes. Replaying in that interleaving (not merely the
@@ -388,31 +367,27 @@ class ExternalSorter {
   Result<StreamRange> MergeRuns(const std::vector<StreamRange>& runs,
                                 Pager* output,
                                 const RunLayout::MergePlan& plan) {
-    std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers;
+    std::vector<std::unique_ptr<StreamReader<T>>> readers;
     readers.reserve(runs.size());
-    // Prefetch double-buffers every run reader; write-behind
-    // double-buffers the output writer.
-    grant_.NoteUsage(runs.size() * (prefetch_.enabled ? 2 : 1) *
-                         uint64_t{plan.read_block_pages} * kPageSize +
-                     (config_.write_behind ? 2 : 1) *
-                         uint64_t{layout_.write_block_pages} * kPageSize);
+    // One read block per run plus the output writer's block.
+    grant_.NoteUsage((runs.size() * uint64_t{plan.read_block_pages} +
+                      layout_.write_block_pages) *
+                     kPageSize);
     std::vector<std::optional<T>> heads;
     heads.reserve(runs.size());
     for (size_t i = 0; i < runs.size(); ++i) {
-      readers.push_back(std::make_unique<PrefetchingStreamReader<T>>(
-          runs[i].pager, runs[i].first_page, runs[i].count, prefetch_,
+      readers.push_back(std::make_unique<StreamReader<T>>(
+          runs[i].pager, runs[i].first_page, runs[i].count,
           plan.read_block_pages));
       heads.push_back(readers[i]->Next());
     }
-    MergeSelector<T, Less> selector(std::move(heads), less_,
-                                    config_.merge_structure);
-    StreamWriter<T> writer(output, layout_.write_block_pages,
-                           WriteBehindOf());
+    LoserTree<T, Less> tree(std::move(heads), less_);
+    StreamWriter<T> writer(output, layout_.write_block_pages);
     const PageId first = writer.first_page();
-    while (!selector.Empty()) {
-      const size_t source = selector.TopSource();
-      writer.Append(selector.Top());
-      selector.ReplaceTop(readers[source]->Next());
+    while (!tree.Empty()) {
+      const size_t source = tree.TopSource();
+      writer.Append(tree.Top());
+      tree.ReplaceTop(readers[source]->Next());
     }
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
     return StreamRange{output, first, n};
@@ -443,7 +418,6 @@ class ExternalSorter {
 
   Pager* scratch_;
   Less less_;
-  PrefetchContext prefetch_;
   SortConfig config_;
   RunLayout layout_;
   MemoryGrant grant_;
@@ -456,55 +430,59 @@ class ExternalSorter {
 /// SSSJ's fuse_merge_sweep option plugs this directly into the plane
 /// sweep, eliminating one write pass and one read pass per input relative
 /// to the paper's materializing implementation. Selection runs on the
-/// same stable loser tree as the materializing merge (or the heap
-/// baseline when asked).
+/// same stable loser tree as the materializing merge.
 template <typename T, typename Less>
 class MergingReader {
  public:
   MergingReader(std::vector<StreamRange> runs, uint32_t block_pages,
-                Less less = Less(),
-                const PrefetchContext& prefetch = PrefetchContext(),
-                MergeStructure structure = MergeStructure::kLoserTree) {
+                Less less = Less()) {
     readers_.reserve(runs.size());
     std::vector<std::optional<T>> heads;
     heads.reserve(runs.size());
     for (size_t i = 0; i < runs.size(); ++i) {
-      readers_.push_back(std::make_unique<PrefetchingStreamReader<T>>(
-          runs[i].pager, runs[i].first_page, runs[i].count, prefetch,
-          block_pages));
+      readers_.push_back(std::make_unique<StreamReader<T>>(
+          runs[i].pager, runs[i].first_page, runs[i].count, block_pages));
       heads.push_back(readers_[i]->Next());
     }
-    selector_.emplace(std::move(heads), less, structure);
+    tree_.emplace(std::move(heads), less);
   }
 
   std::optional<T> Next() {
-    if (selector_->Empty()) return std::nullopt;
-    const size_t source = selector_->TopSource();
-    T out = selector_->Top();
-    selector_->ReplaceTop(readers_[source]->Next());
+    if (tree_->Empty()) return std::nullopt;
+    const size_t source = tree_->TopSource();
+    T out = tree_->Top();
+    tree_->ReplaceTop(readers_[source]->Next());
     return out;
   }
 
  private:
-  std::vector<std::unique_ptr<PrefetchingStreamReader<T>>> readers_;
-  std::optional<MergeSelector<T, Less>> selector_;
+  std::vector<std::unique_ptr<StreamReader<T>>> readers_;
+  std::optional<LoserTree<T, Less>> tree_;
 };
 
 /// Convenience: sorts RectF records by lower y coordinate (the sweep
 /// order). With an arbiter, the sort memory is a tracked grant; `config`
-/// carries the parallel-runs / write-behind / fan-in knobs and `stats`
-/// (when set) receives what the sort did.
+/// carries the formation threads and merge fan-in, and `stats` (when set)
+/// receives what the sort did.
 inline Result<StreamRange> SortRectsByYLo(
     const StreamRange& input, Pager* scratch, Pager* output,
     size_t memory_bytes, MemoryArbiter* arbiter = nullptr,
-    const PrefetchContext& prefetch = PrefetchContext(),
     const SortConfig& config = SortConfig(), SortStats* stats = nullptr) {
   ExternalSorter<RectF, OrderByYLo> sorter(memory_bytes, scratch,
-                                           OrderByYLo(), arbiter, prefetch,
-                                           config);
+                                           OrderByYLo(), arbiter, config);
   Result<StreamRange> out = sorter.Sort(input, output);
   if (stats != nullptr) stats->Fold(sorter.stats());
   return out;
+}
+
+/// The same, with the empty context the benchmark driver passes (see
+/// io/prefetch.h).
+inline Result<StreamRange> SortRectsByYLo(
+    const StreamRange& input, Pager* scratch, Pager* output,
+    size_t memory_bytes, MemoryArbiter* arbiter, const PrefetchContext&,
+    const SortConfig& config, SortStats* stats) {
+  return SortRectsByYLo(input, scratch, output, memory_bytes, arbiter, config,
+                        stats);
 }
 
 }  // namespace sj

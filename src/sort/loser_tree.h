@@ -7,23 +7,22 @@
 #include <utility>
 #include <vector>
 
-#include "sort/sort_config.h"
 #include "util/logging.h"
 
 namespace sj {
 
-/// Tournament (loser) tree over k sorted sources — the classic external-
-/// merge selection structure. Each ReplaceTop() walks one leaf-to-root
-/// path of exactly ceil(log2 k) comparisons, where a binary heap pays two
-/// sifts (pop + push) per record with data-dependent branches.
+/// Tournament (loser) tree over k sorted sources — the selection
+/// structure of every k-way merge (ExternalSorter::MergeRuns and
+/// MergingReader). Each ReplaceTop() walks one leaf-to-root path of
+/// exactly ceil(log2 k) comparisons, where a binary heap pays two sifts
+/// (pop + push) per record with data-dependent branches.
 ///
 /// Ordering is the *stable* merge order: ties between sources break
 /// toward the lower source index, and an exhausted source loses to every
-/// live one. Stability makes the merged output independent of the merge
-/// structure and — because stable k-way merges compose — of the fan-in
-/// the merge planner picks, even for comparators with ties. (Every
-/// comparator the joins use is already a total order; stability is the
-/// belt to that suspender.)
+/// live one. Because stable k-way merges compose, stability makes the
+/// merged output independent of the fan-in the merge planner picks, even
+/// for comparators with ties. (Every comparator the joins use is already
+/// a total order; stability is the belt to that suspender.)
 ///
 /// Layout: leaf i lives at position k + i of an implicit binary tree;
 /// internal node p (1 <= p < k) stores the *loser* of the subtree match
@@ -91,71 +90,6 @@ class LoserTree {
   std::vector<std::optional<T>> heads_;
   size_t k_;
   std::vector<size_t> tree_;
-};
-
-/// The merge selection structure behind ExternalSorter::MergeRuns and
-/// MergingReader: a LoserTree by default, or the classic binary heap
-/// (kept as the bench baseline). Both implement the same stable
-/// (key, source index) order, so callers get identical output either way.
-template <typename T, typename Less>
-class MergeSelector {
- public:
-  MergeSelector(std::vector<std::optional<T>> heads, Less less,
-                MergeStructure structure)
-      : structure_(structure), less_(std::move(less)) {
-    if (structure_ == MergeStructure::kLoserTree) {
-      tree_.emplace(std::move(heads), less_);
-      return;
-    }
-    for (size_t i = 0; i < heads.size(); ++i) {
-      if (heads[i].has_value()) heap_.push_back(Item{std::move(*heads[i]), i});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), Greater{less_});
-  }
-
-  bool Empty() const {
-    return tree_.has_value() ? tree_->Empty() : heap_.empty();
-  }
-  const T& Top() const {
-    return tree_.has_value() ? tree_->Top() : heap_.front().value;
-  }
-  size_t TopSource() const {
-    return tree_.has_value() ? tree_->TopSource() : heap_.front().source;
-  }
-
-  void ReplaceTop(std::optional<T> next) {
-    if (tree_.has_value()) {
-      tree_->ReplaceTop(std::move(next));
-      return;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Greater{less_});
-    if (next.has_value()) {
-      heap_.back().value = std::move(*next);
-      std::push_heap(heap_.begin(), heap_.end(), Greater{less_});
-    } else {
-      heap_.pop_back();
-    }
-  }
-
- private:
-  struct Item {
-    T value;
-    size_t source;
-  };
-  /// Min-heap on (value, source) — the same stable order the tree uses.
-  struct Greater {
-    Less less;
-    bool operator()(const Item& a, const Item& b) const {
-      if (less(b.value, a.value)) return true;
-      if (less(a.value, b.value)) return false;
-      return b.source < a.source;
-    }
-  };
-
-  MergeStructure structure_;
-  Less less_;
-  std::optional<LoserTree<T, Less>> tree_;
-  std::vector<Item> heap_;
 };
 
 }  // namespace sj

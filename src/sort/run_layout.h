@@ -78,12 +78,9 @@ struct RunLayout {
   /// read block, never below the layout's floor.
   ///
   /// The plan depends only on the budget and the run count — never on
-  /// thread count, prefetch, or write-behind. That invariance IS the
-  /// determinism contract: enabling prefetch or write-behind must leave
-  /// the request pattern (and so modeled io_seconds) untouched, so their
-  /// doubled buffers ride on top of the planned blocks as bounded,
-  /// NoteUsage-reported overshoot (the same treatment as the PQ's extra
-  /// spill cursors) instead of reshaping the read blocks.
+  /// thread count or storage backend. That invariance IS the determinism
+  /// contract: the request pattern (and so modeled io_seconds) is the
+  /// same for every thread count and backend.
   MergePlan PlanMerge(size_t runs, uint32_t requested_fan_in) const {
     MergePlan plan;
     plan.read_block_pages = block_pages;

@@ -123,7 +123,7 @@ TEST(Planner, TightBudgetShiftsCrossoverTowardTheIndex) {
   JoinOptions tight;
   tight.memory_bytes = kMinMemoryBytes;
   const PlanDecision constrained =
-      joiner.Plan(a, b, nullptr, nullptr, tight);
+      joiner.Plan(a, b, nullptr, nullptr, &tight);
   EXPECT_EQ(constrained.algorithm, JoinAlgorithm::kPQ)
       << constrained.Describe();
   EXPECT_GT(constrained.stream_cost_seconds,

@@ -223,7 +223,8 @@ TEST(RTreeBulkLoad, PageRequestAccountingDuringBuild) {
   auto tree = f.Build(rects, params);
   ASSERT_TRUE(tree.ok());
   // Tree pages were written exactly once each.
-  const auto& dev = f.td.disk.device_stats()[f.tree_pager->device_id()];
+  // device_stats() returns a snapshot by value; copy the element out.
+  const DeviceStats dev = f.td.disk.device_stats()[f.tree_pager->device_id()];
   EXPECT_EQ(dev.pages_written, tree->node_count());
   EXPECT_EQ(dev.pages_read, 0u);
 }

@@ -154,6 +154,64 @@ TEST_F(ServiceTest, ConcurrentMatchesSerialAcrossAlgorithms) {
   EXPECT_GT(stats.pool.requests, 0u);        // ST went through the pool.
 }
 
+// Real files under the service: every admitted query's scratch and spill
+// files are created concurrently on the shared worker pool. Three clients
+// submit forced SSSJ and PBSM joins small enough in budget to spill; each
+// result must match the same query on a memory-backed service, and every
+// grant must be back after drain.
+TEST_F(ServiceTest, FileBackedServiceMatchesMemoryBacked) {
+  const RectF region(0, 0, 200, 200);
+  const DatasetRef da = Dataset(UniformRects(20000, region, 1.5f, 31), "a");
+  const DatasetRef db = Dataset(UniformRects(20000, region, 1.5f, 32), "b");
+  SpatialJoiner joiner(&td_.disk, JoinOptions());
+  auto file_factory = TmpFileStorageFactory::Make();
+  ASSERT_TRUE(file_factory.ok()) << file_factory.status().ToString();
+  std::shared_ptr<StorageFactory> files(std::move(*file_factory));
+
+  constexpr size_t kClients = 3;
+  const JoinAlgorithm algos[] = {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM};
+  constexpr size_t kQueries = kClients * 2;
+  auto run_all = [&](std::shared_ptr<StorageFactory> storage) {
+    ServiceOptions so;
+    so.worker_threads = 2;
+    so.storage = std::move(storage);
+    SpatialService service(so);
+    std::vector<CollectingSink> sinks(kQueries);
+    std::vector<std::optional<SubmittedQuery>> handles(kQueries);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t k = 0; k < 2; ++k) {
+          JoinQuery q(joiner);
+          q.Input(JoinInput::FromStream(da))
+              .Input(JoinInput::FromStream(db))
+              .Algorithm(algos[k])
+              .MemoryBytes(256u << 10);
+          handles[c * 2 + k].emplace(service.Submit(q, &sinks[c * 2 + k]));
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    std::vector<std::vector<IdPair>> results;
+    for (size_t i = 0; i < kQueries; ++i) {
+      const auto& result = handles[i]->Result();
+      EXPECT_TRUE(result.ok())
+          << ToString(algos[i % 2]) << ": " << result.status().ToString();
+      results.push_back(Sorted(sinks[i].pairs()));
+    }
+    EXPECT_EQ(service.stats().global_in_use_bytes, 0u);
+    return results;
+  };
+
+  const std::vector<std::vector<IdPair>> memory = run_all(nullptr);
+  const std::vector<std::vector<IdPair>> file = run_all(files);
+  ASSERT_EQ(file.size(), memory.size());
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_GT(memory[i].size(), 0u);
+    EXPECT_EQ(file[i], memory[i]) << ToString(algos[i % 2]) << " query " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Error taxonomy.
 // ---------------------------------------------------------------------------

@@ -210,58 +210,5 @@ TEST_F(SpatialJoinerTest, SortedStreamInputSkipsSorting) {
   EXPECT_EQ(stats->disk.pages_written, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// The one remaining deprecation-compat test: the legacy SpatialJoiner
-// wrappers stay thin shims over JoinQuery until removal — identical
-// results, identical stats. Everything else in the tree builds queries.
-// ---------------------------------------------------------------------------
-
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST_F(SpatialJoinerTest, DeprecatedWrappersMatchJoinQuery) {
-  const RectF region(0, 0, 60, 60);
-  const auto a = UniformRects(300, region, 2.0f, 14);
-  const auto b = UniformRects(300, region, 2.0f, 15);
-  const auto c = UniformRects(200, region, 3.0f, 16);
-  const DatasetRef da = Dataset(a, "a");
-  const DatasetRef db = Dataset(b, "b");
-  const DatasetRef dc = Dataset(c, "c");
-  SpatialJoiner joiner(&td_.disk, JoinOptions());
-
-  CollectingSink legacy, query;
-  auto legacy_stats = joiner.Join(JoinInput::FromStream(da),
-                                  JoinInput::FromStream(db), &legacy);
-  auto query_stats = JoinQuery(joiner)
-                         .Input(JoinInput::FromStream(da))
-                         .Input(JoinInput::FromStream(db))
-                         .Run(&query);
-  ASSERT_TRUE(legacy_stats.ok()) << legacy_stats.status().ToString();
-  ASSERT_TRUE(query_stats.ok()) << query_stats.status().ToString();
-  EXPECT_EQ(legacy.pairs(), query.pairs());
-  EXPECT_EQ(legacy_stats->output_count, query_stats->output_count);
-  EXPECT_EQ(legacy_stats->candidate_count, query_stats->candidate_count);
-
-  CountingTupleSink legacy_multi, query_multi;
-  auto legacy_multi_stats = joiner.MultiwayJoin(
-      {JoinInput::FromStream(da), JoinInput::FromStream(db),
-       JoinInput::FromStream(dc)},
-      &legacy_multi);
-  auto query_multi_stats = JoinQuery(joiner)
-                               .Input(JoinInput::FromStream(da))
-                               .Input(JoinInput::FromStream(db))
-                               .Input(JoinInput::FromStream(dc))
-                               .Run(static_cast<TupleSink*>(&query_multi));
-  ASSERT_TRUE(legacy_multi_stats.ok())
-      << legacy_multi_stats.status().ToString();
-  ASSERT_TRUE(query_multi_stats.ok())
-      << query_multi_stats.status().ToString();
-  EXPECT_EQ(legacy_multi_stats->output_count, query_multi_stats->output_count);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 }  // namespace
 }  // namespace sj

@@ -1,12 +1,11 @@
 // The storage-backend invariant: where scratch bytes physically live
-// (MemoryBackend vs real files in a tmpdir) and whether the double-buffered
-// prefetcher is on must be invisible to everything except measured wall
-// time. This file sweeps a randomized workload slice across
-// {memory, file} x {prefetch off, on} x {1, 8 threads} for every algorithm
-// and checks byte-identical results, identical candidate counts and
-// identical modeled I/O against the memory/no-prefetch reference — plus a
-// unit-level PrefetchingStreamReader-vs-StreamReader equivalence and a
-// k-way (multiway) slice.
+// (MemoryBackend vs real files in a tmpdir) must be invisible to
+// everything except measured wall time. This file sweeps a randomized
+// workload slice across {memory, file} x {1, 8 threads} for every
+// algorithm and checks byte-identical results, identical candidate counts
+// and identical modeled I/O against the memory/serial reference — plus a
+// unit-level stream round trip on both backends and a k-way (multiway)
+// slice.
 //
 // Every variant runs against its own freshly built DiskModel + datasets:
 // the model's sequential-stream detection is stateful, so sharing one disk
@@ -19,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,13 +26,11 @@
 #include "core/join_query.h"
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
-#include "io/prefetch.h"
 #include "io/storage.h"
 #include "io/stream.h"
 #include "refine/feature_store.h"
 #include "test_util.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace sj {
 namespace {
@@ -44,9 +42,8 @@ using testing_util::Sorted;
 using testing_util::TestDisk;
 
 // ---------------------------------------------------------------------------
-// Unit level: PrefetchingStreamReader yields the exact record sequence and
-// the exact modeled charges of the synchronous StreamReader, on both
-// backends, with and without a shared pool.
+// Unit level: a stream written to and read back from either backend yields
+// the same records and the same modeled charges.
 // ---------------------------------------------------------------------------
 
 std::vector<RectF> TestRecords(uint64_t n) {
@@ -61,15 +58,15 @@ std::vector<RectF> TestRecords(uint64_t n) {
   return rects;
 }
 
-TEST(PrefetchingStreamReader, MatchesSyncReaderOnBothBackends) {
+TEST(StreamReader, BackendsAgreeOnRecordsAndCharges) {
   const std::vector<RectF> records = TestRecords(10000);
   auto file_factory = TmpFileStorageFactory::Make();
   ASSERT_TRUE(file_factory.ok()) << file_factory.status().ToString();
 
+  std::vector<DiskStats> charged;
   StorageFactory* factories[] = {nullptr, file_factory->get()};
   for (StorageFactory* factory : factories) {
     SCOPED_TRACE(factory == nullptr ? "memory" : factory->description());
-
     DiskModel disk(MachineModel::Machine3());
     auto pager = MakePager(factory, &disk, "stream");
     ASSERT_TRUE(pager.ok()) << pager.status().ToString();
@@ -78,82 +75,23 @@ TEST(PrefetchingStreamReader, MatchesSyncReaderOnBothBackends) {
     const PageId first_page = writer.first_page();
     ASSERT_TRUE(writer.Finish().ok());
 
-    // Every scan charges the shared disk; comparing snapshot deltas works
-    // because each scan starts from the same stream-detection state (the
-    // previous pass always ended at the stream's last page).
-    auto read_all = [&](bool prefetch_on, ThreadPool* pool,
-                        DiskStats* charged) {
-      const DiskStats before = disk.stats();
-      std::vector<RectF> got;
-      got.reserve(records.size());
-      PrefetchContext ctx;
-      ctx.enabled = prefetch_on;
-      ctx.pool = pool;
-      PrefetchingStreamReader<RectF> reader(pager->get(), first_page,
-                                            records.size(), ctx);
-      while (std::optional<RectF> r = reader.Next()) got.push_back(*r);
-      *charged = disk.stats() - before;
-      return got;
-    };
-
-    DiskStats sync_stats;
-    const std::vector<RectF> sync = read_all(false, nullptr, &sync_stats);
-    ASSERT_EQ(sync.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      ASSERT_EQ(sync[i].id, records[i].id) << "sync record " << i;
+    StreamReader<RectF> reader(pager->get(), first_page, records.size());
+    size_t i = 0;
+    while (std::optional<RectF> r = reader.Next()) {
+      ASSERT_LT(i, records.size());
+      ASSERT_EQ(*r, records[i]) << "record " << i;
+      ++i;
     }
-
-    ThreadPool pool(2);
-    struct Mode {
-      const char* name;
-      ThreadPool* pool;
-    };
-    const Mode modes[] = {{"dedicated-thread", nullptr},
-                          {"shared-pool", &pool}};
-    for (const Mode& mode : modes) {
-      SCOPED_TRACE(mode.name);
-      DiskStats prefetch_stats;
-      const std::vector<RectF> got =
-          read_all(true, mode.pool, &prefetch_stats);
-      ASSERT_EQ(got.size(), records.size());
-      for (size_t i = 0; i < records.size(); ++i) {
-        ASSERT_EQ(got[i].id, records[i].id) << "prefetch record " << i;
-        ASSERT_EQ(got[i].xlo, records[i].xlo) << "prefetch record " << i;
-      }
-      // Modeled charges are identical: same pages, same request runs, same
-      // sequential-detection outcome, charged in consumption order.
-      EXPECT_EQ(prefetch_stats.pages_read, sync_stats.pages_read);
-      EXPECT_EQ(prefetch_stats.read_requests, sync_stats.read_requests);
-      EXPECT_EQ(prefetch_stats.sequential_read_requests,
-                sync_stats.sequential_read_requests);
-      EXPECT_DOUBLE_EQ(prefetch_stats.io_seconds, sync_stats.io_seconds);
-    }
+    EXPECT_EQ(i, records.size());
+    charged.push_back(disk.stats());
   }
-}
-
-// Abandoning a prefetching reader mid-stream (error-path unwind) must not
-// hang or crash even with a fetch in flight.
-TEST(PrefetchingStreamReader, AbandonMidStreamIsSafe) {
-  const std::vector<RectF> records = TestRecords(5000);
-  DiskModel disk(MachineModel::Machine3());
-  auto pager = MakeMemoryPager(&disk, "stream");
-  StreamWriter<RectF> writer(pager.get());
-  for (const RectF& r : records) writer.Append(r);
-  const PageId first_page = writer.first_page();
-  ASSERT_TRUE(writer.Finish().ok());
-
-  ThreadPool pool(2);
-  for (uint64_t consume : {0u, 1u, 700u}) {
-    PrefetchContext ctx;
-    ctx.enabled = true;
-    ctx.pool = &pool;
-    PrefetchingStreamReader<RectF> reader(pager.get(), first_page,
-                                          records.size(), ctx);
-    for (uint64_t i = 0; i < consume; ++i) {
-      ASSERT_TRUE(reader.Next().has_value());
-    }
-    // Destructor runs with block N+1 queued or in flight.
-  }
+  // Same pages, same request runs, same sequential-detection outcome.
+  EXPECT_EQ(charged[1].pages_read, charged[0].pages_read);
+  EXPECT_EQ(charged[1].pages_written, charged[0].pages_written);
+  EXPECT_EQ(charged[1].read_requests, charged[0].read_requests);
+  EXPECT_EQ(charged[1].sequential_read_requests,
+            charged[0].sequential_read_requests);
+  EXPECT_DOUBLE_EQ(charged[1].io_seconds, charged[0].io_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,13 +141,11 @@ struct RunResult {
 
 struct Variant {
   bool file_backend;
-  bool prefetch;
   uint32_t threads;
 
   std::string Name() const {
     std::ostringstream os;
-    os << (file_backend ? "file" : "memory") << "/"
-       << (prefetch ? "prefetch" : "sync") << "/t" << threads;
+    os << (file_backend ? "file" : "memory") << "/t" << threads;
     return os.str();
   }
 };
@@ -255,7 +191,7 @@ std::unique_ptr<Environment> BuildEnvironment(
   return env;
 }
 
-TEST(StorageDifferential, BackendAndPrefetchAreInvisibleToResults) {
+TEST(StorageDifferential, BackendIsInvisibleToResults) {
   // SJ_DIFF_SEED / SJ_DIFF_WORKLOADS replay conventions match
   // join_equivalence_test's randomized harness.
   uint64_t base_seed = 0x570A6E26u;
@@ -269,10 +205,10 @@ TEST(StorageDifferential, BackendAndPrefetchAreInvisibleToResults) {
   }
 
   const Variant variants[] = {
-      {false, false, 1},  // Reference: memory, sync, serial.
-      {false, false, 8}, {false, true, 1},  {false, true, 8},
-      {true, false, 1},  {true, false, 8}, {true, true, 1},
-      {true, true, 8},
+      {false, 1},  // Reference: memory, serial.
+      {false, 8},
+      {true, 1},
+      {true, 8},
   };
 
   for (int trial = 0; trial < workloads; ++trial) {
@@ -287,7 +223,7 @@ TEST(StorageDifferential, BackendAndPrefetchAreInvisibleToResults) {
     const auto expected_exact = BruteForceExactPairs(w.a, w.b, ga, gb);
     ASSERT_FALSE(expected_filter.empty());
 
-    // (algo, refine) -> reference result from the first (memory/sync/t1)
+    // (algo, refine) -> reference result from the first (memory/t1)
     // variant.
     std::map<std::pair<int, bool>, RunResult> reference;
 
@@ -334,7 +270,6 @@ TEST(StorageDifferential, BackendAndPrefetchAreInvisibleToResults) {
                            .Refine(refine)
                            .RefineBatchPairs(512)
                            .Storage(storage)
-                           .Prefetch(v.prefetch)
                            .Run(&sink);
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
@@ -371,9 +306,9 @@ TEST(StorageDifferential, BackendAndPrefetchAreInvisibleToResults) {
 // The k-way chain goes through its own distribution/materialization code.
 // The serial executor path (lazy sources) and the parallel path
 // (materialize + strip-partition) are different pipelines with different
-// modeled I/O, so backend/prefetch invariance is checked within each
-// thread count; result tuples must agree across everything.
-TEST(StorageDifferential, MultiwayBackendAndPrefetchAgree) {
+// modeled I/O, so backend invariance is checked within each thread
+// count; result tuples must agree across everything.
+TEST(StorageDifferential, MultiwayBackendsAgree) {
   const RectF region(0, 0, 300, 300);
   Random rng(0xCAFE);
   std::vector<std::vector<RectF>> data;
@@ -391,10 +326,8 @@ TEST(StorageDifferential, MultiwayBackendAndPrefetchAgree) {
     bool have_reference = false;
 
     const Variant variants[] = {
-        {false, false, threads},  // Per-thread-count reference.
-        {false, true, threads},
-        {true, false, threads},
-        {true, true, threads},
+        {false, threads},  // Per-thread-count reference.
+        {true, threads},
     };
     for (const Variant& v : variants) {
       SCOPED_TRACE(v.Name());
@@ -419,10 +352,7 @@ TEST(StorageDifferential, MultiwayBackendAndPrefetchAgree) {
       CollectingTupleSink sink;
       JoinQuery q(joiner);
       for (const DatasetRef& in : inputs) q.Input(JoinInput::FromStream(in));
-      auto stats = q.Threads(v.threads)
-                       .Storage(storage)
-                       .Prefetch(v.prefetch)
-                       .Run(&sink);
+      auto stats = q.Threads(v.threads).Storage(storage).Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       auto tuples = sink.tuples();
       std::sort(tuples.begin(), tuples.end());
