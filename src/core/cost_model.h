@@ -111,20 +111,21 @@ class CostModel {
 
   /// Modeled seconds for the refinement step over `candidates` filter
   /// pairs against feature stores of `pages_a` / `pages_b` geometry
-  /// pages, refined in batches of `batch_pairs`. A batch reads each
-  /// needed page once but batches do not share fetches, so per side the
-  /// touched pages are bounded by one page per candidate *and* by one
-  /// full store scan per batch; each fetch is priced as a random
-  /// single-page read (the candidates of one batch cluster in y, not on
-  /// disk pages).
+  /// pages, refined in chunks of `chunk_candidates` (the chunk the
+  /// executor's "refine.batch" grant affords; see RefineChunkCandidates).
+  /// A chunk reads each needed page once but chunks do not share fetches,
+  /// so per side the touched pages are bounded by one page per candidate
+  /// *and* by one full store scan per chunk; each fetch is priced as a
+  /// random single-page read (the candidates of one chunk cluster in y,
+  /// not on disk pages).
   double RefineSeconds(uint64_t candidates, uint64_t pages_a,
-                       uint64_t pages_b, uint32_t batch_pairs) const {
+                       uint64_t pages_b, uint64_t chunk_candidates) const {
     const double rand =
         (machine_.avg_access_ms + machine_.PageTransferMs(kPageSize)) * 1e-3;
-    const uint64_t batch = std::max<uint64_t>(1, batch_pairs);
-    const uint64_t nbatches = (candidates + batch - 1) / batch;
-    const uint64_t touched = std::min(candidates, nbatches * pages_a) +
-                             std::min(candidates, nbatches * pages_b);
+    const uint64_t chunk = std::max<uint64_t>(1, chunk_candidates);
+    const uint64_t nchunks = (candidates + chunk - 1) / chunk;
+    const uint64_t touched = std::min(candidates, nchunks * pages_a) +
+                             std::min(candidates, nchunks * pages_b);
     return static_cast<double>(touched) * rand;
   }
 

@@ -93,7 +93,6 @@ class JoinQuery {
   JoinQuery& PbsmHistogramResolution(uint32_t cells) { return Mutate([&](JoinOptions& o) { o.pbsm_histogram_resolution = cells; }); }
   JoinQuery& FuseMergeSweep(bool on) { return Mutate([&](JoinOptions& o) { o.fuse_merge_sweep = on; }); }
   JoinQuery& MultiwayStrips(uint32_t strips) { return Mutate([&](JoinOptions& o) { o.multiway_strips = strips; }); }
-  JoinQuery& RefineBatchPairs(uint32_t pairs) { return Mutate([&](JoinOptions& o) { o.refine_batch_pairs = pairs; }); }
   /// Storage backend for this query's scratch/spill files (null =
   /// in-memory). Shared because partition shards create files
   /// concurrently; results and modeled I/O are identical on any backend.

@@ -16,7 +16,7 @@ namespace sj {
 
 /// Smallest per-query memory budget the query layer accepts (64 KiB).
 /// Below this the component floors (one external-sort merge frame, a
-/// minimal buffer pool, one refinement batch) no longer fit together and
+/// minimal buffer pool, one refinement chunk) no longer fit together and
 /// budget arithmetic would degenerate; JoinQuery::Compile rejects smaller
 /// budgets with FailedPrecondition naming this constant. Internal callers
 /// that bypass the query layer clamp up to it instead.
@@ -109,7 +109,7 @@ struct MemoryComponentStats {
 /// tracked grants. Every memory-consuming component of a join — external
 /// sort run buffers, external PQ heaps, sweep structures, PBSM
 /// distribution writers and partition loads, the ST buffer pool,
-/// refinement batch buffers, R-tree bulk-load buffers — acquires its share
+/// refinement chunks, R-tree bulk-load buffers — acquires its share
 /// here instead of interpreting JoinOptions::memory_bytes ad hoc, so the
 /// sum of live allocations can never silently exceed the budget.
 ///

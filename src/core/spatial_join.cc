@@ -5,6 +5,7 @@
 #include <string>
 
 #include "join/partition_plan.h"
+#include "refine/refine.h"
 
 namespace sj {
 
@@ -50,9 +51,12 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
     const uint64_t est_candidates = static_cast<uint64_t>(
         std::max(frac_a, frac_b) *
         static_cast<double>(std::min(a.count(), b.count())));
+    // Priced at the chunk the executor takes from an unsqueezed grant.
+    const uint64_t chunk = RefineChunkCandidates(
+        RefineGrantBytes(std::max(options.memory_bytes, kMinMemoryBytes)));
     decision.refine_cost_seconds = cost_model_.RefineSeconds(
         est_candidates, a.features()->data_pages(), b.features()->data_pages(),
-        options.refine_batch_pairs);
+        chunk);
   }
   // Sort CPU is the one term that scales down with worker threads (run
   // formation parallelizes), so with threads the streaming plans get

@@ -178,10 +178,7 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
       break;
   }
   if (options.refine) {
-    add(grants::kRefineBatch,
-        std::min<size_t>(budget / 4,
-                         size_t{std::max(1u, options.refine_batch_pairs)} *
-                             kRefineBytesPerCandidate));
+    add(grants::kRefineBatch, RefineGrantBytes(budget));
   }
   return plan;
 }

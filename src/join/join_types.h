@@ -96,10 +96,6 @@ struct JoinOptions {
   /// against the inputs' FeatureStores (JoinInput::WithFeatures) and emit
   /// only pairs/tuples whose exact geometries intersect.
   bool refine = false;
-  /// Candidate pairs per refinement batch — the parallel work unit, which
-  /// also bounds the feature pages a batch pins in memory (at most one
-  /// page per candidate and side).
-  uint32_t refine_batch_pairs = 1024;
   /// Shared worker pool (service mode). When set, the parallel phases
   /// submit their work as task groups to this pool — up to num_threads
   /// runners each — instead of spawning a private team, so concurrent

@@ -38,7 +38,7 @@ struct OrderById {
 ///    (first id of each sorted page). Batched lookups sort their ids, so
 ///    page fetches arrive in ascending page order and consecutive ids
 ///    coalesce onto one page read — the same access-clustering idea as the
-///    refinement step's batch fetches.
+///    refinement step's chunk fetches.
 ///
 /// Either path returns identical rectangles; only the modeled I/O differs
 /// (the external build adds sort passes, each cold lookup page is a

@@ -44,86 +44,129 @@ Result<FeatureStore> FeatureStore::Open(Pager* pager, PageId header_page) {
   if (header.version != FeatureStoreHeader::kVersion) {
     return Status::Corruption("unsupported feature store version");
   }
-  return FeatureStore(pager, header_page, header.count, header.base_id);
+  const FeatureStore store(pager, header_page, header.count, header.base_id);
+  const uint64_t end_page = uint64_t{header_page} + 1 + store.data_pages();
+  if (end_page > pager->page_count()) {
+    return Status::Corruption(
+        "feature store header claims " + std::to_string(header.count) +
+        " records (" + std::to_string(store.data_pages()) +
+        " data pages) but " + pager->name() + " holds " +
+        std::to_string(pager->page_count()) + " pages");
+  }
+  return store;
 }
 
-Result<PageId> FeatureStore::DataPageOf(ObjectId id) const {
-  const uint64_t index = static_cast<uint64_t>(id) - base_id_;
-  if (id < base_id_ || index >= count_) {
-    return Status::InvalidArgument("feature id " + std::to_string(id) +
-                                   " outside store [" +
-                                   std::to_string(base_id_) + ", " +
-                                   std::to_string(base_id_ + count_) + ")");
-  }
-  return static_cast<PageId>(first_data_page_ + index / kRecordsPerPage);
+Status FeatureStore::OutsideStore(ObjectId id) const {
+  return Status::InvalidArgument("feature id " + std::to_string(id) +
+                                 " outside store [" +
+                                 std::to_string(base_id_) + ", " +
+                                 std::to_string(base_id_ + count_) + ")");
 }
 
 Result<Segment> FeatureStore::Fetch(ObjectId id) const {
-  SJ_ASSIGN_OR_RETURN(PageId page, DataPageOf(id));
+  if (!Contains(id)) return OutsideStore(id);
+  const uint64_t index = id - base_id_;
   uint8_t buf[kPageSize];
-  SJ_RETURN_IF_ERROR(pager_->ReadPage(page, buf));
-  const uint64_t slot =
-      (static_cast<uint64_t>(id) - base_id_) % kRecordsPerPage;
+  SJ_RETURN_IF_ERROR(pager_->ReadPage(
+      static_cast<PageId>(first_data_page_ + index / kRecordsPerPage), buf));
   Segment out;
-  std::memcpy(&out, buf + slot * sizeof(Segment), sizeof(Segment));
+  std::memcpy(&out, buf + (index % kRecordsPerPage) * sizeof(Segment),
+              sizeof(Segment));
   return out;
 }
+
+namespace {
+
+/// FetchBatch keys: a record index above an output slot.
+uint64_t IndexOfKey(uint64_t key) { return key >> 32; }
+uint64_t PageOfKey(uint64_t key) {
+  return IndexOfKey(key) / FeatureStore::kRecordsPerPage;
+}
+
+/// Orders FetchBatch keys by page, ascending: a stable LSD radix sort of
+/// each key's page offset from the smallest page, one byte per pass, so
+/// keys whose pages span fewer than 2^16 pages take at most two counting
+/// passes. Ids are 32-bit, so no more than three passes are ever needed.
+void GroupByPage(std::vector<uint64_t>* keys) {
+  constexpr int kDigitBits = 8;
+  constexpr uint64_t kDigits = uint64_t{1} << kDigitBits;
+  static_assert(FeatureStore::kFetchFixedBytes ==
+                    kPageSize + (kDigits + 1) * sizeof(uint32_t),
+                "kFetchFixedBytes counts the page buffer and digit counts");
+  uint64_t lo = PageOfKey(keys->front()), hi = lo;
+  for (const uint64_t key : *keys) {
+    lo = std::min(lo, PageOfKey(key));
+    hi = std::max(hi, PageOfKey(key));
+  }
+  if (hi == lo) return;
+  std::vector<uint64_t> sorted(keys->size());
+  for (int shift = 0; ((hi - lo) >> shift) != 0; shift += kDigitBits) {
+    auto digit = [lo, shift](uint64_t key) {
+      return ((PageOfKey(key) - lo) >> shift) & (kDigits - 1);
+    };
+    // starts[d]: keys with a smaller digit than d, once summed.
+    uint32_t starts[kDigits + 1] = {};
+    for (const uint64_t key : *keys) ++starts[digit(key) + 1];
+    for (uint64_t d = 1; d <= kDigits; ++d) starts[d] += starts[d - 1];
+    for (const uint64_t key : *keys) sorted[starts[digit(key)]++] = key;
+    keys->swap(sorted);
+  }
+}
+
+}  // namespace
 
 Result<uint64_t> FeatureStore::FetchBatch(Span<const ObjectId> ids,
                                           std::vector<Segment>* out,
                                           DiskModel* charge,
                                           uint32_t charge_dev) const {
   if (ids.empty()) return uint64_t{0};
-  std::vector<PageId> pages;  // Distinct data pages, ascending.
-  pages.reserve(ids.size());
-  for (const ObjectId id : ids) {
-    SJ_ASSIGN_OR_RETURN(PageId page, DataPageOf(id));
-    pages.push_back(page);
+  SJ_CHECK(ids.size() <= 0xFFFFFFFFu) << "FetchBatch takes < 2^32 ids";
+  std::vector<uint64_t> keys(ids.size());
+  for (size_t slot = 0; slot < ids.size(); ++slot) {
+    if (!Contains(ids[slot])) return OutsideStore(ids[slot]);
+    keys[slot] = (uint64_t{ids[slot] - base_id_} << 32) | slot;
   }
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  GroupByPage(&keys);
 
-  // Runs of consecutive pages become single requests, in ascending page
-  // order; slot i of the buffer holds pages[i].
-  std::vector<uint8_t> buffer(pages.size() * kPageSize);
-  size_t i = 0;
-  while (i < pages.size()) {
-    size_t j = i + 1;
-    while (j < pages.size() && pages[j] == pages[j - 1] + 1 &&
-           j - i < kStreamBlockPages) {
-      ++j;
-    }
-    const uint32_t npages = static_cast<uint32_t>(j - i);
-    uint8_t* dst = buffer.data() + i * kPageSize;
-    if (charge == nullptr) {
-      SJ_RETURN_IF_ERROR(pager_->ReadRun(pages[i], npages, dst));
-    } else {
-      charge->Read(charge_dev, pages[i], npages);
-      WallTimer wall;
-      for (uint32_t k = 0; k < npages; ++k) {
-        SJ_RETURN_IF_ERROR(pager_->backend()->ReadPage(
-            pages[i] + k, dst + size_t{k} * kPageSize));
+  DiskModel* disk = charge != nullptr ? charge : pager_->disk();
+  const uint32_t dev = charge != nullptr ? charge_dev : pager_->device_id();
+  const size_t base = out->size();
+  out->resize(base + ids.size());
+  Segment* slots = out->data() + base;
+  uint8_t page[kPageSize];
+  uint64_t pages_read = 0;
+  size_t k = 0;
+  while (k < keys.size()) {
+    // One request: the consecutive distinct pages from here on, at most
+    // kStreamBlockPages of them.
+    const uint64_t first = PageOfKey(keys[k]);
+    uint64_t last = first;
+    size_t end = k + 1;
+    for (; end < keys.size(); ++end) {
+      const uint64_t p = PageOfKey(keys[end]);
+      if (p != last && (p != last + 1 || p - first >= kStreamBlockPages)) {
+        break;
       }
-      charge->AddIoWall(wall.Elapsed());
+      last = p;
     }
-    i = j;
+    const uint32_t npages = static_cast<uint32_t>(last - first + 1);
+    disk->Read(dev, first_data_page_ + first, npages);
+    WallTimer wall;
+    while (k < end) {
+      const uint64_t p = PageOfKey(keys[k]);
+      SJ_RETURN_IF_ERROR(
+          pager_->backend()->ReadPage(first_data_page_ + p, page));
+      for (; k < end && PageOfKey(keys[k]) == p; ++k) {
+        std::memcpy(&slots[keys[k] & 0xFFFFFFFFu],
+                    page + (IndexOfKey(keys[k]) % kRecordsPerPage) *
+                               sizeof(Segment),
+                    sizeof(Segment));
+      }
+    }
+    disk->AddIoWall(wall.Elapsed());
+    pages_read += npages;
   }
-
-  out->reserve(out->size() + ids.size());
-  for (const ObjectId id : ids) {
-    const uint64_t index = static_cast<uint64_t>(id) - base_id_;
-    const PageId page =
-        static_cast<PageId>(first_data_page_ + index / kRecordsPerPage);
-    const size_t slot_in_buffer =
-        std::lower_bound(pages.begin(), pages.end(), page) - pages.begin();
-    Segment s;
-    std::memcpy(&s,
-                buffer.data() + slot_in_buffer * kPageSize +
-                    (index % kRecordsPerPage) * sizeof(Segment),
-                sizeof(Segment));
-    out->push_back(s);
-  }
-  return static_cast<uint64_t>(pages.size());
+  return pages_read;
 }
 
 }  // namespace sj

@@ -51,7 +51,9 @@ class FeatureStore {
                                     ObjectId base_id = 0);
 
   /// Opens a store previously written at page `header_page` of `pager`
-  /// (0 for a dedicated file).
+  /// (0 for a dedicated file). Fails with Corruption when the header is
+  /// not a store's, or when it claims more records than the pager holds
+  /// pages for (both backends read missing pages as zeros).
   static Result<FeatureStore> Open(Pager* pager, PageId header_page = 0);
 
   /// Records in the store.
@@ -60,25 +62,36 @@ class FeatureStore {
   ObjectId base_id() const { return base_id_; }
   /// Geometry pages (excluding the header page).
   uint64_t data_pages() const {
-    return (count_ + kRecordsPerPage - 1) / kRecordsPerPage;
+    return count_ / kRecordsPerPage + (count_ % kRecordsPerPage != 0);
   }
   Pager* pager() const { return pager_; }
 
   /// One record, charged to the store's pager as a single-page read.
   Result<Segment> Fetch(ObjectId id) const;
 
+  /// Scratch FetchBatch holds per id: a (record, output slot) key and
+  /// its copy in the radix pass that groups the keys by page.
+  static constexpr size_t kFetchBytesPerId = 2 * sizeof(uint64_t);
+  /// Scratch FetchBatch holds per call: the one page buffer and the radix
+  /// pass's 257 digit counts.
+  static constexpr size_t kFetchFixedBytes =
+      kPageSize + 257 * sizeof(uint32_t);
+
   /// Gathers the geometry of every id in `ids` (appended to `out` in
-  /// input order; duplicates allowed) reading each distinct page once,
-  /// in ascending page order with consecutive pages coalesced into one
-  /// request — so a batch of y-sorted candidates reads its pages at
-  /// partially-streaming cost. Returns the number of data pages read.
+  /// input order; duplicates allowed). Every id is validated before any
+  /// I/O is charged. Each distinct page is then read once, in ascending
+  /// page order, through one page-sized buffer, and each record is copied
+  /// straight to its output slot. Consecutive pages are charged as one
+  /// request of up to kStreamBlockPages pages, so ids that cluster on
+  /// disk read at partially-streaming cost. Besides `out` the call holds
+  /// kFetchBytesPerId bytes per id and kFetchFixedBytes. Returns the
+  /// number of data pages read.
   ///
   /// When `charge` is null the store's own pager (and DiskModel) is
   /// charged. Otherwise page bytes are read directly from the backing
   /// storage and the modeled I/O is charged to `charge` under device
-  /// `charge_dev`: this is how the parallel refinement executor accounts
-  /// a shared store against per-worker DiskModel shards, keeping modeled
-  /// stats independent of thread scheduling.
+  /// `charge_dev`: this is how refinement accounts a shared store against
+  /// its own DiskModel, apart from the query's.
   Result<uint64_t> FetchBatch(Span<const ObjectId> ids,
                               std::vector<Segment>* out,
                               DiskModel* charge = nullptr,
@@ -92,8 +105,11 @@ class FeatureStore {
         count_(count),
         base_id_(base_id) {}
 
-  /// The data page holding `id`, or an error for ids outside the store.
-  Result<PageId> DataPageOf(ObjectId id) const;
+  bool Contains(ObjectId id) const {
+    return id >= base_id_ && uint64_t{id - base_id_} < count_;
+  }
+  /// The error for an id outside [base_id, base_id + count).
+  Status OutsideStore(ObjectId id) const;
 
   Pager* pager_;
   PageId first_data_page_;

@@ -1,7 +1,9 @@
 #include "refine/refine.h"
 
 #include <algorithm>
-#include <memory>
+#include <functional>
+#include <string>
+#include <thread>
 
 #include "join/predicate_batch.h"
 #include "util/thread_pool.h"
@@ -10,65 +12,95 @@
 namespace sj {
 namespace {
 
-/// Per-batch state shared by the pair and tuple executors: a private
-/// DiskModel shard (fresh disk state, so modeled I/O depends only on the
-/// batch's own request sequence) with one registered device per input
-/// store, plus per-batch counters.
-struct BatchShard {
-  std::unique_ptr<DiskModel> disk;
-  std::vector<uint32_t> devices;
-  uint64_t pages_read = 0;
-  uint64_t results = 0;
-  double cpu_seconds = 0.0;
-};
-
-std::vector<BatchShard> MakeShards(uint64_t nbatches, const MachineModel& m,
-                                   size_t nstores) {
-  std::vector<BatchShard> shards(nbatches);
-  for (BatchShard& s : shards) {
-    s.disk = std::make_unique<DiskModel>(m);
-    s.devices.reserve(nstores);
-    for (size_t k = 0; k < nstores; ++k) {
-      s.devices.push_back(
-          s.disk->RegisterDevice("refine." + std::to_string(k)));
+/// What RefinePairs and RefineTuples share: the "refine.batch" grant that
+/// sizes a chunk, the DiskModel private to the run (one device per
+/// store), the per-chunk fetches on the calling thread and the
+/// slice-parallel predicate evaluation.
+class ChunkedRefinement {
+ public:
+  ChunkedRefinement(std::vector<const FeatureStore*> stores,
+                    const JoinOptions& options, MemoryArbiter* arbiter,
+                    uint64_t candidates)
+      : stores_(std::move(stores)),
+        options_(options),
+        scope_(arbiter, options),
+        disk_(stores_[0]->pager()->disk()->machine()) {
+    for (size_t k = 0; k < stores_.size(); ++k) {
+      devices_.push_back(disk_.RegisterDevice("refine." + std::to_string(k)));
     }
+    const size_t per_candidate = RefineBytesPerCandidate(stores_.size());
+    constexpr size_t kFixed = FeatureStore::kFetchFixedBytes;
+    const size_t floor = kFixed + kMinRefineChunk * per_candidate;
+    grant_ = scope_->AcquireShrinkable(
+        grants::kRefineBatch,
+        std::max(RefineGrantBytes(scope_->budget()), floor), floor);
+    chunk_ = std::min(candidates,
+                      RefineChunkCandidates(grant_.bytes(), per_candidate));
+    grant_.NoteUsage(kFixed + chunk_ * per_candidate);
   }
-  return shards;
-}
 
-/// Grant-aware batch size: the configured refine_batch_pairs, shrunk so
-/// one batch's working set fits the "refine.batch" grant — the graceful
-/// over-budget path (smaller batches mean more, smaller fetch rounds,
-/// never a failure). `grant` keeps the share reserved for the caller's
-/// lifetime.
-uint64_t EffectiveBatchPairs(const JoinOptions& options, MemoryArbiter* arbiter,
-                             MemoryGrant* grant) {
-  const uint64_t batch = std::max<uint32_t>(1, options.refine_batch_pairs);
-  if (arbiter == nullptr) return batch;
-  *grant = arbiter->AcquireShrinkable(
-      grants::kRefineBatch, batch * kRefineBytesPerCandidate,
-      size_t{kMinRefineBatchPairs} * kRefineBytesPerCandidate);
-  const uint64_t cap = std::max<uint64_t>(
-      kMinRefineBatchPairs, grant->bytes() / kRefineBytesPerCandidate);
-  const uint64_t effective = std::min(batch, cap);
-  grant->NoteUsage(effective * kRefineBytesPerCandidate);
-  return effective;
-}
+  /// Candidates per chunk (the last chunk may hold fewer).
+  uint64_t chunk() const { return chunk_; }
 
-RefineStats MergeShards(const std::vector<BatchShard>& shards, bool pooled,
-                        uint64_t candidates) {
-  RefineStats stats;
-  stats.candidates = candidates;
-  for (const BatchShard& s : shards) {
-    stats.results += s.results;
-    stats.pages_read += s.pages_read;
-    stats.disk += s.disk->stats();
-    // Inline batches already ran on the caller's measured thread; only
-    // pool workers' CPU needs reporting (parallel-engine convention).
-    if (pooled) stats.host_cpu_seconds += s.cpu_seconds;
+  /// Replaces `geom` with the geometry of input `side` for `rows`
+  /// candidates, the i-th of which has id `id_of(i)`.
+  template <typename IdOf>
+  Status Fetch(size_t side, uint64_t rows, IdOf id_of,
+               std::vector<Segment>* geom) {
+    ids_.clear();
+    for (uint64_t i = 0; i < rows; ++i) ids_.push_back(id_of(i));
+    geom->clear();
+    SJ_ASSIGN_OR_RETURN(uint64_t pages,
+                        stores_[side]->FetchBatch(ids_, geom, &disk_,
+                                                  devices_[side]));
+    pages_read_ += pages;
+    return Status::OK();
   }
-  return stats;
-}
+
+  /// Runs `eval(first, count)` over [0, rows) in kRefineSliceCandidates
+  /// slices on the options' workers.
+  Status Evaluate(uint64_t rows,
+                  const std::function<void(uint64_t, uint64_t)>& eval) {
+    const uint64_t slices =
+        (rows + kRefineSliceCandidates - 1) / kRefineSliceCandidates;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<double> cpu(slices, 0.0);
+    SJ_RETURN_IF_ERROR(ParallelFor(
+        options_.worker_pool, options_.num_threads, slices,
+        [&](uint64_t s) -> Status {
+          ThreadCpuTimer timer;
+          const uint64_t first = s * kRefineSliceCandidates;
+          eval(first, std::min(kRefineSliceCandidates, rows - first));
+          // Slices on the calling thread are already on its caller's clock.
+          if (std::this_thread::get_id() != caller) cpu[s] = timer.Elapsed();
+          return Status::OK();
+        }));
+    for (const double c : cpu) worker_cpu_seconds_ += c;
+    return Status::OK();
+  }
+
+  RefineStats Finish(uint64_t candidates, uint64_t results) const {
+    RefineStats stats;
+    stats.candidates = candidates;
+    stats.results = results;
+    stats.pages_read = pages_read_;
+    stats.disk = disk_.stats();
+    stats.host_cpu_seconds = worker_cpu_seconds_;
+    return stats;
+  }
+
+ private:
+  const std::vector<const FeatureStore*> stores_;
+  const JoinOptions& options_;
+  const ArbiterScope scope_;
+  DiskModel disk_;
+  std::vector<uint32_t> devices_;
+  MemoryGrant grant_;
+  uint64_t chunk_ = 0;
+  std::vector<ObjectId> ids_;
+  uint64_t pages_read_ = 0;
+  double worker_cpu_seconds_ = 0.0;
+};
 
 }  // namespace
 
@@ -78,68 +110,39 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
                                 const JoinOptions& options, JoinSink* sink,
                                 const PredicateSpec& predicate,
                                 MemoryArbiter* arbiter) {
-  MemoryGrant batch_grant;
-  const uint64_t batch = EffectiveBatchPairs(options, arbiter, &batch_grant);
   const uint64_t n = candidates.size();
-  const uint64_t nbatches = (n + batch - 1) / batch;
-  if (nbatches == 0) return RefineStats{};
-
+  if (n == 0) return RefineStats{};
+  ChunkedRefinement run({&store_a, &store_b}, options, arbiter, n);
   const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
-  const MachineModel& machine = store_a.pager()->disk()->machine();
-  std::vector<BatchShard> shards = MakeShards(nbatches, machine, 2);
-  std::vector<CollectingSink> buffered(nbatches);
-  // Matches ParallelFor's inline condition: serial batches stream straight
-  // to the caller's sink in the same order the pooled merge replays them.
-  const bool pooled = options.num_threads > 1 && nbatches > 1;
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, nbatches, [&](uint64_t i) -> Status {
-        BatchShard& shard = shards[i];
-        ThreadCpuTimer cpu;
-        const uint64_t lo = i * batch;
-        const uint64_t hi = std::min(n, lo + batch);
-        std::vector<ObjectId> ids_a, ids_b;
-        ids_a.reserve(hi - lo);
-        ids_b.reserve(hi - lo);
-        for (uint64_t k = lo; k < hi; ++k) {
-          ids_a.push_back(candidates[k].a);
-          ids_b.push_back(candidates[k].b);
-        }
-        std::vector<Segment> geom_a, geom_b;
-        SJ_ASSIGN_OR_RETURN(
-            uint64_t pages_a,
-            store_a.FetchBatch(Span<const ObjectId>(ids_a.data(), ids_a.size()),
-                               &geom_a, shard.disk.get(), shard.devices[0]));
-        SJ_ASSIGN_OR_RETURN(
-            uint64_t pages_b,
-            store_b.FetchBatch(Span<const ObjectId>(ids_b.data(), ids_b.size()),
-                               &geom_b, shard.disk.get(), shard.devices[1]));
-        shard.pages_read = pages_a + pages_b;
-        JoinSink* out = pooled ? static_cast<JoinSink*>(&buffered[i]) : sink;
-        // Whole-batch predicate evaluation (join/predicate_batch.h): one
-        // flat pass computes the match mask, then emission replays it in
-        // candidate order — bit-identical to the old per-pair
-        // EvaluateExactPredicate loop in both kernel modes.
-        std::vector<uint8_t> match(hi - lo);
-        EvaluateExactPredicateBatch(kernel_mode, predicate, geom_a.data(),
-                                    geom_b.data(), hi - lo, match.data());
-        for (uint64_t k = 0; k < hi - lo; ++k) {
-          if (match[k]) {
-            out->Emit(candidates[lo + k].a, candidates[lo + k].b);
-            shard.results++;
-          }
-        }
-        shard.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  if (pooled) {
-    // Deterministic merge, in batch (= candidate) order.
-    for (const CollectingSink& b : buffered) {
-      for (const IdPair& pair : b.pairs()) sink->Emit(pair.a, pair.b);
+  std::vector<Segment> geom_a, geom_b;
+  std::vector<uint8_t> match;
+  uint64_t results = 0;
+  for (uint64_t lo = 0; lo < n; lo += run.chunk()) {
+    const IdPair* chunk = candidates.data() + lo;
+    const uint64_t rows = std::min(run.chunk(), n - lo);
+    SJ_RETURN_IF_ERROR(
+        run.Fetch(0, rows, [chunk](uint64_t i) { return chunk[i].a; },
+                  &geom_a));
+    SJ_RETURN_IF_ERROR(
+        run.Fetch(1, rows, [chunk](uint64_t i) { return chunk[i].b; },
+                  &geom_b));
+    // Whole-slice predicate evaluation (join/predicate_batch.h): flat
+    // passes compute the match mask, then emission replays it in
+    // candidate order.
+    match.resize(rows);
+    SJ_RETURN_IF_ERROR(run.Evaluate(rows, [&](uint64_t first, uint64_t count) {
+      EvaluateExactPredicateBatch(kernel_mode, predicate, geom_a.data() + first,
+                                  geom_b.data() + first, count,
+                                  match.data() + first);
+    }));
+    for (uint64_t i = 0; i < rows; ++i) {
+      if (match[i]) {
+        sink->Emit(chunk[i].a, chunk[i].b);
+        results++;
+      }
     }
   }
-  return MergeShards(shards, pooled, n);
+  return run.Finish(n, results);
 }
 
 Result<RefineStats> RefineTuples(
@@ -155,80 +158,53 @@ Result<RefineStats> RefineTuples(
       return Status::InvalidArgument("tuple refinement: missing store");
     }
   }
-  MemoryGrant batch_grant;
-  const uint64_t batch = EffectiveBatchPairs(options, arbiter, &batch_grant);
   const uint64_t n = tuples.size();
-  const uint64_t nbatches = (n + batch - 1) / batch;
-  if (nbatches == 0) return RefineStats{};
-
+  if (n == 0) return RefineStats{};
+  ChunkedRefinement run(stores, options, arbiter, n);
   const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
-  const MachineModel& machine = stores[0]->pager()->disk()->machine();
-  std::vector<BatchShard> shards = MakeShards(nbatches, machine, k);
-  std::vector<CollectingTupleSink> buffered(nbatches);
-  const bool pooled = options.num_threads > 1 && nbatches > 1;
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, nbatches, [&](uint64_t i) -> Status {
-        BatchShard& shard = shards[i];
-        ThreadCpuTimer cpu;
-        const uint64_t lo = i * batch;
-        const uint64_t hi = std::min(n, lo + batch);
-        // Validate the whole batch before any fetch is modeled.
-        for (uint64_t t = lo; t < hi; ++t) {
-          if (tuples[t].size() != k) {
-            return Status::InvalidArgument(
-                "tuple arity does not match store count");
-          }
+  std::vector<std::vector<Segment>> geom(k);
+  std::vector<uint8_t> alive;
+  uint64_t results = 0;
+  for (uint64_t lo = 0; lo < n; lo += run.chunk()) {
+    const std::vector<ObjectId>* chunk = tuples.data() + lo;
+    const uint64_t rows = std::min(run.chunk(), n - lo);
+    // Validate the whole chunk before any fetch is modeled.
+    for (uint64_t t = 0; t < rows; ++t) {
+      if (chunk[t].size() != k) {
+        return Status::InvalidArgument(
+            "tuple arity does not match store count");
+      }
+    }
+    // Column-at-a-time gather: one fetch per input store.
+    for (size_t input = 0; input < k; ++input) {
+      SJ_RETURN_IF_ERROR(run.Fetch(
+          input, rows, [chunk, input](uint64_t t) { return chunk[t][input]; },
+          &geom[input]));
+    }
+    // Each (x, y) input pair runs one flat pass whose mask is ANDed into
+    // the slice's alive bytes. The predicates are pure, so dropping the
+    // scalar loop's short-circuit cannot change which tuples survive.
+    alive.resize(rows);
+    SJ_RETURN_IF_ERROR(run.Evaluate(rows, [&](uint64_t first, uint64_t count) {
+      uint8_t pair_mask[kRefineSliceCandidates];
+      uint8_t* out = alive.data() + first;
+      std::fill(out, out + count, uint8_t{1});
+      for (size_t x = 0; x < k; ++x) {
+        for (size_t y = x + 1; y < k; ++y) {
+          BatchSegmentsIntersect(kernel_mode, geom[x].data() + first,
+                                 geom[y].data() + first, count, pair_mask);
+          for (uint64_t row = 0; row < count; ++row) out[row] &= pair_mask[row];
         }
-        // Column-at-a-time gather: one batched fetch per input store.
-        std::vector<std::vector<Segment>> geom(k);
-        std::vector<ObjectId> ids;
-        for (size_t input = 0; input < k; ++input) {
-          ids.clear();
-          ids.reserve(hi - lo);
-          for (uint64_t t = lo; t < hi; ++t) {
-            ids.push_back(tuples[t][input]);
-          }
-          SJ_ASSIGN_OR_RETURN(
-              uint64_t pages,
-              stores[input]->FetchBatch(
-                  Span<const ObjectId>(ids.data(), ids.size()), &geom[input],
-                  shard.disk.get(), shard.devices[input]));
-          shard.pages_read += pages;
-        }
-        TupleSink* out = pooled ? static_cast<TupleSink*>(&buffered[i]) : sink;
-        // Batched pairwise intersection: the columns are already
-        // contiguous Segment arrays, so each (x, y) input pair runs one
-        // BatchRectOverlap-style flat pass whose mask is ANDed into the
-        // per-row alive mask. The predicates are pure, so dropping the
-        // scalar loop's short-circuit cannot change which tuples survive.
-        const uint64_t rows = hi - lo;
-        std::vector<uint8_t> alive(rows, 1), pair_mask(rows);
-        for (size_t x = 0; x < k; ++x) {
-          for (size_t y = x + 1; y < k; ++y) {
-            BatchSegmentsIntersect(kernel_mode, geom[x].data(), geom[y].data(),
-                                   rows, pair_mask.data());
-            for (uint64_t row = 0; row < rows; ++row) {
-              alive[row] &= pair_mask[row];
-            }
-          }
-        }
-        for (uint64_t t = lo; t < hi; ++t) {
-          if (alive[t - lo]) {
-            out->Emit(tuples[t]);
-            shard.results++;
-          }
-        }
-        shard.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  if (pooled) {
-    for (const CollectingTupleSink& b : buffered) {
-      for (const std::vector<ObjectId>& tuple : b.tuples()) sink->Emit(tuple);
+      }
+    }));
+    for (uint64_t t = 0; t < rows; ++t) {
+      if (alive[t]) {
+        sink->Emit(chunk[t]);
+        results++;
+      }
     }
   }
-  return MergeShards(shards, pooled, n);
+  return run.Finish(n, results);
 }
 
 }  // namespace sj

@@ -18,7 +18,7 @@ namespace sj {
 
 /// A fixed-size pool of worker threads shared morsel-style by any number
 /// of concurrent clients. Work is submitted through *task groups*: each
-/// group (one query's partition pairs, one refinement's batches) keeps
+/// group (one query's partition pairs, one refinement's slices) keeps
 /// its own FIFO, and the workers drain the groups round-robin — one task
 /// per group per turn — so a query with a thousand strips cannot starve a
 /// query with two.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "refine/refine.h"
+
 namespace sj {
 namespace {
 
@@ -109,15 +111,25 @@ TEST(CostModel, RefineSecondsBoundedByStoreScansAndCandidates) {
   // Few candidates against big stores: one page per candidate and side.
   EXPECT_NEAR(model.RefineSeconds(10, 1000, 1000, 1024), 20 * rand_page,
               1e-12);
-  // Many candidates against small stores: batches do not share fetches,
-  // so the bound is one store scan per batch and side — 98 batches of
+  // Many candidates against small stores: chunks do not share fetches,
+  // so the bound is one store scan per chunk and side — 98 chunks of
   // 1024 over stores of 50/80 pages.
   EXPECT_NEAR(model.RefineSeconds(100000, 50, 80, 1024),
               (98 * 50 + 98 * 80) * rand_page, 1e-9);
-  // Larger batches amortize the per-batch re-reads.
+  // Larger chunks amortize the per-chunk re-reads.
   EXPECT_LT(model.RefineSeconds(100000, 50, 80, 4096),
             model.RefineSeconds(100000, 50, 80, 256));
   EXPECT_DOUBLE_EQ(model.RefineSeconds(0, 1000, 1000, 1024), 0.0);
+  // The executor's chunk under the default 24 MiB budget holds all
+  // 100,000 candidates, so each store is scanned at most once; at the
+  // 64 KiB floor a chunk holds 135 and the stores are re-read per chunk.
+  const uint64_t roomy = RefineChunkCandidates(RefineGrantBytes(24u << 20));
+  const uint64_t tight = RefineChunkCandidates(RefineGrantBytes(64u << 10));
+  EXPECT_EQ(tight, 135u);
+  EXPECT_NEAR(model.RefineSeconds(100000, 50, 80, roomy), 130 * rand_page,
+              1e-12);
+  EXPECT_NEAR(model.RefineSeconds(100000, 50, 80, tight),
+              (741 * 50 + 741 * 80) * rand_page, 1e-9);
 }
 
 TEST(CostModel, PQCostUsesRandomReads) {

@@ -175,6 +175,11 @@ INSTANTIATE_TEST_SUITE_P(
 // then selects the *base* of the seed range instead of a single replay.
 // ---------------------------------------------------------------------------
 
+/// The budget of the harness's refined queries: its "refine.batch" grant
+/// holds 444 candidates, so the workloads with more refine in several
+/// chunks.
+constexpr size_t kRefineChunksBudget = 128u << 10;
+
 struct GeneratedWorkload {
   std::vector<RectF> a, b;
   uint32_t fanout = 16;
@@ -369,7 +374,6 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
                              .Algorithm(algo)
                              .Threads(threads)
                              .AdaptivePartitioning(adaptive)
-                             .RefineBatchPairs(512)
                              .Run(&sink);
             ASSERT_TRUE(stats.ok()) << variant << ": "
                                     << stats.status().ToString();
@@ -384,7 +388,7 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
                              .Algorithm(algo)
                              .Threads(threads)
                              .AdaptivePartitioning(adaptive)
-                             .RefineBatchPairs(512)
+                             .MemoryBytes(kRefineChunksBudget)
                              .Refine(true)
                              .Run(&sink);
             ASSERT_TRUE(stats.ok()) << variant << ": "
@@ -410,7 +414,7 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
 // within the granted budget for every algorithm on every workload.
 // Tiny budgets exercise the degradation paths (SSSJ strip spill, PBSM
 // writer-block shrink + overflow grants, the shrunken ST pool, smaller
-// refine batches) which must all be invisible in the result set.
+// refine chunks) which must all be invisible in the result set.
 // ---------------------------------------------------------------------------
 
 TEST(RandomizedDifferential, MemoryBudgetDimensionAgreesAndStaysInBudget) {
@@ -522,21 +526,21 @@ TEST(JoinQueryOverrides, MatchDedicatedJoinerAndLeaveSharedOptionsAlone) {
                          .Algorithm(JoinAlgorithm::kSSSJ)
                          .Threads(8)
                          .Refine(true)
-                         .RefineBatchPairs(128)
+                         .StripedStrips(256)
                          .Run(&overridden);
   ASSERT_TRUE(query_stats.ok()) << query_stats.status().ToString();
 
   // The shared joiner's options are untouched by the query's overrides.
   EXPECT_EQ(shared.options().num_threads, defaults.num_threads);
   EXPECT_EQ(shared.options().refine, defaults.refine);
-  EXPECT_EQ(shared.options().refine_batch_pairs, defaults.refine_batch_pairs);
+  EXPECT_EQ(shared.options().striped_strips, defaults.striped_strips);
 
   // A joiner constructed with the overridden options produces identical
   // output and the identical candidate/exact split.
   JoinOptions constructed = defaults;
   constructed.num_threads = 8;
   constructed.refine = true;
-  constructed.refine_batch_pairs = 128;
+  constructed.striped_strips = 256;
   SpatialJoiner dedicated(&td.disk, constructed);
   CollectingSink baseline;
   JoinInput ia = JoinInput::FromStream(da);
@@ -654,7 +658,7 @@ TEST(RandomizedDifferential, DistancePredicateAgreesWithBruteForce) {
                            .Algorithm(algo)
                            .Threads(threads)
                            .Refine(true)
-                           .RefineBatchPairs(512)
+                           .MemoryBytes(kRefineChunksBudget)
                            .Run(&sink);
           ASSERT_TRUE(stats.ok()) << ToString(algo) << " t" << threads
                                   << ": " << stats.status().ToString();
@@ -794,7 +798,7 @@ TEST(RandomizedDifferential, ContainmentPredicateAgreesWithBruteForce) {
                          .Algorithm(algo)
                          .Threads(threads)
                          .Refine(true)
-                         .RefineBatchPairs(256)
+                         .MemoryBytes(kRefineChunksBudget)
                          .Run(&sink);
         ASSERT_TRUE(stats.ok()) << ToString(algo) << " t" << threads << ": "
                                 << stats.status().ToString();

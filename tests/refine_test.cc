@@ -1,11 +1,14 @@
 // The refinement subsystem: paged FeatureStore semantics and cost
-// accounting, the batched parallel refinement executor's correctness and
-// thread-count invariance, and the refine option end to end through the
-// SpatialJoiner facade (two-way and multiway).
+// accounting, the chunked refinement executor's correctness, page reads
+// per chunk and thread-count/backend invariance, and the refine option
+// end to end through JoinQuery (two-way and multiway).
 
 #include "refine/refine.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <optional>
 
 #include "core/join_query.h"
 #include "core/spatial_join.h"
@@ -135,50 +138,195 @@ TEST(FeatureStore, FetchBatchChargesExternalShard) {
   EXPECT_EQ(out[1].x1, SegmentForRect(rects[999]).x1);
 }
 
-TEST(Refine, PairsMatchBruteForceAndAreThreadInvariant) {
+TEST(FeatureStore, OpenRejectsHeaderClaimingMissingPages) {
+  TestDisk td;
+  auto pager = td.NewPager("geom.truncated");
+  // A header that claims 2,000 records (4 data pages), followed by one.
+  FeatureStoreHeader header;
+  header.count = 2000;
+  uint8_t page[kPageSize] = {};
+  std::memcpy(page, &header, sizeof(header));
+  ASSERT_TRUE(pager->WritePage(pager->Allocate(1), page).ok());
+  const auto geom = SegmentsForRects(
+      UniformRects(FeatureStore::kRecordsPerPage, RectF(0, 0, 10, 10), 1.0f,
+                   19));
+  StreamWriter<Segment> writer(pager.get());
+  for (const Segment& s : geom) writer.Append(s);
+  ASSERT_TRUE(writer.Finish().ok());
+  ASSERT_EQ(pager->page_count(), 2u);
+
+  auto opened = FeatureStore::Open(pager.get());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+}
+
+/// A FeatureStore on a memory pager or on a real file.
+struct StoreOnBackend {
+  std::unique_ptr<Pager> pager;
+  std::optional<FeatureStore> store;
+};
+
+StoreOnBackend BuildStore(TestDisk* td, StorageFactory* files,
+                          const std::vector<Segment>& geom,
+                          const std::string& name) {
+  StoreOnBackend out;
+  auto pager = MakePager(files, &td->disk, name);
+  if (!pager.ok()) return out;
+  out.pager = std::move(*pager);
+  auto store = FeatureStore::Build(out.pager.get(), geom, name);
+  if (store.ok()) out.store.emplace(std::move(*store));
+  return out;
+}
+
+TEST(Refine, PairsMatchBruteForceAcrossThreadsAndBackends) {
   TestDisk td;
   const RectF region(0, 0, 300, 300);
-  const auto a = UniformRects(900, region, 3.0f, 21);
-  const auto b = UniformRects(800, region, 4.0f, 22);
+  const auto a = UniformRects(3000, region, 5.0f, 21);
+  const auto b = UniformRects(2800, region, 6.0f, 22);
   const auto ga = SegmentsForRects(a);
   const auto gb = SegmentsForRects(b);
+  auto files = TmpFileStorageFactory::Make();
+  ASSERT_TRUE(files.ok()) << files.status().ToString();
+  std::vector<StoreOnBackend> stores;  // a, b on memory, then on file.
+  for (StorageFactory* storage : {static_cast<StorageFactory*>(nullptr),
+                                  static_cast<StorageFactory*>(files->get())}) {
+    stores.push_back(BuildStore(&td, storage, ga, "geom.a"));
+    stores.push_back(BuildStore(&td, storage, gb, "geom.b"));
+  }
+  for (const StoreOnBackend& s : stores) ASSERT_TRUE(s.store);
+
+  const std::vector<IdPair> candidates = BruteForcePairs(a, b);
+  const std::vector<IdPair> expected = BruteForceExactPairs(a, b, ga, gb);
+  ASSERT_GT(candidates.size(), expected.size());  // The filter over-approximates.
+  ASSERT_FALSE(expected.empty());
+  // The default budget refines every candidate in one chunk of several
+  // predicate slices; the smallest budget takes several chunks.
+  ASSERT_GT(candidates.size(), 2 * kRefineSliceCandidates);
+  ASSERT_GT(candidates.size(),
+            2 * RefineChunkCandidates(RefineGrantBytes(kMinMemoryBytes)));
+
+  std::vector<IdPair> reference_pairs;
+  for (size_t budget : {JoinOptions().memory_bytes, kMinMemoryBytes}) {
+    RefineStats reference;
+    bool have_reference = false;
+    for (size_t backend = 0; backend < 2; ++backend) {
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        const std::string variant =
+            std::string(backend == 0 ? "memory" : "file") + ", " +
+            std::to_string(threads) + " threads, budget " +
+            std::to_string(budget);
+        JoinOptions options;
+        options.num_threads = threads;
+        options.memory_bytes = budget;
+        CollectingSink sink;
+        auto stats = RefinePairs(candidates, *stores[2 * backend].store,
+                                 *stores[2 * backend + 1].store, options,
+                                 &sink);
+        ASSERT_TRUE(stats.ok()) << variant << ": "
+                                << stats.status().ToString();
+        EXPECT_EQ(stats->candidates, candidates.size());
+        EXPECT_EQ(stats->results, expected.size());
+        EXPECT_GT(stats->pages_read, 0u);
+        // Survivors come out in candidate order under every budget.
+        if (reference_pairs.empty()) {
+          EXPECT_EQ(Sorted(sink.pairs()), expected) << variant;
+          reference_pairs = sink.pairs();
+        }
+        EXPECT_EQ(sink.pairs(), reference_pairs) << variant;
+        if (!have_reference) {
+          reference = *stats;
+          have_reference = true;
+          continue;
+        }
+        // Pages and modeled I/O identical for every thread count and
+        // backend at one budget: chunks follow the budget alone.
+        EXPECT_EQ(stats->pages_read, reference.pages_read) << variant;
+        EXPECT_TRUE(SameDiskStats(stats->disk, reference.disk)) << variant;
+      }
+    }
+  }
+}
+
+TEST(Refine, ReadsEachPageOncePerChunk) {
+  TestDisk td;
+  constexpr uint32_t kPerPage = FeatureStore::kRecordsPerPage;
+  constexpr uint32_t kPages = 4;
+  const auto ga = SegmentsForRects(
+      UniformRects(kPages * kPerPage, RectF(0, 0, 40, 40), 4.0f, 71));
+  const auto gb = SegmentsForRects(
+      UniformRects(kPages * kPerPage, RectF(0, 0, 40, 40), 4.0f, 72));
   auto pager_a = td.NewPager("geom.a");
   auto pager_b = td.NewPager("geom.b");
   auto store_a = FeatureStore::Build(pager_a.get(), ga, "a");
   auto store_b = FeatureStore::Build(pager_b.get(), gb, "b");
   ASSERT_TRUE(store_a.ok() && store_b.ok());
 
-  const std::vector<IdPair> candidates = BruteForcePairs(a, b);
-  const std::vector<IdPair> expected = BruteForceExactPairs(a, b, ga, gb);
-  ASSERT_GT(candidates.size(), expected.size());  // The filter over-approximates.
+  // Consecutive candidates cycle over the 4 pages of each store, so any
+  // run of them needs every page.
+  std::vector<IdPair> candidates;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    candidates.push_back({(i % kPages) * kPerPage + (i / kPages) % kPerPage,
+                          ((i + 1) % kPages) * kPerPage + (i * 7) % kPerPage});
+  }
+  std::vector<IdPair> expected;
+  for (const IdPair& c : candidates) {
+    if (SegmentsIntersect(ga[c.a], gb[c.b])) expected.push_back(c);
+  }
   ASSERT_FALSE(expected.empty());
 
-  std::vector<IdPair> reference_pairs;
-  RefineStats reference;
-  for (uint32_t threads : {1u, 2u, 8u}) {
-    JoinOptions options;
-    options.num_threads = threads;
-    options.refine_batch_pairs = 128;  // Several batches per run.
+  // The default budget holds all 3,000 candidates in one chunk: each page
+  // is read once, in one coalesced request per side.
+  {
     CollectingSink sink;
-    auto stats =
-        RefinePairs(candidates, *store_a, *store_b, options, &sink);
+    auto stats = RefinePairs(candidates, *store_a, *store_b, JoinOptions(),
+                             &sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->candidates, candidates.size());
-    EXPECT_EQ(stats->results, expected.size());
-    EXPECT_EQ(Sorted(sink.pairs()), expected);
-    EXPECT_GT(stats->pages_read, 0u);
-    if (threads == 1) {
-      reference_pairs = sink.pairs();
-      reference = *stats;
-    } else {
-      // Output order, pages, and modeled I/O identical at every thread
-      // count (per-batch DiskModel shards, merged in batch order).
-      EXPECT_EQ(sink.pairs(), reference_pairs) << threads << " threads";
-      EXPECT_EQ(stats->pages_read, reference.pages_read);
-      EXPECT_TRUE(SameDiskStats(stats->disk, reference.disk))
-          << threads << " threads";
-    }
+    EXPECT_EQ(sink.pairs(), expected);
+    EXPECT_EQ(stats->pages_read, 2u * kPages);
+    EXPECT_EQ(stats->disk.pages_read, 2u * kPages);
+    EXPECT_EQ(stats->disk.read_requests, 2u);
   }
+
+  // A strict arbiter this small forces several chunks; each reads every
+  // page once, never aborts, and stays within its grant.
+  MemoryArbiter arbiter(kMinMemoryBytes, /*strict=*/true);
+  const uint64_t chunk =
+      RefineChunkCandidates(RefineGrantBytes(arbiter.budget()));
+  const uint64_t chunks = (candidates.size() + chunk - 1) / chunk;
+  ASSERT_GE(chunks, 3u);
+  CollectingSink sink;
+  JoinOptions options;
+  options.num_threads = 2;
+  auto stats = RefinePairs(candidates, *store_a, *store_b, options, &sink,
+                           PredicateSpec{}, &arbiter);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(sink.pairs(), expected);
+  EXPECT_EQ(stats->pages_read, 2u * kPages * chunks);
+  EXPECT_EQ(stats->disk.read_requests, 2u * chunks);
+  bool saw_grant = false;
+  for (const MemoryComponentStats& c : arbiter.ComponentStats()) {
+    if (c.component != grants::kRefineBatch) continue;
+    saw_grant = true;
+    EXPECT_GT(c.used_high_water, 0u);
+    EXPECT_LE(c.used_high_water, c.granted_high_water);
+    EXPECT_LE(c.granted_high_water, RefineGrantBytes(arbiter.budget()));
+  }
+  EXPECT_TRUE(saw_grant);
+  EXPECT_EQ(arbiter.in_use(), 0u);
+
+  // With the budget all but used up the grant is squeezed to its floor:
+  // chunks of kMinRefineChunk candidates, still within the grant.
+  auto held = arbiter.Acquire("held", arbiter.budget() - 1024);
+  ASSERT_TRUE(held.ok());
+  CollectingSink squeezed;
+  stats = RefinePairs(candidates, *store_a, *store_b, options, &squeezed,
+                      PredicateSpec{}, &arbiter);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(squeezed.pairs(), expected);
+  const uint64_t floor_chunks =
+      (candidates.size() + kMinRefineChunk - 1) / kMinRefineChunk;
+  EXPECT_EQ(stats->pages_read, 2u * kPages * floor_chunks);
 }
 
 TEST(Refine, JoinerRefinesThroughEveryAlgorithm) {
@@ -228,6 +376,48 @@ TEST(Refine, JoinerRefinesThroughEveryAlgorithm) {
     EXPECT_EQ(stats->candidate_count, expected_candidates.size())
         << ToString(algo);
     EXPECT_GT(stats->refine_pages_read, 0u) << ToString(algo);
+  }
+}
+
+TEST(Refine, ExplainPlansTheGrantTheRunTakes) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 200, 200);
+  const auto a = UniformRects(700, region, 3.0f, 33);
+  const auto b = UniformRects(600, region, 3.0f, 34);
+  const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+  auto pager_a = td.NewPager("geom.a");
+  auto pager_b = td.NewPager("geom.b");
+  auto store_a = FeatureStore::Build(pager_a.get(), SegmentsForRects(a), "a");
+  auto store_b = FeatureStore::Build(pager_b.get(), SegmentsForRects(b), "b");
+  ASSERT_TRUE(store_a.ok() && store_b.ok());
+
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  for (size_t budget : {kMinMemoryBytes, size_t{1} << 20}) {
+    JoinQuery query(joiner);
+    query.Input(JoinInput::FromStream(da))
+        .Input(JoinInput::FromStream(db))
+        .WithFeatures(0, &*store_a)
+        .WithFeatures(1, &*store_b)
+        .Algorithm(JoinAlgorithm::kSSSJ)
+        .Refine(true)
+        .MemoryBytes(budget);
+    auto plan = query.Explain();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const size_t planned = plan->memory.GrantFor(grants::kRefineBatch);
+    EXPECT_EQ(planned, RefineGrantBytes(budget));
+    CountingSink sink;
+    auto stats = query.Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    bool saw_grant = false;
+    for (const MemoryComponentStats& c : stats->memory_components) {
+      if (c.component != grants::kRefineBatch) continue;
+      saw_grant = true;
+      EXPECT_EQ(c.granted_high_water, planned) << budget;
+      EXPECT_LE(c.used_high_water, c.granted_high_water) << budget;
+    }
+    EXPECT_TRUE(saw_grant) << budget;
   }
 }
 
@@ -299,6 +489,10 @@ TEST(Refine, MultiwayTuplesPairwisePredicate) {
   }
   std::sort(exact_tuples.begin(), exact_tuples.end());
   ASSERT_FALSE(filter_tuples.empty());
+  // The smallest budget below refines the tuples in several chunks.
+  ASSERT_GT(filter_tuples.size(),
+            RefineChunkCandidates(RefineGrantBytes(kMinMemoryBytes),
+                                  RefineBytesPerCandidate(3)));
 
   const DatasetRef da = MakeDataset(&td, a, "a", &keep);
   const DatasetRef db = MakeDataset(&td, b, "b", &keep);
@@ -314,7 +508,8 @@ TEST(Refine, MultiwayTuplesPairwisePredicate) {
   for (uint32_t threads : {1u, 2u, 8u}) {
     JoinOptions options;
     options.refine = true;
-    options.refine_batch_pairs = 64;
+    // The smallest budget: several refinement chunks per run.
+    options.memory_bytes = kMinMemoryBytes;
     options.num_threads = threads;
     SpatialJoiner joiner(&td.disk, options);
     JoinInput ia = JoinInput::FromStream(da);

@@ -268,7 +268,6 @@ TEST(StorageDifferential, BackendIsInvisibleToResults) {
                            .Algorithm(algo)
                            .Threads(v.threads)
                            .Refine(refine)
-                           .RefineBatchPairs(512)
                            .Storage(storage)
                            .Run(&sink);
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
