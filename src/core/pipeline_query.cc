@@ -713,6 +713,8 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
                               ctx.storage, "pipeline.in" + std::to_string(i),
                               SortConfigOf(options_)));
+      // The id-sort's formation workers ran off this thread's clock.
+      out.host_cpu_seconds += resolver->sort_stats().worker_cpu_seconds;
       resolver_ptrs.push_back(resolver.get());
       resolvers.push_back(std::move(resolver));
     }

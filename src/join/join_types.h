@@ -199,11 +199,14 @@ struct JoinStats {
   uint32_t sort_merge_fan_in = 0;
   uint32_t sort_merge_passes = 0;
 
-  /// Folds a sorter's stats into the join-wide maxima.
+  /// Folds a sorter's stats into the join-wide maxima and adds its
+  /// formation workers' CPU to host_cpu_seconds (call after the join's
+  /// measurement finished).
   void FoldSortStats(const SortStats& s) {
     sort_parallel_units = std::max(sort_parallel_units, s.parallel_units);
     sort_merge_fan_in = std::max(sort_merge_fan_in, s.merge_fan_in);
     sort_merge_passes = std::max(sort_merge_passes, s.merge_passes);
+    host_cpu_seconds += s.worker_cpu_seconds;
   }
 
   /// The classic cost estimate (Figure 2(a)-(c)): every page read priced

@@ -77,6 +77,7 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
                                           arbiter, sort_config);
   SJ_ASSIGN_OR_RETURN(StreamRange sorted,
                       sorter.Sort(raw, resolver->scratch_.get()));
+  resolver->sort_stats_ = sorter.stats();
   resolver->first_page_ = sorted.first_page;
   resolver->count_ = sorted.count;
 

@@ -10,6 +10,7 @@
 #include "io/pager.h"
 #include "io/storage.h"
 #include "join/executor.h"
+#include "sort/sort_config.h"
 #include "util/result.h"
 
 namespace sj {
@@ -66,6 +67,9 @@ class RectResolver {
   uint64_t lookup_pages_read() const { return lookup_pages_read_; }
   bool external() const { return external_; }
   uint64_t count() const { return count_; }
+  /// What the external path's id-sort did (zeros on the in-memory path);
+  /// its worker_cpu_seconds is CPU the building thread's clock missed.
+  const SortStats& sort_stats() const { return sort_stats_; }
 
  private:
   RectResolver() = default;
@@ -76,6 +80,7 @@ class RectResolver {
   bool external_ = false;
   uint64_t count_ = 0;
   MemoryGrant grant_;
+  SortStats sort_stats_;
 
   // In-memory path: records sorted by id.
   std::vector<RectF> sorted_;

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/memory_arbiter.h"
@@ -14,6 +16,7 @@
 #include "io/prefetch.h"
 #include "io/stream.h"
 #include "sort/loser_tree.h"
+#include "sort/radix_sort.h"
 #include "sort/run_layout.h"
 #include "sort/sort_config.h"
 #include "util/logging.h"
@@ -35,7 +38,8 @@ struct StreamRange {
 /// R-tree bulk loader.
 ///
 /// Phase 1 (run formation) carves the input into run-capacity chunks,
-/// std::sort's each chunk and writes it as a sorted run (sequential
+/// sorts each chunk (SortChunk: a radix sort for RectF in the sweep
+/// order, std::sort otherwise) and writes it as a sorted run (sequential
 /// write). Phase 2 merges up to the planned fan-in runs at a time with a
 /// loser tree; reads during a merge alternate between runs and are
 /// therefore charged as non-sequential requests — exactly the paper's
@@ -57,7 +61,8 @@ struct StreamRange {
 ///    Units model the serial machine: the reported grant usage is the
 ///    serial-equivalent footprint (one chunk + one write block), the same
 ///    convention the strip/partition parallelism uses; real transient
-///    memory is threads x that.
+///    memory is threads x that. Units that run off the calling thread
+///    report their thread CPU in SortStats::worker_cpu_seconds.
 ///  * Loser-tree merge: one leaf-to-root path (ceil(log2 k) comparisons)
 ///    per record instead of two heap sifts, stable on (key, source), fed
 ///    by a RunLayout::PlanMerge fan-in that trades pass count against
@@ -177,6 +182,27 @@ class ExternalSorter {
            (rem + kRecordsPerPage - 1) / kRecordsPerPage;
   }
 
+  /// Sorts one run chunk under `less_`. A RectF chunk in the sweep order
+  /// radix-sorts (sort/radix_sort.h) when it holds at least
+  /// kRadixSortMinRecords records and its scratch copy fits the write
+  /// block the layout reserves beside the chunk: the run writer opens
+  /// only after the sort, so the reported footprint (chunk + write block)
+  /// covers the scratch unchanged. Every other chunk and ordering uses
+  /// std::sort.
+  void SortChunk(std::vector<T>* chunk) const {
+    if constexpr (std::is_same_v<T, RectF> &&
+                  std::is_same_v<Less, OrderByYLo>) {
+      const size_t n = chunk->size();
+      if (n >= kRadixSortMinRecords &&
+          n * sizeof(T) <= size_t{layout_.write_block_pages} * kPageSize) {
+        std::vector<T> scratch(n);
+        RadixSortByYLo(chunk->data(), n, scratch.data());
+        return;
+      }
+    }
+    std::sort(chunk->begin(), chunk->end(), less_);
+  }
+
   Status FormRunsSerial(const StreamRange& input,
                         std::vector<StreamRange>* runs) {
     StreamReader<T> reader(input.pager, input.first_page, input.count);
@@ -187,7 +213,7 @@ class ExternalSorter {
       std::optional<T> rec = reader.Next();
       if (rec.has_value()) chunk.push_back(*rec);
       if ((!rec.has_value() && !chunk.empty()) || chunk.size() >= cap) {
-        std::sort(chunk.begin(), chunk.end(), less_);
+        SortChunk(&chunk);
         StreamWriter<T> writer(scratch_, layout_.write_block_pages);
         const PageId first = writer.first_page();
         for (const T& t : chunk) writer.Append(t);
@@ -207,6 +233,8 @@ class ExternalSorter {
     PageId out_first = 0;
     double read_wall = 0.0;
     double write_wall = 0.0;
+    /// Thread CPU of the unit when it ran off the calling thread.
+    double cpu_seconds = 0.0;
   };
 
   Status FormRunsParallel(const StreamRange& input, uint64_t units,
@@ -223,12 +251,21 @@ class ExternalSorter {
       plan[u].out_first = scratch_->Allocate(
           static_cast<uint32_t>(RunPages(plan[u].count)));
     }
+    const std::thread::id caller = std::this_thread::get_id();
     SJ_RETURN_IF_ERROR(ParallelFor(
-        config_.pool, FormationThreads(), units,
-        [&](uint64_t u) { return FormOneRun(input, &plan[u]); }));
+        config_.pool, FormationThreads(), units, [&](uint64_t u) {
+          ThreadCpuTimer cpu;
+          Status formed = FormOneRun(input, &plan[u]);
+          // Units on the calling thread are already on its caller's clock.
+          if (std::this_thread::get_id() != caller) {
+            plan[u].cpu_seconds = cpu.Elapsed();
+          }
+          return formed;
+        }));
     ReplayFormationCharges(input, plan);
     for (const FormationUnit& u : plan) {
       runs->push_back(StreamRange{scratch_, u.out_first, u.count});
+      stats_.worker_cpu_seconds += u.cpu_seconds;
     }
     stats_.parallel_units = static_cast<uint32_t>(units);
     return Status::OK();
@@ -275,7 +312,7 @@ class ExternalSorter {
         rec = page_end;
       }
     }
-    std::sort(chunk.begin(), chunk.end(), less_);
+    SortChunk(&chunk);
 
     const uint64_t per_block =
         uint64_t{layout_.write_block_pages} * kRecordsPerPage;

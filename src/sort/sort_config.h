@@ -38,12 +38,18 @@ struct SortStats {
   uint32_t merge_fan_in = 0;
   /// Merge passes over the data (0 when a single run sufficed).
   uint32_t merge_passes = 0;
+  /// Thread CPU seconds of formation units that ran off the thread that
+  /// called the sort (0 for a serial formation). That thread's own clock
+  /// covers the rest, so a join adds this to its measured CPU.
+  double worker_cpu_seconds = 0.0;
 
+  /// Counts fold as maxima, CPU as a sum.
   void Fold(const SortStats& other) {
     runs = std::max(runs, other.runs);
     parallel_units = std::max(parallel_units, other.parallel_units);
     merge_fan_in = std::max(merge_fan_in, other.merge_fan_in);
     merge_passes = std::max(merge_passes, other.merge_passes);
+    worker_cpu_seconds += other.worker_cpu_seconds;
   }
 };
 

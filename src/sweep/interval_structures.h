@@ -119,9 +119,12 @@ class ForwardSweep {
 /// reported exactly once: in the strip containing the left endpoint of the
 /// x-overlap region. On the paper's data this is 2-5x faster than
 /// Forward-Sweep because queries touch a small fraction of the active set.
-/// Per-strip lists are struct-of-arrays and scanned with the same lane
-/// kernels as ForwardSweep; the ForwardSweep emit contract (by-value
-/// emission, no reentry) applies here too.
+///
+/// Each strip is a plain RectF array. A strip holds a handful of entries
+/// on real data, so a query classifies, compacts and emits in one inline
+/// scalar pass per strip; the lane kernels pay off only on ForwardSweep's
+/// long active lists. The ForwardSweep emit contract (by-value emission,
+/// no reentry) applies here too.
 ///
 /// Striping arithmetic is hardened against degenerate extents: the strip
 /// width is computed in double precision (a float-sized extent such as
@@ -139,8 +142,7 @@ class StripedSweep {
   /// `extent` must span all x-coordinates that will be inserted or
   /// queried; values outside are clamped to the boundary strips.
   StripedSweep(const RectF& extent, uint32_t strips)
-      : mode_(ActiveSweepKernelMode()),
-        xlo_(static_cast<double>(extent.xlo)),
+      : xlo_(static_cast<double>(extent.xlo)),
         strips_(std::max<uint32_t>(1, strips)) {
     const double span =
         static_cast<double>(extent.xhi) - static_cast<double>(extent.xlo);
@@ -161,7 +163,7 @@ class StripedSweep {
   void Insert(const RectF& r) {
     const uint32_t s0 = StripIndex(r.xlo);
     const uint32_t s1 = std::max(s0, StripIndex(r.xhi));
-    for (uint32_t s = s0; s <= s1; ++s) lists_[s].PushBack(r);
+    for (uint32_t s = s0; s <= s1; ++s) lists_[s].push_back(r);
     entries_ += s1 - s0 + 1;
     inserts_since_purge_++;
     // Amortized cleanup: strips a sweep never queries again would
@@ -174,34 +176,29 @@ class StripedSweep {
     const uint32_t s0 = StripIndex(q.xlo);
     const uint32_t s1 = std::max(s0, StripIndex(q.xhi));
     for (uint32_t s = s0; s <= s1; ++s) {
-      SoaRects& list = lists_[s];
+      std::vector<RectF>& list = lists_[s];
       const size_t n = list.size();
-      if (n == 0) continue;
-      mask_.resize(n);
-      kernels::ClassifySweepLanes(mode_, list.xlo.data(), list.xhi.data(),
-                                  list.yhi.data(), n, q.xlo, q.xhi, q.ylo,
-                                  mask_.data());
       size_t keep = 0;
       for (size_t i = 0; i < n; ++i) {
-        const uint8_t m = mask_[i];
-        if ((m & kernels::kLaneKeep) == 0) continue;  // Expired.
-        if (keep != i) list.MoveLane(i, keep);
-        if ((m & kernels::kLaneMatch) != 0 &&
-            // Dedup: report only in the strip holding the overlap's left
-            // edge.
-            StripIndex(std::max(q.xlo, list.xlo[keep])) == s) {
-          emit(list.Lane(keep));
+        const RectF r = list[i];
+        if (r.yhi < q.ylo) continue;  // Expired: drop.
+        list[keep++] = r;
+        // Dedup: report only in the strip holding the overlap's left
+        // edge, max(q.xlo, r.xlo), which is strip s0 unless r starts
+        // right of the query.
+        if (r.xlo <= q.xhi && q.xlo <= r.xhi &&
+            (q.xlo < r.xlo ? StripIndex(r.xlo) : s0) == s) {
+          emit(r);
         }
-        keep++;
       }
       entries_ -= n - keep;
-      list.Resize(keep);
+      list.resize(keep);
     }
   }
 
   size_t ActiveCount() const { return entries_; }
   /// Logical footprint: stored copies across strips, in 20-byte-record
-  /// units (identical for scalar and vectorized kernels).
+  /// units.
   size_t MemoryBytes() const { return entries_ * sizeof(RectF); }
   /// True when the requested striping could not be honored (degenerate or
   /// non-finite extent) and the structure fell back to a single strip.
@@ -220,23 +217,21 @@ class StripedSweep {
   }
 
   void Purge(float y) {
-    for (SoaRects& list : lists_) {
+    for (std::vector<RectF>& list : lists_) {
       const size_t n = list.size();
-      if (n == 0) continue;
-      mask_.resize(n);
-      kernels::ExpiryKeepMask(mode_, list.yhi.data(), n, y, mask_.data());
-      entries_ -= n - list.CompactKept(mask_.data());
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [y](const RectF& r) { return r.yhi < y; }),
+                 list.end());
+      entries_ -= n - list.size();
     }
     inserts_since_purge_ = 0;
   }
 
-  SweepKernelMode mode_;
   double xlo_;
   uint32_t strips_;
   double width_ = 1.0;
   bool collapsed_ = false;
-  std::vector<SoaRects> lists_;
-  std::vector<uint8_t> mask_;
+  std::vector<std::vector<RectF>> lists_;
   size_t entries_ = 0;  // Total stored copies across strips.
   size_t inserts_since_purge_ = 0;
 };

@@ -20,6 +20,7 @@
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
 #include "op/operators.h"
+#include "op/rect_resolver.h"
 #include "op/row.h"
 #include "test_util.h"
 
@@ -758,6 +759,42 @@ TEST(PipelineStatsTest, DescribeAndKeyValuesAreStructured) {
   EXPECT_TRUE(saw_output);
   EXPECT_TRUE(saw_op);
   EXPECT_GT(stats->ObservedSeconds(f.td.disk.machine()), 0.0);
+}
+
+// The external path id-sorts the relation; formation units on a private
+// team report their CPU (the building thread's clock misses it), a
+// serial build reports none, and both resolve the same rectangles.
+TEST(RectResolverTest, ExternalBuildReportsSortWorkerCpu) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const auto rects =
+      UniformRects(20000, RectF(0, 0, 100, 100), 0.5f, /*seed=*/61);
+  const JoinInput input =
+      JoinInput::FromStream(MakeDataset(&td, rects, "resolver.in", &keep));
+  std::vector<ObjectId> ids;
+  for (ObjectId id = 0; id < 20000; id += 97) ids.push_back(id);
+  std::vector<RectF> expected;
+  for (ObjectId id : ids) expected.push_back(rects[id]);
+  for (uint32_t threads : {1u, 4u}) {
+    MemoryArbiter arbiter(64 << 10);
+    SortConfig sort_config;
+    sort_config.threads = threads;
+    auto resolver = RectResolver::Build(input, &td.disk, &arbiter, nullptr,
+                                        "resolver", sort_config);
+    ASSERT_TRUE(resolver.ok()) << resolver.status().ToString();
+    ASSERT_TRUE((*resolver)->external());
+    const SortStats& sort = (*resolver)->sort_stats();
+    if (threads == 1) {
+      EXPECT_EQ(sort.parallel_units, 0u);
+      EXPECT_EQ(sort.worker_cpu_seconds, 0.0);
+    } else {
+      EXPECT_GT(sort.parallel_units, 1u);
+      EXPECT_GT(sort.worker_cpu_seconds, 0.0);
+    }
+    std::vector<RectF> got;
+    ASSERT_TRUE((*resolver)->Lookup(ids, &got).ok());
+    EXPECT_EQ(got, expected) << "threads " << threads;
+  }
 }
 
 }  // namespace

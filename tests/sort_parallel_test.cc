@@ -128,74 +128,114 @@ RunOutcome RunOnce(const std::vector<RectF>& rects, size_t memory_bytes,
 // arbiter peak must stay within the grant.
 TEST(ParallelSortDifferential, AllConfigsMatchSerialReference) {
   const uint64_t n = 30000;
-  const size_t memory = 3000 * sizeof(RectF);  // ~10+ formation units.
   auto rects = UniformRects(n, RectF(0, 0, 1000, 1000), 4.0f, /*seed=*/42);
 
   // std::sort oracle: the output record sequence every config must hit.
   std::vector<RectF> oracle = rects;
   std::sort(oracle.begin(), oracle.end(), OrderByYLo());
 
-  // fan_in: 2 (narrowest), 0 (auto), 64 (clamped to the layout max).
-  for (uint32_t fan_in : {0u, 2u, 64u}) {
-    RunConfig ref_config;
-    ref_config.fan_in = fan_in;
-    const RunOutcome ref = RunOnce(rects, memory, ref_config);
-    ASSERT_FALSE(ref.pages.empty());
-    EXPECT_LE(ref.peak_memory, memory);
-    EXPECT_EQ(ref.sort.parallel_units, 0u);
+  // Two budgets, 10+ formation units each: at 3,000 records a 1,771-record
+  // chunk outgrows the 3-page write block and keeps std::sort; at 64 KiB a
+  // 1,638-record chunk fits the 4-page write block and radix-sorts.
+  for (size_t memory : {size_t{3000 * sizeof(RectF)}, size_t{64 << 10}}) {
+    const RunLayout layout = RunLayout::For(memory, sizeof(RectF));
+    const bool radix =
+        layout.run_records * sizeof(RectF) <=
+        uint64_t{layout.write_block_pages} * kPageSize;
+    ASSERT_EQ(radix, memory == (64 << 10));
+    // fan_in: 2 (narrowest), 0 (auto), 64 (clamped to the layout max).
+    for (uint32_t fan_in : {0u, 2u, 64u}) {
+      RunConfig ref_config;
+      ref_config.fan_in = fan_in;
+      const RunOutcome ref = RunOnce(rects, memory, ref_config);
+      ASSERT_FALSE(ref.pages.empty());
+      EXPECT_LE(ref.peak_memory, memory);
+      EXPECT_EQ(ref.sort.parallel_units, 0u);
 
-    // The oracle check once per fan-in (pages decode to the sorted
-    // sequence).
-    {
-      TestDisk td;
-      auto pager = td.NewPager("decode");
-      const PageId first = pager->Allocate(
-          static_cast<uint32_t>(ref.pages.size() / kPageSize));
-      for (size_t p = 0; p < ref.pages.size() / kPageSize; ++p) {
-        SJ_CHECK_OK(pager->backend()->WritePage(
-            static_cast<PageId>(first + p), ref.pages.data() + p * kPageSize));
+      // The oracle check once per fan-in (pages decode to the sorted
+      // sequence).
+      {
+        TestDisk td;
+        auto pager = td.NewPager("decode");
+        const PageId first = pager->Allocate(
+            static_cast<uint32_t>(ref.pages.size() / kPageSize));
+        for (size_t p = 0; p < ref.pages.size() / kPageSize; ++p) {
+          SJ_CHECK_OK(pager->backend()->WritePage(
+              static_cast<PageId>(first + p),
+              ref.pages.data() + p * kPageSize));
+        }
+        const std::vector<RectF> decoded =
+            ReadRects(StreamRange{pager.get(), first, n});
+        ASSERT_EQ(decoded.size(), oracle.size());
+        for (size_t i = 0; i < oracle.size(); ++i) {
+          ASSERT_EQ(decoded[i], oracle[i])
+              << "memory " << memory << " fan_in " << fan_in << " at " << i;
+        }
       }
-      const std::vector<RectF> decoded =
-          ReadRects(StreamRange{pager.get(), first, n});
-      ASSERT_EQ(decoded.size(), oracle.size());
-      for (size_t i = 0; i < oracle.size(); ++i) {
-        ASSERT_EQ(decoded[i], oracle[i]) << "fan_in " << fan_in << " at " << i;
-      }
-    }
 
-    for (uint32_t threads : {1u, 2u, 8u}) {
-      for (bool file_backend : {false, true}) {
-        RunConfig config;
-        config.threads = threads;
-        config.fan_in = fan_in;
-        config.file_backend = file_backend;
-        const RunOutcome got = RunOnce(rects, memory, config);
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " fan_in=" + std::to_string(fan_in) +
-                                  " file=" + std::to_string(file_backend);
-        ASSERT_EQ(got.pages.size(), ref.pages.size()) << label;
-        EXPECT_EQ(
-            std::memcmp(got.pages.data(), ref.pages.data(), ref.pages.size()),
-            0)
-            << label;
-        EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
-        EXPECT_EQ(got.disk.pages_read, ref.disk.pages_read) << label;
-        EXPECT_EQ(got.disk.pages_written, ref.disk.pages_written) << label;
-        EXPECT_EQ(got.disk.read_requests, ref.disk.read_requests) << label;
-        EXPECT_EQ(got.disk.write_requests, ref.disk.write_requests) << label;
-        EXPECT_EQ(got.disk.random_read_requests, ref.disk.random_read_requests)
-            << label;
-        EXPECT_LE(got.peak_memory, memory) << label;
-        EXPECT_EQ(got.sort.merge_fan_in, ref.sort.merge_fan_in) << label;
-        EXPECT_EQ(got.sort.merge_passes, ref.sort.merge_passes) << label;
-        if (threads > 1) {
-          EXPECT_GT(got.sort.parallel_units, 1u) << label;
-        } else {
-          EXPECT_EQ(got.sort.parallel_units, 0u) << label;
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        for (bool file_backend : {false, true}) {
+          RunConfig config;
+          config.threads = threads;
+          config.fan_in = fan_in;
+          config.file_backend = file_backend;
+          const RunOutcome got = RunOnce(rects, memory, config);
+          const std::string label = "memory=" + std::to_string(memory) +
+                                    " threads=" + std::to_string(threads) +
+                                    " fan_in=" + std::to_string(fan_in) +
+                                    " file=" + std::to_string(file_backend);
+          ASSERT_EQ(got.pages.size(), ref.pages.size()) << label;
+          EXPECT_EQ(std::memcmp(got.pages.data(), ref.pages.data(),
+                                ref.pages.size()),
+                    0)
+              << label;
+          EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
+          EXPECT_EQ(got.disk.pages_read, ref.disk.pages_read) << label;
+          EXPECT_EQ(got.disk.pages_written, ref.disk.pages_written) << label;
+          EXPECT_EQ(got.disk.read_requests, ref.disk.read_requests) << label;
+          EXPECT_EQ(got.disk.write_requests, ref.disk.write_requests) << label;
+          EXPECT_EQ(got.disk.random_read_requests,
+                    ref.disk.random_read_requests)
+              << label;
+          EXPECT_LE(got.peak_memory, memory) << label;
+          EXPECT_EQ(got.sort.merge_fan_in, ref.sort.merge_fan_in) << label;
+          EXPECT_EQ(got.sort.merge_passes, ref.sort.merge_passes) << label;
+          if (threads > 1) {
+            EXPECT_GT(got.sort.parallel_units, 1u) << label;
+          } else {
+            EXPECT_EQ(got.sort.parallel_units, 0u) << label;
+          }
         }
       }
     }
   }
+}
+
+// Formation units that run off the calling thread report their CPU. A
+// private team runs every unit on its own threads, so the sum is
+// positive; Threads(1) forms runs on the caller and reports none. The
+// output and the modeled I/O do not depend on it.
+TEST(ParallelSortDifferential, ReportsFormationWorkerCpu) {
+  auto rects = UniformRects(30000, RectF(0, 0, 1000, 1000), 4.0f, /*seed=*/8);
+  const size_t memory = 64 << 10;
+  RunConfig serial_config;
+  const RunOutcome serial = RunOnce(rects, memory, serial_config);
+  EXPECT_EQ(serial.sort.parallel_units, 0u);
+  EXPECT_EQ(serial.sort.worker_cpu_seconds, 0.0);
+  RunConfig parallel_config;
+  parallel_config.threads = 4;
+  const RunOutcome parallel = RunOnce(rects, memory, parallel_config);
+  EXPECT_GT(parallel.sort.parallel_units, 1u);
+  EXPECT_GT(parallel.sort.worker_cpu_seconds, 0.0);
+  EXPECT_EQ(parallel.pages, serial.pages);
+  EXPECT_DOUBLE_EQ(parallel.disk.io_seconds, serial.disk.io_seconds);
+  // Folding two sorts' stats sums their CPU; counts stay maxima.
+  SortStats folded = serial.sort;
+  folded.Fold(parallel.sort);
+  folded.Fold(parallel.sort);
+  EXPECT_DOUBLE_EQ(folded.worker_cpu_seconds,
+                   2 * parallel.sort.worker_cpu_seconds);
+  EXPECT_EQ(folded.parallel_units, parallel.sort.parallel_units);
 }
 
 // A shared morsel pool (service mode) must behave like private teams,
@@ -234,32 +274,43 @@ TEST(ParallelSortDifferential, SharedPoolMatchesPrivateTeam) {
 // short final chunk still holds the full reservation. The merge's block
 // buffers fit the same grant, on memory and on file pagers alike.
 TEST(ParallelSortDifferential, StrictArbiterAcceptsReservedChunkAccounting) {
-  const size_t memory = 2000 * sizeof(RectF);
-  // 2.2 runs' worth: the last run is short but reserves full capacity.
+  // 2.2 runs' worth at 2,000 records (std::sort chunks) and 2.4 at 64 KiB
+  // (radix chunks, whose scratch lives in the write block's share): the
+  // last run is short but reserves full capacity.
   auto rects = UniformRects(4000, RectF(0, 0, 500, 500), 3.0f, /*seed=*/17);
-  for (bool file_backend : {false, true}) {
-    TestDisk td;
-    auto factory = MaybeFileStorage(file_backend);
-    auto input = MakeTestPager(factory.get(), &td.disk, "input");
-    auto scratch = MakeTestPager(factory.get(), &td.disk, "scratch");
-    auto output = MakeTestPager(factory.get(), &td.disk, "output");
-    const StreamRange in = WriteRects(input.get(), rects);
-    MemoryArbiter arbiter(memory, /*strict=*/true);
-    ExternalSorter<RectF, OrderByYLo> sorter(memory, scratch.get(),
-                                             OrderByYLo(), &arbiter);
-    ASSERT_TRUE(sorter.Sort(in, output.get()).ok());
-    EXPECT_GE(sorter.stats().runs, 2u) << "file=" << file_backend;
-    // The sort component reported its reserved capacity, never above it
-    // (strict mode would have aborted on an overshoot).
-    size_t used = 0, granted = 0;
-    for (const MemoryComponentStats& c : arbiter.ComponentStats()) {
-      if (c.component == grants::kSortRuns) {
-        used = c.used_high_water;
-        granted = c.granted_high_water;
+  for (size_t memory : {size_t{2000 * sizeof(RectF)}, size_t{64 << 10}}) {
+    for (uint32_t threads : {1u, 2u}) {
+      for (bool file_backend : {false, true}) {
+        const std::string label = "memory=" + std::to_string(memory) +
+                                  " threads=" + std::to_string(threads) +
+                                  " file=" + std::to_string(file_backend);
+        TestDisk td;
+        auto factory = MaybeFileStorage(file_backend);
+        auto input = MakeTestPager(factory.get(), &td.disk, "input");
+        auto scratch = MakeTestPager(factory.get(), &td.disk, "scratch");
+        auto output = MakeTestPager(factory.get(), &td.disk, "output");
+        const StreamRange in = WriteRects(input.get(), rects);
+        MemoryArbiter arbiter(memory, /*strict=*/true);
+        SortConfig config;
+        config.threads = threads;
+        ExternalSorter<RectF, OrderByYLo> sorter(memory, scratch.get(),
+                                                 OrderByYLo(), &arbiter,
+                                                 config);
+        ASSERT_TRUE(sorter.Sort(in, output.get()).ok()) << label;
+        EXPECT_GE(sorter.stats().runs, 2u) << label;
+        // The sort component reported its reserved capacity, never above
+        // it (strict mode would have aborted on an overshoot).
+        size_t used = 0, granted = 0;
+        for (const MemoryComponentStats& c : arbiter.ComponentStats()) {
+          if (c.component == grants::kSortRuns) {
+            used = c.used_high_water;
+            granted = c.granted_high_water;
+          }
+        }
+        EXPECT_GT(used, 0u) << label;
+        EXPECT_LE(used, granted) << label;
       }
     }
-    EXPECT_GT(used, 0u) << "file=" << file_backend;
-    EXPECT_LE(used, granted) << "file=" << file_backend;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
 #include "test_util.h"
+#include "util/timer.h"
 
 namespace sj {
 namespace {
@@ -155,6 +156,43 @@ TEST(SSSJ, SweepStructureStaysSmall) {
   ASSERT_TRUE(stats.ok());
   const size_t input_bytes = (a.size() + b.size()) * sizeof(RectF);
   EXPECT_LT(stats->max_sweep_bytes, input_bytes / 10);
+}
+
+// Parallel run formation forms its runs on a private team, off the
+// calling thread's clock: the join's CPU must still cover them, so it
+// exceeds what the calling thread spent. Output and modeled I/O match the
+// serial sort.
+TEST(SSSJ, HostCpuCoversParallelRunFormation) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 1000, 1000);
+  const auto a = UniformRects(60000, region, 2.0f, 71);
+  const auto b = UniformRects(50000, region, 2.0f, 72);
+  const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+  JoinOptions options;
+  options.memory_bytes = 512 << 10;  // 10+ runs per input.
+  uint64_t serial_pairs = 0;
+  double serial_io = 0.0;
+  for (uint32_t threads : {1u, 4u}) {
+    options.num_threads = threads;
+    td.disk.ResetStats();
+    CountingSink sink;
+    ThreadCpuTimer caller;
+    auto stats = SSSJJoin(da, db, &td.disk, options, &sink);
+    const double caller_cpu = caller.Elapsed();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (threads == 1) {
+      EXPECT_EQ(stats->sort_parallel_units, 0u);
+      serial_pairs = sink.count();
+      serial_io = stats->disk.io_seconds;
+    } else {
+      EXPECT_GT(stats->sort_parallel_units, 1u);
+      EXPECT_GT(stats->host_cpu_seconds, caller_cpu);
+      EXPECT_EQ(sink.count(), serial_pairs);
+      EXPECT_DOUBLE_EQ(stats->disk.io_seconds, serial_io);
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -17,6 +18,9 @@ using testing_util::BruteForcePairs;
 using testing_util::Sorted;
 
 /// Runs the sweep join over in-memory vectors with the given structure.
+/// Every rectangle passed here has a finite yhi, so afterwards a query
+/// across the whole extent above all of them expires every stored copy:
+/// each structure's accounting must drain to zero with it.
 template <typename Structure>
 std::vector<IdPair> SweepPairs(std::vector<RectF> a, std::vector<RectF> b,
                                const RectF& extent, uint32_t strips) {
@@ -30,6 +34,13 @@ std::vector<IdPair> SweepPairs(std::vector<RectF> a, std::vector<RectF> b,
                  out.push_back({x.id, y.id});
                },
                [] {});
+  const float inf = std::numeric_limits<float>::infinity();
+  for (Structure* active : {&active_a, &active_b}) {
+    active->QueryAndExpire(RectF(extent.xlo, inf, extent.xhi, inf),
+                           [](const RectF&) {});
+    EXPECT_EQ(active->ActiveCount(), 0u);
+    EXPECT_EQ(active->MemoryBytes(), 0u);
+  }
   return Sorted(std::move(out));
 }
 
@@ -38,19 +49,68 @@ struct SweepCase {
   float size_a, size_b;
   uint32_t strips;
   uint64_t seed;
+  /// service_windows' shape instead of uniform data (FineStripInput).
+  bool fine_clustered = false;
 };
+
+/// A 2x2-degree window cut into 0.002-degree strips (1,000 strips) under
+/// MBRs of 0.016 degrees on average, like hydro features, so each
+/// rectangle covers about 9 strips. Both inputs are clustered: A alone in
+/// the lower band, B alone in the upper one, and a middle band where they
+/// share cluster centres. Each structure thus sees long one-sided
+/// stretches in which no query expires its copies.
+const RectF kFineRegion(0, 0, 2, 2);
+std::vector<RectF> FineStripInput(const SweepCase& c, bool side_b) {
+  const uint64_t n = side_b ? c.nb : c.na;
+  const float size = side_b ? c.size_b : c.size_a;
+  const uint64_t seed = side_b ? c.seed + 1 : c.seed;
+  const RectF alone = side_b ? RectF(0, 1.2f, 2, 2) : RectF(0, 0, 2, 0.8f);
+  std::vector<RectF> out = ClusteredRects(n - n / 3, alone, /*clusters=*/6,
+                                          /*cluster_sigma=*/0.05f, size, seed);
+  const std::vector<RectF> shared = ZipfClusteredRects(
+      n / 3, RectF(0, 0.8f, 2, 1.2f), /*hotspots=*/4, /*theta=*/0.0,
+      /*hotspot_sigma=*/0.05f, size, seed + 2,
+      /*base_id=*/static_cast<ObjectId>(n - n / 3),
+      /*center_seed=*/c.seed + 100);
+  out.insert(out.end(), shared.begin(), shared.end());
+  return out;
+}
+
+/// Strip copies `rects` occupy among `strips` equal strips of `region`.
+uint64_t StripCopies(const std::vector<RectF>& rects, const RectF& region,
+                     uint32_t strips) {
+  const double width = (region.xhi - region.xlo) / static_cast<double>(strips);
+  auto strip = [&](float x) {
+    return std::clamp<int64_t>(
+        static_cast<int64_t>(std::floor((x - region.xlo) / width)), 0,
+        strips - 1);
+  };
+  uint64_t copies = 0;
+  for (const RectF& r : rects) copies += strip(r.xhi) - strip(r.xlo) + 1;
+  return copies;
+}
 
 class SweepStructureEquivalence : public ::testing::TestWithParam<SweepCase> {
 };
 
 TEST_P(SweepStructureEquivalence, BothStructuresMatchBruteForce) {
   const SweepCase c = GetParam();
-  const RectF region(0, 0, 200, 200);
-  const auto a = UniformRects(c.na, region, c.size_a, c.seed);
-  const auto b = UniformRects(c.nb, region, c.size_b, c.seed + 1);
+  const RectF region = c.fine_clustered ? kFineRegion : RectF(0, 0, 200, 200);
+  const auto a = c.fine_clustered
+                     ? FineStripInput(c, false)
+                     : UniformRects(c.na, region, c.size_a, c.seed);
+  const auto b = c.fine_clustered
+                     ? FineStripInput(c, true)
+                     : UniformRects(c.nb, region, c.size_b, c.seed + 1);
   const auto expected = BruteForcePairs(a, b);
   EXPECT_EQ(SweepPairs<ForwardSweep>(a, b, region, c.strips), expected);
   EXPECT_EQ(SweepPairs<StripedSweep>(a, b, region, c.strips), expected);
+  if (c.fine_clustered) {
+    // The strips really are narrower than the rectangles.
+    EXPECT_GT(StripCopies(a, region, c.strips) +
+                  StripCopies(b, region, c.strips),
+              5 * (c.na + c.nb));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -62,7 +122,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepCase{500, 400, 2, 3, 1024, 5},
                       SweepCase{300, 300, 50, 0.5, 64, 6},  // Wide rects.
                       SweepCase{1000, 1000, 0, 0, 128, 7},  // Points.
-                      SweepCase{800, 700, 5, 5, 16, 8}));
+                      SweepCase{800, 700, 5, 5, 16, 8},
+                      // Strips narrower than the rectangles.
+                      SweepCase{3000, 3000, 0.016f, 0.016f, 1000, 9, true}));
 
 TEST(StripedSweep, DedupAcrossStrips) {
   // Two rectangles spanning many strips still produce exactly one pair.
