@@ -13,9 +13,9 @@ namespace sj {
 
 namespace {
 
-/// Folds the compile step's own I/O and CPU (ε-expansion passes, tree
-/// rebuilds) into the reported stats, so a query's counters cover all the
-/// work it caused.
+/// Folds the compile step's own I/O and CPU (planning, ε-expansion
+/// passes, tree rebuilds) into the reported stats, so a query's counters
+/// cover all the work it caused.
 template <typename Stats>
 void FoldCompileOverhead(const CompiledPlan& plan, Stats* stats) {
   stats->disk += plan.compile_disk;
@@ -109,6 +109,7 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
 }
 
 Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
+  ThreadCpuTimer compile_cpu;
   CompiledPlan plan;
   plan.disk = joiner_->disk();
   plan.options = options_;
@@ -194,13 +195,16 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
   // which describe the unexpanded data). The transform's own passes are
   // measured and folded into the query's stats by Run.
   if (!multiway) {
-    // Exact PBSM grid reporting only for Explain (plan_only): a PBSM
-    // execution re-derives its grid from the same inputs anyway, and
-    // the other executors never read it.
-    plan.decision =
-        joiner_->Plan(plan.inputs[0], plan.inputs[1], plan.prune_histogram(0),
-                      plan.prune_histogram(1), &plan.options,
-                      /*exact_pbsm_preplan=*/plan_only);
+    // Explain (plan_only) prices every plan. Execution asks the planner
+    // only when it has a choice to make, and then only for the terms
+    // that decide it (SpatialJoiner::Plan); a forced algorithm needs no
+    // planning at all.
+    if (plan_only || algorithm_ == JoinAlgorithm::kAuto) {
+      plan.decision = joiner_->Plan(plan.inputs[0], plan.inputs[1],
+                                    plan.prune_histogram(0),
+                                    plan.prune_histogram(1), &plan.options,
+                                    /*explain=*/plan_only);
+    }
     if (algorithm_ != JoinAlgorithm::kAuto) {
       plan.decision.algorithm = algorithm_;
       plan.decision.memory = PlanJoinMemory(
@@ -211,13 +215,12 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
           " by the query";
     }
     if (!plan_only && predicate_.kind == Predicate::kDistanceWithin) {
-      JoinMeasurement compile_measurement(plan.disk);
+      const DiskStats before = plan.disk->stats();
       SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan));
-      const JoinStats compile_stats = compile_measurement.Finish();
-      plan.compile_disk = compile_stats.disk;
-      plan.compile_cpu_seconds = compile_stats.host_cpu_seconds;
+      plan.compile_disk = plan.disk->stats() - before;
     }
   }
+  plan.compile_cpu_seconds = compile_cpu.Elapsed();
   return plan;
 }
 
@@ -254,6 +257,7 @@ Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
   SJ_RETURN_IF_ERROR(executor->Validate(plan));
   if (!plan.options.refine) {
     SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, sink));
+    stats.algorithm = plan.decision.algorithm;
     stats.candidate_count = stats.output_count;
     FoldCompileOverhead(plan, &stats);
     FillMemoryStats(*plan.arbiter, &stats);
@@ -263,6 +267,7 @@ Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
   // them against exact geometry and forwards survivors to the caller.
   CollectingSink candidates;
   SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, &candidates));
+  stats.algorithm = plan.decision.algorithm;
   ThreadCpuTimer refine_cpu;
   SJ_ASSIGN_OR_RETURN(
       RefineStats refined,
@@ -288,6 +293,7 @@ Result<MultiwayStats> JoinQuery::Run(TupleSink* sink) {
   if (!plan.options.refine) {
     SJ_ASSIGN_OR_RETURN(MultiwayStats stats,
                         ExecuteMultiwayFilter(plan, sink));
+    FoldCompileOverhead(plan, &stats);
     fill_memory(&stats);
     return stats;
   }
@@ -309,6 +315,7 @@ Result<MultiwayStats> JoinQuery::Run(TupleSink* sink) {
   stats.refine_pages_read = refined.pages_read;
   stats.disk += refined.disk;
   stats.host_cpu_seconds += refine_cpu.Elapsed() + refined.host_cpu_seconds;
+  FoldCompileOverhead(plan, &stats);
   fill_memory(&stats);
   return stats;
 }

@@ -97,8 +97,6 @@ class JoinQuery {
   /// in-memory). Shared because partition shards create files
   /// concurrently; results and modeled I/O are identical on any backend.
   JoinQuery& Storage(std::shared_ptr<StorageFactory> factory) { return Mutate([&](JoinOptions& o) { o.storage = std::move(factory); }); }
-  /// External-merge fan-in (0 = auto; see JoinOptions::merge_fan_in).
-  JoinQuery& MergeFanIn(uint32_t fan_in) { return Mutate([&](JoinOptions& o) { o.merge_fan_in = fan_in; }); }
 
   JoinOptions& mutable_options() { return options_; }
   const JoinOptions& options() const { return options_; }
@@ -114,8 +112,9 @@ class JoinQuery {
   }
 
   /// Compiles the query and returns the planner's decision without
-  /// executing anything (EXPLAIN). Reflects forced algorithms and
-  /// predicate transforms exactly as Run would see them.
+  /// executing anything (EXPLAIN), with every plan priced. Reflects forced
+  /// algorithms and predicate transforms exactly as Run would see them;
+  /// Run executes the algorithm reported here (JoinStats::algorithm).
   Result<PlanDecision> Explain();
 
   /// Runs the pairwise pipeline (exactly 2 inputs): compile, execute the
@@ -153,8 +152,11 @@ class JoinQuery {
   }
 
   /// Shared validation + input resolution. `multiway` selects the k-way
-  /// rules (input count, predicate restrictions); `plan_only` skips the
-  /// ε-expansion materialization (Explain never executes I/O passes).
+  /// rules (input count, predicate restrictions); `plan_only` (Explain)
+  /// prices every plan and skips the ε-expansion materialization (Explain
+  /// never executes I/O passes), while execution plans only as far as the
+  /// algorithm choice needs. The whole compile's CPU lands in
+  /// CompiledPlan::compile_cpu_seconds.
   Result<CompiledPlan> Compile(bool multiway, bool plan_only = false);
 
   /// Applies the ε-expansion transform for kDistanceWithin to the plan's

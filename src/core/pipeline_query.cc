@@ -91,6 +91,12 @@ double WindowFraction(const RectF& window, const RectF& extent) {
   return std::min(1.0, window.IntersectionWith(extent).Area() / total);
 }
 
+/// The join input the windowed-overlay plan builds from `input`: its
+/// in-window records as a stream (ids, and so FeatureStores, preserved).
+JoinInput WindowedInput(const JoinInput& input, const DatasetRef& windowed) {
+  return JoinInput::FromStream(windowed).WithFeatures(input.features());
+}
+
 }  // namespace
 
 // --- PipelinePlan ----------------------------------------------------------
@@ -255,12 +261,15 @@ const GridHistogram* PipelineQuery::HistogramFor(size_t index) const {
   return found;
 }
 
-const FeatureStore* PipelineQuery::FeaturesFor(size_t index) const {
-  const FeatureStore* found = nullptr;
-  for (const auto& [i, store] : features_) {
-    if (i == index) found = store;
-  }
-  return found;
+JoinQuery PipelineQuery::JoinOver(const std::vector<JoinInput>& inputs) const {
+  JoinQuery jq(*joiner_);
+  jq.mutable_options() = options_;
+  for (const JoinInput& input : inputs) jq.Input(input);
+  for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
+  for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
+  jq.Predicate(predicate_.kind, predicate_.epsilon);
+  jq.Algorithm(algorithm_);
+  return jq;
 }
 
 RectF PipelineQuery::ResolveAggregateExtent(const OpSpec& spec) const {
@@ -458,14 +467,25 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       source_rows = std::min(source_rows, leaf_rows[i]);
     }
     if (inputs_.size() == 2) {
-      JoinQuery jq(*joiner_);
-      jq.mutable_options() = options_;
-      for (const JoinInput& input : inputs_) jq.Input(input);
-      for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
-      for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
-      jq.Predicate(predicate_.kind, predicate_.epsilon);
-      jq.Algorithm(algorithm_);
-      SJ_ASSIGN_OR_RETURN(plan.join, jq.Explain());
+      // Plan the join Run executes. With a window that is a join of the
+      // in-window streams, described here by their estimated counts and
+      // the window-clipped extents (the planner reads no data), so an
+      // indexed input never makes Explain report a traversal Run cannot
+      // take.
+      std::vector<JoinInput> join_inputs = inputs_;
+      if (has_window_) {
+        for (size_t i = 0; i < inputs_.size(); ++i) {
+          DatasetRef windowed;
+          windowed.range.count =
+              static_cast<uint64_t>(std::llround(leaf_rows[i]));
+          const RectF extent = inputs_[i].extent();
+          windowed.extent = extent.Valid() && extent.Intersects(window_)
+                                ? extent.IntersectionWith(window_)
+                                : window_;
+          join_inputs[i] = WindowedInput(inputs_[i], windowed);
+        }
+      }
+      SJ_ASSIGN_OR_RETURN(plan.join, JoinOver(join_inputs).Explain());
       plan.has_join = true;
       plan.memory = plan.join.memory;
       if (plan.memory.budget_bytes == 0) {
@@ -698,7 +718,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
         DatasetRef windowed;
         windowed.range = StreamRange{pager.get(), first, n};
         windowed.extent = materialize.extent();
-        join_inputs[i] = JoinInput::FromStream(windowed);
+        join_inputs[i] = WindowedInput(inputs_[i], windowed);
         owned_pagers.push_back(std::move(pager));
         out.operators.push_back(scan.stats());
       }
@@ -720,25 +740,20 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     }
     JoinRowAdapter adapter(resolver_ptrs, head);
 
-    JoinQuery jq(*joiner_);
-    jq.mutable_options() = options_;
-    for (const JoinInput& input : join_inputs) jq.Input(input);
-    for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
-    for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
-    jq.Predicate(predicate_.kind, predicate_.epsilon);
+    JoinQuery jq = JoinOver(join_inputs);
     jq.UseArbiter(arbiter);
 
     // Close the preparation segment: the join's own measurement (which
-    // includes parallel shards the main delta would miss) takes over.
+    // includes its compile and parallel shards the main delta would miss)
+    // takes over.
     out.host_cpu_seconds += cpu.Elapsed();
     out.disk += main_disk->stats() - main_mark;
 
     uint64_t join_rows = 0;
     if (join_inputs.size() == 2) {
-      jq.Algorithm(algorithm_);
-      SJ_ASSIGN_OR_RETURN(PlanDecision decision, jq.Explain());
-      out.join_algorithm = decision.algorithm;
+      // One compile: the join plans as it runs and reports what it ran.
       SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
+      out.join_algorithm = join_stats.algorithm;
       out.disk += join_stats.disk;
       out.host_cpu_seconds += join_stats.host_cpu_seconds;
       out.candidate_count = join_stats.candidate_count;

@@ -16,6 +16,8 @@
 
 namespace sj {
 
+class JoinQuery;
+
 /// One node of a costed pipeline plan (PipelineQuery::Explain). Nodes are
 /// listed root (sink-most operator) first; `depth` gives the indentation
 /// of the printed tree (source scans are the deepest nodes).
@@ -73,6 +75,8 @@ struct PipelineStats {
   /// traffic (rect maps, aggregation spills).
   DiskStats disk;
   /// Join-source measurements (0 / kAuto for scan-source pipelines).
+  /// join_algorithm is the algorithm the pairwise join ran, which is the
+  /// one Explain() reports.
   uint64_t candidate_count = 0;
   uint64_t refine_pages_read = 0;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
@@ -195,8 +199,6 @@ class PipelineQuery {
   PipelineQuery& Threads(uint32_t n) { return Mutate([&](JoinOptions& o) { o.num_threads = n; }); }
   PipelineQuery& MemoryBytes(size_t bytes) { return Mutate([&](JoinOptions& o) { o.memory_bytes = bytes; }); }
   PipelineQuery& Storage(std::shared_ptr<StorageFactory> factory) { return Mutate([&](JoinOptions& o) { o.storage = std::move(factory); }); }
-  /// External-merge fan-in (0 = auto; see JoinOptions::merge_fan_in).
-  PipelineQuery& MergeFanIn(uint32_t fan_in) { return Mutate([&](JoinOptions& o) { o.merge_fan_in = fan_in; }); }
 
   JoinOptions& mutable_options() { return options_; }
   const JoinOptions& options() const { return options_; }
@@ -209,7 +211,8 @@ class PipelineQuery {
   }
 
   /// Compiles the pipeline and returns the costed operator tree without
-  /// executing anything (EXPLAIN).
+  /// executing anything (EXPLAIN). The join decision is the one Run
+  /// executes: a windowed join is planned over its in-window streams.
   Result<PipelinePlan> Explain();
 
   /// Runs the pipeline, streaming output rows into `sink`. Like
@@ -253,7 +256,10 @@ class PipelineQuery {
   }
 
   const GridHistogram* HistogramFor(size_t index) const;
-  const FeatureStore* FeaturesFor(size_t index) const;
+  /// The join over `inputs` (the pipeline's inputs, or their windowed
+  /// streams) with this pipeline's histograms, features, predicate,
+  /// algorithm and options.
+  JoinQuery JoinOver(const std::vector<JoinInput>& inputs) const;
 
   SpatialJoiner* joiner_;
   std::vector<JoinInput> inputs_;

@@ -13,12 +13,27 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
                                  const GridHistogram* hist_a,
                                  const GridHistogram* hist_b,
                                  const JoinOptions* options_override,
-                                 bool exact_pbsm_preplan) const {
+                                 bool explain) const {
   const JoinOptions& options =
       options_override != nullptr ? *options_override : options_;
   PlanDecision decision;
   const uint64_t total_pages = a.pages() + b.pages();
   const uint64_t total_bytes_est = (a.count() + b.count()) * sizeof(RectF);
+
+  // The chosen algorithm's grant breakdown, reported by Explain() and
+  // mirrored by the executors' live grants.
+  auto finalize = [&](PlanDecision d) {
+    d.memory = PlanJoinMemory(d.algorithm, options, total_bytes_est);
+    return d;
+  };
+  auto no_index = [&]() {
+    decision.algorithm = JoinAlgorithm::kSSSJ;
+    decision.rationale = "no index available; SSSJ streams both inputs";
+    return finalize(decision);
+  };
+  // Without an index there is nothing to choose: execution stops here,
+  // before any histogram or cost term; Explain goes on to price it all.
+  if (!explain && !a.indexed() && !b.indexed()) return no_index();
 
   // Memory planning first: every cost below is priced at the *granted*
   // memory, not the raw knob — under a tight budget the streaming plans
@@ -74,8 +89,9 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   // (pure CPU) and the reported grid is exact, otherwise the base grid
   // and formula stand in. Replication and the histogram-build pass are
   // priced into pbsm_cost_seconds; the pass is free when both
-  // histograms are attached.
-  {
+  // histograms are attached. kAuto never picks PBSM, so execution skips
+  // this.
+  if (explain) {
     const uint64_t total_bytes = (a.count() + b.count()) * sizeof(RectF);
     decision.pbsm_adaptive = options.adaptive_partitioning;
     // The adaptive planner packs to its own (higher) fill target; the
@@ -88,7 +104,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
     if (options.adaptive_partitioning) {
       decision.pbsm_tiles_per_axis =
           AdaptiveBaseTilesPerAxis(decision.pbsm_partitions);
-      if (exact_pbsm_preplan && hist_a != nullptr && hist_b != nullptr) {
+      if (hist_a != nullptr && hist_b != nullptr) {
         RectF extent = a.extent();
         extent.ExtendTo(b.extent());
         PartitionPlannerConfig config;
@@ -135,18 +151,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
                                  decision.refine_cost_seconds;
   }
 
-  // The chosen algorithm's grant breakdown, reported by Explain() and
-  // mirrored by the executors' live grants.
-  auto finalize = [&](PlanDecision d) {
-    d.memory = PlanJoinMemory(d.algorithm, options, total_bytes_est);
-    return d;
-  };
-
-  if (!a.indexed() && !b.indexed()) {
-    decision.algorithm = JoinAlgorithm::kSSSJ;
-    decision.rationale = "no index available; SSSJ streams both inputs";
-    return finalize(decision);
-  }
+  if (!a.indexed() && !b.indexed()) return no_index();
   // Pages a PQ plan reads: touched part of each index, whole stream sides
   // (which are also sorted: approximate with SSSJ-like handling per side,
   // again at the granted sort memory).

@@ -36,16 +36,22 @@ class SpatialJoiner {
   /// planner falls back to extent-overlap ratios. `options` overrides the
   /// joiner's defaults (null = the joiner's own): JoinQuery passes its
   /// effective options so overrides like Refine(true) price the
-  /// refinement term consistently. `exact_pbsm_preplan` runs the real
-  /// PartitionPlanner when adaptive partitioning has histograms, so
-  /// Explain reports the exact grid; false keeps the cheap formula
-  /// estimates — JoinQuery::Run uses this, because a PBSM execution plans
-  /// its own grid anyway and every other algorithm ignores it.
+  /// refinement term consistently.
+  ///
+  /// `explain` selects how much is priced. True (Explain) prices every
+  /// plan, and runs the real PartitionPlanner when adaptive partitioning
+  /// has histograms, so Explain reports the exact grid. False (query
+  /// execution) computes only the terms that choose the algorithm: with
+  /// no indexed input there is no choice, so it returns the SSSJ decision
+  /// and its memory plan before reading a histogram; with an index it
+  /// prices the stream and index plans exactly as Explain does, and skips
+  /// the PBSM pre-plan, which a PBSM execution derives again and every
+  /// other algorithm ignores. Both modes choose the same algorithm.
   PlanDecision Plan(const JoinInput& a, const JoinInput& b,
                     const GridHistogram* hist_a = nullptr,
                     const GridHistogram* hist_b = nullptr,
                     const JoinOptions* options = nullptr,
-                    bool exact_pbsm_preplan = true) const;
+                    bool explain = true) const;
 
   const CostModel& cost_model() const { return cost_model_; }
   DiskModel* disk() const { return disk_; }

@@ -76,8 +76,10 @@ void GridHistogram::ScaleTo(uint64_t target_total) {
   if (total_ == 0 || total_ == target_total) return;
   const double factor = static_cast<double>(target_total) /
                         static_cast<double>(total_);
+  mass_ = 0;
   for (uint64_t& c : cells_) {
     c = static_cast<uint64_t>(static_cast<double>(c) * factor + 0.5);
+    mass_ += c;
   }
   total_ = target_total;
 }
@@ -107,6 +109,7 @@ void GridHistogram::Add(const RectF& r) {
       cells_[static_cast<size_t>(y) * nx_ + x]++;
     }
   }
+  if (x0 <= x1 && y0 <= y1) mass_ += uint64_t{x1 - x0 + 1} * (y1 - y0 + 1);
   total_++;
 }
 
@@ -157,9 +160,8 @@ double GridHistogram::EstimateCountIn(const RectF& r) const {
 
 double GridHistogram::AverageCellsPerObject() const {
   if (total_ == 0) return 1.0;
-  double mass = 0.0;
-  for (uint64_t c : cells_) mass += static_cast<double>(c);
-  return std::max(1.0, mass / static_cast<double>(total_));
+  return std::max(1.0,
+                  static_cast<double>(mass_) / static_cast<double>(total_));
 }
 
 double GridHistogram::EstimateJoinFraction(const GridHistogram& other) const {
@@ -168,13 +170,14 @@ double GridHistogram::EstimateJoinFraction(const GridHistogram& other) const {
   if (total_ == 0) return 0.0;
   // Cell mass is the count of overlapping rectangles, so the sum over
   // cells exceeds total_ for large objects; normalizing by the full mass
-  // keeps the estimate in [0, 1].
-  double mass = 0.0, joined = 0.0;
+  // keeps the estimate in [0, 1]. Integer sums, so the result is what
+  // summing the counts as doubles gives.
+  uint64_t joined = 0;
   for (size_t i = 0; i < cells_.size(); ++i) {
-    mass += static_cast<double>(cells_[i]);
-    if (other.cells_[i] != 0) joined += static_cast<double>(cells_[i]);
+    joined += other.cells_[i] != 0 ? cells_[i] : 0;
   }
-  return mass > 0.0 ? joined / mass : 0.0;
+  return mass_ > 0 ? static_cast<double>(joined) / static_cast<double>(mass_)
+                   : 0.0;
 }
 
 }  // namespace sj

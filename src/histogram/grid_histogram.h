@@ -76,7 +76,7 @@ class GridHistogram {
 
   /// Average number of cells an added rectangle overlaps (>= 1 when
   /// total() > 0) — the replication factor a tile grid at this
-  /// resolution would induce.
+  /// resolution would induce. O(1): the cell mass is kept up to date.
   double AverageCellsPerObject() const;
 
   /// Number of rectangles added.
@@ -96,6 +96,9 @@ class GridHistogram {
   float cell_h_;
   std::vector<uint64_t> cells_;
   uint64_t total_ = 0;
+  /// Sum of cells_: each rectangle counts once per cell it overlaps.
+  /// Add and ScaleTo keep it current.
+  uint64_t mass_ = 0;
 };
 
 }  // namespace sj

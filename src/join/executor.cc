@@ -16,22 +16,6 @@
 
 namespace sj {
 
-const char* ToString(JoinAlgorithm algo) {
-  switch (algo) {
-    case JoinAlgorithm::kAuto:
-      return "AUTO";
-    case JoinAlgorithm::kSSSJ:
-      return "SSSJ";
-    case JoinAlgorithm::kPBSM:
-      return "PBSM";
-    case JoinAlgorithm::kST:
-      return "ST";
-    case JoinAlgorithm::kPQ:
-      return "PQ";
-  }
-  return "?";
-}
-
 uint64_t JoinInput::pages() const {
   if (indexed()) return rtree_->node_count();
   constexpr uint64_t per_page = kPageSize / sizeof(RectF);

@@ -77,17 +77,6 @@ class JoinInput {
   const FeatureStore* features_ = nullptr;
 };
 
-/// Which algorithm executes a join.
-enum class JoinAlgorithm {
-  kAuto,  ///< Let the planner decide from the cost model.
-  kSSSJ,
-  kPBSM,
-  kST,
-  kPQ,
-};
-
-const char* ToString(JoinAlgorithm algo);
-
 /// The planner's verdict, with the numbers behind it.
 struct PlanDecision {
   JoinAlgorithm algorithm = JoinAlgorithm::kSSSJ;
@@ -175,6 +164,8 @@ struct CompiledPlan {
   std::vector<const GridHistogram*> prune_histograms;
   /// The planner's decision for pairwise plans (decision.algorithm is the
   /// algorithm to execute; for forced algorithms the rationale says so).
+  /// Explain's plan carries every priced term; an executing plan carries
+  /// only the terms that chose the algorithm.
   PlanDecision decision;
   /// The query's memory governor: every executor draws its grants from
   /// here (and threads it into the algorithm layer), so one budget bounds
@@ -182,8 +173,9 @@ struct CompiledPlan {
   /// report one coherent peak. Created by the compile step from the
   /// effective options.
   std::shared_ptr<MemoryArbiter> arbiter;
-  /// I/O and CPU the compile step itself spent (ε-expansion passes,
-  /// expanded-tree rebuilds); folded into the query's reported stats.
+  /// I/O the compile step itself spent (ε-expansion passes, expanded-
+  /// tree rebuilds) and the CPU of the whole compile, planning included;
+  /// folded into the query's reported stats.
   DiskStats compile_disk;
   double compile_cpu_seconds = 0.0;
 

@@ -5,6 +5,22 @@
 
 namespace sj {
 
+const char* ToString(JoinAlgorithm algo) {
+  switch (algo) {
+    case JoinAlgorithm::kAuto:
+      return "AUTO";
+    case JoinAlgorithm::kSSSJ:
+      return "SSSJ";
+    case JoinAlgorithm::kPBSM:
+      return "PBSM";
+    case JoinAlgorithm::kST:
+      return "ST";
+    case JoinAlgorithm::kPQ:
+      return "PQ";
+  }
+  return "?";
+}
+
 std::string JoinStats::Describe() const {
   std::ostringstream os;
   os << output_count << " result pairs";

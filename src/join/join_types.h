@@ -23,6 +23,17 @@ namespace sj {
 
 class ThreadPool;
 
+/// Which algorithm executes a join.
+enum class JoinAlgorithm {
+  kAuto,  ///< Let the planner decide from the cost model.
+  kSSSJ,
+  kPBSM,
+  kST,
+  kPQ,
+};
+
+const char* ToString(JoinAlgorithm algo);
+
 /// A non-indexed input relation: a stream of MBR records plus its spatial
 /// extent. If `extent` is invalid (RectF::Empty()), algorithms that need
 /// it compute it with an extra scan.
@@ -117,11 +128,6 @@ struct JoinOptions {
   /// thread-safe. Results and modeled I/O are identical on any backend —
   /// only io_wall_seconds changes.
   std::shared_ptr<StorageFactory> storage;
-  /// External-merge fan-in. 0 = auto: the planner picks the smallest
-  /// fan-in that adds no merge pass over the maximum width and spends the
-  /// freed budget on larger per-run read blocks. Explicit values are
-  /// clamped to [2, layout fan-in].
-  uint32_t merge_fan_in = 0;
 };
 
 /// The benchmark driver's empty PrefetchContext (see io/prefetch.h).
@@ -135,7 +141,6 @@ inline SortConfig SortConfigOf(const JoinOptions& options) {
   SortConfig config;
   config.threads = std::max<uint32_t>(1, options.num_threads);
   config.pool = options.worker_pool;
-  config.merge_fan_in = options.merge_fan_in;
   return config;
 }
 
@@ -147,6 +152,10 @@ inline SortConfig SortConfigOf(const JoinOptions& options) {
 /// plus any pool workers; the MachineModel's slowdown converts it to
 /// modeled 1999-hardware seconds.
 struct JoinStats {
+  /// The filter algorithm that ran: the compiled plan's, which is always
+  /// the one Explain() reports for the query. kAuto only in stats from a
+  /// direct algorithm call, which has no plan.
+  JoinAlgorithm algorithm = JoinAlgorithm::kAuto;
   uint64_t output_count = 0;
   double host_cpu_seconds = 0.0;
   DiskStats disk;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "datagen/synthetic.h"
 #include "test_util.h"
@@ -236,6 +239,64 @@ TEST(GridHistogram, BuildSampledApproximatesTheFullBuild) {
       EXPECT_EQ(unsampled->CellCount(x, y), full->CellCount(x, y));
     }
   }
+}
+
+/// AverageCellsPerObject and EstimateJoinFraction recomputed from the
+/// cell counts alone, summing them as doubles; both must match exactly.
+void ExpectMassMatchesCells(const GridHistogram& h,
+                            const GridHistogram& other) {
+  double mass = 0.0, joined = 0.0;
+  for (uint32_t y = 0; y < h.ny(); ++y) {
+    for (uint32_t x = 0; x < h.nx(); ++x) {
+      mass += static_cast<double>(h.CellCount(x, y));
+      if (other.CellCount(x, y) != 0) {
+        joined += static_cast<double>(h.CellCount(x, y));
+      }
+    }
+  }
+  const double average =
+      h.total() == 0 ? 1.0
+                     : std::max(1.0, mass / static_cast<double>(h.total()));
+  const double fraction =
+      h.total() == 0 || mass == 0.0 ? 0.0 : joined / mass;
+  EXPECT_EQ(h.AverageCellsPerObject(), average);
+  EXPECT_EQ(h.EstimateJoinFraction(other), fraction);
+}
+
+TEST(GridHistogram, CachedMassMatchesTheCells) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF extent(0, 0, 100, 100);
+
+  // Multi-cell rectangles (cells are 6.25 wide), a full-row one and one
+  // clamped into the corner cell from outside the extent.
+  GridHistogram added(extent, 16, 16);
+  for (const RectF& r : UniformRects(500, extent, 8.0f, 31)) added.Add(r);
+  added.Add(RectF(0, 40, 100, 45));
+  added.Add(RectF(-50, -50, -10, -10));
+  ASSERT_GT(added.AverageCellsPerObject(), 2.0);
+
+  GridHistogram corner(extent, 16, 16);
+  for (const RectF& r : UniformRects(300, RectF(0, 0, 30, 30), 4.0f, 32)) {
+    corner.Add(r);
+  }
+
+  // The sampled build reads blocks 0 and 2 of 3 and rescales every cell
+  // by ~1.77, so a mass left at its sampled value would show.
+  const DatasetRef ref =
+      MakeDataset(&td, UniformRects(60000, extent, 4.0f, 33), "s", &keep);
+  auto sampled = GridHistogram::BuildSampled(ref.range, extent, 16, 16, 2);
+  ASSERT_TRUE(sampled.ok());
+  ASSERT_EQ(sampled->total(), 60000u);
+
+  const GridHistogram empty(extent, 16, 16);
+  const std::vector<const GridHistogram*> all = {&added, &corner, &*sampled,
+                                                 &empty};
+  for (const GridHistogram* h : all) {
+    for (const GridHistogram* other : all) ExpectMassMatchesCells(*h, *other);
+  }
+  EXPECT_EQ(empty.AverageCellsPerObject(), 1.0);
+  EXPECT_EQ(empty.EstimateJoinFraction(added), 0.0);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // The JoinQuery surface itself: builder validation (refine
 // misconfiguration is a real error with an actionable message, predicate
-// rules, index bounds), the executor registry, Describe() output, and the
-// basic semantics of the distance and containment predicates on small
-// hand-checkable inputs.
+// rules, index bounds), the executor registry, CPU accounting of the
+// compile step, Describe() output, and the basic semantics of the
+// distance and containment predicates on small hand-checkable inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "core/join_query.h"
+#include "core/pipeline_query.h"
 #include "core/spatial_join.h"
 
 #include "datagen/synthetic.h"
@@ -285,6 +288,75 @@ TEST(ExecutorRegistry, StExecutorValidatesInputKinds) {
                    .Run(&sink);
   ASSERT_FALSE(stats.ok());
   EXPECT_NE(stats.status().ToString().find("R-tree"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Accounting: a query's host CPU covers its compile, planning included.
+// ---------------------------------------------------------------------------
+
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+TEST(JoinQueryStats, HostCpuCoversPlanning) {
+  // Planning dominates this query: one R-tree, so the planner prices the
+  // index against the stream from two 1024x1024 histograms (a full pass
+  // over both cell arrays per input), and only a few hundred records.
+  QueryFixture f;
+  auto tree_pager = f.td.NewPager("tree");
+  auto scratch = f.td.NewPager("scratch");
+  auto tree = RTree::BulkLoadHilbert(tree_pager.get(), f.da.range,
+                                     scratch.get(), RTreeParams(), 1 << 22);
+  ASSERT_TRUE(tree.ok());
+  const RectF region(0, 0, 60, 60);
+  GridHistogram hist_a(region, 1024, 1024), hist_b(region, 1024, 1024);
+  for (const RectF& r : f.a) hist_a.Add(r);
+  for (const RectF& r : f.b) hist_b.Add(r);
+  const JoinInput a = JoinInput::FromRTree(&*tree);
+  const JoinInput b = JoinInput::FromStream(f.db);
+  SpatialJoiner joiner(&f.td.disk, JoinOptions());
+
+  // Three interleaved rounds (medians compared), so the standalone plan
+  // and the queries see the same machine conditions.
+  std::vector<double> plan_cpu, query_cpu, pipeline_cpu;
+  for (int round = 0; round < 3; ++round) {
+    // The planner call the query's compile makes, measured on its own.
+    ThreadCpuTimer cpu;
+    const PlanDecision d = joiner.Plan(a, b, &hist_a, &hist_b,
+                                       &joiner.options(), /*explain=*/false);
+    plan_cpu.push_back(cpu.Elapsed());
+    EXPECT_NE(d.algorithm, JoinAlgorithm::kAuto);
+
+    CountingSink sink;
+    auto join = JoinQuery(joiner)
+                    .Input(a)
+                    .Input(b)
+                    .WithHistogram(0, &hist_a)
+                    .WithHistogram(1, &hist_b)
+                    .Run(&sink);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    query_cpu.push_back(join->host_cpu_seconds);
+
+    // A two-input pipeline's join compiles inside its measurement too.
+    CollectingRowSink rows;
+    auto pipeline = PipelineQuery(joiner)
+                        .Input(a)
+                        .Input(b)
+                        .WithHistogram(0, &hist_a)
+                        .WithHistogram(1, &hist_b)
+                        .Run(&rows);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    pipeline_cpu.push_back(pipeline->host_cpu_seconds);
+  }
+  const double plan = Median(plan_cpu);
+  ASSERT_GT(plan, 0.0);
+  EXPECT_GE(Median(query_cpu), 0.5 * plan)
+      << "JoinStats::host_cpu_seconds " << Median(query_cpu)
+      << " s leaves out the compile's planning (" << plan << " s)";
+  EXPECT_GE(Median(pipeline_cpu), 0.5 * plan)
+      << "PipelineStats::host_cpu_seconds " << Median(pipeline_cpu)
+      << " s leaves out the join's planning (" << plan << " s)";
 }
 
 // ---------------------------------------------------------------------------
