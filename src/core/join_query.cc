@@ -13,29 +13,136 @@ namespace sj {
 
 namespace {
 
-/// Folds the compile step's own I/O and CPU (planning, ε-expansion
-/// passes, tree rebuilds) into the reported stats, so a query's counters
-/// cover all the work it caused.
+/// Completes a query's stats from its plan: the compile step's own I/O
+/// and CPU (planning, ε-expansion passes, tree rebuilds), so a query's
+/// counters cover all the work it caused, and the arbiter's peak and
+/// per-component high-water marks.
 template <typename Stats>
-void FoldCompileOverhead(const CompiledPlan& plan, Stats* stats) {
-  stats->disk += plan.compile_disk;
-  stats->host_cpu_seconds += plan.compile_cpu_seconds;
+Stats FinishStats(const CompiledPlan& plan, Stats stats) {
+  stats.disk += plan.compile_disk;
+  stats.host_cpu_seconds += plan.compile_cpu_seconds;
+  stats.peak_memory_bytes = plan.arbiter->peak_bytes();
+  stats.memory_components = plan.arbiter->ComponentStats();
+  return stats;
 }
 
-Status MissingFeaturesError(size_t index, bool multiway) {
-  return Status::FailedPrecondition(
-      std::string("refine=true but input #") + std::to_string(index) +
-      (multiway ? " of the multiway join" : "") +
-      " has no FeatureStore: attach the relation's exact geometry with "
-      "JoinInput::WithFeatures or JoinQuery::WithFeatures before running "
-      "a refining query");
+/// Folds a refinement pass over the filter's candidates into its stats;
+/// `cpu_seconds` is the calling thread's share of the pass.
+template <typename Stats>
+void FoldRefinement(const RefineStats& refined, double cpu_seconds,
+                    Stats* stats) {
+  stats->candidate_count = refined.candidates;
+  stats->output_count = refined.results;
+  stats->refine_pages_read = refined.pages_read;
+  stats->disk += refined.disk;
+  stats->host_cpu_seconds += cpu_seconds + refined.host_cpu_seconds;
 }
 
 }  // namespace
 
-JoinQuery& JoinQuery::WithFeatures(size_t index, const FeatureStore* store) {
-  features_.emplace_back(index, store);
-  return *this;
+Status CheckMemoryFloor(size_t memory_bytes) {
+  if (memory_bytes >= kMinMemoryBytes) return Status::OK();
+  return Status::FailedPrecondition(
+      "memory budget " + std::to_string(memory_bytes) +
+      " B is below the supported floor of " + std::to_string(kMinMemoryBytes) +
+      " B (kMinMemoryBytes, 64 KiB); raise the query's MemoryBytes / "
+      "JoinOptions::memory_bytes");
+}
+
+const GridHistogram* QuerySpec::HistogramOf(size_t index) const {
+  const GridHistogram* found = nullptr;
+  for (const auto& [i, hist] : histograms) {
+    if (i == index) found = hist;
+  }
+  return found;
+}
+
+const FeatureStore* QuerySpec::FeaturesOf(size_t index) const {
+  const FeatureStore* found = inputs[index].features();
+  for (const auto& [i, store] : features) {
+    if (i == index) found = store;
+  }
+  return found;
+}
+
+std::shared_ptr<MemoryArbiter> QuerySpec::RunArbiter() const {
+  if (arbiter != nullptr) return arbiter;
+  return std::make_shared<MemoryArbiter>(options.memory_bytes,
+                                         options.strict_memory_accounting);
+}
+
+Status QuerySpec::Validate(QuerySource source, const char* front_end) const {
+  SJ_RETURN_IF_ERROR(CheckMemoryFloor(options.memory_bytes));
+  const size_t n = inputs.size();
+  const std::string name = front_end;
+  const bool scan = source == QuerySource::kScan;
+  const bool multiway = source == QuerySource::kMultiway;
+  if (scan ? n < 1 : multiway ? n < 2 : n != 2) {
+    const char* rule =
+        scan ? "one is a (window) scan source, two run the pairwise spatial "
+               "join, three or more the k-way chain"
+        : multiway ? "a k-way join (TupleSink) takes at least 2"
+                   : "a pairwise join (JoinSink) takes exactly 2; run k-way "
+                     "joins against a TupleSink";
+    return Status::InvalidArgument(name + " has " + std::to_string(n) +
+                                   " inputs: " + rule);
+  }
+  auto out_of_range = [&](const char* setter, size_t index) {
+    return Status::InvalidArgument(
+        name + "::" + setter + " index " + std::to_string(index) +
+        " out of range: the query has " + std::to_string(n) + " inputs");
+  };
+  for (const auto& [index, store] : features) {
+    if (index >= n) return out_of_range("WithFeatures", index);
+  }
+  for (const auto& [index, hist] : histograms) {
+    if (index >= n) return out_of_range("WithHistogram", index);
+  }
+
+  if (scan) {
+    if (predicate.kind != Predicate::kIntersects || predicate.epsilon != 0.0 ||
+        algorithm != JoinAlgorithm::kAuto || options.refine) {
+      return Status::InvalidArgument(
+          "Predicate(), Algorithm() and Refine(true) apply to join sources; "
+          "a single-input " + name + " is a scan that emits MBR records "
+          "directly (add a second Input, or drop them)");
+    }
+    return Status::OK();
+  }
+  // Predicate rules (see join/predicate.h).
+  if (predicate.kind == Predicate::kDistanceWithin &&
+      !(predicate.epsilon >= 0.0)) {
+    return Status::InvalidArgument(
+        "Predicate::kDistanceWithin needs a non-negative epsilon");
+  }
+  if (multiway && predicate.kind != Predicate::kIntersects) {
+    return Status::InvalidArgument(
+        std::string("k-way joins support Predicate::kIntersects only (got ") +
+        ToString(predicate.kind) + ")");
+  }
+  if (multiway && algorithm != JoinAlgorithm::kAuto) {
+    return Status::InvalidArgument(
+        "Algorithm() applies to pairwise joins; the k-way chain has a single "
+        "execution strategy");
+  }
+  if (predicate.kind == Predicate::kContains && !options.refine) {
+    return Status::InvalidArgument(
+        "Predicate::kContains is a refinement-stage predicate over exact "
+        "geometry: enable Refine(true) and attach FeatureStores to both "
+        "inputs");
+  }
+  if (options.refine) {
+    for (size_t i = 0; i < n; ++i) {
+      if (FeaturesOf(i) != nullptr) continue;
+      return Status::FailedPrecondition(
+          "refine=true but input #" + std::to_string(i) +
+          (multiway ? " of the multiway join" : "") +
+          " has no FeatureStore: attach the relation's exact geometry with "
+          "JoinInput::WithFeatures or " + name +
+          "::WithFeatures before running a refining query");
+    }
+  }
+  return Status::OK();
 }
 
 Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
@@ -75,7 +182,7 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   expanded.extent = ExpandRectForDistance(original.extent(), eps);
 
   JoinInput replacement = JoinInput::FromStream(expanded);
-  if (algorithm_ == JoinAlgorithm::kST) {
+  if (spec_.algorithm == JoinAlgorithm::kST) {
     // ST traverses two indexes, so the expanded side gets a temporary
     // tree of its own (same parameters as the original index).
     SJ_ASSIGN_OR_RETURN(auto tree_pager,
@@ -110,82 +217,18 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
 
 Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
   ThreadCpuTimer compile_cpu;
+  SJ_RETURN_IF_ERROR(spec_.Validate(
+      multiway ? QuerySource::kMultiway : QuerySource::kPairwise, "JoinQuery"));
   CompiledPlan plan;
-  plan.disk = joiner_->disk();
-  plan.options = options_;
-  plan.predicate = predicate_;
-
-  // Absurdly small budgets used to flow into divisions downstream; the
-  // floor is kMinMemoryBytes (64 KiB), below which the component floors
-  // no longer fit together.
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) +
-        " B (kMinMemoryBytes, 64 KiB); raise JoinQuery::MemoryBytes / "
-        "JoinOptions::memory_bytes");
-  }
-  plan.arbiter = arbiter_override_ != nullptr
-                     ? arbiter_override_
-                     : std::make_shared<MemoryArbiter>(
-                           options_.memory_bytes,
-                           options_.strict_memory_accounting);
-
-  if (multiway) {
-    if (inputs_.size() < 2) {
-      return Status::InvalidArgument("multiway join needs at least 2 inputs");
-    }
-  } else if (inputs_.size() != 2) {
-    return Status::InvalidArgument(
-        "pairwise JoinQuery::Run needs exactly 2 inputs (got " +
-        std::to_string(inputs_.size()) +
-        "); run k-way joins against a TupleSink");
-  }
-  plan.inputs = inputs_;
-  plan.prune_histograms.assign(plan.inputs.size(), nullptr);
-  for (const auto& [index, store] : features_) {
-    if (index >= plan.inputs.size()) {
-      return Status::InvalidArgument(
-          "JoinQuery::WithFeatures index " + std::to_string(index) +
-          " out of range: the query has " +
-          std::to_string(plan.inputs.size()) + " inputs");
-    }
-    plan.inputs[index].WithFeatures(store);
-  }
-  for (const auto& [index, hist] : histograms_) {
-    if (index >= plan.inputs.size()) {
-      return Status::InvalidArgument(
-          "JoinQuery::WithHistogram index " + std::to_string(index) +
-          " out of range: the query has " +
-          std::to_string(plan.inputs.size()) + " inputs");
-    }
-    plan.prune_histograms[index] = hist;
-  }
-
-  // Predicate rules (see join/predicate.h).
-  if (predicate_.kind == Predicate::kDistanceWithin &&
-      !(predicate_.epsilon >= 0.0)) {
-    return Status::InvalidArgument(
-        "Predicate::kDistanceWithin needs a non-negative epsilon");
-  }
-  if (multiway && predicate_.kind != Predicate::kIntersects) {
-    return Status::InvalidArgument(
-        std::string("k-way joins support Predicate::kIntersects only (got ") +
-        ToString(predicate_.kind) + ")");
-  }
-  if (predicate_.kind == Predicate::kContains && !plan.options.refine) {
-    return Status::InvalidArgument(
-        "Predicate::kContains is a refinement-stage predicate over exact "
-        "geometry: enable Refine(true) and attach FeatureStores to both "
-        "inputs");
-  }
-  if (plan.options.refine) {
-    for (size_t i = 0; i < plan.inputs.size(); ++i) {
-      if (plan.inputs[i].features() == nullptr) {
-        return MissingFeaturesError(i, multiway);
-      }
-    }
+  plan.disk = spec_.joiner->disk();
+  plan.options = spec_.options;
+  plan.predicate = spec_.predicate;
+  plan.arbiter = spec_.RunArbiter();
+  plan.inputs = spec_.inputs;
+  plan.prune_histograms.resize(plan.inputs.size());
+  for (size_t i = 0; i < plan.inputs.size(); ++i) {
+    plan.inputs[i].WithFeatures(spec_.FeaturesOf(i));
+    plan.prune_histograms[i] = spec_.HistogramOf(i);
   }
 
   // Planning, then transforms. The order matters: the planner sees the
@@ -199,22 +242,23 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
     // only when it has a choice to make, and then only for the terms
     // that decide it (SpatialJoiner::Plan); a forced algorithm needs no
     // planning at all.
-    if (plan_only || algorithm_ == JoinAlgorithm::kAuto) {
-      plan.decision = joiner_->Plan(plan.inputs[0], plan.inputs[1],
-                                    plan.prune_histogram(0),
-                                    plan.prune_histogram(1), &plan.options,
-                                    /*explain=*/plan_only);
+    const JoinAlgorithm forced = spec_.algorithm;
+    if (plan_only || forced == JoinAlgorithm::kAuto) {
+      plan.decision = spec_.joiner->Plan(plan.inputs[0], plan.inputs[1],
+                                         plan.prune_histogram(0),
+                                         plan.prune_histogram(1),
+                                         &plan.options, /*explain=*/plan_only);
     }
-    if (algorithm_ != JoinAlgorithm::kAuto) {
-      plan.decision.algorithm = algorithm_;
+    if (forced != JoinAlgorithm::kAuto) {
+      plan.decision.algorithm = forced;
       plan.decision.memory = PlanJoinMemory(
-          algorithm_, plan.options,
+          forced, plan.options,
           (plan.inputs[0].count() + plan.inputs[1].count()) * sizeof(RectF));
       plan.decision.rationale =
-          std::string("algorithm forced to ") + ToString(algorithm_) +
+          std::string("algorithm forced to ") + ToString(forced) +
           " by the query";
     }
-    if (!plan_only && predicate_.kind == Predicate::kDistanceWithin) {
+    if (!plan_only && plan.predicate.kind == Predicate::kDistanceWithin) {
       const DiskStats before = plan.disk->stats();
       SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan));
       plan.compile_disk = plan.disk->stats() - before;
@@ -234,16 +278,7 @@ Result<PlanDecision> JoinQuery::Explain() {
 }
 
 Result<JoinStats> JoinQuery::Run(JoinSink* sink) {
-  // The single-query service: an inline scheduler owning exactly this
-  // query's budget (no shared workers, no shared pool), so the standalone
-  // path and the multi-tenant path execute the same admission + execution
-  // code and report errors through the same taxonomy.
-  ServiceOptions service_options;
-  service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
-  SpatialService service(service_options);
-  return service.Run(*this, sink);
+  return SpatialService::RunInline(*this, sink);
 }
 
 Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
@@ -255,69 +290,49 @@ Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
         ToString(plan.decision.algorithm));
   }
   SJ_RETURN_IF_ERROR(executor->Validate(plan));
-  if (!plan.options.refine) {
-    SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, sink));
-    stats.algorithm = plan.decision.algorithm;
-    stats.candidate_count = stats.output_count;
-    FoldCompileOverhead(plan, &stats);
-    FillMemoryStats(*plan.arbiter, &stats);
-    return stats;
-  }
-  // Filter step: the MBR join buffers candidates; refinement resolves
-  // them against exact geometry and forwards survivors to the caller.
+  // Filter step. With refinement the MBR join buffers candidates, which
+  // refinement resolves against exact geometry, forwarding survivors to
+  // the caller.
   CollectingSink candidates;
-  SJ_ASSIGN_OR_RETURN(JoinStats stats, executor->Execute(plan, &candidates));
-  stats.algorithm = plan.decision.algorithm;
-  ThreadCpuTimer refine_cpu;
   SJ_ASSIGN_OR_RETURN(
-      RefineStats refined,
-      RefinePairs(candidates.pairs(), *plan.inputs[0].features(),
-                  *plan.inputs[1].features(), plan.options, sink,
-                  plan.predicate, plan.arbiter.get()));
-  stats.candidate_count = refined.candidates;
-  stats.output_count = refined.results;
-  stats.refine_pages_read = refined.pages_read;
-  stats.disk += refined.disk;
-  stats.host_cpu_seconds += refine_cpu.Elapsed() + refined.host_cpu_seconds;
-  FoldCompileOverhead(plan, &stats);
-  FillMemoryStats(*plan.arbiter, &stats);
-  return stats;
+      JoinStats stats,
+      executor->Execute(plan, plan.options.refine ? &candidates : sink));
+  stats.algorithm = plan.decision.algorithm;
+  stats.candidate_count = stats.output_count;
+  if (plan.options.refine) {
+    ThreadCpuTimer refine_cpu;
+    SJ_ASSIGN_OR_RETURN(
+        RefineStats refined,
+        RefinePairs(candidates.pairs(), *plan.inputs[0].features(),
+                    *plan.inputs[1].features(), plan.options, sink,
+                    plan.predicate, plan.arbiter.get()));
+    FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
+  }
+  return FinishStats(plan, std::move(stats));
 }
 
 Result<MultiwayStats> JoinQuery::Run(TupleSink* sink) {
   SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/true));
-  auto fill_memory = [&plan](MultiwayStats* stats) {
-    stats->peak_memory_bytes = plan.arbiter->peak_bytes();
-    stats->memory_components = plan.arbiter->ComponentStats();
-  };
-  if (!plan.options.refine) {
-    SJ_ASSIGN_OR_RETURN(MultiwayStats stats,
-                        ExecuteMultiwayFilter(plan, sink));
-    FoldCompileOverhead(plan, &stats);
-    fill_memory(&stats);
-    return stats;
-  }
-  std::vector<const FeatureStore*> stores;
-  stores.reserve(plan.inputs.size());
-  for (const JoinInput& input : plan.inputs) stores.push_back(input.features());
-  // Filter step with candidates buffered in memory, then batched k-way
-  // refinement with the pairwise exact predicate.
+  // Filter step, with candidates buffered in memory when batched k-way
+  // refinement with the pairwise exact predicate follows.
   CollectingTupleSink candidates;
-  SJ_ASSIGN_OR_RETURN(MultiwayStats stats,
-                      ExecuteMultiwayFilter(plan, &candidates));
-  ThreadCpuTimer refine_cpu;
   SJ_ASSIGN_OR_RETURN(
-      RefineStats refined,
-      RefineTuples(candidates.tuples(), stores, plan.options, sink,
-                   plan.arbiter.get()));
-  stats.candidate_count = refined.candidates;
-  stats.output_count = refined.results;
-  stats.refine_pages_read = refined.pages_read;
-  stats.disk += refined.disk;
-  stats.host_cpu_seconds += refine_cpu.Elapsed() + refined.host_cpu_seconds;
-  FoldCompileOverhead(plan, &stats);
-  fill_memory(&stats);
-  return stats;
+      MultiwayStats stats,
+      ExecuteMultiwayFilter(plan, plan.options.refine ? &candidates : sink));
+  if (plan.options.refine) {
+    std::vector<const FeatureStore*> stores;
+    stores.reserve(plan.inputs.size());
+    for (const JoinInput& input : plan.inputs) {
+      stores.push_back(input.features());
+    }
+    ThreadCpuTimer refine_cpu;
+    SJ_ASSIGN_OR_RETURN(
+        RefineStats refined,
+        RefineTuples(candidates.tuples(), stores, plan.options, sink,
+                     plan.arbiter.get()));
+    FoldRefinement(refined, refine_cpu.Elapsed(), &stats);
+  }
+  return FinishStats(plan, std::move(stats));
 }
 
 }  // namespace sj

@@ -63,14 +63,7 @@ class MaterializeSink final : public RowSink {
   void Emit(PipeRow row) override {
     RectF r = row.rect;
     r.id = row.ids.empty() ? 0 : row.ids[0];
-    if (!extent_.Valid()) {
-      extent_ = r;
-    } else {
-      extent_.xlo = std::min(extent_.xlo, r.xlo);
-      extent_.ylo = std::min(extent_.ylo, r.ylo);
-      extent_.xhi = std::max(extent_.xhi, r.xhi);
-      extent_.yhi = std::max(extent_.yhi, r.yhi);
-    }
+    extent_.ExtendTo(r);
     writer_->Append(r);
   }
 
@@ -253,91 +246,28 @@ PipelineQuery& PipelineQuery::TopKByDistance(size_t k, float qx, float qy) {
   return *this;
 }
 
-const GridHistogram* PipelineQuery::HistogramFor(size_t index) const {
-  const GridHistogram* found = nullptr;
-  for (const auto& [i, hist] : histograms_) {
-    if (i == index) found = hist;
-  }
-  return found;
-}
-
-JoinQuery PipelineQuery::JoinOver(const std::vector<JoinInput>& inputs) const {
-  JoinQuery jq(*joiner_);
-  jq.mutable_options() = options_;
-  for (const JoinInput& input : inputs) jq.Input(input);
-  for (const auto& [i, h] : histograms_) jq.WithHistogram(i, h);
-  for (const auto& [i, f] : features_) jq.WithFeatures(i, f);
-  jq.Predicate(predicate_.kind, predicate_.epsilon);
-  jq.Algorithm(algorithm_);
-  return jq;
+JoinQuery PipelineQuery::JoinOver(std::vector<JoinInput> inputs) const {
+  QuerySpec spec = spec_;
+  spec.inputs = std::move(inputs);
+  return JoinQuery(std::move(spec));
 }
 
 RectF PipelineQuery::ResolveAggregateExtent(const OpSpec& spec) const {
   if (spec.agg_extent.Valid()) return spec.agg_extent;
   if (has_window_ && window_.Valid()) return window_;
   RectF combined = RectF::Empty();
-  for (const JoinInput& input : inputs_) {
-    const RectF e = input.extent();
-    if (!e.Valid()) continue;
-    if (!combined.Valid()) {
-      combined = e;
-    } else {
-      combined.xlo = std::min(combined.xlo, e.xlo);
-      combined.ylo = std::min(combined.ylo, e.ylo);
-      combined.xhi = std::max(combined.xhi, e.xhi);
-      combined.yhi = std::max(combined.yhi, e.yhi);
-    }
+  for (const JoinInput& input : spec_.inputs) {
+    if (input.extent().Valid()) combined.ExtendTo(input.extent());
   }
   return combined;
 }
 
 Status PipelineQuery::Validate() const {
-  if (inputs_.empty()) {
-    return Status::InvalidArgument(
-        "PipelineQuery needs at least one Input(): one is a (window) scan "
-        "source, two run the pairwise spatial join, three or more the k-way "
-        "chain");
-  }
-  if (inputs_.size() == 1) {
-    if (predicate_.kind != Predicate::kIntersects || predicate_.epsilon != 0.0) {
-      return Status::InvalidArgument(
-          "Predicate() applies to join sources; a single-input pipeline is a "
-          "scan (add a second Input, or drop the predicate)");
-    }
-    if (algorithm_ != JoinAlgorithm::kAuto) {
-      return Status::InvalidArgument(
-          "Algorithm() applies to join sources; a single-input pipeline is a "
-          "scan");
-    }
-    if (options_.refine) {
-      return Status::InvalidArgument(
-          "Refine(true) applies to join sources; a single-input pipeline "
-          "emits MBR records directly");
-    }
-  }
-  if (inputs_.size() > 2 && algorithm_ != JoinAlgorithm::kAuto) {
-    return Status::InvalidArgument(
-        "Algorithm() applies to pairwise joins; the k-way chain has a single "
-        "execution strategy");
-  }
-  for (const auto& [index, hist] : histograms_) {
-    (void)hist;
-    if (index >= inputs_.size()) {
-      return Status::InvalidArgument(
-          "PipelineQuery::WithHistogram index " + std::to_string(index) +
-          " out of range: the pipeline has " + std::to_string(inputs_.size()) +
-          " inputs");
-    }
-  }
-  for (const auto& [index, store] : features_) {
-    (void)store;
-    if (index >= inputs_.size()) {
-      return Status::InvalidArgument(
-          "PipelineQuery::WithFeatures index " + std::to_string(index) +
-          " out of range: the pipeline has " + std::to_string(inputs_.size()) +
-          " inputs");
-    }
-  }
+  const size_t n = spec_.inputs.size();
+  SJ_RETURN_IF_ERROR(spec_.Validate(n <= 1   ? QuerySource::kScan
+                                    : n == 2 ? QuerySource::kPairwise
+                                             : QuerySource::kMultiway,
+                                    "PipelineQuery"));
   for (const OpSpec& spec : ops_) {
     switch (spec.kind) {
       case OpSpec::Kind::kFilter:
@@ -409,28 +339,25 @@ std::vector<std::unique_ptr<PipelineOperator>> PipelineQuery::BuildChain()
 
 Result<PipelinePlan> PipelineQuery::Explain() {
   SJ_RETURN_IF_ERROR(Validate());
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) + " B (kMinMemoryBytes, 64 KiB)");
-  }
-  const CostModel& cost = joiner_->cost_model();
-  const bool join_source = inputs_.size() >= 2;
+  const std::vector<JoinInput>& inputs = spec_.inputs;
+  const JoinOptions& options = spec_.options;
+  const CostModel& cost = spec_.joiner->cost_model();
+  const bool join_source = inputs.size() >= 2;
 
   PipelinePlan plan;
-  plan.memory.budget_bytes = options_.memory_bytes;
+  plan.memory.budget_bytes = options.memory_bytes;
 
   // Leaf estimates. A windowed pipeline scans each input; without a window
   // a join source consumes its inputs directly (the join's cost covers the
   // reads) and a scan source reads everything.
-  std::vector<double> leaf_rows(inputs_.size());
-  std::vector<double> leaf_cost(inputs_.size());
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const JoinInput& input = inputs_[i];
+  std::vector<double> leaf_rows(inputs.size());
+  std::vector<double> leaf_cost(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const JoinInput& input = inputs[i];
     const RectF window = has_window_ ? window_ : input.extent();
     if (has_window_ || !join_source) {
-      leaf_rows[i] = WindowScan::EstimateRows(input, window, HistogramFor(i));
+      leaf_rows[i] =
+          WindowScan::EstimateRows(input, window, spec_.HistogramOf(i));
       leaf_cost[i] =
           input.indexed()
               ? cost.IndexWindowSeconds(input.pages(),
@@ -452,9 +379,9 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     source_rows = leaf_rows[0];
     source_cost = leaf_cost[0];
     source_name = "WindowScan";
-    source_detail = "input 0, " + std::to_string(inputs_[0].count()) +
+    source_detail = "input 0, " + std::to_string(inputs[0].count()) +
                     " records" + (has_window_ ? "" : ", full extent");
-    if (inputs_[0].indexed()) {
+    if (inputs[0].indexed()) {
       source_planned = static_cast<size_t>(
           std::max(1.0, source_rows) * sizeof(RectF));
     }
@@ -463,33 +390,33 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     // estimates costs, not cardinalities — min of the input estimates is
     // the documented stand-in until a join cardinality model exists).
     source_rows = leaf_rows[0];
-    for (size_t i = 1; i < inputs_.size(); ++i) {
+    for (size_t i = 1; i < inputs.size(); ++i) {
       source_rows = std::min(source_rows, leaf_rows[i]);
     }
-    if (inputs_.size() == 2) {
+    if (inputs.size() == 2) {
       // Plan the join Run executes. With a window that is a join of the
       // in-window streams, described here by their estimated counts and
       // the window-clipped extents (the planner reads no data), so an
       // indexed input never makes Explain report a traversal Run cannot
       // take.
-      std::vector<JoinInput> join_inputs = inputs_;
+      std::vector<JoinInput> join_inputs = inputs;
       if (has_window_) {
-        for (size_t i = 0; i < inputs_.size(); ++i) {
+        for (size_t i = 0; i < inputs.size(); ++i) {
           DatasetRef windowed;
           windowed.range.count =
               static_cast<uint64_t>(std::llround(leaf_rows[i]));
-          const RectF extent = inputs_[i].extent();
+          const RectF extent = inputs[i].extent();
           windowed.extent = extent.Valid() && extent.Intersects(window_)
                                 ? extent.IntersectionWith(window_)
                                 : window_;
-          join_inputs[i] = WindowedInput(inputs_[i], windowed);
+          join_inputs[i] = WindowedInput(inputs[i], windowed);
         }
       }
       SJ_ASSIGN_OR_RETURN(plan.join, JoinOver(join_inputs).Explain());
       plan.has_join = true;
       plan.memory = plan.join.memory;
       if (plan.memory.budget_bytes == 0) {
-        plan.memory.budget_bytes = options_.memory_bytes;
+        plan.memory.budget_bytes = options.memory_bytes;
       }
       switch (plan.join.algorithm) {
         case JoinAlgorithm::kPBSM:
@@ -507,26 +434,26 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       }
       source_name =
           std::string("SpatialJoin[") + ToString(plan.join.algorithm) + "]";
-      source_detail = std::string(ToString(predicate_.kind));
+      source_detail = std::string(ToString(spec_.predicate.kind));
     } else {
       // The k-way chain: no PlanDecision; price it as the streaming
       // sort-and-sweep it is.
       uint64_t total_pages = 0;
-      for (const JoinInput& input : inputs_) total_pages += input.pages();
-      source_cost = cost.SSSJSeconds(total_pages, options_.memory_bytes);
+      for (const JoinInput& input : inputs) total_pages += input.pages();
+      source_cost = cost.SSSJSeconds(total_pages, options.memory_bytes);
       source_name = "MultiwayJoin";
-      source_detail = std::to_string(inputs_.size()) + "-way chain";
+      source_detail = std::to_string(inputs.size()) + "-way chain";
     }
     // Rect resolution behind the join: one lookup table per input.
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      const uint64_t table_bytes = inputs_[i].count() * sizeof(RectF);
-      const bool fits = table_bytes <= options_.memory_bytes / 4;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const uint64_t table_bytes = inputs[i].count() * sizeof(RectF);
+      const bool fits = table_bytes <= options.memory_bytes / 4;
       source_cost +=
-          fits ? cost.ScanSeconds(inputs_[i].pages())
+          fits ? cost.ScanSeconds(inputs[i].pages())
                : cost.RectResolveSeconds(
-                     static_cast<uint64_t>(source_rows), inputs_[i].pages());
+                     static_cast<uint64_t>(source_rows), inputs[i].pages());
       source_planned += static_cast<size_t>(
-          std::min<uint64_t>(table_bytes, options_.memory_bytes / 4));
+          std::min<uint64_t>(table_bytes, options.memory_bytes / 4));
     }
     plan.memory.grants.push_back(
         MemoryGrantSpec{grants::kOpRectMap, source_planned});
@@ -560,7 +487,7 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         // Spill estimate under half the budget (the join holds the rest):
         // non-resident contributions stream out as 16-byte deltas and
         // replay once per extra band.
-        const size_t resident_budget = options_.memory_bytes / 2;
+        const size_t resident_budget = options.memory_bytes / 2;
         const uint64_t resident_rows = std::max<uint64_t>(
             1, std::min<uint64_t>(spec.agg_ny,
                                   resident_budget /
@@ -576,7 +503,7 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         }
         plan.memory.grants.push_back(
             MemoryGrantSpec{grants::kOpAggregate,
-                            std::min(grid_bytes, options_.memory_bytes / 2)});
+                            std::min(grid_bytes, options.memory_bytes / 2)});
         rows = std::min(rows, static_cast<double>(cells));
         break;
       }
@@ -585,7 +512,7 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         node.detail = "k=" + std::to_string(spec.topk_k) + " from (" +
                       FmtG(spec.topk_x) + ", " + FmtG(spec.topk_y) + ")";
         node.planned_bytes =
-            spec.topk_k * (sizeof(double) + RowBytes(inputs_.size()));
+            spec.topk_k * (sizeof(double) + RowBytes(inputs.size()));
         plan.memory.grants.push_back(
             MemoryGrantSpec{grants::kOpTopK, node.planned_bytes});
         rows = std::min(rows, static_cast<double>(spec.topk_k));
@@ -614,11 +541,11 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     plan.operators.push_back(std::move(source));
   }
   if (join_source) {
-    for (size_t i = 0; i < inputs_.size(); ++i) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
       OperatorPlan leaf;
       leaf.name = leaves_are_scans ? "WindowScan" : "Input";
       leaf.detail = "input " + std::to_string(i) + ", " +
-                    std::to_string(inputs_[i].count()) + " records";
+                    std::to_string(inputs[i].count()) + " records";
       leaf.depth = depth + 1;
       leaf.est_rows = leaf_rows[i];
       leaf.cost_seconds = leaf_cost[i];
@@ -634,34 +561,16 @@ Result<PipelinePlan> PipelineQuery::Explain() {
 // --- Execution -------------------------------------------------------------
 
 Result<PipelineStats> PipelineQuery::Run(RowSink* sink) {
-  // The single-query service, exactly like JoinQuery::Run: an inline
-  // scheduler owning this query's budget, so standalone pipelines and
-  // multi-tenant submissions execute the same admission + execution path.
-  ServiceOptions service_options;
-  service_options.global_memory_bytes = options_.memory_bytes;
-  service_options.worker_threads = 0;
-  service_options.buffer_pool_pages = 0;
-  SpatialService service(service_options);
-  return service.Run(*this, sink);
+  return SpatialService::RunInline(*this, sink);
 }
 
 Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   SJ_RETURN_IF_ERROR(Validate());
-  if (options_.memory_bytes < kMinMemoryBytes) {
-    return Status::FailedPrecondition(
-        "memory budget " + std::to_string(options_.memory_bytes) +
-        " B is below the supported floor of " +
-        std::to_string(kMinMemoryBytes) +
-        " B (kMinMemoryBytes, 64 KiB); raise PipelineQuery::MemoryBytes / "
-        "JoinOptions::memory_bytes");
-  }
-  std::shared_ptr<MemoryArbiter> arbiter =
-      arbiter_override_ != nullptr
-          ? arbiter_override_
-          : std::make_shared<MemoryArbiter>(options_.memory_bytes,
-                                            options_.strict_memory_accounting);
+  const std::vector<JoinInput>& inputs = spec_.inputs;
+  const JoinOptions& options = spec_.options;
+  const std::shared_ptr<MemoryArbiter> arbiter = spec_.RunArbiter();
 
-  DiskModel* main_disk = joiner_->disk();
+  DiskModel* main_disk = spec_.joiner->disk();
   // The pipeline's own scratch disk: rect maps and aggregation spills live
   // here so their traffic — some of it concurrent with the join, whose
   // stats are measured as a main-disk delta — is accounted exactly once.
@@ -669,7 +578,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   PipelineContext ctx;
   ctx.disk = &op_disk;
   ctx.arbiter = arbiter.get();
-  ctx.storage = options_.storage.get();
+  ctx.storage = options.storage.get();
 
   PipelineStats out;
   ThreadCpuTimer cpu;
@@ -685,15 +594,15 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
   }
   for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Open(ctx));
 
-  if (inputs_.size() == 1) {
+  if (inputs.size() == 1) {
     RectF window = window_;
     if (!has_window_) {
-      window = inputs_[0].extent();
+      window = inputs[0].extent();
       if (!window.Valid()) {
-        SJ_ASSIGN_OR_RETURN(window, EnsureExtent(inputs_[0].stream()));
+        SJ_ASSIGN_OR_RETURN(window, EnsureExtent(inputs[0].stream()));
       }
     }
-    WindowScan scan(inputs_[0], window, HistogramFor(0));
+    WindowScan scan(inputs[0], window, spec_.HistogramOf(0));
     SJ_RETURN_IF_ERROR(scan.Run(ctx, head));
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
     out.operators.push_back(scan.stats());
@@ -701,11 +610,11 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     // Windowed-overlay plan: reduce every input to its in-window records
     // before the join. Ids are preserved, so the user's histograms remain
     // conservative pruners and FeatureStores stay valid for refinement.
-    std::vector<JoinInput> join_inputs = inputs_;
+    std::vector<JoinInput> join_inputs = inputs;
     std::vector<std::unique_ptr<Pager>> owned_pagers;
     if (has_window_) {
-      for (size_t i = 0; i < inputs_.size(); ++i) {
-        WindowScan scan(inputs_[i], window_, HistogramFor(i));
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        WindowScan scan(inputs[i], window_, spec_.HistogramOf(i));
         SJ_ASSIGN_OR_RETURN(
             std::unique_ptr<Pager> pager,
             MakePager(ctx.storage, main_disk,
@@ -718,7 +627,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
         DatasetRef windowed;
         windowed.range = StreamRange{pager.get(), first, n};
         windowed.extent = materialize.extent();
-        join_inputs[i] = WindowedInput(inputs_[i], windowed);
+        join_inputs[i] = WindowedInput(inputs[i], windowed);
         owned_pagers.push_back(std::move(pager));
         out.operators.push_back(scan.stats());
       }
@@ -732,7 +641,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
           std::unique_ptr<RectResolver> resolver,
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
                               ctx.storage, "pipeline.in" + std::to_string(i),
-                              SortConfigOf(options_)));
+                              SortConfigOf(options)));
       // The id-sort's formation workers ran off this thread's clock.
       out.host_cpu_seconds += resolver->sort_stats().worker_cpu_seconds;
       resolver_ptrs.push_back(resolver.get());
@@ -750,23 +659,22 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     out.disk += main_disk->stats() - main_mark;
 
     uint64_t join_rows = 0;
+    auto fold_join = [&](const auto& join_stats) {
+      out.disk += join_stats.disk;
+      out.host_cpu_seconds += join_stats.host_cpu_seconds;
+      out.candidate_count = join_stats.candidate_count;
+      out.refine_pages_read = join_stats.refine_pages_read;
+      join_rows = join_stats.output_count;
+    };
     if (join_inputs.size() == 2) {
       // One compile: the join plans as it runs and reports what it ran.
       SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
       out.join_algorithm = join_stats.algorithm;
-      out.disk += join_stats.disk;
-      out.host_cpu_seconds += join_stats.host_cpu_seconds;
-      out.candidate_count = join_stats.candidate_count;
-      out.refine_pages_read = join_stats.refine_pages_read;
-      join_rows = join_stats.output_count;
+      fold_join(join_stats);
     } else {
       SJ_ASSIGN_OR_RETURN(MultiwayStats join_stats,
                           jq.Run(static_cast<TupleSink*>(&adapter)));
-      out.disk += join_stats.disk;
-      out.host_cpu_seconds += join_stats.host_cpu_seconds;
-      out.candidate_count = join_stats.candidate_count;
-      out.refine_pages_read = join_stats.refine_pages_read;
-      join_rows = join_stats.output_count;
+      fold_join(join_stats);
     }
     cpu.Restart();
     main_mark = main_disk->stats();

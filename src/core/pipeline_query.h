@@ -8,15 +8,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/join_query.h"
 #include "core/spatial_join.h"
 #include "join/executor.h"
-#include "join/predicate.h"
 #include "op/operators.h"
 #include "op/row.h"
 
 namespace sj {
-
-class JoinQuery;
 
 /// One node of a costed pipeline plan (PipelineQuery::Explain). Nodes are
 /// listed root (sink-most operator) first; `depth` gives the indentation
@@ -125,18 +123,14 @@ std::ostream& operator<<(std::ostream& os, const PipelineStats& stats);
 /// grant — the join's and the operators' — from one MemoryArbiter, prices
 /// the whole tree via the CostModel's per-operator terms (Explain), and
 /// runs standalone or through a SpatialService sharing the global budget,
-/// buffer pool, and worker pool. Rebuildable and single-shot state-free
-/// like JoinQuery: Run() may be called repeatedly.
-class PipelineQuery {
+/// buffer pool, and worker pool. Inputs, attachments, predicate,
+/// algorithm and option overrides are JoinQuery's (QueryBuilder), and so
+/// are their rules: Explain and Run validate alike, before any I/O.
+/// Rebuildable and single-shot state-free like JoinQuery: Run() may be
+/// called repeatedly.
+class PipelineQuery : public QueryBuilder<PipelineQuery> {
  public:
-  explicit PipelineQuery(SpatialJoiner& joiner)
-      : joiner_(&joiner), options_(joiner.options()) {}
-
-  /// Appends a source input (position = order of the Input calls).
-  PipelineQuery& Input(const JoinInput& input) {
-    inputs_.push_back(input);
-    return *this;
-  }
+  explicit PipelineQuery(SpatialJoiner& joiner) : QueryBuilder(joiner) {}
 
   /// Restricts the pipeline to records intersecting `window`: a scan
   /// source emits only matching records; a join source window-scans every
@@ -144,33 +138,6 @@ class PipelineQuery {
   PipelineQuery& Window(const RectF& window) {
     window_ = window;
     has_window_ = true;
-    return *this;
-  }
-
-  /// Attaches an occupancy histogram to input `index` (planner estimates
-  /// and scan/traversal pruning; must outlive Run()).
-  PipelineQuery& WithHistogram(size_t index, const GridHistogram* histogram) {
-    if (histogram != nullptr) histograms_.emplace_back(index, histogram);
-    return *this;
-  }
-
-  /// Attaches exact geometry to input `index` (required by Refine(true);
-  /// must outlive Run()).
-  PipelineQuery& WithFeatures(size_t index, const FeatureStore* store) {
-    features_.emplace_back(index, store);
-    return *this;
-  }
-
-  /// Join predicate (join sources only; defaults to kIntersects).
-  PipelineQuery& Predicate(sj::Predicate kind, double epsilon = 0.0) {
-    predicate_.kind = kind;
-    predicate_.epsilon = epsilon;
-    return *this;
-  }
-
-  /// Forces the join's filter algorithm (default kAuto).
-  PipelineQuery& Algorithm(JoinAlgorithm algorithm) {
-    algorithm_ = algorithm;
     return *this;
   }
 
@@ -192,23 +159,6 @@ class PipelineQuery {
 
   /// Keeps the k rows nearest to (qx, qy), emitted in ascending distance.
   PipelineQuery& TopKByDistance(size_t k, float qx, float qy);
-
-  // Per-query JoinOptions overrides (the subset pipelines commonly need;
-  // mutable_options() covers every knob).
-  PipelineQuery& Refine(bool on) { return Mutate([&](JoinOptions& o) { o.refine = on; }); }
-  PipelineQuery& Threads(uint32_t n) { return Mutate([&](JoinOptions& o) { o.num_threads = n; }); }
-  PipelineQuery& MemoryBytes(size_t bytes) { return Mutate([&](JoinOptions& o) { o.memory_bytes = bytes; }); }
-  PipelineQuery& Storage(std::shared_ptr<StorageFactory> factory) { return Mutate([&](JoinOptions& o) { o.storage = std::move(factory); }); }
-
-  JoinOptions& mutable_options() { return options_; }
-  const JoinOptions& options() const { return options_; }
-
-  /// Service plumbing: execute against an externally carved arbiter (see
-  /// JoinQuery::UseArbiter).
-  PipelineQuery& UseArbiter(std::shared_ptr<MemoryArbiter> arbiter) {
-    arbiter_override_ = std::move(arbiter);
-    return *this;
-  }
 
   /// Compiles the pipeline and returns the costed operator tree without
   /// executing anything (EXPLAIN). The join decision is the one Run
@@ -243,35 +193,20 @@ class PipelineQuery {
   /// chain), shared by the Run() wrapper and the service's workers.
   Result<PipelineStats> RunDirect(RowSink* sink);
 
+  /// The spec's rules for this pipeline's source, then the operators'.
   Status Validate() const;
   /// The grid extent an AggregateByCell spec resolves to.
   RectF ResolveAggregateExtent(const OpSpec& spec) const;
   /// Instantiates the downstream chain (source-first order).
   std::vector<std::unique_ptr<PipelineOperator>> BuildChain() const;
 
-  template <typename Fn>
-  PipelineQuery& Mutate(Fn&& fn) {
-    fn(options_);
-    return *this;
-  }
-
-  const GridHistogram* HistogramFor(size_t index) const;
   /// The join over `inputs` (the pipeline's inputs, or their windowed
-  /// streams) with this pipeline's histograms, features, predicate,
-  /// algorithm and options.
-  JoinQuery JoinOver(const std::vector<JoinInput>& inputs) const;
+  /// streams): a copy of this pipeline's spec with the inputs swapped in.
+  JoinQuery JoinOver(std::vector<JoinInput> inputs) const;
 
-  SpatialJoiner* joiner_;
-  std::vector<JoinInput> inputs_;
-  std::vector<std::pair<size_t, const GridHistogram*>> histograms_;
-  std::vector<std::pair<size_t, const FeatureStore*>> features_;
   RectF window_ = RectF::Empty();
   bool has_window_ = false;
-  PredicateSpec predicate_;
-  JoinAlgorithm algorithm_ = JoinAlgorithm::kAuto;
-  JoinOptions options_;
   std::vector<OpSpec> ops_;
-  std::shared_ptr<MemoryArbiter> arbiter_override_;
 };
 
 }  // namespace sj

@@ -109,8 +109,6 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
         extent.ExtendTo(b.extent());
         PartitionPlannerConfig config;
         config.memory_bytes = options.memory_bytes;
-        config.max_resolution = std::max(config.max_resolution,
-                                         options.pbsm_histogram_resolution);
         const auto plan =
             PartitionPlanner::Plan(extent, *hist_a, *hist_b, config);
         decision.pbsm_tiles_per_axis = plan->tiles_x();

@@ -121,7 +121,7 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
                                    PartitionPlannerConfig().partition_fill)
               : PbsmPartitionCount(input_bytes, budget);
       if (options.adaptive_partitioning) {
-        const uint64_t res = std::max(1u, options.pbsm_histogram_resolution);
+        const uint64_t res = kPbsmHistogramResolution;
         add(grants::kPbsmHistogram,
             std::min<uint64_t>(2 * res * res * sizeof(uint64_t), budget));
       }

@@ -80,13 +80,6 @@ struct JoinOptions {
   /// the paper's fixed pbsm_tiles_per_axis grid with round-robin
   /// assignment.
   bool adaptive_partitioning = true;
-  /// Cells per axis of the histogram PBSM builds when adaptive
-  /// partitioning has none attached. Finer than the paper's tile grids
-  /// (the planner splits *tiles* from cell-level evidence, and below
-  /// cell resolution estimates degrade to uniform-within-cell, so
-  /// resolution directly bounds how well packing predicts hot-blob
-  /// partition contents); 256^2 cells cost 512 KB of planner state.
-  uint32_t pbsm_histogram_resolution = 256;
   /// SSSJ ablation: when true the merge phase of the final sort feeds the
   /// sweep directly instead of materializing the sorted stream, saving one
   /// write and one read pass over each input.
@@ -98,10 +91,6 @@ struct JoinOptions {
   /// pairs and modeled I/O stats are identical for every value of this
   /// knob.
   uint32_t num_threads = 1;
-  /// Vertical strips for the parallel multiway path. Fixed (instead of
-  /// derived from num_threads) so the decomposition — and with it the
-  /// result order and modeled I/O — does not change with the thread count.
-  uint32_t multiway_strips = 64;
   /// Filter-and-refine pipeline: when true, pairwise and k-way queries
   /// treat the MBR join as the filter step, resolve every candidate
   /// against the inputs' FeatureStores (JoinInput::WithFeatures) and emit

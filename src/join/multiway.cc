@@ -243,7 +243,7 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
     return Status::InvalidArgument("multiway join needs at least 2 inputs");
   }
   JoinMeasurement measurement(disk);
-  const StripMap map(extent, options.multiway_strips);
+  const StripMap map(extent, kMultiwayStrips);
   const size_t k = inputs.size();
 
   // Phase 1 (serial, shared disk): replicate every input into the strips

@@ -97,8 +97,13 @@ Result<MultiwayStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
     DiskModel* disk, const JoinOptions& options, TupleSink* sink);
 
+/// Vertical strips of the parallel multiway path. Fixed (instead of
+/// derived from num_threads) so the decomposition — and with it the
+/// result order and modeled I/O — does not change with the thread count.
+inline constexpr uint32_t kMultiwayStrips = 64;
+
 /// Parallel k-way intersection join over *materialized y-sorted streams*:
-/// the sweep domain is cut into options.multiway_strips vertical strips,
+/// the sweep domain is cut into kMultiwayStrips vertical strips,
 /// each strip runs the left-deep chain independently (on a worker pool of
 /// options.num_threads), and duplicates are suppressed by reporting a
 /// tuple only in the strip owning the left edge of its k-way

@@ -120,7 +120,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
     // construction — so the density pass costs a fraction of a scan.
     constexpr uint32_t kSampleOneInBlocks = kPbsmHistogramSampleOneInBlocks;
     std::optional<GridHistogram> built_a, built_b;
-    uint32_t res = std::max(1u, options.pbsm_histogram_resolution);
+    uint32_t res = kPbsmHistogramResolution;
     // Attached histograms are the caller's memory; only on-the-fly
     // builds hold planner-side cells worth granting — and when the
     // grant comes back smaller than the configured resolution's cells,

@@ -8,6 +8,14 @@
 
 namespace sj {
 
+/// Cells per axis of the histogram PBSM builds when adaptive partitioning
+/// has none attached. Finer than the paper's tile grids (the planner
+/// splits *tiles* from cell-level evidence, and below cell resolution
+/// estimates degrade to uniform-within-cell, so resolution directly
+/// bounds how well packing predicts hot-blob partition contents); 256^2
+/// cells cost 512 KB of planner state.
+inline constexpr uint32_t kPbsmHistogramResolution = 256;
+
 /// Partition-Based Spatial Merge Join (Patel & DeWitt, SIGMOD'96) — §3.2.
 ///
 /// The space is cut into tiles, tiles are assigned to p partitions, and

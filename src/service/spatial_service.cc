@@ -1,6 +1,8 @@
 #include "service/spatial_service.h"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -9,7 +11,7 @@ namespace sj {
 
 namespace service_internal {
 
-/// Pins the service for handle-side calls. A SubmittedQuery may outlive
+/// Pins the service for handle-side calls. A Submitted handle may outlive
 /// its SpatialService, so after resolving a ticket the handle must not
 /// touch the raw service pointer; instead it takes `mu` and calls through
 /// `service` only while that is non-null. ~SpatialService nulls the
@@ -21,31 +23,49 @@ struct ServiceGate {
   SpatialService* service = nullptr;
 };
 
-}  // namespace service_internal
-
-using service_internal::ServiceGate;
-
-/// One submission's shared state. Completion (result/state/cv) is
+/// One submission's scheduling state. Completion (outcome/state/cv) is
 /// self-contained on the ticket so handles stay valid independently of
 /// the service's internals; handle-side calls back into the service go
 /// through the gate (see ServiceGate). Lock order: gate mu before
 /// service mu_ before ticket mu, never the reverse.
-struct SubmittedQuery::Ticket {
-  Ticket(std::shared_ptr<ServiceGate> gate_in, const JoinQuery& query_in,
-         JoinSink* sink_in)
-      : gate(std::move(gate_in)), query(query_in), sink(sink_in) {}
-  Ticket(std::shared_ptr<ServiceGate> gate_in,
-         const PipelineQuery& pipeline_in, RowSink* sink_in)
-      : gate(std::move(gate_in)), pipeline(pipeline_in), row_sink(sink_in) {}
+struct TicketBase {
+  TicketBase(std::shared_ptr<ServiceGate> gate_in, const JoinOptions& options)
+      : gate(std::move(gate_in)),
+        requested_bytes(options.memory_bytes),
+        strict(options.strict_memory_accounting) {}
+  virtual ~TicketBase() = default;
+  TicketBase(const TicketBase&) = delete;
+  TicketBase& operator=(const TicketBase&) = delete;
+
+  /// Executes the admitted query on the calling thread and stores its
+  /// outcome; the service finishes the ticket afterwards.
+  virtual void Run() = 0;
+  /// Stores the outcome of a ticket that ends without running.
+  virtual void SetError(Status status) = 0;
+
+  /// The one completion path, run exactly once: Cancel/expiry/rejection
+  /// only resolve kQueued tickets and Execute only finishes the kRunning
+  /// ticket it admitted, so the outcome is stored once and references
+  /// returned by Result() stay valid. Caller must hold `mu`.
+  void FinishLocked() {
+    SJ_CHECK(state != State::kDone) << "double finish on query ticket";
+    state = State::kDone;
+    arbiter.reset();
+    cv.notify_all();
+  }
+  /// Resolves the ticket with `status` (rejection, cancel, deadline,
+  /// shutdown). Caller must hold `mu`.
+  void FailLocked(Status status) {
+    SetError(std::move(status));
+    FinishLocked();
+  }
+  void Wait() const {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return state == State::kDone; });
+  }
 
   std::shared_ptr<ServiceGate> gate;
   uint64_t id = 0;
-  /// Exactly one of these is set — the ticket's kind. Private copies;
-  /// referenced inputs must outlive the submission.
-  std::optional<JoinQuery> query;
-  std::optional<PipelineQuery> pipeline;
-  JoinSink* sink = nullptr;
-  RowSink* row_sink = nullptr;
   // Immutable once the ticket is published (set in Submit before the
   // ticket reaches the queue or a handle).
   size_t requested_bytes = 0;
@@ -66,154 +86,121 @@ struct SubmittedQuery::Ticket {
   bool cancelled_by_handle = false;
   uint32_t pool_client = 0;
   std::shared_ptr<MemoryArbiter> arbiter;  // Carved child; reset when done.
-  std::optional<sj::Result<JoinStats>> result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
-
-  bool is_pipeline() const { return pipeline.has_value(); }
-
-  /// Caller must hold `mu`.
-  void DoneLocked() {
-    // Single-finisher invariant: Cancel/expiry only resolve kQueued
-    // tickets, Execute only finishes the kRunning ticket it admitted —
-    // so the result is emplaced exactly once and references returned by
-    // Result() stay valid.
-    SJ_CHECK(state != State::kDone) << "double finish on query ticket";
-    state = State::kDone;
-    arbiter.reset();
-    cv.notify_all();
-  }
-  void FinishLocked(sj::Result<JoinStats> r) {
-    result.emplace(std::move(r));
-    DoneLocked();
-  }
-  void FinishPipelineLocked(sj::Result<PipelineStats> r) {
-    pipeline_result.emplace(std::move(r));
-    DoneLocked();
-  }
-  /// The kind-agnostic error path (rejection, cancel, deadline,
-  /// shutdown): routes the Status to whichever result slot this ticket
-  /// reports through.
-  void FinishErrorLocked(Status s) {
-    if (is_pipeline()) {
-      FinishPipelineLocked(std::move(s));
-    } else {
-      FinishLocked(std::move(s));
-    }
-  }
 };
 
-using Ticket = SubmittedQuery::Ticket;
+/// A ticket with its one result slot. `run` owns the submitted query's
+/// private copy (referenced inputs must outlive the submission) and is
+/// dropped once the outcome is stored: after Run(), the query's reference
+/// to the child arbiter is gone before FinishLocked resets the last one,
+/// so admission sees the freed budget.
+template <typename Stats>
+struct Ticket final : TicketBase {
+  using TicketBase::TicketBase;
 
-bool SubmittedQuery::done() const {
+  void Run() override {
+    result.emplace(run(*this));
+    run = nullptr;
+  }
+  void SetError(Status status) override {
+    result.emplace(std::move(status));
+    run = nullptr;
+  }
+
+  std::function<sj::Result<Stats>(const TicketBase&)> run;
+  std::optional<sj::Result<Stats>> result;
+};
+
+}  // namespace service_internal
+
+using service_internal::ServiceGate;
+using service_internal::Ticket;
+using service_internal::TicketBase;
+
+template <typename Stats>
+bool Submitted<Stats>::done() const {
   if (ticket_ == nullptr) return true;
   std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->state == Ticket::State::kDone;
+  return ticket_->state == TicketBase::State::kDone;
 }
 
-void SubmittedQuery::Wait() const {
-  if (ticket_ == nullptr) return;
+template <typename Stats>
+void Submitted<Stats>::Wait() const {
   // Expiry is the scheduler's job: the service's reaper thread wakes at
   // the earliest queued deadline and resolves expired tickets (and its
   // destructor resolves everything still queued), so waiting handles
   // never need to touch the service.
-  std::unique_lock<std::mutex> lock(ticket_->mu);
-  ticket_->cv.wait(lock,
-                   [this] { return ticket_->state == Ticket::State::kDone; });
+  if (ticket_ != nullptr) ticket_->Wait();
 }
 
-/// The handle-side cancel shared by SubmittedQuery and SubmittedPipeline:
-/// resolve a still-queued ticket with Cancelled, then notify the
-/// scheduler through the gate so the queue slot frees immediately and, if
-/// this was the head, the queries behind it get an admission pass now
-/// rather than at the next submit/completion. The gate pins the service:
-/// once its destructor nulls the pointer, the destructor's drain has
-/// already folded this ticket's cancel into the counters.
-bool SpatialService::CancelTicket(const std::shared_ptr<Ticket>& ticket) {
+template <typename Stats>
+bool Submitted<Stats>::Cancel() {
+  return SpatialService::CancelTicket(ticket_);
+}
+
+template <typename Stats>
+const sj::Result<Stats>& Submitted<Stats>::Result() const {
+  SJ_CHECK(ticket_ != nullptr) << "Result() on a default Submitted handle";
+  ticket_->Wait();
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  return *ticket_->result;
+}
+
+template <typename Stats>
+size_t Submitted<Stats>::granted_bytes() const {
+  if (ticket_ == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  return ticket_->granted_bytes;
+}
+
+template <typename Stats>
+bool Submitted<Stats>::degraded() const {
+  if (ticket_ == nullptr) return false;
+  std::lock_guard<std::mutex> lock(ticket_->mu);
+  return ticket_->degraded;
+}
+
+template <typename Stats>
+uint64_t Submitted<Stats>::id() const {
+  return ticket_ == nullptr ? 0 : ticket_->id;
+}
+
+template class Submitted<JoinStats>;
+template class Submitted<PipelineStats>;
+
+/// The handle-side cancel: resolve a still-queued ticket with Cancelled,
+/// then notify the scheduler through the gate so the queue slot frees
+/// immediately and, if this was the head, the queries behind it get an
+/// admission pass now rather than at the next submit/completion. The gate
+/// pins the service: once its destructor nulls the pointer, the
+/// destructor's drain has already folded this ticket's cancel into the
+/// counters.
+bool SpatialService::CancelTicket(const TicketPtr& ticket) {
   if (ticket == nullptr) return false;
   {
     std::lock_guard<std::mutex> lock(ticket->mu);
-    if (ticket->state != Ticket::State::kQueued) return false;
+    if (ticket->state != TicketBase::State::kQueued) return false;
     ticket->cancelled_by_handle = true;
-    ticket->FinishErrorLocked(Status::Cancelled(
+    ticket->FailLocked(Status::Cancelled(
         "query #" + std::to_string(ticket->id) +
         " cancelled while queued for admission"));
   }
-  std::vector<std::shared_ptr<Ticket>> to_dispatch;
+  std::vector<TicketPtr> to_dispatch;
   SpatialService* service = nullptr;
   {
     std::lock_guard<std::mutex> gate_lock(ticket->gate->mu);
     service = ticket->gate->service;
-    if (service != nullptr) to_dispatch = service->ReapAfterHandleCancel();
+    if (service != nullptr) {
+      // Reap the cancelled ticket's queue slot now and re-run admission
+      // for whatever was behind it. During shutdown the destructor's
+      // drain owns the queue (and folds the cancel count itself).
+      std::lock_guard<std::mutex> lock(service->mu_);
+      if (!service->shutting_down_) to_dispatch = service->AdmitLocked();
+    }
   }
   // Safe outside the gate: each dispatched ticket is already counted in
   // running_, which the service destructor waits on before returning.
   if (!to_dispatch.empty()) service->Dispatch(std::move(to_dispatch));
   return true;
-}
-
-bool SubmittedQuery::Cancel() { return SpatialService::CancelTicket(ticket_); }
-
-const sj::Result<JoinStats>& SubmittedQuery::Result() const {
-  SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedQuery";
-  Wait();
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return *ticket_->result;
-}
-
-size_t SubmittedQuery::granted_bytes() const {
-  if (ticket_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->granted_bytes;
-}
-
-bool SubmittedQuery::degraded() const {
-  if (ticket_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->degraded;
-}
-
-uint64_t SubmittedQuery::id() const {
-  return ticket_ == nullptr ? 0 : ticket_->id;
-}
-
-bool SubmittedPipeline::done() const {
-  if (ticket_ == nullptr) return true;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->state == Ticket::State::kDone;
-}
-
-void SubmittedPipeline::Wait() const {
-  if (ticket_ == nullptr) return;
-  std::unique_lock<std::mutex> lock(ticket_->mu);
-  ticket_->cv.wait(lock,
-                   [this] { return ticket_->state == Ticket::State::kDone; });
-}
-
-bool SubmittedPipeline::Cancel() {
-  return SpatialService::CancelTicket(ticket_);
-}
-
-const sj::Result<PipelineStats>& SubmittedPipeline::Result() const {
-  SJ_CHECK(ticket_ != nullptr) << "Result() on a default SubmittedPipeline";
-  Wait();
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return *ticket_->pipeline_result;
-}
-
-size_t SubmittedPipeline::granted_bytes() const {
-  if (ticket_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->granted_bytes;
-}
-
-bool SubmittedPipeline::degraded() const {
-  if (ticket_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(ticket_->mu);
-  return ticket_->degraded;
-}
-
-uint64_t SubmittedPipeline::id() const {
-  return ticket_ == nullptr ? 0 : ticket_->id;
 }
 
 SpatialService::SpatialService(const ServiceOptions& options)
@@ -240,14 +227,15 @@ SpatialService::~SpatialService() {
     // scheduler has not reaped) get their count folded here — removal
     // from queue_ and the counter bump are atomic under mu_, so every
     // cancel is counted exactly once.
-    for (const std::shared_ptr<Ticket>& t : queue_) {
+    for (const TicketPtr& t : queue_) {
       std::lock_guard<std::mutex> tl(t->mu);
-      if (t->state == Ticket::State::kQueued) {
-        t->FinishErrorLocked(Status::Cancelled(
+      if (t->state == TicketBase::State::kQueued) {
+        t->FailLocked(Status::Cancelled(
             "query #" + std::to_string(t->id) +
             " cancelled: the service shut down before admission"));
         counters_.cancelled++;
-      } else if (t->state == Ticket::State::kDone && t->cancelled_by_handle) {
+      } else if (t->state == TicketBase::State::kDone &&
+                 t->cancelled_by_handle) {
         counters_.cancelled++;
       }
     }
@@ -270,7 +258,42 @@ SpatialService::~SpatialService() {
   worker_pool_.reset();  // Joins workers before the shared pool dies.
 }
 
-void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
+template <typename Stats, typename Query, typename Sink>
+Submitted<Stats> SpatialService::SubmitQuery(const Query& query, Sink* sink,
+                                             const SubmitOptions& submit) {
+  auto ticket = std::make_shared<Ticket<Stats>>(gate_, query.options());
+  // The query runs with its options rewritten to the admission outcome:
+  // granted budget, the carved child arbiter, and the shared pool(s).
+  ticket->run = [this, query = query, sink](const TicketBase& t) mutable {
+    query.MemoryBytes(t.granted_bytes);
+    query.UseArbiter(t.arbiter);
+    JoinOptions& o = query.mutable_options();
+    if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
+    if (buffer_pool_ != nullptr) {
+      o.shared_buffer_pool = buffer_pool_.get();
+      o.buffer_pool_client = t.pool_client;
+    }
+    // The service's storage backend is the default; a query that chose
+    // its own keeps it.
+    if (o.storage == nullptr) o.storage = options_.storage;
+    return query.RunDirect(sink);
+  };
+  SubmitTicket(ticket, submit);
+  return Submitted<Stats>(std::move(ticket));
+}
+
+SubmittedQuery SpatialService::Submit(const JoinQuery& query, JoinSink* sink,
+                                      const SubmitOptions& submit) {
+  return SubmitQuery<JoinStats>(query, sink, submit);
+}
+
+SubmittedPipeline SpatialService::Submit(const PipelineQuery& pipeline,
+                                         RowSink* sink,
+                                         const SubmitOptions& submit) {
+  return SubmitQuery<PipelineStats>(pipeline, sink, submit);
+}
+
+void SpatialService::SubmitTicket(const TicketPtr& ticket,
                                   const SubmitOptions& submit) {
   ticket->allow_degraded =
       submit.allow_degraded && options_.degraded_min_bytes > 0;
@@ -286,7 +309,7 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
   // checking and enqueueing (N racing Submits each see the queue length
   // including the pushes that beat them, and no push can land after the
   // destructor's drain).
-  std::vector<std::shared_ptr<Ticket>> to_dispatch;
+  std::vector<TicketPtr> to_dispatch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ticket->id = next_id_++;
@@ -295,46 +318,35 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
     // not count against the limit (done outside the new ticket's lock —
     // only one ticket mutex is ever held at a time).
     ReapLocked(Clock::now());
-    {
-      std::lock_guard<std::mutex> tl(ticket->mu);
-      if (ticket->requested_bytes < kMinMemoryBytes) {
-        // Misuse, not contention: same floor and code path the query layer
-        // enforces (see JoinQuery::Compile).
-        counters_.rejected++;
-        ticket->FinishErrorLocked(Status::FailedPrecondition(
-            "memory budget " + std::to_string(ticket->requested_bytes) +
-            " B is below the supported floor of " +
-            std::to_string(kMinMemoryBytes) +
-            " B (kMinMemoryBytes, 64 KiB); raise the query's MemoryBytes / "
-            "JoinOptions::memory_bytes"));
-        return;
-      }
+    const Status rejection = [&]() -> Status {
+      // Misuse, not contention: the floor the query layer enforces.
+      SJ_RETURN_IF_ERROR(CheckMemoryFloor(ticket->requested_bytes));
       if (ticket->requested_bytes > options_.global_memory_bytes) {
-        // Unsatisfiable at any queue position: no amount of waiting frees
-        // more than the whole global budget.
-        counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
+        // Unsatisfiable at any queue position: no amount of waiting
+        // frees more than the whole global budget.
+        return Status::ResourceExhausted(
             "query asks for " + std::to_string(ticket->requested_bytes) +
             " B but the service's whole global budget is " +
             std::to_string(options_.global_memory_bytes) +
             " B; lower the query's MemoryBytes or grow "
-            "ServiceOptions::global_memory_bytes"));
-        return;
+            "ServiceOptions::global_memory_bytes");
       }
       if (shutting_down_) {
-        counters_.rejected++;
-        ticket->FinishErrorLocked(
-            Status::FailedPrecondition("service is shutting down"));
-        return;
+        return Status::FailedPrecondition("service is shutting down");
       }
       if (queue_.size() >= options_.admission_queue_limit) {
-        counters_.rejected++;
-        ticket->FinishErrorLocked(Status::ResourceExhausted(
+        return Status::ResourceExhausted(
             "admission queue is full (" +
             std::to_string(options_.admission_queue_limit) +
-            " queries already waiting)"));
-        return;
+            " queries already waiting)");
       }
+      return Status::OK();
+    }();
+    if (!rejection.ok()) {
+      counters_.rejected++;
+      std::lock_guard<std::mutex> tl(ticket->mu);
+      ticket->FailLocked(rejection);
+      return;
     }
     queue_.push_back(ticket);
     to_dispatch = AdmitLocked();
@@ -347,50 +359,19 @@ void SpatialService::SubmitTicket(const std::shared_ptr<Ticket>& ticket,
   Dispatch(std::move(to_dispatch));
 }
 
-SubmittedQuery SpatialService::Submit(const JoinQuery& query, JoinSink* sink,
-                                      const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, query, sink);
-  ticket->requested_bytes = query.options().memory_bytes;
-  ticket->strict = query.options().strict_memory_accounting;
-  SubmitTicket(ticket, submit);
-  return SubmittedQuery(std::move(ticket));
-}
-
-sj::Result<JoinStats> SpatialService::Run(const JoinQuery& query,
-                                          JoinSink* sink,
-                                          const SubmitOptions& submit) {
-  return Submit(query, sink, submit).Result();
-}
-
-SubmittedPipeline SpatialService::Submit(const PipelineQuery& pipeline,
-                                         RowSink* sink,
-                                         const SubmitOptions& submit) {
-  auto ticket = std::make_shared<Ticket>(gate_, pipeline, sink);
-  ticket->requested_bytes = pipeline.options().memory_bytes;
-  ticket->strict = pipeline.options().strict_memory_accounting;
-  SubmitTicket(ticket, submit);
-  return SubmittedPipeline(std::move(ticket));
-}
-
-sj::Result<PipelineStats> SpatialService::Run(const PipelineQuery& pipeline,
-                                              RowSink* sink,
-                                              const SubmitOptions& submit) {
-  return Submit(pipeline, sink, submit).Result();
-}
-
 void SpatialService::ReapLocked(Clock::time_point now) {
   auto it = queue_.begin();
   while (it != queue_.end()) {
-    const std::shared_ptr<Ticket>& t = *it;
+    const TicketPtr& t = *it;
     std::lock_guard<std::mutex> tl(t->mu);
-    if (t->state == Ticket::State::kDone) {  // Handle-side cancel.
+    if (t->state == TicketBase::State::kDone) {  // Handle-side cancel.
       if (t->cancelled_by_handle) counters_.cancelled++;
       it = queue_.erase(it);
       continue;
     }
     if (now >= t->deadline) {
       counters_.deadline_expired++;
-      t->FinishErrorLocked(Status::DeadlineExceeded(
+      t->FailLocked(Status::DeadlineExceeded(
           "query #" + std::to_string(t->id) +
           " expired after waiting for admission; the global memory "
           "budget stayed occupied past the queue deadline"));
@@ -401,13 +382,13 @@ void SpatialService::ReapLocked(Clock::time_point now) {
   }
 }
 
-std::vector<std::shared_ptr<Ticket>> SpatialService::AdmitLocked() {
+std::vector<SpatialService::TicketPtr> SpatialService::AdmitLocked() {
   // Clear cancelled/expired tickets anywhere in the queue first, so they
   // neither hold queue slots nor block the FIFO head.
   ReapLocked(Clock::now());
-  std::vector<std::shared_ptr<Ticket>> out;
+  std::vector<TicketPtr> out;
   while (!queue_.empty()) {
-    const std::shared_ptr<Ticket> t = queue_.front();
+    const TicketPtr t = queue_.front();
     const AdmitOutcome outcome = TryAdmitOneLocked(t);
     // Strict FIFO: if the head cannot be admitted (even degraded),
     // nothing behind it is — a stream of small queries can never starve
@@ -422,7 +403,7 @@ std::vector<std::shared_ptr<Ticket>> SpatialService::AdmitLocked() {
 }
 
 SpatialService::AdmitOutcome SpatialService::TryAdmitOneLocked(
-    const std::shared_ptr<Ticket>& t) {
+    const TicketPtr& t) {
   // requested_bytes / allow_degraded / strict are immutable once the
   // ticket is published, so reading them without the ticket lock is fine.
   const size_t available = global_arbiter_.available();
@@ -452,11 +433,11 @@ SpatialService::AdmitOutcome SpatialService::TryAdmitOneLocked(
     // ticket since this admission pass last looked at it. Committing
     // blindly would overwrite kDone with kRunning and run a cancelled
     // query. Dropping `child` here releases the carved budget.
-    if (t->state != Ticket::State::kQueued) {
+    if (t->state != TicketBase::State::kQueued) {
       if (t->cancelled_by_handle) counters_.cancelled++;
       return AdmitOutcome::kResolvedMeanwhile;
     }
-    t->state = Ticket::State::kRunning;
+    t->state = TicketBase::State::kRunning;
     t->granted_bytes = grant;
     t->degraded = degraded;
     t->arbiter = std::move(child).value();
@@ -474,14 +455,6 @@ SpatialService::AdmitOutcome SpatialService::TryAdmitOneLocked(
   return AdmitOutcome::kAdmitted;
 }
 
-std::vector<std::shared_ptr<Ticket>> SpatialService::ReapAfterHandleCancel() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // During shutdown the destructor's drain owns the queue (and folds the
-  // cancel count itself).
-  if (shutting_down_) return {};
-  return AdmitLocked();
-}
-
 void SpatialService::EnsureReaperLocked() {
   if (!reaper_.joinable()) {
     // Lazily started on the first submission that actually queues, so
@@ -496,9 +469,9 @@ void SpatialService::ReaperLoop() {
   while (!reaper_stop_) {
     // Sleep until the earliest queued deadline (or a queue change).
     std::optional<Clock::time_point> next;
-    for (const std::shared_ptr<Ticket>& t : queue_) {
+    for (const TicketPtr& t : queue_) {
       std::lock_guard<std::mutex> tl(t->mu);
-      if (t->state == Ticket::State::kQueued) {
+      if (t->state == TicketBase::State::kQueued) {
         next = next.has_value() ? std::min(*next, t->deadline) : t->deadline;
       }
     }
@@ -511,7 +484,7 @@ void SpatialService::ReaperLoop() {
     // Expire whatever is overdue and re-run admission: an expired head
     // must not keep admittable queries behind it waiting for the next
     // submit/completion.
-    std::vector<std::shared_ptr<Ticket>> to_dispatch = AdmitLocked();
+    std::vector<TicketPtr> to_dispatch = AdmitLocked();
     if (!to_dispatch.empty()) {
       lock.unlock();
       Dispatch(std::move(to_dispatch));
@@ -521,10 +494,10 @@ void SpatialService::ReaperLoop() {
 }
 
 void SpatialService::Dispatch(
-    std::vector<std::shared_ptr<Ticket>> tickets) {
-  for (std::shared_ptr<Ticket>& t : tickets) {
+    std::vector<TicketPtr> tickets) {
+  for (TicketPtr& t : tickets) {
     if (worker_pool_ != nullptr) {
-      std::shared_ptr<Ticket> ticket = std::move(t);
+      TicketPtr ticket = std::move(t);
       worker_pool_->Submit(
           [this, ticket = std::move(ticket)] { Execute(ticket); });
     } else {
@@ -533,49 +506,14 @@ void SpatialService::Dispatch(
   }
 }
 
-void SpatialService::Execute(const std::shared_ptr<Ticket>& ticket) {
-  // The query runs with its options rewritten to the admission outcome:
-  // granted budget, the carved child arbiter, and the shared pool(s). The
-  // copy lives inside the lambda so its reference to the child arbiter is
-  // gone before completion bookkeeping — FinishLocked's arbiter reset must
-  // be the last reference, or the carved budget would still look occupied
-  // when AdmitLocked below re-runs admission.
-  auto rewrite = [&](auto& query) {
-    query.MemoryBytes(ticket->granted_bytes);
-    query.UseArbiter(ticket->arbiter);
-    JoinOptions& o = query.mutable_options();
-    if (worker_pool_ != nullptr) o.worker_pool = worker_pool_.get();
-    if (buffer_pool_ != nullptr) {
-      o.shared_buffer_pool = buffer_pool_.get();
-      o.buffer_pool_client = ticket->pool_client;
-    }
-    // The service's storage backend is the default; a query that chose
-    // its own keeps it.
-    if (o.storage == nullptr) o.storage = options_.storage;
-  };
-  std::optional<sj::Result<JoinStats>> join_result;
-  std::optional<sj::Result<PipelineStats>> pipeline_result;
-  if (ticket->is_pipeline()) {
-    PipelineQuery query = *ticket->pipeline;
-    rewrite(query);
-    pipeline_result.emplace(query.RunDirect(ticket->row_sink));
-  } else {
-    JoinQuery query = *ticket->query;
-    rewrite(query);
-    join_result.emplace(query.RunDirect(ticket->sink));
-  }
-
-  std::vector<std::shared_ptr<Ticket>> to_dispatch;
+void SpatialService::Execute(const TicketPtr& ticket) {
+  ticket->Run();
+  std::vector<TicketPtr> to_dispatch;
   {
     std::lock_guard<std::mutex> lock(mu_);
     {
       std::lock_guard<std::mutex> tl(ticket->mu);
-      // Frees the carved budget.
-      if (ticket->is_pipeline()) {
-        ticket->FinishPipelineLocked(std::move(*pipeline_result));
-      } else {
-        ticket->FinishLocked(std::move(*join_result));
-      }
+      ticket->FinishLocked();  // Frees the carved budget.
     }
     running_--;
     idle_cv_.notify_all();

@@ -7,7 +7,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +24,9 @@ namespace sj {
 
 namespace service_internal {
 struct ServiceGate;  // Handle-side liveness gate; defined in the .cc.
+struct TicketBase;   // One submission's scheduling state; defined in the .cc.
+template <typename Stats>
+struct Ticket;       // A TicketBase with its typed outcome; in the .cc.
 }  // namespace service_internal
 
 /// Process-wide resource configuration for a SpatialService.
@@ -97,14 +99,15 @@ struct ServiceStats {
 
 class SpatialService;
 
-/// A future-like handle to one submitted query. Copyable (all copies
-/// refer to the same submission); safe to outlive the service (the
-/// service's destructor resolves every outstanding submission first).
-class SubmittedQuery {
+/// A future-like handle to one submission, typed by its outcome: a
+/// JoinQuery's is a SubmittedQuery, a PipelineQuery's a
+/// SubmittedPipeline. Copyable (all copies refer to the same submission);
+/// safe to outlive the service (the service's destructor resolves every
+/// outstanding submission first).
+template <typename Stats>
+class Submitted {
  public:
-  struct Ticket;  // Shared submission state; defined in the service's .cc.
-
-  SubmittedQuery() = default;
+  Submitted() = default;
 
   /// True once the query finished, failed, was cancelled, or expired.
   bool done() const;
@@ -119,11 +122,11 @@ class SubmittedQuery {
   /// alone and returns false (results are delivered normally).
   bool Cancel();
 
-  /// Waits, then returns the outcome: JoinStats on success, or the
+  /// Waits, then returns the outcome: the stats on success, or the
   /// admission/execution error (FailedPrecondition for misuse,
   /// ResourceExhausted for rejection, DeadlineExceeded for queue timeout,
   /// Cancelled, or whatever the executors returned).
-  const sj::Result<JoinStats>& Result() const;
+  const sj::Result<Stats>& Result() const;
 
   /// Admission outcome (0 / false while still queued).
   size_t granted_bytes() const;
@@ -132,37 +135,15 @@ class SubmittedQuery {
 
  private:
   friend class SpatialService;
-  explicit SubmittedQuery(std::shared_ptr<Ticket> ticket)
+  explicit Submitted(std::shared_ptr<service_internal::Ticket<Stats>> ticket)
       : ticket_(std::move(ticket)) {}
-  std::shared_ptr<Ticket> ticket_;
+  std::shared_ptr<service_internal::Ticket<Stats>> ticket_;
 };
 
-/// A future-like handle to one submitted pipeline — the PipelineQuery
-/// counterpart of SubmittedQuery, sharing the same ticket machinery
-/// (admission, degraded grants, cancel, deadlines) with a
-/// PipelineStats-typed outcome.
-class SubmittedPipeline {
- public:
-  SubmittedPipeline() = default;
-
-  bool done() const;
-  void Wait() const;
-  /// Best-effort cancel of a still-queued pipeline (see
-  /// SubmittedQuery::Cancel).
-  bool Cancel();
-  /// Waits, then returns PipelineStats or the admission/execution error.
-  const sj::Result<PipelineStats>& Result() const;
-
-  size_t granted_bytes() const;
-  bool degraded() const;
-  uint64_t id() const;
-
- private:
-  friend class SpatialService;
-  explicit SubmittedPipeline(std::shared_ptr<SubmittedQuery::Ticket> ticket)
-      : ticket_(std::move(ticket)) {}
-  std::shared_ptr<SubmittedQuery::Ticket> ticket_;
-};
+using SubmittedQuery = Submitted<JoinStats>;
+using SubmittedPipeline = Submitted<PipelineStats>;
+extern template class Submitted<JoinStats>;
+extern template class Submitted<PipelineStats>;
 
 /// The process-wide spatial-join service: one global memory budget, one
 /// shared 2Q buffer pool, one morsel-style worker pool, and a FIFO
@@ -181,7 +162,8 @@ class SubmittedPipeline {
 /// Execution: each admitted query runs as one task on the shared worker
 /// pool (inline on the submitter when worker_threads == 0) with its
 /// options rewritten to the granted budget, the shared pool/threads, and
-/// the carved arbiter — then flows through exactly the JoinQuery pipeline.
+/// the carved arbiter — then through the query's own execution body, the
+/// one its standalone Run() reaches through an inline service.
 /// Because a query's parallel phases submit task groups to the same pool
 /// and group waits help (run their own queued tasks), any number of
 /// queries make progress on a fixed set of threads without deadlock.
@@ -206,10 +188,6 @@ class SpatialService {
   SubmittedQuery Submit(const JoinQuery& query, JoinSink* sink,
                         const SubmitOptions& submit = SubmitOptions());
 
-  /// Submit + Result in one call.
-  sj::Result<JoinStats> Run(const JoinQuery& query, JoinSink* sink,
-                            const SubmitOptions& submit = SubmitOptions());
-
   /// Submits an operator pipeline (core/pipeline_query.h). Pipelines are
   /// first-class citizens of the scheduler: the same FIFO admission over
   /// the same global budget, the same degraded grants, the same shared
@@ -219,9 +197,23 @@ class SpatialService {
   SubmittedPipeline Submit(const PipelineQuery& pipeline, RowSink* sink,
                            const SubmitOptions& submit = SubmitOptions());
 
-  /// Submit + Result in one call.
-  sj::Result<PipelineStats> Run(const PipelineQuery& pipeline, RowSink* sink,
-                                const SubmitOptions& submit = SubmitOptions());
+  /// Submit + Result in one call, for either kind of query.
+  template <typename Query, typename Sink>
+  auto Run(const Query& query, Sink* sink,
+           const SubmitOptions& submit = SubmitOptions()) {
+    return Submit(query, sink, submit).Result();
+  }
+
+  /// Runs `query` to completion on the calling thread through an inline
+  /// service owning exactly its budget — the body of JoinQuery::Run and
+  /// PipelineQuery::Run, so a standalone query takes the multi-tenant
+  /// path (admission, execution, the Status taxonomy) too.
+  template <typename Query, typename Sink>
+  static auto RunInline(const Query& query, Sink* sink) {
+    ServiceOptions options;
+    options.global_memory_bytes = query.options().memory_bytes;
+    return SpatialService(options).Run(query, sink);
+  }
 
   ServiceStats stats() const;
   MemoryArbiter* global_arbiter() { return &global_arbiter_; }
@@ -232,12 +224,21 @@ class SpatialService {
 
  private:
   using Clock = std::chrono::steady_clock;
+  using TicketPtr = std::shared_ptr<service_internal::TicketBase>;
 
   enum class AdmitOutcome {
     kAdmitted,           // Committed: dispatch it.
     kNoBudget,           // Free budget cannot cover it (even degraded).
     kResolvedMeanwhile,  // A Cancel() resolved it mid-admission: pop only.
   };
+
+  /// The one Submit body: copies the query into a ticket whose run step
+  /// executes it under the admission outcome, then submits the ticket.
+  template <typename Stats, typename Query, typename Sink>
+  Submitted<Stats> SubmitQuery(const Query& query, Sink* sink,
+                               const SubmitOptions& submit);
+  /// Validation, enqueue, and admission for a fully-constructed ticket.
+  void SubmitTicket(const TicketPtr& ticket, const SubmitOptions& submit);
 
   /// Removes cancelled tickets anywhere in queue_ (folding their count
   /// into counters_) and fails past-deadline ones with DeadlineExceeded.
@@ -246,28 +247,18 @@ class SpatialService {
   /// Reaps, then admits every queued ticket the FIFO head allows (full
   /// or degraded). Returns the tickets to dispatch; caller must hold mu_
   /// and dispatch after unlocking.
-  std::vector<std::shared_ptr<SubmittedQuery::Ticket>> AdmitLocked();
+  std::vector<TicketPtr> AdmitLocked();
   /// Carves the child arbiter etc. for `t` if the free budget allows,
   /// rechecking under the ticket lock that no Cancel() raced the commit.
   /// Caller must hold mu_.
-  AdmitOutcome TryAdmitOneLocked(
-      const std::shared_ptr<SubmittedQuery::Ticket>& t);
-  void Dispatch(std::vector<std::shared_ptr<SubmittedQuery::Ticket>> tickets);
-  void Execute(const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
-  /// The shared Submit body: validation, enqueue, and admission for a
-  /// fully-constructed ticket (join or pipeline — the ticket knows).
-  void SubmitTicket(const std::shared_ptr<SubmittedQuery::Ticket>& ticket,
-                    const SubmitOptions& submit);
+  AdmitOutcome TryAdmitOneLocked(const TicketPtr& t);
+  void Dispatch(std::vector<TicketPtr> tickets);
+  void Execute(const TicketPtr& ticket);
 
-  friend class SubmittedQuery;
-  friend class SubmittedPipeline;
-  /// Handle-side cancel shared by both handle types (see the .cc).
-  static bool CancelTicket(
-      const std::shared_ptr<SubmittedQuery::Ticket>& ticket);
-  /// Cancel()'s gate-guarded notification: reap the cancelled ticket's
-  /// queue slot now and re-run admission for whatever was behind it.
-  /// Returns the tickets to dispatch (already counted in running_).
-  std::vector<std::shared_ptr<SubmittedQuery::Ticket>> ReapAfterHandleCancel();
+  template <typename Stats>
+  friend class Submitted;
+  /// The handle-side cancel (see the .cc).
+  static bool CancelTicket(const TicketPtr& ticket);
 
   /// Starts the reaper thread on the first submission that actually
   /// queues. Caller must hold mu_.
@@ -287,7 +278,7 @@ class SpatialService {
   std::unique_ptr<BufferPool> buffer_pool_;   // Null when pages == 0.
 
   mutable std::mutex mu_;
-  std::deque<std::shared_ptr<SubmittedQuery::Ticket>> queue_;
+  std::deque<TicketPtr> queue_;
   uint64_t next_id_ = 1;
   size_t running_ = 0;
   bool shutting_down_ = false;

@@ -108,7 +108,7 @@ class ForwardSweep {
   SweepKernelMode mode_;
   SoaRects active_;
   std::vector<uint8_t> mask_;
-  size_t inserts_since_purge_ = 0;
+  size_t inserts_since_purge_ = 0;  // Copies stored since the last purge.
 };
 
 /// Striped-Sweep interval structure (Arge et al. [4]).
@@ -165,10 +165,13 @@ class StripedSweep {
     const uint32_t s1 = std::max(s0, StripIndex(r.xhi));
     for (uint32_t s = s0; s <= s1; ++s) lists_[s].push_back(r);
     entries_ += s1 - s0 + 1;
-    inserts_since_purge_++;
+    inserts_since_purge_ += s1 - s0 + 1;
     // Amortized cleanup: strips a sweep never queries again would
-    // otherwise retain expired rectangles forever.
-    if (inserts_since_purge_ > entries_ / 2 + 64) Purge(r.ylo);
+    // otherwise retain expired rectangles forever. Counted in copies, like
+    // entries_, so rectangles spanning many strips still trigger it. A
+    // purge visits every strip and every stored copy, so the slack before
+    // the next one grows with both, keeping its cost per copy constant.
+    if (inserts_since_purge_ > entries_ / 2 + strips_) Purge(r.ylo);
   }
 
   template <typename Emit>
@@ -233,7 +236,7 @@ class StripedSweep {
   bool collapsed_ = false;
   std::vector<std::vector<RectF>> lists_;
   size_t entries_ = 0;  // Total stored copies across strips.
-  size_t inserts_since_purge_ = 0;
+  size_t inserts_since_purge_ = 0;  // Copies stored since the last purge.
 };
 
 }  // namespace sj

@@ -24,6 +24,7 @@
 namespace sj {
 namespace {
 
+using testing_util::BlockingSink;
 using testing_util::BruteForcePairs;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
@@ -51,6 +52,17 @@ struct ServiceFixture {
         .Input(JoinInput::FromStream(db))
         .AggregateByCell(AggregateMode::kCount, nx, ny, RectF(0, 0, 90, 90))
         .MemoryBytes(2u << 20);
+    return q;
+  }
+
+  /// A join holding `budget` bytes of the service while it blocks in its
+  /// sink (ContendedServiceTest's holder in service_test.cc).
+  JoinQuery HolderQuery(size_t budget) {
+    JoinQuery q(*joiner);
+    q.Input(JoinInput::FromStream(da))
+        .Input(JoinInput::FromStream(db))
+        .Algorithm(JoinAlgorithm::kSSSJ)
+        .MemoryBytes(budget);
     return q;
   }
 
@@ -185,6 +197,62 @@ TEST(PipelineService, RejectsOversizedAndUndersizedPipelines) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+// Pipeline handles share the join handles' cancel and deadline paths:
+// each case queues a pipeline behind a query holding the whole budget.
+TEST(PipelineService, CancelResolvesAQueuedPipeline) {
+  ServiceFixture f;
+  ServiceOptions options;
+  options.global_memory_bytes = 8u << 20;
+  options.worker_threads = 1;
+  SpatialService service(options);
+
+  BlockingSink blocker;
+  SubmittedQuery holder = service.Submit(f.HolderQuery(8u << 20), &blocker);
+  blocker.WaitEntered();  // The whole budget is now held.
+
+  SubmitOptions no_degrade;
+  no_degrade.allow_degraded = false;
+  CollectingRowSink rows;
+  SubmittedPipeline queued =
+      service.Submit(f.HeatmapQuery(8, 8), &rows, no_degrade);
+  EXPECT_FALSE(queued.done());  // Queued: nothing to run it with.
+  EXPECT_TRUE(queued.Cancel());
+  EXPECT_FALSE(queued.Cancel());  // Idempotent: already resolved.
+  EXPECT_EQ(queued.Result().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(service.stats().cancelled, 1u);
+
+  blocker.Release();
+  ASSERT_TRUE(holder.Result().ok());
+  EXPECT_TRUE(rows.rows().empty());  // Never ran.
+}
+
+TEST(PipelineService, QueueDeadlineExpiresAQueuedPipeline) {
+  ServiceFixture f;
+  ServiceOptions options;
+  options.global_memory_bytes = 8u << 20;
+  options.worker_threads = 1;
+  SpatialService service(options);
+
+  BlockingSink blocker;
+  SubmittedQuery holder = service.Submit(f.HolderQuery(8u << 20), &blocker);
+  blocker.WaitEntered();
+
+  SubmitOptions short_deadline;
+  short_deadline.allow_degraded = false;
+  short_deadline.queue_deadline_seconds = 0.05;
+  CollectingRowSink rows;
+  SubmittedPipeline starved =
+      service.Submit(f.HeatmapQuery(8, 8), &rows, short_deadline);
+  const auto& result = starved.Result();  // The reaper expires it.
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(service.stats().deadline_expired, 1u);
+
+  blocker.Release();
+  ASSERT_TRUE(holder.Result().ok());
+  EXPECT_TRUE(rows.rows().empty());
 }
 
 TEST(PipelineService, HandleOutlivesServiceSafely) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -640,95 +641,118 @@ TEST(PipelineExplain, ScanSourceHasNoJoinDecision) {
 // Validation
 // ---------------------------------------------------------------------------
 
-TEST(PipelineValidation, BuilderErrorsAreInvalidArgument) {
+// Explain and Run share one validation: every malformed pipeline gets the
+// same status code from both, and neither touches the DiskModel first (no
+// window scan, no rect resolver, no join compile).
+TEST(PipelineValidation, ExplainAndRunRejectAlikeBeforeAnyIO) {
   PipelineFixture f;
-  CollectingRowSink sink;
-
-  // No inputs.
-  {
-    auto s = PipelineQuery(*f.joiner).Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // A scan source takes no join predicate.
-  {
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(f.da))
-                 .Predicate(Predicate::kDistanceWithin, 1.0)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Degenerate aggregate grid.
-  {
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(f.da))
-                 .AggregateByCell(AggregateMode::kCount, 0, 4)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // k = 0.
-  {
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(f.da))
-                 .TopKByDistance(0, 1, 1)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Histogram attached to a nonexistent input.
-  {
-    GridHistogram hist(RectF(0, 0, 80, 80), 4, 4);
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(f.da))
-                 .WithHistogram(5, &hist)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Aggregate over an input with no resolvable extent (and no window or
-  // explicit extent to fall back to).
-  {
-    DatasetRef no_extent = f.da;
-    no_extent.extent = RectF::Empty();
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(no_extent))
-                 .AggregateByCell(AggregateMode::kCount, 4, 4)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-  }
-  // Forced algorithm with three inputs (k-way plans its own chain).
-  {
-    auto s = PipelineQuery(*f.joiner)
-                 .Input(JoinInput::FromStream(f.da))
-                 .Input(JoinInput::FromStream(f.db))
-                 .Input(JoinInput::FromStream(f.da))
-                 .Algorithm(JoinAlgorithm::kPBSM)
-                 .Run(&sink);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+  const JoinInput a = JoinInput::FromStream(f.da);
+  const JoinInput b = JoinInput::FromStream(f.db);
+  const RectF window(10, 10, 50, 50);
+  GridHistogram hist(RectF(0, 0, 80, 80), 4, 4);
+  DatasetRef no_extent = f.da;
+  no_extent.extent = RectF::Empty();
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  constexpr StatusCode kPrecondition = StatusCode::kFailedPrecondition;
+  struct Case {
+    const char* name;
+    std::function<void(PipelineQuery&)> build;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"no inputs", [](PipelineQuery&) {}, kInvalid},
+      {"scan with a join predicate",
+       [&](PipelineQuery& q) {
+         q.Input(a).Predicate(Predicate::kDistanceWithin, 1.0);
+       },
+       kInvalid},
+      {"degenerate aggregate grid",
+       [&](PipelineQuery& q) {
+         q.Input(a).AggregateByCell(AggregateMode::kCount, 0, 4);
+       },
+       kInvalid},
+      {"top-k with k = 0",
+       [&](PipelineQuery& q) { q.Input(a).TopKByDistance(0, 1, 1); },
+       kInvalid},
+      {"histogram on a missing input",
+       [&](PipelineQuery& q) { q.Input(a).WithHistogram(5, &hist); },
+       kInvalid},
+      {"aggregate without a resolvable extent",
+       [&](PipelineQuery& q) {
+         q.Input(JoinInput::FromStream(no_extent))
+             .AggregateByCell(AggregateMode::kCount, 4, 4);
+       },
+       kInvalid},
+      {"forced algorithm on a 3-way join",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Input(a).Algorithm(JoinAlgorithm::kPBSM);
+       },
+       kInvalid},
+      {"windowed 3-way distance predicate",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Input(a).Window(window).Predicate(
+             Predicate::kDistanceWithin, 1.0);
+       },
+       kInvalid},
+      {"3-way contains predicate",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Input(a).Predicate(Predicate::kContains).Refine(
+             true);
+       },
+       kInvalid},
+      {"3-way refine without FeatureStores",
+       [&](PipelineQuery& q) { q.Input(a).Input(b).Input(a).Refine(true); },
+       kPrecondition},
+      {"windowed 2-way refine without FeatureStores",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Window(window).Refine(true);
+       },
+       kPrecondition},
+      {"windowed negative epsilon",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Window(window).Predicate(
+             Predicate::kDistanceWithin, -1.0);
+       },
+       kInvalid},
+      {"budget below the floor",
+       [&](PipelineQuery& q) {
+         q.Input(a).Input(b).Window(window).MemoryBytes(kMinMemoryBytes - 1);
+       },
+       kPrecondition},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PipelineQuery explained(*f.joiner);
+    PipelineQuery ran(*f.joiner);
+    c.build(explained);
+    c.build(ran);
+    const DiskStats before = f.td.disk.stats();
+    const auto plan = explained.Explain();
+    CollectingRowSink sink;
+    const auto stats = ran.Run(&sink);
+    const DiskStats after = f.td.disk.stats();
+    EXPECT_EQ(plan.status().code(), c.code) << plan.status().ToString();
+    EXPECT_EQ(stats.status().code(), c.code) << stats.status().ToString();
+    EXPECT_EQ(after.pages_read, before.pages_read);
+    EXPECT_EQ(after.pages_written, before.pages_written);
+    EXPECT_TRUE(sink.rows().empty());
   }
 }
 
-TEST(PipelineValidation, BudgetBelowFloorIsFailedPrecondition) {
+// A pipeline's missing-FeatureStore error names the pipeline's own setter.
+TEST(PipelineValidation, MissingFeaturesNamesThePipelineSetter) {
   PipelineFixture f;
   CollectingRowSink sink;
-  auto s = PipelineQuery(*f.joiner)
-               .Input(JoinInput::FromStream(f.da))
-               .Input(JoinInput::FromStream(f.db))
-               .MemoryBytes(kMinMemoryBytes - 1)
-               .Run(&sink);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.status().code(), StatusCode::kFailedPrecondition);
-
-  auto plan = PipelineQuery(*f.joiner)
-                  .Input(JoinInput::FromStream(f.da))
-                  .Input(JoinInput::FromStream(f.db))
-                  .MemoryBytes(kMinMemoryBytes - 1)
-                  .Explain();
-  EXPECT_FALSE(plan.ok());
+  auto stats = PipelineQuery(*f.joiner)
+                   .Input(JoinInput::FromStream(f.da))
+                   .Input(JoinInput::FromStream(f.db))
+                   .Refine(true)
+                   .Run(&sink);
+  ASSERT_FALSE(stats.ok());
+  const std::string message = stats.status().ToString();
+  EXPECT_NE(message.find("PipelineQuery::WithFeatures"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("JoinQuery"), std::string::npos) << message;
 }
 
 // ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -26,48 +24,11 @@
 namespace sj {
 namespace {
 
+using testing_util::BlockingSink;
 using testing_util::BruteForcePairs;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
-
-/// A sink whose first Emit blocks until the test releases it — the lever
-/// for holding a query "running" (budget occupied) while others queue.
-class BlockingSink final : public JoinSink {
- public:
-  void Emit(ObjectId, ObjectId) override {
-    if (!released_.load(std::memory_order_acquire)) {
-      std::unique_lock<std::mutex> lock(mu_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return released_.load(); });
-    }
-    ++count_;
-  }
-
-  /// Blocks the test until the query is inside Emit (budget held).
-  void WaitEntered() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return entered_; });
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      released_.store(true, std::memory_order_release);
-    }
-    cv_.notify_all();
-  }
-
-  uint64_t count() const { return count_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  std::atomic<bool> released_{false};
-  uint64_t count_ = 0;
-};
 
 class ServiceTest : public ::testing::Test {
  protected:
