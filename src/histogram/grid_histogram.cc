@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "geometry/extent.h"
 #include "io/stream.h"
 #include "util/logging.h"
 
@@ -86,19 +87,10 @@ void GridHistogram::ScaleTo(uint64_t target_total) {
 
 void GridHistogram::CellRange(const RectF& r, uint32_t* x0, uint32_t* x1,
                               uint32_t* y0, uint32_t* y1) const {
-  auto clamp_cell = [](float v, float lo, float w, uint32_t n) -> uint32_t {
-    // Clamp in float space before the integer cast: casting a float that
-    // exceeds uint32_t's range (far-away or infinite coordinates) is
-    // undefined behaviour, not a saturation. NaN fails the > 0 test and
-    // lands in cell 0 like any other out-of-range-low value.
-    const float rel = (v - lo) / w;
-    if (!(rel > 0.0f)) return 0;
-    return static_cast<uint32_t>(std::min(rel, static_cast<float>(n - 1)));
-  };
-  *x0 = clamp_cell(r.xlo, extent_.xlo, cell_w_, nx_);
-  *x1 = clamp_cell(r.xhi, extent_.xlo, cell_w_, nx_);
-  *y0 = clamp_cell(r.ylo, extent_.ylo, cell_h_, ny_);
-  *y1 = clamp_cell(r.yhi, extent_.ylo, cell_h_, ny_);
+  *x0 = ClampedCell((r.xlo - extent_.xlo) / cell_w_, nx_);
+  *x1 = ClampedCell((r.xhi - extent_.xlo) / cell_w_, nx_);
+  *y0 = ClampedCell((r.ylo - extent_.ylo) / cell_h_, ny_);
+  *y1 = ClampedCell((r.yhi - extent_.ylo) / cell_h_, ny_);
 }
 
 void GridHistogram::Add(const RectF& r) {

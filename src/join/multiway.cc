@@ -6,11 +6,10 @@
 #include <sstream>
 #include <string>
 
+#include "join/partitioned.h"
 #include "join/strip_map.h"
 #include "sweep/sweep_join.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace sj {
 
@@ -244,143 +243,55 @@ Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
   }
   JoinMeasurement measurement(disk);
   const StripMap map(extent, kMultiwayStrips);
-  const size_t k = inputs.size();
 
-  // Phase 1 (serial, shared disk): replicate every input into the strips
-  // it overlaps. Inputs are y-sorted and distribution preserves order, so
-  // each strip file is itself a valid sorted source.
-  struct StripFiles {
-    std::vector<std::unique_ptr<Pager>> pagers;  // One per input.
-    std::vector<StreamRange> ranges;
+  // Inputs are y-sorted and distribution preserves order, so each strip
+  // file is itself a valid sorted source.
+  std::vector<StreamRange> ranges;
+  for (const DatasetRef& input : inputs) ranges.push_back(input.range);
+  SJ_ASSIGN_OR_RETURN(
+      PartitionedJoin join,
+      PartitionedJoin::Distribute(
+          ranges, map.strips(),
+          [&map](const RectF& r, std::vector<uint32_t>* out) {
+            map.StripsOf(r, out);
+          },
+          [](size_t input, uint32_t strip) {
+            return "multiway.strip." + std::to_string(strip) + "." +
+                   std::to_string(input);
+          },
+          /*block_pages=*/4, options.storage.get(), disk));
+
+  // One chain per strip; a tuple is reported only in the strip owning
+  // the left edge of its full k-way intersection.
+  auto join_strip = [&](uint64_t s, PartitionUnit& unit,
+                        TupleSink* out) -> Status {
+    std::vector<std::unique_ptr<SortedStreamSource>> sources;
+    std::vector<SortedRectSource*> source_ptrs;
+    for (const StreamRange& input : unit.inputs) {
+      sources.push_back(std::make_unique<SortedStreamSource>(input));
+      source_ptrs.push_back(sources.back().get());
+    }
+    const ChainRunStats run = RunMultiwayChain(
+        source_ptrs, extent, options, out,
+        [&](const RectF& ra, const RectF& rb) {
+          return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
+        });
+    unit.output = run.output_count;
+    unit.max_bytes = run.max_bytes;
+    return Status::OK();
   };
-  std::vector<StripFiles> strips(map.strips());
-  for (StripFiles& s : strips) {
-    s.pagers.resize(k);
-    s.ranges.resize(k);
-  }
-  for (size_t in = 0; in < k; ++in) {
-    std::vector<std::unique_ptr<StreamWriter<RectF>>> writers(map.strips());
-    // Abandons every still-open writer of this input so an error return
-    // unwinds instead of tripping the writers' destructor checks.
-    auto abandon_writers = [&writers]() {
-      for (auto& w : writers) {
-        if (w != nullptr) w->Abandon();
-      }
-    };
-    for (uint32_t s = 0; s < map.strips(); ++s) {
-      Result<std::unique_ptr<Pager>> pager = MakePager(
-          options.storage.get(), disk,
-          "multiway.strip." + std::to_string(s) + "." + std::to_string(in));
-      if (!pager.ok()) {
-        abandon_writers();
-        return pager.status();
-      }
-      strips[s].pagers[in] = std::move(pager).value();
-      writers[s] = std::make_unique<StreamWriter<RectF>>(
-          strips[s].pagers[in].get(), /*block_pages=*/4);
-    }
-    StreamReader<RectF> reader(inputs[in].range.pager,
-                               inputs[in].range.first_page,
-                               inputs[in].range.count);
-    while (std::optional<RectF> r = reader.Next()) {
-      const uint32_t s0 = map.StripOf(r->xlo);
-      const uint32_t s1 = map.StripOf(r->xhi);
-      for (uint32_t s = s0; s <= s1; ++s) writers[s]->Append(*r);
-    }
-    // Finish every writer even when one fails, then surface the first
-    // failure (Finish marks a stream finished on error too).
-    Status first_error = Status::OK();
-    for (uint32_t s = 0; s < map.strips(); ++s) {
-      const PageId first = writers[s]->first_page();
-      Result<uint64_t> n = writers[s]->Finish();
-      if (n.ok()) {
-        strips[s].ranges[in] =
-            StreamRange{strips[s].pagers[in].get(), first, n.value()};
-      } else if (first_error.ok()) {
-        first_error = n.status();
-      }
-    }
-    SJ_RETURN_IF_ERROR(first_error);
-  }
+  SJ_ASSIGN_OR_RETURN(
+      PartitionedTotals totals,
+      join.Run<CollectingTupleSink>(options, /*arbiter=*/nullptr,
+                                    /*unit_budget=*/0, sink, join_strip));
 
-  // Phase 2: one chain per strip against a private shard; a tuple is
-  // reported only in the strip owning the left edge of its full k-way
-  // intersection. Stats merge as in PBSM: identical for any num_threads.
-  struct StripTask {
-    std::unique_ptr<DiskModel> disk;
-    StripFiles files;
-    CollectingTupleSink sink;
-    uint64_t output = 0;
-    size_t max_bytes = 0;
-    double cpu_seconds = 0;
-  };
-  // Inline runs (same condition as ParallelFor's) stream tuples straight
-  // to the caller's sink in strip order; only pooled runs buffer.
-  const bool pooled = options.num_threads > 1 && map.strips() > 1;
-  std::vector<StripTask> tasks(map.strips());
-  for (uint32_t s = 0; s < map.strips(); ++s) {
-    StripTask& t = tasks[s];
-    t.disk = std::make_unique<DiskModel>(disk->machine());
-    t.files.pagers.resize(k);
-    t.files.ranges.resize(k);
-    for (size_t in = 0; in < k; ++in) {
-      t.files.pagers[in] =
-          RehomePager(std::move(strips[s].pagers[in]), t.disk.get());
-      t.files.ranges[in] = StreamRange{t.files.pagers[in].get(),
-                                       strips[s].ranges[in].first_page,
-                                       strips[s].ranges[in].count};
-    }
-  }
-
-  SJ_RETURN_IF_ERROR(ParallelFor(
-      options.worker_pool, options.num_threads, map.strips(), [&](uint64_t s) -> Status {
-        StripTask& t = tasks[s];
-        ThreadCpuTimer cpu;
-        TupleSink* out = pooled ? static_cast<TupleSink*>(&t.sink) : sink;
-        std::vector<std::unique_ptr<SortedStreamSource>> sources;
-        std::vector<SortedRectSource*> source_ptrs;
-        sources.reserve(k);
-        source_ptrs.reserve(k);
-        for (size_t in = 0; in < k; ++in) {
-          sources.push_back(
-              std::make_unique<SortedStreamSource>(t.files.ranges[in]));
-          source_ptrs.push_back(sources.back().get());
-        }
-        const ChainRunStats run = RunMultiwayChain(
-            source_ptrs, extent, options, out,
-            [&](const RectF& ra, const RectF& rb) {
-              return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
-            });
-        t.output = run.output_count;
-        t.max_bytes = run.max_bytes;
-        t.cpu_seconds = cpu.Elapsed();
-        return Status::OK();
-      }));
-
-  uint64_t output = 0;
-  size_t max_bytes = 0;
-  double worker_cpu = 0;
-  DiskStats shard_disk;
-  for (const StripTask& t : tasks) {
-    if (pooled) {
-      for (const std::vector<ObjectId>& tuple : t.sink.tuples()) {
-        sink->Emit(tuple);
-      }
-    }
-    output += t.output;
-    max_bytes = std::max(max_bytes, t.max_bytes);
-    worker_cpu += t.cpu_seconds;
-    shard_disk += t.disk->stats();
-  }
-
+  JoinStats base = measurement.Finish();
+  totals.AddTo(&base);
   MultiwayStats stats;
-  const JoinStats base = measurement.Finish();
   stats.host_cpu_seconds = base.host_cpu_seconds;
-  if (pooled) stats.host_cpu_seconds += worker_cpu;
   stats.disk = base.disk;
-  stats.disk += shard_disk;
-  stats.output_count = output;
-  stats.max_bytes = max_bytes;
+  stats.output_count = base.output_count;
+  stats.max_bytes = base.max_sweep_bytes;
   return stats;
 }
 

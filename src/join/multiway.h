@@ -36,6 +36,10 @@ class CollectingTupleSink final : public TupleSink {
     tuples_.push_back(tuple);
   }
   const std::vector<std::vector<ObjectId>>& tuples() const { return tuples_; }
+  /// Emits the collected tuples into `sink`, in order.
+  void ReplayTo(TupleSink* sink) const {
+    for (const std::vector<ObjectId>& tuple : tuples_) sink->Emit(tuple);
+  }
 
  private:
   std::vector<std::vector<ObjectId>> tuples_;

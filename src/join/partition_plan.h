@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "geometry/extent.h"
 #include "geometry/rect.h"
 #include "histogram/grid_histogram.h"
 
@@ -83,14 +84,14 @@ class FixedGridPartitionMap final : public PartitionMap {
   bool adaptive() const override { return false; }
 
  private:
-  uint32_t TileX(float x) const { return Clamp((x - extent_.xlo) / tile_w_); }
-  uint32_t TileY(float y) const { return Clamp((y - extent_.ylo) / tile_h_); }
+  uint32_t TileX(float x) const {
+    return ClampedCell((x - extent_.xlo) / tile_w_, tiles_);
+  }
+  uint32_t TileY(float y) const {
+    return ClampedCell((y - extent_.ylo) / tile_h_, tiles_);
+  }
   uint32_t PartitionOfTile(uint32_t tx, uint32_t ty) const {
     return (ty * tiles_ + tx) % partitions_;  // Row-major round-robin.
-  }
-  uint32_t Clamp(float rel) const {
-    if (!(rel > 0.0f)) return 0;
-    return std::min(static_cast<uint32_t>(rel), tiles_ - 1);
   }
 
   RectF extent_;
@@ -141,14 +142,10 @@ class AdaptivePartitionMap final : public PartitionMap {
   };
 
   uint32_t BaseTileX(float x) const {
-    return ClampIndex((x - extent_.xlo) / tile_w_, nx_);
+    return ClampedCell((x - extent_.xlo) / tile_w_, nx_);
   }
   uint32_t BaseTileY(float y) const {
-    return ClampIndex((y - extent_.ylo) / tile_h_, ny_);
-  }
-  static uint32_t ClampIndex(float rel, uint32_t n) {
-    if (!(rel > 0.0f)) return 0;
-    return std::min(static_cast<uint32_t>(rel), n - 1);
+    return ClampedCell((y - extent_.ylo) / tile_h_, ny_);
   }
   void CollectPartitions(uint32_t tile, const RectF& bounds, const RectF& r,
                          std::vector<uint32_t>* out) const;

@@ -1,0 +1,144 @@
+#include "join/partitioned.h"
+
+#include <algorithm>
+#include <optional>
+#include <thread>
+
+#include "io/stream.h"
+#include "util/timer.h"
+
+namespace sj {
+namespace {
+
+/// The distribution writers of one input. Destruction abandons every
+/// writer (a no-op for one already finished), so an error returned
+/// before a writer's Finish unwinds without tripping its destructor
+/// check.
+struct OpenWriters {
+  ~OpenWriters() {
+    for (auto& writer : writers) writer->Abandon();
+  }
+  std::vector<std::unique_ptr<StreamWriter<RectF>>> writers;
+};
+
+}  // namespace
+
+size_t PartitionUnit::input_bytes() const {
+  uint64_t records = 0;
+  for (const StreamRange& input : inputs) records += input.count;
+  return records * sizeof(RectF);
+}
+
+void PartitionedTotals::AddTo(JoinStats* stats) const {
+  stats->disk += disk;
+  stats->host_cpu_seconds += worker_cpu_seconds;
+  stats->output_count = output;
+  stats->max_sweep_bytes = max_bytes;
+  stats->sweep_strips_collapsed = strips_collapsed;
+  stats->FoldSortStats(sort_stats);
+  stats->partitions_total = units;
+}
+
+Result<PartitionedJoin> PartitionedJoin::Distribute(
+    const std::vector<StreamRange>& inputs, uint32_t units,
+    const Route& route, const FileName& file_name, uint32_t block_pages,
+    StorageFactory* storage, DiskModel* disk) {
+  PartitionedJoin join;
+  join.units_.resize(units);
+  join.files_.resize(units);
+  join.cpu_seconds_.resize(units);
+  std::vector<uint32_t> targets;
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    OpenWriters open;
+    for (uint32_t u = 0; u < units; ++u) {
+      SJ_ASSIGN_OR_RETURN(std::unique_ptr<Pager> file,
+                          MakePager(storage, disk, file_name(in, u)));
+      open.writers.push_back(
+          std::make_unique<StreamWriter<RectF>>(file.get(), block_pages));
+      join.files_[u].push_back(std::move(file));
+    }
+    StreamReader<RectF> reader(inputs[in].pager, inputs[in].first_page,
+                               inputs[in].count);
+    while (std::optional<RectF> r = reader.Next()) {
+      route(*r, &targets);
+      for (const uint32_t u : targets) open.writers[u]->Append(*r);
+    }
+    for (uint32_t u = 0; u < units; ++u) {
+      const PageId first = open.writers[u]->first_page();
+      SJ_ASSIGN_OR_RETURN(const uint64_t count, open.writers[u]->Finish());
+      join.units_[u].inputs.push_back(StreamRange{nullptr, first, count});
+    }
+  }
+  for (uint32_t u = 0; u < units; ++u) {
+    PartitionUnit& unit = join.units_[u];
+    unit.disk = std::make_unique<DiskModel>(disk->machine());
+    for (size_t in = 0; in < inputs.size(); ++in) {
+      std::unique_ptr<Pager>& file = join.files_[u][in];
+      file = RehomePager(std::move(file), unit.disk.get());
+      unit.inputs[in].pager = file.get();
+    }
+  }
+  return join;
+}
+
+Status PartitionedJoin::RunUnits(
+    const JoinOptions& options, MemoryArbiter* arbiter, size_t unit_budget,
+    const std::function<Status(uint64_t, PartitionUnit&)>& body) {
+  if (arbiter != nullptr) {
+    for (PartitionUnit& unit : units_) {
+      unit.memory =
+          std::make_unique<MemoryArbiter>(unit_budget, arbiter->strict());
+    }
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  return ParallelFor(
+      options.worker_pool, options.num_threads, units_.size(),
+      [&](uint64_t i) -> Status {
+        ThreadCpuTimer cpu;
+        const Status status = body(i, units_[i]);
+        // Units on the calling thread are already on its caller's clock.
+        if (std::this_thread::get_id() != caller) {
+          cpu_seconds_[i] = cpu.Elapsed();
+        }
+        return status;
+      });
+}
+
+PartitionedTotals PartitionedJoin::Merge(MemoryArbiter* arbiter) const {
+  PartitionedTotals totals;
+  totals.units = static_cast<uint32_t>(units_.size());
+  for (size_t i = 0; i < units_.size(); ++i) {
+    const PartitionUnit& unit = units_[i];
+    totals.output += unit.output;
+    totals.max_bytes = std::max(totals.max_bytes, unit.max_bytes);
+    totals.strips_collapsed = totals.strips_collapsed || unit.strips_collapsed;
+    if (unit.overflowed) totals.overflowed++;
+    totals.max_input_bytes =
+        std::max(totals.max_input_bytes, unit.input_bytes());
+    totals.sort_stats.Fold(unit.sort_stats);
+    totals.worker_cpu_seconds += cpu_seconds_[i];
+    totals.disk += unit.disk->stats();
+    if (arbiter != nullptr) arbiter->FoldChild(*unit.memory);
+  }
+  return totals;
+}
+
+uint32_t GrantWriterBlocks(MemoryArbiter* arbiter, const char* component,
+                           size_t writers, uint32_t max_block_pages,
+                           MemoryGrant* grant) {
+  *grant = arbiter->AcquireShrinkable(
+      component, writers * max_block_pages * kPageSize,
+      std::min<size_t>(writers * kPageSize, arbiter->budget()));
+  const uint32_t block_pages = static_cast<uint32_t>(std::clamp<size_t>(
+      grant->bytes() / (writers * kPageSize), 1, max_block_pages));
+  grant->NoteUsage(writers * block_pages * kPageSize);
+  return block_pages;
+}
+
+SortConfig UnitSortConfig(const JoinOptions& options) {
+  SortConfig config = SortConfigOf(options);
+  config.threads = 1;
+  return config;
+}
+
+}  // namespace sj

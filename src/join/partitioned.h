@@ -1,0 +1,163 @@
+#ifndef USJ_JOIN_PARTITIONED_H_
+#define USJ_JOIN_PARTITIONED_H_
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/memory_arbiter.h"
+#include "io/disk_model.h"
+#include "io/pager.h"
+#include "join/join_types.h"
+#include "sort/sort_config.h"
+#include "util/result.h"
+#include "util/thread_pool.h"
+
+namespace sj {
+
+/// One work unit of a partitioned join — a PBSM partition, an SSSJ strip,
+/// a k-way strip — as its body sees it.
+struct PartitionUnit {
+  /// Private shard: the unit's input files and any scratch its body
+  /// creates charge here, so its modeled I/O depends only on its own
+  /// request sequence, never on which thread ran it or what ran
+  /// alongside.
+  std::unique_ptr<DiskModel> disk;
+  /// Private serial-equivalent memory scope: the unit runs with the
+  /// whole unit budget, as if alone on the paper's machine, and its
+  /// peaks fold into the caller's arbiter as a max. Null when the caller
+  /// passed no arbiter.
+  std::unique_ptr<MemoryArbiter> memory;
+  /// One range per input, on `disk`: the records routed here, in input
+  /// order (so a y-sorted input yields y-sorted ranges).
+  std::vector<StreamRange> inputs;
+
+  /// Set by the body; Run() folds them in unit order.
+  uint64_t output = 0;    ///< Results the unit reported.
+  size_t max_bytes = 0;   ///< Peak in-memory sweep state.
+  bool strips_collapsed = false;
+  bool overflowed = false;  ///< Inputs exceeded the unit budget.
+  SortStats sort_stats;
+
+  /// Bytes of the unit's routed records over all inputs.
+  size_t input_bytes() const;
+};
+
+/// The units' statistics, folded in unit order.
+struct PartitionedTotals {
+  uint32_t units = 0;
+  uint64_t output = 0;
+  size_t max_bytes = 0;
+  bool strips_collapsed = false;
+  uint32_t overflowed = 0;
+  size_t max_input_bytes = 0;
+  SortStats sort_stats;
+  /// Shard I/O, summed from zero in unit order.
+  DiskStats disk;
+  /// CPU of units that ran off the calling thread; the caller's own
+  /// measurement already covers the units it ran itself.
+  double worker_cpu_seconds = 0.0;
+
+  /// Adds the shard I/O and worker CPU to `stats` (the caller's finished
+  /// measurement) and sets the fields every partitioned pair join
+  /// reports.
+  void AddTo(JoinStats* stats) const;
+};
+
+/// The serial-equivalent protocol every partition-based join path runs:
+/// PBSM's partitions (§3.2), SSSJ's single-dimension strip fallback
+/// (§3.1) and the strip-parallel k-way chain (§4). The paths supply only
+/// what differs: the route, the file names, the writer blocks and the
+/// per-unit body with its reference-point test.
+///
+/// Distribute() writes the inputs, one after another, into one file per
+/// input and unit on the caller's disk, replicating each record into
+/// every unit the route lists, then re-homes each unit's files onto the
+/// unit's private DiskModel shard. Run() runs the body once per unit
+/// through ParallelFor and merges in unit order: buffered output replays
+/// into the caller's sink, shard I/O sums and child arbiters and sort
+/// statistics fold. Output, modeled I/O and memory statistics are
+/// therefore identical for every num_threads.
+///
+/// Every error unwinds one way: the writers still open are abandoned
+/// (buffered records dropped, so their destructor check passes), every
+/// file is released and the first failure returns — the lowest unit's
+/// when bodies fail.
+class PartitionedJoin {
+ public:
+  /// Appends the units record `r` goes to (`out` is cleared first).
+  using Route =
+      std::function<void(const RectF& r, std::vector<uint32_t>* out)>;
+  /// Name of input `input`'s file for unit `unit`.
+  using FileName = std::function<std::string(size_t input, uint32_t unit)>;
+
+  /// Distributes `inputs` into `units` units. Each writer flushes in
+  /// `block_pages`-page blocks; the caller grants them (see
+  /// GrantWriterBlocks). Files come from `storage` (null: memory) and
+  /// the distribution I/O charges `disk`.
+  static Result<PartitionedJoin> Distribute(
+      const std::vector<StreamRange>& inputs, uint32_t units,
+      const Route& route, const FileName& file_name, uint32_t block_pages,
+      StorageFactory* storage, DiskModel* disk);
+
+  /// Runs `body(i, unit, out)` -> Status for every unit i on the options'
+  /// workers. `out` is `sink` itself when ParallelFor runs every unit
+  /// inline, in order, on this thread; otherwise it is the unit's own
+  /// `Buffer` (a Sink collecting its input, replayed by
+  /// `ReplayTo(sink)`), replayed in unit order after all units finish.
+  /// Each unit gets a private arbiter over `unit_budget`, folded into
+  /// `arbiter`; a null `arbiter` gives the units none.
+  template <typename Buffer, typename Sink, typename Body>
+  Result<PartitionedTotals> Run(const JoinOptions& options,
+                                MemoryArbiter* arbiter, size_t unit_budget,
+                                Sink* sink, Body&& body) {
+    const bool buffered = !ParallelForRunsInline(
+        options.worker_pool, options.num_threads, units_.size());
+    std::vector<Buffer> buffers(buffered ? units_.size() : 0);
+    SJ_RETURN_IF_ERROR(RunUnits(
+        options, arbiter, unit_budget,
+        [&](uint64_t i, PartitionUnit& unit) -> Status {
+          return body(i, unit,
+                      buffered ? static_cast<Sink*>(&buffers[i]) : sink);
+        }));
+    for (const Buffer& buffer : buffers) buffer.ReplayTo(sink);
+    return Merge(arbiter);
+  }
+
+ private:
+  Status RunUnits(const JoinOptions& options, MemoryArbiter* arbiter,
+                  size_t unit_budget,
+                  const std::function<Status(uint64_t, PartitionUnit&)>& body);
+  PartitionedTotals Merge(MemoryArbiter* arbiter) const;
+
+  std::vector<PartitionUnit> units_;
+  /// Per unit: the pagers of its `inputs`, and its thread CPU when it
+  /// ran off the calling thread.
+  std::vector<std::vector<std::unique_ptr<Pager>>> files_;
+  std::vector<double> cpu_seconds_;
+};
+
+/// Grants the flush blocks of `writers` distribution writers as one
+/// `component` grant into `*grant`, and returns the pages per block:
+/// `max_block_pages` when the arbiter covers them all, fewer (more,
+/// smaller flushes — graceful, never over budget) when it cannot. The
+/// floor of one page per writer is capped at the budget: with enormous
+/// unit counts even that is irreducible over-use, which then shows up as
+/// usage above the grant instead of a granted peak above the budget.
+/// `writers` counts every input's writers, as PlanJoinMemory prices
+/// them; Distribute() opens one input's at a time, so the grant bounds
+/// their footprint from above. Hold `*grant` until distribution ends.
+uint32_t GrantWriterBlocks(MemoryArbiter* arbiter, const char* component,
+                           size_t writers, uint32_t max_block_pages,
+                           MemoryGrant* grant);
+
+/// Sort settings for a sort inside a unit: units are the parallel grain,
+/// so their sorts stay single-threaded (nested run-formation fan-out
+/// would only contend for the same workers) but keep the other knobs.
+SortConfig UnitSortConfig(const JoinOptions& options);
+
+}  // namespace sj
+
+#endif  // USJ_JOIN_PARTITIONED_H_

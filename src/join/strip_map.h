@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "geometry/extent.h"
 #include "geometry/rect.h"
 
 namespace sj {
@@ -24,10 +26,16 @@ class StripMap {
     }
   }
 
+  /// The strip holding `x`; coordinates outside the extent land in the
+  /// boundary strips.
   uint32_t StripOf(float x) const {
-    const float rel = (x - xlo_) / width_;
-    if (!(rel > 0.0f)) return 0;
-    return std::min(static_cast<uint32_t>(rel), strips_ - 1);
+    return ClampedCell((x - xlo_) / width_, strips_);
+  }
+  /// The strips `r` overlaps, in order (`out` is cleared first).
+  void StripsOf(const RectF& r, std::vector<uint32_t>* out) const {
+    out->clear();
+    const uint32_t last = StripOf(r.xhi);
+    for (uint32_t s = StripOf(r.xlo); s <= last; ++s) out->push_back(s);
   }
   uint32_t strips() const { return strips_; }
 

@@ -172,9 +172,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
 
 Status ParallelFor(ThreadPool* shared, uint32_t num_threads, uint64_t n,
                    const std::function<Status(uint64_t)>& fn) {
-  if (n == 0) return Status::OK();
-  if (num_threads <= 1 || n == 1 ||
-      (shared != nullptr && shared->size() == 0)) {
+  if (ParallelForRunsInline(shared, num_threads, n)) {
     for (uint64_t i = 0; i < n; ++i) {
       Status s = fn(i);
       if (!s.ok()) return s;
@@ -237,6 +235,12 @@ Status ParallelFor(ThreadPool* shared, uint32_t num_threads, uint64_t n,
 Status ParallelFor(uint32_t num_threads, uint64_t n,
                    const std::function<Status(uint64_t)>& fn) {
   return ParallelFor(nullptr, num_threads, n, fn);
+}
+
+bool ParallelForRunsInline(const ThreadPool* shared, uint32_t num_threads,
+                           uint64_t n) {
+  return num_threads <= 1 || n <= 1 ||
+         (shared != nullptr && shared->size() == 0);
 }
 
 }  // namespace sj

@@ -114,6 +114,12 @@ Status ParallelFor(ThreadPool* shared, uint32_t num_threads, uint64_t n,
 Status ParallelFor(uint32_t num_threads, uint64_t n,
                    const std::function<Status(uint64_t)>& fn);
 
+/// True when ParallelFor(shared, num_threads, n, ...) runs every index on
+/// the calling thread, in index order, without handing any to a helper.
+/// Callers that stream results in index order may then skip buffering.
+bool ParallelForRunsInline(const ThreadPool* shared, uint32_t num_threads,
+                           uint64_t n);
+
 }  // namespace sj
 
 #endif  // USJ_UTIL_THREAD_POOL_H_

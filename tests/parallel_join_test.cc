@@ -1,19 +1,29 @@
-// Parallel-equals-serial determinism: PBSM, SSSJ strip joins, and the
-// parallel multiway join must produce byte-identical output (same pairs,
-// same order) and identical modeled I/O stats for every num_threads,
-// because each parallel unit runs against a private DiskModel shard that
-// is merged in unit order.
+// The partitioned join paths — PBSM, SSSJ strip joins and the parallel
+// multiway join — all run on one runner (join/partitioned.h). They must
+// produce byte-identical output (same pairs, same order) and identical
+// modeled I/O stats for every num_threads, because each unit runs
+// against a private DiskModel shard that is merged in unit order; count
+// each unit's CPU once; place records lying outside the declared extent
+// in the boundary units; and unwind every injected storage fault into an
+// error Status with the caller's arbiter drained.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/memory_arbiter.h"
 #include "datagen/synthetic.h"
+#include "io/storage.h"
 #include "join/multiway.h"
 #include "join/pbsm.h"
 #include "join/sssj.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace sj {
 namespace {
@@ -67,6 +77,51 @@ RunResult RunWithThreads(const std::vector<RectF>& a,
   return result;
 }
 
+/// Everything in one hot tile plus two far corners: PBSM gets several
+/// partitions and overflows the hot one at 48 KB.
+std::pair<std::vector<RectF>, std::vector<RectF>> HotSpotInputs() {
+  const RectF spot(50, 50, 51, 51);
+  auto a = UniformRects(3000, spot, 0.1f, 23);
+  auto b = UniformRects(3000, spot, 0.1f, 24);
+  a.push_back(RectF(0, 0, 0.1f, 0.1f, 400000));
+  b.push_back(RectF(99, 99, 99.1f, 99.1f, 400001));
+  return {std::move(a), std::move(b)};
+}
+
+/// `k` uniform inputs, each sorted by ylo as a k-way join needs.
+std::vector<std::vector<RectF>> SortedUniformInputs(size_t k, uint64_t n,
+                                                    const RectF& region,
+                                                    float mean_size,
+                                                    uint64_t seed) {
+  std::vector<std::vector<RectF>> inputs;
+  for (uint64_t i = 0; i < k; ++i) {
+    auto rects = UniformRects(n, region, mean_size, seed + i);
+    std::sort(rects.begin(), rects.end(), OrderByYLo());
+    inputs.push_back(std::move(rects));
+  }
+  return inputs;
+}
+
+/// Writes k-way `inputs` as datasets; returns them with their combined
+/// extent.
+std::vector<DatasetRef> MakeKWayInputs(
+    TestDisk* td, const std::vector<std::vector<RectF>>& inputs,
+    std::vector<std::unique_ptr<Pager>>* keep, RectF* extent) {
+  std::vector<DatasetRef> refs;
+  *extent = RectF::Empty();
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    refs.push_back(MakeDataset(td, inputs[k], "in" + std::to_string(k), keep));
+    extent->ExtendTo(refs.back().extent);
+  }
+  return refs;
+}
+
+std::vector<std::vector<ObjectId>> SortedTuples(
+    std::vector<std::vector<ObjectId>> tuples) {
+  std::sort(tuples.begin(), tuples.end());
+  return tuples;
+}
+
 TEST(ParallelJoin, PBSMDeterministicAcrossThreadCounts) {
   const RectF region(0, 0, 500, 500);
   // Memory small enough to force several partitions, so the pool has
@@ -98,11 +153,7 @@ TEST(ParallelJoin, PBSMDeterministicAcrossThreadCounts) {
 TEST(ParallelJoin, PBSMOverflowPathDeterministic) {
   // Everything in one hot tile: the overflow (external sort) branch must
   // also be shard-deterministic.
-  const RectF spot(50, 50, 51, 51);
-  auto a = UniformRects(3000, spot, 0.1f, 23);
-  auto b = UniformRects(3000, spot, 0.1f, 24);
-  a.push_back(RectF(0, 0, 0.1f, 0.1f, 400000));
-  b.push_back(RectF(99, 99, 99.1f, 99.1f, 400001));
+  const auto [a, b] = HotSpotInputs();
   auto pbsm = [](const DatasetRef& da, const DatasetRef& db, DiskModel* disk,
                  const JoinOptions& options, JoinSink* sink) {
     return PBSMJoin(da, db, disk, options, sink);
@@ -140,32 +191,17 @@ TEST(ParallelJoin, SSSJStripDeterministicAcrossThreadCounts) {
   }
 }
 
-std::vector<std::vector<ObjectId>> SortedTuples(
-    std::vector<std::vector<ObjectId>> tuples) {
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
-}
-
 TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
-  const RectF region(0, 0, 200, 200);
   // Three inputs with enough overlap for a nontrivial 3-way result.
-  std::vector<std::vector<RectF>> inputs;
-  for (uint64_t k = 0; k < 3; ++k) {
-    auto rects = UniformRects(1500, region, 6.0f, 31 + k);
-    std::sort(rects.begin(), rects.end(), OrderByYLo());
-    inputs.push_back(std::move(rects));
-  }
+  const auto inputs =
+      SortedUniformInputs(3, 1500, RectF(0, 0, 200, 200), 6.0f, 31);
 
   auto run = [&](uint32_t threads) {
     TestDisk td;
     std::vector<std::unique_ptr<Pager>> keep;
-    std::vector<DatasetRef> refs;
-    RectF extent = RectF::Empty();
-    for (size_t k = 0; k < inputs.size(); ++k) {
-      refs.push_back(
-          MakeDataset(&td, inputs[k], "in" + std::to_string(k), &keep));
-      extent.ExtendTo(refs.back().extent);
-    }
+    RectF extent;
+    const std::vector<DatasetRef> refs =
+        MakeKWayInputs(&td, inputs, &keep, &extent);
     JoinOptions options;
     options.num_threads = threads;
     CollectingTupleSink sink;
@@ -187,13 +223,9 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
   // The strip decomposition must agree with the serial left-deep chain.
   TestDisk td;
   std::vector<std::unique_ptr<Pager>> keep;
-  std::vector<DatasetRef> refs;
-  RectF extent = RectF::Empty();
-  for (size_t k = 0; k < inputs.size(); ++k) {
-    refs.push_back(
-        MakeDataset(&td, inputs[k], "in" + std::to_string(k), &keep));
-    extent.ExtendTo(refs.back().extent);
-  }
+  RectF extent;
+  const std::vector<DatasetRef> refs =
+      MakeKWayInputs(&td, inputs, &keep, &extent);
   std::vector<std::unique_ptr<SortedStreamSource>> sources;
   std::vector<SortedRectSource*> source_ptrs;
   for (const DatasetRef& ref : refs) {
@@ -205,6 +237,224 @@ TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
                                          JoinOptions(), &chain_sink);
   ASSERT_TRUE(chain_stats.ok());
   EXPECT_EQ(SortedTuples(serial.first), SortedTuples(chain_sink.tuples()));
+}
+
+TEST(ParallelJoin, InlineUnitsCountTheirCpuOnce) {
+  // A shared pool without workers runs every unit on the calling thread,
+  // whose own clock already covers it: the reported CPU stays within the
+  // calling thread's CPU over the call instead of counting units twice.
+  ThreadPool inline_pool(0);
+  const auto inputs =
+      SortedUniformInputs(3, 20000, RectF(0, 0, 1000, 1000), 2.0f, 41);
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  RectF extent;
+  const std::vector<DatasetRef> refs =
+      MakeKWayInputs(&td, inputs, &keep, &extent);
+  JoinOptions options;
+  options.num_threads = 4;
+  options.worker_pool = &inline_pool;
+  options.memory_bytes = 256u << 10;
+
+  auto expect_cpu_once = [](const char* what, double reported,
+                            double caller) {
+    EXPECT_LE(reported, 1.1 * caller)
+        << what << ": reported " << reported << " s, calling thread "
+        << caller << " s";
+  };
+  {
+    CountingSink sink;
+    ThreadCpuTimer cpu;
+    auto stats = PBSMJoin(refs[0], refs[1], &td.disk, options, &sink);
+    const double caller = cpu.Elapsed();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->partitions_total, 1u);
+    expect_cpu_once("PBSM", stats->host_cpu_seconds, caller);
+  }
+  {
+    CountingSink sink;
+    ThreadCpuTimer cpu;
+    auto stats = SSSJStripJoin(refs[0], refs[1], /*strips=*/16, &td.disk,
+                               options, &sink);
+    const double caller = cpu.Elapsed();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    expect_cpu_once("SSSJ strips", stats->host_cpu_seconds, caller);
+  }
+  {
+    CountingTupleSink sink;
+    ThreadCpuTimer cpu;
+    auto stats = MultiwayJoinStreams(refs, extent, &td.disk, options, &sink);
+    const double caller = cpu.Elapsed();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(sink.count(), 0u);
+    expect_cpu_once("multiway strips", stats->host_cpu_seconds, caller);
+  }
+}
+
+TEST(ParallelJoin, RecordsFarOutsideTheExtentReachTheirUnits) {
+  // A declared extent that does not cover the data: a's one record
+  // reaches x = 1e20. The strip and tile maps clamp such coordinates to
+  // their boundary units before the integer cast, so the record is
+  // replicated into every unit from its left edge on and its pairs are
+  // found.
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const std::vector<RectF> a = {RectF(10, 1, 1e20f, 2, 0)};
+  auto b = UniformRects(4000, RectF(0, 0, 100, 10), 0.5f, 51);
+  std::sort(b.begin(), b.end(), OrderByYLo());
+  DatasetRef da = MakeDataset(&td, a, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+  da.extent = RectF(0, 0, 100, 10);
+  const std::vector<IdPair> want = BruteForcePairs(a, b);
+  ASSERT_GT(want.size(), 0u);
+
+  for (const bool adaptive : {false, true}) {
+    JoinOptions options;
+    options.adaptive_partitioning = adaptive;
+    options.memory_bytes = 64u << 10;  // Several partitions.
+    CollectingSink sink;
+    auto stats = PBSMJoin(da, db, &td.disk, options, &sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->partitions_total, 1u);
+    EXPECT_EQ(Sorted(sink.pairs()), want) << "adaptive=" << adaptive;
+  }
+  {
+    CollectingSink sink;
+    auto stats =
+        SSSJStripJoin(da, db, /*strips=*/8, &td.disk, JoinOptions(), &sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(Sorted(sink.pairs()), want);
+  }
+  {
+    JoinOptions options;
+    options.num_threads = 2;
+    CollectingTupleSink sink;
+    auto stats = MultiwayJoinStreams({da, db}, da.extent, &td.disk, options,
+                                     &sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    std::vector<std::vector<ObjectId>> want_tuples;
+    for (const IdPair& pair : want) want_tuples.push_back({pair.a, pair.b});
+    EXPECT_EQ(SortedTuples(sink.tuples()), want_tuples);
+  }
+}
+
+/// Storage whose files named `prefix`...`suffix` fail: either Create()
+/// itself or every page write. Counts the failures it injected.
+class FaultyStorageFactory final : public StorageFactory {
+ public:
+  enum class Fault { kCreate, kWrite };
+
+  FaultyStorageFactory(std::string prefix, std::string suffix, Fault fault)
+      : prefix_(std::move(prefix)), suffix_(std::move(suffix)), fault_(fault) {}
+
+  Result<std::unique_ptr<StorageBackend>> Create(
+      const std::string& name) override {
+    const bool hit =
+        name.size() >= prefix_.size() + suffix_.size() &&
+        name.compare(0, prefix_.size(), prefix_) == 0 &&
+        name.compare(name.size() - suffix_.size(), suffix_.size(),
+                     suffix_) == 0;
+    if (!hit) return std::unique_ptr<StorageBackend>(new MemoryBackend());
+    if (fault_ == Fault::kCreate) {
+      injected_.fetch_add(1);
+      return Status::IoError("injected create failure: " + name);
+    }
+    return std::unique_ptr<StorageBackend>(new FailingWrites(&injected_));
+  }
+  std::string description() const override { return "faulty"; }
+
+  uint64_t injected() const { return injected_.load(); }
+
+ private:
+  class FailingWrites final : public MemoryBackend {
+   public:
+    explicit FailingWrites(std::atomic<uint64_t>* injected)
+        : injected_(injected) {}
+    Status WritePage(uint64_t, const void*) override {
+      injected_->fetch_add(1);
+      return Status::IoError("injected write failure");
+    }
+
+   private:
+    std::atomic<uint64_t>* injected_;
+  };
+
+  const std::string prefix_;
+  const std::string suffix_;
+  const Fault fault_;
+  std::atomic<uint64_t> injected_{0};
+};
+
+TEST(ParallelJoin, StorageFaultsUnwindEveryPartitionedPath) {
+  // At 48 KB the hot spot overflows, so PBSM writes its overflow
+  // scratch.
+  const auto [a, b] = HotSpotInputs();
+  const auto kway =
+      SortedUniformInputs(3, 1500, RectF(0, 0, 200, 200), 6.0f, 31);
+
+  // A fault spot: one unit file of side b, a unit's scratch, or every
+  // file of side b.
+  struct Spot {
+    const char* path;
+    const char* prefix;
+    const char* suffix;
+  };
+  const Spot spots[] = {
+      {"sssj", "sssj.strip.b.4", ""},
+      {"sssj", "sssj.strip.sorted", ""},
+      {"sssj", "sssj.strip.b.", ""},
+      {"pbsm", "pbsm.b.0", ""},
+      {"pbsm", "pbsm.overflow.", ""},
+      {"pbsm", "pbsm.b.", ""},
+      {"multiway", "multiway.strip.5.1", ""},
+      {"multiway", "multiway.strip.", ".1"},
+  };
+  using Fault = FaultyStorageFactory::Fault;
+  for (const Spot& spot : spots) {
+    for (const Fault fault : {Fault::kCreate, Fault::kWrite}) {
+      for (const uint32_t threads : {1u, 4u}) {
+        const std::string where =
+            std::string(spot.path) + " " + spot.prefix + "*" + spot.suffix +
+            (fault == Fault::kCreate ? " create" : " write") +
+            " threads=" + std::to_string(threads);
+        auto storage =
+            std::make_shared<FaultyStorageFactory>(spot.prefix, spot.suffix,
+                                                   fault);
+        TestDisk td;
+        std::vector<std::unique_ptr<Pager>> keep;
+        JoinOptions options;
+        options.num_threads = threads;
+        options.storage = storage;
+        options.memory_bytes = 48u << 10;
+        MemoryArbiter arbiter(kMinMemoryBytes);
+        Status status;
+        const std::string path = spot.path;
+        if (path == "multiway") {
+          RectF extent;
+          const std::vector<DatasetRef> refs =
+              MakeKWayInputs(&td, kway, &keep, &extent);
+          CountingTupleSink sink;
+          status = MultiwayJoinStreams(refs, extent, &td.disk, options, &sink)
+                       .status();
+        } else {
+          const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+          const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+          CountingSink sink;
+          status = path == "sssj"
+                       ? SSSJStripJoin(da, db, /*strips=*/8, &td.disk,
+                                       options, &sink, &arbiter)
+                             .status()
+                       : PBSMJoin(da, db, &td.disk, options, &sink, nullptr,
+                                  nullptr, &arbiter)
+                             .status();
+        }
+        EXPECT_GT(storage->injected(), 0u) << where;
+        EXPECT_EQ(status.code(), StatusCode::kIoError)
+            << where << ": " << status.ToString();
+        EXPECT_EQ(arbiter.in_use(), 0u) << where;
+      }
+    }
+  }
 }
 
 }  // namespace
