@@ -12,26 +12,42 @@
 
 namespace sj {
 
-// The mutex guards only the page *table*; the 8 KB copies run outside
-// it. Safe because a page's allocation is created once and never freed
-// or replaced while the backend lives (the table only grows, and vector
-// reallocation moves the unique_ptrs, not the blocks they own), so a
-// pointer fetched under the lock stays valid. Concurrent access to the
+Result<const uint8_t*> StorageBackend::ViewPage(uint64_t page,
+                                                uint8_t* scratch) {
+  SJ_RETURN_IF_ERROR(ReadPage(page, scratch));
+  return scratch;
+}
+
+// The mutex guards only the page *table*; the 8 KB copies and in-place
+// views run outside it. Safe because a page's allocation is created once
+// and never freed or replaced while the backend lives (the table only
+// grows, and vector reallocation moves the unique_ptrs, not the blocks
+// they own), so a pointer fetched under the lock stays valid: that is
+// also what keeps a ViewPage result valid. Concurrent access to the
 // *same* page's bytes remains the caller's contract, as before — this
 // only stops distinct-page readers and writers (parallel run formation,
 // parallel refinement) from serializing on one lock per 8 KB copy.
+const uint8_t* MemoryBackend::Block(uint64_t page) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return page < pages_.size() ? pages_[page].get() : nullptr;
+}
+
 Status MemoryBackend::ReadPage(uint64_t page, void* buf) {
-  const uint8_t* src = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (page < pages_.size()) src = pages_[page].get();
-  }
+  const uint8_t* src = Block(page);
   if (src == nullptr) {
     std::memset(buf, 0, kPageSize);
     return Status::OK();
   }
   std::memcpy(buf, src, kPageSize);
   return Status::OK();
+}
+
+Result<const uint8_t*> MemoryBackend::ViewPage(uint64_t page,
+                                               uint8_t* scratch) {
+  const uint8_t* src = Block(page);
+  if (src != nullptr) return src;
+  std::memset(scratch, 0, kPageSize);
+  return scratch;
 }
 
 Status MemoryBackend::WritePage(uint64_t page, const void* buf) {

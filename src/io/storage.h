@@ -30,6 +30,15 @@ class StorageBackend {
 
   /// Number of pages the file currently spans.
   virtual uint64_t PageCount() const = 0;
+
+  /// Returns page `page`'s kPageSize bytes for reading. The default reads
+  /// them into `scratch` (kPageSize bytes) with ReadPage and returns
+  /// `scratch`; a backend that already holds the page in memory returns a
+  /// pointer to it instead, so the caller reads the page in place. The
+  /// view stays valid until that page is rewritten or the backend is
+  /// destroyed, so view only pages that no longer change (a finished
+  /// stream's).
+  virtual Result<const uint8_t*> ViewPage(uint64_t page, uint8_t* scratch);
 };
 
 /// Heap-backed storage. The default for experiments: the simulated
@@ -50,8 +59,15 @@ class MemoryBackend : public StorageBackend {
     std::lock_guard<std::mutex> lock(mu_);
     return pages_.size();
   }
+  /// The page's own block, without a copy; a never-written page
+  /// zero-fills `scratch` and returns it. A later WritePage of the page
+  /// lands in the same block, so it shows through an earlier view.
+  Result<const uint8_t*> ViewPage(uint64_t page, uint8_t* scratch) override;
 
  private:
+  /// The page's block, or null for a page never written.
+  const uint8_t* Block(uint64_t page) const;
+
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<uint8_t[]>> pages_;
 };

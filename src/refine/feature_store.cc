@@ -64,15 +64,9 @@ Status FeatureStore::OutsideStore(ObjectId id) const {
 }
 
 Result<Segment> FeatureStore::Fetch(ObjectId id) const {
-  if (!Contains(id)) return OutsideStore(id);
-  const uint64_t index = id - base_id_;
-  uint8_t buf[kPageSize];
-  SJ_RETURN_IF_ERROR(pager_->ReadPage(
-      static_cast<PageId>(first_data_page_ + index / kRecordsPerPage), buf));
-  Segment out;
-  std::memcpy(&out, buf + (index % kRecordsPerPage) * sizeof(Segment),
-              sizeof(Segment));
-  return out;
+  std::vector<Segment> out;
+  SJ_RETURN_IF_ERROR(FetchBatch(Span<const ObjectId>(&id, 1), &out).status());
+  return out[0];
 }
 
 namespace {
@@ -133,7 +127,8 @@ Result<uint64_t> FeatureStore::FetchBatch(Span<const ObjectId> ids,
   const size_t base = out->size();
   out->resize(base + ids.size());
   Segment* slots = out->data() + base;
-  uint8_t page[kPageSize];
+  // Backs the view only where the backend cannot read in place.
+  uint8_t scratch[kPageSize];
   uint64_t pages_read = 0;
   size_t k = 0;
   while (k < keys.size()) {
@@ -154,8 +149,9 @@ Result<uint64_t> FeatureStore::FetchBatch(Span<const ObjectId> ids,
     WallTimer wall;
     while (k < end) {
       const uint64_t p = PageOfKey(keys[k]);
-      SJ_RETURN_IF_ERROR(
-          pager_->backend()->ReadPage(first_data_page_ + p, page));
+      SJ_ASSIGN_OR_RETURN(
+          const uint8_t* page,
+          pager_->backend()->ViewPage(first_data_page_ + p, scratch));
       for (; k < end && PageOfKey(keys[k]) == p; ++k) {
         std::memcpy(&slots[keys[k] & 0xFFFFFFFFu],
                     page + (IndexOfKey(keys[k]) % kRecordsPerPage) *

@@ -66,26 +66,29 @@ class FeatureStore {
   }
   Pager* pager() const { return pager_; }
 
-  /// One record, charged to the store's pager as a single-page read.
+  /// One record, charged to the store's pager as a single-page read: a
+  /// FetchBatch of one id.
   Result<Segment> Fetch(ObjectId id) const;
 
   /// Scratch FetchBatch holds per id: a (record, output slot) key and
   /// its copy in the radix pass that groups the keys by page.
   static constexpr size_t kFetchBytesPerId = 2 * sizeof(uint64_t);
-  /// Scratch FetchBatch holds per call: the one page buffer and the radix
+  /// Scratch FetchBatch holds per call: the one page buffer (it backs
+  /// the page views of backends that cannot read in place) and the radix
   /// pass's 257 digit counts.
   static constexpr size_t kFetchFixedBytes =
       kPageSize + 257 * sizeof(uint32_t);
 
   /// Gathers the geometry of every id in `ids` (appended to `out` in
   /// input order; duplicates allowed). Every id is validated before any
-  /// I/O is charged. Each distinct page is then read once, in ascending
-  /// page order, through one page-sized buffer, and each record is copied
-  /// straight to its output slot. Consecutive pages are charged as one
-  /// request of up to kStreamBlockPages pages, so ids that cluster on
-  /// disk read at partially-streaming cost. Besides `out` the call holds
-  /// kFetchBytesPerId bytes per id and kFetchFixedBytes. Returns the
-  /// number of data pages read.
+  /// I/O is charged. Each distinct page is then viewed once, in ascending
+  /// page order (StorageBackend::ViewPage: in place on a memory backend,
+  /// through one page-sized buffer otherwise), and each record is copied
+  /// straight from the view to its output slot. Consecutive pages are
+  /// charged as one request of up to kStreamBlockPages pages, so ids that
+  /// cluster on disk read at partially-streaming cost. Besides `out` the
+  /// call holds kFetchBytesPerId bytes per id and kFetchFixedBytes.
+  /// Returns the number of data pages read.
   ///
   /// When `charge` is null the store's own pager (and DiskModel) is
   /// charged. Otherwise page bytes are read directly from the backing

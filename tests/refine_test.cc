@@ -1,7 +1,8 @@
 // The refinement subsystem: paged FeatureStore semantics and cost
 // accounting, the chunked refinement executor's correctness, page reads
-// per chunk and thread-count/backend invariance, and the refine option
-// end to end through JoinQuery (two-way and multiway).
+// per chunk, thread-count/backend invariance, concurrent runs over one
+// store pair, read faults, and the refine option end to end through
+// JoinQuery (two-way and multiway).
 
 #include "refine/refine.h"
 
@@ -9,11 +10,13 @@
 
 #include <cstring>
 #include <optional>
+#include <thread>
 
 #include "core/join_query.h"
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
 #include "refine/feature_store.h"
+#include "service/spatial_service.h"
 #include "test_util.h"
 
 namespace sj {
@@ -21,6 +24,7 @@ namespace {
 
 using testing_util::BruteForceExactPairs;
 using testing_util::BruteForcePairs;
+using testing_util::FailingBackend;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
@@ -161,6 +165,73 @@ TEST(FeatureStore, OpenRejectsHeaderClaimingMissingPages) {
       << opened.status().ToString();
 }
 
+// A feature page that cannot be read ends the fetch, the refinement and
+// the refining query in IoError: no abort, and every grant comes back.
+TEST(Refine, ReadFaultsEndInIoError) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 100, 100);
+  const auto a = UniformRects(600, region, 3.0f, 81);
+  const auto b = UniformRects(500, region, 3.0f, 82);
+  auto failing = std::make_unique<FailingBackend>();
+  FailingBackend* faults = failing.get();
+  Pager pager_a(std::move(failing), &td.disk, "geom.a");
+  auto pager_b = td.NewPager("geom.b");
+  auto store_a = FeatureStore::Build(&pager_a, SegmentsForRects(a), "a");
+  auto store_b = FeatureStore::Build(pager_b.get(), SegmentsForRects(b), "b");
+  ASSERT_TRUE(store_a.ok() && store_b.ok());
+  faults->fail_reads = true;
+
+  std::vector<Segment> out;
+  EXPECT_EQ(store_a->FetchBatch({ObjectId{0}, ObjectId{599}}, &out)
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(store_a->Fetch(7).status().code(), StatusCode::kIoError);
+
+  // The executor on an arbiter the test holds.
+  const std::vector<IdPair> candidates = BruteForcePairs(a, b);
+  ASSERT_FALSE(candidates.empty());
+  MemoryArbiter arbiter(kMinMemoryBytes, /*strict=*/true);
+  CollectingSink sink;
+  auto refined = RefinePairs(candidates, *store_a, *store_b, JoinOptions(),
+                             &sink, PredicateSpec{}, &arbiter);
+  EXPECT_EQ(refined.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(arbiter.in_use(), 0u);
+
+  const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  JoinQuery query(joiner);
+  query.Input(JoinInput::FromStream(da))
+      .Input(JoinInput::FromStream(db))
+      .WithFeatures(0, &*store_a)
+      .WithFeatures(1, &*store_b)
+      .Refine(true);
+  CollectingSink standalone;
+  auto stats = query.Run(&standalone);
+  EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+      << stats.status().ToString();
+
+  // Through a service the query runs on an arbiter carved from the
+  // service's: the carve comes back whole only once every grant of the
+  // query's arbiter is released, and the service admits the next query.
+  SpatialService service{ServiceOptions()};
+  CollectingSink served;
+  stats = service.Run(query, &served);
+  EXPECT_EQ(stats.status().code(), StatusCode::kIoError)
+      << stats.status().ToString();
+  EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+  faults->fail_reads = false;
+  CollectingSink next;
+  stats = service.Run(query, &next);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(Sorted(next.pairs()),
+            BruteForceExactPairs(a, b, SegmentsForRects(a),
+                                 SegmentsForRects(b)));
+  EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+}
+
 /// A FeatureStore on a memory pager or on a real file.
 struct StoreOnBackend {
   std::unique_ptr<Pager> pager;
@@ -244,6 +315,58 @@ TEST(Refine, PairsMatchBruteForceAcrossThreadsAndBackends) {
         EXPECT_EQ(stats->pages_read, reference.pages_read) << variant;
         EXPECT_TRUE(SameDiskStats(stats->disk, reference.disk)) << variant;
       }
+    }
+  }
+}
+
+// Concurrent refinements over one shared store pair, as the service's
+// concurrent windows run them: each run views the stores' pages (in place
+// on memory, through its own scratch page on file) and charges its own
+// DiskModel, so every run matches the single-threaded one exactly.
+TEST(Refine, ConcurrentRunsShareOneStorePair) {
+  TestDisk td;
+  const RectF region(0, 0, 200, 200);
+  const auto a = UniformRects(1500, region, 5.0f, 91);
+  const auto b = UniformRects(1400, region, 6.0f, 92);
+  const std::vector<IdPair> candidates = BruteForcePairs(a, b);
+  JoinOptions options;
+  options.memory_bytes = kMinMemoryBytes;  // Several chunks per run.
+  ASSERT_GT(candidates.size(),
+            2 * RefineChunkCandidates(RefineGrantBytes(kMinMemoryBytes)));
+  auto files = TmpFileStorageFactory::Make();
+  ASSERT_TRUE(files.ok()) << files.status().ToString();
+  for (StorageFactory* storage : {static_cast<StorageFactory*>(nullptr),
+                                  static_cast<StorageFactory*>(files->get())}) {
+    const std::string backend = storage == nullptr ? "memory" : "file";
+    const StoreOnBackend sa =
+        BuildStore(&td, storage, SegmentsForRects(a), "geom.a");
+    const StoreOnBackend sb =
+        BuildStore(&td, storage, SegmentsForRects(b), "geom.b");
+    ASSERT_TRUE(sa.store && sb.store) << backend;
+    CollectingSink reference_sink;
+    auto reference = RefinePairs(candidates, *sa.store, *sb.store, options,
+                                 &reference_sink);
+    ASSERT_TRUE(reference.ok()) << backend << ": "
+                                << reference.status().ToString();
+
+    constexpr int kThreads = 4;
+    std::vector<CollectingSink> sinks(kThreads);
+    std::vector<std::optional<Result<RefineStats>>> runs(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        runs[t].emplace(RefinePairs(candidates, *sa.store, *sb.store,
+                                    options, &sinks[t]));
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      const std::string where = backend + ", thread " + std::to_string(t);
+      const Result<RefineStats>& run = *runs[t];
+      ASSERT_TRUE(run.ok()) << where << ": " << run.status().ToString();
+      EXPECT_EQ(sinks[t].pairs(), reference_sink.pairs()) << where;
+      EXPECT_EQ(run->pages_read, reference->pages_read) << where;
+      EXPECT_TRUE(SameDiskStats(run->disk, reference->disk)) << where;
     }
   }
 }

@@ -8,9 +8,12 @@
 
 #include "io/pager.h"
 #include "io/stream.h"
+#include "test_util.h"
 
 namespace sj {
 namespace {
+
+using testing_util::FailingBackend;
 
 void FillPattern(uint8_t* buf, uint8_t seed) {
   for (size_t i = 0; i < kPageSize; ++i) {
@@ -44,6 +47,70 @@ TEST(MemoryBackend, UnwrittenPagesReadAsZero) {
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r[i], 0);
   ASSERT_TRUE(backend.ReadPage(100, r).ok());  // Past the end.
   for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(r[i], 0);
+}
+
+// --- ViewPage: in place on memory, through the scratch page elsewhere --
+
+TEST(MemoryBackend, ViewPageReadsInPlace) {
+  MemoryBackend backend;
+  uint8_t w[kPageSize];
+  FillPattern(w, 5);
+  ASSERT_TRUE(backend.WritePage(3, w).ok());
+  uint8_t scratch[kPageSize];
+  std::memset(scratch, 0xAA, kPageSize);
+  Result<const uint8_t*> view = backend.ViewPage(3, scratch);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_NE(*view, scratch);
+  EXPECT_EQ(std::memcmp(*view, w, kPageSize), 0);
+  for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ(scratch[i], 0xAA);
+
+  // Never-written pages, a hole below the write and one past the end,
+  // view as zeros.
+  for (uint64_t page : {uint64_t{1}, uint64_t{100}}) {
+    Result<const uint8_t*> hole = backend.ViewPage(page, scratch);
+    ASSERT_TRUE(hole.ok()) << page;
+    for (size_t i = 0; i < kPageSize; ++i) ASSERT_EQ((*hole)[i], 0) << page;
+  }
+
+  // The view is the page itself until the backend dies: a later write of
+  // the page shows through it.
+  uint8_t rewrite[kPageSize];
+  FillPattern(rewrite, 9);
+  ASSERT_TRUE(backend.WritePage(3, rewrite).ok());
+  EXPECT_EQ(std::memcmp(*view, rewrite, kPageSize), 0);
+}
+
+/// The default ViewPage: ReadPage fills `scratch`, which is returned.
+void ViewsThroughScratch(StorageBackend* backend) {
+  uint8_t w[kPageSize];
+  FillPattern(w, 11);
+  ASSERT_TRUE(backend->WritePage(2, w).ok());
+  uint8_t scratch[kPageSize];
+  std::memset(scratch, 0xAA, kPageSize);
+  Result<const uint8_t*> view = backend->ViewPage(2, scratch);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(*view, scratch);
+  EXPECT_EQ(std::memcmp(scratch, w, kPageSize), 0);
+}
+
+TEST(FileBackend, ViewPageReadsThroughScratch) {
+  const std::string path = ::testing::TempDir() + "/usj_storage_view.bin";
+  std::filesystem::remove(path);
+  {
+    std::unique_ptr<FileBackend> backend;
+    ASSERT_TRUE(FileBackend::Open(path, &backend).ok());
+    ViewsThroughScratch(backend.get());
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(FailingBackend, ViewPageReadsThroughScratchAndFailsWithReads) {
+  FailingBackend backend;
+  ViewsThroughScratch(&backend);
+  backend.fail_reads = true;
+  uint8_t scratch[kPageSize];
+  EXPECT_EQ(backend.ViewPage(2, scratch).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(FileBackend, RoundTripAndReopen) {
@@ -235,25 +302,6 @@ TEST(MakePager, NullFactoryMeansMemory) {
 }
 
 // --- StreamWriter error paths ------------------------------------------
-
-/// Backend whose writes start failing on demand — drives the stream
-/// writer's sticky-error and abandon paths.
-class FailingBackend final : public StorageBackend {
- public:
-  Status ReadPage(uint64_t page, void* buf) override {
-    return inner_.ReadPage(page, buf);
-  }
-  Status WritePage(uint64_t page, const void* buf) override {
-    if (fail_writes) return Status::IoError("injected write failure");
-    return inner_.WritePage(page, buf);
-  }
-  uint64_t PageCount() const override { return inner_.PageCount(); }
-
-  bool fail_writes = false;
-
- private:
-  MemoryBackend inner_;
-};
 
 TEST(StreamWriter, FinishSurfacesDeferredFlushError) {
   DiskModel disk(MachineModel::Machine3());

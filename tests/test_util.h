@@ -32,6 +32,29 @@ struct TestDisk {
   DiskModel disk;
 };
 
+/// A memory-held file whose writes or reads start failing on demand: it
+/// drives the error paths of every writer and reader above the storage
+/// layer. It does not read in place, so its ViewPage is the default one
+/// and fails with its ReadPage.
+class FailingBackend final : public StorageBackend {
+ public:
+  Status ReadPage(uint64_t page, void* buf) override {
+    if (fail_reads) return Status::IoError("injected read failure");
+    return inner_.ReadPage(page, buf);
+  }
+  Status WritePage(uint64_t page, const void* buf) override {
+    if (fail_writes) return Status::IoError("injected write failure");
+    return inner_.WritePage(page, buf);
+  }
+  uint64_t PageCount() const override { return inner_.PageCount(); }
+
+  bool fail_writes = false;
+  bool fail_reads = false;
+
+ private:
+  MemoryBackend inner_;
+};
+
 /// Writes rects as a stream on a fresh pager and returns the DatasetRef.
 DatasetRef MakeDataset(TestDisk* td, const std::vector<RectF>& rects,
                        const std::string& name,
