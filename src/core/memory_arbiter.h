@@ -107,7 +107,7 @@ struct MemoryComponentStats {
 
 /// The per-query memory governor: one fixed budget carved into explicit,
 /// tracked grants. Every memory-consuming component of a join — external
-/// sort run buffers, external PQ heaps, sweep structures, PBSM
+/// sort run buffers, PQ traversal queues, sweep structures, PBSM
 /// distribution writers and partition loads, the ST buffer pool,
 /// refinement chunks, R-tree bulk-load buffers — acquires its share
 /// here instead of interpreting JoinOptions::memory_bytes ad hoc, so the

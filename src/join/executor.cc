@@ -428,49 +428,6 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
     chain_grant = plan.arbiter->AcquireShrinkable(
         grants::kSweep, plan.arbiter->budget() / 2, /*floor_bytes=*/0);
   }
-  auto note_chain = [&chain_grant](const MultiwayStats& stats) {
-    chain_grant.NoteUsage(stats.max_bytes);
-  };
-  if (plan.options.num_threads > 1) {
-    // Parallel path: materialize every prepared source as a y-sorted
-    // stream (index traversals included), then strip-partition the
-    // domain and join strips on the worker pool. The serial chain reads
-    // its sources lazily inside its own measurement, so the
-    // materialization pass here is measured too and folded into the
-    // returned stats — the counters must cover exactly the algorithm's
-    // own work either way.
-    JoinMeasurement materialize_measurement(plan.disk);
-    std::vector<std::unique_ptr<Pager>> stream_pagers;
-    std::vector<DatasetRef> streams;
-    stream_pagers.reserve(prepared.size());
-    streams.reserve(prepared.size());
-    for (size_t i = 0; i < prepared.size(); ++i) {
-      SJ_ASSIGN_OR_RETURN(
-          auto pager,
-          MakePager(plan.options.storage.get(), plan.disk,
-                    "multiway.materialized." + std::to_string(i)));
-      StreamWriter<RectF> writer(pager.get());
-      const PageId first = writer.first_page();
-      while (std::optional<RectF> r = prepared[i].source->Next()) {
-        writer.Append(*r);
-      }
-      SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-      DatasetRef ref;
-      ref.range = StreamRange{pager.get(), first, n};
-      ref.extent = plan.inputs[i].extent();
-      streams.push_back(ref);
-      stream_pagers.push_back(std::move(pager));
-    }
-    const JoinStats materialize = materialize_measurement.Finish();
-    SJ_ASSIGN_OR_RETURN(
-        MultiwayStats stats,
-        MultiwayJoinStreams(streams, extent, plan.disk, plan.options, sink));
-    stats.disk += materialize.disk;
-    stats.host_cpu_seconds += materialize.host_cpu_seconds + sort_worker_cpu;
-    stats.candidate_count = stats.output_count;
-    note_chain(stats);
-    return stats;
-  }
   std::vector<SortedRectSource*> sources;
   sources.reserve(prepared.size());
   for (PreparedSource& p : prepared) sources.push_back(p.source.get());
@@ -479,7 +436,7 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
       MultiwayJoinSources(sources, extent, plan.disk, plan.options, sink));
   stats.host_cpu_seconds += sort_worker_cpu;
   stats.candidate_count = stats.output_count;
-  note_chain(stats);
+  chain_grant.NoteUsage(stats.max_bytes);
   return stats;
 }
 

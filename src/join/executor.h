@@ -251,10 +251,11 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
 
 /// The k-way filter execution (§4's extension): every plan.inputs entry
 /// becomes a sorted source (selective index traversals included) feeding
-/// the left-deep chain of lazy PQ sweeps — or, with options.num_threads >
-/// 1, the strip-parallel path over materialized streams. Algorithm
-/// dispatch does not apply (the chain is the only k-way execution), which
-/// is why this is a free function rather than a registry entry.
+/// the left-deep chain of lazy PQ sweeps. options.num_threads reaches only
+/// the stream inputs' run formation, so output and modeled I/O are the
+/// same at every thread count. Algorithm dispatch does not apply (the
+/// chain is the only k-way execution), which is why this is a free
+/// function rather than a registry entry.
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink);
 

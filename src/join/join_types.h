@@ -85,7 +85,7 @@ struct JoinOptions {
   /// write and one read pass over each input.
   bool fuse_merge_sweep = false;
   /// Worker threads for the parallel phases (PBSM partition pairs, SSSJ
-  /// strips, multiway strips, external-sort run formation). 1 = serial.
+  /// strips, external-sort run formation). 1 = serial.
   /// Each parallel unit runs against a private DiskModel shard and a
   /// private sink that are merged in unit order afterwards, so output
   /// pairs and modeled I/O stats are identical for every value of this
@@ -283,25 +283,6 @@ class CollectingSink final : public JoinSink {
 
  private:
   std::vector<IdPair> pairs_;
-};
-
-/// Writes results as an IdPair stream (charged output I/O).
-class StreamSink final : public JoinSink {
- public:
-  explicit StreamSink(Pager* pager) : pager_(pager), writer_(pager) {}
-
-  void Emit(ObjectId a, ObjectId b) override { writer_.Append({a, b}); }
-
-  /// Flushes and returns the written range.
-  Result<StreamRange> Finish() {
-    const PageId first = writer_.first_page();
-    SJ_ASSIGN_OR_RETURN(uint64_t n, writer_.Finish());
-    return StreamRange{pager_, first, n};
-  }
-
- private:
-  Pager* pager_ = nullptr;
-  StreamWriter<IdPair> writer_;
 };
 
 /// RAII measurement scope: snapshots the disk stats and CPU clock, and

@@ -6,8 +6,6 @@
 #include <sstream>
 #include <string>
 
-#include "join/partitioned.h"
-#include "join/strip_map.h"
 #include "sweep/sweep_join.h"
 #include "util/logging.h"
 
@@ -141,64 +139,6 @@ class PairSourceImpl final : public PairSourceBase {
   std::vector<IdPair> pairs_;
 };
 
-struct ChainRunStats {
-  uint64_t output_count = 0;
-  size_t max_bytes = 0;
-};
-
-/// The left-deep chain shared by the serial and per-strip parallel paths:
-/// ((in0 x in1) x in2) x ...; all but the last stage are lazy pair
-/// sources. `accept(ra, rb)` filters final results before expansion (the
-/// parallel path uses it for the strip reference-point test); `ra` is the
-/// running intersection of inputs 0..k-2, so max(ra.xlo, rb.xlo) is the
-/// left edge of the full k-way intersection.
-template <typename Accept>
-ChainRunStats RunMultiwayChain(const std::vector<SortedRectSource*>& inputs,
-                               const RectF& extent, const JoinOptions& options,
-                               TupleSink* sink, Accept&& accept) {
-  std::vector<std::unique_ptr<PairSourceBase>> chain;
-  SortedRectSource* left = inputs[0];
-  for (size_t i = 1; i + 1 < inputs.size(); ++i) {
-    chain.push_back(MakePairSource(left, inputs[i], options.stream_sweep,
-                                   extent, options.striped_strips));
-    left = chain.back().get();
-  }
-  SortedRectSource* right = inputs.back();
-
-  // Expands a composite id from chain stage `depth` (0 = raw input 0).
-  std::vector<ObjectId> tuple;
-  auto expand = [&](auto&& self, size_t depth, ObjectId id) -> void {
-    if (depth == 0) {
-      tuple.push_back(id);
-      return;
-    }
-    const IdPair& p = chain[depth - 1]->pairs()[id];
-    self(self, depth - 1, p.a);
-    tuple.push_back(p.b);
-  };
-
-  ChainRunStats stats;
-  auto emit = [&](const RectF& ra, const RectF& rb) {
-    if (!accept(ra, rb)) return;
-    tuple.clear();
-    expand(expand, chain.size(), ra.id);
-    tuple.push_back(rb.id);
-    sink->Emit(tuple);
-    stats.output_count++;
-  };
-  struct Adapter {
-    SortedRectSource* s;
-    std::optional<RectF> Next() { return s->Next(); }
-  } sa{left}, sb{right};
-  auto probe = [&]() {
-    stats.max_bytes =
-        std::max(stats.max_bytes, left->MemoryBytes() + right->MemoryBytes());
-  };
-  SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips, sa,
-                    sb, emit, probe);
-  return stats;
-}
-
 }  // namespace
 
 std::unique_ptr<PairSourceBase> MakePairSource(SortedRectSource* a,
@@ -221,77 +161,51 @@ Result<MultiwayStats> MultiwayJoinSources(
   }
   JoinMeasurement measurement(disk);
 
-  const ChainRunStats run = RunMultiwayChain(
-      inputs, extent, options, sink,
-      [](const RectF&, const RectF&) { return true; });
+  // ((in0 x in1) x in2) x ...: all but the last stage are lazy pair
+  // sources.
+  std::vector<std::unique_ptr<PairSourceBase>> chain;
+  SortedRectSource* left = inputs[0];
+  for (size_t i = 1; i + 1 < inputs.size(); ++i) {
+    chain.push_back(MakePairSource(left, inputs[i], options.stream_sweep,
+                                   extent, options.striped_strips));
+    left = chain.back().get();
+  }
+  SortedRectSource* right = inputs.back();
+
+  // Expands a composite id from chain stage `depth` (0 = raw input 0).
+  std::vector<ObjectId> tuple;
+  auto expand = [&](auto&& self, size_t depth, ObjectId id) -> void {
+    if (depth == 0) {
+      tuple.push_back(id);
+      return;
+    }
+    const IdPair& p = chain[depth - 1]->pairs()[id];
+    self(self, depth - 1, p.a);
+    tuple.push_back(p.b);
+  };
 
   MultiwayStats stats;
+  auto emit = [&](const RectF& ra, const RectF& rb) {
+    tuple.clear();
+    expand(expand, chain.size(), ra.id);
+    tuple.push_back(rb.id);
+    sink->Emit(tuple);
+    stats.output_count++;
+  };
+  struct Adapter {
+    SortedRectSource* s;
+    std::optional<RectF> Next() { return s->Next(); }
+  } sa{left}, sb{right};
+  auto probe = [&]() {
+    stats.max_bytes =
+        std::max(stats.max_bytes, left->MemoryBytes() + right->MemoryBytes());
+  };
+  SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips, sa,
+                    sb, emit, probe);
+
   const JoinStats base = measurement.Finish();
   stats.host_cpu_seconds = base.host_cpu_seconds;
   stats.disk = base.disk;
-  stats.output_count = run.output_count;
-  stats.max_bytes = run.max_bytes;
-  return stats;
-}
-
-Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
-                                          const RectF& extent, DiskModel* disk,
-                                          const JoinOptions& options,
-                                          TupleSink* sink) {
-  if (inputs.size() < 2) {
-    return Status::InvalidArgument("multiway join needs at least 2 inputs");
-  }
-  JoinMeasurement measurement(disk);
-  const StripMap map(extent, kMultiwayStrips);
-
-  // Inputs are y-sorted and distribution preserves order, so each strip
-  // file is itself a valid sorted source.
-  std::vector<StreamRange> ranges;
-  for (const DatasetRef& input : inputs) ranges.push_back(input.range);
-  SJ_ASSIGN_OR_RETURN(
-      PartitionedJoin join,
-      PartitionedJoin::Distribute(
-          ranges, map.strips(),
-          [&map](const RectF& r, std::vector<uint32_t>* out) {
-            map.StripsOf(r, out);
-          },
-          [](size_t input, uint32_t strip) {
-            return "multiway.strip." + std::to_string(strip) + "." +
-                   std::to_string(input);
-          },
-          /*block_pages=*/4, options.storage.get(), disk));
-
-  // One chain per strip; a tuple is reported only in the strip owning
-  // the left edge of its full k-way intersection.
-  auto join_strip = [&](uint64_t s, PartitionUnit& unit,
-                        TupleSink* out) -> Status {
-    std::vector<std::unique_ptr<SortedStreamSource>> sources;
-    std::vector<SortedRectSource*> source_ptrs;
-    for (const StreamRange& input : unit.inputs) {
-      sources.push_back(std::make_unique<SortedStreamSource>(input));
-      source_ptrs.push_back(sources.back().get());
-    }
-    const ChainRunStats run = RunMultiwayChain(
-        source_ptrs, extent, options, out,
-        [&](const RectF& ra, const RectF& rb) {
-          return map.StripOf(std::max(ra.xlo, rb.xlo)) == s;
-        });
-    unit.output = run.output_count;
-    unit.max_bytes = run.max_bytes;
-    return Status::OK();
-  };
-  SJ_ASSIGN_OR_RETURN(
-      PartitionedTotals totals,
-      join.Run<CollectingTupleSink>(options, /*arbiter=*/nullptr,
-                                    /*unit_budget=*/0, sink, join_strip));
-
-  JoinStats base = measurement.Finish();
-  totals.AddTo(&base);
-  MultiwayStats stats;
-  stats.host_cpu_seconds = base.host_cpu_seconds;
-  stats.disk = base.disk;
-  stats.output_count = base.output_count;
-  stats.max_bytes = base.max_sweep_bytes;
   return stats;
 }
 

@@ -36,10 +36,6 @@ class CollectingTupleSink final : public TupleSink {
     tuples_.push_back(tuple);
   }
   const std::vector<std::vector<ObjectId>>& tuples() const { return tuples_; }
-  /// Emits the collected tuples into `sink`, in order.
-  void ReplayTo(TupleSink* sink) const {
-    for (const std::vector<ObjectId>& tuple : tuples_) sink->Emit(tuple);
-  }
 
  private:
   std::vector<std::vector<ObjectId>> tuples_;
@@ -95,28 +91,13 @@ std::ostream& operator<<(std::ostream& os, const MultiwayStats& stats);
 
 /// k-way intersection join (k >= 2): reports every k-tuple of objects, one
 /// per input, whose MBRs have a common intersection point. Evaluated as a
-/// left-deep chain of lazy PQ sweeps; no intermediate result is
-/// materialized on disk.
+/// left-deep chain of lazy PQ sweeps, each feeding the next (§4); no
+/// intermediate result is materialized on disk. The chain is the k-way
+/// join's one plan and runs on the calling thread, so its output order
+/// and modeled I/O do not depend on options.num_threads.
 Result<MultiwayStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
     DiskModel* disk, const JoinOptions& options, TupleSink* sink);
-
-/// Vertical strips of the parallel multiway path. Fixed (instead of
-/// derived from num_threads) so the decomposition — and with it the
-/// result order and modeled I/O — does not change with the thread count.
-inline constexpr uint32_t kMultiwayStrips = 64;
-
-/// Parallel k-way intersection join over *materialized y-sorted streams*:
-/// the sweep domain is cut into kMultiwayStrips vertical strips,
-/// each strip runs the left-deep chain independently (on a worker pool of
-/// options.num_threads), and duplicates are suppressed by reporting a
-/// tuple only in the strip owning the left edge of its k-way
-/// intersection. Tuples arrive at `sink` in strip order; results and
-/// modeled I/O stats are identical for every num_threads.
-Result<MultiwayStats> MultiwayJoinStreams(const std::vector<DatasetRef>& inputs,
-                                          const RectF& extent, DiskModel* disk,
-                                          const JoinOptions& options,
-                                          TupleSink* sink);
 
 }  // namespace sj
 

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "io/stream.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace sj {
@@ -81,27 +82,33 @@ Result<PartitionedJoin> PartitionedJoin::Distribute(
   return join;
 }
 
-Status PartitionedJoin::RunUnits(
-    const JoinOptions& options, MemoryArbiter* arbiter, size_t unit_budget,
-    const std::function<Status(uint64_t, PartitionUnit&)>& body) {
-  if (arbiter != nullptr) {
-    for (PartitionUnit& unit : units_) {
-      unit.memory =
-          std::make_unique<MemoryArbiter>(unit_budget, arbiter->strict());
-    }
+Result<PartitionedTotals> PartitionedJoin::Run(const JoinOptions& options,
+                                               MemoryArbiter* arbiter,
+                                               size_t unit_budget,
+                                               JoinSink* sink,
+                                               const Body& body) {
+  for (PartitionUnit& unit : units_) {
+    unit.memory =
+        std::make_unique<MemoryArbiter>(unit_budget, arbiter->strict());
   }
+  const bool buffered = !ParallelForRunsInline(
+      options.worker_pool, options.num_threads, units_.size());
+  std::vector<CollectingSink> buffers(buffered ? units_.size() : 0);
   const std::thread::id caller = std::this_thread::get_id();
-  return ParallelFor(
+  SJ_RETURN_IF_ERROR(ParallelFor(
       options.worker_pool, options.num_threads, units_.size(),
       [&](uint64_t i) -> Status {
         ThreadCpuTimer cpu;
-        const Status status = body(i, units_[i]);
+        const Status status =
+            body(i, units_[i], buffered ? &buffers[i] : sink);
         // Units on the calling thread are already on its caller's clock.
         if (std::this_thread::get_id() != caller) {
           cpu_seconds_[i] = cpu.Elapsed();
         }
         return status;
-      });
+      }));
+  for (const CollectingSink& buffer : buffers) buffer.ReplayTo(sink);
+  return Merge(arbiter);
 }
 
 PartitionedTotals PartitionedJoin::Merge(MemoryArbiter* arbiter) const {
@@ -118,7 +125,7 @@ PartitionedTotals PartitionedJoin::Merge(MemoryArbiter* arbiter) const {
     totals.sort_stats.Fold(unit.sort_stats);
     totals.worker_cpu_seconds += cpu_seconds_[i];
     totals.disk += unit.disk->stats();
-    if (arbiter != nullptr) arbiter->FoldChild(*unit.memory);
+    arbiter->FoldChild(*unit.memory);
   }
   return totals;
 }

@@ -13,12 +13,11 @@
 #include "join/join_types.h"
 #include "sort/sort_config.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace sj {
 
-/// One work unit of a partitioned join — a PBSM partition, an SSSJ strip,
-/// a k-way strip — as its body sees it.
+/// One work unit of a partitioned join — a PBSM partition or an SSSJ
+/// strip — as its body sees it.
 struct PartitionUnit {
   /// Private shard: the unit's input files and any scratch its body
   /// creates charge here, so its modeled I/O depends only on its own
@@ -27,8 +26,7 @@ struct PartitionUnit {
   std::unique_ptr<DiskModel> disk;
   /// Private serial-equivalent memory scope: the unit runs with the
   /// whole unit budget, as if alone on the paper's machine, and its
-  /// peaks fold into the caller's arbiter as a max. Null when the caller
-  /// passed no arbiter.
+  /// peaks fold into the caller's arbiter as a max.
   std::unique_ptr<MemoryArbiter> memory;
   /// One range per input, on `disk`: the records routed here, in input
   /// order (so a y-sorted input yields y-sorted ranges).
@@ -66,11 +64,11 @@ struct PartitionedTotals {
   void AddTo(JoinStats* stats) const;
 };
 
-/// The serial-equivalent protocol every partition-based join path runs:
-/// PBSM's partitions (§3.2), SSSJ's single-dimension strip fallback
-/// (§3.1) and the strip-parallel k-way chain (§4). The paths supply only
-/// what differs: the route, the file names, the writer blocks and the
-/// per-unit body with its reference-point test.
+/// The serial-equivalent protocol both partition-based join paths run:
+/// PBSM's partitions (§3.2) and SSSJ's single-dimension strip fallback
+/// (§3.1). The paths supply only what differs: the route, the file
+/// names, the writer blocks and the per-unit body with its
+/// reference-point test.
 ///
 /// Distribute() writes the inputs, one after another, into one file per
 /// input and unit on the caller's disk, replicating each record into
@@ -102,34 +100,20 @@ class PartitionedJoin {
       const Route& route, const FileName& file_name, uint32_t block_pages,
       StorageFactory* storage, DiskModel* disk);
 
-  /// Runs `body(i, unit, out)` -> Status for every unit i on the options'
-  /// workers. `out` is `sink` itself when ParallelFor runs every unit
-  /// inline, in order, on this thread; otherwise it is the unit's own
-  /// `Buffer` (a Sink collecting its input, replayed by
-  /// `ReplayTo(sink)`), replayed in unit order after all units finish.
-  /// Each unit gets a private arbiter over `unit_budget`, folded into
-  /// `arbiter`; a null `arbiter` gives the units none.
-  template <typename Buffer, typename Sink, typename Body>
+  /// A unit's body: joins unit `i` and reports its results to `out`.
+  using Body =
+      std::function<Status(uint64_t i, PartitionUnit& unit, JoinSink* out)>;
+
+  /// Runs `body` for every unit on the options' workers. `out` is `sink`
+  /// itself when ParallelFor runs every unit inline, in order, on this
+  /// thread; otherwise it is the unit's own CollectingSink, replayed into
+  /// `sink` in unit order after all units finish. Each unit gets a
+  /// private arbiter over `unit_budget`, folded into `arbiter`.
   Result<PartitionedTotals> Run(const JoinOptions& options,
                                 MemoryArbiter* arbiter, size_t unit_budget,
-                                Sink* sink, Body&& body) {
-    const bool buffered = !ParallelForRunsInline(
-        options.worker_pool, options.num_threads, units_.size());
-    std::vector<Buffer> buffers(buffered ? units_.size() : 0);
-    SJ_RETURN_IF_ERROR(RunUnits(
-        options, arbiter, unit_budget,
-        [&](uint64_t i, PartitionUnit& unit) -> Status {
-          return body(i, unit,
-                      buffered ? static_cast<Sink*>(&buffers[i]) : sink);
-        }));
-    for (const Buffer& buffer : buffers) buffer.ReplayTo(sink);
-    return Merge(arbiter);
-  }
+                                JoinSink* sink, const Body& body);
 
  private:
-  Status RunUnits(const JoinOptions& options, MemoryArbiter* arbiter,
-                  size_t unit_budget,
-                  const std::function<Status(uint64_t, PartitionUnit&)>& body);
   PartitionedTotals Merge(MemoryArbiter* arbiter) const;
 
   std::vector<PartitionUnit> units_;

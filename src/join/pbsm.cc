@@ -182,10 +182,9 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   // assumed, also for direct callers below kMinMemoryBytes.
   const size_t partition_budget =
       std::max(options.memory_bytes, RunLayout::kMinSortMemoryBytes);
-  SJ_ASSIGN_OR_RETURN(PartitionedTotals totals,
-                      join.Run<CollectingSink>(options, scope.get(),
-                                               partition_budget, sink,
-                                               join_partition));
+  SJ_ASSIGN_OR_RETURN(
+      PartitionedTotals totals,
+      join.Run(options, scope.get(), partition_budget, sink, join_partition));
 
   JoinStats stats = measurement.Finish();
   totals.AddTo(&stats);

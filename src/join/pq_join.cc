@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
 
 namespace sj {
@@ -24,8 +23,8 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   // Static split: traversal queues and leaf buffers on one grant, sweep
   // structures on the other. Sampled maxima are reported as usage — the
   // paper's "data structures fit in memory" assumption, now checked by
-  // the arbiter (strict mode aborts; an external priority queue [2,9]
-  // would be the spill path for inputs that defeat it).
+  // the arbiter (strict mode aborts). Nothing spills: an input that
+  // defeats the assumption shows as usage above the grant.
   MemoryGrant queue_grant = scope->AcquireShrinkable(
       grants::kPqQueue, scope->budget() / 2, /*floor_bytes=*/0);
   MemoryGrant sweep_grant = scope->AcquireShrinkable(
@@ -54,53 +53,6 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   queue_grant.Release();
   sweep_grant.Release();
   FillMemoryStats(*scope, &stats);
-  return stats;
-}
-
-Result<JoinStats> PQJoin(const RTree& a, const RTree& b, DiskModel* disk,
-                         const JoinOptions& options, JoinSink* sink,
-                         MemoryArbiter* arbiter) {
-  const ArbiterScope scope(arbiter, options);
-  RTreePQSource source_a(&a);
-  RTreePQSource source_b(&b);
-  RectF extent = a.bounding_box();
-  extent.ExtendTo(b.bounding_box());
-  SJ_ASSIGN_OR_RETURN(
-      JoinStats stats,
-      PQJoinSources(&source_a, &source_b, extent, disk, options, sink,
-                    scope.get()));
-  stats.index_pages_read = source_a.pages_read() + source_b.pages_read();
-  return stats;
-}
-
-Result<JoinStats> PQJoinIndexStream(const RTree& a, const DatasetRef& b,
-                                    DiskModel* disk,
-                                    const JoinOptions& options,
-                                    JoinSink* sink,
-                                    MemoryArbiter* arbiter) {
-  const ArbiterScope scope(arbiter, options);
-  // Sort the non-indexed side (charged), as SSSJ would.
-  SJ_ASSIGN_OR_RETURN(auto scratch,
-                      MakePager(options.storage.get(), disk, "pq.sort.runs"));
-  SJ_ASSIGN_OR_RETURN(auto sorted,
-                      MakePager(options.storage.get(), disk, "pq.sort.out"));
-  SortStats sort_stats;
-  SJ_ASSIGN_OR_RETURN(
-      StreamRange sorted_b,
-      SortRectsByYLo(b.range, scratch.get(), sorted.get(),
-                     options.memory_bytes / 2, scope.get(),
-                     SortConfigOf(options), &sort_stats));
-  RTreePQSource source_a(&a);
-  SortedStreamSource source_b(sorted_b);
-  SJ_ASSIGN_OR_RETURN(RectF extent_b, EnsureExtent(b));
-  RectF extent = a.bounding_box();
-  extent.ExtendTo(extent_b);
-  SJ_ASSIGN_OR_RETURN(
-      JoinStats stats,
-      PQJoinSources(&source_a, &source_b, extent, disk, options, sink,
-                    scope.get()));
-  stats.index_pages_read = source_a.pages_read();
-  stats.FoldSortStats(sort_stats);
   return stats;
 }
 

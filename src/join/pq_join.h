@@ -4,7 +4,6 @@
 #include "io/disk_model.h"
 #include "join/join_types.h"
 #include "join/sources.h"
-#include "rtree/rtree.h"
 #include "util/result.h"
 
 namespace sj {
@@ -32,20 +31,6 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
                                 const RectF& extent, DiskModel* disk,
                                 const JoinOptions& options, JoinSink* sink,
                                 MemoryArbiter* arbiter = nullptr);
-
-/// Convenience wrapper: index-to-index PQ join.
-Result<JoinStats> PQJoin(const RTree& a, const RTree& b, DiskModel* disk,
-                         const JoinOptions& options, JoinSink* sink,
-                         MemoryArbiter* arbiter = nullptr);
-
-/// Convenience wrapper: index-to-non-indexed PQ join. The stream input is
-/// externally sorted first (charged, grant-governed), exactly as SSSJ
-/// would.
-Result<JoinStats> PQJoinIndexStream(const RTree& a, const DatasetRef& b,
-                                    DiskModel* disk,
-                                    const JoinOptions& options,
-                                    JoinSink* sink,
-                                    MemoryArbiter* arbiter = nullptr);
 
 }  // namespace sj
 

@@ -7,6 +7,8 @@
 
 namespace sj {
 
+std::optional<RectF> SortedStreamSource::Next() { return reader_.Next(); }
+
 RTreePQSource::RTreePQSource(const RTree* tree)
     : RTreePQSource(tree, Options()) {}
 

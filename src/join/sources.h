@@ -36,7 +36,11 @@ class SortedStreamSource final : public SortedRectSource {
   explicit SortedStreamSource(const StreamRange& range)
       : reader_(range.pager, range.first_page, range.count) {}
 
-  std::optional<RectF> Next() override { return reader_.Next(); }
+  /// Defined out of line, as RTreePQSource::Next is: an inline body
+  /// invites the compiler to inline it speculatively into every sweep
+  /// over a SortedRectSource*, which bloats PQ's loop when the other side
+  /// is an index.
+  std::optional<RectF> Next() override;
 
  private:
   StreamReader<RectF> reader_;

@@ -212,10 +212,9 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
     return Status::OK();
   };
   // Each strip runs with the full budget, as if alone.
-  SJ_ASSIGN_OR_RETURN(PartitionedTotals totals,
-                      join.Run<CollectingSink>(options, scope.get(),
-                                               scope->budget(), sink,
-                                               join_strip));
+  SJ_ASSIGN_OR_RETURN(
+      PartitionedTotals totals,
+      join.Run(options, scope.get(), scope->budget(), sink, join_strip));
 
   JoinStats stats = measurement.Finish();
   totals.AddTo(&stats);

@@ -141,7 +141,7 @@ class ExternalSorter {
   uint32_t merge_block_pages() const { return layout_.block_pages; }
 
   /// Records per in-memory sorted run (the budget minus one open
-  /// streaming block, shared with ExternalPriorityQueue via RunLayout).
+  /// streaming block; see RunLayout).
   uint64_t RunCapacity() const { return layout_.run_records; }
 
   /// What the last Sort()/FormRuns() did.

@@ -9,33 +9,25 @@
 
 namespace sj {
 
-/// The one place that turns a memory budget into run-formation sizes, for
-/// both external components that form sorted runs: ExternalSorter (run
-/// chunks + merge fan-in) and ExternalPriorityQueue (heap capacity + spill
-/// cursors).
+/// The one place that turns a memory budget into run-formation sizes:
+/// ExternalSorter's run chunks and merge fan-in, and the cost model's
+/// pricing of them.
 ///
-/// Historically the two copied this arithmetic and diverged by one
-/// streaming block: the sorter sized its in-memory runs to the *full*
-/// budget even though a streaming buffer (one block) is always open next
-/// to the run being formed or the heap being spilled, while the PQ sized
-/// its heap to the full budget and then paid its cursor blocks on top.
 /// RunLayout reserves one open streaming block out of the budget before
-/// dividing the rest into records, so a full run (or heap) plus its open
-/// writer stays within the grant. (The PQ's *read* side still accumulates
-/// one cursor block per open spilled run beyond the first — bounded by
-/// the run count and reported through MemoryBytes()/NoteUsage, not
-/// hidden.)
+/// dividing the rest into records, since a streaming buffer is always
+/// open next to the run being formed: a full run plus its open writer
+/// stays within the grant.
 struct RunLayout {
   /// The effective budget (never below kMinSortMemoryBytes).
   size_t memory_bytes = 0;
-  /// Pages per streaming block: merge readers, the PQ's spill writers and
-  /// run cursors. Small so many runs fit in the budget; grows with
-  /// plentiful memory to amortize positioning costs.
+  /// Pages per merge-reader block (the floor PlanMerge grows from). Small
+  /// so many runs fit in the budget; grows with plentiful memory to
+  /// amortize positioning costs.
   uint32_t block_pages = 1;
   /// Pages per run-formation write block (larger than block_pages — only
   /// one run writer is open at a time — but still within the budget).
   uint32_t write_block_pages = 1;
-  /// Records per in-memory sorted run / heap spill threshold.
+  /// Records per in-memory sorted run.
   uint64_t run_records = 0;
   /// Runs a merge can combine at once: one input block per run plus one
   /// output block must fit in the budget.

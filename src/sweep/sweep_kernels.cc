@@ -1,8 +1,6 @@
 #include "sweep/sweep_kernels.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #if !defined(SJ_SCALAR_SWEEP_ONLY)
 #if defined(__x86_64__) || defined(__i386__)
@@ -19,14 +17,6 @@ namespace {
 
 // -1 = no override; otherwise a SweepKernelMode value.
 std::atomic<int> g_mode_override{-1};
-
-bool EnvForcesScalar() {
-  static const bool forced = [] {
-    const char* env = std::getenv("SJ_SWEEP_KERNELS");
-    return env != nullptr && std::strcmp(env, "scalar") == 0;
-  }();
-  return forced;
-}
 
 #if defined(SJ_KERNELS_X86)
 bool CpuHasAvx2() {
@@ -50,7 +40,6 @@ SweepKernelMode ActiveSweepKernelMode() {
 #else
   const int override = g_mode_override.load(std::memory_order_relaxed);
   if (override >= 0) return static_cast<SweepKernelMode>(override);
-  if (EnvForcesScalar()) return SweepKernelMode::kScalar;
   return SweepKernelMode::kVectorized;
 #endif
 }
@@ -80,9 +69,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference implementations: one lane at a time, branching exactly
-// like the pre-SoA AoS walk did. These are the SJ_SCALAR_SWEEP_ONLY /
-// SJ_SWEEP_KERNELS=scalar fallback and the semantics oracle for the
-// vectorized paths.
+// like the pre-SoA AoS walk did. These are the SJ_SCALAR_SWEEP_ONLY
+// fallback and the semantics oracle for the vectorized paths.
 // ---------------------------------------------------------------------------
 
 void ClassifyScalar(const float* xlo, const float* xhi, const float* yhi,

@@ -26,13 +26,11 @@ enum class SweepKernelMode {
   kVectorized,
 };
 
-/// The mode kernels run in, resolved once per process:
+/// The mode kernels run in:
 ///  1. builds with -DSJ_SCALAR_SWEEP_ONLY compile the SIMD paths out and
 ///     always report kScalar;
-///  2. SetSweepKernelMode (tests, benches) overrides everything else;
-///  3. the SJ_SWEEP_KERNELS environment variable ("scalar" forces the
-///     fallback, anything else is ignored);
-///  4. default: kVectorized.
+///  2. SetSweepKernelMode (tests, benches) overrides the default;
+///  3. default: kVectorized.
 SweepKernelMode ActiveSweepKernelMode();
 
 /// Test/bench hook: force a mode process-wide (no-op under
@@ -41,7 +39,7 @@ SweepKernelMode ActiveSweepKernelMode();
 /// constructed.
 void SetSweepKernelMode(SweepKernelMode mode);
 
-/// Clears the SetSweepKernelMode override, back to env/default.
+/// Clears the SetSweepKernelMode override, back to the default.
 void ResetSweepKernelMode();
 
 /// The instruction set the vectorized path uses on this machine:

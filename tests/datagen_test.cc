@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "datagen/dataset_file.h"
 #include "datagen/synthetic.h"
 #include "histogram/grid_histogram.h"
 #include "sweep/interval_structures.h"
@@ -180,36 +179,6 @@ TEST(DiagonalPoints, AreDegenerate) {
   EXPECT_EQ(pts[9].xlo, 9.0f);
 }
 
-TEST(DatasetFile, RoundTrip) {
-  TestDisk td;
-  auto pager = td.NewPager("ds");
-  const auto rects = UniformRects(1234, RectF(0, 0, 40, 40), 1.0f, 19);
-  auto written = WriteDataset(pager.get(), rects, "test-data");
-  ASSERT_TRUE(written.ok());
-  auto opened = OpenDataset(pager.get(), 0);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened->count(), 1234u);
-  EXPECT_EQ(opened->extent.xlo, written->extent.xlo);
-  StreamReader<RectF> reader(opened->range.pager, opened->range.first_page,
-                             opened->range.count);
-  size_t i = 0;
-  while (auto r = reader.Next()) {
-    EXPECT_EQ(*r, rects[i]);
-    i++;
-  }
-  EXPECT_EQ(i, rects.size());
-}
-
-TEST(DatasetFile, DetectsBadMagic) {
-  TestDisk td;
-  auto pager = td.NewPager("ds");
-  uint8_t junk[kPageSize] = {1, 2, 3};
-  ASSERT_TRUE(pager->WritePage(0, junk).ok());
-  auto opened = OpenDataset(pager.get(), 0);
-  EXPECT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
-}
-
 TEST(SkewedGenerators, ZipfMassConcentratesWithTheta) {
   const RectF region(0, 0, 400, 400);
   // Shared geography, independent samples: the two relations' hotspot
@@ -271,16 +240,6 @@ TEST(SkewedGenerators, UniformWithCityPacksTheRequestedFraction) {
   // cells; even then its densest cell holds a large multiple of the
   // ~25-records/cell uniform background.
   EXPECT_GT(max_cell, 2000u);
-}
-
-TEST(DatasetFile, EmptyDataset) {
-  TestDisk td;
-  auto pager = td.NewPager("ds");
-  ASSERT_TRUE(WriteDataset(pager.get(), {}, "empty").ok());
-  auto opened = OpenDataset(pager.get(), 0);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(opened->count(), 0u);
-  EXPECT_FALSE(opened->extent.Valid());
 }
 
 }  // namespace

@@ -1,26 +1,32 @@
-// The partitioned join paths — PBSM, SSSJ strip joins and the parallel
-// multiway join — all run on one runner (join/partitioned.h). They must
-// produce byte-identical output (same pairs, same order) and identical
-// modeled I/O stats for every num_threads, because each unit runs
-// against a private DiskModel shard that is merged in unit order; count
-// each unit's CPU once; place records lying outside the declared extent
-// in the boundary units; and unwind every injected storage fault into an
-// error Status with the caller's arbiter drained.
+// The partitioned join paths — PBSM and SSSJ strip joins — run on one
+// runner (join/partitioned.h). They must produce byte-identical output
+// (same pairs, same order) and identical modeled I/O stats for every
+// num_threads, because each unit runs against a private DiskModel shard
+// that is merged in unit order; count each unit's CPU once; place
+// records lying outside the declared extent in the boundary units; and
+// unwind every injected storage fault into an error Status with the
+// caller's arbiter drained. The k-way join is one lazy chain at every
+// thread count, so its queries must not change with num_threads either,
+// and a fault in their stream sorts must unwind the same way.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/join_query.h"
 #include "core/memory_arbiter.h"
+#include "core/pipeline_query.h"
 #include "datagen/synthetic.h"
 #include "io/storage.h"
-#include "join/multiway.h"
 #include "join/pbsm.h"
 #include "join/sssj.h"
+#include "rtree/rtree.h"
+#include "service/spatial_service.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -116,12 +122,6 @@ std::vector<DatasetRef> MakeKWayInputs(
   return refs;
 }
 
-std::vector<std::vector<ObjectId>> SortedTuples(
-    std::vector<std::vector<ObjectId>> tuples) {
-  std::sort(tuples.begin(), tuples.end());
-  return tuples;
-}
-
 TEST(ParallelJoin, PBSMDeterministicAcrossThreadCounts) {
   const RectF region(0, 0, 500, 500);
   // Memory small enough to force several partitions, so the pool has
@@ -191,52 +191,108 @@ TEST(ParallelJoin, SSSJStripDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelJoin, MultiwayStreamsDeterministicAndMatchesChain) {
-  // Three inputs with enough overlap for a nontrivial 3-way result.
-  const auto inputs =
-      SortedUniformInputs(3, 1500, RectF(0, 0, 200, 200), 6.0f, 31);
+TEST(ParallelJoin, KWayQueriesIgnoreThreadCount) {
+  // Threads(n) spreads only the stream inputs' run formation; the chain
+  // itself is serial. So a k-way JoinQuery, and a 3-input pipeline over
+  // the same inputs, emit the same tuples in the same order, with the
+  // same DiskStats and granted peak, at every thread count and on memory
+  // and file-backed scratch alike. 8000 records per input at a 256 KiB
+  // budget give each stream sort three runs.
+  const RectF region(0, 0, 500, 500);
+  std::vector<std::vector<RectF>> data;
+  for (uint64_t i = 0; i < 3; ++i) {
+    data.push_back(UniformRects(8000, region, 3.0f, 61 + i));
+  }
 
-  auto run = [&](uint32_t threads) {
+  struct Outcome {
+    std::vector<std::vector<ObjectId>> tuples;
+    std::vector<PipeRow> rows;
+    DiskStats disk;
+    size_t peak_memory_bytes = 0;
+  };
+  // `indexed`: input 0 is an R-tree over data[0] instead of a stream.
+  // `pipeline`: a PipelineQuery with no operators instead of a JoinQuery.
+  auto run = [&](bool indexed, bool pipeline, bool file_backend,
+                 uint32_t threads) {
+    Outcome out;
     TestDisk td;
     std::vector<std::unique_ptr<Pager>> keep;
     RectF extent;
     const std::vector<DatasetRef> refs =
-        MakeKWayInputs(&td, inputs, &keep, &extent);
-    JoinOptions options;
-    options.num_threads = threads;
-    CollectingTupleSink sink;
-    auto stats =
-        MultiwayJoinStreams(refs, extent, &td.disk, options, &sink);
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    return std::make_pair(sink.tuples(), *stats);
+        MakeKWayInputs(&td, data, &keep, &extent);
+    std::optional<RTree> tree;
+    if (indexed) {
+      keep.push_back(td.NewPager("tree"));
+      Pager* tree_pager = keep.back().get();
+      keep.push_back(td.NewPager("tree.scratch"));
+      auto built = RTree::BulkLoadHilbert(tree_pager, refs[0].range,
+                                          keep.back().get(), RTreeParams(),
+                                          1 << 22);
+      EXPECT_TRUE(built.ok()) << built.status().ToString();
+      if (!built.ok()) return out;
+      tree.emplace(std::move(built).value());
+    }
+    std::shared_ptr<StorageFactory> storage;
+    if (file_backend) {
+      auto files = TmpFileStorageFactory::Make();
+      EXPECT_TRUE(files.ok()) << files.status().ToString();
+      if (!files.ok()) return out;
+      storage = std::move(*files);
+    }
+    SpatialJoiner joiner(&td.disk, JoinOptions());
+    auto configure = [&](auto& query) {
+      query.Input(indexed ? JoinInput::FromRTree(&*tree)
+                          : JoinInput::FromStream(refs[0]));
+      for (size_t i = 1; i < refs.size(); ++i) {
+        query.Input(JoinInput::FromStream(refs[i]));
+      }
+      query.Threads(threads).MemoryBytes(256u << 10).Storage(storage);
+    };
+    if (pipeline) {
+      PipelineQuery query(joiner);
+      configure(query);
+      CollectingRowSink sink;
+      auto stats = query.Run(&sink);
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) return out;
+      out.rows = sink.rows();
+      for (const PipeRow& row : out.rows) out.tuples.push_back(row.ids);
+      out.disk = stats->disk;
+      out.peak_memory_bytes = stats->peak_memory_bytes;
+    } else {
+      JoinQuery query(joiner);
+      configure(query);
+      CollectingTupleSink sink;
+      auto stats = query.Run(&sink);
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) return out;
+      out.tuples = sink.tuples();
+      out.disk = stats->disk;
+      out.peak_memory_bytes = stats->peak_memory_bytes;
+    }
+    return out;
   };
 
-  const auto serial = run(1);
-  EXPECT_GT(serial.second.output_count, 0u);
-  for (const uint32_t threads : {2u, 8u}) {
-    const auto parallel = run(threads);
-    EXPECT_EQ(parallel.first, serial.first) << "threads=" << threads;
-    EXPECT_EQ(parallel.second.output_count, serial.second.output_count);
-    ExpectSameDiskStats(parallel.second.disk, serial.second.disk, threads);
+  for (const bool indexed : {false, true}) {
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(std::string(indexed ? "tree + 2 streams" : "3 streams") +
+                   (pipeline ? ", PipelineQuery" : ", JoinQuery"));
+      const Outcome reference = run(indexed, pipeline, false, 1);
+      EXPECT_GT(reference.tuples.size(), 0u);
+      for (const bool file_backend : {false, true}) {
+        for (const uint32_t threads : {1u, 2u, 8u}) {
+          if (!file_backend && threads == 1) continue;
+          SCOPED_TRACE(file_backend ? "file" : "memory");
+          const Outcome got = run(indexed, pipeline, file_backend, threads);
+          EXPECT_EQ(got.tuples, reference.tuples) << "threads=" << threads;
+          EXPECT_EQ(got.rows, reference.rows) << "threads=" << threads;
+          ExpectSameDiskStats(got.disk, reference.disk, threads);
+          EXPECT_EQ(got.peak_memory_bytes, reference.peak_memory_bytes)
+              << "threads=" << threads;
+        }
+      }
+    }
   }
-
-  // The strip decomposition must agree with the serial left-deep chain.
-  TestDisk td;
-  std::vector<std::unique_ptr<Pager>> keep;
-  RectF extent;
-  const std::vector<DatasetRef> refs =
-      MakeKWayInputs(&td, inputs, &keep, &extent);
-  std::vector<std::unique_ptr<SortedStreamSource>> sources;
-  std::vector<SortedRectSource*> source_ptrs;
-  for (const DatasetRef& ref : refs) {
-    sources.push_back(std::make_unique<SortedStreamSource>(ref.range));
-    source_ptrs.push_back(sources.back().get());
-  }
-  CollectingTupleSink chain_sink;
-  auto chain_stats = MultiwayJoinSources(source_ptrs, extent, &td.disk,
-                                         JoinOptions(), &chain_sink);
-  ASSERT_TRUE(chain_stats.ok());
-  EXPECT_EQ(SortedTuples(serial.first), SortedTuples(chain_sink.tuples()));
 }
 
 TEST(ParallelJoin, InlineUnitsCountTheirCpuOnce) {
@@ -245,7 +301,7 @@ TEST(ParallelJoin, InlineUnitsCountTheirCpuOnce) {
   // calling thread's CPU over the call instead of counting units twice.
   ThreadPool inline_pool(0);
   const auto inputs =
-      SortedUniformInputs(3, 20000, RectF(0, 0, 1000, 1000), 2.0f, 41);
+      SortedUniformInputs(2, 20000, RectF(0, 0, 1000, 1000), 2.0f, 41);
   TestDisk td;
   std::vector<std::unique_ptr<Pager>> keep;
   RectF extent;
@@ -279,15 +335,6 @@ TEST(ParallelJoin, InlineUnitsCountTheirCpuOnce) {
     const double caller = cpu.Elapsed();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     expect_cpu_once("SSSJ strips", stats->host_cpu_seconds, caller);
-  }
-  {
-    CountingTupleSink sink;
-    ThreadCpuTimer cpu;
-    auto stats = MultiwayJoinStreams(refs, extent, &td.disk, options, &sink);
-    const double caller = cpu.Elapsed();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_GT(sink.count(), 0u);
-    expect_cpu_once("multiway strips", stats->host_cpu_seconds, caller);
   }
 }
 
@@ -324,17 +371,6 @@ TEST(ParallelJoin, RecordsFarOutsideTheExtentReachTheirUnits) {
         SSSJStripJoin(da, db, /*strips=*/8, &td.disk, JoinOptions(), &sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(Sorted(sink.pairs()), want);
-  }
-  {
-    JoinOptions options;
-    options.num_threads = 2;
-    CollectingTupleSink sink;
-    auto stats = MultiwayJoinStreams({da, db}, da.extent, &td.disk, options,
-                                     &sink);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    std::vector<std::vector<ObjectId>> want_tuples;
-    for (const IdPair& pair : want) want_tuples.push_back({pair.a, pair.b});
-    EXPECT_EQ(SortedTuples(sink.tuples()), want_tuples);
   }
 }
 
@@ -392,8 +428,8 @@ TEST(ParallelJoin, StorageFaultsUnwindEveryPartitionedPath) {
   const auto kway =
       SortedUniformInputs(3, 1500, RectF(0, 0, 200, 200), 6.0f, 31);
 
-  // A fault spot: one unit file of side b, a unit's scratch, or every
-  // file of side b.
+  // A fault spot: one unit file of side b, a unit's scratch, every file
+  // of side b, or the k-way query's stream sorts.
   struct Spot {
     const char* path;
     const char* prefix;
@@ -406,8 +442,7 @@ TEST(ParallelJoin, StorageFaultsUnwindEveryPartitionedPath) {
       {"pbsm", "pbsm.b.0", ""},
       {"pbsm", "pbsm.overflow.", ""},
       {"pbsm", "pbsm.b.", ""},
-      {"multiway", "multiway.strip.5.1", ""},
-      {"multiway", "multiway.strip.", ".1"},
+      {"kway", "join.sort.", ""},
   };
   using Fault = FaultyStorageFactory::Fault;
   for (const Spot& spot : spots) {
@@ -429,13 +464,30 @@ TEST(ParallelJoin, StorageFaultsUnwindEveryPartitionedPath) {
         MemoryArbiter arbiter(kMinMemoryBytes);
         Status status;
         const std::string path = spot.path;
-        if (path == "multiway") {
+        if (path == "kway") {
+          // The query itself, then as a pipeline through a service: the
+          // service's carve comes back whole only once every grant of
+          // the query's arbiter is released.
           RectF extent;
           const std::vector<DatasetRef> refs =
               MakeKWayInputs(&td, kway, &keep, &extent);
+          SpatialJoiner joiner(&td.disk, options);
+          JoinQuery query(joiner);
+          PipelineQuery pipeline(joiner);
+          for (const DatasetRef& ref : refs) {
+            query.Input(JoinInput::FromStream(ref));
+            pipeline.Input(JoinInput::FromStream(ref));
+          }
           CountingTupleSink sink;
-          status = MultiwayJoinStreams(refs, extent, &td.disk, options, &sink)
-                       .status();
+          status = query.MemoryBytes(kMinMemoryBytes).Run(&sink).status();
+          SpatialService service{ServiceOptions()};
+          CountingRowSink rows;
+          const Status served =
+              service.Run(pipeline.MemoryBytes(kMinMemoryBytes), &rows)
+                  .status();
+          EXPECT_EQ(served.code(), StatusCode::kIoError)
+              << where << ": " << served.ToString();
+          EXPECT_EQ(service.global_arbiter()->in_use(), 0u) << where;
         } else {
           const DatasetRef da = MakeDataset(&td, a, "a", &keep);
           const DatasetRef db = MakeDataset(&td, b, "b", &keep);

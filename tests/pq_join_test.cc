@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/join_query.h"
 #include "datagen/synthetic.h"
 #include "test_util.h"
 
@@ -37,6 +38,19 @@ class PQJoinFixture {
     return MakeDataset(&td, rects, name, &pagers_);
   }
 
+  /// Runs `a` x `b` as a PQ query, the path every forced or planned PQ
+  /// join takes: each index traversal is pruned by the other input's
+  /// extent.
+  Result<JoinStats> Query(const JoinInput& a, const JoinInput& b,
+                          JoinSink* sink) {
+    SpatialJoiner joiner(&td.disk, JoinOptions());
+    return JoinQuery(joiner)
+        .Input(a)
+        .Input(b)
+        .Algorithm(JoinAlgorithm::kPQ)
+        .Run(sink);
+  }
+
   TestDisk td;
 
  private:
@@ -51,10 +65,24 @@ TEST(PQJoin, IndexIndexMatchesBruteForce) {
   RTree ta = f.Build(a, 32, "a");
   RTree tb = f.Build(b, 32, "b");
   CollectingSink sink;
-  auto stats = PQJoin(ta, tb, &f.td.disk, JoinOptions(), &sink);
+  auto stats = f.Query(JoinInput::FromRTree(&ta), JoinInput::FromRTree(&tb),
+                       &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
-  EXPECT_EQ(stats->index_pages_read, ta.node_count() + tb.node_count());
+
+  // Unpruned, the traversals touch every node exactly once: Table 4's
+  // optimal page-request count.
+  RTreePQSource source_a(&ta);
+  RTreePQSource source_b(&tb);
+  RectF extent = ta.bounding_box();
+  extent.ExtendTo(tb.bounding_box());
+  CollectingSink unpruned;
+  auto unpruned_stats = PQJoinSources(&source_a, &source_b, extent,
+                                      &f.td.disk, JoinOptions(), &unpruned);
+  ASSERT_TRUE(unpruned_stats.ok()) << unpruned_stats.status().ToString();
+  EXPECT_EQ(Sorted(unpruned.pairs()), Sorted(sink.pairs()));
+  EXPECT_EQ(source_a.pages_read() + source_b.pages_read(),
+            ta.node_count() + tb.node_count());
 }
 
 TEST(PQJoin, IndexStreamMatchesBruteForce) {
@@ -65,9 +93,12 @@ TEST(PQJoin, IndexStreamMatchesBruteForce) {
   RTree ta = f.Build(a, 32, "a");
   const DatasetRef db = f.Dataset(b, "b");
   CollectingSink sink;
-  auto stats = PQJoinIndexStream(ta, db, &f.td.disk, JoinOptions(), &sink);
+  auto stats =
+      f.Query(JoinInput::FromRTree(&ta), JoinInput::FromStream(db), &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->algorithm, JoinAlgorithm::kPQ);
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
+  // Both inputs span the region, so the extent pruning skips no node.
   EXPECT_EQ(stats->index_pages_read, ta.node_count());
 }
 
@@ -79,8 +110,9 @@ TEST(PQJoin, QueueMemoryIsTracked) {
   RTree ta = f.Build(a, 400, "a");
   RTree tb = f.Build(b, 400, "b");
   CountingSink sink;
-  auto stats = PQJoin(ta, tb, &f.td.disk, JoinOptions(), &sink);
-  ASSERT_TRUE(stats.ok());
+  auto stats = f.Query(JoinInput::FromRTree(&ta), JoinInput::FromRTree(&tb),
+                       &sink);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GT(stats->max_queue_bytes, 0u);
   // Table 3's observation: queues are a tiny fraction of the data.
   EXPECT_LT(stats->max_queue_bytes,
@@ -101,8 +133,9 @@ TEST(PQJoin, MoreRandomIoThanSt) {
 
   f.td.disk.ResetStats();
   CountingSink pq_sink;
-  auto pq = PQJoin(ta, tb, &f.td.disk, JoinOptions(), &pq_sink);
-  ASSERT_TRUE(pq.ok());
+  auto pq = f.Query(JoinInput::FromRTree(&ta), JoinInput::FromRTree(&tb),
+                    &pq_sink);
+  ASSERT_TRUE(pq.ok()) << pq.status().ToString();
   const DiskStats pq_disk = pq->disk;
 
   f.td.disk.ResetStats();
@@ -129,8 +162,9 @@ TEST(PQJoin, EmptySides) {
   RTree ta = f.Build(UniformRects(500, RectF(0, 0, 10, 10), 1.0f, 9), 32, "a");
   RTree tb = f.Build({}, 32, "b");
   CountingSink sink;
-  auto stats = PQJoin(ta, tb, &f.td.disk, JoinOptions(), &sink);
-  ASSERT_TRUE(stats.ok());
+  auto stats = f.Query(JoinInput::FromRTree(&ta), JoinInput::FromRTree(&tb),
+                       &sink);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->output_count, 0u);
 }
 
@@ -146,9 +180,10 @@ TEST(PQJoin, AgreesWithIndexStreamOnSameData) {
   const DatasetRef db = f.Dataset(b, "b.stream");
 
   CollectingSink s1, s2;
-  ASSERT_TRUE(PQJoin(ta, tb, &f.td.disk, JoinOptions(), &s1).ok());
   ASSERT_TRUE(
-      PQJoinIndexStream(ta, db, &f.td.disk, JoinOptions(), &s2).ok());
+      f.Query(JoinInput::FromRTree(&ta), JoinInput::FromRTree(&tb), &s1).ok());
+  ASSERT_TRUE(
+      f.Query(JoinInput::FromRTree(&ta), JoinInput::FromStream(db), &s2).ok());
   EXPECT_EQ(Sorted(s1.pairs()), Sorted(s2.pairs()));
 }
 

@@ -64,13 +64,18 @@ TEST(Smoke, AllFourAlgorithmsAgreeWithBruteForce) {
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(Sorted(sink.pairs()), expected);
   }
-  // PQ.
+  // PQ, unpruned: each traversal reads every node exactly once.
   {
+    RTreePQSource source_a(&*ta);
+    RTreePQSource source_b(&*tb);
+    RectF extent = ta->bounding_box();
+    extent.ExtendTo(tb->bounding_box());
     CollectingSink sink;
-    auto stats = PQJoin(*ta, *tb, &td.disk, options, &sink);
+    auto stats = PQJoinSources(&source_a, &source_b, extent, &td.disk,
+                               options, &sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(Sorted(sink.pairs()), expected);
-    EXPECT_EQ(stats->index_pages_read,
+    EXPECT_EQ(source_a.pages_read() + source_b.pages_read(),
               ta->node_count() + tb->node_count());
   }
 }

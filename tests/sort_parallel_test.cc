@@ -17,7 +17,6 @@
 #include "io/pager.h"
 #include "io/storage.h"
 #include "io/stream.h"
-#include "sort/external_pq.h"
 #include "sort/external_sort.h"
 #include "sort/loser_tree.h"
 #include "sort/run_layout.h"
@@ -386,38 +385,6 @@ TEST(LoserTree, MatchesStableSortOfConcatenatedRuns) {
   }
   ASSERT_EQ(merged.size(), size_t{k} * 200);
   EXPECT_EQ(merged, expected);
-}
-
-// --- External PQ spill across backends --------------------------------
-
-struct IntLess64 {
-  bool operator()(uint64_t a, uint64_t b) const { return a < b; }
-};
-
-// The external PQ's spill runs and cursors pop in the same order, with the
-// same modeled io_seconds, whether its spill pager is memory or a file.
-TEST(ExternalPqSpill, FileBackendMatchesMemory) {
-  auto run = [&](bool file_backend) {
-    DiskModel disk(MachineModel::Machine3());
-    auto factory = MaybeFileStorage(file_backend);
-    auto spill = MakeTestPager(factory.get(), &disk, "spill");
-    ExternalPriorityQueue<uint64_t, IntLess64> pq(256 * sizeof(uint64_t),
-                                                  spill.get(), IntLess64());
-    uint64_t state = 99;
-    for (int i = 0; i < 5000; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      pq.Push(state >> 32);
-    }
-    EXPECT_GT(pq.SpilledRuns(), 0u);
-    std::vector<uint64_t> popped;
-    while (auto v = pq.PopMin()) popped.push_back(*v);
-    return std::make_pair(popped, disk.stats().io_seconds);
-  };
-  const auto memory = run(false);
-  const auto file = run(true);
-  EXPECT_EQ(memory.first.size(), 5000u);
-  EXPECT_EQ(memory.first, file.first);
-  EXPECT_DOUBLE_EQ(memory.second, file.second);
 }
 
 }  // namespace

@@ -302,11 +302,10 @@ TEST(StorageDifferential, BackendIsInvisibleToResults) {
   }
 }
 
-// The k-way chain goes through its own distribution/materialization code.
-// The serial executor path (lazy sources) and the parallel path
-// (materialize + strip-partition) are different pipelines with different
-// modeled I/O, so backend invariance is checked within each thread
-// count; result tuples must agree across everything.
+// The k-way chain reads lazily sorted sources at every thread count;
+// Threads(n) reaches only the stream sorts' run formation. Tuples (in
+// emission order), candidates, pages and modeled I/O must match the
+// memory/serial reference on every backend and thread count.
 TEST(StorageDifferential, MultiwayBackendsAgree) {
   const RectF region(0, 0, 300, 300);
   Random rng(0xCAFE);
@@ -315,17 +314,15 @@ TEST(StorageDifferential, MultiwayBackendsAgree) {
     data.push_back(UniformRects(600, region, 3.0f, rng.Next()));
   }
 
-  std::vector<std::vector<ObjectId>> expected_tuples;
-  bool have_expected = false;
+  std::vector<std::vector<ObjectId>> reference_tuples;
+  uint64_t reference_candidates = 0;
+  double reference_io = 0.0;
+  uint64_t reference_pages = 0;
+  bool have_reference = false;
 
   for (uint32_t threads : {1u, 8u}) {
-    uint64_t reference_candidates = 0;
-    double reference_io = 0.0;
-    uint64_t reference_pages = 0;
-    bool have_reference = false;
-
     const Variant variants[] = {
-        {false, threads},  // Per-thread-count reference.
+        {false, threads},  // Memory/serial first: the reference.
         {true, threads},
     };
     for (const Variant& v : variants) {
@@ -345,7 +342,7 @@ TEST(StorageDifferential, MultiwayBackendsAgree) {
       }
 
       JoinOptions base;
-      base.memory_bytes = 1u << 20;  // Small: strips go through storage.
+      base.memory_bytes = 1u << 20;  // The sorts write through storage.
       SpatialJoiner joiner(&td.disk, base);
 
       CollectingTupleSink sink;
@@ -353,22 +350,16 @@ TEST(StorageDifferential, MultiwayBackendsAgree) {
       for (const DatasetRef& in : inputs) q.Input(JoinInput::FromStream(in));
       auto stats = q.Threads(v.threads).Storage(storage).Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      auto tuples = sink.tuples();
-      std::sort(tuples.begin(), tuples.end());
-      EXPECT_GT(tuples.size(), 0u);
-      if (!have_expected) {
-        expected_tuples = tuples;
-        have_expected = true;
-      } else {
-        EXPECT_EQ(tuples, expected_tuples);
-      }
+      EXPECT_GT(sink.tuples().size(), 0u);
       if (!have_reference) {
+        reference_tuples = sink.tuples();
         reference_candidates = stats->candidate_count;
         reference_io = stats->disk.io_seconds;
         reference_pages = stats->disk.pages_read;
         have_reference = true;
         continue;
       }
+      EXPECT_EQ(sink.tuples(), reference_tuples);
       EXPECT_EQ(stats->candidate_count, reference_candidates);
       EXPECT_EQ(stats->disk.pages_read, reference_pages);
       EXPECT_DOUBLE_EQ(stats->disk.io_seconds, reference_io);
