@@ -7,21 +7,17 @@
 // the shared DiskModel, so the refinement I/O is priced exactly like the
 // filter's.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "core/join_query.h"
 #include "datagen/synthetic.h"
-#include "join/predicate_batch.h"
 #include "refine/feature_store.h"
 #include "refine/refine.h"
 
 namespace sj {
 namespace bench {
 namespace {
-
-void RefineKernelComparison(const BenchConfig& config);
 
 void Run(const BenchConfig& config) {
   std::printf(
@@ -118,68 +114,6 @@ void Run(const BenchConfig& config) {
       "needs once, so budgets\nthat split the candidates into more chunks "
       "fetch more pages. Filter(s) is the\nfilter alone at the default "
       "budget; Total(s) runs at the row's budget.\n");
-
-  RefineKernelComparison(config);
-}
-
-/// Scalar-vs-vectorized comparison of the batched exact-predicate
-/// evaluator (join/predicate_batch.h) over candidate pairs drawn from the
-/// first ladder dataset, asserting identical masks and reporting the
-/// kernel speedup as a one-line JSON summary for bench-smoke.
-void RefineKernelComparison(const BenchConfig& config) {
-  const LoadedDataset& data = GetDataset(config.datasets.front(),
-                                         config.scale);
-  const std::vector<Segment> ga = SegmentsForRects(data.roads);
-  const std::vector<Segment> gb = SegmentsForRects(data.hydro);
-  // Index-scrambled pairing approximates a candidate stream: mostly
-  // non-intersecting with a sprinkle of hits, like real refine input.
-  const size_t n = std::min<size_t>(200000, ga.size() * 4);
-  std::vector<Segment> a(n), b(n);
-  for (size_t i = 0; i < n; ++i) {
-    a[i] = ga[i % ga.size()];
-    b[i] = gb[(i * 7 + i / ga.size()) % gb.size()];
-  }
-
-  std::printf("\n== Refine kernels: scalar vs vectorized (%zu pairs) ==\n",
-              n);
-  auto timed = [&](const PredicateSpec& spec, SweepKernelMode mode,
-                   std::vector<uint8_t>* mask) {
-    double best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      EvaluateExactPredicateBatch(mode, spec, a.data(), b.data(), n,
-                                  mask->data());
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double, std::milli>(t1 - t0)
-                          .count());
-    }
-    return best;
-  };
-
-  double speedups[2] = {0, 0};
-  const PredicateSpec specs[2] = {
-      PredicateSpec{Predicate::kIntersects, 0.0},
-      PredicateSpec{Predicate::kDistanceWithin, 0.5}};
-  const char* names[2] = {"intersects", "distance"};
-  bool identical = true;
-  for (int p = 0; p < 2; ++p) {
-    std::vector<uint8_t> scalar(n), vectorized(n);
-    const double ms_s = timed(specs[p], SweepKernelMode::kScalar, &scalar);
-    const double ms_v = timed(specs[p], SweepKernelMode::kVectorized,
-                              &vectorized);
-    identical = identical && scalar == vectorized;
-    SJ_CHECK(scalar == vectorized);
-    speedups[p] = ms_s / ms_v;
-    std::printf("%-12s scalar %8.2f ms   vectorized %8.2f ms   %.2fx\n",
-                names[p], ms_s, ms_v, speedups[p]);
-  }
-  std::printf(
-      "\n{\"bench\":\"refinement_kernels\",\"isa\":\"%s\",\"pairs\":%zu,"
-      "\"intersects_speedup\":%.2f,\"distance_speedup\":%.2f,"
-      "\"identical_masks\":%s}\n",
-      SweepKernelIsa(), n, speedups[0], speedups[1],
-      identical ? "true" : "false");
 }
 
 }  // namespace

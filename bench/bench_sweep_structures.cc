@@ -1,12 +1,9 @@
 // Microbenchmark for the §3.1 claim (from [4]) that Striped-Sweep is a
-// factor 2-5 faster than Forward-Sweep on realistic data, plus
-// Forward-Sweep's scalar-vs-vectorized kernel comparison: Forward-Sweep
-// runs the same TIGER-ladder sweep with the kernels forced scalar and
-// forced vectorized (sweep/sweep_kernels.h), asserting identical output
-// pair counts and memory accounting, and reporting the kernel speedup.
-// Striped-Sweep scans its strips without the kernels and is timed once,
-// next to a strip-count sensitivity sweep. Ends with a one-line JSON
-// summary for the CI bench-smoke log.
+// factor 2-5 faster than Forward-Sweep on realistic data: both structures
+// run the same TIGER-ladder sweep, and the table reports each one's time,
+// their ratio and the pair count, asserting that both find the same
+// pairs. A strip-count sensitivity row follows, and a one-line JSON
+// summary for the CI bench-smoke log ends the output.
 
 #include <chrono>
 #include <cstdio>
@@ -25,18 +22,14 @@ namespace {
 struct SweepResult {
   double ms = 0;
   uint64_t output = 0;
-  size_t max_bytes = 0;
 };
 
-/// One timed sweep join (best of 3) with the kernels forced to `mode`
-/// (only ForwardSweep uses them).
+/// One timed sweep join (best of 3).
 template <typename Structure>
 SweepResult TimedSweep(const std::vector<RectF>& roads,
                        const std::vector<RectF>& hydro, const RectF& region,
-                       uint32_t strips,
-                       SweepKernelMode mode = SweepKernelMode::kVectorized) {
+                       uint32_t strips) {
   SweepResult result;
-  SetSweepKernelMode(mode);
   result.ms = 1e100;
   for (int rep = 0; rep < 3; ++rep) {
     VectorRectSource a(&roads), b(&hydro);
@@ -48,24 +41,20 @@ SweepResult TimedSweep(const std::vector<RectF>& roads,
     result.ms = std::min(
         result.ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
     result.output = stats.output_count;
-    result.max_bytes = stats.max_structure_bytes;
   }
-  ResetSweepKernelMode();
   return result;
 }
 
 void Run(const BenchConfig& config) {
   std::printf(
-      "== Sweep structures: Forward-Sweep kernels scalar vs vectorized, "
-      "Striped-Sweep (isa %s, scale %.4g) ==\n\n",
+      "== Sweep structures: Forward-Sweep vs Striped-Sweep, 1024 strips "
+      "(isa %s, scale %.4g) ==\n\n",
       SweepKernelIsa(), config.scale);
-  std::printf("%-10s %-8s %10s %10s %8s %12s\n", "Dataset", "Struct",
-              "Scalar(ms)", "Vector(ms)", "Speedup", "Output");
-  PrintHeaderRule(64);
+  std::printf("%-10s %11s %11s %8s %12s\n", "Dataset", "Forward(ms)",
+              "Striped(ms)", "Speedup", "Output");
+  PrintHeaderRule(56);
 
-  double fwd_scalar = 0, fwd_vector = 0, striped_ms = 0;
-  std::string striped_row;
-  bool identical = true;
+  double forward_ms = 0, striped_ms = 0;
   for (const std::string& name : config.datasets) {
     const LoadedDataset& data = GetDataset(name, config.scale);
     std::vector<RectF> roads = data.roads, hydro = data.hydro;
@@ -75,27 +64,17 @@ void Run(const BenchConfig& config) {
     for (const RectF& r : roads) region.ExtendTo(r);
     for (const RectF& r : hydro) region.ExtendTo(r);
 
-    const SweepResult fs = TimedSweep<ForwardSweep>(
-        roads, hydro, region, 0, SweepKernelMode::kScalar);
-    const SweepResult fv = TimedSweep<ForwardSweep>(
-        roads, hydro, region, 0, SweepKernelMode::kVectorized);
+    const SweepResult fw = TimedSweep<ForwardSweep>(roads, hydro, region, 0);
     const SweepResult st =
         TimedSweep<StripedSweep>(roads, hydro, region, 1024);
-    // Both kernel modes must be indistinguishable in output and
-    // accounting, and both structures must find the same pairs.
-    SJ_CHECK(fs.output == fv.output && fs.max_bytes == fv.max_bytes);
-    SJ_CHECK(fs.output == st.output);
-    identical = identical && fs.output == fv.output;
-    fwd_scalar += fs.ms;
-    fwd_vector += fv.ms;
+    // Both structures must find the same pairs.
+    SJ_CHECK(fw.output == st.output);
+    forward_ms += fw.ms;
     striped_ms += st.ms;
 
-    std::printf("%-10s %-8s %10.2f %10.2f %7.2fx %12llu\n", name.c_str(),
-                "forward", fs.ms, fv.ms, fs.ms / fv.ms,
-                static_cast<unsigned long long>(fs.output));
-    char cell[64];
-    std::snprintf(cell, sizeof(cell), "%s:%.2fms ", name.c_str(), st.ms);
-    striped_row += cell;
+    std::printf("%-10s %11.2f %11.2f %7.2fx %12llu\n", name.c_str(), fw.ms,
+                st.ms, fw.ms / st.ms,
+                static_cast<unsigned long long>(fw.output));
   }
 
   // Strip-count sensitivity (first dataset): the [4] claim is about
@@ -109,8 +88,7 @@ void Run(const BenchConfig& config) {
   RectF region = RectF::Empty();
   for (const RectF& r : roads) region.ExtendTo(r);
   for (const RectF& r : hydro) region.ExtendTo(r);
-  std::printf("\nstriped, 1024 strips: %s\n", striped_row.c_str());
-  std::printf("%s striped strip sensitivity: ",
+  std::printf("\n%s striped strip sensitivity: ",
               config.datasets.front().c_str());
   for (uint32_t strips : {16u, 128u, 1024u, 8192u}) {
     const SweepResult r =
@@ -119,13 +97,14 @@ void Run(const BenchConfig& config) {
   }
   std::printf("\n\n");
 
+  // The SJ_CHECK above aborts on any mismatch, so a printed summary
+  // always reports identical output.
   std::printf(
       "{\"bench\":\"sweep_structures\",\"isa\":\"%s\",\"scale\":%.4g,"
-      "\"forward_speedup\":%.2f,\"forward_scalar_ms\":%.2f,"
-      "\"forward_vector_ms\":%.2f,\"striped_ms\":%.2f,"
-      "\"identical_output\":%s}\n",
-      SweepKernelIsa(), config.scale, fwd_scalar / fwd_vector, fwd_scalar,
-      fwd_vector, striped_ms, identical ? "true" : "false");
+      "\"forward_ms\":%.2f,\"striped_ms\":%.2f,\"striped_speedup\":%.2f,"
+      "\"identical_output\":true}\n",
+      SweepKernelIsa(), config.scale, forward_ms, striped_ms,
+      forward_ms / striped_ms);
 }
 
 }  // namespace

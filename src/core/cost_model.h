@@ -134,26 +134,19 @@ class CostModel {
     return touched_fraction < IndexBreakEvenFraction();
   }
 
-  // Sweep-kernel CPU terms. The sweep inner loop (interval-structure
+  // Sweep-kernel CPU term. The sweep inner loop (interval-structure
   // scans, calibrated by bench_sweep_structures on the TIGER ladder)
-  // processes active-set lanes at roughly these per-lane costs; the
-  // vectorized SoA kernels (sweep/sweep_kernels.h) stream contiguous
-  // lanes several times faster than the scalar walk. The ratio, not the
-  // absolute numbers, is what matters to planning: it tells the planner
-  // how much of a join is CPU-bound sweep work vs. modeled I/O.
+  // processes active-set lanes at roughly this per-lane cost in the SoA
+  // kernels (sweep/sweep_kernels.h). It tells the planner how much of a
+  // join is CPU-bound sweep work vs. modeled I/O.
 
-  /// Scalar fallback: one branchy compare chain per 20-byte lane.
-  static constexpr double kSweepScalarNsPerLane = 1.5;
-  /// Vectorized SoA kernels: 8-lane AVX2 / 4-lane SSE2-NEON blocks.
-  static constexpr double kSweepVectorNsPerLane = 0.4;
+  /// 8-lane AVX2 / 4-lane SSE2-NEON blocks over SoA lanes.
+  static constexpr double kSweepNsPerLane = 0.4;
 
   /// Modeled seconds of sweep CPU for `lanes` total active-set lanes
-  /// scanned (summed over every QueryAndExpire pass), under the given
-  /// kernel mode. Monotone in lanes; vectorized is strictly cheaper.
-  double SweepCpuSeconds(uint64_t lanes, bool vectorized) const {
-    const double ns =
-        vectorized ? kSweepVectorNsPerLane : kSweepScalarNsPerLane;
-    return static_cast<double>(lanes) * ns * 1e-9;
+  /// scanned (summed over every QueryAndExpire pass). Monotone in lanes.
+  double SweepCpuSeconds(uint64_t lanes) const {
+    return static_cast<double>(lanes) * kSweepNsPerLane * 1e-9;
   }
 
   // External-sort CPU terms. Sorting is the one join phase whose CPU

@@ -19,14 +19,13 @@ namespace sj {
 /// struct-of-arrays lanes once, and the run of candidates for a sweep
 /// step is classified by kernels::BatchRectOverlap in contiguous SIMD
 /// blocks. The scan end (first lane with !(xlo <= a.xhi)) and the y-test
-/// per lane follow IEEE comparison semantics exactly as the scalar loop
-/// did, so emitted pairs and their order are identical in both kernel
-/// modes.
+/// per lane follow IEEE comparison semantics, so the pairs and their
+/// order are those of the one-pair-at-a-time scan (tests/sweep_kernels_test.cc
+/// keeps that scan as the oracle).
 template <typename Emit>
 void SweepEntryLists(const std::vector<RectF>& as, const std::vector<RectF>& bs,
                      Emit&& emit) {
   if (as.empty() || bs.empty()) return;
-  const SweepKernelMode mode = ActiveSweepKernelMode();
   // Node entry lists are small (ST/BFS cap them at a few hundred) but
   // this runs once per node pair; thread_local scratch avoids per-call
   // allocation in the parallel tree joins.
@@ -41,7 +40,7 @@ void SweepEntryLists(const std::vector<RectF>& as, const std::vector<RectF>& bs,
     if (as[i].xlo < bs[j].xlo) {
       const RectF& a = as[i];
       const size_t run = kernels::BatchRectOverlap(
-          mode, lanes_b.xlo.data() + j, lanes_b.ylo.data() + j,
+          lanes_b.xlo.data() + j, lanes_b.ylo.data() + j,
           lanes_b.yhi.data() + j, bs.size() - j, a.xhi, a.ylo, a.yhi,
           mask.data());
       for (size_t k = 0; k < run; ++k) {
@@ -51,7 +50,7 @@ void SweepEntryLists(const std::vector<RectF>& as, const std::vector<RectF>& bs,
     } else {
       const RectF& b = bs[j];
       const size_t run = kernels::BatchRectOverlap(
-          mode, lanes_a.xlo.data() + i, lanes_a.ylo.data() + i,
+          lanes_a.xlo.data() + i, lanes_a.ylo.data() + i,
           lanes_a.yhi.data() + i, as.size() - i, b.xhi, b.ylo, b.yhi,
           mask.data());
       for (size_t k = 0; k < run; ++k) {

@@ -408,6 +408,9 @@ const JoinExecutor* FindExecutor(JoinAlgorithm algo) {
 
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink) {
+  // Measured from before the first stream sort, so the sorts' I/O and
+  // this thread's share of their CPU count as the join's.
+  JoinMeasurement measurement(plan.disk);
   std::vector<PreparedSource> prepared;
   prepared.reserve(plan.inputs.size());
   RectF extent = RectF::Empty();
@@ -433,8 +436,10 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   for (PreparedSource& p : prepared) sources.push_back(p.source.get());
   SJ_ASSIGN_OR_RETURN(
       MultiwayStats stats,
-      MultiwayJoinSources(sources, extent, plan.disk, plan.options, sink));
-  stats.host_cpu_seconds += sort_worker_cpu;
+      MultiwayJoinSources(sources, extent, plan.options, sink));
+  const JoinStats measured = measurement.Finish();
+  stats.disk = measured.disk;
+  stats.host_cpu_seconds = measured.host_cpu_seconds + sort_worker_cpu;
   stats.candidate_count = stats.output_count;
   chain_grant.NoteUsage(stats.max_bytes);
   return stats;

@@ -253,7 +253,8 @@ MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
 /// becomes a sorted source (selective index traversals included) feeding
 /// the left-deep chain of lazy PQ sweeps. options.num_threads reaches only
 /// the stream inputs' run formation, so output and modeled I/O are the
-/// same at every thread count. Algorithm dispatch does not apply (the
+/// same at every thread count. The returned I/O and CPU include those
+/// sorts as well as the chain. Algorithm dispatch does not apply (the
 /// chain is the only k-way execution), which is why this is a free
 /// function rather than a registry entry.
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,

@@ -155,11 +155,10 @@ std::unique_ptr<PairSourceBase> MakePairSource(SortedRectSource* a,
 
 Result<MultiwayStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
-    DiskModel* disk, const JoinOptions& options, TupleSink* sink) {
+    const JoinOptions& options, TupleSink* sink) {
   if (inputs.size() < 2) {
     return Status::InvalidArgument("multiway join needs at least 2 inputs");
   }
-  JoinMeasurement measurement(disk);
 
   // ((in0 x in1) x in2) x ...: all but the last stage are lazy pair
   // sources.
@@ -202,10 +201,6 @@ Result<MultiwayStats> MultiwayJoinSources(
   };
   SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips, sa,
                     sb, emit, probe);
-
-  const JoinStats base = measurement.Finish();
-  stats.host_cpu_seconds = base.host_cpu_seconds;
-  stats.disk = base.disk;
   return stats;
 }
 

@@ -94,10 +94,13 @@ std::ostream& operator<<(std::ostream& os, const MultiwayStats& stats);
 /// left-deep chain of lazy PQ sweeps, each feeding the next (§4); no
 /// intermediate result is materialized on disk. The chain is the k-way
 /// join's one plan and runs on the calling thread, so its output order
-/// and modeled I/O do not depend on options.num_threads.
+/// and modeled I/O do not depend on options.num_threads. Fills
+/// output_count and max_bytes; the caller measures I/O and CPU, because
+/// it also prepares the sources (ExecuteMultiwayFilter sorts stream
+/// inputs first).
 Result<MultiwayStats> MultiwayJoinSources(
     const std::vector<SortedRectSource*>& inputs, const RectF& extent,
-    DiskModel* disk, const JoinOptions& options, TupleSink* sink);
+    const JoinOptions& options, TupleSink* sink);
 
 }  // namespace sj
 

@@ -12,10 +12,10 @@ using geometry_internal::PointSegmentDistanceSquared;
 /// Branch-free flat pass over the proper-intersection sign test. Lanes
 /// where any orientation is exactly zero (collinear or endpoint-touching
 /// configurations — rare on real data) are marked in `needs_exact` and
-/// left false; the caller resolves them with the scalar predicate.
+/// left false; the caller resolves them with the per-pair predicate.
 ///
 /// NaN coordinates make every orientation comparison false, so such lanes
-/// end up proper=0, needs_exact=0 — exactly the scalar result (false).
+/// end up proper=0, needs_exact=0 — exactly the per-pair result (false).
 void IntersectFlatPass(const Segment* a, const Segment* b, size_t n,
                        uint8_t* out, uint8_t* needs_exact) {
   for (size_t i = 0; i < n; ++i) {
@@ -30,21 +30,6 @@ void IntersectFlatPass(const Segment* a, const Segment* b, size_t n,
     out[i] = static_cast<uint8_t>(proper);
     needs_exact[i] =
         static_cast<uint8_t>((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0));
-  }
-}
-
-void IntersectBatchVectorized(const Segment* a, const Segment* b, size_t n,
-                              uint8_t* out) {
-  thread_local std::vector<uint8_t> needs_exact;
-  needs_exact.resize(n);
-  IntersectFlatPass(a, b, n, out, needs_exact.data());
-  for (size_t i = 0; i < n; ++i) {
-    // A proper intersection has four strictly-signed orientations, so the
-    // two flags are mutually exclusive; only degenerate lanes take the
-    // scalar path.
-    if (needs_exact[i] && !out[i]) {
-      out[i] = static_cast<uint8_t>(SegmentsIntersect(a[i], b[i]));
-    }
   }
 }
 
@@ -68,24 +53,24 @@ void MinEndpointDistanceSquaredPass(const Segment* a, const Segment* b,
   }
 }
 
-void DistanceBatchVectorized(const Segment* a, const Segment* b, size_t n,
-                             double epsilon, uint8_t* out) {
+void DistanceBatch(const Segment* a, const Segment* b, size_t n,
+                   double epsilon, uint8_t* out) {
   thread_local std::vector<double> dist2;
   dist2.resize(n);
-  BatchSegmentsIntersect(SweepKernelMode::kVectorized, a, b, n, out);
+  BatchSegmentsIntersect(a, b, n, out);
   MinEndpointDistanceSquaredPass(a, b, n, dist2.data());
   const double eps2 = epsilon * epsilon;
   for (size_t i = 0; i < n; ++i) {
     // Intersecting lanes have exact distance 0; keeping the comparison
-    // (rather than hard-coding true) preserves the scalar NaN-epsilon
+    // (rather than hard-coding true) preserves the per-pair NaN-epsilon
     // semantics: 0.0 <= NaN² is false either way.
     const double d2 = out[i] ? 0.0 : dist2[i];
     out[i] = static_cast<uint8_t>(d2 <= eps2);
   }
 }
 
-void ContainsBatchVectorized(const Segment* a, const Segment* b, size_t n,
-                             uint8_t* out) {
+void ContainsBatch(const Segment* a, const Segment* b, size_t n,
+                   uint8_t* out) {
   for (size_t i = 0; i < n; ++i) {
     const Segment& outer = a[i];
     const Segment& inner = b[i];
@@ -110,35 +95,32 @@ void ContainsBatchVectorized(const Segment* a, const Segment* b, size_t n,
 
 }  // namespace
 
-void BatchSegmentsIntersect(SweepKernelMode mode, const Segment* a,
-                            const Segment* b, size_t n, uint8_t* out) {
-  if (mode == SweepKernelMode::kScalar) {
-    for (size_t i = 0; i < n; ++i) {
+void BatchSegmentsIntersect(const Segment* a, const Segment* b, size_t n,
+                            uint8_t* out) {
+  thread_local std::vector<uint8_t> needs_exact;
+  needs_exact.resize(n);
+  IntersectFlatPass(a, b, n, out, needs_exact.data());
+  for (size_t i = 0; i < n; ++i) {
+    // A proper intersection has four strictly-signed orientations, so the
+    // two flags are mutually exclusive; only degenerate lanes take the
+    // per-pair predicate.
+    if (needs_exact[i] && !out[i]) {
       out[i] = static_cast<uint8_t>(SegmentsIntersect(a[i], b[i]));
     }
-    return;
   }
-  IntersectBatchVectorized(a, b, n, out);
 }
 
-void EvaluateExactPredicateBatch(SweepKernelMode mode,
-                                 const PredicateSpec& spec, const Segment* a,
+void EvaluateExactPredicateBatch(const PredicateSpec& spec, const Segment* a,
                                  const Segment* b, size_t n, uint8_t* out) {
-  if (mode == SweepKernelMode::kScalar) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<uint8_t>(EvaluateExactPredicate(spec, a[i], b[i]));
-    }
-    return;
-  }
   switch (spec.kind) {
     case Predicate::kIntersects:
-      IntersectBatchVectorized(a, b, n, out);
+      BatchSegmentsIntersect(a, b, n, out);
       return;
     case Predicate::kDistanceWithin:
-      DistanceBatchVectorized(a, b, n, spec.epsilon, out);
+      DistanceBatch(a, b, n, spec.epsilon, out);
       return;
     case Predicate::kContains:
-      ContainsBatchVectorized(a, b, n, out);
+      ContainsBatch(a, b, n, out);
       return;
   }
 }

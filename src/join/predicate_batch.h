@@ -6,7 +6,6 @@
 
 #include "geometry/segment.h"
 #include "join/predicate.h"
-#include "sweep/sweep_kernels.h"
 
 namespace sj {
 
@@ -14,30 +13,22 @@ namespace sj {
 /// whole candidate batch with flat per-lane passes instead of one
 /// pair-at-a-time EvaluateExactPredicate call per candidate.
 ///
-/// Both kernel modes return bit-identical masks for every input
-/// (including NaN/infinite coordinates and NaN epsilon):
-///
-///  * kScalar     — per-pair calls to the geometry/segment.h predicates,
-///                  the reference implementation.
-///  * kVectorized — branch-light orientation/distance passes over the
-///                  whole batch (written so the compiler can
-///                  auto-vectorize; all arithmetic is the same
-///                  double-precision expressions as the scalar
-///                  predicates, so every lane computes the identical
-///                  value), with the rare collinear/endpoint-touching
-///                  lanes resolved by the scalar predicate.
-///
-/// The scalar-vs-vectorized differential in tests/sweep_kernels_test.cc
-/// enforces the equivalence.
+/// The passes are branch-light orientation/distance loops over the whole
+/// batch, written so the compiler can auto-vectorize. Their arithmetic is
+/// the same double-precision expressions as the geometry/segment.h
+/// predicates, so every lane computes the identical value, and the rare
+/// collinear or endpoint-touching lanes are resolved by the per-pair
+/// predicate. The masks therefore equal the per-pair predicates' for every
+/// input, including NaN/infinite coordinates and NaN epsilon;
+/// tests/sweep_kernels_test.cc checks this against the per-pair calls.
 
 /// out[i] = SegmentsIntersect(a[i], b[i]).
-void BatchSegmentsIntersect(SweepKernelMode mode, const Segment* a,
-                            const Segment* b, size_t n, uint8_t* out);
+void BatchSegmentsIntersect(const Segment* a, const Segment* b, size_t n,
+                            uint8_t* out);
 
 /// out[i] = EvaluateExactPredicate(spec, a[i], b[i]). Order matters for
-/// kContains (a contains b), matching the scalar evaluator.
-void EvaluateExactPredicateBatch(SweepKernelMode mode,
-                                 const PredicateSpec& spec, const Segment* a,
+/// kContains (a contains b), matching the per-pair evaluator.
+void EvaluateExactPredicateBatch(const PredicateSpec& spec, const Segment* a,
                                  const Segment* b, size_t n, uint8_t* out);
 
 }  // namespace sj

@@ -113,7 +113,6 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
   const uint64_t n = candidates.size();
   if (n == 0) return RefineStats{};
   ChunkedRefinement run({&store_a, &store_b}, options, arbiter, n);
-  const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
   std::vector<Segment> geom_a, geom_b;
   std::vector<uint8_t> match;
   uint64_t results = 0;
@@ -131,7 +130,7 @@ Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
     // candidate order.
     match.resize(rows);
     SJ_RETURN_IF_ERROR(run.Evaluate(rows, [&](uint64_t first, uint64_t count) {
-      EvaluateExactPredicateBatch(kernel_mode, predicate, geom_a.data() + first,
+      EvaluateExactPredicateBatch(predicate, geom_a.data() + first,
                                   geom_b.data() + first, count,
                                   match.data() + first);
     }));
@@ -161,7 +160,6 @@ Result<RefineStats> RefineTuples(
   const uint64_t n = tuples.size();
   if (n == 0) return RefineStats{};
   ChunkedRefinement run(stores, options, arbiter, n);
-  const SweepKernelMode kernel_mode = ActiveSweepKernelMode();
   std::vector<std::vector<Segment>> geom(k);
   std::vector<uint8_t> alive;
   uint64_t results = 0;
@@ -182,8 +180,8 @@ Result<RefineStats> RefineTuples(
           &geom[input]));
     }
     // Each (x, y) input pair runs one flat pass whose mask is ANDed into
-    // the slice's alive bytes. The predicates are pure, so dropping the
-    // scalar loop's short-circuit cannot change which tuples survive.
+    // the slice's alive bytes. The predicates are pure, so testing every
+    // pair without a short-circuit cannot change which tuples survive.
     alive.resize(rows);
     SJ_RETURN_IF_ERROR(run.Evaluate(rows, [&](uint64_t first, uint64_t count) {
       uint8_t pair_mask[kRefineSliceCandidates];
@@ -191,7 +189,7 @@ Result<RefineStats> RefineTuples(
       std::fill(out, out + count, uint8_t{1});
       for (size_t x = 0; x < k; ++x) {
         for (size_t y = x + 1; y < k; ++y) {
-          BatchSegmentsIntersect(kernel_mode, geom[x].data() + first,
+          BatchSegmentsIntersect(geom[x].data() + first,
                                  geom[y].data() + first, count, pair_mask);
           for (uint64_t row = 0; row < count; ++row) out[row] &= pair_mask[row];
         }

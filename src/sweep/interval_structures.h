@@ -29,7 +29,7 @@ inline const char* ToString(SweepStructureKind k) {
 ///
 /// The active set is stored struct-of-arrays (parallel xlo/ylo/xhi/yhi/id
 /// lanes): a query classifies all lanes in one contiguous kernel pass
-/// (sweep/sweep_kernels.h — SIMD blocks, or the scalar fallback), then a
+/// (sweep/sweep_kernels.h: SIMD blocks with a portable tail), then a
 /// branch-light compaction drops expired lanes while matches are emitted.
 /// Insertion is an append. Simple and cache friendly, but every query
 /// pays for the full active set.
@@ -42,8 +42,7 @@ class ForwardSweep {
  public:
   /// `extent` is unused (the structure is extent-agnostic); the parameter
   /// exists so both structures construct uniformly.
-  ForwardSweep(const RectF& extent, uint32_t strips)
-      : mode_(ActiveSweepKernelMode()) {
+  ForwardSweep(const RectF& extent, uint32_t strips) {
     (void)extent;
     (void)strips;
   }
@@ -72,7 +71,7 @@ class ForwardSweep {
   void QueryAndExpire(const RectF& q, Emit&& emit) {
     const size_t n = active_.size();
     mask_.resize(n);
-    kernels::ClassifySweepLanes(mode_, active_.xlo.data(), active_.xhi.data(),
+    kernels::ClassifySweepLanes(active_.xlo.data(), active_.xhi.data(),
                                 active_.yhi.data(), n, q.xlo, q.xhi, q.ylo,
                                 mask_.data());
     size_t keep = 0;
@@ -91,8 +90,7 @@ class ForwardSweep {
 
   size_t ActiveCount() const { return active_.size(); }
   /// Logical footprint in the paper's 20-byte-record units (Table 3's
-  /// "Sweep Structure" row) — identical for the scalar and vectorized
-  /// kernels by construction.
+  /// "Sweep Structure" row).
   size_t MemoryBytes() const { return active_.size() * sizeof(RectF); }
   /// Forward-Sweep has no strips to collapse.
   bool StripsCollapsed() const { return false; }
@@ -100,12 +98,11 @@ class ForwardSweep {
  private:
   void PurgeExpired(float y) {
     mask_.resize(active_.size());
-    kernels::ExpiryKeepMask(mode_, active_.yhi.data(), active_.size(), y,
+    kernels::ExpiryKeepMask(active_.yhi.data(), active_.size(), y,
                             mask_.data());
     active_.CompactKept(mask_.data());
   }
 
-  SweepKernelMode mode_;
   SoaRects active_;
   std::vector<uint8_t> mask_;
   size_t inserts_since_purge_ = 0;  // Copies stored since the last purge.

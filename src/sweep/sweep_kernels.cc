@@ -1,8 +1,5 @@
 #include "sweep/sweep_kernels.h"
 
-#include <atomic>
-
-#if !defined(SJ_SCALAR_SWEEP_ONLY)
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define SJ_KERNELS_X86 1
@@ -10,13 +7,9 @@
 #include <arm_neon.h>
 #define SJ_KERNELS_NEON 1
 #endif
-#endif  // !SJ_SCALAR_SWEEP_ONLY
 
 namespace sj {
 namespace {
-
-// -1 = no override; otherwise a SweepKernelMode value.
-std::atomic<int> g_mode_override{-1};
 
 #if defined(SJ_KERNELS_X86)
 bool CpuHasAvx2() {
@@ -34,28 +27,8 @@ bool CpuHasAvx2() {
 
 }  // namespace
 
-SweepKernelMode ActiveSweepKernelMode() {
-#if defined(SJ_SCALAR_SWEEP_ONLY)
-  return SweepKernelMode::kScalar;
-#else
-  const int override = g_mode_override.load(std::memory_order_relaxed);
-  if (override >= 0) return static_cast<SweepKernelMode>(override);
-  return SweepKernelMode::kVectorized;
-#endif
-}
-
-void SetSweepKernelMode(SweepKernelMode mode) {
-  g_mode_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-void ResetSweepKernelMode() {
-  g_mode_override.store(-1, std::memory_order_relaxed);
-}
-
 const char* SweepKernelIsa() {
-#if defined(SJ_SCALAR_SWEEP_ONLY)
-  return "scalar-only";
-#elif defined(SJ_KERNELS_X86)
+#if defined(SJ_KERNELS_X86)
   return CpuHasAvx2() ? "avx2" : "sse2";
 #elif defined(SJ_KERNELS_NEON)
   return "neon";
@@ -68,46 +41,43 @@ namespace kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference implementations: one lane at a time, branching exactly
-// like the pre-SoA AoS walk did. These are the SJ_SCALAR_SWEEP_ONLY
-// fallback and the semantics oracle for the vectorized paths.
+// Portable kernels: branch-free loops the compiler can auto-vectorize.
+// Comparison results are 0/1 ints assembled into the mask arithmetically.
+// They are the whole kernel where no SIMD body exists, and every SIMD
+// body below hands them its ragged tail.
 // ---------------------------------------------------------------------------
 
-void ClassifyScalar(const float* xlo, const float* xhi, const float* yhi,
-                    size_t n, float qxlo, float qxhi, float qylo,
-                    uint8_t* out) {
+void ClassifyPortable(const float* xlo, const float* xhi, const float* yhi,
+                      size_t n, float qxlo, float qxhi, float qylo,
+                      uint8_t* out) {
   for (size_t i = 0; i < n; ++i) {
-    if (yhi[i] < qylo) {
-      out[i] = 0;
-      continue;
-    }
-    uint8_t m = kLaneKeep;
-    if (xlo[i] <= qxhi && qxlo <= xhi[i]) m |= kLaneMatch;
-    out[i] = m;
+    const int keep = !(yhi[i] < qylo);
+    const int match = keep & (xlo[i] <= qxhi) & (qxlo <= xhi[i]);
+    out[i] = static_cast<uint8_t>(keep | (match << 1));
   }
 }
 
-void ExpiryScalar(const float* yhi, size_t n, float y, uint8_t* out) {
+void ExpiryPortable(const float* yhi, size_t n, float y, uint8_t* out) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = (yhi[i] < y) ? 0 : kLaneKeep;
+    out[i] = static_cast<uint8_t>(!(yhi[i] < y));
   }
 }
 
-size_t OverlapScalar(const float* xlo, const float* ylo, const float* yhi,
-                     size_t n, float qxhi, float qylo, float qyhi,
-                     uint8_t* out) {
+size_t OverlapPortable(const float* xlo, const float* ylo, const float* yhi,
+                       size_t n, float qxhi, float qylo, float qyhi,
+                       uint8_t* out) {
   size_t k = 0;
   for (; k < n; ++k) {
     if (!(xlo[k] <= qxhi)) break;
-    out[k] = (qylo <= yhi[k] && ylo[k] <= qyhi) ? 1 : 0;
+    out[k] = static_cast<uint8_t>((qylo <= yhi[k]) & (ylo[k] <= qyhi));
   }
   return k;
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized implementations. Every comparison uses non-signaling IEEE
-// semantics with the same truth table as the scalar code (NaN compares
-// false), so masks are identical bit for bit.
+// SIMD bodies. Every comparison uses non-signaling IEEE semantics with the
+// portable loops' truth table (NaN compares false), so masks are identical
+// bit for bit.
 // ---------------------------------------------------------------------------
 
 #if defined(SJ_KERNELS_X86)
@@ -140,7 +110,7 @@ void ClassifyAvx2(const float* xlo, const float* xhi, const float* yhi,
                                         (((match >> l) & 1u) << 1));
     }
   }
-  ClassifyScalar(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
+  ClassifyPortable(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
 }
 
 void ClassifySse2(const float* xlo, const float* xhi, const float* yhi,
@@ -164,7 +134,7 @@ void ClassifySse2(const float* xlo, const float* xhi, const float* yhi,
                                         (((match >> l) & 1u) << 1));
     }
   }
-  ClassifyScalar(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
+  ClassifyPortable(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
 }
 
 SJ_TARGET_AVX2
@@ -179,7 +149,7 @@ void ExpiryAvx2(const float* yhi, size_t n, float y, uint8_t* out) {
       out[i + l] = static_cast<uint8_t>((keep >> l) & 1u);
     }
   }
-  ExpiryScalar(yhi + i, n - i, y, out + i);
+  ExpiryPortable(yhi + i, n - i, y, out + i);
 }
 
 void ExpirySse2(const float* yhi, size_t n, float y, uint8_t* out) {
@@ -192,7 +162,7 @@ void ExpirySse2(const float* yhi, size_t n, float y, uint8_t* out) {
       out[i + l] = static_cast<uint8_t>((keep >> l) & 1u);
     }
   }
-  ExpiryScalar(yhi + i, n - i, y, out + i);
+  ExpiryPortable(yhi + i, n - i, y, out + i);
 }
 
 SJ_TARGET_AVX2
@@ -219,8 +189,8 @@ size_t OverlapAvx2(const float* xlo, const float* ylo, const float* yhi,
       }
       continue;
     }
-    // The scan stops at the first lane leaving the x run, exactly like
-    // the scalar break (later lanes in the block are never inspected).
+    // The scan stops at the first lane leaving the x run, like the
+    // portable loop's break (later lanes in the block are never inspected).
     const unsigned stop =
         static_cast<unsigned>(__builtin_ctz(~runbits & 0x1ffu));
     for (unsigned l = 0; l < stop; ++l) {
@@ -228,7 +198,7 @@ size_t OverlapAvx2(const float* xlo, const float* ylo, const float* yhi,
     }
     return i + stop;
   }
-  return i + OverlapScalar(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
+  return i + OverlapPortable(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
                            out + i);
 }
 
@@ -260,7 +230,7 @@ size_t OverlapSse2(const float* xlo, const float* ylo, const float* yhi,
     }
     return i + stop;
   }
-  return i + OverlapScalar(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
+  return i + OverlapPortable(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
                            out + i);
 }
 
@@ -287,7 +257,7 @@ void ClassifyNeon(const float* xlo, const float* xhi, const float* yhi,
                                         ((match_arr[l] & 1u) << 1));
     }
   }
-  ClassifyScalar(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
+  ClassifyPortable(xlo + i, xhi + i, yhi + i, n - i, qxlo, qxhi, qylo, out + i);
 }
 
 void ExpiryNeon(const float* yhi, size_t n, float y, uint8_t* out) {
@@ -301,7 +271,7 @@ void ExpiryNeon(const float* yhi, size_t n, float y, uint8_t* out) {
       out[i + l] = static_cast<uint8_t>(keep_arr[l] & 1u);
     }
   }
-  ExpiryScalar(yhi + i, n - i, y, out + i);
+  ExpiryPortable(yhi + i, n - i, y, out + i);
 }
 
 size_t OverlapNeon(const float* xlo, const float* ylo, const float* yhi,
@@ -324,54 +294,17 @@ size_t OverlapNeon(const float* xlo, const float* ylo, const float* yhi,
       out[i + l] = static_cast<uint8_t>(match_arr[l] & 1u);
     }
   }
-  return i + OverlapScalar(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
+  return i + OverlapPortable(xlo + i, ylo + i, yhi + i, n - i, qxhi, qylo, qyhi,
                            out + i);
-}
-
-#elif !defined(SJ_SCALAR_SWEEP_ONLY)
-
-// Portable vector path: branch-free loops the compiler can
-// auto-vectorize. Comparison results are 0/1 ints; the arithmetic mask
-// assembly avoids the per-lane branches of the scalar reference.
-
-void ClassifyPortable(const float* xlo, const float* xhi, const float* yhi,
-                      size_t n, float qxlo, float qxhi, float qylo,
-                      uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const int keep = !(yhi[i] < qylo);
-    const int match = keep & (xlo[i] <= qxhi) & (qxlo <= xhi[i]);
-    out[i] = static_cast<uint8_t>(keep | (match << 1));
-  }
-}
-
-void ExpiryPortable(const float* yhi, size_t n, float y, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(!(yhi[i] < y));
-  }
-}
-
-size_t OverlapPortable(const float* xlo, const float* ylo, const float* yhi,
-                       size_t n, float qxhi, float qylo, float qyhi,
-                       uint8_t* out) {
-  size_t k = 0;
-  for (; k < n; ++k) {
-    if (!(xlo[k] <= qxhi)) break;
-    out[k] = static_cast<uint8_t>((qylo <= yhi[k]) & (ylo[k] <= qyhi));
-  }
-  return k;
 }
 
 #endif
 
 }  // namespace
 
-void ClassifySweepLanes(SweepKernelMode mode, const float* xlo,
-                        const float* xhi, const float* yhi, size_t n,
-                        float qxlo, float qxhi, float qylo, uint8_t* out) {
-  if (mode == SweepKernelMode::kScalar) {
-    ClassifyScalar(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
-    return;
-  }
+void ClassifySweepLanes(const float* xlo, const float* xhi, const float* yhi,
+                        size_t n, float qxlo, float qxhi, float qylo,
+                        uint8_t* out) {
 #if defined(SJ_KERNELS_X86)
   if (CpuHasAvx2()) {
     ClassifyAvx2(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
@@ -380,19 +313,12 @@ void ClassifySweepLanes(SweepKernelMode mode, const float* xlo,
   }
 #elif defined(SJ_KERNELS_NEON)
   ClassifyNeon(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
-#elif !defined(SJ_SCALAR_SWEEP_ONLY)
-  ClassifyPortable(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
 #else
-  ClassifyScalar(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
+  ClassifyPortable(xlo, xhi, yhi, n, qxlo, qxhi, qylo, out);
 #endif
 }
 
-void ExpiryKeepMask(SweepKernelMode mode, const float* yhi, size_t n, float y,
-                    uint8_t* out) {
-  if (mode == SweepKernelMode::kScalar) {
-    ExpiryScalar(yhi, n, y, out);
-    return;
-  }
+void ExpiryKeepMask(const float* yhi, size_t n, float y, uint8_t* out) {
 #if defined(SJ_KERNELS_X86)
   if (CpuHasAvx2()) {
     ExpiryAvx2(yhi, n, y, out);
@@ -401,28 +327,21 @@ void ExpiryKeepMask(SweepKernelMode mode, const float* yhi, size_t n, float y,
   }
 #elif defined(SJ_KERNELS_NEON)
   ExpiryNeon(yhi, n, y, out);
-#elif !defined(SJ_SCALAR_SWEEP_ONLY)
-  ExpiryPortable(yhi, n, y, out);
 #else
-  ExpiryScalar(yhi, n, y, out);
+  ExpiryPortable(yhi, n, y, out);
 #endif
 }
 
-size_t BatchRectOverlap(SweepKernelMode mode, const float* xlo,
-                        const float* ylo, const float* yhi, size_t n,
-                        float qxhi, float qylo, float qyhi, uint8_t* out) {
-  if (mode == SweepKernelMode::kScalar) {
-    return OverlapScalar(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
-  }
+size_t BatchRectOverlap(const float* xlo, const float* ylo, const float* yhi,
+                        size_t n, float qxhi, float qylo, float qyhi,
+                        uint8_t* out) {
 #if defined(SJ_KERNELS_X86)
   return CpuHasAvx2() ? OverlapAvx2(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out)
                       : OverlapSse2(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
 #elif defined(SJ_KERNELS_NEON)
   return OverlapNeon(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
-#elif !defined(SJ_SCALAR_SWEEP_ONLY)
-  return OverlapPortable(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
 #else
-  return OverlapScalar(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
+  return OverlapPortable(xlo, ylo, yhi, n, qxhi, qylo, qyhi, out);
 #endif
 }
 

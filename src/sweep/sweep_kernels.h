@@ -9,42 +9,13 @@
 
 namespace sj {
 
-/// Which implementation the sweep/predicate kernels run.
-///
-///  * kScalar     — one lane at a time with branches: the reference
-///                  implementation, bit-identical to the pre-SoA code.
-///  * kVectorized — contiguous-lane SIMD blocks (AVX2 when the CPU has
-///                  it, else SSE2 / NEON, else a branch-free portable
-///                  loop the compiler can auto-vectorize).
-///
-/// Both produce identical lane masks for every input, including NaN,
-/// infinite and inverted coordinates (IEEE comparison semantics are
-/// preserved lane for lane); the scalar-vs-vectorized differential in
-/// tests/sweep_kernels_test.cc enforces this.
-enum class SweepKernelMode {
-  kScalar,
-  kVectorized,
-};
-
-/// The mode kernels run in:
-///  1. builds with -DSJ_SCALAR_SWEEP_ONLY compile the SIMD paths out and
-///     always report kScalar;
-///  2. SetSweepKernelMode (tests, benches) overrides the default;
-///  3. default: kVectorized.
-SweepKernelMode ActiveSweepKernelMode();
-
-/// Test/bench hook: force a mode process-wide (no-op under
-/// SJ_SCALAR_SWEEP_ONLY, which has no vectorized path to select). Only
-/// call while no sweep is in flight; structures latch the mode when
-/// constructed.
-void SetSweepKernelMode(SweepKernelMode mode);
-
-/// Clears the SetSweepKernelMode override, back to the default.
-void ResetSweepKernelMode();
-
-/// The instruction set the vectorized path uses on this machine:
-/// "avx2", "sse2", "neon", "portable", or "scalar-only" for
-/// SJ_SCALAR_SWEEP_ONLY builds.
+/// The instruction set the kernels below run on this machine: "avx2",
+/// "sse2", "neon", or "portable" (a branch-free loop the compiler can
+/// auto-vectorize). Every ISA's SIMD body hands its ragged tail to the
+/// portable loop, so all of them produce the same lane masks for every
+/// input, including NaN, infinite and inverted coordinates (IEEE
+/// comparison semantics are kept lane for lane); tests/sweep_kernels_test.cc
+/// checks each kernel against a one-lane-at-a-time oracle.
 const char* SweepKernelIsa();
 
 namespace kernels {
@@ -59,16 +30,15 @@ inline constexpr uint8_t kLaneMatch = 2;  // kept AND x-intervals overlap
 ///   out[i] = (yhi[i] < qylo        ? 0 : kLaneKeep)
 ///          | (kept && xlo[i] <= qxhi && qxlo <= xhi[i] ? kLaneMatch : 0)
 ///
-/// NaN coordinates follow IEEE comparisons exactly as the scalar code
-/// did: a NaN yhi never expires, a NaN x endpoint never matches.
-void ClassifySweepLanes(SweepKernelMode mode, const float* xlo,
-                        const float* xhi, const float* yhi, size_t n,
-                        float qxlo, float qxhi, float qylo, uint8_t* out);
+/// NaN coordinates follow IEEE comparisons: a NaN yhi never expires, a
+/// NaN x endpoint never matches.
+void ClassifySweepLanes(const float* xlo, const float* xhi, const float* yhi,
+                        size_t n, float qxlo, float qxhi, float qylo,
+                        uint8_t* out);
 
 /// Expiry-only form: out[i] = (yhi[i] < y) ? 0 : kLaneKeep. Used by the
 /// amortized self-purge passes.
-void ExpiryKeepMask(SweepKernelMode mode, const float* yhi, size_t n, float y,
-                    uint8_t* out);
+void ExpiryKeepMask(const float* yhi, size_t n, float y, uint8_t* out);
 
 /// Batched MBR-overlap scan over an xlo-sorted entry list (the ST/BFS
 /// node-pairing kernel): tests lanes [0, n) against the query row
@@ -80,10 +50,10 @@ void ExpiryKeepMask(SweepKernelMode mode, const float* yhi, size_t n, float y,
 /// !(xlo[k] <= qxhi), after which the caller's sorted-input invariant
 /// guarantees no further lane can overlap (out[k] is only valid below
 /// the returned end). The caller guarantees the full x test's other half
-/// (qxlo <= xhi[k]) by construction, exactly as the scalar sweep did.
-size_t BatchRectOverlap(SweepKernelMode mode, const float* xlo,
-                        const float* ylo, const float* yhi, size_t n,
-                        float qxhi, float qylo, float qyhi, uint8_t* out);
+/// (qxlo <= xhi[k]) by construction.
+size_t BatchRectOverlap(const float* xlo, const float* ylo, const float* yhi,
+                        size_t n, float qxhi, float qylo, float qyhi,
+                        uint8_t* out);
 
 }  // namespace kernels
 

@@ -31,26 +31,12 @@ TEST(CostModel, SSSJCostIsSixSequentialPasses) {
   EXPECT_NEAR(model.SSSJSeconds(1000), 6.0 * 1000 * seq_page, 1e-9);
 }
 
-TEST(CostModel, SweepCpuVectorizedBeatsScalarAndIsMonotone) {
+TEST(CostModel, SweepCpuIsZeroAtZeroLanesAndMonotone) {
   const CostModel model(MachineModel::Machine1());
-  // Zero lanes cost nothing in either mode.
-  EXPECT_EQ(model.SweepCpuSeconds(0, /*vectorized=*/false), 0.0);
-  EXPECT_EQ(model.SweepCpuSeconds(0, /*vectorized=*/true), 0.0);
-  // The vectorized kernels are strictly cheaper per lane, and both terms
-  // grow monotonically with the lane count.
+  EXPECT_EQ(model.SweepCpuSeconds(0), 0.0);
   for (uint64_t lanes : {1000ull, 1000000ull, 1000000000ull}) {
-    EXPECT_LT(model.SweepCpuSeconds(lanes, true),
-              model.SweepCpuSeconds(lanes, false));
-    EXPECT_LT(model.SweepCpuSeconds(lanes, true),
-              model.SweepCpuSeconds(lanes * 10, true));
-    EXPECT_LT(model.SweepCpuSeconds(lanes, false),
-              model.SweepCpuSeconds(lanes * 10, false));
+    EXPECT_LT(model.SweepCpuSeconds(lanes), model.SweepCpuSeconds(lanes * 10));
   }
-  // The modeled ratio matches the pinned per-lane constants.
-  EXPECT_NEAR(model.SweepCpuSeconds(1 << 20, false) /
-                  model.SweepCpuSeconds(1 << 20, true),
-              CostModel::kSweepScalarNsPerLane / CostModel::kSweepVectorNsPerLane,
-              1e-9);
 }
 
 TEST(CostModel, GrantedMemoryPricingAddsMergePasses) {

@@ -11,8 +11,6 @@
 namespace sj {
 namespace {
 
-using testing_util::TestDisk;
-
 /// In-memory sorted source for the tests.
 class VecSource final : public SortedRectSource {
  public:
@@ -80,7 +78,6 @@ TEST(PairSource, IntersectionRectsAreCorrect) {
 }
 
 TEST(MultiwayJoin, ThreeWayMatchesBruteForce) {
-  TestDisk td;
   const RectF region(0, 0, 60, 60);
   const auto a = UniformRects(300, region, 4.0f, 3);
   const auto b = UniformRects(300, region, 4.0f, 4);
@@ -88,8 +85,8 @@ TEST(MultiwayJoin, ThreeWayMatchesBruteForce) {
   VecSource sa(a), sb(b), sc(c);
 
   CollectingTupleSink sink;
-  auto stats = MultiwayJoinSources({&sa, &sb, &sc}, region, &td.disk,
-                                   JoinOptions(), &sink);
+  auto stats = MultiwayJoinSources({&sa, &sb, &sc}, region, JoinOptions(),
+                                   &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   auto got = sink.tuples();
   std::sort(got.begin(), got.end());
@@ -98,7 +95,6 @@ TEST(MultiwayJoin, ThreeWayMatchesBruteForce) {
 }
 
 TEST(MultiwayJoin, FourWay) {
-  TestDisk td;
   const RectF region(0, 0, 30, 30);
   const auto a = UniformRects(120, region, 5.0f, 6);
   const auto b = UniformRects(120, region, 5.0f, 7);
@@ -106,8 +102,8 @@ TEST(MultiwayJoin, FourWay) {
   const auto d = UniformRects(120, region, 5.0f, 9);
   VecSource sa(a), sb(b), sc(c), sd(d);
   CollectingTupleSink sink;
-  auto stats = MultiwayJoinSources({&sa, &sb, &sc, &sd}, region, &td.disk,
-                                   JoinOptions(), &sink);
+  auto stats = MultiwayJoinSources({&sa, &sb, &sc, &sd}, region, JoinOptions(),
+                                   &sink);
   ASSERT_TRUE(stats.ok());
 
   // Brute force 4-way.
@@ -131,24 +127,21 @@ TEST(MultiwayJoin, FourWay) {
 }
 
 TEST(MultiwayJoin, RejectsFewerThanTwoInputs) {
-  TestDisk td;
   VecSource sa({});
   CountingTupleSink sink;
-  auto stats = MultiwayJoinSources({&sa}, RectF(0, 0, 1, 1), &td.disk,
-                                   JoinOptions(), &sink);
+  auto stats = MultiwayJoinSources({&sa}, RectF(0, 0, 1, 1), JoinOptions(),
+                                   &sink);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MultiwayJoin, TwoWayDegeneratesToPairs) {
-  TestDisk td;
   const RectF region(0, 0, 50, 50);
   const auto a = UniformRects(200, region, 3.0f, 10);
   const auto b = UniformRects(200, region, 3.0f, 11);
   VecSource sa(a), sb(b);
   CollectingTupleSink sink;
-  auto stats = MultiwayJoinSources({&sa, &sb}, region, &td.disk,
-                                   JoinOptions(), &sink);
+  auto stats = MultiwayJoinSources({&sa, &sb}, region, JoinOptions(), &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->output_count,
             testing_util::BruteForcePairs(a, b).size());

@@ -197,7 +197,9 @@ TEST(ParallelJoin, KWayQueriesIgnoreThreadCount) {
   // the same inputs, emit the same tuples in the same order, with the
   // same DiskStats and granted peak, at every thread count and on memory
   // and file-backed scratch alike. 8000 records per input at a 256 KiB
-  // budget give each stream sort three runs.
+  // budget give each stream sort three runs. The reported I/O covers
+  // those sorts: a JoinQuery reports exactly what its DiskModel was
+  // charged, and a pipeline at least that much.
   const RectF region(0, 0, 500, 500);
   std::vector<std::vector<RectF>> data;
   for (uint64_t i = 0; i < 3; ++i) {
@@ -252,9 +254,13 @@ TEST(ParallelJoin, KWayQueriesIgnoreThreadCount) {
       PipelineQuery query(joiner);
       configure(query);
       CollectingRowSink sink;
+      const DiskStats before = td.disk.stats();
       auto stats = query.Run(&sink);
+      const DiskStats charged = td.disk.stats() - before;
       EXPECT_TRUE(stats.ok()) << stats.status().ToString();
       if (!stats.ok()) return out;
+      EXPECT_GE(stats->disk.pages_written, charged.pages_written)
+          << "threads=" << threads;
       out.rows = sink.rows();
       for (const PipeRow& row : out.rows) out.tuples.push_back(row.ids);
       out.disk = stats->disk;
@@ -263,9 +269,12 @@ TEST(ParallelJoin, KWayQueriesIgnoreThreadCount) {
       JoinQuery query(joiner);
       configure(query);
       CollectingTupleSink sink;
+      const DiskStats before = td.disk.stats();
       auto stats = query.Run(&sink);
+      const DiskStats charged = td.disk.stats() - before;
       EXPECT_TRUE(stats.ok()) << stats.status().ToString();
       if (!stats.ok()) return out;
+      ExpectSameDiskStats(stats->disk, charged, threads);
       out.tuples = sink.tuples();
       out.disk = stats->disk;
       out.peak_memory_bytes = stats->peak_memory_bytes;
