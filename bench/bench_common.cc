@@ -26,8 +26,9 @@ std::vector<std::string> SplitCsv(const std::string& s) {
 
 }  // namespace
 
-BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
-  BenchConfig config;
+BenchConfig BenchConfig::FromArgs(int argc, char** argv,
+                                  BenchConfig defaults) {
+  BenchConfig config = std::move(defaults);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--scale=", 0) == 0) {
@@ -87,8 +88,6 @@ const LoadedDataset& GetDataset(const std::string& name, double scale) {
   return cache->emplace(key, std::move(data)).first->second;
 }
 
-namespace {
-
 DatasetRef WriteRelation(Pager* pager, const std::vector<RectF>& rects) {
   StreamWriter<RectF> writer(pager);
   const PageId first = writer.first_page();
@@ -105,8 +104,6 @@ DatasetRef WriteRelation(Pager* pager, const std::vector<RectF>& rects) {
   return ref;
 }
 
-}  // namespace
-
 Workload MakeWorkload(const LoadedDataset& data, const MachineModel& machine,
                       bool build_trees) {
   Workload w;
@@ -120,7 +117,6 @@ Workload MakeWorkload(const LoadedDataset& data, const MachineModel& machine,
     w.roads_tree_pager = MakeMemoryPager(w.disk.get(), "roads.rtree");
     w.hydro_tree_pager = MakeMemoryPager(w.disk.get(), "hydro.rtree");
     auto scratch = MakeMemoryPager(w.disk.get(), "bulkload.scratch");
-    const double io_before = w.disk->stats().io_seconds;
     const RTreeParams params;  // The paper's 400/75 %/20 % configuration.
     auto roads_tree =
         RTree::BulkLoadHilbert(w.roads_tree_pager.get(), w.roads.range,
@@ -131,7 +127,6 @@ Workload MakeWorkload(const LoadedDataset& data, const MachineModel& machine,
     SJ_CHECK(roads_tree.ok() && hydro_tree.ok());
     w.roads_tree.emplace(std::move(roads_tree).value());
     w.hydro_tree.emplace(std::move(hydro_tree).value());
-    w.tree_build_io_seconds = w.disk->stats().io_seconds - io_before;
   }
   // Preprocessing I/O (data load, bulk load) is not part of the join.
   w.disk->ResetStats();
@@ -150,21 +145,6 @@ Result<JoinStats> RunJoin(Workload* w, JoinAlgorithm algo,
       .Input(w->HydroInput(indexed))
       .Algorithm(algo)
       .Run(&sink);
-}
-
-std::string HumanBytes(uint64_t bytes) {
-  char buf[32];
-  if (bytes >= (1ull << 20)) {
-    std::snprintf(buf, sizeof(buf), "%.1f MB",
-                  static_cast<double>(bytes) / (1 << 20));
-  } else if (bytes >= (1ull << 10)) {
-    std::snprintf(buf, sizeof(buf), "%.1f KB",
-                  static_cast<double>(bytes) / (1 << 10));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  }
-  return buf;
 }
 
 void PrintHeaderRule(int width) {

@@ -15,7 +15,7 @@
 namespace sj {
 namespace bench {
 
-/// Shared command-line configuration for the paper-reproduction benches.
+/// Shared command-line configuration for the benches.
 ///
 ///   --scale=F       dataset ladder scale (default 0.05; 1.0 = the paper's
 ///                   object counts — only sensible on a large machine)
@@ -27,7 +27,9 @@ struct BenchConfig {
                                        "DISK4-6", "DISK1-3", "DISK1-6"};
   std::vector<int> machines = {1, 2, 3};
 
-  static BenchConfig FromArgs(int argc, char** argv);
+  /// Parses the flags above over `defaults`, the values a flag that is
+  /// not given keeps.
+  static BenchConfig FromArgs(int argc, char** argv, BenchConfig defaults);
 
   /// Join options whose memory parameters shrink with the dataset scale,
   /// preserving the paper's data-to-memory ratios: the 22 MB buffer pool
@@ -50,6 +52,9 @@ struct LoadedDataset {
 
 const LoadedDataset& GetDataset(const std::string& name, double scale);
 
+/// Writes `rects` as a stream on `pager`, with their extent.
+DatasetRef WriteRelation(Pager* pager, const std::vector<RectF>& rects);
+
 /// One experiment environment: a simulated machine, both relations stored
 /// as streams, and (optionally) bulk-loaded R-trees over both.
 struct Workload {
@@ -62,9 +67,6 @@ struct Workload {
   DatasetRef hydro;
   std::optional<RTree> roads_tree;
   std::optional<RTree> hydro_tree;
-  /// Modeled seconds spent bulk loading both indexes (reported separately,
-  /// as the paper discusses amortizing build cost).
-  double tree_build_io_seconds = 0;
 
   JoinInput RoadsInput(bool indexed) const {
     return indexed ? JoinInput::FromRTree(&*roads_tree)
@@ -85,8 +87,6 @@ Workload MakeWorkload(const LoadedDataset& data, const MachineModel& machine,
 Result<JoinStats> RunJoin(Workload* w, JoinAlgorithm algo,
                           const JoinOptions& options);
 
-/// Formatting helpers.
-std::string HumanBytes(uint64_t bytes);
 void PrintHeaderRule(int width);
 
 }  // namespace bench

@@ -218,6 +218,6 @@ int main(int argc, char** argv) {
       if (pages == 0) pages = 1;
     }
   }
-  sj::bench::Run(sj::bench::BenchConfig::FromArgs(argc, argv), pages);
+  sj::bench::Run(sj::bench::BenchConfig::FromArgs(argc, argv, {}), pages);
   return 0;
 }

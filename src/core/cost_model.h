@@ -135,7 +135,7 @@ class CostModel {
   }
 
   // Sweep-kernel CPU term. The sweep inner loop (interval-structure
-  // scans, calibrated by bench_sweep_structures on the TIGER ladder)
+  // scans, calibrated by timing the sweeps on the TIGER ladder)
   // processes active-set lanes at roughly this per-lane cost in the SoA
   // kernels (sweep/sweep_kernels.h). It tells the planner how much of a
   // join is CPU-bound sweep work vs. modeled I/O.
@@ -156,7 +156,7 @@ class CostModel {
   // the kAuto streaming-vs-index crossover shifts toward SSSJ.
 
   /// Comparison cost of the sort pipeline, calibrated against
-  /// bench_external_sort on the TIGER ladder: one branchy compare plus
+  /// timed external sorts on the TIGER ladder: one branchy compare plus
   /// the record move it orders.
   static constexpr double kSortNsPerCompare = 4.0;
 

@@ -157,8 +157,8 @@ struct JoinStats {
   /// Maxima of the in-memory data structures (Table 3).
   size_t max_sweep_bytes = 0;
   size_t max_queue_bytes = 0;
-  /// PBSM partitioning behaviour (ablation: tile-count sensitivity; the
-  /// adaptive-vs-fixed comparison in bench_skew).
+  /// PBSM partitioning behaviour (paper_repro's §3.2 tile-count rows;
+  /// adaptive against fixed grids).
   uint32_t partitions_total = 0;
   uint32_t partitions_overflowed = 0;
   size_t max_partition_bytes = 0;

@@ -41,9 +41,9 @@ inline constexpr uint32_t kPbsmHistogramResolution = 256;
 /// A partition pair acquires its load as a memory grant; a denied grant
 /// (contents exceed the budget) falls back to an external sort +
 /// streaming sweep of that partition. The paper instead tuned the tile
-/// count (32^2 -> 128^2) to make overflows rare, which
-/// bench_ablation_pbsm_tiles reproduces and bench_skew contrasts with
-/// the adaptive planner. Distribution writer blocks are granted too and
+/// count (32^2 -> 128^2) to make overflows rare; paper_repro's §3.2 rows
+/// check that on the fixed grid, which the default adaptive planner
+/// replaces. Distribution writer blocks are granted too and
 /// shrink when the budget cannot cover 2p of the partition map's
 /// preferred flush block. `arbiter` is the query's memory governor;
 /// nullptr runs against a private one over the options' budget.

@@ -1,6 +1,6 @@
 // Joins over *dynamically built* (insert/delete churned) trees: the
 // algorithms must be exact regardless of index quality — only the I/O
-// profile may change (which bench_ablation_index_quality measures).
+// profile may change (which paper_repro's §6.2 rows measure).
 
 #include <gtest/gtest.h>
 

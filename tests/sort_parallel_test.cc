@@ -188,7 +188,7 @@ TEST(ParallelSortDifferential, AllConfigsMatchSerialReference) {
                                 ref.pages.size()),
                     0)
               << label;
-          EXPECT_DOUBLE_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
+          EXPECT_EQ(got.disk.io_seconds, ref.disk.io_seconds) << label;
           EXPECT_EQ(got.disk.pages_read, ref.disk.pages_read) << label;
           EXPECT_EQ(got.disk.pages_written, ref.disk.pages_written) << label;
           EXPECT_EQ(got.disk.read_requests, ref.disk.read_requests) << label;
