@@ -7,8 +7,7 @@
 // are the same on every host, thread count and instruction set. A *host*
 // row includes host CPU time; it is printed and never gates. Every plan
 // is priced by the DiskModel delta around the whole plan, so a stream
-// sort counts even where an executor's JoinStats leave it out; Price()
-// names the one exception, partitioned plans.
+// sort counts even where an executor's JoinStats leave it out.
 //
 // kKnownDeviations pins each row that deviates at the default
 // configuration, with its measured value and reason. The binary exits 1
@@ -34,6 +33,7 @@
 #include "io/stream.h"
 #include "join/multiway.h"
 #include "join/pq_join.h"
+#include "join/sssj.h"
 #include "sort/external_sort.h"
 #include "sweep/interval_structures.h"
 #include "sweep/sweep_join.h"
@@ -106,12 +106,12 @@ constexpr KnownDeviation kKnownDeviations[] = {
      "DiskModel charges 163 of PQ's 321 reads as sequential (1.82 s, "
      "where the cost model says 2.80 s for the index alone) and SSSJ "
      "1.81 s, where the cost model says 1.45 s"},
-    {"s3_1.striped@NJ", "0.55-0.56x", "host row; see s3_1.striped@DISK1"},
-    {"s3_1.striped@DISK1", "1.04-1.37x",
+    {"s3_1.striped@NJ", "0.59-0.77x", "host row; see s3_1.striped@DISK1"},
+    {"s3_1.striped@DISK1", "0.93-1.36x",
      "host row; Forward-Sweep runs on SIMD kernels, which cut its "
      "DISK1@0.05 time from 159.6 to 111.8 ms; the 2-5x figure predates "
      "them"},
-    {"s3_1.striped@DISK1-6", "1.90-2.34x",
+    {"s3_1.striped@DISK1-6", "1.98-2.87x",
      "host row; see s3_1.striped@DISK1. This one straddles 2x from run to "
      "run"},
     {"fig3.sssj_fastest", "SSSJ wins 1-2 of 9",
@@ -151,12 +151,9 @@ uint64_t StreamPages(const DatasetRef& ref) {
 /// priced as a whole plan: `disk` becomes the DiskModel delta around Run,
 /// which covers the stream sorts and leaf extraction some executors leave
 /// out of their JoinStats, and host CPU is the thread's CPU around Run.
-/// Counts and structure sizes stay the executor's.
-///
-/// A partitioned plan (PBSM, or SSSJ's strip fallback) is the exception:
-/// its units charge private DiskModel shards that never reach `disk`, and
-/// its JoinStats add them. It keeps its reported I/O, which covers the
-/// whole plan because every partitioned plan here joins two streams.
+/// Counts and structure sizes stay the executor's. A partitioned plan's
+/// units charge private shards that its join folds into `disk`, so the
+/// delta covers them.
 JoinStats Price(DiskModel* disk, const JoinOptions& options,
                 const JoinInput& a, const JoinInput& b, JoinAlgorithm algo) {
   SpatialJoiner joiner(disk, options);
@@ -167,7 +164,7 @@ JoinStats Price(DiskModel* disk, const JoinOptions& options,
       JoinQuery(joiner).Input(a).Input(b).Algorithm(algo).Run(&sink);
   SJ_CHECK(stats.ok()) << ToString(algo) << ": " << stats.status().ToString();
   stats->host_cpu_seconds = cpu.Elapsed();
-  if (stats->partitions_total == 0) stats->disk = disk->stats() - before;
+  stats->disk = disk->stats() - before;
   return *stats;
 }
 
@@ -467,18 +464,21 @@ void SweepStructureRows(const BenchConfig& config, std::vector<Row>* rows) {
     RectF region = RectF::Empty();
     for (const RectF& r : roads) region.ExtendTo(r);
     for (const RectF& r : hydro) region.ExtendTo(r);
+    // The strips SSSJ's sweep takes for these records.
+    const uint32_t strips = SweepStrips(roads.size() + hydro.size(),
+                                        JoinOptions().striped_strips);
     uint64_t forward_pairs = 0, striped_pairs = 0;
     const double forward =
         SweepMs<ForwardSweep>(roads, hydro, region, 0, &forward_pairs);
     const double striped =
-        SweepMs<StripedSweep>(roads, hydro, region, 1024, &striped_pairs);
+        SweepMs<StripedSweep>(roads, hydro, region, strips, &striped_pairs);
     SJ_CHECK(forward_pairs == striped_pairs) << name << ": sweeps disagree";
     const double speedup = forward / striped;
     rows->push_back({"s3_1.striped@" + name, "§3.1",
-                     "Striped-Sweep (1024 strips) is 2-5x faster than "
+                     "Striped-Sweep (SSSJ's strips) is 2-5x faster than "
                      "Forward-Sweep",
-                     Format("%.2fx (%.2f vs %.2f ms, %s)", speedup, forward,
-                            striped, SweepKernelIsa()),
+                     Format("%.2fx (%.2f vs %.2f ms, %u strips, %s)", speedup,
+                            forward, striped, strips, SweepKernelIsa()),
                      speedup >= 2 && speedup <= 5, Kind::kHost});
   }
 }

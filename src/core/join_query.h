@@ -114,6 +114,7 @@ class QueryBuilder {
   Derived& Refine(bool on) { return Set(&JoinOptions::refine, on); }
   Derived& Threads(uint32_t n) { return Set(&JoinOptions::num_threads, n); }
   Derived& MemoryBytes(size_t bytes) { return Set(&JoinOptions::memory_bytes, bytes); }
+  /// Most strips a Striped-Sweep may use (see JoinOptions::striped_strips).
   Derived& StripedStrips(uint32_t strips) { return Set(&JoinOptions::striped_strips, strips); }
   Derived& PbsmTilesPerAxis(uint32_t tiles) { return Set(&JoinOptions::pbsm_tiles_per_axis, tiles); }
   /// Skew-adaptive PBSM partitioning (on by default); false is the

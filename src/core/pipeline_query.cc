@@ -173,6 +173,7 @@ std::vector<std::pair<std::string, std::string>> PipelineStats::ToKeyValues()
   kv.emplace_back("candidate_count", std::to_string(candidate_count));
   kv.emplace_back("refine_pages_read", std::to_string(refine_pages_read));
   kv.emplace_back("join_algorithm", ToString(join_algorithm));
+  kv.emplace_back("sweep_strips", std::to_string(sweep_strips));
   kv.emplace_back("host_cpu_seconds", FmtG(host_cpu_seconds));
   kv.emplace_back("disk.pages_read", std::to_string(disk.pages_read));
   kv.emplace_back("disk.pages_written", std::to_string(disk.pages_written));
@@ -670,6 +671,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
       // One compile: the join plans as it runs and reports what it ran.
       SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
       out.join_algorithm = join_stats.algorithm;
+      out.sweep_strips = join_stats.sweep_strips;
       fold_join(join_stats);
     } else {
       SJ_ASSIGN_OR_RETURN(MultiwayStats join_stats,

@@ -141,6 +141,11 @@ void DiskModel::AddIoWall(double seconds) {
   stats_.io_wall_seconds += seconds;
 }
 
+void DiskModel::Absorb(const DiskStats& charged) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ += charged;
+}
+
 void DiskModel::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
   stats_ = DiskStats{};

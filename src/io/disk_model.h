@@ -99,6 +99,12 @@ class DiskModel {
   /// on the consuming thread or on a worker.
   void AddIoWall(double seconds);
 
+  /// Adds counters another model was charged (a partitioned join's unit
+  /// shard) to this one's aggregate stats, so a delta of stats() covers
+  /// that I/O too. Stream state, per-device counters and the LRU clock
+  /// stay as they are: later requests price exactly as without the call.
+  void Absorb(const DiskStats& charged);
+
   /// Consistent snapshots (by value: the counters may move concurrently).
   DiskStats stats() const;
   std::vector<DeviceStats> device_stats() const;

@@ -34,6 +34,7 @@ std::string JoinStats::Describe() const {
   if (max_sweep_bytes > 0) {
     os << "; sweep max " << (max_sweep_bytes + 1023) / 1024 << " KB";
   }
+  if (sweep_strips > 0) os << "; " << sweep_strips << " sweep strips";
   if (sweep_strips_collapsed) {
     os << "; STRIPED SWEEP COLLAPSED (degenerate extent, single strip)";
   }
@@ -112,6 +113,9 @@ std::vector<std::pair<std::string, std::string>> JoinStats::ToKeyValues()
   }
   if (max_queue_bytes > 0) {
     kv.emplace_back("max_queue_bytes", std::to_string(max_queue_bytes));
+  }
+  if (sweep_strips > 0) {
+    kv.emplace_back("sweep_strips", std::to_string(sweep_strips));
   }
   if (sweep_strips_collapsed) {
     kv.emplace_back("sweep_strips_collapsed", "1");

@@ -64,7 +64,11 @@ struct JoinOptions {
   /// Interval structure for PBSM's per-partition sweeps. The paper follows
   /// Patel & DeWitt and uses Forward-Sweep.
   SweepStructureKind partition_sweep = SweepStructureKind::kForward;
-  /// Strips for Striped-Sweep.
+  /// Most strips a Striped-Sweep may use. SSSJ's sweeps and PBSM's
+  /// Striped partition sweeps use SweepStrips(N, striped_strips) =
+  /// ceil(2 sqrt(N)) strips for their N records, so only sweeps over
+  /// 262,144 records or more reach the default cap; PQ and the k-way
+  /// chain use striped_strips itself.
   uint32_t striped_strips = 1024;
   /// PBSM tile grid for *fixed-grid* partitioning (the paper raised Patel
   /// & DeWitt's 32x32 to 128x128 to avoid overfull partitions). Ignored
@@ -184,6 +188,9 @@ struct JoinStats {
   /// folded into `disk` like everything else).
   uint64_t candidate_count = 0;
   uint64_t refine_pages_read = 0;
+  /// Strips of the join's Striped-Sweep (the most over a partitioned
+  /// plan's units); 0 when no Striped-Sweep ran.
+  uint32_t sweep_strips = 0;
   /// True when any StripedSweep in the join fell back to a single strip
   /// because its extent was degenerate or non-finite (StripedSweep's
   /// hardened construction) — the join ran correctly but the striping

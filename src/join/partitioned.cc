@@ -31,10 +31,10 @@ size_t PartitionUnit::input_bytes() const {
 }
 
 void PartitionedTotals::AddTo(JoinStats* stats) const {
-  stats->disk += disk;
   stats->host_cpu_seconds += worker_cpu_seconds;
   stats->output_count = output;
   stats->max_sweep_bytes = max_bytes;
+  stats->sweep_strips = sweep_strips;
   stats->sweep_strips_collapsed = strips_collapsed;
   stats->FoldSortStats(sort_stats);
   stats->partitions_total = units;
@@ -45,6 +45,7 @@ Result<PartitionedJoin> PartitionedJoin::Distribute(
     const Route& route, const FileName& file_name, uint32_t block_pages,
     StorageFactory* storage, DiskModel* disk) {
   PartitionedJoin join;
+  join.disk_ = disk;
   join.units_.resize(units);
   join.files_.resize(units);
   join.cpu_seconds_.resize(units);
@@ -118,13 +119,14 @@ PartitionedTotals PartitionedJoin::Merge(MemoryArbiter* arbiter) const {
     const PartitionUnit& unit = units_[i];
     totals.output += unit.output;
     totals.max_bytes = std::max(totals.max_bytes, unit.max_bytes);
+    totals.sweep_strips = std::max(totals.sweep_strips, unit.sweep_strips);
     totals.strips_collapsed = totals.strips_collapsed || unit.strips_collapsed;
     if (unit.overflowed) totals.overflowed++;
     totals.max_input_bytes =
         std::max(totals.max_input_bytes, unit.input_bytes());
     totals.sort_stats.Fold(unit.sort_stats);
     totals.worker_cpu_seconds += cpu_seconds_[i];
-    totals.disk += unit.disk->stats();
+    disk_->Absorb(unit.disk->stats());
     arbiter->FoldChild(*unit.memory);
   }
   return totals;

@@ -22,7 +22,7 @@ struct PartitionUnit {
   /// Private shard: the unit's input files and any scratch its body
   /// creates charge here, so its modeled I/O depends only on its own
   /// request sequence, never on which thread ran it or what ran
-  /// alongside.
+  /// alongside. Run() folds it into the caller's disk.
   std::unique_ptr<DiskModel> disk;
   /// Private serial-equivalent memory scope: the unit runs with the
   /// whole unit budget, as if alone on the paper's machine, and its
@@ -35,6 +35,7 @@ struct PartitionUnit {
   /// Set by the body; Run() folds them in unit order.
   uint64_t output = 0;    ///< Results the unit reported.
   size_t max_bytes = 0;   ///< Peak in-memory sweep state.
+  uint32_t sweep_strips = 0;  ///< Strips of the unit's Striped-Sweep.
   bool strips_collapsed = false;
   bool overflowed = false;  ///< Inputs exceeded the unit budget.
   SortStats sort_stats;
@@ -48,19 +49,18 @@ struct PartitionedTotals {
   uint32_t units = 0;
   uint64_t output = 0;
   size_t max_bytes = 0;
+  uint32_t sweep_strips = 0;
   bool strips_collapsed = false;
   uint32_t overflowed = 0;
   size_t max_input_bytes = 0;
   SortStats sort_stats;
-  /// Shard I/O, summed from zero in unit order.
-  DiskStats disk;
   /// CPU of units that ran off the calling thread; the caller's own
   /// measurement already covers the units it ran itself.
   double worker_cpu_seconds = 0.0;
 
-  /// Adds the shard I/O and worker CPU to `stats` (the caller's finished
-  /// measurement) and sets the fields every partitioned pair join
-  /// reports.
+  /// Adds the worker CPU to `stats` (the caller's finished measurement,
+  /// whose disk delta already holds the folded shards) and sets the
+  /// fields every partitioned pair join reports.
   void AddTo(JoinStats* stats) const;
 };
 
@@ -75,9 +75,11 @@ struct PartitionedTotals {
 /// every unit the route lists, then re-homes each unit's files onto the
 /// unit's private DiskModel shard. Run() runs the body once per unit
 /// through ParallelFor and merges in unit order: buffered output replays
-/// into the caller's sink, shard I/O sums and child arbiters and sort
-/// statistics fold. Output, modeled I/O and memory statistics are
-/// therefore identical for every num_threads.
+/// into the caller's sink, each shard's counters fold into the caller's
+/// disk (DiskModel::Absorb), and child arbiters and sort statistics
+/// fold. Output, modeled I/O and memory statistics are therefore
+/// identical for every num_threads, and a measurement around the whole
+/// join on the caller's disk covers every unit's I/O.
 ///
 /// Every error unwinds one way: the writers still open are abandoned
 /// (buffered records dropped, so their destructor check passes), every
@@ -116,6 +118,9 @@ class PartitionedJoin {
  private:
   PartitionedTotals Merge(MemoryArbiter* arbiter) const;
 
+  /// The caller's disk: distribution charges it, and Merge() folds the
+  /// units' shards into it.
+  DiskModel* disk_ = nullptr;
   std::vector<PartitionUnit> units_;
   /// Per unit: the pagers of its `inputs`, and its thread CPU when it
   /// ran off the calling thread.

@@ -8,6 +8,7 @@
 
 #include "join/partition_plan.h"
 #include "join/partitioned.h"
+#include "join/sssj.h"
 #include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
 
@@ -120,6 +121,10 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
     };
     SweepRunStats sweep_stats;
     const size_t part_bytes = unit.input_bytes();
+    // A Striped partition sweep is striped for the partition's records.
+    const uint32_t strips =
+        SweepStrips(unit.inputs[0].count + unit.inputs[1].count,
+                    options.striped_strips);
     // The partition pair's load is a grant; denial IS the overflow
     // signal.
     Result<MemoryGrant> load =
@@ -137,8 +142,8 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
       std::sort(rects[0].begin(), rects[0].end(), OrderByYLo());
       std::sort(rects[1].begin(), rects[1].end(), OrderByYLo());
       VectorRectSource sa(&rects[0]), sb(&rects[1]);
-      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent,
-                                      options.striped_strips, sa, sb, emit);
+      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
+                                      sa, sb, emit);
       load->NoteUsage(part_bytes);
       // The deduplicating sweep may double-count in sweep_stats; the
       // reference-point count is authoritative.
@@ -167,12 +172,12 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
                                    sa_range.count);
       StreamReader<RectF> reader_b(sb_range.pager, sb_range.first_page,
                                    sb_range.count);
-      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent,
-                                      options.striped_strips, reader_a,
-                                      reader_b, emit);
+      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
+                                      reader_a, reader_b, emit);
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
     unit.max_bytes = sweep_stats.max_structure_bytes;
+    unit.sweep_strips = sweep_stats.strips;
     unit.strips_collapsed = sweep_stats.strips_collapsed;
     return Status::OK();
   };

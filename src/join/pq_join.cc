@@ -48,6 +48,7 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   JoinStats stats = measurement.Finish();
   stats.output_count = sweep_stats.output_count;
   stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
+  stats.sweep_strips = sweep_stats.strips;
   stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
   stats.max_queue_bytes = max_queue_bytes;
   queue_grant.Release();

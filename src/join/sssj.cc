@@ -1,5 +1,6 @@
 #include "join/sssj.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -17,6 +18,14 @@ size_t EstimateSweepBytes(uint64_t records) {
          sizeof(RectF);
 }
 
+uint32_t SweepStrips(uint64_t records, uint32_t max_strips) {
+  // The rounded root is exact enough for ceil() below 2^49 records.
+  const double strips =
+      std::ceil(2.0 * std::sqrt(static_cast<double>(records)));
+  return static_cast<uint32_t>(std::clamp(
+      strips, 1.0, static_cast<double>(std::max<uint32_t>(1, max_strips))));
+}
+
 Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                            DiskModel* disk, const JoinOptions& options,
                            JoinSink* sink, MemoryArbiter* arbiter) {
@@ -31,6 +40,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   // whose active sets defeat the estimate at run time are recorded in
   // the usage high-water marks (and abort a strict arbiter).
   const uint64_t est_sweep_bytes = EstimateSweepBytes(a.count() + b.count());
+  const uint32_t strips =
+      SweepStrips(a.count() + b.count(), options.striped_strips);
   {
     MemoryGrant probe = scope->AcquireShrinkable(grants::kSweep,
                                                  est_sweep_bytes,
@@ -38,9 +49,9 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     if (probe.bytes() < est_sweep_bytes) {
       probe.Release();
       const size_t budget = std::max<size_t>(1, scope->budget());
-      const uint32_t strips = static_cast<uint32_t>(std::clamp<uint64_t>(
+      const uint32_t units = static_cast<uint32_t>(std::clamp<uint64_t>(
           (2 * est_sweep_bytes + budget - 1) / budget, 2, 512));
-      return SSSJStripJoin(a, b, strips, disk, options, sink, scope.get());
+      return SSSJStripJoin(a, b, units, disk, options, sink, scope.get());
     }
     // Released here so the sort phase gets the whole budget (both
     // sorters at memory/2, also in the fused path where they are alive
@@ -102,9 +113,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                                                 /*block_pages=*/8);
       MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
                                                 /*block_pages=*/8);
-      sweep_stats = SweepJoinWithKind(options.stream_sweep, extent,
-                                      options.striped_strips, source_a,
-                                      source_b, emit);
+      sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
+                                      source_a, source_b, emit);
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
   }
@@ -127,15 +137,15 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
         grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
     StreamReader<RectF> source_a(sa.pager, sa.first_page, sa.count);
     StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
-    sweep_stats =
-        SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
-                          source_a, source_b, emit);
+    sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
+                                    source_a, source_b, emit);
     sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
   }
 
   JoinStats stats = measurement.Finish();
   stats.output_count = sweep_stats.output_count;
   stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
+  stats.sweep_strips = sweep_stats.strips;
   stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
   stats.FoldSortStats(sort_stats);
   FillMemoryStats(*scope, &stats);
@@ -200,10 +210,15 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
         unit.output++;
       }
     };
-    const SweepRunStats sweep_stats =
-        SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips,
-                          reader_a, reader_b, emit);
+    // The unit sweeps its own strip's x-range, striped for its own
+    // records; rectangles reaching past the range land in its boundary
+    // strips.
+    const SweepRunStats sweep_stats = SweepJoinWithKind(
+        options.stream_sweep, map.Strip(static_cast<uint32_t>(s), extent),
+        SweepStrips(sa.count + sb.count, options.striped_strips), reader_a,
+        reader_b, emit);
     unit.max_bytes = sweep_stats.max_structure_bytes;
+    unit.sweep_strips = sweep_stats.strips;
     unit.strips_collapsed = sweep_stats.strips_collapsed;
     // A strict arbiter aborts here when the strip's active sets still
     // exceed the grant (the old hard SJ_CHECK); otherwise the overshoot

@@ -11,7 +11,8 @@ namespace sj {
 ///
 /// Externally sorts both inputs by lower y coordinate, then performs one
 /// plane sweep over the merged sorted streams using the configured
-/// interval structure (Striped-Sweep by default, as in the paper).
+/// interval structure (Striped-Sweep by default, as in the paper, with
+/// SweepStrips(N) strips for its N records).
 /// Excluding output, this costs two sequential read passes, one
 /// non-sequential read pass (the merge) and two sequential write passes
 /// over the data — all of which the DiskModel charges from the actual
@@ -41,7 +42,8 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
 /// which never happens on the paper's real data — the x-extent is split
 /// into `strips` vertical strips, rectangles are distributed (with
 /// replication) to every strip they overlap, and each strip is sorted and
-/// swept independently within the memory budget. Duplicates are
+/// swept independently within the memory budget, its Striped-Sweep cut
+/// into SweepStrips(its records) strips over its own x-range. Duplicates are
 /// suppressed by reporting a pair only in the strip containing the left
 /// edge of its x-overlap. Costs one extra read+write pass over the data
 /// relative to plain SSSJ.
@@ -57,6 +59,16 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
 /// the executor acquires) and triggers the strip spill when it exceeds
 /// the grantable memory.
 size_t EstimateSweepBytes(uint64_t records);
+
+/// Strips for a Striped-Sweep over `records` y-sorted inputs: ceil(2 *
+/// sqrt(records)), one strip per rectangle the square-root rule above
+/// expects in the active sets (a 365,014-record DISK1-6 overlay holds
+/// at most 1,178 at once, 1.95 sqrt(N)), clamped to [1, max_strips].
+/// JoinOptions::striped_strips is the cap, so at its default of 1,024
+/// every sweep over 262,144 records or more keeps 1,024 strips. More
+/// strips than that would be narrower than the rectangles on small
+/// inputs, and each insert would copy its rectangle into many of them.
+uint32_t SweepStrips(uint64_t records, uint32_t max_strips);
 
 }  // namespace sj
 

@@ -10,8 +10,7 @@
 
 namespace sj {
 
-/// 1-D vertical strip geometry shared by the partitioned join paths
-/// (SSSJ's strip fallback, the parallel multiway join): the sweep domain
+/// 1-D vertical strip geometry of SSSJ's strip fallback: the sweep domain
 /// is cut into equal-width strips, a rectangle is replicated into every
 /// strip it overlaps, and a result is reported only in the strip owning
 /// the left edge of the overlap (the reference-point test).
@@ -36,6 +35,15 @@ class StripMap {
     out->clear();
     const uint32_t last = StripOf(r.xhi);
     for (uint32_t s = StripOf(r.xlo); s <= last; ++s) out->push_back(s);
+  }
+  /// Strip `s`'s slice of `extent`, the extent the map was built on: its
+  /// x-range, with the outer strips' outer edges at the extent's own (a
+  /// one-strip map returns `extent` itself).
+  RectF Strip(uint32_t s, const RectF& extent) const {
+    RectF strip = extent;
+    if (s > 0) strip.xlo = xlo_ + static_cast<float>(s) * width_;
+    if (s + 1 < strips_) strip.xhi = xlo_ + static_cast<float>(s + 1) * width_;
+    return strip;
   }
   uint32_t strips() const { return strips_; }
 

@@ -16,6 +16,8 @@ struct SweepRunStats {
   uint64_t output_count = 0;
   size_t max_structure_bytes = 0;
   size_t max_active = 0;
+  /// Strips each StripedSweep used (1 when collapsed); 0 for ForwardSweep.
+  uint32_t strips = 0;
   /// True when a StripedSweep fell back to a single strip because its
   /// extent was degenerate or non-finite (see StripedSweep); the join ran
   /// correctly but at Forward-Sweep cost.
@@ -75,7 +77,9 @@ SweepRunStats SweepJoinWithKind(SweepStructureKind kind, const RectF& extent,
                                 Emit&& emit, Probe&& probe) {
   if (kind == SweepStructureKind::kStriped) {
     StripedSweep sa(extent, strips), sb(extent, strips);
-    return SweepJoinRun(a, b, sa, sb, emit, probe);
+    SweepRunStats stats = SweepJoinRun(a, b, sa, sb, emit, probe);
+    stats.strips = sa.strips();
+    return stats;
   }
   ForwardSweep sa(extent, strips), sb(extent, strips);
   return SweepJoinRun(a, b, sa, sb, emit, probe);

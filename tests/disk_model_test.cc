@@ -174,6 +174,40 @@ TEST(DiskModel, ResetClearsStatsButKeepsStreams) {
   EXPECT_EQ(disk.stats().sequential_read_requests, 1u);
 }
 
+TEST(DiskModel, AbsorbAddsCountersAndLeavesStreamsAlone) {
+  // A shard's counters fold into the aggregate; the model's own stream
+  // state, LRU clock and device counters do not move, so the request
+  // after the fold prices exactly as on a model that never absorbed.
+  DiskModel shard(MachineModel::Machine2());
+  const uint32_t s = shard.RegisterDevice("shard");
+  shard.Read(s, 0, 4);
+  shard.Write(s, 0, 2);
+  DiskModel disk(MachineModel::Machine2()), twin(MachineModel::Machine2());
+  for (DiskModel* d : {&disk, &twin}) {
+    const uint32_t x = d->RegisterDevice("x");
+    const uint32_t y = d->RegisterDevice("y");
+    d->Read(x, 0, 1);  // Machine 2 tracks two streams: x, then y.
+    d->Read(y, 0, 1);
+  }
+  disk.Absorb(shard.stats());
+  const DiskStats folded = disk.stats() - twin.stats();
+  EXPECT_EQ(folded.read_requests, 1u);
+  EXPECT_EQ(folded.random_read_requests, 1u);
+  EXPECT_EQ(folded.write_requests, 1u);
+  EXPECT_EQ(folded.pages_read, 4u);
+  EXPECT_EQ(folded.pages_written, 2u);
+  EXPECT_NEAR(folded.io_seconds, shard.stats().io_seconds, 1e-12);
+  EXPECT_EQ(disk.device_stats().size(), 2u);
+  EXPECT_EQ(disk.device_stats()[0].pages_read, 1u);
+  for (DiskModel* d : {&disk, &twin}) {
+    const DiskStats before = d->stats();
+    d->Read(0, 1, 1);  // Still the continuation of stream x.
+    d->Read(1, 1, 1);  // And of stream y: nothing was evicted.
+    const DiskStats after = d->stats() - before;
+    EXPECT_EQ(after.sequential_read_requests, 2u);
+  }
+}
+
 TEST(DiskStats, DeltaSubtraction) {
   DiskModel disk(MachineModel::Machine1());
   const uint32_t dev = disk.RegisterDevice("f");

@@ -191,6 +191,51 @@ TEST(ParallelJoin, SSSJStripDeterministicAcrossThreadCounts) {
   }
 }
 
+// A partitioned plan's units charge private shards, which the runner
+// folds into the query's DiskModel: forced PBSM, and SSSJ pushed into its
+// strip fallback by a 64 KiB budget (60,000 records estimate a 78 KiB
+// sweep), report exactly the shared model's delta around Run, at 1 and 4
+// threads alike.
+TEST(ParallelJoin, PartitionedQueriesReportWhatTheirDiskWasCharged) {
+  const RectF region(0, 0, 1000, 1000);
+  const auto a = UniformRects(30000, region, 2.0f, 71);
+  const auto b = UniformRects(30000, region, 2.0f, 72);
+  struct Plan {
+    const char* name;
+    JoinAlgorithm algorithm;
+    size_t memory_bytes;
+  };
+  std::optional<uint64_t> pairs;
+  for (const Plan plan : {Plan{"PBSM", JoinAlgorithm::kPBSM, 256u << 10},
+                          Plan{"SSSJ strips", JoinAlgorithm::kSSSJ,
+                               kMinMemoryBytes}}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(plan.name) +
+                   ", threads=" + std::to_string(threads));
+      TestDisk td;
+      std::vector<std::unique_ptr<Pager>> keep;
+      const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+      const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+      SpatialJoiner joiner(&td.disk, JoinOptions());
+      CountingSink sink;
+      const DiskStats before = td.disk.stats();
+      auto stats = JoinQuery(joiner)
+                       .Input(JoinInput::FromStream(da))
+                       .Input(JoinInput::FromStream(db))
+                       .Algorithm(plan.algorithm)
+                       .Threads(threads)
+                       .MemoryBytes(plan.memory_bytes)
+                       .Run(&sink);
+      const DiskStats charged = td.disk.stats() - before;
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_GT(stats->partitions_total, 1u);
+      ExpectSameDiskStats(stats->disk, charged, threads);
+      if (!pairs.has_value()) pairs = sink.count();
+      EXPECT_EQ(sink.count(), *pairs);
+    }
+  }
+}
+
 TEST(ParallelJoin, KWayQueriesIgnoreThreadCount) {
   // Threads(n) spreads only the stream inputs' run formation; the chain
   // itself is serial. So a k-way JoinQuery, and a 3-input pipeline over

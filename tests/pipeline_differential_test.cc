@@ -5,12 +5,14 @@
 // window-scan, aggregate-by-cell, and top-k, standalone and composed
 // over a spatial join. Count aggregation and the top-k total order are
 // arrival-order independent, so every configuration must produce the
-// *same* rows, not merely equivalent ones.
+// *same* rows, not merely equivalent ones. Each test runs fixed seeds;
+// SJ_DIFF_SEED and SJ_DIFF_WORKLOADS replace them (see Seeds()).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -190,6 +192,27 @@ struct Trial {
   }
 };
 
+/// The seeds a test runs: `count` from `first` by default. As in
+/// storage_differential_test, SJ_DIFF_WORKLOADS sets the count and
+/// SJ_DIFF_SEED the first seed (one seed when it comes alone), so the
+/// nightly job runs fresh seeds and a failure replays from its trace.
+std::vector<uint64_t> Seeds(uint64_t first, int count) {
+  if (const char* n = std::getenv("SJ_DIFF_WORKLOADS")) {
+    count = std::max(1, std::atoi(n));
+  }
+  if (const char* replay = std::getenv("SJ_DIFF_SEED")) {
+    first = std::strtoull(replay, nullptr, 0);
+    if (std::getenv("SJ_DIFF_WORKLOADS") == nullptr) count = 1;
+  }
+  std::vector<uint64_t> seeds;
+  for (int i = 0; i < count; ++i) seeds.push_back(first + i);
+  return seeds;
+}
+
+std::string ReplayLine(uint64_t seed) {
+  return "replay with SJ_DIFF_SEED=" + std::to_string(seed);
+}
+
 std::shared_ptr<StorageFactory> FileFactory() {
   auto factory = TmpFileStorageFactory::Make();
   SJ_CHECK_OK(factory.status());
@@ -202,9 +225,9 @@ std::shared_ptr<StorageFactory> FileFactory() {
 
 TEST(PipelineDifferential, WindowScanAcrossConfigurations) {
   auto file_factory = FileFactory();
-  for (uint64_t seed : {1u, 2u, 3u}) {
+  for (const uint64_t seed : Seeds(1, 3)) {
     Trial t(seed);
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(ReplayLine(seed));
 
     std::vector<PipeRow> expected;
     for (const RectF& r : t.a) {
@@ -237,9 +260,9 @@ TEST(PipelineDifferential, WindowScanAcrossConfigurations) {
 
 TEST(PipelineDifferential, JoinAggregateAcrossConfigurations) {
   auto file_factory = FileFactory();
-  for (uint64_t seed : {4u, 5u, 6u}) {
+  for (const uint64_t seed : Seeds(4, 3)) {
     Trial t(seed);
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(ReplayLine(seed));
 
     // Oracle: windowed inputs -> brute-force pairs -> contact boxes ->
     // count aggregation (order-independent).
@@ -300,9 +323,9 @@ TEST(PipelineDifferential, JoinAggregateAcrossConfigurations) {
 
 TEST(PipelineDifferential, JoinTopKAcrossConfigurations) {
   auto file_factory = FileFactory();
-  for (uint64_t seed : {7u, 8u}) {
+  for (const uint64_t seed : Seeds(7, 2)) {
     Trial t(seed);
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(ReplayLine(seed));
 
     std::map<ObjectId, RectF> am, bm;
     for (const RectF& r : t.a) am[r.id] = r;
@@ -339,43 +362,47 @@ TEST(PipelineDifferential, JoinTopKAcrossConfigurations) {
 
 TEST(PipelineDifferential, FullComposeAcrossConfigurations) {
   auto file_factory = FileFactory();
-  Trial t(9);
   auto pred = [](const PipeRow& r) { return r.rect.Area() < 8.0; };
+  for (const uint64_t seed : Seeds(9, 1)) {
+    Trial t(seed);
+    SCOPED_TRACE(ReplayLine(seed));
 
-  std::vector<RectF> wa, wb;
-  for (const RectF& r : t.a) {
-    if (r.Intersects(t.window)) wa.push_back(r);
-  }
-  for (const RectF& r : t.b) {
-    if (r.Intersects(t.window)) wb.push_back(r);
-  }
-  std::map<ObjectId, RectF> am, bm;
-  for (const RectF& r : wa) am[r.id] = r;
-  for (const RectF& r : wb) bm[r.id] = r;
-  std::vector<PipeRow> join_rows;
-  for (const IdPair& p : BruteForcePairs(wa, wb)) {
-    PipeRow row;
-    row.rect = JoinRowAdapter::ContactBox({am.at(p.a), bm.at(p.b)});
-    row.ids = {p.a, p.b};
-    if (pred(row)) join_rows.push_back(std::move(row));
-  }
-  const std::vector<PipeRow> expected = TopKOracle(
-      AggregateCountOracle(join_rows, t.window, t.nx, t.ny), t.k, t.qx, t.qy);
+    std::vector<RectF> wa, wb;
+    for (const RectF& r : t.a) {
+      if (r.Intersects(t.window)) wa.push_back(r);
+    }
+    for (const RectF& r : t.b) {
+      if (r.Intersects(t.window)) wb.push_back(r);
+    }
+    std::map<ObjectId, RectF> am, bm;
+    for (const RectF& r : wa) am[r.id] = r;
+    for (const RectF& r : wb) bm[r.id] = r;
+    std::vector<PipeRow> join_rows;
+    for (const IdPair& p : BruteForcePairs(wa, wb)) {
+      PipeRow row;
+      row.rect = JoinRowAdapter::ContactBox({am.at(p.a), bm.at(p.b)});
+      row.ids = {p.a, p.b};
+      if (pred(row)) join_rows.push_back(std::move(row));
+    }
+    const std::vector<PipeRow> expected =
+        TopKOracle(AggregateCountOracle(join_rows, t.window, t.nx, t.ny), t.k,
+                   t.qx, t.qy);
 
-  for (const Config& cfg : Sweep()) {
-    SCOPED_TRACE(cfg.Name());
-    CollectingRowSink sink;
-    PipelineQuery q(*t.joiner);
-    q.Input(JoinInput::FromStream(t.da))
-        .Input(JoinInput::FromStream(t.db))
-        .Window(t.window)
-        .Filter(pred, "small")
-        .AggregateByCell(AggregateMode::kCount, t.nx, t.ny, t.window)
-        .TopKByDistance(t.k, t.qx, t.qy);
-    t.Apply(q, cfg, file_factory);
-    auto stats = q.Run(&sink);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(sink.rows(), expected);
+    for (const Config& cfg : Sweep()) {
+      SCOPED_TRACE(cfg.Name());
+      CollectingRowSink sink;
+      PipelineQuery q(*t.joiner);
+      q.Input(JoinInput::FromStream(t.da))
+          .Input(JoinInput::FromStream(t.db))
+          .Window(t.window)
+          .Filter(pred, "small")
+          .AggregateByCell(AggregateMode::kCount, t.nx, t.ny, t.window)
+          .TopKByDistance(t.k, t.qx, t.qy);
+      t.Apply(q, cfg, file_factory);
+      auto stats = q.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(sink.rows(), expected);
+    }
   }
 }
 

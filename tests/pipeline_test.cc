@@ -453,6 +453,40 @@ TEST(JoinPipeline, RowsMatchBruteForcePairs) {
   }
 }
 
+// A windowed overlay joins only the in-window records, so its sweep is
+// striped for their count, ceil(2 sqrt(N)), and the pipeline reports it.
+TEST(JoinPipeline, WindowedJoinStripesForTheInWindowRecords) {
+  PipelineFixture f(3000, 2500);
+  const RectF window(10, 10, 50, 40);
+  std::vector<RectF> wa, wb;
+  for (const RectF& r : f.a) {
+    if (r.Intersects(window)) wa.push_back(r);
+  }
+  for (const RectF& r : f.b) {
+    if (r.Intersects(window)) wb.push_back(r);
+  }
+  const double n = static_cast<double>(wa.size() + wb.size());
+  CollectingRowSink sink;
+  auto stats = PipelineQuery(*f.joiner)
+                   .Input(JoinInput::FromStream(f.da))
+                   .Input(JoinInput::FromStream(f.db))
+                   .Window(window)
+                   .Algorithm(JoinAlgorithm::kSSSJ)
+                   .Run(&sink);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->join_algorithm, JoinAlgorithm::kSSSJ);
+  EXPECT_EQ(stats->sweep_strips,
+            static_cast<uint32_t>(std::ceil(2.0 * std::sqrt(n))));
+  EXPECT_EQ(Sorted(RowPairs(sink.rows())), BruteForcePairs(wa, wb));
+  bool keyed = false;
+  for (const auto& [key, value] : stats->ToKeyValues()) {
+    if (key == "sweep_strips") {
+      keyed = value == std::to_string(stats->sweep_strips);
+    }
+  }
+  EXPECT_TRUE(keyed);
+}
+
 TEST(JoinPipeline, KWayRowsMatchTripleOracle) {
   PipelineFixture f(150, 150);
   const RectF region(0, 0, 80, 80);

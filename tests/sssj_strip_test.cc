@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "datagen/synthetic.h"
 #include "join/sssj.h"
+#include "join/strip_map.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -132,6 +137,58 @@ TEST(SSSJStrip, WideRectanglesReplicateButReportOnce) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(sink.pairs().size(), 40u * 40u);
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(rows, cols));
+}
+
+// Each strip unit sweeps its own strip's x-range, striped for its own
+// records: the join reports the largest unit's ceil(2 sqrt(n)), well
+// below the whole input's, and the pairs match brute force at every
+// thread count. The left eighth of the extent holds most of the data,
+// so the units differ in size.
+TEST(SSSJStrip, UnitsStripeTheirSweepsForTheirOwnRecords) {
+  auto a = UniformRects(3000, RectF(0, 0, 125, 1000), 3.0f, 11);
+  auto b = UniformRects(2500, RectF(0, 0, 125, 1000), 3.0f, 12);
+  const auto a_rest = UniformRects(1000, RectF(125, 0, 1000, 1000), 3.0f, 13,
+                                   /*base_id=*/3000);
+  const auto b_rest = UniformRects(800, RectF(125, 0, 1000, 1000), 3.0f, 14,
+                                   /*base_id=*/2500);
+  a.insert(a.end(), a_rest.begin(), a_rest.end());
+  b.insert(b.end(), b_rest.begin(), b_rest.end());
+  constexpr uint32_t kUnits = 8;
+
+  RectF extent = ComputeExtent(a);
+  extent.ExtendTo(ComputeExtent(b));
+  const StripMap map(extent, kUnits);
+  std::vector<uint64_t> unit_records(kUnits);
+  std::vector<uint32_t> strips;
+  for (const auto* input : {&a, &b}) {
+    for (const RectF& r : *input) {
+      map.StripsOf(r, &strips);
+      for (const uint32_t s : strips) unit_records[s]++;
+    }
+  }
+  uint32_t largest_unit = 0;
+  for (const uint64_t n : unit_records) {
+    largest_unit = std::max(largest_unit, SweepStrips(n, 1024));
+  }
+  ASSERT_LT(largest_unit, SweepStrips(a.size() + b.size(), 1024));
+
+  const auto expected = BruteForcePairs(a, b);
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TestDisk td;
+    std::vector<std::unique_ptr<Pager>> keep;
+    const DatasetRef da = MakeDataset(&td, a, "a", &keep);
+    const DatasetRef db = MakeDataset(&td, b, "b", &keep);
+    JoinOptions options;
+    options.num_threads = threads;
+    CollectingSink sink;
+    auto stats = SSSJStripJoin(da, db, kUnits, &td.disk, options, &sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->partitions_total, kUnits);
+    EXPECT_EQ(stats->sweep_strips, largest_unit);
+    EXPECT_FALSE(stats->sweep_strips_collapsed);
+    EXPECT_EQ(Sorted(sink.pairs()), expected);
+  }
 }
 
 TEST(SSSJStrip, SingleStripEqualsPlain) {

@@ -60,6 +60,73 @@ TEST(SSSJ, ComputesExtentWhenMissing) {
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
 }
 
+TEST(SSSJ, SweepStripsAreTwiceTheRootOfTheRecordCount) {
+  // ceil(2 sqrt(N)), exact on both sides of each perfect square.
+  EXPECT_EQ(SweepStrips(0, 1024), 1u);
+  EXPECT_EQ(SweepStrips(1, 1024), 2u);
+  EXPECT_EQ(SweepStrips(4, 1024), 4u);
+  EXPECT_EQ(SweepStrips(5, 1024), 5u);
+  EXPECT_EQ(SweepStrips(935, 1024), 62u);
+  EXPECT_EQ(SweepStrips(9979, 1024), 200u);
+  EXPECT_EQ(SweepStrips(261632, 1024), 1023u);
+  EXPECT_EQ(SweepStrips(261633, 1024), 1024u);
+  // The cap: every N from 262,144 on takes striped_strips' default.
+  EXPECT_EQ(SweepStrips(262144, 1024), 1024u);
+  EXPECT_EQ(SweepStrips(365014, 1024), 1024u);
+  EXPECT_EQ(SweepStrips(365014, 4096), 1209u);
+  EXPECT_EQ(SweepStrips(1000, 16), 16u);
+  EXPECT_EQ(SweepStrips(1000, 0), 1u);
+}
+
+// A JoinQuery's SSSJ stripes its sweep for the records it sweeps, in the
+// materializing and the fused branch alike, and reports the count; at
+// 300,000 records the 1,024 cap holds instead of ceil(2 sqrt(N)) = 1,096.
+TEST(SSSJ, QueryReportsTheStripsItSweptWith) {
+  struct Case {
+    uint64_t na, nb;
+    uint32_t strips;
+  };
+  for (const Case c : {Case{700, 700, 75}, Case{6000, 4000, 200},
+                       Case{150000, 150000, 1024}}) {
+    const bool small = c.na + c.nb < 20000;
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE("N = " + std::to_string(c.na + c.nb) +
+                   (fused ? ", fused" : ""));
+      TestDisk td;
+      std::vector<std::unique_ptr<Pager>> keep;
+      const RectF region(0, 0, 1000, 1000);
+      const float size = small ? 8.0f : 0.5f;
+      const auto a = UniformRects(c.na, region, size, 31);
+      const auto b = UniformRects(c.nb, region, size, 32);
+      SpatialJoiner joiner(&td.disk, JoinOptions());
+      CollectingSink sink;
+      auto stats = JoinQuery(joiner)
+                       .Input(JoinInput::FromStream(
+                           MakeDataset(&td, a, "a", &keep)))
+                       .Input(JoinInput::FromStream(
+                           MakeDataset(&td, b, "b", &keep)))
+                       .Algorithm(JoinAlgorithm::kSSSJ)
+                       .FuseMergeSweep(fused)
+                       .Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->partitions_total, 0u);
+      EXPECT_EQ(stats->sweep_strips, c.strips);
+      EXPECT_NE(stats->Describe().find(std::to_string(c.strips) +
+                                       " sweep strips"),
+                std::string::npos)
+          << stats->Describe();
+      bool keyed = false;
+      for (const auto& [key, value] : stats->ToKeyValues()) {
+        if (key == "sweep_strips") keyed = value == std::to_string(c.strips);
+      }
+      EXPECT_TRUE(keyed);
+      if (small) {
+        EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
+      }
+    }
+  }
+}
+
 TEST(SSSJ, IoPassStructureMatchesPaper) {
   // "SSSJ performs two sequential read passes, one non-sequential read
   // pass (while merging), and two sequential write passes over the data."

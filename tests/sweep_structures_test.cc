@@ -8,6 +8,7 @@
 #include <set>
 
 #include "datagen/synthetic.h"
+#include "join/sssj.h"
 #include "sweep/sweep_join.h"
 #include "test_util.h"
 
@@ -111,6 +112,14 @@ TEST_P(SweepStructureEquivalence, BothStructuresMatchBruteForce) {
   size_t peak_copies = 0;
   EXPECT_EQ(SweepPairs<StripedSweep>(a, b, region, c.strips, &peak_copies),
             expected);
+  // SweepStrips may pick any count from 1 to the cap, so the pair set
+  // must not depend on it: coarse, odd, fine and finer-than-the-data
+  // counts, and the rule's own.
+  for (const uint32_t strips : {1u, 2u, 3u, 7u, 64u, 1000u, 4096u,
+                                SweepStrips(c.na + c.nb, 1024)}) {
+    EXPECT_EQ(SweepPairs<StripedSweep>(a, b, region, strips), expected)
+        << "strips=" << strips;
+  }
   if (c.fine_clustered) {
     // The strips really are narrower than the rectangles.
     EXPECT_GT(StripCopies(a, region, c.strips) +
