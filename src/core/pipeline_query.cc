@@ -52,28 +52,6 @@ class CountingForward final : public RowSink {
   uint64_t count_ = 0;
 };
 
-/// Writes window-scan rows back out as an MBR stream (the windowed-
-/// overlay plan: each join input is reduced to its in-window records
-/// before the join proper). Record ids are preserved, so histograms stay
-/// conservative for pruning and FeatureStores stay valid for refinement.
-class MaterializeSink final : public RowSink {
- public:
-  explicit MaterializeSink(StreamWriter<RectF>* writer) : writer_(writer) {}
-
-  void Emit(PipeRow row) override {
-    RectF r = row.rect;
-    r.id = row.ids.empty() ? 0 : row.ids[0];
-    extent_.ExtendTo(r);
-    writer_->Append(r);
-  }
-
-  const RectF& extent() const { return extent_; }
-
- private:
-  StreamWriter<RectF>* writer_;
-  RectF extent_ = RectF::Empty();
-};
-
 /// Fraction of `extent` the window covers (1 when the extent is
 /// degenerate), for index window-scan costing.
 double WindowFraction(const RectF& window, const RectF& extent) {
@@ -394,25 +372,26 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     for (size_t i = 1; i < inputs.size(); ++i) {
       source_rows = std::min(source_rows, leaf_rows[i]);
     }
-    if (inputs.size() == 2) {
-      // Plan the join Run executes. With a window that is a join of the
-      // in-window streams, described here by their estimated counts and
-      // the window-clipped extents (the planner reads no data), so an
-      // indexed input never makes Explain report a traversal Run cannot
-      // take.
-      std::vector<JoinInput> join_inputs = inputs;
-      if (has_window_) {
-        for (size_t i = 0; i < inputs.size(); ++i) {
-          DatasetRef windowed;
-          windowed.range.count =
-              static_cast<uint64_t>(std::llround(leaf_rows[i]));
-          const RectF extent = inputs[i].extent();
-          windowed.extent = extent.Valid() && extent.Intersects(window_)
-                                ? extent.IntersectionWith(window_)
-                                : window_;
-          join_inputs[i] = WindowedInput(inputs[i], windowed);
-        }
+    // The inputs the join runs over. With a window they are the in-window
+    // streams, described here by their estimated counts and the window-
+    // clipped extents (the planner reads no data), so an indexed input
+    // never makes Explain report a traversal Run cannot take, and the rect
+    // maps below are sized over the records Run builds them from.
+    std::vector<JoinInput> join_inputs = inputs;
+    if (has_window_) {
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        DatasetRef windowed;
+        windowed.range.count =
+            static_cast<uint64_t>(std::llround(leaf_rows[i]));
+        const RectF extent = inputs[i].extent();
+        windowed.extent = extent.Valid() && extent.Intersects(window_)
+                              ? extent.IntersectionWith(window_)
+                              : window_;
+        join_inputs[i] = WindowedInput(inputs[i], windowed);
       }
+    }
+    if (inputs.size() == 2) {
+      // Plan the join Run executes.
       SJ_ASSIGN_OR_RETURN(plan.join, JoinOver(join_inputs).Explain());
       plan.has_join = true;
       plan.memory = plan.join.memory;
@@ -445,16 +424,20 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       source_name = "MultiwayJoin";
       source_detail = std::to_string(inputs.size()) + "-way chain";
     }
-    // Rect resolution behind the join: one lookup table per input.
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      const uint64_t table_bytes = inputs[i].count() * sizeof(RectF);
-      const bool fits = table_bytes <= options.memory_bytes / 4;
-      source_cost +=
-          fits ? cost.ScanSeconds(inputs[i].pages())
-               : cost.RectResolveSeconds(
-                     static_cast<uint64_t>(source_rows), inputs[i].pages());
+    // Rect resolution behind the join: one id -> MBR table per join
+    // input, requested as Run requests it — the table, capped at the
+    // input's share of the budget (beyond it the table goes external).
+    const size_t rectmap_share =
+        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
+    for (const JoinInput& input : join_inputs) {
+      const uint64_t table_bytes = RectTableBytes(input.count());
+      source_cost += table_bytes <= rectmap_share
+                         ? cost.ScanSeconds(input.pages())
+                         : cost.RectResolveSeconds(
+                               static_cast<uint64_t>(source_rows),
+                               input.pages());
       source_planned += static_cast<size_t>(
-          std::min<uint64_t>(table_bytes, options.memory_bytes / 4));
+          std::min<uint64_t>(table_bytes, rectmap_share));
     }
     plan.memory.grants.push_back(
         MemoryGrantSpec{grants::kOpRectMap, source_planned});
@@ -621,27 +604,33 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
             MakePager(ctx.storage, main_disk,
                       "pipeline.window." + std::to_string(i)));
         StreamWriter<RectF> writer(pager.get());
-        MaterializeSink materialize(&writer);
         const PageId first = writer.first_page();
-        SJ_RETURN_IF_ERROR(scan.Run(ctx, &materialize));
-        SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
         DatasetRef windowed;
+        windowed.extent = RectF::Empty();
+        SJ_RETURN_IF_ERROR(scan.Scan(ctx, [&](const RectF& r) {
+          windowed.extent.ExtendTo(r);
+          writer.Append(r);
+        }));
+        SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
         windowed.range = StreamRange{pager.get(), first, n};
-        windowed.extent = materialize.extent();
         join_inputs[i] = WindowedInput(inputs[i], windowed);
         owned_pagers.push_back(std::move(pager));
         out.operators.push_back(scan.stats());
       }
     }
 
-    // One id -> MBR resolver per input, under the shared arbiter.
+    // One id -> MBR resolver per input, under the shared arbiter, each
+    // capped at its share so the join keeps half the budget.
+    const size_t rectmap_share =
+        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
     std::vector<std::unique_ptr<RectResolver>> resolvers;
     std::vector<RectResolver*> resolver_ptrs;
     for (size_t i = 0; i < join_inputs.size(); ++i) {
       SJ_ASSIGN_OR_RETURN(
           std::unique_ptr<RectResolver> resolver,
           RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
-                              ctx.storage, "pipeline.in" + std::to_string(i),
+                              rectmap_share, ctx.storage,
+                              "pipeline.in" + std::to_string(i),
                               SortConfigOf(options)));
       // The id-sort's formation workers ran off this thread's clock.
       out.host_cpu_seconds += resolver->sort_stats().worker_cpu_seconds;

@@ -290,20 +290,12 @@ double WindowScan::EstimateRows(const JoinInput& input, const RectF& window,
   return frac * static_cast<double>(input.count());
 }
 
-Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
+Status WindowScan::Scan(PipelineContext& ctx, const RecordVisitor& visit) {
   if (!window_.Valid()) return Status::OK();
   if (histogram_ != nullptr && !histogram_->MightIntersect(window_)) {
     // Histogram prune: no record can overlap the window — no I/O at all.
     return Status::OK();
   }
-  auto forward = [&](const RectF& r) {
-    PipeRow row;
-    row.rect = r;
-    row.rect.id = 0;
-    row.ids.push_back(r.id);
-    stats_.rows_out++;
-    out->Emit(std::move(row));
-  };
   if (input_.indexed()) {
     const RTree* tree = input_.rtree();
     const DiskStats before = tree->pager()->disk()->stats();
@@ -319,7 +311,8 @@ Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
     stats_.pages_read +=
         (tree->pager()->disk()->stats() - before).pages_read;
     stats_.rows_in += hits.size();
-    for (const RectF& r : hits) forward(r);
+    stats_.rows_out += hits.size();
+    for (const RectF& r : hits) visit(r);
     return Status::OK();
   }
   const DatasetRef& ref = input_.stream();
@@ -329,9 +322,22 @@ Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
   stats_.pages_read += (ref.range.count + kPerPage - 1) / kPerPage;
   while (std::optional<RectF> r = reader.Next()) {
     stats_.rows_in++;
-    if (r->Intersects(window_)) forward(*r);
+    if (r->Intersects(window_)) {
+      stats_.rows_out++;
+      visit(*r);
+    }
   }
   return Status::OK();
+}
+
+Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
+  return Scan(ctx, [out](const RectF& r) {
+    PipeRow row;
+    row.rect = r;
+    row.rect.id = 0;
+    row.ids.push_back(r.id);
+    out->Emit(std::move(row));
+  });
 }
 
 // ---------------------------------------------------------------------------

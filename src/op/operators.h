@@ -223,21 +223,29 @@ class TopKByDistanceOp final : public PipelineOperator {
   std::vector<Entry> heap_;
 };
 
-/// WindowScan: the leaf source — streams the records of a JoinInput that
+/// WindowScan: the leaf source — visits the records of a JoinInput that
 /// intersect `window` (closed-rect semantics; an invalid window matches
-/// nothing), as rows with rect = the record MBR and ids = {record id}.
+/// nothing). Scan hands each record over as it is; Run turns each into a
+/// row with rect = the record MBR and ids = {record id}.
 ///
 /// An attached histogram prunes: when GridHistogram::MightIntersect says
-/// no record can overlap the window, the scan emits nothing and reads
+/// no record can overlap the window, the scan visits nothing and reads
 /// nothing. Streams are scanned sequentially and filtered on the fly
 /// (constant memory); R-trees answer through RTree::WindowQuery with the
 /// result buffer governed by an "op.window" grant.
 class WindowScan {
  public:
+  using RecordVisitor = std::function<void(const RectF&)>;
+
   WindowScan(const JoinInput& input, const RectF& window,
              const GridHistogram* histogram = nullptr);
 
-  /// Drives the whole scan into `out`.
+  /// Drives the whole scan, calling `visit` with each in-window record
+  /// (id included) — the windowed-overlay plan writes them straight to
+  /// the join's input streams.
+  Status Scan(PipelineContext& ctx, const RecordVisitor& visit);
+
+  /// Drives the whole scan into `out`, one row per record.
   Status Run(PipelineContext& ctx, RowSink* out);
 
   const OperatorStats& stats() const { return stats_; }
@@ -258,7 +266,8 @@ class WindowScan {
 /// The row-side half of SpatialJoinOp: a JoinSink/TupleSink that turns
 /// the join executors' bare id tuples back into geometry rows. Ids are
 /// buffered in batches of `batch_size`; each batch is resolved through
-/// the per-input RectResolvers (sorted, page-coalesced lookups) and
+/// the per-input RectResolvers (hash probes in memory; sorted,
+/// page-coalesced lookups on the external path) and
 /// forwarded downstream in join-output order, with rect = the contact box
 /// of the member MBRs — their intersection when they overlap (always, for
 /// kIntersects) else the axis-wise gap box (ε-distance pairs whose MBRs

@@ -12,6 +12,23 @@ namespace sj {
 
 namespace {
 
+/// The external path's least grant: its page index plus one page buffer
+/// (the id-sort clamps its own memory up to what a merge needs).
+constexpr size_t kExternalFloorBytes = 2 * kPageSize;
+
+/// log2 of the hash index's slot count over `count` records: the least
+/// power of two holding twice as many slots as records (2 at least).
+int IndexSlotBits(uint64_t count) {
+  int bits = 1;
+  while ((uint64_t{1} << bits) < 2 * count) bits++;
+  return bits;
+}
+
+Status NotInInput(ObjectId id) {
+  return Status::Internal("RectResolver: id " + std::to_string(id) +
+                          " not in input");
+}
+
 /// Materializes an R-tree's data rectangles as a stream on `pager` so the
 /// external sorter can run over them (same transient-materialization
 /// precedent as the executor layer's leaf extraction).
@@ -27,36 +44,37 @@ Result<StreamRange> TreeToStream(const RTree& tree, Pager* pager) {
 
 }  // namespace
 
+uint64_t RectTableBytes(uint64_t count) {
+  return count * sizeof(RectF) +
+         (uint64_t{1} << IndexSlotBits(count)) * sizeof(uint32_t);
+}
+
+size_t RectMapGrantBytes(size_t budget_bytes, size_t inputs) {
+  return std::max(budget_bytes / (2 * std::max<size_t>(inputs, 1)),
+                  kExternalFloorBytes);
+}
+
 Result<std::unique_ptr<RectResolver>> RectResolver::Build(
     const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
-    StorageFactory* storage, const std::string& name,
+    size_t max_grant_bytes, StorageFactory* storage, const std::string& name,
     const SortConfig& sort_config) {
   SJ_CHECK(disk != nullptr && arbiter != nullptr);
   auto resolver = std::unique_ptr<RectResolver>(new RectResolver());
   resolver->count_ = input.count();
-  const uint64_t table_bytes = resolver->count_ * sizeof(RectF);
+  const uint64_t table_bytes = RectTableBytes(resolver->count_);
 
-  // One grant governs the resolver whichever path it takes: the full
-  // sorted table in memory, or (shrunk) the page index plus one page
-  // buffer of the external path.
+  // One grant governs the resolver whichever path it takes: the whole
+  // hashed table in memory, or (capped or shrunk) the page index plus one
+  // page buffer of the external path.
   resolver->grant_ = arbiter->AcquireShrinkable(
-      grants::kOpRectMap, static_cast<size_t>(table_bytes), 2 * kPageSize);
+      grants::kOpRectMap,
+      static_cast<size_t>(std::min<uint64_t>(table_bytes, max_grant_bytes)),
+      kExternalFloorBytes);
 
   if (resolver->grant_.bytes() >= table_bytes) {
-    // In-memory: load, sort by id, binary-search lookups.
-    resolver->sorted_.reserve(static_cast<size_t>(resolver->count_));
-    if (input.indexed()) {
-      SJ_RETURN_IF_ERROR(input.rtree()->CollectAll(&resolver->sorted_));
-    } else {
-      const DatasetRef& ref = input.stream();
-      StreamReader<RectF> reader(ref.range.pager, ref.range.first_page,
-                                 ref.range.count);
-      while (std::optional<RectF> r = reader.Next()) {
-        resolver->sorted_.push_back(*r);
-      }
-    }
-    std::sort(resolver->sorted_.begin(), resolver->sorted_.end(), OrderById());
-    resolver->grant_.NoteUsage(resolver->sorted_.size() * sizeof(RectF));
+    SJ_RETURN_IF_ERROR(resolver->LoadTable(input));
+    resolver->grant_.NoteUsage(
+        static_cast<size_t>(RectTableBytes(resolver->records_.size())));
     return resolver;
   }
 
@@ -99,19 +117,55 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
   return resolver;
 }
 
+Status RectResolver::LoadTable(const JoinInput& input) {
+  records_.reserve(static_cast<size_t>(count_));
+  if (input.indexed()) {
+    SJ_RETURN_IF_ERROR(input.rtree()->CollectAll(&records_));
+  } else {
+    const DatasetRef& ref = input.stream();
+    StreamReader<RectF> reader(ref.range.pager, ref.range.first_page,
+                               ref.range.count);
+    while (std::optional<RectF> r = reader.Next()) records_.push_back(*r);
+  }
+  // Slots hold position + 1 in 32 bits, and the mask must fit them too.
+  SJ_CHECK(records_.size() < (size_t{1} << 31))
+      << "RectResolver: " << records_.size() << " records overflow the index";
+  const int bits = IndexSlotBits(records_.size());
+  slot_shift_ = 64 - bits;
+  slots_.assign(size_t{1} << bits, 0);
+  const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);
+  for (uint32_t pos = 0; pos < records_.size(); ++pos) {
+    uint32_t s = HomeSlot(records_[pos].id);
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = pos + 1;
+  }
+  return Status::OK();
+}
+
+uint32_t RectResolver::HomeSlot(ObjectId id) const {
+  // Fibonacci hashing: the high bits of the product spread dense and
+  // strided ids alike.
+  return static_cast<uint32_t>((uint64_t{id} * 0x9E3779B97F4A7C15ull) >>
+                               slot_shift_);
+}
+
 Status RectResolver::Lookup(const std::vector<ObjectId>& ids,
                             std::vector<RectF>* out) {
   out->resize(ids.size());
   if (external_) return LookupExternal(ids, out);
+  // The index is at most half full, so every probe run ends at an empty
+  // slot.
+  const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);
   for (size_t i = 0; i < ids.size(); ++i) {
-    const RectF probe(0, 0, 0, 0, ids[i]);
-    auto it = std::lower_bound(sorted_.begin(), sorted_.end(), probe,
-                               OrderById());
-    if (it == sorted_.end() || it->id != ids[i]) {
-      return Status::Internal("RectResolver: id " + std::to_string(ids[i]) +
-                              " not in input");
+    const ObjectId id = ids[i];
+    for (uint32_t s = HomeSlot(id);; s = (s + 1) & mask) {
+      const uint32_t pos = slots_[s];
+      if (pos == 0) return NotInInput(id);
+      if (records_[pos - 1].id == id) {
+        (*out)[i] = records_[pos - 1];
+        break;
+      }
     }
-    (*out)[i] = *it;
   }
   return Status::OK();
 }
@@ -129,10 +183,7 @@ Status RectResolver::LookupExternal(const std::vector<ObjectId>& ids,
     // The page holding `id` is the last one whose first id is <= id.
     auto it = std::upper_bound(page_first_ids_.begin(), page_first_ids_.end(),
                                id);
-    if (it == page_first_ids_.begin()) {
-      return Status::Internal("RectResolver: id " + std::to_string(id) +
-                              " not in input");
-    }
+    if (it == page_first_ids_.begin()) return NotInInput(id);
     const uint64_t page =
         static_cast<uint64_t>(it - page_first_ids_.begin()) - 1;
     if (page != cached_page_) {
@@ -159,16 +210,8 @@ Status RectResolver::LookupExternal(const std::vector<ObjectId>& ids,
         hi = mid;
       }
     }
-    if (lo == in_page) {
-      return Status::Internal("RectResolver: id " + std::to_string(id) +
-                              " not in input");
-    }
-    const RectF hit = record_at(lo);
-    if (hit.id != id) {
-      return Status::Internal("RectResolver: id " + std::to_string(id) +
-                              " not in input");
-    }
-    (*out)[pos] = hit;
+    if (lo == in_page || record_at(lo).id != id) return NotInInput(id);
+    (*out)[pos] = record_at(lo);
   }
   return Status::OK();
 }

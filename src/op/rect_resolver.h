@@ -1,6 +1,7 @@
 #ifndef USJ_OP_RECT_RESOLVER_H_
 #define USJ_OP_RECT_RESOLVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,10 +17,24 @@
 namespace sj {
 
 /// Orders RectF records by object id — the sort order of a RectResolver's
-/// lookup table (ids within one relation are unique).
+/// external table (ids within one relation are unique).
 struct OrderById {
   bool operator()(const RectF& a, const RectF& b) const { return a.id < b.id; }
 };
+
+/// Bytes of a RectResolver's in-memory table over `count` records: the
+/// records plus the hash index over their ids (4-byte slots, a power of
+/// two at least twice `count`, so the index is at most half full). The
+/// op.rectmap request, its NoteUsage and Explain's planned line all size
+/// the table with this.
+uint64_t RectTableBytes(uint64_t count);
+
+/// The most one of a pipeline's `inputs` RectResolvers asks of a
+/// `budget_bytes` query budget: budget / (2 x inputs), so the tables take
+/// at most half the budget together and the join keeps the rest. Never
+/// below the external path's 2-page floor, which still binds (and can
+/// overrun the budget) where that share is under 16 KiB.
+size_t RectMapGrantBytes(size_t budget_bytes, size_t inputs);
 
 /// Grant-governed id -> MBR lookup over one JoinInput.
 ///
@@ -30,10 +45,13 @@ struct OrderById {
 /// that lookup, built once per join input under the pipeline's
 /// MemoryArbiter:
 ///
-///  * In-memory path: when the "op.rectmap" grant covers the whole
-///    relation (count * sizeof(RectF)), the records are loaded, sorted by
-///    id, and looked up by binary search.
-///  * External path: under memory pressure the records are external-sorted
+///  * In-memory path: when the "op.rectmap" grant covers the whole table
+///    (RectTableBytes), the records are loaded in input order and indexed
+///    in one pass by an open-addressing hash table: each 32-bit slot holds
+///    a record position + 1 (0 = empty), probed linearly from the high
+///    bits of a multiplicative hash of the id. A lookup is O(1) per id.
+///  * External path: when the grant (capped by the caller, or shrunk by
+///    the arbiter) cannot hold the table, the records are external-sorted
 ///    by id into a scratch pager (MakePager — the query's storage backend
 ///    choice applies) and lookups go through a tiny in-memory page index
 ///    (first id of each sorted page). Batched lookups sort their ids, so
@@ -48,13 +66,15 @@ struct OrderById {
 class RectResolver {
  public:
   /// Builds a resolver over `input` (stream, sorted stream, or R-tree).
+  /// The op.rectmap request is the table's RectTableBytes, capped at
+  /// `max_grant_bytes` (a pipeline passes its RectMapGrantBytes share).
   /// The build scan is charged to `disk`; scratch files for the external
   /// path come from `storage` (null = in-memory backend). `name` prefixes
   /// the scratch pager name. `sort_config` shapes the external path's
   /// id-sort (formation threads / fan-in; same table bytes either way).
   static Result<std::unique_ptr<RectResolver>> Build(
       const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
-      StorageFactory* storage, const std::string& name,
+      size_t max_grant_bytes, StorageFactory* storage, const std::string& name,
       const SortConfig& sort_config = SortConfig());
 
   /// Resolves ids[i] into (*out)[i] (out is resized). Every id must exist
@@ -74,6 +94,9 @@ class RectResolver {
  private:
   RectResolver() = default;
 
+  /// The in-memory path: loads `input` and indexes it.
+  Status LoadTable(const JoinInput& input);
+  uint32_t HomeSlot(ObjectId id) const;
   Status LookupExternal(const std::vector<ObjectId>& ids,
                         std::vector<RectF>* out);
 
@@ -82,8 +105,11 @@ class RectResolver {
   MemoryGrant grant_;
   SortStats sort_stats_;
 
-  // In-memory path: records sorted by id.
-  std::vector<RectF> sorted_;
+  // In-memory path: records in load order, and the hash index over them
+  // (slots_.size() is a power of two; slot_shift_ = 64 - its log2).
+  std::vector<RectF> records_;
+  std::vector<uint32_t> slots_;
+  int slot_shift_ = 0;
 
   // External path: id-sorted stream plus the first id of each page.
   std::unique_ptr<Pager> scratch_;

@@ -6,7 +6,8 @@
 // over a spatial join. Count aggregation and the top-k total order are
 // arrival-order independent, so every configuration must produce the
 // *same* rows, not merely equivalent ones. Each test runs fixed seeds;
-// SJ_DIFF_SEED and SJ_DIFF_WORKLOADS replace them (see Seeds()).
+// SJ_DIFF_SEED and SJ_DIFF_WORKLOADS replace them (see Seeds()), and
+// SJ_DIFF_MEMORY=tiny adds the smallest budget to the sweep (Budgets()).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/memory_arbiter.h"
 #include "core/pipeline_query.h"
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
@@ -136,10 +138,22 @@ struct Config {
   }
 };
 
+/// The budgets the sweep runs at. SJ_DIFF_MEMORY=tiny, as in
+/// join_equivalence_test, adds kMinMemoryBytes (64 KiB), the least a
+/// query accepts, where every rect map is down to its 2-page floor.
+std::vector<size_t> Budgets() {
+  std::vector<size_t> budgets = {size_t{256} << 10, size_t{24} << 20};
+  const char* mode = std::getenv("SJ_DIFF_MEMORY");
+  if (mode != nullptr && std::string(mode) == "tiny") {
+    budgets.insert(budgets.begin(), kMinMemoryBytes);
+  }
+  return budgets;
+}
+
 std::vector<Config> Sweep() {
   std::vector<Config> configs;
   for (uint32_t threads : {1u, 2u, 8u}) {
-    for (size_t budget : {size_t{256} << 10, size_t{24} << 20}) {
+    for (size_t budget : Budgets()) {
       for (bool file_backend : {false, true}) {
         configs.push_back(Config{threads, budget, file_backend});
       }

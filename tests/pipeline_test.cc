@@ -146,6 +146,23 @@ const OperatorStats* FindOp(const PipelineStats& stats,
   return nullptr;
 }
 
+/// A run's high-water marks for `component` (zeros when never asked).
+MemoryComponentStats ComponentOf(const PipelineStats& stats,
+                                 const std::string& component) {
+  for (const MemoryComponentStats& c : stats.memory_components) {
+    if (c.component == component) return c;
+  }
+  return MemoryComponentStats{component, 0, 0};
+}
+
+/// A plan's bytes for `component` (0 when not planned).
+size_t PlannedOf(const PipelinePlan& plan, const std::string& component) {
+  for (const MemoryGrantSpec& g : plan.memory.grants) {
+    if (g.component == component) return g.bytes;
+  }
+  return 0;
+}
+
 // ---------------------------------------------------------------------------
 // Fixture
 // ---------------------------------------------------------------------------
@@ -164,6 +181,35 @@ struct PipelineFixture {
     da = MakeDataset(&td, a, "a", &keep);
     db = MakeDataset(&td, b, "b", &keep);
     joiner.emplace(&td.disk, JoinOptions());
+  }
+};
+
+/// Sparse inputs for the rect-map budget cases: `n` streams of 8,000
+/// UniformRects over a 1,000 x 1,000 extent (mean size 4), seeds 1..n.
+/// Each one's hashed id table (RectTableBytes(8000) = 225,536 B) fits a
+/// 24 MiB budget's share and not a 256 KiB one's.
+struct SparseStreams {
+  static constexpr uint64_t kRecords = 8000;
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<JoinInput> inputs;
+  std::optional<SpatialJoiner> joiner;
+
+  explicit SparseStreams(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const auto rects =
+          UniformRects(kRecords, RectF(0, 0, 1000, 1000), 4.0f, i + 1);
+      inputs.push_back(JoinInput::FromStream(
+          MakeDataset(&td, rects, "s" + std::to_string(i), &keep)));
+    }
+    joiner.emplace(&td.disk, JoinOptions());
+  }
+
+  PipelineQuery Query(size_t budget) {
+    PipelineQuery q(*joiner);
+    for (const JoinInput& input : inputs) q.Input(input);
+    q.MemoryBytes(budget);
+    return q;
   }
 };
 
@@ -671,6 +717,76 @@ TEST(PipelineExplain, ScanSourceHasNoJoinDecision) {
   EXPECT_NE(plan->Describe().find("WindowScan"), std::string::npos);
 }
 
+// Explain plans each input's rect map as Run requests it: the hashed
+// table, capped at budget / (2 x inputs), over the records Run builds it
+// from — the whole relation without a window, the in-window estimate
+// with one.
+TEST(PipelineExplain, RectMapLineFollowsTheRun) {
+  SparseStreams s(2);
+  const size_t table = static_cast<size_t>(RectTableBytes(s.kRecords));
+  for (const size_t budget : {size_t{24} << 20, size_t{256} << 10}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    const size_t share = RectMapGrantBytes(budget, 2);
+    // Both tables fit the larger budget's share; neither fits the smaller.
+    EXPECT_EQ(table <= share, budget == (size_t{24} << 20));
+    auto plan = s.Query(budget).Explain();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    CountingRowSink sink;
+    auto stats = s.Query(budget).Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(PlannedOf(*plan, grants::kOpRectMap), 2 * std::min(table, share));
+    EXPECT_EQ(PlannedOf(*plan, grants::kOpRectMap),
+              ComponentOf(*stats, grants::kOpRectMap).granted_high_water);
+  }
+
+  const RectF window(100, 100, 500, 600);
+  const size_t share = RectMapGrantBytes(24u << 20, 2);
+  size_t in_window = 0;
+  size_t full = 0;
+  for (const JoinInput& input : s.inputs) {
+    const uint64_t rows = static_cast<uint64_t>(
+        std::llround(WindowScan::EstimateRows(input, window, nullptr)));
+    in_window += std::min<size_t>(RectTableBytes(rows), share);
+    full += std::min(table, share);
+  }
+  auto plan = s.Query(24u << 20).Window(window).Explain();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(PlannedOf(*plan, grants::kOpRectMap), in_window);
+  EXPECT_LT(in_window, full);
+}
+
+// ---------------------------------------------------------------------------
+// Memory governance
+// ---------------------------------------------------------------------------
+
+// Three rect maps that do not fit take a third of half the budget each,
+// so the k-way chain keeps the rest: no grant passes the budget, the
+// chain's sweep and sorts are granted what they use, and the rows are
+// those of a budget where every table fits.
+TEST(PipelineMemory, RectMapsLeaveTheJoinHalfTheBudget) {
+  SparseStreams s(3);
+  constexpr size_t kBudget = size_t{256} << 10;
+  CollectingRowSink tight_rows;
+  auto tight = s.Query(kBudget).Run(&tight_rows);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  const MemoryComponentStats rectmap =
+      ComponentOf(*tight, grants::kOpRectMap);
+  EXPECT_EQ(rectmap.granted_high_water, 3 * RectMapGrantBytes(kBudget, 3));
+  EXPECT_LE(rectmap.granted_high_water, kBudget / 2);
+  EXPECT_LE(tight->peak_memory_bytes, kBudget);
+  const MemoryComponentStats sweep = ComponentOf(*tight, grants::kSweep);
+  EXPECT_GT(sweep.used_high_water, 0u);
+  EXPECT_LE(sweep.used_high_water, sweep.granted_high_water);
+  const MemoryComponentStats sort = ComponentOf(*tight, grants::kSortRuns);
+  EXPECT_LE(sort.used_high_water, sort.granted_high_water);
+
+  CollectingRowSink roomy_rows;
+  auto roomy = s.Query(size_t{24} << 20).Run(&roomy_rows);
+  ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
+  EXPECT_FALSE(roomy_rows.rows().empty());
+  EXPECT_EQ(tight_rows.rows(), roomy_rows.rows());
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------
@@ -817,42 +933,6 @@ TEST(PipelineStatsTest, DescribeAndKeyValuesAreStructured) {
   EXPECT_TRUE(saw_output);
   EXPECT_TRUE(saw_op);
   EXPECT_GT(stats->ObservedSeconds(f.td.disk.machine()), 0.0);
-}
-
-// The external path id-sorts the relation; formation units on a private
-// team report their CPU (the building thread's clock misses it), a
-// serial build reports none, and both resolve the same rectangles.
-TEST(RectResolverTest, ExternalBuildReportsSortWorkerCpu) {
-  TestDisk td;
-  std::vector<std::unique_ptr<Pager>> keep;
-  const auto rects =
-      UniformRects(20000, RectF(0, 0, 100, 100), 0.5f, /*seed=*/61);
-  const JoinInput input =
-      JoinInput::FromStream(MakeDataset(&td, rects, "resolver.in", &keep));
-  std::vector<ObjectId> ids;
-  for (ObjectId id = 0; id < 20000; id += 97) ids.push_back(id);
-  std::vector<RectF> expected;
-  for (ObjectId id : ids) expected.push_back(rects[id]);
-  for (uint32_t threads : {1u, 4u}) {
-    MemoryArbiter arbiter(64 << 10);
-    SortConfig sort_config;
-    sort_config.threads = threads;
-    auto resolver = RectResolver::Build(input, &td.disk, &arbiter, nullptr,
-                                        "resolver", sort_config);
-    ASSERT_TRUE(resolver.ok()) << resolver.status().ToString();
-    ASSERT_TRUE((*resolver)->external());
-    const SortStats& sort = (*resolver)->sort_stats();
-    if (threads == 1) {
-      EXPECT_EQ(sort.parallel_units, 0u);
-      EXPECT_EQ(sort.worker_cpu_seconds, 0.0);
-    } else {
-      EXPECT_GT(sort.parallel_units, 1u);
-      EXPECT_GT(sort.worker_cpu_seconds, 0.0);
-    }
-    std::vector<RectF> got;
-    ASSERT_TRUE((*resolver)->Lookup(ids, &got).ok());
-    EXPECT_EQ(got, expected) << "threads " << threads;
-  }
 }
 
 }  // namespace
