@@ -124,6 +124,12 @@ MemoryGrant MemoryArbiter::AcquireShrinkable(std::string component,
   return MemoryGrant(this, std::move(component), granted);
 }
 
+MemoryGrant MemoryArbiter::AcquireShrinkable(const GrantRequest& request) {
+  if (request.component == nullptr) return MemoryGrant();
+  return AcquireShrinkable(request.component, request.bytes,
+                           request.floor_bytes);
+}
+
 void MemoryArbiter::FoldChild(const MemoryArbiter& child) {
   // Snapshot the child outside our lock (it has its own mutex).
   const size_t child_peak = child.peak_bytes();

@@ -47,6 +47,16 @@ inline constexpr char kOpTopK[] = "op.topk";
 
 class MemoryArbiter;
 
+/// One component's ask of an arbiter: AcquireShrinkable's arguments. A
+/// component that states its request in one function hands the same
+/// request to its own acquisition and to PipelineQuery::Explain, which
+/// replays a run's requests on a scratch arbiter.
+struct GrantRequest {
+  const char* component = nullptr;  ///< nullptr: nothing to acquire.
+  size_t bytes = 0;
+  size_t floor_bytes = 0;
+};
+
 /// An RAII share of a MemoryArbiter's budget. Movable, not copyable;
 /// releases its bytes back to the arbiter on destruction (or an explicit
 /// Release()). Components report their actual consumption through
@@ -159,6 +169,9 @@ class MemoryArbiter {
   /// them honest.
   MemoryGrant AcquireShrinkable(std::string component, size_t bytes,
                                 size_t floor_bytes);
+  /// The same for a stated request; one without a component grants
+  /// nothing (an inactive grant of 0 bytes).
+  MemoryGrant AcquireShrinkable(const GrantRequest& request);
 
   /// Folds a completed child scope (one serial-equivalent work unit run
   /// against its own arbiter — a PBSM partition task, an SSSJ strip)

@@ -52,16 +52,6 @@ class CountingForward final : public RowSink {
   uint64_t count_ = 0;
 };
 
-/// Fraction of `extent` the window covers (1 when the extent is
-/// degenerate), for index window-scan costing.
-double WindowFraction(const RectF& window, const RectF& extent) {
-  if (!window.Valid() || !extent.Valid()) return window.Valid() ? 1.0 : 0.0;
-  const double total = extent.Area();
-  if (!(total > 0.0)) return 1.0;
-  if (!window.Intersects(extent)) return 0.0;
-  return std::min(1.0, window.IntersectionWith(extent).Area() / total);
-}
-
 /// The join input the windowed-overlay plan builds from `input`: its
 /// in-window records as a stream (ids, and so FeatureStores, preserved).
 JoinInput WindowedInput(const JoinInput& input, const DatasetRef& windowed) {
@@ -325,64 +315,64 @@ Result<PipelinePlan> PipelineQuery::Explain() {
 
   PipelinePlan plan;
   plan.memory.budget_bytes = options.memory_bytes;
+  // Run's grant requests, replayed in Run's order on an arbiter of the
+  // query's budget: its high-water marks are the planned lines, so
+  // Explain shrinks a request exactly where Run's arbiter would.
+  MemoryArbiter scratch(options.memory_bytes);
+  std::vector<MemoryGrant> held;
 
-  // Leaf estimates. A windowed pipeline scans each input; without a window
-  // a join source consumes its inputs directly (the join's cost covers the
-  // reads) and a scan source reads everything.
-  std::vector<double> leaf_rows(inputs.size());
-  std::vector<double> leaf_cost(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const JoinInput& input = inputs[i];
-    const RectF window = has_window_ ? window_ : input.extent();
-    if (has_window_ || !join_source) {
-      leaf_rows[i] =
-          WindowScan::EstimateRows(input, window, spec_.HistogramOf(i));
-      leaf_cost[i] =
-          input.indexed()
-              ? cost.IndexWindowSeconds(input.pages(),
-                                        WindowFraction(window, input.extent()))
-              : cost.ScanSeconds(input.pages());
-    } else {
-      leaf_rows[i] = static_cast<double>(input.count());
-      leaf_cost[i] = 0.0;  // Consumed (and priced) by the join itself.
-    }
+  // The operators Run opens, first, holding their grants to the end
+  // (held[i] is operator i's).
+  const std::vector<std::unique_ptr<PipelineOperator>> chain = BuildChain();
+  for (const auto& op : chain) {
+    held.push_back(scratch.AcquireShrinkable(op->Request()));
   }
 
-  // Source estimate + cost.
-  double source_rows = 0.0;
-  double source_cost = 0.0;
-  std::string source_name;
-  std::string source_detail;
-  size_t source_planned = 0;
-  if (!join_source) {
-    source_rows = leaf_rows[0];
-    source_cost = leaf_cost[0];
-    source_name = "WindowScan";
-    source_detail = "input 0, " + std::to_string(inputs[0].count()) +
-                    " records" + (has_window_ ? "" : ", full extent");
-    if (inputs[0].indexed()) {
-      source_planned = static_cast<size_t>(
-          std::max(1.0, source_rows) * sizeof(RectF));
+  // Leaves. A windowed pipeline scans each input, one scan after another;
+  // without a window a join source consumes its inputs directly and a
+  // scan source reads everything.
+  std::vector<OperatorPlan> leaves;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    OperatorPlan leaf;
+    if (has_window_ || !join_source) {
+      const WindowScan scan(inputs[i],
+                            has_window_ ? window_ : inputs[i].extent(),
+                            spec_.HistogramOf(i));
+      leaf = scan.Estimate(cost);
+      leaf.planned_bytes = scratch.AcquireShrinkable(scan.Request()).bytes();
+    } else {
+      leaf.name = "Input";  // Consumed (and priced) by the join itself.
+      leaf.est_rows = static_cast<double>(inputs[i].count());
     }
+    leaf.detail = "input " + std::to_string(i) + ", " +
+                  std::to_string(inputs[i].count()) + " records";
+    leaves.push_back(std::move(leaf));
+  }
+
+  OperatorPlan source;
+  if (!join_source) {
+    source = std::move(leaves[0]);
+    if (!has_window_) source.detail += ", full extent";
+    leaves.clear();
   } else {
     // Join output estimate: coarse lower-envelope heuristic (the planner
     // estimates costs, not cardinalities — min of the input estimates is
     // the documented stand-in until a join cardinality model exists).
-    source_rows = leaf_rows[0];
-    for (size_t i = 1; i < inputs.size(); ++i) {
-      source_rows = std::min(source_rows, leaf_rows[i]);
+    source.est_rows = leaves[0].est_rows;
+    for (const OperatorPlan& leaf : leaves) {
+      source.est_rows = std::min(source.est_rows, leaf.est_rows);
     }
     // The inputs the join runs over. With a window they are the in-window
     // streams, described here by their estimated counts and the window-
     // clipped extents (the planner reads no data), so an indexed input
     // never makes Explain report a traversal Run cannot take, and the rect
-    // maps below are sized over the records Run builds them from.
+    // maps and the join are planned over the records Run gives them.
     std::vector<JoinInput> join_inputs = inputs;
     if (has_window_) {
       for (size_t i = 0; i < inputs.size(); ++i) {
         DatasetRef windowed;
         windowed.range.count =
-            static_cast<uint64_t>(std::llround(leaf_rows[i]));
+            static_cast<uint64_t>(std::llround(leaves[i].est_rows));
         const RectF extent = inputs[i].extent();
         windowed.extent = extent.Valid() && extent.Intersects(window_)
                               ? extent.IntersectionWith(window_)
@@ -394,147 +384,83 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       // Plan the join Run executes.
       SJ_ASSIGN_OR_RETURN(plan.join, JoinOver(join_inputs).Explain());
       plan.has_join = true;
-      plan.memory = plan.join.memory;
-      if (plan.memory.budget_bytes == 0) {
-        plan.memory.budget_bytes = options.memory_bytes;
-      }
+      plan.memory.grants = plan.join.memory.grants;
       switch (plan.join.algorithm) {
         case JoinAlgorithm::kPBSM:
-          source_cost = plan.join.pbsm_cost_seconds > 0.0
-                            ? plan.join.pbsm_cost_seconds
-                            : plan.join.stream_cost_seconds;
+          source.cost_seconds = plan.join.pbsm_cost_seconds > 0.0
+                                    ? plan.join.pbsm_cost_seconds
+                                    : plan.join.stream_cost_seconds;
           break;
         case JoinAlgorithm::kPQ:
         case JoinAlgorithm::kST:
-          source_cost = plan.join.index_cost_seconds;
+          source.cost_seconds = plan.join.index_cost_seconds;
           break;
         default:
-          source_cost = plan.join.stream_cost_seconds;
+          source.cost_seconds = plan.join.stream_cost_seconds;
           break;
       }
-      source_name =
+      source.name =
           std::string("SpatialJoin[") + ToString(plan.join.algorithm) + "]";
-      source_detail = std::string(ToString(spec_.predicate.kind));
+      source.detail = ToString(spec_.predicate.kind);
     } else {
       // The k-way chain: no PlanDecision; price it as the streaming
-      // sort-and-sweep it is.
-      uint64_t total_pages = 0;
-      for (const JoinInput& input : inputs) total_pages += input.pages();
-      source_cost = cost.SSSJSeconds(total_pages, options.memory_bytes);
-      source_name = "MultiwayJoin";
-      source_detail = std::to_string(inputs.size()) + "-way chain";
+      // sort-and-sweep it is, over the inputs it joins.
+      uint64_t pages = 0;
+      for (const JoinInput& input : join_inputs) pages += input.pages();
+      source.cost_seconds = cost.SSSJSeconds(pages, options.memory_bytes);
+      source.name = "MultiwayJoin";
+      source.detail = std::to_string(inputs.size()) + "-way chain";
     }
     // Rect resolution behind the join: one id -> MBR table per join
-    // input, requested as Run requests it — the table, capped at the
-    // input's share of the budget (beyond it the table goes external).
+    // input, built before the join and held through it; beyond its grant
+    // a table goes external.
     const size_t rectmap_share =
         RectMapGrantBytes(options.memory_bytes, join_inputs.size());
     for (const JoinInput& input : join_inputs) {
-      const uint64_t table_bytes = RectTableBytes(input.count());
-      source_cost += table_bytes <= rectmap_share
-                         ? cost.ScanSeconds(input.pages())
-                         : cost.RectResolveSeconds(
-                               static_cast<uint64_t>(source_rows),
-                               input.pages());
-      source_planned += static_cast<size_t>(
-          std::min<uint64_t>(table_bytes, rectmap_share));
+      held.push_back(scratch.AcquireShrinkable(
+          RectResolver::Request(input.count(), rectmap_share)));
+      source.cost_seconds +=
+          held.back().bytes() >= RectTableBytes(input.count())
+              ? cost.ScanSeconds(input.pages())
+              : cost.RectResolveSeconds(
+                    static_cast<uint64_t>(source.est_rows), input.pages());
+      source.planned_bytes += held.back().bytes();
     }
-    plan.memory.grants.push_back(
-        MemoryGrantSpec{grants::kOpRectMap, source_planned});
-  }
-
-  // Downstream chain, source -> sink, then assemble the tree root-first.
-  std::vector<OperatorPlan> op_nodes;
-  double rows = source_rows;
-  for (const OpSpec& spec : ops_) {
-    OperatorPlan node;
-    node.est_rows = rows;
-    switch (spec.kind) {
-      case OpSpec::Kind::kFilter:
-        node.name = "Filter";
-        node.detail = spec.label;
-        rows = rows / 3.0;  // The classic default selectivity guess.
-        break;
-      case OpSpec::Kind::kProject:
-        node.name = "Project";
-        node.detail = spec.label;
-        break;
-      case OpSpec::Kind::kAggregate: {
-        node.name = "AggregateByCell";
-        node.detail = std::string(ToString(spec.agg_mode)) + " " +
-                      std::to_string(spec.agg_nx) + "x" +
-                      std::to_string(spec.agg_ny);
-        const uint64_t cells =
-            static_cast<uint64_t>(spec.agg_nx) * spec.agg_ny;
-        const size_t grid_bytes = cells * sizeof(double);
-        node.planned_bytes = grid_bytes;
-        // Spill estimate under half the budget (the join holds the rest):
-        // non-resident contributions stream out as 16-byte deltas and
-        // replay once per extra band.
-        const size_t resident_budget = options.memory_bytes / 2;
-        const uint64_t resident_rows = std::max<uint64_t>(
-            1, std::min<uint64_t>(spec.agg_ny,
-                                  resident_budget /
-                                      (spec.agg_nx * sizeof(double))));
-        const uint64_t bands =
-            (spec.agg_ny + resident_rows - 1) / resident_rows;
-        if (bands > 1) {
-          const double spill_fraction =
-              1.0 - static_cast<double>(resident_rows) / spec.agg_ny;
-          const uint64_t spill_pages = static_cast<uint64_t>(
-              std::ceil(rows * spill_fraction * 16.0 / kPageSize));
-          node.cost_seconds = cost.AggregateSpillSeconds(spill_pages, bands - 1);
+    if (inputs.size() > 2) {
+      // The k-way chain's grants: each stream input sorts in turn, then
+      // the chain sweeps.
+      const MultiwayGrants requests =
+          MultiwayGrantRequests(options.memory_bytes);
+      for (const JoinInput& input : join_inputs) {
+        if (input.kind() == JoinInput::Kind::kStream) {
+          scratch.AcquireShrinkable(requests.sort);
         }
-        plan.memory.grants.push_back(
-            MemoryGrantSpec{grants::kOpAggregate,
-                            std::min(grid_bytes, options.memory_bytes / 2)});
-        rows = std::min(rows, static_cast<double>(cells));
-        break;
       }
-      case OpSpec::Kind::kTopK: {
-        node.name = "TopKByDistance";
-        node.detail = "k=" + std::to_string(spec.topk_k) + " from (" +
-                      FmtG(spec.topk_x) + ", " + FmtG(spec.topk_y) + ")";
-        node.planned_bytes =
-            spec.topk_k * (sizeof(double) + RowBytes(inputs.size()));
-        plan.memory.grants.push_back(
-            MemoryGrantSpec{grants::kOpTopK, node.planned_bytes});
-        rows = std::min(rows, static_cast<double>(spec.topk_k));
-        break;
-      }
+      held.push_back(scratch.AcquireShrinkable(requests.sweep));
     }
-    op_nodes.push_back(std::move(node));
+  }
+  for (const MemoryComponentStats& c : scratch.ComponentStats()) {
+    plan.memory.grants.push_back(
+        MemoryGrantSpec{c.component, c.granted_high_water});
   }
 
-  // Tree assembly, root (sink-most) first: ops reversed, then the source,
-  // then the per-input leaves (only when they are distinct scan nodes).
-  const bool leaves_are_scans = join_source && has_window_;
+  // The tree, root (sink-most) first: the operators reversed, the source,
+  // then its leaves when they are distinct nodes.
+  double rows = source.est_rows;
+  std::vector<OperatorPlan> op_nodes;
+  for (size_t i = 0; i < chain.size(); ++i) {
+    op_nodes.push_back(chain[i]->Estimate(&rows, held[i].bytes(), cost));
+  }
   int depth = 0;
   for (auto it = op_nodes.rbegin(); it != op_nodes.rend(); ++it) {
     it->depth = depth++;
     plan.operators.push_back(std::move(*it));
   }
-  {
-    OperatorPlan source;
-    source.name = std::move(source_name);
-    source.detail = std::move(source_detail);
-    source.depth = depth;
-    source.est_rows = source_rows;
-    source.cost_seconds = source_cost;
-    source.planned_bytes = source_planned;
-    plan.operators.push_back(std::move(source));
-  }
-  if (join_source) {
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      OperatorPlan leaf;
-      leaf.name = leaves_are_scans ? "WindowScan" : "Input";
-      leaf.detail = "input " + std::to_string(i) + ", " +
-                    std::to_string(inputs[i].count()) + " records";
-      leaf.depth = depth + 1;
-      leaf.est_rows = leaf_rows[i];
-      leaf.cost_seconds = leaf_cost[i];
-      plan.operators.push_back(std::move(leaf));
-    }
+  source.depth = depth;
+  plan.operators.push_back(std::move(source));
+  for (OperatorPlan& leaf : leaves) {
+    leaf.depth = depth + 1;
+    plan.operators.push_back(std::move(leaf));
   }
   for (const OperatorPlan& node : plan.operators) {
     plan.total_cost_seconds += node.cost_seconds;

@@ -16,20 +16,6 @@
 
 namespace sj {
 
-/// One node of a costed pipeline plan (PipelineQuery::Explain). Nodes are
-/// listed root (sink-most operator) first; `depth` gives the indentation
-/// of the printed tree (source scans are the deepest nodes).
-struct OperatorPlan {
-  std::string name;    ///< e.g. "TopKByDistance"
-  std::string detail;  ///< e.g. "k=8 from (0.5, 0.5)"
-  int depth = 0;
-  double est_rows = 0.0;
-  double cost_seconds = 0.0;
-  /// Bytes the operator plans to hold under its arbiter grant (0 for
-  /// constant-memory operators).
-  size_t planned_bytes = 0;
-};
-
 /// The planner's verdict over a whole operator tree: every operator
 /// annotated with estimated rows, modeled cost, and planned memory, plus
 /// the embedded join decision when the pipeline's source is a spatial
@@ -40,14 +26,15 @@ struct PipelinePlan {
   PlanDecision join;
   bool has_join = false;
   double total_cost_seconds = 0.0;
-  /// The merged memory shape: the join's planned grants plus the
-  /// operators' own (op.*) grants, under one budget.
+  /// The merged memory shape under one budget: the pairwise join's
+  /// planned grants, plus the high-water marks of every other request the
+  /// run makes (operators, window scans, rect maps, the k-way chain).
   MemoryPlan memory;
 
   /// The costed operator tree, root first, one line per operator:
   ///
-  ///   TopKByDistance(k=8 from (0.5, 0.5))  rows~8 cost~0s
-  ///   └─ AggregateByCell(count 16x16)  rows~256 cost~0.01s mem 2 KB
+  ///   TopKByDistance(k=8 from (0.5, 0.5))  rows~8 cost~0s mem 1 KB
+  ///   └─ AggregateByCell(count 16x16)  rows~256 cost~0.01s mem 66 KB
   ///      └─ SpatialJoin[SSSJ]  rows~1200 cost~0.8s
   ///         ├─ WindowScan(input 0)  rows~4000 cost~0.2s
   ///         └─ WindowScan(input 1)  rows~3500 cost~0.2s
@@ -164,7 +151,10 @@ class PipelineQuery : public QueryBuilder<PipelineQuery> {
 
   /// Compiles the pipeline and returns the costed operator tree without
   /// executing anything (EXPLAIN). The join decision is the one Run
-  /// executes: a windowed join is planned over its in-window streams.
+  /// executes: a windowed join is planned over its in-window streams. The
+  /// operator nodes are the chain Run opens, and the memory plan replays
+  /// Run's grant requests, in Run's order, on a scratch arbiter of the
+  /// query's budget.
   Result<PipelinePlan> Explain();
 
   /// Runs the pipeline, streaming output rows into `sink`. Like

@@ -12,8 +12,8 @@ namespace sj {
 
 /// Forward sweep along x over two xlo-sorted entry lists; calls
 /// `emit(const RectF&, const RectF&)` for every pair overlapping in both
-/// axes, each pair exactly once. This is the per-node-pair pairing step
-/// of ST and BFS (Brinkhoff et al.'s restriction + sweep).
+/// axes, each pair exactly once. This is ST's per-node-pair pairing step
+/// (Brinkhoff et al.'s restriction + sweep).
 ///
 /// The inner scan runs as a batched kernel: each list is staged into
 /// struct-of-arrays lanes once, and the run of candidates for a sweep
@@ -26,7 +26,7 @@ template <typename Emit>
 void SweepEntryLists(const std::vector<RectF>& as, const std::vector<RectF>& bs,
                      Emit&& emit) {
   if (as.empty() || bs.empty()) return;
-  // Node entry lists are small (ST/BFS cap them at a few hundred) but
+  // Node entry lists are small (ST caps them at a few hundred) but
   // this runs once per node pair; thread_local scratch avoids per-call
   // allocation in the parallel tree joins.
   thread_local SoaRects lanes_a, lanes_b;

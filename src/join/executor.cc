@@ -223,7 +223,7 @@ struct PreparedSource {
 };
 
 Result<PreparedSource> PrepareSource(CompiledPlan& plan,
-                                     const JoinInput& input,
+                                     const JoinInput& input, size_t sort_bytes,
                                      const RectF* other_extent = nullptr,
                                      const GridHistogram* other_hist =
                                          nullptr) {
@@ -256,8 +256,7 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
       SJ_ASSIGN_OR_RETURN(
           StreamRange sorted,
           SortRectsByYLo(input.stream().range, prepared.scratch.get(),
-                         prepared.sorted.get(),
-                         plan.options.memory_bytes / 2,
+                         prepared.sorted.get(), sort_bytes,
                          plan.arbiter.get(), SortConfigOf(plan.options),
                          &prepared.sort));
       prepared.source = std::make_unique<SortedStreamSource>(sorted);
@@ -352,13 +351,14 @@ class PQExecutor final : public JoinExecutor {
   Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
     const RectF extent_a = plan.inputs[0].extent();
     const RectF extent_b = plan.inputs[1].extent();
+    const size_t sort_bytes = plan.options.memory_bytes / 2;
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sa,
-        PrepareSource(plan, plan.inputs[0], &extent_b,
+        PrepareSource(plan, plan.inputs[0], sort_bytes, &extent_b,
                       plan.prune_histogram(1)));
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sb,
-        PrepareSource(plan, plan.inputs[1], &extent_a,
+        PrepareSource(plan, plan.inputs[1], sort_bytes, &extent_a,
                       plan.prune_histogram(0)));
     RectF extent = extent_a;
     extent.ExtendTo(extent_b);
@@ -406,8 +406,17 @@ const JoinExecutor* FindExecutor(JoinAlgorithm algo) {
   return ExecutorRegistry::Instance().Find(algo);
 }
 
+MultiwayGrants MultiwayGrantRequests(size_t budget_bytes) {
+  return MultiwayGrants{
+      GrantRequest{grants::kSortRuns, budget_bytes / 2,
+                   RunLayout::kMinSortMemoryBytes},
+      GrantRequest{grants::kSweep, budget_bytes / 2, /*floor_bytes=*/0}};
+}
+
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink) {
+  const MultiwayGrants requests =
+      MultiwayGrantRequests(plan.options.memory_bytes);
   // Measured from before the first stream sort, so the sorts' I/O and
   // this thread's share of their CPU count as the join's.
   JoinMeasurement measurement(plan.disk);
@@ -417,7 +426,8 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   // CPU of stream sorts' formation workers, which no measurement sees.
   double sort_worker_cpu = 0.0;
   for (const JoinInput& input : plan.inputs) {
-    SJ_ASSIGN_OR_RETURN(PreparedSource p, PrepareSource(plan, input));
+    SJ_ASSIGN_OR_RETURN(PreparedSource p,
+                        PrepareSource(plan, input, requests.sort.bytes));
     sort_worker_cpu += p.sort.worker_cpu_seconds;
     prepared.push_back(std::move(p));
     extent.ExtendTo(input.extent());
@@ -428,8 +438,7 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   // arbiter aborts when a k-way chain outgrows the budget.
   MemoryGrant chain_grant;
   if (plan.arbiter != nullptr) {
-    chain_grant = plan.arbiter->AcquireShrinkable(
-        grants::kSweep, plan.arbiter->budget() / 2, /*floor_bytes=*/0);
+    chain_grant = plan.arbiter->AcquireShrinkable(requests.sweep);
   }
   std::vector<SortedRectSource*> sources;
   sources.reserve(prepared.size());

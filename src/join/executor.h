@@ -249,6 +249,17 @@ const JoinExecutor* FindExecutor(JoinAlgorithm algo);
 MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
                           uint64_t input_bytes);
 
+/// The k-way chain's grant requests under a `budget_bytes` budget, in the
+/// order ExecuteMultiwayFilter acquires them: `sort` once per stream
+/// input, each released before the next, then `sweep` for the chain's
+/// in-memory state while it runs. PipelineQuery::Explain plans the chain
+/// from the same requests.
+struct MultiwayGrants {
+  GrantRequest sort;
+  GrantRequest sweep;
+};
+MultiwayGrants MultiwayGrantRequests(size_t budget_bytes);
+
 /// The k-way filter execution (§4's extension): every plan.inputs entry
 /// becomes a sorted source (selective index traversals included) feeding
 /// the left-deep chain of lazy PQ sweeps. options.num_threads reaches only

@@ -214,15 +214,8 @@ struct JoinStats {
     host_cpu_seconds += s.worker_cpu_seconds;
   }
 
-  /// The classic cost estimate (Figure 2(a)-(c)): every page read priced
-  /// as a random single-page access, plus scaled CPU.
-  double EstimatedSeconds(const MachineModel& m) const {
-    const double page_s =
-        (m.avg_access_ms + m.PageTransferMs(kPageSize)) * 1e-3;
-    return static_cast<double>(disk.pages_read) * page_s +
-           host_cpu_seconds * m.cpu_slowdown;
-  }
-  /// Estimated I/O component alone.
+  /// The classic I/O estimate (Figure 2(a)-(c)): every page read priced
+  /// as a random single-page access.
   double EstimatedIoSeconds(const MachineModel& m) const {
     const double page_s =
         (m.avg_access_ms + m.PageTransferMs(kPageSize)) * 1e-3;
@@ -237,11 +230,6 @@ struct JoinStats {
   double ScaledCpuSeconds(const MachineModel& m) const {
     return host_cpu_seconds * m.cpu_slowdown;
   }
-
-  /// Measured wall time spent inside actual backend reads/writes
-  /// (DiskStats::io_wall_seconds) — the real-I/O counterpart of the
-  /// modeled io_seconds, for modeled-vs-measured validation.
-  double MeasuredIoWallSeconds() const { return disk.io_wall_seconds; }
 
   /// One human-readable line of the machine-independent counters (result
   /// and candidate counts, pages, peak structure sizes).

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <utility>
 
+#include "core/cost_model.h"
 #include "util/logging.h"
 
 namespace sj {
@@ -13,8 +15,38 @@ namespace {
 /// Spill stream block size: small blocks, because the spill writer's
 /// buffer lives inside the operator's (possibly tight) grant.
 constexpr uint32_t kSpillBlockPages = 4;
+/// The spill writer's and replay reader's block buffers.
+constexpr size_t kSpillBufBytes = 2 * kSpillBlockPages * kPageSize;
+
+/// Fraction of `extent` the window covers (1 when the extent is
+/// degenerate), for index window-scan costing.
+double WindowFraction(const RectF& window, const RectF& extent) {
+  if (!window.Valid() || !extent.Valid()) return window.Valid() ? 1.0 : 0.0;
+  const double total = extent.Area();
+  if (!(total > 0.0)) return 1.0;
+  if (!window.Intersects(extent)) return 0.0;
+  return std::min(1.0, window.IntersectionWith(extent).Area() / total);
+}
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// FilterOp, ProjectOp
+// ---------------------------------------------------------------------------
+
+OperatorPlan FilterOp::Estimate(double* rows, size_t, const CostModel&) const {
+  OperatorPlan node{"Filter", label_};
+  node.est_rows = *rows;
+  *rows /= 3.0;
+  return node;
+}
+
+OperatorPlan ProjectOp::Estimate(double* rows, size_t,
+                                 const CostModel&) const {
+  OperatorPlan node{"Project", label_};
+  node.est_rows = *rows;
+  return node;
+}
 
 const char* ToString(AggregateMode mode) {
   switch (mode) {
@@ -51,20 +83,43 @@ AggregateByCellOp::~AggregateByCellOp() {
   if (spill_writer_ != nullptr && !finished_) spill_writer_->Abandon();
 }
 
-Status AggregateByCellOp::Open(PipelineContext& ctx) {
+GrantRequest AggregateByCellOp::Request() const {
+  // The floor is the least that still makes progress.
   const uint64_t grid_bytes = uint64_t{nx_} * ny_ * sizeof(double);
-  // Floor: one grid row plus the spill writer's and replay reader's block
-  // buffers — the least that still makes progress.
-  const size_t spill_buf_bytes = 2 * kSpillBlockPages * kPageSize;
-  const size_t floor_bytes = nx_ * sizeof(double) + spill_buf_bytes;
-  grant_ = ctx.arbiter->AcquireShrinkable(
-      grants::kOpAggregate, static_cast<size_t>(grid_bytes) + spill_buf_bytes,
-      floor_bytes);
+  return GrantRequest{grants::kOpAggregate,
+                      static_cast<size_t>(grid_bytes) + kSpillBufBytes,
+                      nx_ * sizeof(double) + kSpillBufBytes};
+}
 
+uint32_t AggregateByCellOp::ResidentRows(size_t granted_bytes) const {
   const size_t for_grid =
-      grant_.bytes() > spill_buf_bytes ? grant_.bytes() - spill_buf_bytes : 0;
-  resident_rows_ = static_cast<uint32_t>(std::min<uint64_t>(
+      granted_bytes > kSpillBufBytes ? granted_bytes - kSpillBufBytes : 0;
+  return static_cast<uint32_t>(std::min<uint64_t>(
       ny_, std::max<uint64_t>(1, for_grid / (nx_ * sizeof(double)))));
+}
+
+OperatorPlan AggregateByCellOp::Estimate(double* rows, size_t granted_bytes,
+                                         const CostModel& cost) const {
+  OperatorPlan node{"AggregateByCell", std::string(sj::ToString(mode_)) + " " +
+                                           std::to_string(nx_) + "x" +
+                                           std::to_string(ny_)};
+  node.est_rows = *rows;
+  node.planned_bytes = granted_bytes;
+  const uint32_t resident = ResidentRows(granted_bytes);
+  if (resident < ny_) {
+    const uint64_t bands = (ny_ + resident - 1) / resident;
+    const double spill_fraction = 1.0 - static_cast<double>(resident) / ny_;
+    const uint64_t spill_pages = static_cast<uint64_t>(
+        std::ceil(*rows * spill_fraction * sizeof(CellDelta) / kPageSize));
+    node.cost_seconds = cost.AggregateSpillSeconds(spill_pages, bands - 1);
+  }
+  *rows = std::min(*rows, static_cast<double>(uint64_t{nx_} * ny_));
+  return node;
+}
+
+Status AggregateByCellOp::Open(PipelineContext& ctx) {
+  grant_ = ctx.arbiter->AcquireShrinkable(Request());
+  resident_rows_ = ResidentRows(grant_.bytes());
   grid_.assign(static_cast<size_t>(resident_rows_) * nx_, 0.0);
 
   if (resident_rows_ < ny_) {
@@ -232,13 +287,27 @@ bool TopKByDistanceOp::EntryLess(const Entry& a, const Entry& b) {
   return a.row.value < b.row.value;
 }
 
-Status TopKByDistanceOp::Open(PipelineContext& ctx) {
+GrantRequest TopKByDistanceOp::Request() const {
   // The floor is the full heap footprint: the result must not depend on
   // the budget, so a tight arbiter records the overshoot instead of
   // shrinking k.
   const size_t heap_bytes = k_ * (sizeof(Entry) + RowBytes(2));
-  grant_ = ctx.arbiter->AcquireShrinkable(grants::kOpTopK, heap_bytes,
-                                          heap_bytes);
+  return GrantRequest{grants::kOpTopK, heap_bytes, heap_bytes};
+}
+
+OperatorPlan TopKByDistanceOp::Estimate(double* rows, size_t granted_bytes,
+                                        const CostModel&) const {
+  std::ostringstream detail;
+  detail << "k=" << k_ << " from (" << qx_ << ", " << qy_ << ")";
+  OperatorPlan node{"TopKByDistance", detail.str()};
+  node.est_rows = *rows;
+  node.planned_bytes = granted_bytes;
+  *rows = std::min(*rows, static_cast<double>(k_));
+  return node;
+}
+
+Status TopKByDistanceOp::Open(PipelineContext& ctx) {
+  grant_ = ctx.arbiter->AcquireShrinkable(Request());
   heap_.reserve(std::min<size_t>(k_, 1u << 16));
   return Status::OK();
 }
@@ -290,21 +359,39 @@ double WindowScan::EstimateRows(const JoinInput& input, const RectF& window,
   return frac * static_cast<double>(input.count());
 }
 
+bool WindowScan::Pruned() const {
+  return !window_.Valid() ||
+         (histogram_ != nullptr && !histogram_->MightIntersect(window_));
+}
+
+GrantRequest WindowScan::Request() const {
+  if (!input_.indexed() || Pruned()) return GrantRequest();
+  return GrantRequest{
+      grants::kOpWindow,
+      static_cast<size_t>(EstimateRows(input_, window_, histogram_) *
+                          sizeof(RectF)) +
+          kPageSize,
+      kPageSize};
+}
+
+OperatorPlan WindowScan::Estimate(const CostModel& cost) const {
+  OperatorPlan node;
+  node.name = "WindowScan";
+  node.est_rows = EstimateRows(input_, window_, histogram_);
+  node.cost_seconds =
+      input_.indexed()
+          ? cost.IndexWindowSeconds(input_.pages(),
+                                    WindowFraction(window_, input_.extent()))
+          : cost.ScanSeconds(input_.pages());
+  return node;
+}
+
 Status WindowScan::Scan(PipelineContext& ctx, const RecordVisitor& visit) {
-  if (!window_.Valid()) return Status::OK();
-  if (histogram_ != nullptr && !histogram_->MightIntersect(window_)) {
-    // Histogram prune: no record can overlap the window — no I/O at all.
-    return Status::OK();
-  }
+  if (Pruned()) return Status::OK();
   if (input_.indexed()) {
     const RTree* tree = input_.rtree();
     const DiskStats before = tree->pager()->disk()->stats();
-    MemoryGrant grant = ctx.arbiter->AcquireShrinkable(
-        grants::kOpWindow,
-        static_cast<size_t>(
-            EstimateRows(input_, window_, histogram_) * sizeof(RectF)) +
-            kPageSize,
-        kPageSize);
+    MemoryGrant grant = ctx.arbiter->AcquireShrinkable(Request());
     std::vector<RectF> hits;
     SJ_RETURN_IF_ERROR(tree->WindowQuery(window_, &hits));
     grant.NoteUsage(hits.size() * sizeof(RectF));

@@ -20,6 +20,8 @@
 
 namespace sj {
 
+class CostModel;
+
 /// Resources an operator pipeline executes against: the query's disk
 /// model, its MemoryArbiter (every operator grant draws from here, so one
 /// budget bounds the whole tree) and the scratch storage choice. All
@@ -40,6 +42,20 @@ struct OperatorStats {
   uint64_t pages_read = 0;
   /// Scratch pages the operator spilled under memory pressure.
   uint64_t spill_pages = 0;
+};
+
+/// One node of a costed pipeline plan (PipelineQuery::Explain). Nodes are
+/// listed root (sink-most operator) first; `depth` gives the indentation
+/// of the printed tree (source scans are the deepest nodes).
+struct OperatorPlan {
+  std::string name;    ///< e.g. "TopKByDistance"
+  std::string detail;  ///< e.g. "k=8 from (0.5, 0.5)"
+  int depth = 0;
+  double est_rows = 0.0;
+  double cost_seconds = 0.0;
+  /// Bytes the operator plans to hold under its arbiter grant (0 for
+  /// constant-memory operators).
+  size_t planned_bytes = 0;
 };
 
 /// A unary push operator: consumes rows via Emit, forwards its output to
@@ -65,6 +81,17 @@ class PipelineOperator : public RowSink {
   /// Flushes buffered rows downstream and reports the first sticky error.
   virtual Status Finish() { return status_; }
 
+  /// The grant Open acquires: its component, request and floor (none for
+  /// a constant-memory operator). PipelineQuery::Explain acquires the
+  /// same request, in Run's order, from a scratch arbiter.
+  virtual GrantRequest Request() const { return GrantRequest(); }
+
+  /// Explain's node for the operator when `*rows` rows reach it (its
+  /// est_rows) under a grant of `granted_bytes`, what the arbiter gave
+  /// Request(); advances `*rows` to the rows it passes on.
+  virtual OperatorPlan Estimate(double* rows, size_t granted_bytes,
+                                const CostModel& cost) const = 0;
+
   const OperatorStats& stats() const { return stats_; }
 
  protected:
@@ -85,15 +112,21 @@ class FilterOp final : public PipelineOperator {
   using RowPredicate = std::function<bool(const PipeRow&)>;
   FilterOp(RowPredicate predicate, std::string label = "pred")
       : PipelineOperator("Filter(" + label + ")"),
-        predicate_(std::move(predicate)) {}
+        predicate_(std::move(predicate)),
+        label_(std::move(label)) {}
 
   void Emit(PipeRow row) override {
     stats_.rows_in++;
     if (predicate_(row)) Forward(std::move(row));
   }
 
+  /// Keeps a third of its rows: the classic default selectivity guess.
+  OperatorPlan Estimate(double* rows, size_t granted_bytes,
+                        const CostModel& cost) const override;
+
  private:
   RowPredicate predicate_;
+  std::string label_;
 };
 
 /// Project: rewrites each row (typically its value — weights for a kSum
@@ -103,15 +136,20 @@ class ProjectOp final : public PipelineOperator {
   using RowTransform = std::function<PipeRow(PipeRow)>;
   ProjectOp(RowTransform transform, std::string label = "fn")
       : PipelineOperator("Project(" + label + ")"),
-        transform_(std::move(transform)) {}
+        transform_(std::move(transform)),
+        label_(std::move(label)) {}
 
   void Emit(PipeRow row) override {
     stats_.rows_in++;
     Forward(transform_(std::move(row)));
   }
 
+  OperatorPlan Estimate(double* rows, size_t granted_bytes,
+                        const CostModel& cost) const override;
+
  private:
   RowTransform transform_;
+  std::string label_;
 };
 
 /// What AggregateByCellOp accumulates per cell.
@@ -150,6 +188,14 @@ class AggregateByCellOp final : public PipelineOperator {
   void Emit(PipeRow row) override;
   Status Finish() override;
 
+  /// The whole grid plus the spill writer's and replay reader's blocks;
+  /// the floor is one grid row plus those blocks.
+  GrantRequest Request() const override;
+  /// Prices the spill: rows outside the band a grant of `granted_bytes`
+  /// keeps resident stream out as deltas and replay once per extra band.
+  OperatorPlan Estimate(double* rows, size_t granted_bytes,
+                        const CostModel& cost) const override;
+
   uint32_t nx() const { return nx_; }
   uint32_t ny() const { return ny_; }
   uint64_t spilled_deltas() const { return spilled_deltas_; }
@@ -162,6 +208,9 @@ class AggregateByCellOp final : public PipelineOperator {
   };
   static_assert(sizeof(CellDelta) == 16, "spill record layout");
 
+  /// Grid rows a grant of `granted_bytes` holds beside the spill blocks
+  /// (at least one).
+  uint32_t ResidentRows(size_t granted_bytes) const;
   bool CellRangeOf(const RectF& r, uint32_t* x0, uint32_t* x1, uint32_t* y0,
                    uint32_t* y1) const;
   void Apply(uint64_t cell, double v);
@@ -203,6 +252,11 @@ class TopKByDistanceOp final : public PipelineOperator {
   Status Open(PipelineContext& ctx) override;
   void Emit(PipeRow row) override;
   Status Finish() override;
+
+  /// The full heap footprint, as request and floor.
+  GrantRequest Request() const override;
+  OperatorPlan Estimate(double* rows, size_t granted_bytes,
+                        const CostModel& cost) const override;
 
   /// Minimum Euclidean distance from (qx, qy) to the closed rect (0 when
   /// the point lies inside). Exposed so oracles use the same arithmetic.
@@ -248,6 +302,14 @@ class WindowScan {
   /// Drives the whole scan into `out`, one row per record.
   Status Run(PipelineContext& ctx, RowSink* out);
 
+  /// The op.window grant Scan holds over an R-tree (none over a stream,
+  /// nor when the scan is pruned): the estimated hits plus one page,
+  /// floored at one page.
+  GrantRequest Request() const;
+  /// Explain's node for the scan: the estimated hits and the modeled
+  /// read cost (a window descent over an R-tree, a full stream scan).
+  OperatorPlan Estimate(const CostModel& cost) const;
+
   const OperatorStats& stats() const { return stats_; }
 
   /// Planner estimate of the matching record count: the histogram's
@@ -257,6 +319,11 @@ class WindowScan {
                              const GridHistogram* histogram);
 
  private:
+  /// True when the scan reads nothing: an invalid window matches no
+  /// record, and a histogram that says no record can overlap the window
+  /// spares every read.
+  bool Pruned() const;
+
   const JoinInput input_;
   const RectF window_;
   const GridHistogram* histogram_;

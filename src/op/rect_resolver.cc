@@ -54,6 +54,13 @@ size_t RectMapGrantBytes(size_t budget_bytes, size_t inputs) {
                   kExternalFloorBytes);
 }
 
+GrantRequest RectResolver::Request(uint64_t count, size_t max_grant_bytes) {
+  return GrantRequest{grants::kOpRectMap,
+                      static_cast<size_t>(std::min<uint64_t>(
+                          RectTableBytes(count), max_grant_bytes)),
+                      kExternalFloorBytes};
+}
+
 Result<std::unique_ptr<RectResolver>> RectResolver::Build(
     const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
     size_t max_grant_bytes, StorageFactory* storage, const std::string& name,
@@ -66,10 +73,8 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
   // One grant governs the resolver whichever path it takes: the whole
   // hashed table in memory, or (capped or shrunk) the page index plus one
   // page buffer of the external path.
-  resolver->grant_ = arbiter->AcquireShrinkable(
-      grants::kOpRectMap,
-      static_cast<size_t>(std::min<uint64_t>(table_bytes, max_grant_bytes)),
-      kExternalFloorBytes);
+  resolver->grant_ =
+      arbiter->AcquireShrinkable(Request(resolver->count_, max_grant_bytes));
 
   if (resolver->grant_.bytes() >= table_bytes) {
     SJ_RETURN_IF_ERROR(resolver->LoadTable(input));

@@ -25,8 +25,7 @@ struct OrderById {
 /// Bytes of a RectResolver's in-memory table over `count` records: the
 /// records plus the hash index over their ids (4-byte slots, a power of
 /// two at least twice `count`, so the index is at most half full). The
-/// op.rectmap request, its NoteUsage and Explain's planned line all size
-/// the table with this.
+/// op.rectmap request and its NoteUsage size the table with this.
 uint64_t RectTableBytes(uint64_t count);
 
 /// The most one of a pipeline's `inputs` RectResolvers asks of a
@@ -76,6 +75,11 @@ class RectResolver {
       const JoinInput& input, DiskModel* disk, MemoryArbiter* arbiter,
       size_t max_grant_bytes, StorageFactory* storage, const std::string& name,
       const SortConfig& sort_config = SortConfig());
+
+  /// The op.rectmap request Build makes over `count` records: the table's
+  /// RectTableBytes capped at `max_grant_bytes`, floored at the external
+  /// path's 2 pages. PipelineQuery::Explain plans each table from it.
+  static GrantRequest Request(uint64_t count, size_t max_grant_bytes);
 
   /// Resolves ids[i] into (*out)[i] (out is resized). Every id must exist
   /// in the input; an unknown id is an Internal error (it would mean the

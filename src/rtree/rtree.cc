@@ -28,22 +28,6 @@ struct HilbertLess {
   }
 };
 
-struct CenterXLess {
-  bool operator()(const RectF& a, const RectF& b) const {
-    const float ax = a.CenterX(), bx = b.CenterX();
-    if (ax != bx) return ax < bx;
-    return a.id < b.id;
-  }
-};
-
-struct CenterYLess {
-  bool operator()(const RectF& a, const RectF& b) const {
-    const float ay = a.CenterY(), by = b.CenterY();
-    if (ay != by) return ay < by;
-    return a.id < b.id;
-  }
-};
-
 Result<RectF> ComputeStreamExtent(const StreamRange& input) {
   StreamReader<RectF> reader(input.pager, input.first_page, input.count);
   RectF extent = RectF::Empty();
@@ -208,56 +192,6 @@ Result<RTree> RTree::BulkLoadHilbert(Pager* tree_pager,
     }
     SJ_ASSIGN_OR_RETURN(leaf_count, packer.Finish());
   }
-
-  RTreeMeta meta;
-  SJ_RETURN_IF_ERROR(BuildUpperLevels(tree_pager, params, std::move(leaf_refs),
-                                      leaf_count, input.count, extent, &meta));
-  return RTree(tree_pager, params, meta);
-}
-
-Result<RTree> RTree::BulkLoadSTR(Pager* tree_pager, const StreamRange& input,
-                                 Pager* scratch, const RTreeParams& params,
-                                 size_t memory_bytes,
-                                 const SortConfig& sort_config) {
-  SJ_CHECK(params.max_entries >= 2 && params.max_entries <= kNodeCapacity);
-  if (input.count == 0) return CreateEmpty(tree_pager, params);
-
-  SJ_ASSIGN_OR_RETURN(RectF extent, ComputeStreamExtent(input));
-
-  // Sort everything by center x.
-  ExternalSorter<RectF, CenterXLess> sorter(
-      memory_bytes, scratch, CenterXLess(), /*arbiter=*/nullptr, sort_config);
-  SJ_ASSIGN_OR_RETURN(StreamRange by_x, sorter.Sort(input, scratch));
-
-  const uint64_t leaf_cap = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::lround(params.bulk_fill *
-                                           params.max_entries)));
-  const uint64_t num_leaves = (input.count + leaf_cap - 1) / leaf_cap;
-  const uint64_t num_slabs = static_cast<uint64_t>(
-      std::ceil(std::sqrt(static_cast<double>(num_leaves))));
-  const uint64_t leaves_per_slab = (num_leaves + num_slabs - 1) / num_slabs;
-  const uint64_t slab_records = leaves_per_slab * leaf_cap;
-  SJ_CHECK(slab_records * sizeof(RectF) <= memory_bytes)
-      << "STR slab does not fit in memory; increase memory_bytes";
-
-  std::vector<RectF> leaf_refs;
-  uint64_t leaf_count = 0;
-  NodePacker packer(tree_pager, params, /*level=*/0, &leaf_refs);
-  StreamReader<RectF> reader(by_x.pager, by_x.first_page, by_x.count);
-  std::vector<RectF> slab;
-  slab.reserve(slab_records);
-  auto flush_slab = [&]() -> Status {
-    std::sort(slab.begin(), slab.end(), CenterYLess());
-    for (const RectF& r : slab) SJ_RETURN_IF_ERROR(packer.Add(r));
-    slab.clear();
-    return Status::OK();
-  };
-  while (std::optional<RectF> r = reader.Next()) {
-    slab.push_back(*r);
-    if (slab.size() >= slab_records) SJ_RETURN_IF_ERROR(flush_slab());
-  }
-  if (!slab.empty()) SJ_RETURN_IF_ERROR(flush_slab());
-  SJ_ASSIGN_OR_RETURN(leaf_count, packer.Finish());
 
   RTreeMeta meta;
   SJ_RETURN_IF_ERROR(BuildUpperLevels(tree_pager, params, std::move(leaf_refs),

@@ -47,14 +47,13 @@ struct RTreeMeta {
 /// A disk-resident R-tree over RectF entries.
 ///
 /// Nodes are 8 KB pages read and written through a Pager, so every node
-/// touch is charged to the experiment's DiskModel. Three construction
+/// touch is charged to the experiment's DiskModel. Two construction
 /// paths are provided:
 ///
 ///  * BulkLoadHilbert — the paper's index: centers ordered along a Hilbert
 ///    curve (Kamel & Faloutsos), packed bottom-up with the 75 % fill +
 ///    ≤20 % area-growth top-off. Sibling nodes are allocated contiguously,
 ///    which is what gives ST its sequential leaf reads (§6.2).
-///  * BulkLoadSTR — Sort-Tile-Recursive packing, as a quality baseline.
 ///  * CreateEmpty + Insert — Guttman's dynamic R-tree (quadratic split),
 ///    used to study how update-built ("ad-hoc") indexes degrade the
 ///    traversal locality that bulk loading provides.
@@ -71,15 +70,6 @@ class RTree {
                                        size_t memory_bytes,
                                        const SortConfig& sort_config =
                                            SortConfig());
-
-  /// Sort-Tile-Recursive bulk load. Slabs are sorted in memory; each slab
-  /// holds ~sqrt(#leaves) * fanout records, far below any realistic memory
-  /// bound for the paper's data scales.
-  static Result<RTree> BulkLoadSTR(Pager* tree_pager, const StreamRange& input,
-                                   Pager* scratch, const RTreeParams& params,
-                                   size_t memory_bytes,
-                                   const SortConfig& sort_config =
-                                       SortConfig());
 
   /// An empty dynamic tree (a single empty leaf as root).
   static Result<RTree> CreateEmpty(Pager* tree_pager,

@@ -40,7 +40,7 @@ void ClassifySweepLanes(const float* xlo, const float* xhi, const float* yhi,
 /// amortized self-purge passes.
 void ExpiryKeepMask(const float* yhi, size_t n, float y, uint8_t* out);
 
-/// Batched MBR-overlap scan over an xlo-sorted entry list (the ST/BFS
+/// Batched MBR-overlap scan over an xlo-sorted entry list (ST's
 /// node-pairing kernel): tests lanes [0, n) against the query row
 /// (qxhi, qylo, qyhi), writing
 ///

@@ -7,7 +7,6 @@
 #include "core/join_query.h"
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
-#include "join/bfs_join.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -75,10 +74,6 @@ TEST(DynamicTreeJoin, AllAlgorithmsExactOnChurnedIndexes) {
     ASSERT_TRUE(stats.ok()) << ToString(algo);
     EXPECT_EQ(Sorted(sink.pairs()), expected) << ToString(algo);
   }
-  CollectingSink bfs_sink;
-  auto bfs = BFSJoin(ta, tb, &td.disk, JoinOptions(), &bfs_sink);
-  ASSERT_TRUE(bfs.ok());
-  EXPECT_EQ(Sorted(bfs_sink.pairs()), expected);
 }
 
 TEST(DynamicTreeJoin, PqStillTouchesEachPageOnce) {

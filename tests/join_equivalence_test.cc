@@ -15,7 +15,6 @@
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
 #include "datagen/tiger_gen.h"
-#include "join/bfs_join.h"
 #include "join/sssj.h"
 #include "refine/feature_store.h"
 #include "test_util.h"
@@ -118,13 +117,7 @@ TEST_P(JoinEquivalence, AllFourAlgorithmsMatchBruteForce) {
                             << stats.status().ToString();
     EXPECT_EQ(Sorted(sink.pairs()), expected) << ToString(algo);
   }
-  // The two extension algorithms must agree as well.
-  {
-    CollectingSink sink;
-    auto stats = BFSJoin(*ta, *tb, &td.disk, options, &sink);
-    ASSERT_TRUE(stats.ok()) << "BFS: " << stats.status().ToString();
-    EXPECT_EQ(Sorted(sink.pairs()), expected) << "BFS";
-  }
+  // The strip-partitioned SSSJ must agree as well.
   {
     CollectingSink sink;
     auto stats = SSSJStripJoin(da, db, /*strips=*/7, &td.disk, options, &sink);

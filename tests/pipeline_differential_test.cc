@@ -2,10 +2,12 @@
 // random datasets, windows, grids, and query points, with every
 // configuration — 1/2/8 threads, tight and default memory budgets, both
 // storage backends — cross-checked against brute-force oracles for
-// window-scan, aggregate-by-cell, and top-k, standalone and composed
-// over a spatial join. Count aggregation and the top-k total order are
-// arrival-order independent, so every configuration must produce the
-// *same* rows, not merely equivalent ones. Each test runs fixed seeds;
+// window-scan (over a stream and an R-tree), aggregate-by-cell, and
+// top-k, standalone and composed over a spatial join. Count aggregation
+// and the top-k total order are arrival-order independent, so every
+// configuration must produce the *same* rows, not merely equivalent
+// ones. At the default budget, Explain must plan the operator grants
+// each run was given. Each test runs fixed seeds;
 // SJ_DIFF_SEED and SJ_DIFF_WORKLOADS replace them (see Seeds()), and
 // SJ_DIFF_MEMORY=tiny adds the smallest budget to the sweep (Budgets()).
 
@@ -27,6 +29,7 @@
 #include "io/storage.h"
 #include "op/operators.h"
 #include "op/row.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -167,6 +170,8 @@ struct Trial {
   std::vector<std::unique_ptr<Pager>> keep;
   std::vector<RectF> a, b;
   DatasetRef da, db;
+  /// A Hilbert R-tree over `a`, for window scans through an index.
+  std::optional<RTree> tree_a;
   std::optional<SpatialJoiner> joiner;
   RectF window;
   uint32_t nx, ny;
@@ -184,6 +189,13 @@ struct Trial {
                      seed * 7 + 2);
     da = MakeDataset(&td, a, "a", &keep);
     db = MakeDataset(&td, b, "b", &keep);
+    keep.push_back(td.NewPager("tree.a"));
+    Pager* tree_pager = keep.back().get();
+    keep.push_back(td.NewPager("tree.scratch"));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, da.range, keep.back().get(),
+                                       RTreeParams(), 1 << 22);
+    SJ_CHECK_OK(tree.status());
+    tree_a.emplace(std::move(*tree));
     joiner.emplace(&td.disk, JoinOptions());
 
     const float wx = static_cast<float>(rng.UniformDouble(0, 60));
@@ -227,6 +239,24 @@ std::string ReplayLine(uint64_t seed) {
   return "replay with SJ_DIFF_SEED=" + std::to_string(seed);
 }
 
+/// At the default budget, Explain plans the operator grants the run was
+/// given: op.aggregate, op.topk and op.window each equal the run's
+/// granted high-water mark (0 on both sides when the pipeline has none).
+void ExpectExplainPlansRunGrants(PipelineQuery& q, const Config& cfg,
+                                 const PipelineStats& stats) {
+  if (cfg.memory_bytes != JoinOptions().memory_bytes) return;
+  auto plan = q.Explain();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const char* component :
+       {grants::kOpAggregate, grants::kOpTopK, grants::kOpWindow}) {
+    size_t granted = 0;
+    for (const MemoryComponentStats& c : stats.memory_components) {
+      if (c.component == component) granted = c.granted_high_water;
+    }
+    EXPECT_EQ(plan->memory.GrantFor(component), granted) << component;
+  }
+}
+
 std::shared_ptr<StorageFactory> FileFactory() {
   auto factory = TmpFileStorageFactory::Make();
   SJ_CHECK_OK(factory.status());
@@ -255,15 +285,20 @@ TEST(PipelineDifferential, WindowScanAcrossConfigurations) {
     expected = SortedByIds(std::move(expected));
 
     for (const Config& cfg : Sweep()) {
-      SCOPED_TRACE(cfg.Name());
-      CollectingRowSink sink;
-      PipelineQuery q(*t.joiner);
-      q.Input(JoinInput::FromStream(t.da)).Window(t.window);
-      t.Apply(q, cfg, file_factory);
-      auto stats = q.Run(&sink);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(SortedByIds(sink.rows()), expected);
-      EXPECT_EQ(stats->output_count, expected.size());
+      for (const bool indexed : {false, true}) {
+        SCOPED_TRACE(cfg.Name() + (indexed ? " r-tree" : " stream"));
+        CollectingRowSink sink;
+        PipelineQuery q(*t.joiner);
+        q.Input(indexed ? JoinInput::FromRTree(&*t.tree_a)
+                        : JoinInput::FromStream(t.da))
+            .Window(t.window);
+        t.Apply(q, cfg, file_factory);
+        auto stats = q.Run(&sink);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(SortedByIds(sink.rows()), expected);
+        EXPECT_EQ(stats->output_count, expected.size());
+        ExpectExplainPlansRunGrants(q, cfg, *stats);
+      }
     }
   }
 }
@@ -321,6 +356,7 @@ TEST(PipelineDifferential, JoinAggregateAcrossConfigurations) {
       } else {
         EXPECT_EQ(sink.rows(), *reference);
       }
+      ExpectExplainPlansRunGrants(q, cfg, *stats);
       // Default-budget runs stay within their arbiter budget (tight
       // budgets may be floored above the request by design).
       if (cfg.memory_bytes >= (24u << 20)) {
@@ -365,6 +401,7 @@ TEST(PipelineDifferential, JoinTopKAcrossConfigurations) {
       auto stats = q.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(sink.rows(), expected);
+      ExpectExplainPlansRunGrants(q, cfg, *stats);
     }
   }
 }
@@ -416,6 +453,7 @@ TEST(PipelineDifferential, FullComposeAcrossConfigurations) {
       auto stats = q.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(sink.rows(), expected);
+      ExpectExplainPlansRunGrants(q, cfg, *stats);
     }
   }
 }

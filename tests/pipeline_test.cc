@@ -23,6 +23,7 @@
 #include "op/operators.h"
 #include "op/rect_resolver.h"
 #include "op/row.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 
 namespace sj {
@@ -753,6 +754,136 @@ TEST(PipelineExplain, RectMapLineFollowsTheRun) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(PlannedOf(*plan, grants::kOpRectMap), in_window);
   EXPECT_LT(in_window, full);
+}
+
+// Explain's memory plan is the run's: it names the components the run was
+// granted and plans each at the run's granted high-water mark — the
+// operators', the window scans' (one after the other, so the larger of
+// the two), the rect maps' and the join's. A windowed run sizes its rect
+// maps and its sweep over the records it scanned, where Explain has the
+// in-window estimate, so there only those two lines may differ.
+TEST(PipelineExplain, PlansWhatRunGrants) {
+  SparseStreams s(3);
+  std::vector<std::unique_ptr<RTree>> trees;
+  for (size_t i = 0; i < 2; ++i) {
+    s.keep.push_back(s.td.NewPager("tree" + std::to_string(i)));
+    Pager* tree_pager = s.keep.back().get();
+    s.keep.push_back(s.td.NewPager("scratch" + std::to_string(i)));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, s.inputs[i].stream().range,
+                                       s.keep.back().get(), RTreeParams(),
+                                       1 << 22);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+  }
+  const JoinInput tree0 = JoinInput::FromRTree(trees[0].get());
+  const JoinInput tree1 = JoinInput::FromRTree(trees[1].get());
+  const RectF window(100, 100, 500, 600);
+  auto hist = GridHistogram::Build(s.inputs[0].stream().range,
+                                   RectF(0, 0, 1000, 1000), 16, 16);
+  ASSERT_TRUE(hist.ok()) << hist.status().ToString();
+  struct Case {
+    const char* name;
+    bool windowed;
+    std::function<void(PipelineQuery&)> build;
+  };
+  const std::vector<Case> cases = {
+      {"two streams", false,
+       [&](PipelineQuery& q) {
+         q.Input(s.inputs[0])
+             .Input(s.inputs[1])
+             .AggregateByCell(AggregateMode::kCount, 32, 32)
+             .TopKByDistance(8, 300, 300);
+       }},
+      {"two trees, windowed", true,
+       [&](PipelineQuery& q) {
+         q.Input(tree0)
+             .Input(tree1)
+             .Window(window)
+             .AggregateByCell(AggregateMode::kCount, 32, 32)
+             .TopKByDistance(8, 300, 300);
+       }},
+      {"three streams, windowed", true,
+       [&](PipelineQuery& q) {
+         q.Input(s.inputs[0])
+             .Input(s.inputs[1])
+             .Input(s.inputs[2])
+             .Window(window)
+             .TopKByDistance(8, 300, 300);
+       }},
+      {"tree scan, windowed", true,
+       [&](PipelineQuery& q) {
+         q.Input(tree0).Window(window).AggregateByCell(AggregateMode::kCount,
+                                                       256, 256);
+       }},
+      // The histogram prunes the scan, so neither side has an op.window.
+      {"tree scan, pruned window", true,
+       [&](PipelineQuery& q) {
+         q.Input(tree0)
+             .Window(RectF(2000, 2000, 2100, 2100))
+             .WithHistogram(0, &*hist);
+       }},
+  };
+  // The default budget, and service_windows' per-query budget.
+  for (const size_t budget : {size_t{24} << 20, size_t{4} << 20}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + ", budget " + std::to_string(budget));
+      PipelineQuery explained(*s.joiner);
+      PipelineQuery ran(*s.joiner);
+      c.build(explained.MemoryBytes(budget));
+      c.build(ran.MemoryBytes(budget));
+      auto plan = explained.Explain();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      CountingRowSink sink;
+      auto stats = ran.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+      std::vector<std::string> planned, granted;
+      for (const MemoryGrantSpec& g : plan->memory.grants) {
+        planned.push_back(g.component);
+      }
+      for (const MemoryComponentStats& m : stats->memory_components) {
+        granted.push_back(m.component);
+        if (c.windowed && (m.component == grants::kOpRectMap ||
+                           m.component == grants::kSweep)) {
+          continue;
+        }
+        EXPECT_EQ(plan->memory.GrantFor(m.component), m.granted_high_water)
+            << m.component;
+      }
+      std::sort(planned.begin(), planned.end());
+      EXPECT_EQ(planned, granted) << plan->memory.Describe();
+    }
+  }
+}
+
+// A windowed k-way chain is priced over the in-window streams it joins,
+// not over the whole relations.
+TEST(PipelineExplain, MultiwayChainIsPricedOverItsWindow) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<JoinInput> inputs;
+  for (uint64_t i = 0; i < 3; ++i) {
+    const auto rects =
+        UniformRects(50000, RectF(0, 0, 1000, 1000), 2.0f, i + 1);
+    inputs.push_back(JoinInput::FromStream(
+        MakeDataset(&td, rects, "s" + std::to_string(i), &keep)));
+  }
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  auto chain_cost = [&](bool windowed) {
+    PipelineQuery q(joiner);
+    for (const JoinInput& input : inputs) q.Input(input);
+    if (windowed) q.Window(RectF(0, 0, 10, 10));
+    auto plan = q.Explain();
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    double seconds = -1.0;
+    for (const OperatorPlan& node : plan->operators) {
+      if (node.name == "MultiwayJoin") seconds = node.cost_seconds;
+    }
+    return seconds;
+  };
+  const double full = chain_cost(false);
+  EXPECT_GT(full, 0.0);
+  EXPECT_LT(chain_cost(true), full / 10);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,15 +16,12 @@ using testing_util::TestDisk;
 struct TreeFixture {
   TreeFixture() = default;
 
-  Result<RTree> Build(const std::vector<RectF>& rects, RTreeParams params,
-                      bool str = false) {
+  Result<RTree> Build(const std::vector<RectF>& rects, RTreeParams params) {
     tree_pager = td.NewPager("tree");
     scratch = td.NewPager("scratch");
     const DatasetRef ref = MakeDataset(&td, rects, "data", &keep);
-    return str ? RTree::BulkLoadSTR(tree_pager.get(), ref.range,
-                                    scratch.get(), params, 1 << 22)
-               : RTree::BulkLoadHilbert(tree_pager.get(), ref.range,
-                                        scratch.get(), params, 1 << 22);
+    return RTree::BulkLoadHilbert(tree_pager.get(), ref.range, scratch.get(),
+                                  params, 1 << 22);
   }
 
   TestDisk td;
@@ -109,30 +106,6 @@ TEST(RTreeBulkLoad, SingleRect) {
   ASSERT_TRUE(tree->WindowQuery(RectF(2, 3, 2, 3), &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 99u);
-}
-
-TEST(RTreeBulkLoadSTR, ValidatesAndMatchesBruteForceQueries) {
-  TreeFixture f;
-  const auto rects = ClusteredRects(8000, RectF(0, 0, 1000, 1000), 20, 15.0f,
-                                    2.0f, 17);
-  RTreeParams params;
-  params.max_entries = 50;
-  auto tree = f.Build(rects, params, /*str=*/true);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_TRUE(tree->Validate().ok());
-  EXPECT_EQ(tree->meta().entry_count, 8000u);
-
-  const RectF window(100, 100, 300, 280);
-  std::vector<RectF> got;
-  ASSERT_TRUE(tree->WindowQuery(window, &got).ok());
-  std::vector<ObjectId> got_ids, want_ids;
-  for (const RectF& r : got) got_ids.push_back(r.id);
-  for (const RectF& r : rects) {
-    if (r.Intersects(window)) want_ids.push_back(r.id);
-  }
-  std::sort(got_ids.begin(), got_ids.end());
-  std::sort(want_ids.begin(), want_ids.end());
-  EXPECT_EQ(got_ids, want_ids);
 }
 
 TEST(RTreeInsert, BuildsValidTreeAndAnswersQueries) {
