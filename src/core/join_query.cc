@@ -147,11 +147,6 @@ Status QuerySpec::Validate(QuerySource source, const char* front_end) const {
 
 Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   const double eps = plan.predicate.epsilon;
-  // The transform's buffers (collected rectangles, and for ST the
-  // expanded side's bulk-load sort) are governed like everything else.
-  MemoryGrant transform_grant = plan.arbiter->AcquireShrinkable(
-      grants::kRTreeBulkLoad, plan.options.memory_bytes / 2,
-      RunLayout::kMinSortMemoryBytes);
   // Expand the side that avoids disturbing an index when possible: a
   // stream side if there is one, else side 1 (rebuilt below when the
   // forced algorithm needs the index back).
@@ -159,23 +154,29 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   if (plan.inputs[1].indexed() && !plan.inputs[0].indexed()) side = 0;
   const JoinInput original = plan.inputs[side];
 
-  std::vector<RectF> rects;
-  if (original.indexed()) {
-    SJ_RETURN_IF_ERROR(original.rtree()->CollectAll(&rects));
-  } else {
-    const StreamRange& range = original.stream().range;
-    StreamReader<RectF> reader(range.pager, range.first_page, range.count);
-    while (std::optional<RectF> r = reader.Next()) rects.push_back(*r);
-  }
-  for (RectF& r : rects) r = ExpandRectForDistance(r, eps);
-  transform_grant.NoteUsage(rects.size() * sizeof(RectF));
-
+  // One pass: each rectangle is expanded and appended as it is read, so
+  // the transform holds no copy of its side.
   SJ_ASSIGN_OR_RETURN(
       auto pager,
       MakePager(plan.options.storage.get(), plan.disk, "distance.expanded"));
   StreamWriter<RectF> writer(pager.get());
   const PageId first = writer.first_page();
-  for (const RectF& r : rects) writer.Append(r);
+  auto expand = [&writer, eps](const RectF& r) {
+    writer.Append(ExpandRectForDistance(r, eps));
+  };
+  if (original.indexed()) {
+    const RTree& tree = *original.rtree();
+    const Result<uint64_t> scanned =
+        tree.ScanLeaves(tree.bounding_box(), expand);
+    if (!scanned.ok()) {
+      writer.Abandon();
+      return scanned.status();
+    }
+  } else {
+    const StreamRange& range = original.stream().range;
+    StreamReader<RectF> reader(range.pager, range.first_page, range.count);
+    while (std::optional<RectF> r = reader.Next()) expand(*r);
+  }
   SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
   DatasetRef expanded;
   expanded.range = StreamRange{pager.get(), first, n};
@@ -193,11 +194,14 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
                                   "distance.expanded.scratch"));
     const RTreeParams params =
         original.indexed() ? original.rtree()->params() : RTreeParams();
+    // The rebuild's sort is governed like everything else.
+    const MemoryGrant sort_grant = plan.arbiter->AcquireShrinkable(
+        grants::kRTreeBulkLoad, plan.options.memory_bytes / 2,
+        RunLayout::kMinSortMemoryBytes);
     SJ_ASSIGN_OR_RETURN(
         RTree tree,
         RTree::BulkLoadHilbert(tree_pager.get(), expanded.range,
-                               scratch.get(), params,
-                               transform_grant.bytes()));
+                               scratch.get(), params, sort_grant.bytes()));
     plan.owned_trees.push_back(std::make_unique<RTree>(std::move(tree)));
     replacement = JoinInput::FromRTree(plan.owned_trees.back().get());
     plan.owned_pagers.push_back(std::move(tree_pager));

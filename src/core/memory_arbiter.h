@@ -37,10 +37,8 @@ inline constexpr char kPbsmPartition[] = "pbsm.partition";
 inline constexpr char kRefineBatch[] = "refine.batch";
 inline constexpr char kRTreeBulkLoad[] = "rtree.bulkload";
 // Pipeline operators (src/op/): the id->MBR lookup table behind join
-// outputs, the window-scan result buffer of tree-backed scans, the
-// aggregation grid, and the top-k heap.
+// outputs, the aggregation grid, and the top-k heap.
 inline constexpr char kOpRectMap[] = "op.rectmap";
-inline constexpr char kOpWindow[] = "op.window";
 inline constexpr char kOpAggregate[] = "op.aggregate";
 inline constexpr char kOpTopK[] = "op.topk";
 }  // namespace grants

@@ -339,7 +339,6 @@ Result<PipelinePlan> PipelineQuery::Explain() {
                             has_window_ ? window_ : inputs[i].extent(),
                             spec_.HistogramOf(i));
       leaf = scan.Estimate(cost);
-      leaf.planned_bytes = scratch.AcquireShrinkable(scan.Request()).bytes();
     } else {
       leaf.name = "Input";  // Consumed (and priced) by the join itself.
       leaf.est_rows = static_cast<double>(inputs[i].count());
@@ -513,7 +512,7 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
       }
     }
     WindowScan scan(inputs[0], window, spec_.HistogramOf(0));
-    SJ_RETURN_IF_ERROR(scan.Run(ctx, head));
+    SJ_RETURN_IF_ERROR(scan.Run(head));
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
     out.operators.push_back(scan.stats());
   } else {
@@ -533,10 +532,14 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
         const PageId first = writer.first_page();
         DatasetRef windowed;
         windowed.extent = RectF::Empty();
-        SJ_RETURN_IF_ERROR(scan.Scan(ctx, [&](const RectF& r) {
+        const Status scanned = scan.Scan([&](const RectF& r) {
           windowed.extent.ExtendTo(r);
           writer.Append(r);
-        }));
+        });
+        if (!scanned.ok()) {
+          writer.Abandon();
+          return scanned;
+        }
         SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
         windowed.range = StreamRange{pager.get(), first, n};
         join_inputs[i] = WindowedInput(inputs[i], windowed);

@@ -28,7 +28,7 @@ struct PipelinePlan {
   double total_cost_seconds = 0.0;
   /// The merged memory shape under one budget: the pairwise join's
   /// planned grants, plus the high-water marks of every other request the
-  /// run makes (operators, window scans, rect maps, the k-way chain).
+  /// run makes (operators, rect maps, the k-way chain).
   MemoryPlan memory;
 
   /// The costed operator tree, root first, one line per operator:

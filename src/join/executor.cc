@@ -181,23 +181,16 @@ Status JoinExecutor::Validate(const CompiledPlan& plan) const {
 
 namespace {
 
-/// Materializes an indexed input as a stream (sequential leaf scan), for
-/// running stream algorithms against trees. The backing pager is parked
-/// on the plan so the returned DatasetRef outlives the executor call.
+/// Materializes an indexed input as a stream (the leaf level in page
+/// order), for running stream algorithms against trees. The backing pager
+/// is parked on the plan so the returned DatasetRef outlives the executor
+/// call.
 Result<DatasetRef> ExtractLeaves(CompiledPlan& plan, const RTree& tree) {
-  // Collect before the writer exists so an index error unwinds without
-  // leaving an unfinished stream behind.
-  std::vector<RectF> all;
-  SJ_RETURN_IF_ERROR(tree.CollectAll(&all));
   SJ_ASSIGN_OR_RETURN(
       auto out,
       MakePager(plan.options.storage.get(), plan.disk, "extract.leaves"));
-  StreamWriter<RectF> writer(out.get());
-  const PageId first = writer.first_page();
-  for (const RectF& r : all) writer.Append(r);
-  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
   DatasetRef ref;
-  ref.range = StreamRange{out.get(), first, n};
+  SJ_ASSIGN_OR_RETURN(ref.range, tree.CopyLeaves(out.get()));
   ref.extent = tree.bounding_box();
   plan.owned_pagers.push_back(std::move(out));
   return ref;

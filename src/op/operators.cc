@@ -36,8 +36,8 @@ double WindowFraction(const RectF& window, const RectF& extent) {
 
 OperatorPlan FilterOp::Estimate(double* rows, size_t, const CostModel&) const {
   OperatorPlan node{"Filter", label_};
-  node.est_rows = *rows;
   *rows /= 3.0;
+  node.est_rows = *rows;
   return node;
 }
 
@@ -103,7 +103,6 @@ OperatorPlan AggregateByCellOp::Estimate(double* rows, size_t granted_bytes,
   OperatorPlan node{"AggregateByCell", std::string(sj::ToString(mode_)) + " " +
                                            std::to_string(nx_) + "x" +
                                            std::to_string(ny_)};
-  node.est_rows = *rows;
   node.planned_bytes = granted_bytes;
   const uint32_t resident = ResidentRows(granted_bytes);
   if (resident < ny_) {
@@ -114,6 +113,7 @@ OperatorPlan AggregateByCellOp::Estimate(double* rows, size_t granted_bytes,
     node.cost_seconds = cost.AggregateSpillSeconds(spill_pages, bands - 1);
   }
   *rows = std::min(*rows, static_cast<double>(uint64_t{nx_} * ny_));
+  node.est_rows = *rows;
   return node;
 }
 
@@ -300,9 +300,9 @@ OperatorPlan TopKByDistanceOp::Estimate(double* rows, size_t granted_bytes,
   std::ostringstream detail;
   detail << "k=" << k_ << " from (" << qx_ << ", " << qy_ << ")";
   OperatorPlan node{"TopKByDistance", detail.str()};
-  node.est_rows = *rows;
   node.planned_bytes = granted_bytes;
   *rows = std::min(*rows, static_cast<double>(k_));
+  node.est_rows = *rows;
   return node;
 }
 
@@ -364,16 +364,6 @@ bool WindowScan::Pruned() const {
          (histogram_ != nullptr && !histogram_->MightIntersect(window_));
 }
 
-GrantRequest WindowScan::Request() const {
-  if (!input_.indexed() || Pruned()) return GrantRequest();
-  return GrantRequest{
-      grants::kOpWindow,
-      static_cast<size_t>(EstimateRows(input_, window_, histogram_) *
-                          sizeof(RectF)) +
-          kPageSize,
-      kPageSize};
-}
-
 OperatorPlan WindowScan::Estimate(const CostModel& cost) const {
   OperatorPlan node;
   node.name = "WindowScan";
@@ -386,20 +376,17 @@ OperatorPlan WindowScan::Estimate(const CostModel& cost) const {
   return node;
 }
 
-Status WindowScan::Scan(PipelineContext& ctx, const RecordVisitor& visit) {
+Status WindowScan::Scan(const RecordVisitor& visit) {
   if (Pruned()) return Status::OK();
   if (input_.indexed()) {
-    const RTree* tree = input_.rtree();
-    const DiskStats before = tree->pager()->disk()->stats();
-    MemoryGrant grant = ctx.arbiter->AcquireShrinkable(Request());
-    std::vector<RectF> hits;
-    SJ_RETURN_IF_ERROR(tree->WindowQuery(window_, &hits));
-    grant.NoteUsage(hits.size() * sizeof(RectF));
-    stats_.pages_read +=
-        (tree->pager()->disk()->stats() - before).pages_read;
-    stats_.rows_in += hits.size();
-    stats_.rows_out += hits.size();
-    for (const RectF& r : hits) visit(r);
+    auto count = [&](const RectF& r) {
+      stats_.rows_in++;
+      stats_.rows_out++;
+      visit(r);
+    };
+    SJ_ASSIGN_OR_RETURN(const uint64_t pages,
+                        input_.rtree()->ScanLeaves(window_, count));
+    stats_.pages_read += pages;
     return Status::OK();
   }
   const DatasetRef& ref = input_.stream();
@@ -417,8 +404,8 @@ Status WindowScan::Scan(PipelineContext& ctx, const RecordVisitor& visit) {
   return Status::OK();
 }
 
-Status WindowScan::Run(PipelineContext& ctx, RowSink* out) {
-  return Scan(ctx, [out](const RectF& r) {
+Status WindowScan::Run(RowSink* out) {
+  return Scan([out](const RectF& r) {
     PipeRow row;
     row.rect = r;
     row.rect.id = 0;

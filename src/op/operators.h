@@ -86,9 +86,10 @@ class PipelineOperator : public RowSink {
   /// same request, in Run's order, from a scratch arbiter.
   virtual GrantRequest Request() const { return GrantRequest(); }
 
-  /// Explain's node for the operator when `*rows` rows reach it (its
-  /// est_rows) under a grant of `granted_bytes`, what the arbiter gave
-  /// Request(); advances `*rows` to the rows it passes on.
+  /// Explain's node for the operator when `*rows` rows reach it under a
+  /// grant of `granted_bytes`, what the arbiter gave Request(); advances
+  /// `*rows` to the rows it passes on, which are the node's est_rows (as
+  /// a source's are the rows it emits).
   virtual OperatorPlan Estimate(double* rows, size_t granted_bytes,
                                 const CostModel& cost) const = 0;
 
@@ -284,9 +285,9 @@ class TopKByDistanceOp final : public PipelineOperator {
 ///
 /// An attached histogram prunes: when GridHistogram::MightIntersect says
 /// no record can overlap the window, the scan visits nothing and reads
-/// nothing. Streams are scanned sequentially and filtered on the fly
-/// (constant memory); R-trees answer through RTree::WindowQuery with the
-/// result buffer governed by an "op.window" grant.
+/// nothing. Streams are scanned sequentially and R-trees through
+/// RTree::ScanLeaves, which reads the leaf level in page order; both hand
+/// each record over as they read it, so neither holds a result buffer.
 class WindowScan {
  public:
   using RecordVisitor = std::function<void(const RectF&)>;
@@ -297,15 +298,11 @@ class WindowScan {
   /// Drives the whole scan, calling `visit` with each in-window record
   /// (id included) — the windowed-overlay plan writes them straight to
   /// the join's input streams.
-  Status Scan(PipelineContext& ctx, const RecordVisitor& visit);
+  Status Scan(const RecordVisitor& visit);
 
   /// Drives the whole scan into `out`, one row per record.
-  Status Run(PipelineContext& ctx, RowSink* out);
+  Status Run(RowSink* out);
 
-  /// The op.window grant Scan holds over an R-tree (none over a stream,
-  /// nor when the scan is pruned): the estimated hits plus one page,
-  /// floored at one page.
-  GrantRequest Request() const;
   /// Explain's node for the scan: the estimated hits and the modeled
   /// read cost (a window descent over an R-tree, a full stream scan).
   OperatorPlan Estimate(const CostModel& cost) const;

@@ -29,19 +29,6 @@ Status NotInInput(ObjectId id) {
                           " not in input");
 }
 
-/// Materializes an R-tree's data rectangles as a stream on `pager` so the
-/// external sorter can run over them (same transient-materialization
-/// precedent as the executor layer's leaf extraction).
-Result<StreamRange> TreeToStream(const RTree& tree, Pager* pager) {
-  std::vector<RectF> all;
-  SJ_RETURN_IF_ERROR(tree.CollectAll(&all));
-  StreamWriter<RectF> writer(pager);
-  const PageId first = writer.first_page();
-  for (const RectF& r : all) writer.Append(r);
-  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-  return StreamRange{pager, first, n};
-}
-
 }  // namespace
 
 uint64_t RectTableBytes(uint64_t count) {
@@ -91,7 +78,7 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
   StreamRange raw;
   if (input.indexed()) {
     SJ_ASSIGN_OR_RETURN(raw,
-                        TreeToStream(*input.rtree(), resolver->scratch_.get()));
+                        input.rtree()->CopyLeaves(resolver->scratch_.get()));
   } else {
     raw = input.stream().range;
   }

@@ -6,6 +6,7 @@
 #include "geometry/hilbert.h"
 #include "io/stream.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace sj {
 namespace {
@@ -510,32 +511,87 @@ Status RTree::DeleteRec(PageId page, uint16_t level, const RectF& rect,
   return Status::OK();  // Not under this node.
 }
 
-Status RTree::WindowQuery(const RectF& window, std::vector<RectF>* out) const {
-  std::vector<PageId> stack = {meta_.root};
-  uint8_t buf[kPageSize];
-  while (!stack.empty()) {
-    const PageId page = stack.back();
-    stack.pop_back();
-    SJ_RETURN_IF_ERROR(pager_->ReadPage(page, buf));
-    const NodeView node(buf);
-    for (uint32_t i = 0; i < node.count(); ++i) {
-      const RectF e = node.Entry(i);
-      if (!e.Intersects(window)) continue;
-      if (node.IsLeaf()) {
-        out->push_back(e);
-      } else {
-        stack.push_back(e.id);
+Result<uint64_t> RTree::ScanLeaves(const RectF& window,
+                                   const EntryVisitor& visit) const {
+  StorageBackend* backend = pager_->backend();
+  DiskModel* disk = pager_->disk();
+  // Backs the views only where the backend cannot read in place.
+  uint8_t scratch[kPageSize];
+  // Only the views are timed: the visitor's own I/O (a leaf extraction's
+  // writes) adds its own wall time.
+  auto view = [&](PageId page) {
+    WallTimer wall;
+    Result<const uint8_t*> bytes = backend->ViewPage(page, scratch);
+    disk->AddIoWall(wall.Elapsed());
+    return bytes;
+  };
+  uint64_t pages_read = 0;
+
+  // The internal levels, top-down, each in page order; a root that is a
+  // leaf is the whole leaf level.
+  std::vector<PageId> level = {meta_.root};
+  std::vector<PageId> leaves;
+  if (meta_.height <= 1) leaves.swap(level);
+  while (!level.empty()) {
+    std::vector<PageId> below;
+    for (const PageId page : level) {
+      pager_->ChargeRead(page, 1);
+      pages_read++;
+      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes, view(page));
+      const NodeView node(bytes);
+      std::vector<PageId>& children = node.level() == 1 ? leaves : below;
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        const RectF e = node.Entry(i);
+        if (e.Intersects(window)) children.push_back(e.id);
+      }
+    }
+    std::sort(below.begin(), below.end());
+    level.swap(below);
+  }
+
+  // The leaves in page order: each run of consecutive pages is one
+  // request, as a stream block is.
+  std::sort(leaves.begin(), leaves.end());
+  for (size_t k = 0; k < leaves.size();) {
+    size_t end = k + 1;
+    while (end < leaves.size() && leaves[end] == leaves[end - 1] + 1 &&
+           end - k < kStreamBlockPages) {
+      end++;
+    }
+    pager_->ChargeRead(leaves[k], static_cast<uint32_t>(end - k));
+    pages_read += end - k;
+    for (; k < end; ++k) {
+      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes, view(leaves[k]));
+      const NodeView leaf(bytes);
+      for (uint32_t i = 0; i < leaf.count(); ++i) {
+        const RectF e = leaf.Entry(i);
+        if (e.Intersects(window)) visit(e);
       }
     }
   }
-  return Status::OK();
+  return pages_read;
+}
+
+Status RTree::WindowQuery(const RectF& window, std::vector<RectF>* out) const {
+  return ScanLeaves(window, [out](const RectF& e) { out->push_back(e); })
+      .status();
 }
 
 Status RTree::CollectAll(std::vector<RectF>* out) const {
-  return WindowQuery(meta_.bounding_box.Valid()
-                         ? meta_.bounding_box
-                         : RectF(0, 0, 0, 0),
-                     out);
+  return WindowQuery(meta_.bounding_box, out);
+}
+
+Result<StreamRange> RTree::CopyLeaves(Pager* out) const {
+  StreamWriter<RectF> writer(out);
+  const PageId first = writer.first_page();
+  const Result<uint64_t> scanned = ScanLeaves(
+      meta_.bounding_box, [&writer](const RectF& r) { writer.Append(r); });
+  if (!scanned.ok()) {
+    writer.Abandon();
+    return scanned.status();
+  }
+  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
+  return StreamRange{out, first, n};
 }
 
 double RTree::AveragePacking() const {

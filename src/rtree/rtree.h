@@ -2,6 +2,7 @@
 #define USJ_RTREE_RTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -86,15 +87,48 @@ class RTree {
   /// append-only pager.
   Status Delete(const RectF& rect);
 
-  /// Appends all data rectangles intersecting `window` to `out`.
+  /// One data rectangle handed over by ScanLeaves.
+  using EntryVisitor = std::function<void(const RectF&)>;
+
+  /// The leaf-order traversal: every reader of the leaf level (window
+  /// scans, leaf extraction, rect maps, the ε-expansion) goes through
+  /// it. It visits each data rectangle intersecting `window` (closed-rect
+  /// semantics) and returns the pages it read: the root and every node
+  /// whose parent entry meets the window, each once.
+  ///
+  /// The internal levels are read top-down, one request per node, each
+  /// level in ascending page order. The in-window children of level-1
+  /// nodes are then sorted by page id, and each run of consecutive leaf
+  /// pages, at most kStreamBlockPages long, is charged as one request.
+  /// BulkLoadHilbert packs the leaves on consecutive pages, so a packed
+  /// leaf level reads like a stream; an insert-built tree's scattered
+  /// leaves still turn near neighbours into continuations. `visit` sees
+  /// the records in leaf-page order, and in entry order within a leaf.
+  ///
+  /// Pages are viewed in place on a memory backend, and read into one
+  /// page of scratch on any other. Besides that page the traversal holds
+  /// 4 bytes per touched node. Several threads may scan one tree at once,
+  /// as long as none modifies it.
+  Result<uint64_t> ScanLeaves(const RectF& window,
+                              const EntryVisitor& visit) const;
+
+  /// Appends all data rectangles intersecting `window` to `out`, in
+  /// leaf-page order (ScanLeaves).
   Status WindowQuery(const RectF& window, std::vector<RectF>* out) const;
 
   /// Checks structural invariants: header levels, parent MBRs exactly
   /// covering children, entry counts, and bounding box consistency.
   Status Validate() const;
 
-  /// Appends every stored data rectangle to `out` (DFS order).
+  /// Appends every stored data rectangle to `out`, in leaf-page order
+  /// (ScanLeaves over the bounding box).
   Status CollectAll(std::vector<RectF>* out) const;
+
+  /// Writes every stored data rectangle as a RectF stream at the end of
+  /// `out`, in leaf-page order, record by record as ScanLeaves reads
+  /// them: how stream algorithms and sorts take a tree as their input. A
+  /// read error abandons the stream.
+  Result<StreamRange> CopyLeaves(Pager* out) const;
 
   const RTreeMeta& meta() const { return meta_; }
   const RTreeParams& params() const { return params_; }

@@ -490,5 +490,107 @@ TEST(Predicates, ContainsKeepsOnlyTrueSubSegments) {
   EXPECT_EQ(stats->candidate_count, 2u) << "b0 and b1 overlap a0's MBR";
 }
 
+// ---------------------------------------------------------------------------
+// Streaming plans over R-trees. The leaf level is read in page order, so
+// flattening a bulk-loaded tree costs about a sequential read of its
+// leaves and a write of the copy, not a seek per leaf.
+// ---------------------------------------------------------------------------
+
+/// Builds a bulk-loaded Hilbert R-tree over `data` on `td`'s memory pagers.
+std::unique_ptr<RTree> BulkLoad(TestDisk* td, const DatasetRef& data,
+                                std::vector<std::unique_ptr<Pager>>* keep) {
+  keep->push_back(td->NewPager("tree"));
+  Pager* tree_pager = keep->back().get();
+  keep->push_back(td->NewPager("tree.scratch"));
+  auto tree = RTree::BulkLoadHilbert(tree_pager, data.range,
+                                     keep->back().get(), RTreeParams(),
+                                     1 << 22);
+  SJ_CHECK_OK(tree.status());
+  return std::make_unique<RTree>(std::move(*tree));
+}
+
+// SSSJ and PBSM over two trees are charged at most 3x the same join over
+// the trees' data as streams, and they find the same pairs. A leaf scan
+// that seeks for every leaf is charged 5.3x and 6.6x here.
+TEST(JoinQueryTrees, StreamPlansOverTreesCostAboutTheirStreams) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 1000, 1000);
+  const DatasetRef da =
+      MakeDataset(&td, UniformRects(20000, region, 2.0f, 1), "a", &keep);
+  const DatasetRef db =
+      MakeDataset(&td, UniformRects(20000, region, 2.0f, 2), "b", &keep);
+  const std::unique_ptr<RTree> ta = BulkLoad(&td, da, &keep);
+  const std::unique_ptr<RTree> tb = BulkLoad(&td, db, &keep);
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM}) {
+    SCOPED_TRACE(ToString(algorithm));
+    // The model's charge over the whole query, leaf extraction included.
+    auto charged = [&](const JoinInput& a, const JoinInput& b,
+                       std::vector<IdPair>* pairs) {
+      CollectingSink sink;
+      const DiskStats before = td.disk.stats();
+      auto stats =
+          JoinQuery(joiner).Input(a).Input(b).Algorithm(algorithm).Run(&sink);
+      SJ_CHECK_OK(stats.status());
+      *pairs = Sorted(sink.pairs());
+      return (td.disk.stats() - before).io_seconds;
+    };
+    std::vector<IdPair> stream_pairs, tree_pairs;
+    const double streams = charged(JoinInput::FromStream(da),
+                                   JoinInput::FromStream(db), &stream_pairs);
+    const double trees = charged(JoinInput::FromRTree(ta.get()),
+                                 JoinInput::FromRTree(tb.get()), &tree_pairs);
+    EXPECT_FALSE(stream_pairs.empty());
+    EXPECT_EQ(tree_pairs, stream_pairs);
+    EXPECT_LE(trees, 3.0 * streams)
+        << "over trees " << trees << " s, over streams " << streams << " s";
+  }
+}
+
+// The ε-expansion expands and writes its side as it reads it, holding no
+// copy of the side, so at 1 MiB every component stays within its grant;
+// only ST's rebuild sort takes the rtree.bulkload grant. The pairs are
+// those of the same join over the data as streams.
+TEST(JoinQueryMemory, DistanceExpansionStaysWithinItsGrants) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const DatasetRef data = MakeDataset(
+      &td, UniformRects(100000, RectF(0, 0, 1000, 1000), 2.0f, 7), "data",
+      &keep);
+  const std::unique_ptr<RTree> tree = BulkLoad(&td, data, &keep);
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  auto self_join = [&](const JoinInput& input, JoinAlgorithm algorithm,
+                       std::vector<IdPair>* pairs) {
+    CollectingSink sink;
+    auto stats = JoinQuery(joiner)
+                     .Input(input)
+                     .Input(input)
+                     .Predicate(Predicate::kDistanceWithin, 0.5)
+                     .Algorithm(algorithm)
+                     .MemoryBytes(1u << 20)
+                     .Run(&sink);
+    SJ_CHECK_OK(stats.status());
+    *pairs = Sorted(sink.pairs());
+    return *stats;
+  };
+  std::vector<IdPair> want;
+  self_join(JoinInput::FromStream(data), JoinAlgorithm::kSSSJ, &want);
+  ASSERT_FALSE(want.empty());
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPQ}) {
+    SCOPED_TRACE(ToString(algorithm));
+    std::vector<IdPair> got;
+    const JoinStats stats =
+        self_join(JoinInput::FromRTree(tree.get()), algorithm, &got);
+    for (const MemoryComponentStats& c : stats.memory_components) {
+      EXPECT_LE(c.used_high_water, c.granted_high_water) << c.component;
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
 }  // namespace
 }  // namespace sj

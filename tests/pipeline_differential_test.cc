@@ -240,15 +240,15 @@ std::string ReplayLine(uint64_t seed) {
 }
 
 /// At the default budget, Explain plans the operator grants the run was
-/// given: op.aggregate, op.topk and op.window each equal the run's
-/// granted high-water mark (0 on both sides when the pipeline has none).
+/// given: op.aggregate and op.topk each equal the run's granted
+/// high-water mark (0 on both sides when the pipeline has none).
 void ExpectExplainPlansRunGrants(PipelineQuery& q, const Config& cfg,
                                  const PipelineStats& stats) {
   if (cfg.memory_bytes != JoinOptions().memory_bytes) return;
   auto plan = q.Explain();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   for (const char* component :
-       {grants::kOpAggregate, grants::kOpTopK, grants::kOpWindow}) {
+       {grants::kOpAggregate, grants::kOpTopK}) {
     size_t granted = 0;
     for (const MemoryComponentStats& c : stats.memory_components) {
       if (c.component == component) granted = c.granted_high_water;

@@ -13,12 +13,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/join_query.h"
 #include "core/pipeline_query.h"
 #include "core/spatial_join.h"
 #include "datagen/synthetic.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 
 namespace sj {
@@ -273,6 +275,86 @@ TEST(PipelineService, HandleOutlivesServiceSafely) {
   // resolved with an error — never a hang or a crash.
   if (handle.Result().ok()) {
     EXPECT_FALSE(sink.rows().empty());
+  }
+}
+
+// A window scan counts the pages it read itself, not a delta of the
+// DiskModel its neighbours share: each windowed pipeline over two R-trees
+// reports the same WindowScan pages through a 2-worker service, with
+// three clients submitting at once, as it does alone.
+TEST(PipelineService, WindowScanPagesLeaveOutNeighbours) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<std::unique_ptr<RTree>> trees;
+  for (const uint64_t seed : {61, 62}) {
+    const DatasetRef data = MakeDataset(
+        &td, UniformRects(20000, RectF(0, 0, 1000, 1000), 4.0f, seed),
+        "data", &keep);
+    keep.push_back(td.NewPager("tree"));
+    Pager* tree_pager = keep.back().get();
+    keep.push_back(td.NewPager("scratch"));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, data.range,
+                                       keep.back().get(), RTreeParams(),
+                                       1 << 22);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+  }
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  constexpr size_t kBudget = 4u << 20;
+  std::vector<RectF> windows;
+  for (int i = 0; i < 24; ++i) {
+    const float x = static_cast<float>((i * 137) % 750);
+    const float y = static_cast<float>((i * 311) % 750);
+    const float side = 150.0f + static_cast<float>((i * 53) % 100);
+    windows.emplace_back(x, y, x + side, y + side);
+  }
+  auto query = [&](const RectF& w) {
+    PipelineQuery q(joiner);
+    q.Input(JoinInput::FromRTree(trees[0].get()))
+        .Input(JoinInput::FromRTree(trees[1].get()))
+        .Window(w)
+        .AggregateByCell(AggregateMode::kCount, 32, 32)
+        .TopKByDistance(8, 0.5f * (w.xlo + w.xhi), 0.5f * (w.ylo + w.yhi))
+        .MemoryBytes(kBudget);
+    return q;
+  };
+  auto scan_pages = [](const PipelineStats& stats) {
+    std::vector<uint64_t> pages;
+    for (const OperatorStats& op : stats.operators) {
+      if (op.name == "WindowScan") pages.push_back(op.pages_read);
+    }
+    return pages;
+  };
+
+  std::vector<std::vector<uint64_t>> alone;
+  for (const RectF& w : windows) {
+    CountingRowSink sink;
+    auto stats = query(w).Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    alone.push_back(scan_pages(*stats));
+    ASSERT_EQ(alone.back().size(), 2u);
+  }
+
+  ServiceOptions options;
+  options.global_memory_bytes = 2 * kBudget;
+  options.worker_threads = 2;
+  SpatialService service(options);
+  constexpr size_t kClients = 3;
+  std::vector<CountingRowSink> sinks(windows.size());
+  std::vector<SubmittedPipeline> subs(windows.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c; i < windows.size(); i += kClients) {
+        subs[i] = service.Submit(query(windows[i]), &sinks[i]);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (size_t i = 0; i < windows.size(); ++i) {
+    const auto& result = subs[i].Result();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(scan_pages(*result), alone[i]) << "window " << i;
   }
 }
 

@@ -24,12 +24,14 @@
 #include "op/rect_resolver.h"
 #include "op/row.h"
 #include "rtree/rtree.h"
+#include "service/spatial_service.h"
 #include "test_util.h"
 
 namespace sj {
 namespace {
 
 using testing_util::BruteForcePairs;
+using testing_util::FailingBackend;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
@@ -758,8 +760,8 @@ TEST(PipelineExplain, RectMapLineFollowsTheRun) {
 
 // Explain's memory plan is the run's: it names the components the run was
 // granted and plans each at the run's granted high-water mark — the
-// operators', the window scans' (one after the other, so the larger of
-// the two), the rect maps' and the join's. A windowed run sizes its rect
+// operators', the rect maps' and the join's (window scans hold no grant:
+// they hand each record on as they read it). A windowed run sizes its rect
 // maps and its sweep over the records it scanned, where Explain has the
 // in-window estimate, so there only those two lines may differ.
 TEST(PipelineExplain, PlansWhatRunGrants) {
@@ -815,7 +817,8 @@ TEST(PipelineExplain, PlansWhatRunGrants) {
          q.Input(tree0).Window(window).AggregateByCell(AggregateMode::kCount,
                                                        256, 256);
        }},
-      // The histogram prunes the scan, so neither side has an op.window.
+      // The histogram prunes the scan, which then reads nothing; no scan
+      // holds a grant, pruned or not, so neither side lists one.
       {"tree scan, pruned window", true,
        [&](PipelineQuery& q) {
          q.Input(tree0)
@@ -854,6 +857,28 @@ TEST(PipelineExplain, PlansWhatRunGrants) {
       EXPECT_EQ(planned, granted) << plan->memory.Describe();
     }
   }
+}
+
+// Each node reports the rows it emits, as a source does: the Filter a
+// third of the rows reaching it, the aggregate at most its cells, the
+// top-k at most k.
+TEST(PipelineExplain, NodesReportTheRowsTheyEmit) {
+  SparseStreams s(2);
+  auto plan = s.Query(24u << 20)
+                  .Filter([](const PipeRow&) { return true; }, "all")
+                  .AggregateByCell(AggregateMode::kCount, 32, 32)
+                  .TopKByDistance(8, 500, 500)
+                  .Explain();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<OperatorPlan>& nodes = plan->operators;
+  ASSERT_EQ(nodes.size(), 6u) << plan->Describe();
+  EXPECT_EQ(nodes[0].name, "TopKByDistance");
+  EXPECT_EQ(nodes[0].est_rows, 8.0);
+  EXPECT_EQ(nodes[1].name, "AggregateByCell");
+  EXPECT_EQ(nodes[1].est_rows, 1024.0);
+  EXPECT_EQ(nodes[2].name, "Filter");
+  EXPECT_EQ(nodes[3].est_rows, static_cast<double>(s.kRecords));
+  EXPECT_DOUBLE_EQ(nodes[2].est_rows, nodes[3].est_rows / 3.0);
 }
 
 // A windowed k-way chain is priced over the in-window streams it joins,
@@ -1064,6 +1089,85 @@ TEST(PipelineStatsTest, DescribeAndKeyValuesAreStructured) {
   EXPECT_TRUE(saw_output);
   EXPECT_TRUE(saw_op);
   EXPECT_GT(stats->ObservedSeconds(f.td.disk.machine()), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Read faults in an index's leaf level
+// ---------------------------------------------------------------------------
+
+// A tree whose reads fail after its bulk load: every query that reads its
+// leaf level ends in the read's IoError, alone and through a service, with
+// no unfinished stream left behind and every grant back. Then the same
+// queries run.
+TEST(LeafScanFaults, EveryReaderEndsInIoError) {
+  SparseStreams s(2);
+  auto failing = std::make_unique<FailingBackend>();
+  FailingBackend* faults = failing.get();
+  Pager faulty_pager(std::move(failing), &s.td.disk, "tree.faulty");
+  std::vector<std::unique_ptr<RTree>> trees;
+  for (size_t i = 0; i < 2; ++i) {
+    Pager* tree_pager = &faulty_pager;
+    if (i == 1) {
+      s.keep.push_back(s.td.NewPager("tree"));
+      tree_pager = s.keep.back().get();
+    }
+    s.keep.push_back(s.td.NewPager("scratch" + std::to_string(i)));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, s.inputs[i].stream().range,
+                                       s.keep.back().get(), RTreeParams(),
+                                       1 << 22);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+  }
+  const JoinInput a = JoinInput::FromRTree(trees[0].get());
+  const JoinInput b = JoinInput::FromRTree(trees[1].get());
+
+  struct Reader {
+    const char* name;
+    std::function<Status(SpatialService*)> run;
+  };
+  auto pipeline = [&](size_t budget, bool windowed) {
+    return [&, budget, windowed](SpatialService* service) {
+      PipelineQuery q(*s.joiner);
+      q.Input(a).Input(b).MemoryBytes(budget);
+      if (windowed) q.Window(RectF(100, 100, 500, 600));
+      CountingRowSink sink;
+      return service == nullptr ? q.Run(&sink).status()
+                                : service->Run(q, &sink).status();
+    };
+  };
+  const std::vector<Reader> readers = {
+      // Leaf extraction writes the copy while it reads the tree.
+      {"SSSJ join",
+       [&](SpatialService* service) {
+         JoinQuery q(*s.joiner);
+         q.Input(a).Input(b).Algorithm(JoinAlgorithm::kSSSJ);
+         CountingSink sink;
+         return service == nullptr ? q.Run(&sink).status()
+                                   : service->Run(q, &sink).status();
+       }},
+      // The scans write the in-window streams while they read.
+      {"windowed pipeline", pipeline(24u << 20, true)},
+      // The rect map loads its in-memory table from the tree.
+      {"two-tree pipeline", pipeline(24u << 20, false)},
+      // The table goes external, through a stream copy of the tree.
+      {"two-tree pipeline, external rect map", pipeline(kMinMemoryBytes, false)},
+  };
+  ASSERT_GT(RectTableBytes(s.kRecords), RectMapGrantBytes(kMinMemoryBytes, 2));
+
+  SpatialService service{ServiceOptions()};
+  for (const Reader& reader : readers) {
+    SCOPED_TRACE(reader.name);
+    faults->fail_reads = true;
+    const Status alone = reader.run(nullptr);
+    EXPECT_EQ(alone.code(), StatusCode::kIoError) << alone.ToString();
+    const Status served = reader.run(&service);
+    EXPECT_EQ(served.code(), StatusCode::kIoError) << served.ToString();
+    EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+    faults->fail_reads = false;
+    const Status healthy = reader.run(&service);
+    EXPECT_TRUE(healthy.ok()) << healthy.ToString();
+    EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+  }
 }
 
 }  // namespace
