@@ -145,7 +145,8 @@ Status QuerySpec::Validate(QuerySource source, const char* front_end) const {
   return Status::OK();
 }
 
-Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
+Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
+                                         bool plan_only) {
   const double eps = plan.predicate.epsilon;
   // Expand the side that avoids disturbing an index when possible: a
   // stream side if there is one, else side 1 (rebuilt below when the
@@ -153,6 +154,22 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   size_t side = 1;
   if (plan.inputs[1].indexed() && !plan.inputs[0].indexed()) side = 0;
   const JoinInput original = plan.inputs[side];
+  DatasetRef expanded;
+  expanded.extent = ExpandRectForDistance(original.extent(), eps);
+
+  // The user's histograms describe the *unexpanded* relations; pruning an
+  // index traversal with them could now drop pairs discovered only in the
+  // ε-fringe, so traversals fall back to extent-only pruning. (The
+  // planner already consumed them for its estimate above the transform.)
+  for (const GridHistogram*& hist : plan.prune_histograms) hist = nullptr;
+  if (plan_only) {
+    // Explain reads no data: the expanded side is described by its count
+    // (ST's rebuilt tree too, whose grant PlanJoinMemory replays).
+    expanded.range.count = original.count();
+    plan.inputs[side] =
+        JoinInput::FromStream(expanded).WithFeatures(original.features());
+    return Status::OK();
+  }
 
   // One pass: each rectangle is expanded and appended as it is read, so
   // the transform holds no copy of its side.
@@ -176,14 +193,16 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
     const StreamRange& range = original.stream().range;
     StreamReader<RectF> reader(range.pager, range.first_page, range.count);
     while (std::optional<RectF> r = reader.Next()) expand(*r);
+    if (!reader.status().ok()) {
+      writer.Abandon();
+      return reader.status();
+    }
   }
   SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-  DatasetRef expanded;
   expanded.range = StreamRange{pager.get(), first, n};
-  expanded.extent = ExpandRectForDistance(original.extent(), eps);
 
   JoinInput replacement = JoinInput::FromStream(expanded);
-  if (spec_.algorithm == JoinAlgorithm::kST) {
+  if (plan.decision.algorithm == JoinAlgorithm::kST) {
     // ST traverses two indexes, so the expanded side gets a temporary
     // tree of its own (same parameters as the original index).
     SJ_ASSIGN_OR_RETURN(auto tree_pager,
@@ -196,8 +215,7 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
         original.indexed() ? original.rtree()->params() : RTreeParams();
     // The rebuild's sort is governed like everything else.
     const MemoryGrant sort_grant = plan.arbiter->AcquireShrinkable(
-        grants::kRTreeBulkLoad, plan.options.memory_bytes / 2,
-        RunLayout::kMinSortMemoryBytes);
+        RTree::BulkLoadRequest(plan.options.memory_bytes));
     SJ_ASSIGN_OR_RETURN(
         RTree tree,
         RTree::BulkLoadHilbert(tree_pager.get(), expanded.range,
@@ -210,12 +228,6 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan) {
   replacement.WithFeatures(original.features());
   plan.inputs[side] = replacement;
   plan.owned_pagers.push_back(std::move(pager));
-
-  // The user's histograms describe the *unexpanded* relations; pruning an
-  // index traversal with them could now drop pairs discovered only in the
-  // ε-fringe, so traversals fall back to extent-only pruning. (The
-  // planner already consumed them for its estimate above the transform.)
-  for (const GridHistogram*& hist : plan.prune_histograms) hist = nullptr;
   return Status::OK();
 }
 
@@ -255,16 +267,13 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
     }
     if (forced != JoinAlgorithm::kAuto) {
       plan.decision.algorithm = forced;
-      plan.decision.memory = PlanJoinMemory(
-          forced, plan.options,
-          (plan.inputs[0].count() + plan.inputs[1].count()) * sizeof(RectF));
       plan.decision.rationale =
           std::string("algorithm forced to ") + ToString(forced) +
           " by the query";
     }
-    if (!plan_only && plan.predicate.kind == Predicate::kDistanceWithin) {
+    if (plan.predicate.kind == Predicate::kDistanceWithin) {
       const DiskStats before = plan.disk->stats();
-      SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan));
+      SJ_RETURN_IF_ERROR(ApplyDistanceTransform(plan, plan_only));
       plan.compile_disk = plan.disk->stats() - before;
     }
   }
@@ -273,12 +282,21 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
 }
 
 Result<PlanDecision> JoinQuery::Explain() {
+  MemoryArbiter scratch(spec_.options.memory_bytes);
+  SJ_ASSIGN_OR_RETURN(PlanDecision decision, ExplainOn(&scratch));
+  decision.memory = MemoryPlan::Of(scratch);
+  return decision;
+}
+
+Result<PlanDecision> JoinQuery::ExplainOn(MemoryArbiter* arbiter) {
   // plan_only: validation + planning without the ε-expansion
   // materialization (the planner runs before the transform either way,
   // so the decision is exactly what Run would execute).
-  SJ_ASSIGN_OR_RETURN(CompiledPlan plan,
-                      Compile(/*multiway=*/false, /*plan_only=*/true));
-  return plan.decision;
+  SJ_ASSIGN_OR_RETURN(
+      CompiledPlan plan,
+      Compile(/*multiway=*/spec_.inputs.size() > 2, /*plan_only=*/true));
+  PlanJoinMemory(plan, arbiter);
+  return std::move(plan.decision);
 }
 
 Result<JoinStats> JoinQuery::Run(JoinSink* sink) {

@@ -185,7 +185,9 @@ class JoinQuery : public QueryBuilder<JoinQuery> {
   /// Compiles the query and returns the planner's decision without
   /// executing anything (EXPLAIN), with every plan priced. Reflects forced
   /// algorithms and predicate transforms exactly as Run would see them;
-  /// Run executes the algorithm reported here (JoinStats::algorithm).
+  /// Run executes the algorithm reported here (JoinStats::algorithm), and
+  /// is granted the memory plan reported here: the run's grant requests
+  /// replayed on a scratch arbiter of the query's budget.
   Result<PlanDecision> Explain();
 
   /// Runs the pairwise pipeline (exactly 2 inputs): compile, execute the
@@ -220,17 +222,24 @@ class JoinQuery : public QueryBuilder<JoinQuery> {
   /// refinement), shared by the Run() wrapper and the service's workers.
   Result<JoinStats> RunDirect(JoinSink* sink);
 
+  /// Explain's body: the decision Run executes, with the run's grant
+  /// requests replayed on `arbiter` (PlanJoinMemory) — a scratch arbiter
+  /// of the query's budget, or a pipeline's after its operators and rect
+  /// maps. A k-way query (3+ inputs) replays the chain's requests.
+  Result<PlanDecision> ExplainOn(MemoryArbiter* arbiter);
+
   /// Validation + input resolution. `multiway` selects the k-way rules
   /// (input count, predicate restrictions); `plan_only` (Explain) prices
-  /// every plan and skips the ε-expansion materialization (Explain never
-  /// executes I/O passes), while execution plans only as far as the
-  /// algorithm choice needs. The whole compile's CPU lands in
+  /// every plan and describes the ε-expansion without materializing it
+  /// (Explain never executes I/O passes), while execution plans only as
+  /// far as the algorithm choice needs. The whole compile's CPU lands in
   /// CompiledPlan::compile_cpu_seconds.
   Result<CompiledPlan> Compile(bool multiway, bool plan_only = false);
 
   /// Applies the ε-expansion transform for kDistanceWithin to the plan's
-  /// resolved inputs (see Predicate documentation in join/predicate.h).
-  Status ApplyDistanceTransform(CompiledPlan& plan);
+  /// resolved inputs (see Predicate documentation in join/predicate.h);
+  /// `plan_only` describes the expanded side without reading it.
+  Status ApplyDistanceTransform(CompiledPlan& plan, bool plan_only);
 };
 
 }  // namespace sj

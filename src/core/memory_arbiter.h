@@ -22,7 +22,7 @@ namespace sj {
 /// that bypass the query layer clamp up to it instead.
 inline constexpr size_t kMinMemoryBytes = 64u << 10;
 
-/// Canonical grant component names, shared by the memory planner (so
+/// Canonical grant component names, shared by the grant requests (so
 /// Explain() reports the same breakdown the executors acquire) and the
 /// per-component high-water marks in JoinStats.
 namespace grants {
@@ -46,9 +46,9 @@ inline constexpr char kOpTopK[] = "op.topk";
 class MemoryArbiter;
 
 /// One component's ask of an arbiter: AcquireShrinkable's arguments. A
-/// component that states its request in one function hands the same
-/// request to its own acquisition and to PipelineQuery::Explain, which
-/// replays a run's requests on a scratch arbiter.
+/// component states its request in one function, which hands the same
+/// request to its own acquisition and to Explain, which replays a run's
+/// requests on a scratch arbiter (PlanJoinMemory, PipelineQuery::Explain).
 struct GrantRequest {
   const char* component = nullptr;  ///< nullptr: nothing to acquire.
   size_t bytes = 0;
@@ -79,15 +79,6 @@ class MemoryGrant {
   /// strict-mode arbiter treats `used_bytes > bytes()` as an ungoverned
   /// allocation and aborts (SJ_CHECK). Thread-safe.
   void NoteUsage(size_t used_bytes);
-
-  /// Tries to grow the grant to `new_bytes` (no-op when already that
-  /// large); fails without side effects when the arbiter cannot cover the
-  /// difference.
-  bool TryGrow(size_t new_bytes);
-
-  /// Returns bytes above `new_bytes` to the arbiter (no-op when already
-  /// smaller).
-  void Shrink(size_t new_bytes);
 
   /// Releases the whole grant early (idempotent).
   void Release();
@@ -206,7 +197,6 @@ class MemoryArbiter {
   void Release(const std::string& component, size_t bytes);
   void NoteUsage(const std::string& component, size_t granted_bytes,
                  size_t used_bytes);
-  bool TryGrow(const std::string& component, size_t delta);
 
   const size_t budget_;
   const bool strict_;
@@ -225,13 +215,17 @@ struct MemoryGrantSpec {
   size_t bytes = 0;
 };
 
-/// The planner's memory shape for one algorithm under one budget: which
-/// components will acquire how much. Descriptive (Explain()/Describe()
-/// and cost pricing read it); the executors acquire the live grants
-/// themselves using the same component names and arithmetic.
+/// Explain's memory shape for one query under one budget: which
+/// components a run is granted how much. Built by replaying the run's
+/// grant requests on a scratch arbiter, so there is no second copy of the
+/// grant arithmetic to drift.
 struct MemoryPlan {
   size_t budget_bytes = 0;
   std::vector<MemoryGrantSpec> grants;
+
+  /// `arbiter`'s budget, and each component at its granted high-water
+  /// mark, in component-name order.
+  static MemoryPlan Of(const MemoryArbiter& arbiter);
 
   bool empty() const { return grants.empty(); }
   /// Planned bytes for `component`, 0 when the plan has no such line.

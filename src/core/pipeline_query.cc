@@ -314,7 +314,6 @@ Result<PipelinePlan> PipelineQuery::Explain() {
   const bool join_source = inputs.size() >= 2;
 
   PipelinePlan plan;
-  plan.memory.budget_bytes = options.memory_bytes;
   // Run's grant requests, replayed in Run's order on an arbiter of the
   // query's budget: its high-water marks are the planned lines, so
   // Explain shrinks a request exactly where Run's arbiter would.
@@ -379,11 +378,32 @@ Result<PipelinePlan> PipelineQuery::Explain() {
         join_inputs[i] = WindowedInput(inputs[i], windowed);
       }
     }
+    // Rect resolution behind the join: one id -> MBR table per join
+    // input, built before the join and held through it; beyond its grant
+    // a table goes external, id-sorting its input under a grant its size.
+    const size_t rectmap_share =
+        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
+    std::vector<double> resolve_seconds;
+    for (const JoinInput& input : join_inputs) {
+      held.push_back(scratch.AcquireShrinkable(
+          RectResolver::Request(input.count(), rectmap_share)));
+      const size_t granted = held.back().bytes();
+      if (granted < RectTableBytes(input.count())) {
+        scratch.AcquireShrinkable(SortGrantRequest(granted));
+        resolve_seconds.push_back(cost.RectResolveSeconds(
+            static_cast<uint64_t>(source.est_rows), input.pages()));
+      } else {
+        resolve_seconds.push_back(cost.ScanSeconds(input.pages()));
+      }
+      source.planned_bytes += granted;
+    }
+    // The join Run executes, its grants replayed on what the operators
+    // and the rect maps leave.
+    SJ_ASSIGN_OR_RETURN(PlanDecision join,
+                        JoinOver(join_inputs).ExplainOn(&scratch));
     if (inputs.size() == 2) {
-      // Plan the join Run executes.
-      SJ_ASSIGN_OR_RETURN(plan.join, JoinOver(join_inputs).Explain());
+      plan.join = std::move(join);
       plan.has_join = true;
-      plan.memory.grants = plan.join.memory.grants;
       switch (plan.join.algorithm) {
         case JoinAlgorithm::kPBSM:
           source.cost_seconds = plan.join.pbsm_cost_seconds > 0.0
@@ -410,38 +430,11 @@ Result<PipelinePlan> PipelineQuery::Explain() {
       source.name = "MultiwayJoin";
       source.detail = std::to_string(inputs.size()) + "-way chain";
     }
-    // Rect resolution behind the join: one id -> MBR table per join
-    // input, built before the join and held through it; beyond its grant
-    // a table goes external.
-    const size_t rectmap_share =
-        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
-    for (const JoinInput& input : join_inputs) {
-      held.push_back(scratch.AcquireShrinkable(
-          RectResolver::Request(input.count(), rectmap_share)));
-      source.cost_seconds +=
-          held.back().bytes() >= RectTableBytes(input.count())
-              ? cost.ScanSeconds(input.pages())
-              : cost.RectResolveSeconds(
-                    static_cast<uint64_t>(source.est_rows), input.pages());
-      source.planned_bytes += held.back().bytes();
-    }
-    if (inputs.size() > 2) {
-      // The k-way chain's grants: each stream input sorts in turn, then
-      // the chain sweeps.
-      const MultiwayGrants requests =
-          MultiwayGrantRequests(options.memory_bytes);
-      for (const JoinInput& input : join_inputs) {
-        if (input.kind() == JoinInput::Kind::kStream) {
-          scratch.AcquireShrinkable(requests.sort);
-        }
-      }
-      held.push_back(scratch.AcquireShrinkable(requests.sweep));
+    for (const double seconds : resolve_seconds) {
+      source.cost_seconds += seconds;
     }
   }
-  for (const MemoryComponentStats& c : scratch.ComponentStats()) {
-    plan.memory.grants.push_back(
-        MemoryGrantSpec{c.component, c.granted_high_water});
-  }
+  plan.memory = MemoryPlan::Of(scratch);
 
   // The tree, root (sink-most) first: the operators reversed, the source,
   // then its leaves when they are distinct nodes.

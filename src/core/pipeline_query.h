@@ -26,9 +26,8 @@ struct PipelinePlan {
   PlanDecision join;
   bool has_join = false;
   double total_cost_seconds = 0.0;
-  /// The merged memory shape under one budget: the pairwise join's
-  /// planned grants, plus the high-water marks of every other request the
-  /// run makes (operators, rect maps, the k-way chain).
+  /// The run's grants under one budget: every request the run makes
+  /// (operators, rect maps, then the join's) replayed in its order.
   MemoryPlan memory;
 
   /// The costed operator tree, root first, one line per operator:

@@ -5,6 +5,8 @@
 #include <string>
 
 #include "join/partition_plan.h"
+#include "join/pbsm.h"
+#include "join/sssj.h"
 #include "refine/refine.h"
 
 namespace sj {
@@ -18,30 +20,23 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
       options_override != nullptr ? *options_override : options_;
   PlanDecision decision;
   const uint64_t total_pages = a.pages() + b.pages();
-  const uint64_t total_bytes_est = (a.count() + b.count()) * sizeof(RectF);
 
-  // The chosen algorithm's grant breakdown, reported by Explain() and
-  // mirrored by the executors' live grants.
-  auto finalize = [&](PlanDecision d) {
-    d.memory = PlanJoinMemory(d.algorithm, options, total_bytes_est);
-    return d;
-  };
   auto no_index = [&]() {
     decision.algorithm = JoinAlgorithm::kSSSJ;
     decision.rationale = "no index available; SSSJ streams both inputs";
-    return finalize(decision);
+    return decision;
   };
   // Without an index there is nothing to choose: execution stops here,
   // before any histogram or cost term; Explain goes on to price it all.
   if (!explain && !a.indexed() && !b.indexed()) return no_index();
 
-  // Memory planning first: every cost below is priced at the *granted*
-  // memory, not the raw knob — under a tight budget the streaming plans
-  // pay extra external-sort merge passes, which shifts the kAuto
-  // streaming-vs-index crossover.
-  const MemoryPlan sssj_memory =
-      PlanJoinMemory(JoinAlgorithm::kSSSJ, options, total_bytes_est);
-  const size_t sort_grant = sssj_memory.GrantFor(grants::kSortRuns);
+  // Every cost below is priced at SSSJ's sort request, not the raw knob:
+  // under a tight budget the streaming plans pay extra external-sort
+  // merge passes, which shifts the kAuto streaming-vs-index crossover.
+  const size_t sort_grant =
+      SSSJGrantRequests(std::max(options.memory_bytes, kMinMemoryBytes),
+                        a.count() + b.count())
+          .sort.bytes;
 
   // Estimate the fraction of each side a traversal touches: prefer
   // histogram mass, fall back to extent overlap area ratio.
@@ -84,46 +79,35 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
       decision.sort_cpu_seconds + decision.refine_cost_seconds;
 
   // PBSM partitioning pre-plan, so Explain() reports the grid execution
-  // would use. The partition-count formula is shared with PBSMJoin; when
-  // the caller attached histograms the adaptive planner actually runs
-  // (pure CPU) and the reported grid is exact, otherwise the base grid
-  // and formula stand in. Replication and the histogram-build pass are
-  // priced into pbsm_cost_seconds; the pass is free when both
-  // histograms are attached. kAuto never picks PBSM, so execution skips
-  // this.
+  // would use: PBSMJoin's own map (PbsmPartitionMap) over the attached
+  // histograms (pure CPU) or the fixed grid; without histograms the base
+  // grid and the partition formula stand in. Replication and the
+  // histogram-build pass are priced into pbsm_cost_seconds; the pass is
+  // free when both histograms are attached. kAuto never picks PBSM, so
+  // execution skips this.
   if (explain) {
-    const uint64_t total_bytes = (a.count() + b.count()) * sizeof(RectF);
     decision.pbsm_adaptive = options.adaptive_partitioning;
-    // The adaptive planner packs to its own (higher) fill target; the
-    // fixed path keeps the paper's 0.8 slack.
-    decision.pbsm_partitions =
-        options.adaptive_partitioning
-            ? PbsmPartitionCount(total_bytes, options.memory_bytes,
-                                 PartitionPlannerConfig().partition_fill)
-            : PbsmPartitionCount(total_bytes, options.memory_bytes);
-    if (options.adaptive_partitioning) {
+    if (!options.adaptive_partitioning ||
+        (hist_a != nullptr && hist_b != nullptr)) {
+      RectF extent = a.extent();
+      extent.ExtendTo(b.extent());
+      const std::unique_ptr<PartitionMap> grid =
+          PbsmPartitionMap(extent, a.count() + b.count(), hist_a, hist_b,
+                           kPbsmHistogramResolution, options);
+      decision.pbsm_tiles_per_axis = grid->tiles_x();
+      decision.pbsm_partitions = grid->partitions();
+      if (grid->adaptive()) decision.pbsm_leaf_tiles = grid->leaf_tiles();
+    } else {
+      decision.pbsm_partitions = PbsmPartitionCount(
+          (a.count() + b.count()) * sizeof(RectF), options.memory_bytes,
+          PartitionPlannerConfig().partition_fill);
       decision.pbsm_tiles_per_axis =
           AdaptiveBaseTilesPerAxis(decision.pbsm_partitions);
-      if (hist_a != nullptr && hist_b != nullptr) {
-        RectF extent = a.extent();
-        extent.ExtendTo(b.extent());
-        PartitionPlannerConfig config;
-        config.memory_bytes = options.memory_bytes;
-        const auto plan =
-            PartitionPlanner::Plan(extent, *hist_a, *hist_b, config);
-        decision.pbsm_tiles_per_axis = plan->tiles_x();
-        decision.pbsm_partitions = plan->partitions();
-        decision.pbsm_leaf_tiles = plan->leaf_tiles();
-      }
-      if (hist_a == nullptr || hist_b == nullptr) {
-        // The executor's on-the-fly build samples one block in
-        // kPbsmHistogramSampleOneInBlocks; price the pass it runs.
-        decision.histogram_build_seconds = cost_model_.HistogramPassSeconds(
-            (total_pages + kPbsmHistogramSampleOneInBlocks - 1) /
-            kPbsmHistogramSampleOneInBlocks);
-      }
-    } else {
-      decision.pbsm_tiles_per_axis = options.pbsm_tiles_per_axis;
+      // The executor's on-the-fly build samples one block in
+      // kPbsmHistogramSampleOneInBlocks; price the pass it runs.
+      decision.histogram_build_seconds = cost_model_.HistogramPassSeconds(
+          (total_pages + kPbsmHistogramSampleOneInBlocks - 1) /
+          kPbsmHistogramSampleOneInBlocks);
     }
     // Replication at the *tile* grid's resolution: a histogram measures
     // cells-per-object at its own (usually finer) cell width, so the
@@ -186,7 +170,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
     decision.rationale =
         "random index reads would cost more than streaming; ignoring index";
   }
-  return finalize(decision);
+  return decision;
 }
 
 }  // namespace sj

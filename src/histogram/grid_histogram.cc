@@ -35,6 +35,7 @@ Result<GridHistogram> GridHistogram::Build(const StreamRange& input,
     }
     hist.Add(*r);
   }
+  SJ_RETURN_IF_ERROR(reader.status());
   return hist;
 }
 

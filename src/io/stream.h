@@ -128,7 +128,10 @@ class StreamWriter {
   Status status_;
 };
 
-/// Sequentially reads records written by a StreamWriter<T>.
+/// Sequentially reads records written by a StreamWriter<T>. A failed
+/// block read ends the stream: Next() returns nullopt from then on and
+/// status() holds the error, which the reader's owner returns after its
+/// loop (checked once per block, never per record).
 template <typename T>
 class StreamReader {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -150,10 +153,10 @@ class StreamReader {
   StreamReader(const StreamReader&) = delete;
   StreamReader& operator=(const StreamReader&) = delete;
 
-  /// Next record, or nullopt at end of stream.
+  /// Next record, or nullopt at end of stream or after a read error.
   std::optional<T> Next() {
     if (remaining_ == 0) return std::nullopt;
-    if (records_left_in_block_ == 0) FillBlock();
+    if (records_left_in_block_ == 0 && !FillBlock()) return std::nullopt;
     const uint32_t idx = block_record_cursor_++;
     records_left_in_block_--;
     remaining_--;
@@ -169,9 +172,11 @@ class StreamReader {
   /// Records not yet returned.
   uint64_t remaining() const { return remaining_; }
   bool Done() const { return remaining_ == 0; }
+  /// The read error that ended the stream early, else OK.
+  const Status& status() const { return status_; }
 
  private:
-  void FillBlock() {
+  bool FillBlock() {
     const uint64_t per_block = uint64_t{kRecordsPerPage} * block_pages_;
     const uint64_t take = std::min<uint64_t>(remaining_, per_block);
     const uint32_t npages = static_cast<uint32_t>(
@@ -181,11 +186,16 @@ class StreamReader {
         << "stream on pager '" << pager_->name() << "' reads past the "
         << "32-bit PageId space (block at page " << first << " + " << npages
         << " pages)";
-    SJ_CHECK_OK(pager_->ReadRun(static_cast<PageId>(first), npages,
-                                buffer_.data()));
+    status_ = pager_->ReadRun(static_cast<PageId>(first), npages,
+                              buffer_.data());
+    if (!status_.ok()) {
+      remaining_ = 0;
+      return false;
+    }
     pages_consumed_ += npages;
     records_left_in_block_ = take;
     block_record_cursor_ = 0;
+    return true;
   }
 
   Pager* pager_;
@@ -196,6 +206,7 @@ class StreamReader {
   uint64_t pages_consumed_ = 0;
   uint64_t records_left_in_block_ = 0;
   uint32_t block_record_cursor_ = 0;
+  Status status_;
 };
 
 }  // namespace sj

@@ -93,78 +93,88 @@ std::vector<std::pair<std::string, std::string>> PlanDecision::ToKeyValues()
   return kv;
 }
 
-MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
-                          uint64_t input_bytes) {
-  MemoryPlan plan;
-  const size_t budget = std::max(options.memory_bytes, kMinMemoryBytes);
-  plan.budget_bytes = budget;
-  auto add = [&plan](const char* component, size_t bytes) {
-    plan.grants.push_back(MemoryGrantSpec{component, bytes});
-  };
-  switch (algo) {
-    case JoinAlgorithm::kAuto:
-      break;  // Resolves to a concrete algorithm at plan time.
-    case JoinAlgorithm::kSSSJ:
-      // Each side sorts within half the budget (phases are sequential);
-      // the sweep grant follows the executor's square-root active-set
-      // estimate — when even that exceeds the budget, SSSJ degrades to
-      // the strip fallback.
-      add(grants::kSortRuns, budget / 2);
-      add(grants::kSweep,
-          std::min<size_t>(EstimateSweepBytes(input_bytes / sizeof(RectF)),
-                           budget));
-      break;
-    case JoinAlgorithm::kPBSM: {
-      const uint32_t p =
-          options.adaptive_partitioning
-              ? PbsmPartitionCount(input_bytes, budget,
-                                   PartitionPlannerConfig().partition_fill)
-              : PbsmPartitionCount(input_bytes, budget);
-      if (options.adaptive_partitioning) {
-        const uint64_t res = kPbsmHistogramResolution;
-        add(grants::kPbsmHistogram,
-            std::min<uint64_t>(2 * res * res * sizeof(uint64_t), budget));
+void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
+  const JoinOptions& options = plan.options;
+  const size_t budget = arbiter->budget();
+  const std::vector<JoinInput>& inputs = plan.inputs;
+  uint64_t records = 0;
+  for (const JoinInput& input : inputs) records += input.count();
+  if (plan.predicate.kind == Predicate::kDistanceWithin &&
+      plan.decision.algorithm == JoinAlgorithm::kST) {
+    arbiter->AcquireShrinkable(RTree::BulkLoadRequest(options.memory_bytes));
+  }
+  if (inputs.size() > 2 || plan.decision.algorithm == JoinAlgorithm::kPQ) {
+    // PQ and the k-way chain: each stream input's sort in turn, then
+    // PQ's traversal queues and the sweep.
+    const PQGrants requests = PQGrantRequests(budget);
+    for (const JoinInput& input : inputs) {
+      if (input.kind() == JoinInput::Kind::kStream) {
+        arbiter->AcquireShrinkable(requests.sort);
       }
-      // One open writer per partition and side during distribution,
-      // with the partition map's preferred flush block: the adaptive
-      // planner budgets most of the phase's memory across the 2p
-      // writers (PbsmWriterBlockPages, shared with AdaptivePartitionMap),
-      // the fixed grid keeps the paper's 4-page constant. The executor
-      // shrinks the blocks when the grant comes back smaller.
-      const uint64_t block_pages = options.adaptive_partitioning
-                                       ? PbsmWriterBlockPages(budget, p)
-                                       : 4;
-      add(grants::kPbsmWriters,
-          std::min<size_t>(budget,
-                           size_t{2} * p * block_pages * kPageSize));
-      // The join phase loads one partition pair at a time (per
-      // serial-equivalent work unit); denial is the overflow signal that
-      // routes the pair through the external-sort fallback.
-      add(grants::kPbsmPartition, budget);
-      break;
     }
-    case JoinAlgorithm::kST:
-      // The paper gives most of the budget to the shared LRU pool (22 of
-      // 24 MB); the pool shrinks to its grant under smaller budgets, the
-      // remainder covers the per-node entry lists.
-      add(grants::kBufferPool,
-          std::min<size_t>(options.buffer_pool_pages * kPageSize,
-                           budget - std::min(budget, kPageSize * 2)));
-      break;
-    case JoinAlgorithm::kPQ:
-      // Traversal queues + leaf buffers on one grant, sweep structures
-      // on the other (half the budget apiece, exactly what
-      // PQJoinSources acquires); a stream side additionally sorts
-      // within half the budget before the queues exist.
-      add(grants::kSortRuns, budget / 2);
-      add(grants::kPqQueue, budget / 2);
-      add(grants::kSweep, budget - budget / 2);
-      break;
+    const MemoryGrant queue = inputs.size() == 2
+                                  ? arbiter->AcquireShrinkable(requests.queue)
+                                  : MemoryGrant();
+    arbiter->AcquireShrinkable(requests.sweep);
+  } else {
+    switch (plan.decision.algorithm) {
+      case JoinAlgorithm::kAuto:
+      case JoinAlgorithm::kPQ:
+        break;
+      case JoinAlgorithm::kSSSJ: {
+        const SSSJGrants requests =
+            SSSJGrantRequests(options.memory_bytes, records);
+        if (arbiter->AcquireShrinkable(requests.sweep).bytes() <
+            requests.sweep.bytes) {
+          // The strip fallback: its writers, then every strip's sorts on
+          // a unit arbiter of the whole budget.
+          arbiter->AcquireShrinkable(
+              SSSJStripWriters(SSSJStripCount(requests.sweep.bytes, budget))
+                  .Request(budget));
+          MemoryArbiter unit(budget);
+          unit.AcquireShrinkable(requests.sort);
+          arbiter->FoldChild(unit);
+          break;
+        }
+        if (options.fuse_merge_sweep) {
+          // The fused merge's sorters are alive together. Whether their
+          // runs then fuse, or each input sorts again in turn, moves no
+          // high-water mark.
+          const MemoryGrant sort_a = arbiter->AcquireShrinkable(requests.sort);
+          arbiter->AcquireShrinkable(requests.sort);
+        }
+        arbiter->AcquireShrinkable(requests.sort);
+        arbiter->AcquireShrinkable(requests.sweep);
+        break;
+      }
+      case JoinAlgorithm::kPBSM: {
+        const PBSMGrants requests = PBSMGrantRequests(
+            options, plan.prune_histogram(0), plan.prune_histogram(1));
+        arbiter->AcquireShrinkable(requests.histogram);
+        // Explain's pre-plan is the executor's grid, except that the
+        // executor plans over the histograms it builds, whose totals are
+        // the record counts (an ε-expansion drops the attached ones).
+        const uint32_t partitions =
+            requests.builds == 0
+                ? plan.decision.pbsm_partitions
+                : PbsmPartitionCount(records * sizeof(RectF),
+                                     options.memory_bytes,
+                                     PartitionPlannerConfig().partition_fill);
+        arbiter->AcquireShrinkable(
+            PbsmWriters(partitions, options).Request(budget));
+        MemoryArbiter unit(requests.partition_budget);
+        (void)unit.Acquire(grants::kPbsmPartition, requests.partition_budget);
+        arbiter->FoldChild(unit);
+        break;
+      }
+      case JoinAlgorithm::kST:
+        arbiter->AcquireShrinkable(STPoolRequest(options, budget));
+        break;
+    }
   }
   if (options.refine) {
-    add(grants::kRefineBatch, RefineGrantBytes(budget));
+    arbiter->AcquireShrinkable(RefineGrantRequest(budget, inputs.size()));
   }
-  return plan;
 }
 
 std::ostream& operator<<(std::ostream& os, const PlanDecision& decision) {
@@ -196,12 +206,12 @@ Result<DatasetRef> ExtractLeaves(CompiledPlan& plan, const RTree& tree) {
   return ref;
 }
 
-/// Sorted source over any input (sorting streams as needed). The returned
-/// pagers (if any) own temporary space and must stay alive for the
-/// source's lifetime. Indexed inputs become *selective* PQ traversals
-/// pruned by the other input's extent (always safe) and occupancy
-/// histogram (when provided) — the §6.3 refinement that makes localized
-/// joins touch only the relevant part of the index.
+/// Sorted source over any input (a stream sorts under PQ's sort request).
+/// The returned pagers (if any) own temporary space and must stay alive
+/// for the source's lifetime. Indexed inputs become *selective* PQ
+/// traversals pruned by the other input's extent (always safe) and
+/// occupancy histogram (when provided) — the §6.3 refinement that makes
+/// localized joins touch only the relevant part of the index.
 struct PreparedSource {
   std::unique_ptr<SortedRectSource> source;
   std::unique_ptr<Pager> scratch;
@@ -216,7 +226,7 @@ struct PreparedSource {
 };
 
 Result<PreparedSource> PrepareSource(CompiledPlan& plan,
-                                     const JoinInput& input, size_t sort_bytes,
+                                     const JoinInput& input,
                                      const RectF* other_extent = nullptr,
                                      const GridHistogram* other_hist =
                                          nullptr) {
@@ -249,7 +259,8 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
       SJ_ASSIGN_OR_RETURN(
           StreamRange sorted,
           SortRectsByYLo(input.stream().range, prepared.scratch.get(),
-                         prepared.sorted.get(), sort_bytes,
+                         prepared.sorted.get(),
+                         PQGrantRequests(plan.options.memory_bytes).sort.bytes,
                          plan.arbiter.get(), SortConfigOf(plan.options),
                          &prepared.sort));
       prepared.source = std::make_unique<SortedStreamSource>(sorted);
@@ -344,14 +355,13 @@ class PQExecutor final : public JoinExecutor {
   Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
     const RectF extent_a = plan.inputs[0].extent();
     const RectF extent_b = plan.inputs[1].extent();
-    const size_t sort_bytes = plan.options.memory_bytes / 2;
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sa,
-        PrepareSource(plan, plan.inputs[0], sort_bytes, &extent_b,
+        PrepareSource(plan, plan.inputs[0], &extent_b,
                       plan.prune_histogram(1)));
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sb,
-        PrepareSource(plan, plan.inputs[1], sort_bytes, &extent_a,
+        PrepareSource(plan, plan.inputs[1], &extent_a,
                       plan.prune_histogram(0)));
     RectF extent = extent_a;
     extent.ExtendTo(extent_b);
@@ -359,6 +369,8 @@ class PQExecutor final : public JoinExecutor {
         JoinStats stats,
         PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
                       plan.options, sink, plan.arbiter.get()));
+    SJ_RETURN_IF_ERROR(sa.source->status());
+    SJ_RETURN_IF_ERROR(sb.source->status());
     stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
     stats.FoldSortStats(sa.sort);
     stats.FoldSortStats(sb.sort);
@@ -399,17 +411,8 @@ const JoinExecutor* FindExecutor(JoinAlgorithm algo) {
   return ExecutorRegistry::Instance().Find(algo);
 }
 
-MultiwayGrants MultiwayGrantRequests(size_t budget_bytes) {
-  return MultiwayGrants{
-      GrantRequest{grants::kSortRuns, budget_bytes / 2,
-                   RunLayout::kMinSortMemoryBytes},
-      GrantRequest{grants::kSweep, budget_bytes / 2, /*floor_bytes=*/0}};
-}
-
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink) {
-  const MultiwayGrants requests =
-      MultiwayGrantRequests(plan.options.memory_bytes);
   // Measured from before the first stream sort, so the sorts' I/O and
   // this thread's share of their CPU count as the join's.
   JoinMeasurement measurement(plan.disk);
@@ -420,7 +423,7 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   double sort_worker_cpu = 0.0;
   for (const JoinInput& input : plan.inputs) {
     SJ_ASSIGN_OR_RETURN(PreparedSource p,
-                        PrepareSource(plan, input, requests.sort.bytes));
+                        PrepareSource(plan, input));
     sort_worker_cpu += p.sort.worker_cpu_seconds;
     prepared.push_back(std::move(p));
     extent.ExtendTo(input.extent());
@@ -431,7 +434,8 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   // arbiter aborts when a k-way chain outgrows the budget.
   MemoryGrant chain_grant;
   if (plan.arbiter != nullptr) {
-    chain_grant = plan.arbiter->AcquireShrinkable(requests.sweep);
+    chain_grant = plan.arbiter->AcquireShrinkable(
+        PQGrantRequests(plan.options.memory_bytes).sweep);
   }
   std::vector<SortedRectSource*> sources;
   sources.reserve(prepared.size());
@@ -439,6 +443,9 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   SJ_ASSIGN_OR_RETURN(
       MultiwayStats stats,
       MultiwayJoinSources(sources, extent, plan.options, sink));
+  for (const SortedRectSource* source : sources) {
+    SJ_RETURN_IF_ERROR(source->status());
+  }
   const JoinStats measured = measurement.Finish();
   stats.disk = measured.disk;
   stats.host_cpu_seconds = measured.host_cpu_seconds + sort_worker_cpu;

@@ -114,10 +114,9 @@ struct PlanDecision {
   /// histogram pass + refinement term), for comparison against the
   /// stream/index costs above.
   double pbsm_cost_seconds = 0.0;
-  /// The memory shape of the chosen algorithm under the query's budget:
-  /// which components will be granted how much (the executors acquire
-  /// the live grants with the same names and arithmetic). The stream and
-  /// index costs above are priced at these *granted* sizes — a tight
+  /// Explain only: the run's grants under the query's budget, from its
+  /// requests replayed on a scratch arbiter (PlanJoinMemory). The stream
+  /// and index costs above are priced at SSSJ's sort request, so a tight
   /// budget adds external-sort merge passes to the streaming plans and
   /// can flip the kAuto decision toward the index.
   MemoryPlan memory;
@@ -240,34 +239,25 @@ class ExecutorRegistry {
 /// Convenience wrapper over ExecutorRegistry::Instance().Find().
 const JoinExecutor* FindExecutor(JoinAlgorithm algo);
 
-/// The memory planner: carves a (floor-clamped) JoinOptions::memory_bytes
-/// budget into the component grants `algo` will acquire, for an input of
-/// `input_bytes` total MBR records. Used by SpatialJoiner::Plan (so
-/// Explain() reports the breakdown and the cost model prices plans at
-/// their granted memory) and mirrored by the executors' live Acquire
-/// calls.
-MemoryPlan PlanJoinMemory(JoinAlgorithm algo, const JoinOptions& options,
-                          uint64_t input_bytes);
-
-/// The k-way chain's grant requests under a `budget_bytes` budget, in the
-/// order ExecuteMultiwayFilter acquires them: `sort` once per stream
-/// input, each released before the next, then `sweep` for the chain's
-/// in-memory state while it runs. PipelineQuery::Explain plans the chain
-/// from the same requests.
-struct MultiwayGrants {
-  GrantRequest sort;
-  GrantRequest sweep;
-};
-MultiwayGrants MultiwayGrantRequests(size_t budget_bytes);
+/// Explain's memory planner: replays on `arbiter`, in a run's order, the
+/// grant requests a run of Explain's `plan` makes (the compile step's,
+/// the executor's or the k-way chain's, then refinement's), each through
+/// the function its own acquisition calls. The arbiter's granted
+/// high-water marks are then the run's, except where a request follows
+/// data the plan has not read: PBSM's partition loads (replayed at their
+/// cap), an overflowing partition's sorts and sweep, and a strip's sweep.
+void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter);
 
 /// The k-way filter execution (§4's extension): every plan.inputs entry
 /// becomes a sorted source (selective index traversals included) feeding
-/// the left-deep chain of lazy PQ sweeps. options.num_threads reaches only
-/// the stream inputs' run formation, so output and modeled I/O are the
-/// same at every thread count. The returned I/O and CPU include those
-/// sorts as well as the chain. Algorithm dispatch does not apply (the
-/// chain is the only k-way execution), which is why this is a free
-/// function rather than a registry entry.
+/// the left-deep chain of lazy PQ sweeps, with PQ's grants: each stream
+/// input's sort in turn, then the chain's state under the sweep grant.
+/// options.num_threads reaches only the stream inputs' run formation, so
+/// output and modeled I/O are the same at every thread count. The
+/// returned I/O and CPU include those sorts as well as the chain.
+/// Algorithm dispatch does not apply (the chain is the only k-way
+/// execution), which is why this is a free function rather than a
+/// registry entry.
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink);
 

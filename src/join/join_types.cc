@@ -152,6 +152,7 @@ Result<RectF> EnsureExtent(const DatasetRef& input) {
     }
     extent.ExtendTo(*r);
   }
+  SJ_RETURN_IF_ERROR(reader.status());
   extent.id = 0;
   return extent;
 }

@@ -267,12 +267,6 @@ std::unique_ptr<AdaptivePartitionMap> PartitionPlanner::Plan(
     if (weights[a] != weights[b]) return weights[a] > weights[b];
     return a < b;
   });
-  // Distribution write buffering (see PbsmWriterBlockPages): balanced
-  // partitions defeat the drive's sequential-stream detection during
-  // distribution, so fewer, larger flushes are what keeps the adaptive
-  // plan's write pass cheap.
-  map->writer_block_pages_ = PbsmWriterBlockPages(config.memory_bytes,
-                                                  partitions);
 
   using Load = std::pair<double, uint32_t>;
   std::priority_queue<Load, std::vector<Load>, std::greater<Load>> heap;
@@ -282,8 +276,6 @@ std::unique_ptr<AdaptivePartitionMap> PartitionPlanner::Plan(
     heap.pop();
     map->tiles_[leaf].partition = lightest.second;
     lightest.first += weights[leaf];
-    map->max_partition_weight_ =
-        std::max(map->max_partition_weight_, lightest.first);
     heap.push(lightest);
   }
   return map;

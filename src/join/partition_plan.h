@@ -52,15 +52,6 @@ class PartitionMap {
   virtual uint32_t split_tiles() const { return 0; }
   virtual bool adaptive() const = 0;
 
-  /// Pages each partition writer buffers per flush during distribution.
-  /// The fixed path keeps the paper's small constant (chosen for the
-  /// worst case, since p is not planned); the adaptive planner budgets
-  /// most of the phase's memory across the 2p open writers, so balanced
-  /// partitions — whose interleaved flushes defeat the drive's
-  /// sequential-stream detection — pay fewer, larger non-sequential
-  /// requests.
-  virtual uint32_t writer_block_pages() const { return 4; }
-
   /// One human-readable line: grid shape, splits, partition count.
   std::string Describe() const;
 };
@@ -117,18 +108,11 @@ class AdaptivePartitionMap final : public PartitionMap {
   uint32_t leaf_tiles() const override { return leaf_tiles_; }
   uint32_t split_tiles() const override { return split_tiles_; }
   bool adaptive() const override { return true; }
-  uint32_t writer_block_pages() const override { return writer_block_pages_; }
 
   /// The leaf tile containing (x, y) (points outside the extent clamp to
   /// the boundary tiles). Exposed for the duplicate-suppression property
   /// tests.
   uint32_t LeafForPoint(float x, float y) const;
-  uint32_t PartitionOfLeaf(uint32_t leaf) const {
-    return tiles_[leaf].partition;
-  }
-  /// Estimated bytes assigned to the heaviest partition (planning-time
-  /// weight, not observed contents).
-  double max_partition_weight() const { return max_partition_weight_; }
 
  private:
   friend class PartitionPlanner;
@@ -158,8 +142,6 @@ class AdaptivePartitionMap final : public PartitionMap {
   uint32_t partitions_ = 1;
   uint32_t leaf_tiles_ = 0;
   uint32_t split_tiles_ = 0;
-  uint32_t writer_block_pages_ = 4;
-  double max_partition_weight_ = 0.0;
   std::vector<Tile> tiles_;
   std::vector<RectF> bounds_;  ///< Parallel to tiles_ (descent midpoints).
 };
@@ -229,9 +211,7 @@ uint32_t AdaptiveBaseTilesPerAxis(uint32_t partitions);
 
 /// Flush-block pages the adaptive plan budgets per open distribution
 /// writer: most of the phase's memory spread across the 2p writers,
-/// clamped to [4, kStreamBlockPages]. One definition shared by
-/// AdaptivePartitionMap and the memory planner (PlanJoinMemory), so
-/// Explain()'s pbsm.writers line tracks what distribution acquires.
+/// clamped to [4, kStreamBlockPages] (see PbsmWriters).
 uint32_t PbsmWriterBlockPages(size_t memory_bytes, uint32_t partitions);
 
 }  // namespace sj

@@ -65,6 +65,7 @@ Result<PartitionedJoin> PartitionedJoin::Distribute(
       route(*r, &targets);
       for (const uint32_t u : targets) open.writers[u]->Append(*r);
     }
+    SJ_RETURN_IF_ERROR(reader.status());
     for (uint32_t u = 0; u < units; ++u) {
       const PageId first = open.writers[u]->first_page();
       SJ_ASSIGN_OR_RETURN(const uint64_t count, open.writers[u]->Finish());
@@ -132,12 +133,14 @@ PartitionedTotals PartitionedJoin::Merge(MemoryArbiter* arbiter) const {
   return totals;
 }
 
-uint32_t GrantWriterBlocks(MemoryArbiter* arbiter, const char* component,
-                           size_t writers, uint32_t max_block_pages,
-                           MemoryGrant* grant) {
-  *grant = arbiter->AcquireShrinkable(
-      component, writers * max_block_pages * kPageSize,
-      std::min<size_t>(writers * kPageSize, arbiter->budget()));
+GrantRequest WriterBlocks::Request(size_t budget_bytes) const {
+  return GrantRequest{component, writers * max_block_pages * kPageSize,
+                      std::min<size_t>(writers * kPageSize, budget_bytes)};
+}
+
+uint32_t WriterBlocks::Grant(MemoryArbiter* arbiter,
+                             MemoryGrant* grant) const {
+  *grant = arbiter->AcquireShrinkable(Request(arbiter->budget()));
   const uint32_t block_pages = static_cast<uint32_t>(std::clamp<size_t>(
       grant->bytes() / (writers * kPageSize), 1, max_block_pages));
   grant->NoteUsage(writers * block_pages * kPageSize);

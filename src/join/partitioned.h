@@ -95,7 +95,7 @@ class PartitionedJoin {
 
   /// Distributes `inputs` into `units` units. Each writer flushes in
   /// `block_pages`-page blocks; the caller grants them (see
-  /// GrantWriterBlocks). Files come from `storage` (null: memory) and
+  /// WriterBlocks). Files come from `storage` (null: memory) and
   /// the distribution I/O charges `disk`.
   static Result<PartitionedJoin> Distribute(
       const std::vector<StreamRange>& inputs, uint32_t units,
@@ -128,19 +128,25 @@ class PartitionedJoin {
   std::vector<double> cpu_seconds_;
 };
 
-/// Grants the flush blocks of `writers` distribution writers as one
-/// `component` grant into `*grant`, and returns the pages per block:
-/// `max_block_pages` when the arbiter covers them all, fewer (more,
-/// smaller flushes — graceful, never over budget) when it cannot. The
-/// floor of one page per writer is capped at the budget: with enormous
-/// unit counts even that is irreducible over-use, which then shows up as
-/// usage above the grant instead of a granted peak above the budget.
-/// `writers` counts every input's writers, as PlanJoinMemory prices
-/// them; Distribute() opens one input's at a time, so the grant bounds
-/// their footprint from above. Hold `*grant` until distribution ends.
-uint32_t GrantWriterBlocks(MemoryArbiter* arbiter, const char* component,
-                           size_t writers, uint32_t max_block_pages,
-                           MemoryGrant* grant);
+/// The flush blocks of `writers` distribution writers (every input's,
+/// though Distribute() opens one input's at a time), at most
+/// `max_block_pages` pages each, drawn from one `component` grant.
+struct WriterBlocks {
+  const char* component;
+  size_t writers;
+  uint32_t max_block_pages;
+
+  /// The grant from a `budget_bytes` arbiter: every block, shrinkable to
+  /// one page per writer. That floor is capped at the budget: with
+  /// enormous unit counts even it is irreducible over-use, which then
+  /// shows up as usage above the grant, not as a granted peak above it.
+  GrantRequest Request(size_t budget_bytes) const;
+
+  /// Acquires Request() into `*grant`, held until distribution ends, and
+  /// returns the pages per block: `max_block_pages` when the arbiter
+  /// covers them all, fewer (smaller flushes, never over budget) if not.
+  uint32_t Grant(MemoryArbiter* arbiter, MemoryGrant* grant) const;
+};
 
 /// Sort settings for a sort inside a unit: units are the parallel grain,
 /// so their sorts stay single-threaded (nested run-formation fan-out

@@ -14,6 +14,58 @@
 
 namespace sj {
 
+PBSMGrants PBSMGrantRequests(const JoinOptions& options,
+                             const GridHistogram* hist_a,
+                             const GridHistogram* hist_b) {
+  PBSMGrants requests;
+  if (options.adaptive_partitioning) {
+    requests.builds = (hist_a == nullptr ? 1 : 0) + (hist_b == nullptr ? 1 : 0);
+  }
+  if (requests.builds > 0) {
+    const uint64_t res = kPbsmHistogramResolution;
+    requests.histogram =
+        GrantRequest{grants::kPbsmHistogram,
+                     requests.builds * res * res * sizeof(uint64_t),
+                     /*floor_bytes=*/0};
+  }
+  requests.overflow_sort = SortGrantRequest(options.memory_bytes / 2);
+  // The partition-phase budget the planner sized partitions for (the raw
+  // knob, not the query-floor-clamped budget): a pair above it overflows
+  // exactly as the partition count formula assumed, also for direct
+  // callers below kMinMemoryBytes.
+  requests.partition_budget =
+      std::max(options.memory_bytes, RunLayout::kMinSortMemoryBytes);
+  return requests;
+}
+
+std::unique_ptr<PartitionMap> PbsmPartitionMap(
+    const RectF& extent, uint64_t records, const GridHistogram* hist_a,
+    const GridHistogram* hist_b, uint32_t resolution,
+    const JoinOptions& options) {
+  if (!options.adaptive_partitioning) {
+    // The paper's uniform grid with round-robin assignment, p chosen so
+    // an average partition pair fits comfortably in memory.
+    return std::make_unique<FixedGridPartitionMap>(
+        extent, options.pbsm_tiles_per_axis,
+        PbsmPartitionCount(records * sizeof(RectF), options.memory_bytes));
+  }
+  PartitionPlannerConfig config;
+  config.memory_bytes = options.memory_bytes;
+  // Splits may go below the histogram resolution (uniform-within-cell
+  // estimates still quarter hot blobs geometrically), so the cap only
+  // rises with a finer histogram, never falls.
+  config.max_resolution = std::max(config.max_resolution, resolution);
+  return PartitionPlanner::Plan(extent, *hist_a, *hist_b, config);
+}
+
+WriterBlocks PbsmWriters(uint32_t partitions, const JoinOptions& options) {
+  return WriterBlocks{
+      grants::kPbsmWriters, size_t{2} * partitions,
+      options.adaptive_partitioning
+          ? PbsmWriterBlockPages(options.memory_bytes, partitions)
+          : 4};
+}
+
 Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
                            DiskModel* disk, const JoinOptions& options,
                            JoinSink* sink, const GridHistogram* hist_a,
@@ -22,36 +74,32 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   const ArbiterScope scope(arbiter, options);
   JoinMeasurement measurement(disk);
   SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
+  // Attached histograms are the caller's memory; only on-the-fly builds
+  // hold planner-side cells worth granting.
+  const PBSMGrants requests = PBSMGrantRequests(options, hist_a, hist_b);
 
   // Partitioning plan. Adaptive: histogram-driven tile tree + weighted
   // bin-packing; missing histograms are built here with one extra scan
   // per side (charged to `disk`, so the pass shows up in the measured
   // stats exactly as the cost model prices it). Fixed: the paper's
-  // uniform grid with round-robin assignment, p chosen so an average
-  // partition pair fits comfortably in memory.
+  // uniform grid (PbsmPartitionMap).
   std::unique_ptr<PartitionMap> grid_owned;
-  if (options.adaptive_partitioning) {
+  {
     // Histograms live only as long as planning; they are released before
     // distribution so the writer buffers own the phase's memory. Built
     // histograms sample one block in kPbsmHistogramSampleOneInBlocks
     // (scaled to the exact record count) — the APR-style sampling
     // construction — so the density pass costs a fraction of a scan.
-    constexpr uint32_t kSampleOneInBlocks = kPbsmHistogramSampleOneInBlocks;
-    std::optional<GridHistogram> built_a, built_b;
+    // When the grant comes back smaller than the configured resolution's
+    // cells, the build resolution derates to fit (coarser planning
+    // evidence, never an over-allocation; 16 cells per axis is the floor
+    // where a histogram still says anything).
+    const size_t builds = requests.builds;
+    std::optional<GridHistogram> built[2];
+    const GridHistogram* hist[2] = {hist_a, hist_b};
     uint32_t res = kPbsmHistogramResolution;
-    // Attached histograms are the caller's memory; only on-the-fly
-    // builds hold planner-side cells worth granting — and when the
-    // grant comes back smaller than the configured resolution's cells,
-    // the build resolution derates to fit (coarser planning evidence,
-    // never an over-allocation; 16 cells per axis is the floor where a
-    // histogram still says anything).
-    const size_t builds = (hist_a == nullptr ? size_t{1} : 0) +
-                          (hist_b == nullptr ? size_t{1} : 0);
-    MemoryGrant histogram_grant;
+    MemoryGrant histogram_grant = scope->AcquireShrinkable(requests.histogram);
     if (builds > 0) {
-      histogram_grant = scope->AcquireShrinkable(
-          grants::kPbsmHistogram,
-          builds * res * res * sizeof(uint64_t), /*floor_bytes=*/0);
       const uint32_t fits = static_cast<uint32_t>(std::sqrt(
           static_cast<double>(histogram_grant.bytes() /
                               (builds * sizeof(uint64_t)))));
@@ -59,32 +107,16 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
       histogram_grant.NoteUsage(builds * size_t{res} * res *
                                 sizeof(uint64_t));
     }
-    if (hist_a == nullptr) {
-      auto built = GridHistogram::BuildSampled(a.range, extent, res, res,
-                                               kSampleOneInBlocks);
-      SJ_RETURN_IF_ERROR(built.status());
-      built_a.emplace(std::move(*built));
-      hist_a = &*built_a;
+    for (int side = 0; side < 2; ++side) {
+      if (!options.adaptive_partitioning || hist[side] != nullptr) continue;
+      SJ_ASSIGN_OR_RETURN(
+          GridHistogram h,
+          GridHistogram::BuildSampled((side == 0 ? a : b).range, extent, res,
+                                      res, kPbsmHistogramSampleOneInBlocks));
+      hist[side] = &built[side].emplace(std::move(h));
     }
-    if (hist_b == nullptr) {
-      auto built = GridHistogram::BuildSampled(b.range, extent, res, res,
-                                               kSampleOneInBlocks);
-      SJ_RETURN_IF_ERROR(built.status());
-      built_b.emplace(std::move(*built));
-      hist_b = &*built_b;
-    }
-    PartitionPlannerConfig config;
-    config.memory_bytes = options.memory_bytes;
-    // Splits may go below the histogram resolution (uniform-within-cell
-    // estimates still quarter hot blobs geometrically), so the cap only
-    // rises with a finer histogram, never falls.
-    config.max_resolution = std::max(config.max_resolution, res);
-    grid_owned = PartitionPlanner::Plan(extent, *hist_a, *hist_b, config);
-  } else {
-    const uint64_t total_bytes = (a.count() + b.count()) * sizeof(RectF);
-    grid_owned = std::make_unique<FixedGridPartitionMap>(
-        extent, options.pbsm_tiles_per_axis,
-        PbsmPartitionCount(total_bytes, options.memory_bytes));
+    grid_owned = PbsmPartitionMap(extent, a.count() + b.count(), hist[0],
+                                  hist[1], res, options);
   }
   const PartitionMap& grid = *grid_owned;
   const uint32_t p = grid.partitions();
@@ -93,8 +125,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
   // flush blocks drawn from one grant.
   MemoryGrant writer_grant;
   const uint32_t writer_block_pages =
-      GrantWriterBlocks(scope.get(), grants::kPbsmWriters, size_t{2} * p,
-                        grid.writer_block_pages(), &writer_grant);
+      PbsmWriters(p, options).Grant(scope.get(), &writer_grant);
   SJ_ASSIGN_OR_RETURN(
       PartitionedJoin join,
       PartitionedJoin::Distribute(
@@ -138,6 +169,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
         while (std::optional<RectF> r = reader.Next()) {
           rects[side].push_back(*r);
         }
+        SJ_RETURN_IF_ERROR(reader.status());
       }
       std::sort(rects[0].begin(), rects[0].end(), OrderByYLo());
       std::sort(rects[1].begin(), rects[1].end(), OrderByYLo());
@@ -159,12 +191,12 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
       SJ_ASSIGN_OR_RETURN(
           StreamRange sa_range,
           SortRectsByYLo(unit.inputs[0], scratch.get(), scratch.get(),
-                         options.memory_bytes / 2, unit.memory.get(),
+                         requests.overflow_sort.bytes, unit.memory.get(),
                          overflow_sort, &unit.sort_stats));
       SJ_ASSIGN_OR_RETURN(
           StreamRange sb_range,
           SortRectsByYLo(unit.inputs[1], scratch.get(), scratch.get(),
-                         options.memory_bytes / 2, unit.memory.get(),
+                         requests.overflow_sort.bytes, unit.memory.get(),
                          overflow_sort, &unit.sort_stats));
       MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(
           grants::kSweep, part_bytes, /*floor_bytes=*/0);
@@ -174,6 +206,8 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
                                    sb_range.count);
       sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
                                       reader_a, reader_b, emit);
+      SJ_RETURN_IF_ERROR(reader_a.status());
+      SJ_RETURN_IF_ERROR(reader_b.status());
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
     unit.max_bytes = sweep_stats.max_structure_bytes;
@@ -181,15 +215,9 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
     unit.strips_collapsed = sweep_stats.strips_collapsed;
     return Status::OK();
   };
-  // The unit budget is the partition-phase budget the planner sized
-  // partitions for (the raw knob, not the query-floor-clamped budget): a
-  // pair above it overflows exactly as the partition count formula
-  // assumed, also for direct callers below kMinMemoryBytes.
-  const size_t partition_budget =
-      std::max(options.memory_bytes, RunLayout::kMinSortMemoryBytes);
-  SJ_ASSIGN_OR_RETURN(
-      PartitionedTotals totals,
-      join.Run(options, scope.get(), partition_budget, sink, join_partition));
+  SJ_ASSIGN_OR_RETURN(PartitionedTotals totals,
+                      join.Run(options, scope.get(), requests.partition_budget,
+                               sink, join_partition));
 
   JoinStats stats = measurement.Finish();
   totals.AddTo(&stats);

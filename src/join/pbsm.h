@@ -1,9 +1,13 @@
 #ifndef USJ_JOIN_PBSM_H_
 #define USJ_JOIN_PBSM_H_
 
+#include <memory>
+
 #include "histogram/grid_histogram.h"
 #include "io/disk_model.h"
 #include "join/join_types.h"
+#include "join/partition_plan.h"
+#include "join/partitioned.h"
 #include "util/result.h"
 
 namespace sj {
@@ -15,6 +19,38 @@ namespace sj {
 /// bounds how well packing predicts hot-blob partition contents); 256^2
 /// cells cost 512 KB of planner state.
 inline constexpr uint32_t kPbsmHistogramResolution = 256;
+
+/// PBSM's grant requests under `options` with histograms `hist_a` and
+/// `hist_b` attached (either may be null): the cells of the histograms
+/// adaptive partitioning builds on the fly, an overflowing partition
+/// pair's sorts, and each partition unit's budget, which caps the pair a
+/// unit loads (a pair's load and overflow sweep are sized by its bytes).
+/// PBSMJoin acquires through it and Explain replays it (PlanJoinMemory).
+struct PBSMGrants {
+  size_t builds = 0;
+  GrantRequest histogram;
+  GrantRequest overflow_sort;
+  size_t partition_budget = 0;
+};
+PBSMGrants PBSMGrantRequests(const JoinOptions& options,
+                             const GridHistogram* hist_a,
+                             const GridHistogram* hist_b);
+
+/// The partition map PBSMJoin distributes `records` records over
+/// `extent` with: the adaptive planner's over `hist_a` and `hist_b`
+/// (attached, or built at `resolution` cells per axis), else the paper's
+/// fixed grid, which reads no histogram.
+std::unique_ptr<PartitionMap> PbsmPartitionMap(
+    const RectF& extent, uint64_t records, const GridHistogram* hist_a,
+    const GridHistogram* hist_b, uint32_t resolution,
+    const JoinOptions& options);
+
+/// The distribution writers' flush blocks, one writer per partition and
+/// input. The fixed grid keeps the paper's 4-page blocks; the adaptive
+/// plan spreads most of the budget over them (PbsmWriterBlockPages), as
+/// its balanced partitions' interleaved flushes defeat the drive's
+/// sequential-stream detection.
+WriterBlocks PbsmWriters(uint32_t partitions, const JoinOptions& options);
 
 /// Partition-Based Spatial Merge Join (Patel & DeWitt, SIGMOD'96) — §3.2.
 ///

@@ -15,6 +15,13 @@ struct SourceAdapter {
 
 }  // namespace
 
+PQGrants PQGrantRequests(size_t budget_bytes) {
+  return PQGrants{
+      SortGrantRequest(budget_bytes / 2),
+      GrantRequest{grants::kPqQueue, budget_bytes / 2, /*floor_bytes=*/0},
+      GrantRequest{grants::kSweep, budget_bytes / 2, /*floor_bytes=*/0}};
+}
+
 Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
                                 const RectF& extent, DiskModel* disk,
                                 const JoinOptions& options, JoinSink* sink,
@@ -25,10 +32,9 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   // paper's "data structures fit in memory" assumption, now checked by
   // the arbiter (strict mode aborts). Nothing spills: an input that
   // defeats the assumption shows as usage above the grant.
-  MemoryGrant queue_grant = scope->AcquireShrinkable(
-      grants::kPqQueue, scope->budget() / 2, /*floor_bytes=*/0);
-  MemoryGrant sweep_grant = scope->AcquireShrinkable(
-      grants::kSweep, scope->budget() / 2, /*floor_bytes=*/0);
+  const PQGrants requests = PQGrantRequests(scope->budget());
+  MemoryGrant queue_grant = scope->AcquireShrinkable(requests.queue);
+  MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
   JoinMeasurement measurement(disk);
   SourceAdapter sa{a}, sb{b};
   size_t max_queue_bytes = 0;

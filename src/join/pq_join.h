@@ -8,6 +8,18 @@
 
 namespace sj {
 
+/// PQ's grant requests under a `budget_bytes` budget: a stream side's
+/// sort (half of it, one side at a time, before the traversal starts),
+/// then the traversal queues and the sweep (half each, held together).
+/// The PQ executor, PQJoinSources and the k-way chain acquire through it,
+/// and Explain replays it (PlanJoinMemory).
+struct PQGrants {
+  GrantRequest sort;
+  GrantRequest queue;
+  GrantRequest sweep;
+};
+PQGrants PQGrantRequests(size_t budget_bytes);
+
 /// Priority-Queue-Driven Traversal join (the paper's contribution, §4).
 ///
 /// Both inputs arrive as y-sorted rectangle sources — a sorted stream for

@@ -28,6 +28,10 @@ class SortedRectSource {
   /// Bytes of internal state right now (priority queues + leaf buffers for
   /// the index adapter); sampled by the join for Table 3.
   virtual size_t MemoryBytes() const { return 0; }
+
+  /// The read error that ended the input early, else OK. The sources'
+  /// owner checks it once the join has read them.
+  virtual Status status() const { return Status::OK(); }
 };
 
 /// A y-sorted stream (a non-indexed input after external sorting).
@@ -41,6 +45,7 @@ class SortedStreamSource final : public SortedRectSource {
   /// over a SortedRectSource*, which bloats PQ's loop when the other side
   /// is an index.
   std::optional<RectF> Next() override;
+  Status status() const override { return reader_.status(); }
 
  private:
   StreamReader<RectF> reader_;

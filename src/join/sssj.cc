@@ -26,10 +26,28 @@ uint32_t SweepStrips(uint64_t records, uint32_t max_strips) {
       strips, 1.0, static_cast<double>(std::max<uint32_t>(1, max_strips))));
 }
 
+SSSJGrants SSSJGrantRequests(size_t memory_bytes, uint64_t records) {
+  return SSSJGrants{SortGrantRequest(memory_bytes / 2),
+                    GrantRequest{grants::kSweep, EstimateSweepBytes(records),
+                                 /*floor_bytes=*/0}};
+}
+
+uint32_t SSSJStripCount(size_t sweep_bytes, size_t budget_bytes) {
+  const size_t budget = std::max<size_t>(1, budget_bytes);
+  return static_cast<uint32_t>(
+      std::clamp<uint64_t>((2 * sweep_bytes + budget - 1) / budget, 2, 512));
+}
+
+WriterBlocks SSSJStripWriters(uint32_t strips) {
+  return WriterBlocks{grants::kStripWriters, size_t{2} * strips, 4};
+}
+
 Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                            DiskModel* disk, const JoinOptions& options,
                            JoinSink* sink, MemoryArbiter* arbiter) {
   const ArbiterScope scope(arbiter, options);
+  const SSSJGrants requests =
+      SSSJGrantRequests(options.memory_bytes, a.count() + b.count());
 
   // Spill decision before any I/O: size the sweep grant by the paper's
   // square-root rule (Table 3 verifies the active sets stay near sqrt(N)
@@ -39,19 +57,15 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   // strip's share fits — instead of over-allocating and hoping. Inputs
   // whose active sets defeat the estimate at run time are recorded in
   // the usage high-water marks (and abort a strict arbiter).
-  const uint64_t est_sweep_bytes = EstimateSweepBytes(a.count() + b.count());
   const uint32_t strips =
       SweepStrips(a.count() + b.count(), options.striped_strips);
   {
-    MemoryGrant probe = scope->AcquireShrinkable(grants::kSweep,
-                                                 est_sweep_bytes,
-                                                 /*floor_bytes=*/0);
-    if (probe.bytes() < est_sweep_bytes) {
+    MemoryGrant probe = scope->AcquireShrinkable(requests.sweep);
+    if (probe.bytes() < requests.sweep.bytes) {
       probe.Release();
-      const size_t budget = std::max<size_t>(1, scope->budget());
-      const uint32_t units = static_cast<uint32_t>(std::clamp<uint64_t>(
-          (2 * est_sweep_bytes + budget - 1) / budget, 2, 512));
-      return SSSJStripJoin(a, b, units, disk, options, sink, scope.get());
+      return SSSJStripJoin(
+          a, b, SSSJStripCount(requests.sweep.bytes, scope->budget()), disk,
+          options, sink, scope.get());
     }
     // Released here so the sort phase gets the whole budget (both
     // sorters at memory/2, also in the fused path where they are alive
@@ -82,15 +96,14 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   if (options.fuse_merge_sweep) {
     // The sorters' run grants are released before the sweep acquires its
     // own; the merge readers keep only their small blocks.
-    const size_t half = options.memory_bytes / 2;
     std::vector<StreamRange> ra, rb;
     {
-      ExternalSorter<RectF, OrderByYLo> sorter_a(half, runs_a.get(),
-                                                 OrderByYLo(), scope.get(),
-                                                 sort_config);
-      ExternalSorter<RectF, OrderByYLo> sorter_b(half, runs_b.get(),
-                                                 OrderByYLo(), scope.get(),
-                                                 sort_config);
+      ExternalSorter<RectF, OrderByYLo> sorter_a(requests.sort.bytes,
+                                                 runs_a.get(), OrderByYLo(),
+                                                 scope.get(), sort_config);
+      ExternalSorter<RectF, OrderByYLo> sorter_b(requests.sort.bytes,
+                                                 runs_b.get(), OrderByYLo(),
+                                                 scope.get(), sort_config);
       // Run formation cuts an input into ceil(count / RunCapacity())
       // runs; the fused merge reads them all at once.
       auto one_pass = [](const ExternalSorter<RectF, OrderByYLo>& sorter,
@@ -107,14 +120,15 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
       }
     }
     if (fused) {
-      MemoryGrant sweep_grant = scope->AcquireShrinkable(
-          grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
+      MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
       MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
                                                 /*block_pages=*/8);
       MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
                                                 /*block_pages=*/8);
       sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
                                       source_a, source_b, emit);
+      SJ_RETURN_IF_ERROR(source_a.status());
+      SJ_RETURN_IF_ERROR(source_b.status());
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
   }
@@ -126,19 +140,20 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     SJ_ASSIGN_OR_RETURN(
         StreamRange sa,
         SortRectsByYLo(a.range, runs_a.get(), sorted_a.get(),
-                       options.memory_bytes / 2, scope.get(), sort_config,
+                       requests.sort.bytes, scope.get(), sort_config,
                        &sort_stats));
     SJ_ASSIGN_OR_RETURN(
         StreamRange sb,
         SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
-                       options.memory_bytes / 2, scope.get(), sort_config,
+                       requests.sort.bytes, scope.get(), sort_config,
                        &sort_stats));
-    MemoryGrant sweep_grant = scope->AcquireShrinkable(
-        grants::kSweep, est_sweep_bytes, /*floor_bytes=*/0);
+    MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
     StreamReader<RectF> source_a(sa.pager, sa.first_page, sa.count);
     StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
     sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
                                     source_a, source_b, emit);
+    SJ_RETURN_IF_ERROR(source_a.status());
+    SJ_RETURN_IF_ERROR(source_b.status());
     sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
   }
 
@@ -164,8 +179,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
 
   MemoryGrant writer_grant;
   const uint32_t writer_block_pages =
-      GrantWriterBlocks(scope.get(), grants::kStripWriters,
-                        size_t{2} * map.strips(), 4, &writer_grant);
+      SSSJStripWriters(map.strips()).Grant(scope.get(), &writer_grant);
   SJ_ASSIGN_OR_RETURN(
       PartitionedJoin join,
       PartitionedJoin::Distribute(
@@ -183,6 +197,8 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   const SortConfig strip_sort_config = UnitSortConfig(options);
   auto join_strip = [&](uint64_t s, PartitionUnit& unit,
                         JoinSink* out) -> Status {
+    const SSSJGrants requests = SSSJGrantRequests(
+        options.memory_bytes, unit.inputs[0].count + unit.inputs[1].count);
     SJ_ASSIGN_OR_RETURN(auto scratch, MakePager(storage, unit.disk.get(),
                                                 "sssj.strip.scratch"));
     SJ_ASSIGN_OR_RETURN(auto sorted, MakePager(storage, unit.disk.get(),
@@ -190,17 +206,14 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
     SJ_ASSIGN_OR_RETURN(
         StreamRange sa,
         SortRectsByYLo(unit.inputs[0], scratch.get(), sorted.get(),
-                       options.memory_bytes / 2, unit.memory.get(),
+                       requests.sort.bytes, unit.memory.get(),
                        strip_sort_config, &unit.sort_stats));
     SJ_ASSIGN_OR_RETURN(
         StreamRange sb,
         SortRectsByYLo(unit.inputs[1], scratch.get(), sorted.get(),
-                       options.memory_bytes / 2, unit.memory.get(),
+                       requests.sort.bytes, unit.memory.get(),
                        strip_sort_config, &unit.sort_stats));
-    MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(
-        grants::kSweep,
-        EstimateSweepBytes(unit.inputs[0].count + unit.inputs[1].count),
-        /*floor_bytes=*/0);
+    MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(requests.sweep);
     StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
     StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
     auto emit = [&](const RectF& ra, const RectF& rb) {
@@ -217,6 +230,8 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
         options.stream_sweep, map.Strip(static_cast<uint32_t>(s), extent),
         SweepStrips(sa.count + sb.count, options.striped_strips), reader_a,
         reader_b, emit);
+    SJ_RETURN_IF_ERROR(reader_a.status());
+    SJ_RETURN_IF_ERROR(reader_b.status());
     unit.max_bytes = sweep_stats.max_structure_bytes;
     unit.sweep_strips = sweep_stats.strips;
     unit.strips_collapsed = sweep_stats.strips_collapsed;

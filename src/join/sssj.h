@@ -3,6 +3,7 @@
 
 #include "io/disk_model.h"
 #include "join/join_types.h"
+#include "join/partitioned.h"
 #include "util/result.h"
 
 namespace sj {
@@ -55,10 +56,26 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
 /// Conservative estimate of a plane sweep's peak active-set bytes over
 /// `records` inputs: the square-root rule the paper verifies on real
 /// data (Table 3), padded by a generous safety factor. Sizes the sweep
-/// grant (here and in PlanJoinMemory, so Explain() reports the grant
-/// the executor acquires) and triggers the strip spill when it exceeds
-/// the grantable memory.
+/// grant (SSSJGrantRequests) and triggers the strip spill when it
+/// exceeds the grantable memory.
 size_t EstimateSweepBytes(uint64_t records);
+
+/// SSSJ's grant requests over `records` records under a `memory_bytes`
+/// budget: each input's sort takes half of it (the fused merge holds
+/// both sorts at once), the sweep EstimateSweepBytes. SSSJJoin and each
+/// strip unit acquire through it, and Explain replays it
+/// (PlanJoinMemory).
+struct SSSJGrants {
+  GrantRequest sort;
+  GrantRequest sweep;
+};
+SSSJGrants SSSJGrantRequests(size_t memory_bytes, uint64_t records);
+
+/// The strip fallback's strip count when a `budget_bytes` arbiter grants
+/// less than a `sweep_bytes` sweep: enough that one strip's share fits,
+/// in [2, 512]; and the flush blocks of its distribution writers.
+uint32_t SSSJStripCount(size_t sweep_bytes, size_t budget_bytes);
+WriterBlocks SSSJStripWriters(uint32_t strips);
 
 /// Strips for a Striped-Sweep over `records` y-sorted inputs: ceil(2 *
 /// sqrt(records)), one strip per rectangle the square-root rule above

@@ -101,35 +101,38 @@ class STRunner {
   JoinSink* sink_;
 };
 
+constexpr size_t kMinPoolPages = 8;
+
 }  // namespace
+
+GrantRequest STPoolRequest(const JoinOptions& options, size_t budget_bytes) {
+  if (options.shared_buffer_pool != nullptr) return GrantRequest{};
+  // The budget cap never squeezes the request below the 8-frame floor;
+  // an explicitly smaller options.buffer_pool_pages is still honored
+  // (tests force re-reads with tiny pools).
+  const size_t requested = std::min<size_t>(
+      options.buffer_pool_pages * kPageSize,
+      std::max(budget_bytes - std::min(budget_bytes, size_t{2} * kPageSize),
+               kMinPoolPages * kPageSize));
+  return GrantRequest{grants::kBufferPool, requested,
+                      kMinPoolPages * kPageSize};
+}
 
 Result<JoinStats> STJoin(const RTree& a, const RTree& b, DiskModel* disk,
                          const JoinOptions& options, JoinSink* sink,
                          MemoryArbiter* arbiter) {
   const ArbiterScope scope(arbiter, options);
-  // Two pool modes. Standalone: build a private pool whose frames are a
-  // grant — the requested capacity shrinks to the budget (minus a small
-  // reserve for the per-node entry lists), with an 8-frame floor so
-  // traversal always makes progress. Service: read through the shared
-  // process-wide pool, whose frames are global state outside this query's
-  // budget (the service sizes it once); traffic is attributed to this
-  // query's stats client.
-  constexpr size_t kMinPoolPages = 8;
+  // Two pool modes. Standalone: a private pool whose frames are a grant
+  // (STPoolRequest). Service: the shared process-wide pool, whose frames
+  // are global state outside this query's budget (the service sizes it
+  // once); traffic is attributed to this query's stats client.
   std::unique_ptr<BufferPool> owned_pool;
   MemoryGrant pool_grant;
   BufferPool* pool = options.shared_buffer_pool;
   uint32_t client = options.buffer_pool_client;
   if (pool == nullptr) {
-    const size_t budget = scope->budget();
-    // The budget cap never squeezes the request below the 8-frame floor;
-    // an explicitly smaller options.buffer_pool_pages is still honored
-    // (tests force re-reads with tiny pools).
-    const size_t requested = std::min<size_t>(
-        options.buffer_pool_pages * kPageSize,
-        std::max(budget - std::min(budget, size_t{2} * kPageSize),
-                 kMinPoolPages * kPageSize));
-    pool_grant = scope->AcquireShrinkable(grants::kBufferPool, requested,
-                                          kMinPoolPages * kPageSize);
+    pool_grant =
+        scope->AcquireShrinkable(STPoolRequest(options, scope->budget()));
     owned_pool = std::make_unique<BufferPool>(
         std::max<size_t>(1, pool_grant.bytes() / kPageSize));
     pool = owned_pool.get();

@@ -160,7 +160,6 @@ void AggregateByCellOp::Apply(uint64_t cell, double v) {
     grid_[static_cast<size_t>(cell)] += v;
   } else {
     spill_writer_->Append(CellDelta{cell, v});
-    spilled_deltas_++;
   }
 }
 
@@ -244,6 +243,7 @@ Status AggregateByCellOp::Finish() {
         grid_[static_cast<size_t>(d->cell) -
               static_cast<size_t>(band_begin) * nx_] += d->value;
       }
+      SJ_RETURN_IF_ERROR(reader.status());
     }
     EmitBand(band_begin, band_end);
   }
@@ -401,7 +401,7 @@ Status WindowScan::Scan(const RecordVisitor& visit) {
       visit(*r);
     }
   }
-  return Status::OK();
+  return reader.status();
 }
 
 Status WindowScan::Run(RowSink* out) {

@@ -102,6 +102,7 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
     if (i % kPerPage == 0) resolver->page_first_ids_.push_back(r->id);
     i++;
   }
+  SJ_RETURN_IF_ERROR(reader.status());
   resolver->page_buf_.resize(kPageSize);
   resolver->grant_.NoteUsage(resolver->page_first_ids_.size() *
                                  sizeof(ObjectId) +
@@ -118,6 +119,7 @@ Status RectResolver::LoadTable(const JoinInput& input) {
     StreamReader<RectF> reader(ref.range.pager, ref.range.first_page,
                                ref.range.count);
     while (std::optional<RectF> r = reader.Next()) records_.push_back(*r);
+    SJ_RETURN_IF_ERROR(reader.status());
   }
   // Slots hold position + 1 in 32 bits, and the mask must fit them too.
   SJ_CHECK(records_.size() < (size_t{1} << 31))

@@ -29,14 +29,11 @@ class ChunkedRefinement {
       devices_.push_back(disk_.RegisterDevice("refine." + std::to_string(k)));
     }
     const size_t per_candidate = RefineBytesPerCandidate(stores_.size());
-    constexpr size_t kFixed = FeatureStore::kFetchFixedBytes;
-    const size_t floor = kFixed + kMinRefineChunk * per_candidate;
     grant_ = scope_->AcquireShrinkable(
-        grants::kRefineBatch,
-        std::max(RefineGrantBytes(scope_->budget()), floor), floor);
+        RefineGrantRequest(scope_->budget(), stores_.size()));
     chunk_ = std::min(candidates,
                       RefineChunkCandidates(grant_.bytes(), per_candidate));
-    grant_.NoteUsage(kFixed + chunk_ * per_candidate);
+    grant_.NoteUsage(FeatureStore::kFetchFixedBytes + chunk_ * per_candidate);
   }
 
   /// Candidates per chunk (the last chunk may hold fewer).
@@ -103,6 +100,13 @@ class ChunkedRefinement {
 };
 
 }  // namespace
+
+GrantRequest RefineGrantRequest(size_t budget_bytes, size_t stores) {
+  const size_t floor = FeatureStore::kFetchFixedBytes +
+                       kMinRefineChunk * RefineBytesPerCandidate(stores);
+  return GrantRequest{grants::kRefineBatch,
+                      std::max(RefineGrantBytes(budget_bytes), floor), floor};
+}
 
 Result<RefineStats> RefinePairs(const std::vector<IdPair>& candidates,
                                 const FeatureStore& store_a,

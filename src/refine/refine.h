@@ -33,12 +33,18 @@ inline constexpr uint64_t kMinRefineChunk = 64;
 /// the work split never depends on the thread count.
 inline constexpr uint64_t kRefineSliceCandidates = 4096;
 
-/// The "refine.batch" grant refinement requests from an arbiter with a
-/// budget of `budget_bytes`: a quarter of it. PlanJoinMemory plans the
-/// same line.
+/// The bytes refinement asks of an arbiter with a budget of
+/// `budget_bytes`: a quarter of it.
 constexpr size_t RefineGrantBytes(size_t budget_bytes) {
   return budget_bytes / 4;
 }
+
+/// The "refine.batch" grant refinement over `stores` inputs requests from
+/// an arbiter with a budget of `budget_bytes`: RefineGrantBytes, never
+/// below one kMinRefineChunk chunk beside FetchBatch's fixed scratch,
+/// which is also its floor. RefinePairs and RefineTuples acquire through
+/// it, and Explain replays it (PlanJoinMemory).
+GrantRequest RefineGrantRequest(size_t budget_bytes, size_t stores);
 
 /// Candidates one chunk holds under a `grant_bytes` grant: what fits
 /// beside FeatureStore::FetchBatch's fixed scratch (its page buffer) at

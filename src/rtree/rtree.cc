@@ -39,6 +39,7 @@ Result<RectF> ComputeStreamExtent(const StreamRange& input) {
     }
     extent.ExtendTo(*r);
   }
+  SJ_RETURN_IF_ERROR(reader.status());
   extent.id = 0;
   return extent;
 }
@@ -173,6 +174,7 @@ Result<RTree> RTree::BulkLoadHilbert(Pager* tree_pager,
       writer.Append(hr);
     }
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
+    SJ_RETURN_IF_ERROR(reader.status());
     keyed = StreamRange{scratch, first, n};
   }
 
@@ -191,6 +193,7 @@ Result<RTree> RTree::BulkLoadHilbert(Pager* tree_pager,
     while (std::optional<HilbertRect> hr = reader.Next()) {
       SJ_RETURN_IF_ERROR(packer.Add(hr->rect));
     }
+    SJ_RETURN_IF_ERROR(reader.status());
     SJ_ASSIGN_OR_RETURN(leaf_count, packer.Finish());
   }
 

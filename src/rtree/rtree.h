@@ -71,6 +71,13 @@ class RTree {
                                        size_t memory_bytes,
                                        const SortConfig& sort_config =
                                            SortConfig());
+  /// The "rtree.bulkload" grant a query's bulk load asks of an arbiter
+  /// with `budget_bytes` for its `memory_bytes`: half of it, never below
+  /// the sort's floor.
+  static GrantRequest BulkLoadRequest(size_t budget_bytes) {
+    return GrantRequest{grants::kRTreeBulkLoad, budget_bytes / 2,
+                        RunLayout::kMinSortMemoryBytes};
+  }
 
   /// An empty dynamic tree (a single empty leaf as root).
   static Result<RTree> CreateEmpty(Pager* tree_pager,

@@ -34,6 +34,13 @@ struct StreamRange {
   uint64_t count = 0;
 };
 
+/// The "sort.runs" grant an ExternalSorter with a `memory_bytes` budget
+/// requests from its arbiter.
+inline GrantRequest SortGrantRequest(size_t memory_bytes) {
+  return GrantRequest{grants::kSortRuns, memory_bytes,
+                      RunLayout::kMinSortMemoryBytes};
+}
+
 /// External multiway mergesort, the sorting component of SSSJ and of the
 /// R-tree bulk loader.
 ///
@@ -86,8 +93,7 @@ class ExternalSorter {
                  const SortConfig& config = SortConfig())
       : scratch_(scratch), less_(less), config_(config) {
     if (arbiter != nullptr) {
-      grant_ = arbiter->AcquireShrinkable(grants::kSortRuns, memory_bytes,
-                                          RunLayout::kMinSortMemoryBytes);
+      grant_ = arbiter->AcquireShrinkable(SortGrantRequest(memory_bytes));
       memory_bytes = grant_.bytes();
     }
     layout_ = RunLayout::For(memory_bytes, sizeof(T));
@@ -223,7 +229,7 @@ class ExternalSorter {
       }
       if (!rec.has_value()) break;
     }
-    return Status::OK();
+    return reader.status();
   }
 
   /// One run formed off the coordinator thread.
@@ -427,6 +433,7 @@ class ExternalSorter {
       tree.ReplaceTop(readers[source]->Next());
     }
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
+    for (const auto& reader : readers) SJ_RETURN_IF_ERROR(reader->status());
     return StreamRange{output, first, n};
   }
 
@@ -490,6 +497,12 @@ class MergingReader {
     T out = tree_->Top();
     tree_->ReplaceTop(readers_[source]->Next());
     return out;
+  }
+
+  /// The first read error among the runs (a failed run ends early).
+  Status status() const {
+    for (const auto& reader : readers_) SJ_RETURN_IF_ERROR(reader->status());
+    return Status::OK();
   }
 
  private:

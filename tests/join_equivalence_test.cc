@@ -403,8 +403,9 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
 // The memory-budget dimension (the MemoryArbiter acceptance property):
 // every algorithm at every budget of the ladder — 256 KB, 1 MB, the
 // 24 MB default — produces output identical to the default-budget run,
-// across 1 and 8 threads; and the reported peak_memory_bytes stays
-// within the granted budget for every algorithm on every workload.
+// across 1 and 8 threads; the reported peak_memory_bytes stays within
+// the granted budget for every algorithm on every workload; and Explain
+// plans every grant the run was given.
 // Tiny budgets exercise the degradation paths (SSSJ strip spill, PBSM
 // writer-block shrink + overflow grants, the shrunken ST pool, smaller
 // refine chunks) which must all be invisible in the result set.
@@ -478,6 +479,21 @@ TEST(RandomizedDifferential, MemoryBudgetDimensionAgreesAndStaysInBudget) {
           EXPECT_GT(stats->peak_memory_bytes, 0u) << variant;
           EXPECT_LE(stats->peak_memory_bytes, budget) << variant;
           EXPECT_FALSE(stats->memory_components.empty()) << variant;
+          // Explain plans what the run was granted, the lines that follow
+          // unread data aside (JoinExplain.PlansWhatRunGrants).
+          auto plan = JoinQuery(joiner)
+                          .Input(ia)
+                          .Input(ib)
+                          .Algorithm(algo)
+                          .MemoryBytes(budget)
+                          .Threads(threads)
+                          .Explain();
+          ASSERT_TRUE(plan.ok()) << variant << ": "
+                                 << plan.status().ToString();
+          SCOPED_TRACE(variant);
+          testing_util::ExpectPlanIsRunGrants(
+              plan->memory, stats->memory_components,
+              testing_util::DataDependentGrants(*stats));
         }
       }
     }

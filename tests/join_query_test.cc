@@ -1,8 +1,15 @@
 // The JoinQuery surface itself: builder validation (refine
 // misconfiguration is a real error with an actionable message, predicate
 // rules, index bounds), the executor registry, CPU accounting of the
-// compile step, Describe() output, and the basic semantics of the
-// distance and containment predicates on small hand-checkable inputs.
+// compile step, Describe() output, Explain's memory plan against the
+// run's grants, and the basic semantics of the distance and containment
+// predicates on small hand-checkable inputs.
+//
+// Explain plans every grant line a run is granted, at the run's
+// high-water mark, except the lines that follow data the plan has not
+// read: PBSM's `pbsm.partition` (a partition pair's load, planned at its
+// cap), an overflowing PBSM partition's `sort.runs` and `sweep`, and a
+// strip's `sweep` under SSSJ's strip fallback (DataDependentGrants).
 
 #include <gtest/gtest.h>
 
@@ -21,6 +28,8 @@
 namespace sj {
 namespace {
 
+using testing_util::DataDependentGrants;
+using testing_util::ExpectPlanIsRunGrants;
 using testing_util::MakeDataset;
 using testing_util::Sorted;
 using testing_util::TestDisk;
@@ -589,6 +598,87 @@ TEST(JoinQueryMemory, DistanceExpansionStaysWithinItsGrants) {
       EXPECT_LE(c.used_high_water, c.granted_high_water) << c.component;
     }
     EXPECT_EQ(got, want);
+  }
+}
+
+// Explain's memory plan is the run's: every line equals the run's granted
+// high-water mark and the run is granted no line the plan leaves out,
+// apart from the data-dependent lines named in the header. Every
+// algorithm, filter only and refining, from the least budget a query
+// accepts to the default: at 200,000 records per input SSSJ falls back to
+// strips at 64 KiB, and PBSM's partitions overflow there.
+TEST(JoinExplain, PlansWhatRunGrants) {
+  for (const uint64_t n : {uint64_t{20000}, uint64_t{200000}}) {
+    TestDisk td;
+    std::vector<std::unique_ptr<Pager>> keep;
+    const RectF region(0, 0, 1000, 1000);
+    const std::vector<RectF> ra = UniformRects(n, region, 1.0f, 1);
+    const std::vector<RectF> rb = UniformRects(n, region, 1.0f, 2);
+    const DatasetRef da = MakeDataset(&td, ra, "a", &keep);
+    const DatasetRef db = MakeDataset(&td, rb, "b", &keep);
+    const std::unique_ptr<RTree> ta = BulkLoad(&td, da, &keep);
+    const std::unique_ptr<RTree> tb = BulkLoad(&td, db, &keep);
+    keep.push_back(td.NewPager("geom.a"));
+    auto store_a = FeatureStore::Build(keep.back().get(), SegmentsForRects(ra),
+                                       "a");
+    keep.push_back(td.NewPager("geom.b"));
+    auto store_b = FeatureStore::Build(keep.back().get(), SegmentsForRects(rb),
+                                       "b");
+    ASSERT_TRUE(store_a.ok() && store_b.ok());
+    GridHistogram hist_a(region, 64, 64), hist_b(region, 64, 64);
+    for (const RectF& r : ra) hist_a.Add(r);
+    for (const RectF& r : rb) hist_b.Add(r);
+    SpatialJoiner joiner(&td.disk, JoinOptions());
+
+    struct Case {
+      const char* name;
+      JoinAlgorithm algorithm;
+      JoinInput a, b;
+      bool fused = false;
+      bool histograms = false;
+    };
+    const JoinInput sa = JoinInput::FromStream(da);
+    const JoinInput sb = JoinInput::FromStream(db);
+    const JoinInput tree_a = JoinInput::FromRTree(ta.get());
+    const JoinInput tree_b = JoinInput::FromRTree(tb.get());
+    const std::vector<Case> cases = {
+        {"SSSJ", JoinAlgorithm::kSSSJ, sa, sb},
+        {"SSSJ fused", JoinAlgorithm::kSSSJ, sa, sb, /*fused=*/true},
+        {"PBSM", JoinAlgorithm::kPBSM, sa, sb},
+        {"PBSM, histograms", JoinAlgorithm::kPBSM, sa, sb, false, true},
+        {"PQ tree x stream", JoinAlgorithm::kPQ, tree_a, sb},
+        {"PQ tree x tree", JoinAlgorithm::kPQ, tree_a, tree_b},
+        {"ST", JoinAlgorithm::kST, tree_a, tree_b},
+    };
+    for (const size_t budget : {kMinMemoryBytes, size_t{256} << 10,
+                                size_t{4} << 20, size_t{24} << 20}) {
+      for (const Case& c : cases) {
+        for (const bool refine : {false, true}) {
+          SCOPED_TRACE(std::string(c.name) + (refine ? ", refine" : "") +
+                       ", " + std::to_string(n) + " records, budget " +
+                       std::to_string(budget));
+          JoinQuery q(joiner);
+          q.Input(c.a)
+              .Input(c.b)
+              .Algorithm(c.algorithm)
+              .MemoryBytes(budget)
+              .FuseMergeSweep(c.fused)
+              .Refine(refine);
+          if (c.histograms) {
+            q.WithHistogram(0, &hist_a).WithHistogram(1, &hist_b);
+          }
+          if (refine) q.WithFeatures(0, &*store_a).WithFeatures(1, &*store_b);
+          auto plan = q.Explain();
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          CountingSink sink;
+          auto stats = q.Run(&sink);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          EXPECT_EQ(stats->algorithm, plan->algorithm);
+          ExpectPlanIsRunGrants(plan->memory, stats->memory_components,
+                                DataDependentGrants(*stats));
+        }
+      }
+    }
   }
 }
 

@@ -84,9 +84,11 @@ TEST(PartitionPlanner, WriterBlocksScaleWithTheMemoryBudget) {
   large.memory_bytes = 24u << 20;
   const auto plan_small = PartitionPlanner::Plan(extent, hist, hist, small);
   const auto plan_large = PartitionPlanner::Plan(extent, hist, hist, large);
-  EXPECT_GE(plan_small->writer_block_pages(), 4u);
-  EXPECT_GT(plan_large->writer_block_pages(),
-            plan_small->writer_block_pages());
+  const uint32_t blocks_small =
+      PbsmWriterBlockPages(small.memory_bytes, plan_small->partitions());
+  EXPECT_GE(blocks_small, 4u);
+  EXPECT_GT(PbsmWriterBlockPages(large.memory_bytes, plan_large->partitions()),
+            blocks_small);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@
 // top-k, standalone and composed over a spatial join. Count aggregation
 // and the top-k total order are arrival-order independent, so every
 // configuration must produce the *same* rows, not merely equivalent
-// ones. At the default budget, Explain must plan the operator grants
-// each run was given. Each test runs fixed seeds;
+// ones. At every budget Explain must plan the operator grants each run
+// was given, and outside a window the join's sort, strip-writer and
+// refinement grants too. Each test runs fixed seeds;
 // SJ_DIFF_SEED and SJ_DIFF_WORKLOADS replace them (see Seeds()), and
 // SJ_DIFF_MEMORY=tiny adds the smallest budget to the sweep (Budgets()).
 
@@ -239,16 +240,23 @@ std::string ReplayLine(uint64_t seed) {
   return "replay with SJ_DIFF_SEED=" + std::to_string(seed);
 }
 
-/// At the default budget, Explain plans the operator grants the run was
-/// given: op.aggregate and op.topk each equal the run's granted
-/// high-water mark (0 on both sides when the pipeline has none).
-void ExpectExplainPlansRunGrants(PipelineQuery& q, const Config& cfg,
+/// Explain plans the grants the run was given: op.aggregate and op.topk
+/// each equal the run's granted high-water mark (0 on both sides when the
+/// pipeline has none), and so do the join's sort.runs, sssj.writers and
+/// refine.batch outside a window, where the join's inputs are the ones
+/// Explain plans over.
+void ExpectExplainPlansRunGrants(PipelineQuery& q, bool windowed,
                                  const PipelineStats& stats) {
-  if (cfg.memory_bytes != JoinOptions().memory_bytes) return;
   auto plan = q.Explain();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  for (const char* component :
-       {grants::kOpAggregate, grants::kOpTopK}) {
+  std::vector<const char*> components = {grants::kOpAggregate,
+                                         grants::kOpTopK};
+  if (!windowed) {
+    components.insert(components.end(), {grants::kSortRuns,
+                                         grants::kStripWriters,
+                                         grants::kRefineBatch});
+  }
+  for (const char* component : components) {
     size_t granted = 0;
     for (const MemoryComponentStats& c : stats.memory_components) {
       if (c.component == component) granted = c.granted_high_water;
@@ -297,7 +305,7 @@ TEST(PipelineDifferential, WindowScanAcrossConfigurations) {
         ASSERT_TRUE(stats.ok()) << stats.status().ToString();
         EXPECT_EQ(SortedByIds(sink.rows()), expected);
         EXPECT_EQ(stats->output_count, expected.size());
-        ExpectExplainPlansRunGrants(q, cfg, *stats);
+        ExpectExplainPlansRunGrants(q, /*windowed=*/true, *stats);
       }
     }
   }
@@ -356,7 +364,7 @@ TEST(PipelineDifferential, JoinAggregateAcrossConfigurations) {
       } else {
         EXPECT_EQ(sink.rows(), *reference);
       }
-      ExpectExplainPlansRunGrants(q, cfg, *stats);
+      ExpectExplainPlansRunGrants(q, /*windowed=*/true, *stats);
       // Default-budget runs stay within their arbiter budget (tight
       // budgets may be floored above the request by design).
       if (cfg.memory_bytes >= (24u << 20)) {
@@ -401,7 +409,7 @@ TEST(PipelineDifferential, JoinTopKAcrossConfigurations) {
       auto stats = q.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(sink.rows(), expected);
-      ExpectExplainPlansRunGrants(q, cfg, *stats);
+      ExpectExplainPlansRunGrants(q, /*windowed=*/false, *stats);
     }
   }
 }
@@ -453,7 +461,7 @@ TEST(PipelineDifferential, FullComposeAcrossConfigurations) {
       auto stats = q.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(sink.rows(), expected);
-      ExpectExplainPlansRunGrants(q, cfg, *stats);
+      ExpectExplainPlansRunGrants(q, /*windowed=*/true, *stats);
     }
   }
 }

@@ -857,6 +857,46 @@ TEST(PipelineExplain, PlansWhatRunGrants) {
       EXPECT_EQ(planned, granted) << plan->memory.Describe();
     }
   }
+
+  // The join's lines follow what the operators and the rect maps leave:
+  // two unwindowed 50,000-record streams under a small and a large
+  // aggregate. The large one leaves SSSJ too little for one sweep at
+  // 512 KiB and 1 MiB, so it falls back to strips, whose sweeps follow
+  // each strip's records.
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  std::vector<JoinInput> big;
+  for (uint64_t seed : {1, 2}) {
+    big.push_back(JoinInput::FromStream(MakeDataset(
+        &td, UniformRects(50000, RectF(0, 0, 1000, 1000), 2.0f, seed),
+        "big" + std::to_string(seed), &keep)));
+  }
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  for (const size_t budget : {size_t{512} << 10, size_t{1} << 20,
+                              size_t{4} << 20}) {
+    for (const uint32_t cells : {32u, 256u}) {
+      SCOPED_TRACE(std::to_string(cells) + "x" + std::to_string(cells) +
+                   ", budget " + std::to_string(budget));
+      auto build = [&](PipelineQuery& q) {
+        q.Input(big[0]).Input(big[1]).MemoryBytes(budget).AggregateByCell(
+            AggregateMode::kCount, cells, cells);
+      };
+      PipelineQuery explained(joiner), ran(joiner);
+      build(explained);
+      build(ran);
+      auto plan = explained.Explain();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      CountingRowSink sink;
+      auto stats = ran.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      std::vector<std::string> exempt;
+      if (plan->memory.GrantFor(grants::kStripWriters) > 0) {
+        exempt.push_back(grants::kSweep);
+      }
+      testing_util::ExpectPlanIsRunGrants(plan->memory,
+                                          stats->memory_components, exempt);
+    }
+  }
 }
 
 // Each node reports the rows it emits, as a source does: the Filter a
@@ -1164,6 +1204,95 @@ TEST(LeafScanFaults, EveryReaderEndsInIoError) {
     EXPECT_EQ(served.code(), StatusCode::kIoError) << served.ToString();
     EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
     faults->fail_reads = false;
+    const Status healthy = reader.run(&service);
+    EXPECT_TRUE(healthy.ok()) << healthy.ToString();
+    EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+  }
+}
+
+// A stream whose reads fail after it is written: every plan that reads
+// it ends in the read's IoError instead of aborting, alone and through a
+// 2-worker service whose arbiter then holds nothing. Then the same
+// queries run.
+TEST(StreamReadFaults, EveryReaderEndsInIoError) {
+  SparseStreams s(3);
+  auto failing = std::make_unique<FailingBackend>();
+  FailingBackend* faults = failing.get();
+  Pager faulty_pager(std::move(failing), &s.td.disk, "stream.faulty");
+  StreamWriter<RectF> writer(&faulty_pager);
+  const PageId first = writer.first_page();
+  for (const RectF& r : UniformRects(s.kRecords, RectF(0, 0, 1000, 1000),
+                                     4.0f, /*seed=*/1)) {
+    writer.Append(r);
+  }
+  auto written = writer.Finish();
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  DatasetRef faulty_ref;
+  faulty_ref.range = StreamRange{&faulty_pager, first, *written};
+  const JoinInput faulty = JoinInput::FromStream(faulty_ref);
+  s.keep.push_back(s.td.NewPager("tree"));
+  Pager* tree_pager = s.keep.back().get();
+  s.keep.push_back(s.td.NewPager("scratch"));
+  auto tree = RTree::BulkLoadHilbert(tree_pager, s.inputs[1].stream().range,
+                                     s.keep.back().get(), RTreeParams(),
+                                     1 << 22);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+
+  auto join = [&](JoinAlgorithm algorithm, const JoinInput& other) {
+    return [&, algorithm, other](SpatialService* service) {
+      JoinQuery q(*s.joiner);
+      q.Input(faulty).Input(other).Algorithm(algorithm);
+      CountingSink sink;
+      return service == nullptr ? q.Run(&sink).status()
+                                : service->Run(q, &sink).status();
+    };
+  };
+  auto pipeline = [&](bool windowed, size_t inputs) {
+    return [&, windowed, inputs](SpatialService* service) {
+      PipelineQuery q(*s.joiner);
+      q.Input(faulty);
+      for (size_t i = 1; i < inputs; ++i) q.Input(s.inputs[i]);
+      if (windowed) q.Window(RectF(100, 100, 500, 600));
+      CountingRowSink sink;
+      return service == nullptr ? q.Run(&sink).status()
+                                : service->Run(q, &sink).status();
+    };
+  };
+  struct Reader {
+    const char* name;
+    std::function<Status(SpatialService*)> run;
+  };
+  const std::vector<Reader> readers = {
+      {"SSSJ", join(JoinAlgorithm::kSSSJ, s.inputs[1])},
+      {"PBSM", join(JoinAlgorithm::kPBSM, s.inputs[1])},
+      {"PQ, stream side", join(JoinAlgorithm::kPQ,
+                               JoinInput::FromRTree(&*tree))},
+      {"windowed pipeline", pipeline(/*windowed=*/true, 2)},
+      // Standalone, the k-way JoinQuery; through the service, the k-way
+      // pipeline (the service schedules pairwise queries and pipelines).
+      {"k-way chain",
+       [&](SpatialService* service) {
+         if (service != nullptr) return pipeline(false, 3)(service);
+         JoinQuery q(*s.joiner);
+         q.Input(faulty).Input(s.inputs[1]).Input(s.inputs[2]);
+         CountingTupleSink sink;
+         return q.Run(static_cast<TupleSink*>(&sink)).status();
+       }},
+  };
+
+  ServiceOptions options;
+  options.worker_threads = 2;
+  SpatialService service(options);
+  for (const Reader& reader : readers) {
+    SCOPED_TRACE(reader.name);
+    faults->fail_reads = true;
+    const Status alone = reader.run(nullptr);
+    EXPECT_EQ(alone.code(), StatusCode::kIoError) << alone.ToString();
+    const Status served = reader.run(&service);
+    EXPECT_EQ(served.code(), StatusCode::kIoError) << served.ToString();
+    EXPECT_EQ(service.global_arbiter()->in_use(), 0u);
+    faults->fail_reads = false;
+    EXPECT_TRUE(reader.run(nullptr).ok());
     const Status healthy = reader.run(&service);
     EXPECT_TRUE(healthy.ok()) << healthy.ToString();
     EXPECT_EQ(service.global_arbiter()->in_use(), 0u);

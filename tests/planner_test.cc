@@ -129,10 +129,19 @@ TEST(Planner, TightBudgetShiftsCrossoverTowardTheIndex) {
   EXPECT_GT(constrained.stream_cost_seconds,
             comfortable.stream_cost_seconds);
 
-  // Both decisions carry the chosen algorithm's grant breakdown.
-  EXPECT_EQ(comfortable.memory.GrantFor(grants::kSortRuns),
+  // Explaining either join reports the chosen algorithm's grants.
+  auto explained = JoinQuery(joiner).Input(a).Input(b).Explain();
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->memory.GrantFor(grants::kSortRuns),
             JoinOptions().memory_bytes / 2);
-  EXPECT_GT(constrained.memory.GrantFor(grants::kPqQueue), 0u);
+  explained = JoinQuery(joiner)
+                  .Input(a)
+                  .Input(b)
+                  .MemoryBytes(kMinMemoryBytes)
+                  .Explain();
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_EQ(explained->algorithm, JoinAlgorithm::kPQ);
+  EXPECT_GT(explained->memory.GrantFor(grants::kPqQueue), 0u);
 }
 
 TEST(Planner, HistogramsRefineTheExtentOnlyEstimate) {

@@ -1,5 +1,7 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
 #include "geometry/extent.h"
 
 namespace sj {
@@ -46,6 +48,41 @@ std::vector<IdPair> BruteForceExactPairs(const std::vector<RectF>& a,
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void ExpectPlanIsRunGrants(const MemoryPlan& plan,
+                           const std::vector<MemoryComponentStats>& run,
+                           const std::vector<std::string>& exempt) {
+  auto exempted = [&](const std::string& component) {
+    return std::find(exempt.begin(), exempt.end(), component) != exempt.end();
+  };
+  std::vector<std::string> planned, granted;
+  for (const MemoryGrantSpec& g : plan.grants) {
+    if (!exempted(g.component)) planned.push_back(g.component);
+  }
+  for (const MemoryComponentStats& m : run) {
+    if (exempted(m.component)) continue;
+    granted.push_back(m.component);
+    EXPECT_EQ(plan.GrantFor(m.component), m.granted_high_water)
+        << m.component << " in " << plan.Describe();
+  }
+  std::sort(planned.begin(), planned.end());
+  EXPECT_EQ(planned, granted) << plan.Describe();
+}
+
+std::vector<std::string> DataDependentGrants(const JoinStats& stats) {
+  std::vector<std::string> exempt;
+  if (stats.algorithm == JoinAlgorithm::kPBSM) {
+    exempt.push_back(grants::kPbsmPartition);
+    if (stats.partitions_overflowed > 0) {
+      exempt.push_back(grants::kSortRuns);
+      exempt.push_back(grants::kSweep);
+    }
+  } else if (stats.algorithm == JoinAlgorithm::kSSSJ &&
+             stats.partitions_total > 0) {
+    exempt.push_back(grants::kSweep);
+  }
+  return exempt;
 }
 
 }  // namespace testing_util

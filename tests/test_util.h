@@ -6,8 +6,10 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "core/memory_arbiter.h"
 #include "geometry/rect.h"
 #include "geometry/segment.h"
 #include "io/disk_model.h"
@@ -114,6 +116,20 @@ inline std::vector<IdPair> Sorted(std::vector<IdPair> pairs) {
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
+
+/// Explain's memory plan against a run's grants: every planned line
+/// equals the run's granted high-water mark for its component, and the
+/// run is granted no component the plan leaves out. `exempt` components
+/// are skipped on both sides: their grants follow data the plan has not
+/// read.
+void ExpectPlanIsRunGrants(const MemoryPlan& plan,
+                           const std::vector<MemoryComponentStats>& run,
+                           const std::vector<std::string>& exempt = {});
+
+/// The lines a pairwise join's run may grant apart from its plan, by what
+/// the run did: PBSM's partition loads, and an overflowing partition's
+/// sorts and sweep; a strip fallback's per-strip sweeps.
+std::vector<std::string> DataDependentGrants(const JoinStats& stats);
 
 }  // namespace testing_util
 }  // namespace sj
