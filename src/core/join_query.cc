@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "io/stream.h"
+#include "join/partition_plan.h"
+#include "join/pbsm.h"
 #include "refine/refine.h"
 #include "service/spatial_service.h"
 #include "util/timer.h"
@@ -164,10 +166,18 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
   for (const GridHistogram*& hist : plan.prune_histograms) hist = nullptr;
   if (plan_only) {
     // Explain reads no data: the expanded side is described by its count
-    // (ST's rebuilt tree too, whose grant PlanJoinMemory replays).
+    // (ST's rebuilt tree too, whose grant PlanJoinMemory replays), and an
+    // adaptive PBSM by the grid it plans over the histograms it now builds.
     expanded.range.count = original.count();
     plan.inputs[side] =
         JoinInput::FromStream(expanded).WithFeatures(original.features());
+    if (plan.decision.pbsm_adaptive) {
+      plan.decision.pbsm_partitions = PbsmPartitions(
+          plan.inputs[0].count() + plan.inputs[1].count(), plan.options);
+      plan.decision.pbsm_tiles_per_axis =
+          AdaptiveBaseTilesPerAxis(plan.decision.pbsm_partitions);
+      plan.decision.pbsm_leaf_tiles = 0;
+    }
     return Status::OK();
   }
 
@@ -181,22 +191,19 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
   auto expand = [&writer, eps](const RectF& r) {
     writer.Append(ExpandRectForDistance(r, eps));
   };
+  Status read;
   if (original.indexed()) {
     const RTree& tree = *original.rtree();
-    const Result<uint64_t> scanned =
-        tree.ScanLeaves(tree.bounding_box(), expand);
-    if (!scanned.ok()) {
-      writer.Abandon();
-      return scanned.status();
-    }
+    read = tree.ScanLeaves(tree.bounding_box(), expand).status();
   } else {
     const StreamRange& range = original.stream().range;
     StreamReader<RectF> reader(range.pager, range.first_page, range.count);
     while (std::optional<RectF> r = reader.Next()) expand(*r);
-    if (!reader.status().ok()) {
-      writer.Abandon();
-      return reader.status();
-    }
+    read = reader.status();
+  }
+  if (!read.ok()) {
+    writer.Abandon();
+    return read;
   }
   SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
   expanded.range = StreamRange{pager.get(), first, n};
@@ -283,18 +290,19 @@ Result<CompiledPlan> JoinQuery::Compile(bool multiway, bool plan_only) {
 
 Result<PlanDecision> JoinQuery::Explain() {
   MemoryArbiter scratch(spec_.options.memory_bytes);
-  SJ_ASSIGN_OR_RETURN(PlanDecision decision, ExplainOn(&scratch));
+  SJ_ASSIGN_OR_RETURN(PlanDecision decision,
+                      ExplainOn(&scratch, /*multiway=*/false));
   decision.memory = MemoryPlan::Of(scratch);
   return decision;
 }
 
-Result<PlanDecision> JoinQuery::ExplainOn(MemoryArbiter* arbiter) {
+Result<PlanDecision> JoinQuery::ExplainOn(MemoryArbiter* arbiter,
+                                          bool multiway) {
   // plan_only: validation + planning without the ε-expansion
   // materialization (the planner runs before the transform either way,
   // so the decision is exactly what Run would execute).
-  SJ_ASSIGN_OR_RETURN(
-      CompiledPlan plan,
-      Compile(/*multiway=*/spec_.inputs.size() > 2, /*plan_only=*/true));
+  SJ_ASSIGN_OR_RETURN(CompiledPlan plan,
+                      Compile(multiway, /*plan_only=*/true));
   PlanJoinMemory(plan, arbiter);
   return std::move(plan.decision);
 }

@@ -225,8 +225,8 @@ class JoinQuery : public QueryBuilder<JoinQuery> {
   /// Explain's body: the decision Run executes, with the run's grant
   /// requests replayed on `arbiter` (PlanJoinMemory) — a scratch arbiter
   /// of the query's budget, or a pipeline's after its operators and rect
-  /// maps. A k-way query (3+ inputs) replays the chain's requests.
-  Result<PlanDecision> ExplainOn(MemoryArbiter* arbiter);
+  /// maps. `multiway` compiles the k-way chain and replays its requests.
+  Result<PlanDecision> ExplainOn(MemoryArbiter* arbiter, bool multiway);
 
   /// Validation + input resolution. `multiway` selects the k-way rules
   /// (input count, predicate restrictions); `plan_only` (Explain) prices

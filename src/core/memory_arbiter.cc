@@ -49,6 +49,20 @@ void MemoryGrant::NoteUsage(size_t used_bytes) {
   arbiter_->NoteUsage(component_, bytes_, used_bytes);
 }
 
+bool MemoryGrant::TryGrow(size_t new_bytes) {
+  if (arbiter_ == nullptr) return false;
+  if (new_bytes <= bytes_) return true;
+  if (!arbiter_->TryGrow(component_, new_bytes - bytes_)) return false;
+  bytes_ = new_bytes;
+  return true;
+}
+
+void MemoryGrant::Shrink(size_t new_bytes) {
+  if (arbiter_ == nullptr || new_bytes >= bytes_) return;
+  arbiter_->Release(component_, bytes_ - new_bytes);
+  bytes_ = new_bytes;
+}
+
 void MemoryGrant::Release() {
   if (arbiter_ == nullptr) return;
   arbiter_->Release(component_, bytes_);
@@ -190,6 +204,13 @@ void MemoryArbiter::NoteUsage(const std::string& component,
         << used_bytes << " B above its " << granted_bytes << " B grant ("
         << budget_ << " B budget)";
   }
+}
+
+bool MemoryArbiter::TryGrow(const std::string& component, size_t delta) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (in_use_ + delta > budget_) return false;
+  AddLocked(component, delta);
+  return true;
 }
 
 MemoryPlan MemoryPlan::Of(const MemoryArbiter& arbiter) {

@@ -80,6 +80,15 @@ class MemoryGrant {
   /// allocation and aborts (SJ_CHECK). Thread-safe.
   void NoteUsage(size_t used_bytes);
 
+  /// Tries to grow the grant to `new_bytes` (no-op when already that
+  /// large); fails without side effects when the arbiter cannot cover the
+  /// difference.
+  bool TryGrow(size_t new_bytes);
+
+  /// Returns bytes above `new_bytes` to the arbiter (no-op when already
+  /// smaller).
+  void Shrink(size_t new_bytes);
+
   /// Releases the whole grant early (idempotent).
   void Release();
 
@@ -197,6 +206,7 @@ class MemoryArbiter {
   void Release(const std::string& component, size_t bytes);
   void NoteUsage(const std::string& component, size_t granted_bytes,
                  size_t used_bytes);
+  bool TryGrow(const std::string& component, size_t delta);
 
   const size_t budget_;
   const bool strict_;

@@ -400,7 +400,8 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     // The join Run executes, its grants replayed on what the operators
     // and the rect maps leave.
     SJ_ASSIGN_OR_RETURN(PlanDecision join,
-                        JoinOver(join_inputs).ExplainOn(&scratch));
+                        JoinOver(join_inputs)
+                            .ExplainOn(&scratch, join_inputs.size() > 2));
     if (inputs.size() == 2) {
       plan.join = std::move(join);
       plan.has_join = true;

@@ -80,8 +80,9 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
 
   // PBSM partitioning pre-plan, so Explain() reports the grid execution
   // would use: PBSMJoin's own map (PbsmPartitionMap) over the attached
-  // histograms (pure CPU) or the fixed grid; without histograms the base
-  // grid and the partition formula stand in. Replication and the
+  // histograms (pure CPU) or the fixed grid; without both histograms, the
+  // base grid and partitions (PbsmPartitions) PBSMJoin plans over the
+  // ones it builds. Replication and the
   // histogram-build pass are priced into pbsm_cost_seconds; the pass is
   // free when both histograms are attached. kAuto never picks PBSM, so
   // execution skips this.
@@ -98,9 +99,7 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
       decision.pbsm_partitions = grid->partitions();
       if (grid->adaptive()) decision.pbsm_leaf_tiles = grid->leaf_tiles();
     } else {
-      decision.pbsm_partitions = PbsmPartitionCount(
-          (a.count() + b.count()) * sizeof(RectF), options.memory_bytes,
-          PartitionPlannerConfig().partition_fill);
+      decision.pbsm_partitions = PbsmPartitions(a.count() + b.count(), options);
       decision.pbsm_tiles_per_axis =
           AdaptiveBaseTilesPerAxis(decision.pbsm_partitions);
       // The executor's on-the-fly build samples one block in

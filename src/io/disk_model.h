@@ -116,6 +116,17 @@ class DiskModel {
   /// Clears the aggregate and per-device counters (stream state is kept).
   void ResetStats();
 
+  /// Modeled cost (seconds) of one *random* single-page read; this is the
+  /// "average disk block read access time" used for the paper's estimated
+  /// running times (Figure 2(a)-(c)).
+  double RandomPageReadSeconds() const {
+    return (machine_.avg_access_ms + machine_.PageTransferMs(kPageSize)) * 1e-3;
+  }
+  /// Modeled cost (seconds) of one page read at peak streaming rate.
+  double SequentialPageReadSeconds() const {
+    return machine_.PageTransferMs(kPageSize) * 1e-3;
+  }
+
  private:
   struct Stream {
     uint32_t dev = 0;

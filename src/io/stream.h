@@ -2,6 +2,7 @@
 #define USJ_IO_STREAM_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -129,9 +130,10 @@ class StreamWriter {
 };
 
 /// Sequentially reads records written by a StreamWriter<T>. A failed
-/// block read ends the stream: Next() returns nullopt from then on and
-/// status() holds the error, which the reader's owner returns after its
-/// loop (checked once per block, never per record).
+/// block read ends the stream: Next() returns nullopt from then on, and
+/// the owner returns status() after its loop. A reader destroyed before
+/// status() returned its error aborts, so no caller that skips the check
+/// takes a truncated stream for the whole (see FirstReadError).
 template <typename T>
 class StreamReader {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -148,6 +150,12 @@ class StreamReader {
         block_pages_(block_pages),
         buffer_(block_pages * kPageSize) {
     SJ_CHECK(block_pages_ > 0);
+  }
+
+  ~StreamReader() {
+    SJ_CHECK(!unchecked_error_)
+        << "StreamReader destroyed with an unchecked read error:"
+        << status_.ToString();
   }
 
   StreamReader(const StreamReader&) = delete;
@@ -173,7 +181,10 @@ class StreamReader {
   uint64_t remaining() const { return remaining_; }
   bool Done() const { return remaining_ == 0; }
   /// The read error that ended the stream early, else OK.
-  const Status& status() const { return status_; }
+  const Status& status() const {
+    unchecked_error_ = false;
+    return status_;
+  }
 
  private:
   bool FillBlock() {
@@ -190,6 +201,7 @@ class StreamReader {
                               buffer_.data());
     if (!status_.ok()) {
       remaining_ = 0;
+      unchecked_error_ = true;
       return false;
     }
     pages_consumed_ += npages;
@@ -207,7 +219,20 @@ class StreamReader {
   uint64_t records_left_in_block_ = 0;
   uint32_t block_record_cursor_ = 0;
   Status status_;
+  mutable bool unchecked_error_ = false;
 };
+
+/// The first error among the status() of `readers` (pointers to readers
+/// or sorted sources), read from every one so that none aborts unchecked.
+template <typename Readers>
+Status FirstReadError(const Readers& readers) {
+  Status first;
+  for (const auto& reader : readers) {
+    const Status status = reader->status();
+    if (first.ok()) first = status;
+  }
+  return first;
+}
 
 }  // namespace sj
 

@@ -96,84 +96,76 @@ std::vector<std::pair<std::string, std::string>> PlanDecision::ToKeyValues()
 void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
   const JoinOptions& options = plan.options;
   const size_t budget = arbiter->budget();
-  const std::vector<JoinInput>& inputs = plan.inputs;
+  // The k-way chain makes PQ's requests, less the traversal queues.
+  const bool pairwise = plan.inputs.size() == 2;
+  const JoinAlgorithm algorithm =
+      pairwise ? plan.decision.algorithm : JoinAlgorithm::kPQ;
   uint64_t records = 0;
-  for (const JoinInput& input : inputs) records += input.count();
+  for (const JoinInput& input : plan.inputs) records += input.count();
   if (plan.predicate.kind == Predicate::kDistanceWithin &&
-      plan.decision.algorithm == JoinAlgorithm::kST) {
+      algorithm == JoinAlgorithm::kST) {
     arbiter->AcquireShrinkable(RTree::BulkLoadRequest(options.memory_bytes));
   }
-  if (inputs.size() > 2 || plan.decision.algorithm == JoinAlgorithm::kPQ) {
-    // PQ and the k-way chain: each stream input's sort in turn, then
-    // PQ's traversal queues and the sweep.
-    const PQGrants requests = PQGrantRequests(budget);
-    for (const JoinInput& input : inputs) {
-      if (input.kind() == JoinInput::Kind::kStream) {
-        arbiter->AcquireShrinkable(requests.sort);
-      }
-    }
-    const MemoryGrant queue = inputs.size() == 2
-                                  ? arbiter->AcquireShrinkable(requests.queue)
-                                  : MemoryGrant();
-    arbiter->AcquireShrinkable(requests.sweep);
-  } else {
-    switch (plan.decision.algorithm) {
-      case JoinAlgorithm::kAuto:
-      case JoinAlgorithm::kPQ:
-        break;
-      case JoinAlgorithm::kSSSJ: {
-        const SSSJGrants requests =
-            SSSJGrantRequests(options.memory_bytes, records);
-        if (arbiter->AcquireShrinkable(requests.sweep).bytes() <
-            requests.sweep.bytes) {
-          // The strip fallback: its writers, then every strip's sorts on
-          // a unit arbiter of the whole budget.
-          arbiter->AcquireShrinkable(
-              SSSJStripWriters(SSSJStripCount(requests.sweep.bytes, budget))
-                  .Request(budget));
-          MemoryArbiter unit(budget);
-          unit.AcquireShrinkable(requests.sort);
-          arbiter->FoldChild(unit);
-          break;
-        }
-        if (options.fuse_merge_sweep) {
-          // The fused merge's sorters are alive together. Whether their
-          // runs then fuse, or each input sorts again in turn, moves no
-          // high-water mark.
-          const MemoryGrant sort_a = arbiter->AcquireShrinkable(requests.sort);
+  switch (algorithm) {
+    case JoinAlgorithm::kAuto:
+      break;
+    case JoinAlgorithm::kPQ: {
+      // Each stream input's sort in turn, then the queues and the sweep.
+      const PQGrants requests = PQGrantRequests(budget);
+      for (const JoinInput& input : plan.inputs) {
+        if (input.kind() == JoinInput::Kind::kStream) {
           arbiter->AcquireShrinkable(requests.sort);
         }
-        arbiter->AcquireShrinkable(requests.sort);
-        arbiter->AcquireShrinkable(requests.sweep);
-        break;
       }
-      case JoinAlgorithm::kPBSM: {
-        const PBSMGrants requests = PBSMGrantRequests(
-            options, plan.prune_histogram(0), plan.prune_histogram(1));
-        arbiter->AcquireShrinkable(requests.histogram);
-        // Explain's pre-plan is the executor's grid, except that the
-        // executor plans over the histograms it builds, whose totals are
-        // the record counts (an ε-expansion drops the attached ones).
-        const uint32_t partitions =
-            requests.builds == 0
-                ? plan.decision.pbsm_partitions
-                : PbsmPartitionCount(records * sizeof(RectF),
-                                     options.memory_bytes,
-                                     PartitionPlannerConfig().partition_fill);
+      const MemoryGrant queue = pairwise
+                                    ? arbiter->AcquireShrinkable(requests.queue)
+                                    : MemoryGrant();
+      arbiter->AcquireShrinkable(requests.sweep);
+      break;
+    }
+    case JoinAlgorithm::kSSSJ: {
+      const SSSJGrants requests =
+          SSSJGrantRequests(options.memory_bytes, records);
+      if (arbiter->AcquireShrinkable(requests.sweep).bytes() <
+          requests.sweep.bytes) {
+        // The strip fallback: its writers, then every strip's sorts on a
+        // unit arbiter of the whole budget.
         arbiter->AcquireShrinkable(
-            PbsmWriters(partitions, options).Request(budget));
-        MemoryArbiter unit(requests.partition_budget);
-        (void)unit.Acquire(grants::kPbsmPartition, requests.partition_budget);
+            SSSJStripWriters(SSSJStripCount(requests.sweep.bytes, budget))
+                .Request(budget));
+        MemoryArbiter unit(budget);
+        unit.AcquireShrinkable(requests.sort);
         arbiter->FoldChild(unit);
         break;
       }
-      case JoinAlgorithm::kST:
-        arbiter->AcquireShrinkable(STPoolRequest(options, budget));
-        break;
+      if (options.fuse_merge_sweep) {
+        // The fused merge's sorters are alive together. Whether their runs
+        // then fuse, or each input sorts again in turn, moves no
+        // high-water mark.
+        const MemoryGrant sort_a = arbiter->AcquireShrinkable(requests.sort);
+        arbiter->AcquireShrinkable(requests.sort);
+      }
+      arbiter->AcquireShrinkable(requests.sort);
+      arbiter->AcquireShrinkable(requests.sweep);
+      break;
     }
+    case JoinAlgorithm::kPBSM: {
+      const PBSMGrants requests = PBSMGrantRequests(
+          options, plan.prune_histogram(0), plan.prune_histogram(1));
+      arbiter->AcquireShrinkable(requests.histogram);
+      arbiter->AcquireShrinkable(
+          PbsmWriters(plan.decision.pbsm_partitions, options).Request(budget));
+      MemoryArbiter unit(requests.partition_budget);
+      (void)unit.Acquire(grants::kPbsmPartition, requests.partition_budget);
+      arbiter->FoldChild(unit);
+      break;
+    }
+    case JoinAlgorithm::kST:
+      arbiter->AcquireShrinkable(STPoolRequest(options, budget));
+      break;
   }
   if (options.refine) {
-    arbiter->AcquireShrinkable(RefineGrantRequest(budget, inputs.size()));
+    arbiter->AcquireShrinkable(RefineGrantRequest(budget, plan.inputs.size()));
   }
 }
 
@@ -369,8 +361,6 @@ class PQExecutor final : public JoinExecutor {
         JoinStats stats,
         PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
                       plan.options, sink, plan.arbiter.get()));
-    SJ_RETURN_IF_ERROR(sa.source->status());
-    SJ_RETURN_IF_ERROR(sb.source->status());
     stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
     stats.FoldSortStats(sa.sort);
     stats.FoldSortStats(sb.sort);
@@ -443,9 +433,6 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   SJ_ASSIGN_OR_RETURN(
       MultiwayStats stats,
       MultiwayJoinSources(sources, extent, plan.options, sink));
-  for (const SortedRectSource* source : sources) {
-    SJ_RETURN_IF_ERROR(source->status());
-  }
   const JoinStats measured = measurement.Finish();
   stats.disk = measured.disk;
   stats.host_cpu_seconds = measured.host_cpu_seconds + sort_worker_cpu;

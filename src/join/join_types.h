@@ -270,6 +270,7 @@ class CollectingSink final : public JoinSink {
  public:
   void Emit(ObjectId a, ObjectId b) override { pairs_.push_back({a, b}); }
   const std::vector<IdPair>& pairs() const { return pairs_; }
+  std::vector<IdPair>& mutable_pairs() { return pairs_; }
   /// Emits the collected pairs into `sink`, in order.
   void ReplayTo(JoinSink* sink) const {
     for (const IdPair& pair : pairs_) sink->Emit(pair.a, pair.b);

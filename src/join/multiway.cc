@@ -201,6 +201,7 @@ Result<MultiwayStats> MultiwayJoinSources(
   };
   SweepJoinWithKind(options.stream_sweep, extent, options.striped_strips, sa,
                     sb, emit, probe);
+  SJ_RETURN_IF_ERROR(FirstReadError(inputs));
   return stats;
 }
 

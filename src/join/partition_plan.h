@@ -113,6 +113,12 @@ class AdaptivePartitionMap final : public PartitionMap {
   /// the boundary tiles). Exposed for the duplicate-suppression property
   /// tests.
   uint32_t LeafForPoint(float x, float y) const;
+  uint32_t PartitionOfLeaf(uint32_t leaf) const {
+    return tiles_[leaf].partition;
+  }
+  /// Estimated bytes assigned to the heaviest partition (planning-time
+  /// weight, not observed contents).
+  double max_partition_weight() const { return max_partition_weight_; }
 
  private:
   friend class PartitionPlanner;
@@ -142,6 +148,7 @@ class AdaptivePartitionMap final : public PartitionMap {
   uint32_t partitions_ = 1;
   uint32_t leaf_tiles_ = 0;
   uint32_t split_tiles_ = 0;
+  double max_partition_weight_ = 0.0;
   std::vector<Tile> tiles_;
   std::vector<RectF> bounds_;  ///< Parallel to tiles_ (descent midpoints).
 };

@@ -28,7 +28,6 @@ PBSMGrants PBSMGrantRequests(const JoinOptions& options,
                      requests.builds * res * res * sizeof(uint64_t),
                      /*floor_bytes=*/0};
   }
-  requests.overflow_sort = SortGrantRequest(options.memory_bytes / 2);
   // The partition-phase budget the planner sized partitions for (the raw
   // knob, not the query-floor-clamped budget): a pair above it overflows
   // exactly as the partition count formula assumed, also for direct
@@ -36,6 +35,16 @@ PBSMGrants PBSMGrantRequests(const JoinOptions& options,
   requests.partition_budget =
       std::max(options.memory_bytes, RunLayout::kMinSortMemoryBytes);
   return requests;
+}
+
+uint32_t PbsmPartitions(uint64_t records, const JoinOptions& options) {
+  // The adaptive planner packs to its own (higher) fill target; the fixed
+  // grid keeps the paper's 0.8 slack.
+  const uint64_t bytes = records * sizeof(RectF);
+  return options.adaptive_partitioning
+             ? PbsmPartitionCount(bytes, options.memory_bytes,
+                                  PartitionPlannerConfig().partition_fill)
+             : PbsmPartitionCount(bytes, options.memory_bytes);
 }
 
 std::unique_ptr<PartitionMap> PbsmPartitionMap(
@@ -46,8 +55,7 @@ std::unique_ptr<PartitionMap> PbsmPartitionMap(
     // The paper's uniform grid with round-robin assignment, p chosen so
     // an average partition pair fits comfortably in memory.
     return std::make_unique<FixedGridPartitionMap>(
-        extent, options.pbsm_tiles_per_axis,
-        PbsmPartitionCount(records * sizeof(RectF), options.memory_bytes));
+        extent, options.pbsm_tiles_per_axis, PbsmPartitions(records, options));
   }
   PartitionPlannerConfig config;
   config.memory_bytes = options.memory_bytes;
@@ -191,12 +199,12 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
       SJ_ASSIGN_OR_RETURN(
           StreamRange sa_range,
           SortRectsByYLo(unit.inputs[0], scratch.get(), scratch.get(),
-                         requests.overflow_sort.bytes, unit.memory.get(),
+                         options.memory_bytes / 2, unit.memory.get(),
                          overflow_sort, &unit.sort_stats));
       SJ_ASSIGN_OR_RETURN(
           StreamRange sb_range,
           SortRectsByYLo(unit.inputs[1], scratch.get(), scratch.get(),
-                         requests.overflow_sort.bytes, unit.memory.get(),
+                         options.memory_bytes / 2, unit.memory.get(),
                          overflow_sort, &unit.sort_stats));
       MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(
           grants::kSweep, part_bytes, /*floor_bytes=*/0);
@@ -206,8 +214,7 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
                                    sb_range.count);
       sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
                                       reader_a, reader_b, emit);
-      SJ_RETURN_IF_ERROR(reader_a.status());
-      SJ_RETURN_IF_ERROR(reader_b.status());
+      SJ_RETURN_IF_ERROR(FirstReadError(std::array{&reader_a, &reader_b}));
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
     unit.max_bytes = sweep_stats.max_structure_bytes;

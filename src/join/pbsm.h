@@ -20,21 +20,25 @@ namespace sj {
 /// cells cost 512 KB of planner state.
 inline constexpr uint32_t kPbsmHistogramResolution = 256;
 
-/// PBSM's grant requests under `options` with histograms `hist_a` and
-/// `hist_b` attached (either may be null): the cells of the histograms
-/// adaptive partitioning builds on the fly, an overflowing partition
-/// pair's sorts, and each partition unit's budget, which caps the pair a
-/// unit loads (a pair's load and overflow sweep are sized by its bytes).
-/// PBSMJoin acquires through it and Explain replays it (PlanJoinMemory).
+/// PBSM's grant requests with histograms `hist_a` and `hist_b` attached
+/// (either may be null): the cells of the `builds` histograms adaptive
+/// partitioning builds, and each partition unit's budget, which caps the
+/// pair a unit loads (a pair's load, and an overflowing pair's sorts and
+/// sweep, follow its data).
 struct PBSMGrants {
   size_t builds = 0;
   GrantRequest histogram;
-  GrantRequest overflow_sort;
   size_t partition_budget = 0;
 };
 PBSMGrants PBSMGrantRequests(const JoinOptions& options,
                              const GridHistogram* hist_a,
                              const GridHistogram* hist_b);
+
+/// The partitions of PBSMJoin's map over `records` records when no
+/// attached histogram shapes it: the fixed grid's, or the adaptive
+/// planner's over the histograms PBSMJoin builds, which total the records
+/// (its cap at the leaf tiles binds only beyond 4,096 partitions).
+uint32_t PbsmPartitions(uint64_t records, const JoinOptions& options);
 
 /// The partition map PBSMJoin distributes `records` records over
 /// `extent` with: the adaptive planner's over `hist_a` and `hist_b`

@@ -48,6 +48,7 @@ Result<JoinStats> PQJoinSources(SortedRectSource* a, SortedRectSource* b,
   const SweepRunStats sweep_stats = SweepJoinWithKind(
       options.stream_sweep, extent, options.striped_strips, sa, sb, emit,
       probe);
+  SJ_RETURN_IF_ERROR(FirstReadError(std::array{a, b}));
   queue_grant.NoteUsage(max_queue_bytes);
   sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
 

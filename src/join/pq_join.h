@@ -9,10 +9,9 @@
 namespace sj {
 
 /// PQ's grant requests under a `budget_bytes` budget: a stream side's
-/// sort (half of it, one side at a time, before the traversal starts),
-/// then the traversal queues and the sweep (half each, held together).
-/// The PQ executor, PQJoinSources and the k-way chain acquire through it,
-/// and Explain replays it (PlanJoinMemory).
+/// sort (half of it, one side at a time, before the traversal), then the
+/// traversal queues and the sweep (half each, held together). The k-way
+/// chain makes the same requests, less the queues.
 struct PQGrants {
   GrantRequest sort;
   GrantRequest queue;

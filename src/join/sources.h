@@ -29,8 +29,8 @@ class SortedRectSource {
   /// the index adapter); sampled by the join for Table 3.
   virtual size_t MemoryBytes() const { return 0; }
 
-  /// The read error that ended the input early, else OK. The sources'
-  /// owner checks it once the join has read them.
+  /// The read error that ended the input early, else OK. PQJoinSources
+  /// and MultiwayJoinSources return it after their sweep.
   virtual Status status() const { return Status::OK(); }
 };
 

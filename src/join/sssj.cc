@@ -127,8 +127,7 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
                                                 /*block_pages=*/8);
       sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
                                       source_a, source_b, emit);
-      SJ_RETURN_IF_ERROR(source_a.status());
-      SJ_RETURN_IF_ERROR(source_b.status());
+      SJ_RETURN_IF_ERROR(FirstReadError(std::array{&source_a, &source_b}));
       sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
     }
   }
@@ -152,8 +151,7 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
     StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
     sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
                                     source_a, source_b, emit);
-    SJ_RETURN_IF_ERROR(source_a.status());
-    SJ_RETURN_IF_ERROR(source_b.status());
+    SJ_RETURN_IF_ERROR(FirstReadError(std::array{&source_a, &source_b}));
     sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
   }
 
@@ -230,8 +228,7 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
         options.stream_sweep, map.Strip(static_cast<uint32_t>(s), extent),
         SweepStrips(sa.count + sb.count, options.striped_strips), reader_a,
         reader_b, emit);
-    SJ_RETURN_IF_ERROR(reader_a.status());
-    SJ_RETURN_IF_ERROR(reader_b.status());
+    SJ_RETURN_IF_ERROR(FirstReadError(std::array{&reader_a, &reader_b}));
     unit.max_bytes = sweep_stats.max_structure_bytes;
     unit.sweep_strips = sweep_stats.strips;
     unit.strips_collapsed = sweep_stats.strips_collapsed;

@@ -62,9 +62,8 @@ size_t EstimateSweepBytes(uint64_t records);
 
 /// SSSJ's grant requests over `records` records under a `memory_bytes`
 /// budget: each input's sort takes half of it (the fused merge holds
-/// both sorts at once), the sweep EstimateSweepBytes. SSSJJoin and each
-/// strip unit acquire through it, and Explain replays it
-/// (PlanJoinMemory).
+/// both sorts at once), the sweep EstimateSweepBytes; a strip unit
+/// makes them over its own records.
 struct SSSJGrants {
   GrantRequest sort;
   GrantRequest sweep;

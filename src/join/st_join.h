@@ -8,11 +8,9 @@
 
 namespace sj {
 
-/// ST's grant request under a `budget_bytes` budget: its private buffer
-/// pool's frames, `options.buffer_pool_pages` capped at the budget less a
-/// two-page reserve for the per-node entry lists, with an 8-frame floor;
-/// nothing when the query reads through `options.shared_buffer_pool`.
-/// STJoin acquires through it and Explain replays it (PlanJoinMemory).
+/// ST's private pool frames under a `budget_bytes` budget (none with
+/// `options.shared_buffer_pool`): `options.buffer_pool_pages`, capped at
+/// the budget less two pages for the entry lists, with an 8-frame floor.
 GrantRequest STPoolRequest(const JoinOptions& options, size_t budget_bytes);
 
 /// Synchronized R-tree Traversal (Brinkhoff, Kriegel & Seeger, SIGMOD'93)

@@ -160,6 +160,7 @@ void AggregateByCellOp::Apply(uint64_t cell, double v) {
     grid_[static_cast<size_t>(cell)] += v;
   } else {
     spill_writer_->Append(CellDelta{cell, v});
+    spilled_deltas_++;
   }
 }
 

@@ -199,6 +199,7 @@ class AggregateByCellOp final : public PipelineOperator {
 
   uint32_t nx() const { return nx_; }
   uint32_t ny() const { return ny_; }
+  uint64_t spilled_deltas() const { return spilled_deltas_; }
 
  private:
   /// One spilled contribution: flat cell index plus the delta.
@@ -230,6 +231,7 @@ class AggregateByCellOp final : public PipelineOperator {
   std::vector<double> grid_;
   std::unique_ptr<Pager> spill_pager_;
   std::unique_ptr<StreamWriter<CellDelta>> spill_writer_;
+  uint64_t spilled_deltas_ = 0;
   bool finished_ = false;
 };
 

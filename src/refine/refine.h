@@ -39,11 +39,9 @@ constexpr size_t RefineGrantBytes(size_t budget_bytes) {
   return budget_bytes / 4;
 }
 
-/// The "refine.batch" grant refinement over `stores` inputs requests from
-/// an arbiter with a budget of `budget_bytes`: RefineGrantBytes, never
-/// below one kMinRefineChunk chunk beside FetchBatch's fixed scratch,
-/// which is also its floor. RefinePairs and RefineTuples acquire through
-/// it, and Explain replays it (PlanJoinMemory).
+/// The "refine.batch" grant refinement over `stores` inputs asks under a
+/// `budget_bytes` budget: RefineGrantBytes, never below its floor of one
+/// kMinRefineChunk chunk beside FetchBatch's fixed scratch.
 GrantRequest RefineGrantRequest(size_t budget_bytes, size_t stores);
 
 /// Candidates one chunk holds under a `grant_bytes` grant: what fits

@@ -71,9 +71,8 @@ class RTree {
                                        size_t memory_bytes,
                                        const SortConfig& sort_config =
                                            SortConfig());
-  /// The "rtree.bulkload" grant a query's bulk load asks of an arbiter
-  /// with `budget_bytes` for its `memory_bytes`: half of it, never below
-  /// the sort's floor.
+  /// The "rtree.bulkload" grant a query's tree rebuild asks under a
+  /// `budget_bytes` budget: half of it, shrinkable to the sort's floor.
   static GrantRequest BulkLoadRequest(size_t budget_bytes) {
     return GrantRequest{grants::kRTreeBulkLoad, budget_bytes / 2,
                         RunLayout::kMinSortMemoryBytes};

@@ -432,8 +432,9 @@ class ExternalSorter {
       writer.Append(tree.Top());
       tree.ReplaceTop(readers[source]->Next());
     }
+    const Status read = FirstReadError(readers);
     SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-    for (const auto& reader : readers) SJ_RETURN_IF_ERROR(reader->status());
+    SJ_RETURN_IF_ERROR(read);
     return StreamRange{output, first, n};
   }
 
@@ -500,10 +501,7 @@ class MergingReader {
   }
 
   /// The first read error among the runs (a failed run ends early).
-  Status status() const {
-    for (const auto& reader : readers_) SJ_RETURN_IF_ERROR(reader->status());
-    return Status::OK();
-  }
+  Status status() const { return FirstReadError(readers_); }
 
  private:
   std::vector<std::unique_ptr<StreamReader<T>>> readers_;

@@ -682,5 +682,77 @@ TEST(JoinExplain, PlansWhatRunGrants) {
   }
 }
 
+// A distance query plans over the side the ε-expansion would write: a
+// stream of the same count, or for ST a rebuilt tree whose bulk load is
+// granted. The expansion drops the attached histograms, so PBSM builds its
+// own and plans its grid (and so its writers) over them; Explain reports
+// that grid. The attached histograms count half of each relation (stale
+// statistics), so a grid planned over them would have fewer partitions.
+TEST(JoinExplain, DistanceQueriesPlanWhatRunGrants) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 1000, 1000);
+  const std::vector<RectF> ra = UniformRects(20000, region, 1.0f, 1);
+  const std::vector<RectF> rb = UniformRects(20000, region, 1.0f, 2);
+  const DatasetRef da = MakeDataset(&td, ra, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, rb, "b", &keep);
+  const std::unique_ptr<RTree> ta = BulkLoad(&td, da, &keep);
+  const std::unique_ptr<RTree> tb = BulkLoad(&td, db, &keep);
+  GridHistogram hist_a(region, 64, 64), hist_b(region, 64, 64);
+  for (size_t i = 0; i < ra.size() / 2; ++i) hist_a.Add(ra[i]);
+  for (size_t i = 0; i < rb.size() / 2; ++i) hist_b.Add(rb[i]);
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  const JoinInput sa = JoinInput::FromStream(da);
+  const JoinInput sb = JoinInput::FromStream(db);
+  const JoinInput tree_a = JoinInput::FromRTree(ta.get());
+  const JoinInput tree_b = JoinInput::FromRTree(tb.get());
+  struct Case {
+    JoinAlgorithm algorithm;
+    JoinInput a, b;
+  };
+  for (const size_t budget : {kMinMemoryBytes, size_t{4} << 20}) {
+    for (const Case& c : {Case{JoinAlgorithm::kSSSJ, sa, sb},
+                          Case{JoinAlgorithm::kPBSM, sa, sb},
+                          Case{JoinAlgorithm::kPQ, tree_a, sb},
+                          Case{JoinAlgorithm::kPQ, tree_a, tree_b},
+                          Case{JoinAlgorithm::kST, tree_a, tree_b}}) {
+      SCOPED_TRACE(std::string(ToString(c.algorithm)) + ", budget " +
+                   std::to_string(budget));
+      JoinQuery q(joiner);
+      q.Input(c.a)
+          .Input(c.b)
+          .Predicate(Predicate::kDistanceWithin, 0.5)
+          .Algorithm(c.algorithm)
+          .MemoryBytes(budget)
+          .WithHistogram(0, &hist_a)
+          .WithHistogram(1, &hist_b);
+      auto plan = q.Explain();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      CountingSink sink;
+      auto stats = q.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      ExpectPlanIsRunGrants(plan->memory, stats->memory_components,
+                            DataDependentGrants(*stats));
+      if (c.algorithm == JoinAlgorithm::kPBSM) {
+        EXPECT_EQ(plan->pbsm_partitions, stats->partitions_total);
+      }
+    }
+  }
+}
+
+// Explain plans the pairwise join Run executes, so a query Run rejects
+// for its input count is rejected by Explain too.
+TEST(JoinExplain, RejectsWhatRunRejects) {
+  QueryFixture f;
+  SpatialJoiner joiner(&f.td.disk, JoinOptions());
+  auto three = JoinQuery(joiner)
+                   .Input(JoinInput::FromStream(f.da))
+                   .Input(JoinInput::FromStream(f.db))
+                   .Input(JoinInput::FromStream(f.da))
+                   .Explain();
+  ASSERT_FALSE(three.ok());
+  EXPECT_EQ(three.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace sj

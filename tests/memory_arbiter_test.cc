@@ -89,6 +89,18 @@ TEST(MemoryArbiter, ShrinkableGrantClampsToAvailability) {
   EXPECT_EQ(tiny.bytes(), 30u);
 }
 
+TEST(MemoryArbiter, GrowAndShrink) {
+  MemoryArbiter arbiter(1000);
+  MemoryGrant grant = arbiter.AcquireShrinkable("sweep", 400, 0);
+  EXPECT_TRUE(grant.TryGrow(900));
+  EXPECT_EQ(grant.bytes(), 900u);
+  EXPECT_FALSE(grant.TryGrow(1100));  // Over budget: refused, unchanged.
+  EXPECT_EQ(grant.bytes(), 900u);
+  grant.Shrink(100);
+  EXPECT_EQ(grant.bytes(), 100u);
+  EXPECT_EQ(arbiter.available(), 900u);
+}
+
 TEST(MemoryArbiter, HighWaterMarksPerComponent) {
   MemoryArbiter arbiter(1000);
   {

@@ -4,6 +4,7 @@
 
 #include "geometry/rect.h"
 #include "io/pager.h"
+#include "test_util.h"
 
 namespace sj {
 namespace {
@@ -103,6 +104,45 @@ TEST(Stream, TwoStreamsOnOnePagerDoNotOverlap) {
     EXPECT_EQ(r1.Next()->a, i);
     EXPECT_EQ(r2.Next()->a, i + 10000);
   }
+}
+
+// A stream written to a backend whose reads then fail, read back by
+// `read` with the backend's reads off.
+template <typename Read>
+void ReadWithReadsOff(uint64_t count, Read read) {
+  DiskModel disk(MachineModel::Machine3());
+  auto failing = std::make_unique<testing_util::FailingBackend>();
+  testing_util::FailingBackend* faults = failing.get();
+  Pager pager(std::move(failing), &disk, "s");
+  StreamWriter<RectF> writer(&pager, /*block_pages=*/1);
+  for (uint32_t i = 0; i < count; ++i) writer.Append(RectF(0, 0, 1, 1, i));
+  ASSERT_TRUE(writer.Finish().ok());
+  faults->fail_reads = true;
+  StreamReader<RectF> reader(&pager, writer.first_page(), count,
+                             /*block_pages=*/1);
+  read(reader);
+}
+
+TEST(Stream, ReadErrorEndsTheStreamAndShowsInStatus) {
+  ReadWithReadsOff(1000, [](StreamReader<RectF>& reader) {
+    EXPECT_TRUE(reader.status().ok());  // Nothing read yet.
+    EXPECT_FALSE(reader.Next().has_value());
+    EXPECT_FALSE(reader.Next().has_value());
+    EXPECT_TRUE(reader.Done());
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  });
+}
+
+TEST(StreamDeathTest, UncheckedReadErrorAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A caller that never asks for status() must not mistake the truncated
+  // stream for the whole: the reader aborts when it is destroyed.
+  EXPECT_DEATH(ReadWithReadsOff(1000,
+                                [](StreamReader<RectF>& reader) {
+                                  while (reader.Next().has_value()) {
+                                  }
+                                }),
+               "unchecked read error");
 }
 
 TEST(StreamDeathTest, WriterMustBeFinished) {
