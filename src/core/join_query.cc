@@ -4,9 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "io/stream.h"
-#include "join/partition_plan.h"
-#include "join/pbsm.h"
 #include "refine/refine.h"
 #include "service/spatial_service.h"
 #include "util/timer.h"
@@ -166,18 +163,14 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
   for (const GridHistogram*& hist : plan.prune_histograms) hist = nullptr;
   if (plan_only) {
     // Explain reads no data: the expanded side is described by its count
-    // (ST's rebuilt tree too, whose grant PlanJoinMemory replays), and an
-    // adaptive PBSM by the grid it plans over the histograms it now builds.
+    // (ST's rebuilt tree too, whose grant PlanJoinMemory replays), and
+    // PBSM is priced over the inputs it joins, without the histograms it
+    // now builds for itself.
     expanded.range.count = original.count();
     plan.inputs[side] =
         JoinInput::FromStream(expanded).WithFeatures(original.features());
-    if (plan.decision.pbsm_adaptive) {
-      plan.decision.pbsm_partitions = PbsmPartitions(
-          plan.inputs[0].count() + plan.inputs[1].count(), plan.options);
-      plan.decision.pbsm_tiles_per_axis =
-          AdaptiveBaseTilesPerAxis(plan.decision.pbsm_partitions);
-      plan.decision.pbsm_leaf_tiles = 0;
-    }
+    spec_.joiner->PlanPBSM(plan.inputs[0], plan.inputs[1], nullptr, nullptr,
+                           plan.options, &plan.decision);
     return Status::OK();
   }
 
@@ -186,27 +179,10 @@ Status JoinQuery::ApplyDistanceTransform(CompiledPlan& plan,
   SJ_ASSIGN_OR_RETURN(
       auto pager,
       MakePager(plan.options.storage.get(), plan.disk, "distance.expanded"));
-  StreamWriter<RectF> writer(pager.get());
-  const PageId first = writer.first_page();
-  auto expand = [&writer, eps](const RectF& r) {
-    writer.Append(ExpandRectForDistance(r, eps));
-  };
-  Status read;
-  if (original.indexed()) {
-    const RTree& tree = *original.rtree();
-    read = tree.ScanLeaves(tree.bounding_box(), expand).status();
-  } else {
-    const StreamRange& range = original.stream().range;
-    StreamReader<RectF> reader(range.pager, range.first_page, range.count);
-    while (std::optional<RectF> r = reader.Next()) expand(*r);
-    read = reader.status();
-  }
-  if (!read.ok()) {
-    writer.Abandon();
-    return read;
-  }
-  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-  expanded.range = StreamRange{pager.get(), first, n};
+  SJ_ASSIGN_OR_RETURN(expanded.range,
+                      WriteRecords(original, pager.get(), [eps](const RectF& r) {
+                        return ExpandRectForDistance(r, eps);
+                      }));
 
   JoinInput replacement = JoinInput::FromStream(expanded);
   if (plan.decision.algorithm == JoinAlgorithm::kST) {

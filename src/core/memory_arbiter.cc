@@ -57,12 +57,6 @@ bool MemoryGrant::TryGrow(size_t new_bytes) {
   return true;
 }
 
-void MemoryGrant::Shrink(size_t new_bytes) {
-  if (arbiter_ == nullptr || new_bytes >= bytes_) return;
-  arbiter_->Release(component_, bytes_ - new_bytes);
-  bytes_ = new_bytes;
-}
-
 void MemoryGrant::Release() {
   if (arbiter_ == nullptr) return;
   arbiter_->Release(component_, bytes_);

@@ -82,12 +82,9 @@ class MemoryGrant {
 
   /// Tries to grow the grant to `new_bytes` (no-op when already that
   /// large); fails without side effects when the arbiter cannot cover the
-  /// difference.
+  /// difference. A table that grows as it fills (a windowed pipeline's
+  /// resident rect map) takes its grant this way.
   bool TryGrow(size_t new_bytes);
-
-  /// Returns bytes above `new_bytes` to the arbiter (no-op when already
-  /// smaller).
-  void Shrink(size_t new_bytes);
 
   /// Releases the whole grant early (idempotent).
   void Release();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -360,31 +361,44 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     for (const OperatorPlan& leaf : leaves) {
       source.est_rows = std::min(source.est_rows, leaf.est_rows);
     }
-    // The inputs the join runs over. With a window they are the in-window
-    // streams, described here by their estimated counts and the window-
-    // clipped extents (the planner reads no data), so an indexed input
-    // never makes Explain report a traversal Run cannot take, and the rect
-    // maps and the join are planned over the records Run gives them.
-    std::vector<JoinInput> join_inputs = inputs;
-    if (has_window_) {
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        DatasetRef windowed;
-        windowed.range.count =
-            static_cast<uint64_t>(std::llround(leaves[i].est_rows));
-        const RectF extent = inputs[i].extent();
-        windowed.extent = extent.Valid() && extent.Intersects(window_)
-                              ? extent.IntersectionWith(window_)
-                              : window_;
-        join_inputs[i] = WindowedInput(inputs[i], windowed);
-      }
-    }
-    // Rect resolution behind the join: one id -> MBR table per join
-    // input, built before the join and held through it; beyond its grant
-    // a table goes external, id-sorting its input under a grant its size.
+    // The inputs the join runs over, each with its rect map: one id ->
+    // MBR table per join input, built before the join and held through
+    // it. With a window they are the in-window records, described by
+    // their estimated counts and the window-clipped extents (the planner
+    // reads no data), so an indexed input never makes Explain report a
+    // traversal Run cannot take, and the rect maps and the join are
+    // planned over the records Run gives them: a resident table where
+    // the estimate fits it, else a stream. Beyond its grant a table goes
+    // external, id-sorting its input under a grant its size.
     const size_t rectmap_share =
-        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
+        RectMapGrantBytes(options.memory_bytes, inputs.size());
+    std::vector<JoinInput> join_inputs = inputs;
     std::vector<double> resolve_seconds;
-    for (const JoinInput& input : join_inputs) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (has_window_) {
+        const uint64_t count =
+            static_cast<uint64_t>(std::llround(leaves[i].est_rows));
+        RectF extent = inputs[i].extent();
+        extent = extent.Valid() && extent.Intersects(window_)
+                     ? extent.IntersectionWith(window_)
+                     : window_;
+        MemoryGrant table = scratch.AcquireShrinkable(
+            RectResolver::ResidentRequest(count, rectmap_share));
+        if (table.bytes() >= ResidentTableBytes(count)) {
+          source.planned_bytes += table.bytes();
+          held.push_back(std::move(table));
+          join_inputs[i] = JoinInput::FromSortedRects(nullptr, count, extent)
+                               .WithFeatures(inputs[i].features());
+          resolve_seconds.push_back(0.0);
+          continue;
+        }
+        // The scan spills to a window stream, which resolves as any
+        // stream does.
+        table.Release();
+        join_inputs[i] = WindowedInput(
+            inputs[i], DatasetRef{StreamRange{nullptr, 0, count}, extent});
+      }
+      const JoinInput& input = join_inputs[i];
       held.push_back(scratch.AcquireShrinkable(
           RectResolver::Request(input.count(), rectmap_share)));
       const size_t granted = held.back().bytes();
@@ -425,9 +439,8 @@ Result<PipelinePlan> PipelineQuery::Explain() {
     } else {
       // The k-way chain: no PlanDecision; price it as the streaming
       // sort-and-sweep it is, over the inputs it joins.
-      uint64_t pages = 0;
-      for (const JoinInput& input : join_inputs) pages += input.pages();
-      source.cost_seconds = cost.SSSJSeconds(pages, options.memory_bytes);
+      source.cost_seconds =
+          SweepInputSeconds(cost, join_inputs, options.memory_bytes);
       source.name = "MultiwayJoin";
       source.detail = std::to_string(inputs.size()) + "-way chain";
     }
@@ -462,6 +475,65 @@ Result<PipelinePlan> PipelineQuery::Explain() {
 }
 
 // --- Execution -------------------------------------------------------------
+
+Result<JoinInput> PipelineQuery::ScanWindow(
+    size_t i, size_t rectmap_share, DiskModel* disk, const PipelineContext& ctx,
+    std::unique_ptr<RectResolver>* resolver,
+    std::vector<std::unique_ptr<Pager>>* pagers,
+    std::vector<OperatorStats>* scans) const {
+  const JoinInput& input = spec_.inputs[i];
+  const GridHistogram* histogram = spec_.HistogramOf(i);
+  WindowScan scan(input, window_, histogram);
+  std::unique_ptr<RectResolver> table = RectResolver::StartTable(
+      ctx.arbiter,
+      static_cast<uint64_t>(
+          std::llround(WindowScan::EstimateRows(input, window_, histogram))),
+      rectmap_share);
+  std::unique_ptr<Pager> pager;
+  std::optional<StreamWriter<RectF>> spill;
+  Status spill_status;
+  RectF extent = RectF::Empty();
+  const Status scanned = scan.Scan([&](const RectF& r) {
+    extent.ExtendTo(r);
+    if (table != nullptr) {
+      if (table->Add(r)) return;
+      // Past its grant: the records held, and the rest, go to a stream.
+      Result<std::unique_ptr<Pager>> made = MakePager(
+          ctx.storage, disk, "pipeline.window." + std::to_string(i));
+      if (made.ok()) {
+        pager = std::move(*made);
+        spill.emplace(pager.get());
+        for (const RectF& held : table->records()) spill->Append(held);
+      } else {
+        spill_status = made.status();
+      }
+      table.reset();
+    }
+    if (spill.has_value()) spill->Append(r);
+  });
+  if (!scanned.ok() || !spill_status.ok()) {
+    if (spill.has_value()) spill->Abandon();
+    return scanned.ok() ? spill_status : scanned;
+  }
+  OperatorStats stats = scan.stats();
+  if (table != nullptr) {
+    table->Seal();
+    scans->push_back(std::move(stats));
+    *resolver = std::move(table);
+    const std::vector<RectF>& records = (*resolver)->records();
+    return JoinInput::FromSortedRects(records.data(), records.size(), extent)
+        .WithFeatures(input.features());
+  }
+  SJ_ASSIGN_OR_RETURN(const uint64_t n, spill->Finish());
+  constexpr uint32_t kPerPage = StreamWriter<RectF>::kRecordsPerPage;
+  stats.spill_pages = (n + kPerPage - 1) / kPerPage;
+  scans->push_back(std::move(stats));
+  DatasetRef windowed;
+  windowed.range = StreamRange{pager.get(), spill->first_page(), n};
+  windowed.extent = extent;
+  pagers->push_back(std::move(pager));
+  return WindowedInput(input, windowed);
+}
 
 Result<PipelineStats> PipelineQuery::Run(RowSink* sink) {
   return SpatialService::RunInline(*this, sink);
@@ -510,55 +582,40 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
     for (auto& op : chain) SJ_RETURN_IF_ERROR(op->Finish());
     out.operators.push_back(scan.stats());
   } else {
-    // Windowed-overlay plan: reduce every input to its in-window records
-    // before the join. Ids are preserved, so the user's histograms remain
-    // conservative pruners and FeatureStores stay valid for refinement.
-    std::vector<JoinInput> join_inputs = inputs;
-    std::vector<std::unique_ptr<Pager>> owned_pagers;
-    if (has_window_) {
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        WindowScan scan(inputs[i], window_, spec_.HistogramOf(i));
-        SJ_ASSIGN_OR_RETURN(
-            std::unique_ptr<Pager> pager,
-            MakePager(ctx.storage, main_disk,
-                      "pipeline.window." + std::to_string(i)));
-        StreamWriter<RectF> writer(pager.get());
-        const PageId first = writer.first_page();
-        DatasetRef windowed;
-        windowed.extent = RectF::Empty();
-        const Status scanned = scan.Scan([&](const RectF& r) {
-          windowed.extent.ExtendTo(r);
-          writer.Append(r);
-        });
-        if (!scanned.ok()) {
-          writer.Abandon();
-          return scanned;
-        }
-        SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-        windowed.range = StreamRange{pager.get(), first, n};
-        join_inputs[i] = WindowedInput(inputs[i], windowed);
-        owned_pagers.push_back(std::move(pager));
-        out.operators.push_back(scan.stats());
-      }
-    }
-
     // One id -> MBR resolver per input, under the shared arbiter, each
     // capped at its share so the join keeps half the budget.
     const size_t rectmap_share =
-        RectMapGrantBytes(options.memory_bytes, join_inputs.size());
+        RectMapGrantBytes(options.memory_bytes, inputs.size());
+    std::vector<JoinInput> join_inputs = inputs;
     std::vector<std::unique_ptr<RectResolver>> resolvers;
-    std::vector<RectResolver*> resolver_ptrs;
-    for (size_t i = 0; i < join_inputs.size(); ++i) {
-      SJ_ASSIGN_OR_RETURN(
-          std::unique_ptr<RectResolver> resolver,
-          RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
-                              rectmap_share, ctx.storage,
-                              "pipeline.in" + std::to_string(i),
-                              SortConfigOf(options)));
-      // The id-sort's formation workers ran off this thread's clock.
-      out.host_cpu_seconds += resolver->sort_stats().worker_cpu_seconds;
-      resolver_ptrs.push_back(resolver.get());
+    std::vector<std::unique_ptr<Pager>> owned_pagers;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      std::unique_ptr<RectResolver> resolver;
+      if (has_window_) {
+        // Windowed-overlay plan: reduce every input to its in-window
+        // records before the join. Ids are preserved, so the user's
+        // histograms remain conservative pruners and FeatureStores stay
+        // valid for refinement.
+        SJ_ASSIGN_OR_RETURN(
+            join_inputs[i],
+            ScanWindow(i, rectmap_share, main_disk, ctx, &resolver,
+                       &owned_pagers, &out.operators));
+      }
+      if (resolver == nullptr) {
+        SJ_ASSIGN_OR_RETURN(
+            resolver,
+            RectResolver::Build(join_inputs[i], &op_disk, arbiter.get(),
+                                rectmap_share, ctx.storage,
+                                "pipeline.in" + std::to_string(i),
+                                SortConfigOf(options)));
+        // The id-sort's formation workers ran off this thread's clock.
+        out.host_cpu_seconds += resolver->sort_stats().worker_cpu_seconds;
+      }
       resolvers.push_back(std::move(resolver));
+    }
+    std::vector<RectResolver*> resolver_ptrs;
+    for (const auto& resolver : resolvers) {
+      resolver_ptrs.push_back(resolver.get());
     }
     JoinRowAdapter adapter(resolver_ptrs, head);
 

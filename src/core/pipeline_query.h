@@ -150,7 +150,8 @@ class PipelineQuery : public QueryBuilder<PipelineQuery> {
 
   /// Compiles the pipeline and returns the costed operator tree without
   /// executing anything (EXPLAIN). The join decision is the one Run
-  /// executes: a windowed join is planned over its in-window streams. The
+  /// executes: a windowed join is planned over its in-window records
+  /// (resident tables where their estimates fit, else streams). The
   /// operator nodes are the chain Run opens, and the memory plan replays
   /// Run's grant requests, in Run's order, on a scratch arbiter of the
   /// query's budget.
@@ -191,9 +192,23 @@ class PipelineQuery : public QueryBuilder<PipelineQuery> {
   /// Instantiates the downstream chain (source-first order).
   std::vector<std::unique_ptr<PipelineOperator>> BuildChain() const;
 
-  /// The join over `inputs` (the pipeline's inputs, or their windowed
-  /// streams): a copy of this pipeline's spec with the inputs swapped in.
+  /// The join over `inputs` (the pipeline's inputs, or their in-window
+  /// records): a copy of this pipeline's spec with the inputs swapped in.
   JoinQuery JoinOver(std::vector<JoinInput> inputs) const;
+
+  /// The windowed plan's scan of input `i`, which fills the input's
+  /// resident rect map (RectResolver::StartTable) under at most
+  /// `rectmap_share`; sealed, the table is the returned join input and
+  /// `*resolver`. A table that outgrows its grant spills what it holds,
+  /// and the rest of the scan, to a window stream on `disk` (its pager
+  /// parked in `pagers`), which joins as a stream input and leaves
+  /// `*resolver` null for RectResolver::Build. Appends the scan's stats,
+  /// with the spilled pages, to `scans`.
+  Result<JoinInput> ScanWindow(size_t i, size_t rectmap_share, DiskModel* disk,
+                               const PipelineContext& ctx,
+                               std::unique_ptr<RectResolver>* resolver,
+                               std::vector<std::unique_ptr<Pager>>* pagers,
+                               std::vector<OperatorStats>* scans) const;
 
   RectF window_ = RectF::Empty();
   bool has_window_ = false;

@@ -11,6 +11,78 @@
 
 namespace sj {
 
+double SweepInputSeconds(const CostModel& cost, Span<const JoinInput> inputs,
+                         size_t sort_memory_bytes) {
+  uint64_t unsorted_pages = 0;
+  double seconds = 0.0;
+  for (const JoinInput& input : inputs) {
+    if (!input.sorted()) {
+      unsorted_pages += input.pages();
+    } else if (!input.resident()) {
+      seconds += cost.ScanSeconds(input.pages());
+    }
+  }
+  return cost.SSSJSeconds(unsorted_pages, sort_memory_bytes) + seconds;
+}
+
+void SpatialJoiner::PlanPBSM(const JoinInput& a, const JoinInput& b,
+                             const GridHistogram* hist_a,
+                             const GridHistogram* hist_b,
+                             const JoinOptions& options,
+                             PlanDecision* decision) const {
+  // PBSMJoin's own map (PbsmPartitionMap) over the attached histograms
+  // (pure CPU) or the fixed grid; without both histograms, the base grid
+  // and partitions (PbsmPartitions) PBSMJoin plans over the ones it
+  // builds. Replication and the histogram-build pass are priced into
+  // pbsm_cost_seconds; the pass is free when both histograms are
+  // attached.
+  const uint64_t total_pages = a.pages() + b.pages();
+  decision->pbsm_adaptive = options.adaptive_partitioning;
+  decision->pbsm_leaf_tiles = 0;
+  decision->histogram_build_seconds = 0.0;
+  if (!options.adaptive_partitioning ||
+      (hist_a != nullptr && hist_b != nullptr)) {
+    RectF extent = a.extent();
+    extent.ExtendTo(b.extent());
+    const std::unique_ptr<PartitionMap> grid =
+        PbsmPartitionMap(extent, a.count() + b.count(), hist_a, hist_b,
+                         kPbsmHistogramResolution, options);
+    decision->pbsm_tiles_per_axis = grid->tiles_x();
+    decision->pbsm_partitions = grid->partitions();
+    if (grid->adaptive()) decision->pbsm_leaf_tiles = grid->leaf_tiles();
+  } else {
+    decision->pbsm_partitions = PbsmPartitions(a.count() + b.count(), options);
+    decision->pbsm_tiles_per_axis =
+        AdaptiveBaseTilesPerAxis(decision->pbsm_partitions);
+    // The executor's on-the-fly build samples one block in
+    // kPbsmHistogramSampleOneInBlocks; price the pass it runs.
+    decision->histogram_build_seconds = cost_model_.HistogramPassSeconds(
+        (total_pages + kPbsmHistogramSampleOneInBlocks - 1) /
+        kPbsmHistogramSampleOneInBlocks);
+  }
+  // Replication at the *tile* grid's resolution: a histogram measures
+  // cells-per-object at its own (usually finer) cell width, so the
+  // per-axis object size in cells is rescaled from histogram cells to
+  // tiles before squaring (isotropy approximation). Without histograms
+  // the estimate stays at 1 (small objects barely replicate).
+  double replication = 1.0;
+  if (hist_a != nullptr && hist_b != nullptr) {
+    auto at_tiles = [&](const GridHistogram& h) {
+      const double size_in_cells =
+          std::sqrt(std::max(1.0, h.AverageCellsPerObject())) - 1.0;
+      const double per_axis =
+          1.0 + size_in_cells *
+                    static_cast<double>(decision->pbsm_tiles_per_axis) /
+                    static_cast<double>(std::max(1u, h.nx()));
+      return per_axis * per_axis;
+    };
+    replication = 0.5 * (at_tiles(*hist_a) + at_tiles(*hist_b));
+  }
+  decision->pbsm_cost_seconds =
+      cost_model_.PBSMSeconds(total_pages, replication) +
+      decision->histogram_build_seconds + decision->refine_cost_seconds;
+}
+
 PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
                                  const GridHistogram* hist_a,
                                  const GridHistogram* hist_b,
@@ -19,7 +91,6 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   const JoinOptions& options =
       options_override != nullptr ? *options_override : options_;
   PlanDecision decision;
-  const uint64_t total_pages = a.pages() + b.pages();
 
   auto no_index = [&]() {
     decision.algorithm = JoinAlgorithm::kSSSJ;
@@ -70,92 +141,41 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
   }
   // Sort CPU is the one term that scales down with worker threads (run
   // formation parallelizes), so with threads the streaming plans get
-  // cheaper relative to the index traversals.
+  // cheaper relative to the index traversals. A sorted input needs no
+  // sort.
   const uint32_t sort_threads = std::max<uint32_t>(1, options.num_threads);
+  auto unsorted_records = [](const JoinInput& input) {
+    return input.sorted() ? uint64_t{0} : input.count();
+  };
   decision.sort_cpu_seconds = cost_model_.SortCpuSeconds(
-      a.count() + b.count(), sort_grant, sort_threads);
+      unsorted_records(a) + unsorted_records(b), sort_grant, sort_threads);
+  const JoinInput both[] = {a, b};
   decision.stream_cost_seconds =
-      cost_model_.SSSJSeconds(total_pages, sort_grant) +
+      SweepInputSeconds(cost_model_, {both, 2}, sort_grant) +
       decision.sort_cpu_seconds + decision.refine_cost_seconds;
 
-  // PBSM partitioning pre-plan, so Explain() reports the grid execution
-  // would use: PBSMJoin's own map (PbsmPartitionMap) over the attached
-  // histograms (pure CPU) or the fixed grid; without both histograms, the
-  // base grid and partitions (PbsmPartitions) PBSMJoin plans over the
-  // ones it builds. Replication and the
-  // histogram-build pass are priced into pbsm_cost_seconds; the pass is
-  // free when both histograms are attached. kAuto never picks PBSM, so
-  // execution skips this.
-  if (explain) {
-    decision.pbsm_adaptive = options.adaptive_partitioning;
-    if (!options.adaptive_partitioning ||
-        (hist_a != nullptr && hist_b != nullptr)) {
-      RectF extent = a.extent();
-      extent.ExtendTo(b.extent());
-      const std::unique_ptr<PartitionMap> grid =
-          PbsmPartitionMap(extent, a.count() + b.count(), hist_a, hist_b,
-                           kPbsmHistogramResolution, options);
-      decision.pbsm_tiles_per_axis = grid->tiles_x();
-      decision.pbsm_partitions = grid->partitions();
-      if (grid->adaptive()) decision.pbsm_leaf_tiles = grid->leaf_tiles();
-    } else {
-      decision.pbsm_partitions = PbsmPartitions(a.count() + b.count(), options);
-      decision.pbsm_tiles_per_axis =
-          AdaptiveBaseTilesPerAxis(decision.pbsm_partitions);
-      // The executor's on-the-fly build samples one block in
-      // kPbsmHistogramSampleOneInBlocks; price the pass it runs.
-      decision.histogram_build_seconds = cost_model_.HistogramPassSeconds(
-          (total_pages + kPbsmHistogramSampleOneInBlocks - 1) /
-          kPbsmHistogramSampleOneInBlocks);
-    }
-    // Replication at the *tile* grid's resolution: a histogram measures
-    // cells-per-object at its own (usually finer) cell width, so the
-    // per-axis object size in cells is rescaled from histogram cells to
-    // tiles before squaring (isotropy approximation). Without histograms
-    // the estimate stays at 1 (small objects barely replicate).
-    double replication = 1.0;
-    if (hist_a != nullptr && hist_b != nullptr) {
-      auto at_tiles = [&](const GridHistogram& h) {
-        const double size_in_cells =
-            std::sqrt(std::max(1.0, h.AverageCellsPerObject())) - 1.0;
-        const double per_axis =
-            1.0 + size_in_cells * static_cast<double>(
-                                      decision.pbsm_tiles_per_axis) /
-                      static_cast<double>(std::max(1u, h.nx()));
-        return per_axis * per_axis;
-      };
-      replication = 0.5 * (at_tiles(*hist_a) + at_tiles(*hist_b));
-    }
-    decision.pbsm_cost_seconds = cost_model_.PBSMSeconds(total_pages,
-                                                         replication) +
-                                 decision.histogram_build_seconds +
-                                 decision.refine_cost_seconds;
-  }
+  // PBSM's partitioning pre-plan and cost, so Explain() reports the grid
+  // execution would use. kAuto never picks PBSM, so execution skips it.
+  if (explain) PlanPBSM(a, b, hist_a, hist_b, options, &decision);
 
   if (!a.indexed() && !b.indexed()) return no_index();
   // Pages a PQ plan reads: touched part of each index, whole stream sides
-  // (which are also sorted: approximate with SSSJ-like handling per side,
-  // again at the granted sort memory).
+  // (sorted first unless they arrive sorted: approximate with SSSJ-like
+  // handling per side, again at the granted sort memory).
   double index_cost = decision.refine_cost_seconds;
   double max_frac = 0.0;
-  if (a.indexed()) {
-    index_cost += cost_model_.PQSeconds(
-        static_cast<uint64_t>(frac_a * static_cast<double>(a.pages())));
-    max_frac = std::max(max_frac, frac_a);
-  } else {
-    index_cost += cost_model_.SSSJSeconds(a.pages(), sort_grant) +
-                  cost_model_.SortCpuSeconds(a.count(), sort_grant,
-                                             sort_threads);
-  }
-  if (b.indexed()) {
-    index_cost += cost_model_.PQSeconds(
-        static_cast<uint64_t>(frac_b * static_cast<double>(b.pages())));
-    max_frac = std::max(max_frac, frac_b);
-  } else {
-    index_cost += cost_model_.SSSJSeconds(b.pages(), sort_grant) +
-                  cost_model_.SortCpuSeconds(b.count(), sort_grant,
-                                             sort_threads);
-  }
+  auto side_cost = [&](const JoinInput& self, double frac) {
+    if (self.indexed()) {
+      max_frac = std::max(max_frac, frac);
+      return cost_model_.PQSeconds(
+          static_cast<uint64_t>(frac * static_cast<double>(self.pages())));
+    }
+    return SweepInputSeconds(cost_model_, {&self, 1}, sort_grant) +
+           cost_model_.SortCpuSeconds(unsorted_records(self), sort_grant,
+                                      sort_threads);
+  };
+  index_cost += side_cost(a, frac_a);
+  index_cost += side_cost(b, frac_b);
   decision.touched_fraction = max_frac;
   decision.index_cost_seconds = index_cost;
 

@@ -11,8 +11,16 @@
 #include "refine/feature_store.h"
 #include "rtree/rtree.h"
 #include "util/result.h"
+#include "util/span.h"
 
 namespace sj {
+
+/// Modeled I/O that brings `inputs` into sweep order and reads them in
+/// it: one external sort of the unsorted ones together (SSSJ's passes,
+/// CostModel::SSSJSeconds at `sort_memory_bytes`), one read of each sorted
+/// stream, and nothing for resident records.
+double SweepInputSeconds(const CostModel& cost, Span<const JoinInput> inputs,
+                         size_t sort_memory_bytes);
 
 /// The unified spatial join facade (deliverable of the paper's §4 + §6.3):
 /// shared machine state (the simulated disk, the cost model) plus default
@@ -52,6 +60,16 @@ class SpatialJoiner {
                     const GridHistogram* hist_b = nullptr,
                     const JoinOptions* options = nullptr,
                     bool explain = true) const;
+
+  /// Explain's PBSM pre-plan for inputs `a` and `b` into `decision`: the
+  /// grid PBSMJoin partitions over `hist_a`/`hist_b` (over the ones it
+  /// builds when either is null), its partitions, and its cost with the
+  /// histogram pass, the replication and `decision`'s refinement term.
+  /// Plan runs it over the query's inputs; an ε-expansion, which drops
+  /// the histograms, runs it again over the expanded ones.
+  void PlanPBSM(const JoinInput& a, const JoinInput& b,
+                const GridHistogram* hist_a, const GridHistogram* hist_b,
+                const JoinOptions& options, PlanDecision* decision) const;
 
   const CostModel& cost_model() const { return cost_model_; }
   DiskModel* disk() const { return disk_; }

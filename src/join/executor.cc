@@ -13,6 +13,7 @@
 #include "join/sssj.h"
 #include "join/st_join.h"
 #include "sort/external_sort.h"
+#include "sweep/sweep_join.h"
 
 namespace sj {
 
@@ -20,6 +21,43 @@ uint64_t JoinInput::pages() const {
   if (indexed()) return rtree_->node_count();
   constexpr uint64_t per_page = kPageSize / sizeof(RectF);
   return (count() + per_page - 1) / per_page;
+}
+
+Status VisitRecords(const JoinInput& input,
+                    const std::function<void(const RectF&)>& visit) {
+  switch (input.kind()) {
+    case JoinInput::Kind::kRTree: {
+      const RTree& tree = *input.rtree();
+      return tree.ScanLeaves(tree.bounding_box(), visit).status();
+    }
+    case JoinInput::Kind::kSortedRects:
+      for (uint64_t i = 0; i < input.count(); ++i) visit(input.rects()[i]);
+      return Status::OK();
+    case JoinInput::Kind::kStream:
+    case JoinInput::Kind::kSortedStream: {
+      const StreamRange& range = input.stream().range;
+      StreamReader<RectF> reader(range.pager, range.first_page, range.count);
+      while (std::optional<RectF> r = reader.Next()) visit(*r);
+      return reader.status();
+    }
+  }
+  return Status::Internal("unreachable join input kind");
+}
+
+Result<StreamRange> WriteRecords(
+    const JoinInput& input, Pager* out,
+    const std::function<RectF(const RectF&)>& map) {
+  StreamWriter<RectF> writer(out);
+  const PageId first = writer.first_page();
+  const Status read = VisitRecords(input, [&](const RectF& r) {
+    writer.Append(map ? map(r) : r);
+  });
+  if (!read.ok()) {
+    writer.Abandon();
+    return read;
+  }
+  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
+  return StreamRange{out, first, n};
 }
 
 std::string PlanDecision::Describe() const {
@@ -138,14 +176,19 @@ void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
         arbiter->FoldChild(unit);
         break;
       }
-      if (options.fuse_merge_sweep) {
+      const bool sorted_input =
+          plan.inputs[0].sorted() || plan.inputs[1].sorted();
+      if (options.fuse_merge_sweep && !sorted_input) {
         // The fused merge's sorters are alive together. Whether their runs
         // then fuse, or each input sorts again in turn, moves no
         // high-water mark.
         const MemoryGrant sort_a = arbiter->AcquireShrinkable(requests.sort);
         arbiter->AcquireShrinkable(requests.sort);
       }
-      arbiter->AcquireShrinkable(requests.sort);
+      // Each unsorted input sorts in turn; a sorted one needs no sort.
+      for (const JoinInput& input : plan.inputs) {
+        if (!input.sorted()) arbiter->AcquireShrinkable(requests.sort);
+      }
       arbiter->AcquireShrinkable(requests.sweep);
       break;
     }
@@ -183,17 +226,19 @@ Status JoinExecutor::Validate(const CompiledPlan& plan) const {
 
 namespace {
 
-/// Materializes an indexed input as a stream (the leaf level in page
-/// order), for running stream algorithms against trees. The backing pager
-/// is parked on the plan so the returned DatasetRef outlives the executor
-/// call.
-Result<DatasetRef> ExtractLeaves(CompiledPlan& plan, const RTree& tree) {
+/// `input` as a stream, for the plans that read streams (PBSM, SSSJ and
+/// its strips): a stream input's own; a tree's leaf level (in page
+/// order) or resident records written to a scratch stream, whose pager
+/// is parked on the plan so the returned DatasetRef outlives the
+/// executor call.
+Result<DatasetRef> StreamOf(CompiledPlan& plan, const JoinInput& input) {
+  if (!input.indexed() && !input.resident()) return input.stream();
   SJ_ASSIGN_OR_RETURN(
-      auto out,
-      MakePager(plan.options.storage.get(), plan.disk, "extract.leaves"));
+      auto out, MakePager(plan.options.storage.get(), plan.disk,
+                          input.indexed() ? "extract.leaves" : "extract.rects"));
   DatasetRef ref;
-  SJ_ASSIGN_OR_RETURN(ref.range, tree.CopyLeaves(out.get()));
-  ref.extent = tree.bounding_box();
+  SJ_ASSIGN_OR_RETURN(ref.range, WriteRecords(input, out.get()));
+  ref.extent = input.extent();
   plan.owned_pagers.push_back(std::move(out));
   return ref;
 }
@@ -241,6 +286,11 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
           std::make_unique<SortedStreamSource>(input.stream().range);
       return prepared;
     }
+    case JoinInput::Kind::kSortedRects: {
+      prepared.source =
+          std::make_unique<SortedRectsSource>(input.rects(), input.count());
+      return prepared;
+    }
     case JoinInput::Kind::kStream: {
       SJ_ASSIGN_OR_RETURN(prepared.scratch,
                           MakePager(plan.options.storage.get(), plan.disk,
@@ -262,54 +312,116 @@ Result<PreparedSource> PrepareSource(CompiledPlan& plan,
   return Status::Internal("unreachable join input kind");
 }
 
-/// SSSJ and PBSM share their input handling: both consume plain streams,
-/// so indexed inputs are first flattened with a leaf scan.
-class StreamAlgorithmExecutor : public JoinExecutor {
- public:
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const final {
-    DatasetRef ra, rb;
-    if (plan.inputs[0].indexed()) {
-      SJ_ASSIGN_OR_RETURN(ra, ExtractLeaves(plan, *plan.inputs[0].rtree()));
-    } else {
-      ra = plan.inputs[0].stream();
-    }
-    if (plan.inputs[1].indexed()) {
-      SJ_ASSIGN_OR_RETURN(rb, ExtractLeaves(plan, *plan.inputs[1].rtree()));
-    } else {
-      rb = plan.inputs[1].stream();
-    }
-    return ExecuteStreams(plan, ra, rb, sink);
-  }
-
- protected:
-  virtual Result<JoinStats> ExecuteStreams(CompiledPlan& plan,
-                                           const DatasetRef& a,
-                                           const DatasetRef& b,
-                                           JoinSink* sink) const = 0;
-};
-
-class SSSJExecutor final : public StreamAlgorithmExecutor {
+class SSSJExecutor final : public JoinExecutor {
  public:
   JoinAlgorithm algorithm() const override { return JoinAlgorithm::kSSSJ; }
   const char* name() const override { return "SSSJ"; }
 
- protected:
-  Result<JoinStats> ExecuteStreams(CompiledPlan& plan, const DatasetRef& a,
-                                   const DatasetRef& b,
-                                   JoinSink* sink) const override {
+  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
+    if (plan.inputs[0].sorted() || plan.inputs[1].sorted()) {
+      return SweepSorted(plan, sink);
+    }
+    // Plain SSSJ over streams; a tree's leaf level is flattened first.
+    SJ_ASSIGN_OR_RETURN(const DatasetRef a, StreamOf(plan, plan.inputs[0]));
+    SJ_ASSIGN_OR_RETURN(const DatasetRef b, StreamOf(plan, plan.inputs[1]));
     return SSSJJoin(a, b, plan.disk, plan.options, sink, plan.arbiter.get());
+  }
+
+ private:
+  /// SSSJ when an input arrives sorted: a sorted input is swept as it is,
+  /// and only an unsorted one sorts first, as SSSJJoin sorts it. The
+  /// strip fallback reads streams, so there every input is flattened.
+  static Result<JoinStats> SweepSorted(CompiledPlan& plan, JoinSink* sink) {
+    const JoinOptions& options = plan.options;
+    MemoryArbiter* arbiter = plan.arbiter.get();
+    const uint64_t records = plan.inputs[0].count() + plan.inputs[1].count();
+    const SSSJGrants requests =
+        SSSJGrantRequests(options.memory_bytes, records);
+    DatasetRef streams[2];
+    {
+      MemoryGrant probe = arbiter->AcquireShrinkable(requests.sweep);
+      const bool strips = probe.bytes() < requests.sweep.bytes;
+      probe.Release();
+      for (int i = 0; i < 2; ++i) {
+        const JoinInput& input = plan.inputs[i];
+        if (strips || !input.sorted()) {
+          SJ_ASSIGN_OR_RETURN(streams[i], StreamOf(plan, input));
+        } else if (!input.resident()) {
+          streams[i] = input.stream();
+        }
+      }
+      if (strips) {
+        return SSSJStripJoin(
+            streams[0], streams[1],
+            SSSJStripCount(requests.sweep.bytes, arbiter->budget()),
+            plan.disk, options, sink, arbiter);
+      }
+    }
+
+    JoinMeasurement measurement(plan.disk);
+    RectF extent = RectF::Empty();
+    SortStats sort_stats;
+    // The sorted streams' pagers outlive the sources reading them.
+    std::vector<std::unique_ptr<Pager>> scratch;
+    std::unique_ptr<SortedRectSource> sources[2];
+    for (int i = 0; i < 2; ++i) {
+      const JoinInput& input = plan.inputs[i];
+      if (input.resident()) {
+        extent.ExtendTo(input.extent());
+        sources[i] =
+            std::make_unique<SortedRectsSource>(input.rects(), input.count());
+        continue;
+      }
+      SJ_ASSIGN_OR_RETURN(const RectF input_extent, EnsureExtent(streams[i]));
+      extent.ExtendTo(input_extent);
+      StreamRange sorted = streams[i].range;
+      if (!input.sorted()) {
+        const std::string side = i == 0 ? "a" : "b";
+        SJ_ASSIGN_OR_RETURN(auto runs, MakePager(options.storage.get(),
+                                                 plan.disk, "sssj.runs." + side));
+        SJ_ASSIGN_OR_RETURN(auto out, MakePager(options.storage.get(), plan.disk,
+                                                "sssj.sorted." + side));
+        SJ_ASSIGN_OR_RETURN(
+            sorted, SortRectsByYLo(streams[i].range, runs.get(), out.get(),
+                                   requests.sort.bytes, arbiter,
+                                   SortConfigOf(options), &sort_stats));
+        scratch.push_back(std::move(runs));
+        scratch.push_back(std::move(out));
+      }
+      sources[i] = std::make_unique<SortedStreamSource>(sorted);
+    }
+
+    MemoryGrant sweep_grant = arbiter->AcquireShrinkable(requests.sweep);
+    auto emit = [sink](const RectF& ra, const RectF& rb) {
+      sink->Emit(ra.id, rb.id);
+    };
+    const SweepRunStats sweep = SweepJoinWithKind(
+        options.stream_sweep, extent,
+        SweepStrips(records, options.striped_strips), *sources[0],
+        *sources[1], emit);
+    SJ_RETURN_IF_ERROR(sources[0]->status());
+    SJ_RETURN_IF_ERROR(sources[1]->status());
+    sweep_grant.NoteUsage(sweep.max_structure_bytes);
+
+    JoinStats stats = measurement.Finish();
+    stats.output_count = sweep.output_count;
+    stats.max_sweep_bytes = sweep.max_structure_bytes;
+    stats.sweep_strips = sweep.strips;
+    stats.sweep_strips_collapsed = sweep.strips_collapsed;
+    stats.FoldSortStats(sort_stats);
+    FillMemoryStats(*arbiter, &stats);
+    return stats;
   }
 };
 
-class PBSMExecutor final : public StreamAlgorithmExecutor {
+class PBSMExecutor final : public JoinExecutor {
  public:
   JoinAlgorithm algorithm() const override { return JoinAlgorithm::kPBSM; }
   const char* name() const override { return "PBSM"; }
 
- protected:
-  Result<JoinStats> ExecuteStreams(CompiledPlan& plan, const DatasetRef& a,
-                                   const DatasetRef& b,
-                                   JoinSink* sink) const override {
+  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
+    SJ_ASSIGN_OR_RETURN(const DatasetRef a, StreamOf(plan, plan.inputs[0]));
+    SJ_ASSIGN_OR_RETURN(const DatasetRef b, StreamOf(plan, plan.inputs[1]));
     // Attached histograms spare the adaptive planner its build pass.
     // (The compile step clears them when an ε-expansion makes them
     // stale, so PBSM then re-derives density from the expanded stream.)

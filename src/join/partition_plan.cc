@@ -276,8 +276,6 @@ std::unique_ptr<AdaptivePartitionMap> PartitionPlanner::Plan(
     heap.pop();
     map->tiles_[leaf].partition = lightest.second;
     lightest.first += weights[leaf];
-    map->max_partition_weight_ =
-        std::max(map->max_partition_weight_, lightest.first);
     heap.push(lightest);
   }
   return map;

@@ -1,6 +1,7 @@
 #include "join/sources.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "rtree/node.h"
 #include "util/logging.h"
@@ -8,6 +9,11 @@
 namespace sj {
 
 std::optional<RectF> SortedStreamSource::Next() { return reader_.Next(); }
+
+std::optional<RectF> SortedRectsSource::Next() {
+  if (next_ == end_) return std::nullopt;
+  return *next_++;
+}
 
 RTreePQSource::RTreePQSource(const RTree* tree)
     : RTreePQSource(tree, Options()) {}
@@ -33,7 +39,11 @@ bool RTreePQSource::Pruned(const RectF& mbr) const {
 
 void RTreePQSource::ExpandNode(const NodeRef& ref) {
   uint8_t buf[kPageSize];
-  SJ_CHECK_OK(tree_->ReadNode(ref.page, buf));
+  Status read = tree_->ReadNode(ref.page, buf);
+  if (!read.ok()) {
+    status_ = std::move(read);
+    return;
+  }
   pages_read_++;
   const NodeView node(buf);
   SJ_CHECK(node.level() == ref.level) << "R-tree level corruption";
@@ -72,7 +82,7 @@ void RTreePQSource::ExpandNode(const NodeRef& ref) {
 }
 
 std::optional<RectF> RTreePQSource::Next() {
-  while (true) {
+  while (status_.ok()) {
     const bool have_node = !node_queue_.empty();
     const bool have_leaf = !leaf_queue_.empty();
     if (!have_node && !have_leaf) return std::nullopt;
@@ -101,6 +111,7 @@ std::optional<RectF> RTreePQSource::Next() {
     }
     return rect;
   }
+  return std::nullopt;
 }
 
 size_t RTreePQSource::MemoryBytes() const {

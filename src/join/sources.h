@@ -51,6 +51,21 @@ class SortedStreamSource final : public SortedRectSource {
   StreamReader<RectF> reader_;
 };
 
+/// Records already sorted in memory (a resident JoinInput).
+class SortedRectsSource final : public SortedRectSource {
+ public:
+  /// `rects` must outlive the source.
+  SortedRectsSource(const RectF* rects, uint64_t count)
+      : next_(rects), end_(rects + count) {}
+
+  /// Out of line, as SortedStreamSource::Next is.
+  std::optional<RectF> Next() override;
+
+ private:
+  const RectF* next_;
+  const RectF* end_;
+};
+
 /// The PQ index adapter: drains a packed R-tree in ylo order using a
 /// priority-queue-driven traversal (Figure 1 of the paper), touching every
 /// node at most once.
@@ -65,6 +80,9 @@ class SortedStreamSource final : public SortedRectSource {
 /// The selective variant (§4, §6.3): a filter rectangle and/or occupancy
 /// grid of the other input prunes subtrees that cannot produce join
 /// results, so localized joins touch only the relevant part of the index.
+///
+/// A node read that fails ends the traversal: Next() returns nullopt from
+/// then on and status() holds the read's error.
 class RTreePQSource final : public SortedRectSource {
  public:
   struct Options {
@@ -83,6 +101,7 @@ class RTreePQSource final : public SortedRectSource {
 
   std::optional<RectF> Next() override;
   size_t MemoryBytes() const override;
+  Status status() const override { return status_; }
 
   /// Index pages this traversal has read (<= tree->node_count(), with
   /// equality for unpruned traversals — the paper's "optimal" count).
@@ -128,6 +147,7 @@ class RTreePQSource final : public SortedRectSource {
   std::vector<uint32_t> free_buffers_;
   size_t buffer_bytes_ = 0;
   uint64_t pages_read_ = 0;
+  Status status_;
 };
 
 }  // namespace sj

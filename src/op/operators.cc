@@ -160,7 +160,6 @@ void AggregateByCellOp::Apply(uint64_t cell, double v) {
     grid_[static_cast<size_t>(cell)] += v;
   } else {
     spill_writer_->Append(CellDelta{cell, v});
-    spilled_deltas_++;
   }
 }
 
@@ -390,19 +389,15 @@ Status WindowScan::Scan(const RecordVisitor& visit) {
     stats_.pages_read += pages;
     return Status::OK();
   }
-  const DatasetRef& ref = input_.stream();
-  StreamReader<RectF> reader(ref.range.pager, ref.range.first_page,
-                             ref.range.count);
-  constexpr uint32_t kPerPage = StreamWriter<RectF>::kRecordsPerPage;
-  stats_.pages_read += (ref.range.count + kPerPage - 1) / kPerPage;
-  while (std::optional<RectF> r = reader.Next()) {
+  // A stream is read whole; resident records are read from memory.
+  if (!input_.resident()) stats_.pages_read += input_.pages();
+  return VisitRecords(input_, [&](const RectF& r) {
     stats_.rows_in++;
-    if (r->Intersects(window_)) {
+    if (r.Intersects(window_)) {
       stats_.rows_out++;
-      visit(*r);
+      visit(r);
     }
-  }
-  return reader.status();
+  });
 }
 
 Status WindowScan::Run(RowSink* out) {

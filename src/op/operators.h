@@ -199,7 +199,6 @@ class AggregateByCellOp final : public PipelineOperator {
 
   uint32_t nx() const { return nx_; }
   uint32_t ny() const { return ny_; }
-  uint64_t spilled_deltas() const { return spilled_deltas_; }
 
  private:
   /// One spilled contribution: flat cell index plus the delta.
@@ -231,7 +230,6 @@ class AggregateByCellOp final : public PipelineOperator {
   std::vector<double> grid_;
   std::unique_ptr<Pager> spill_pager_;
   std::unique_ptr<StreamWriter<CellDelta>> spill_writer_;
-  uint64_t spilled_deltas_ = 0;
   bool finished_ = false;
 };
 
@@ -285,9 +283,10 @@ class TopKByDistanceOp final : public PipelineOperator {
 ///
 /// An attached histogram prunes: when GridHistogram::MightIntersect says
 /// no record can overlap the window, the scan visits nothing and reads
-/// nothing. Streams are scanned sequentially and R-trees through
-/// RTree::ScanLeaves, which reads the leaf level in page order; both hand
-/// each record over as they read it, so neither holds a result buffer.
+/// nothing. Streams are scanned sequentially, resident records in memory
+/// and R-trees through RTree::ScanLeaves, which reads the leaf level in
+/// page order; each hands a record over as it reads it, so none holds a
+/// result buffer.
 class WindowScan {
  public:
   using RecordVisitor = std::function<void(const RectF&)>;
@@ -296,8 +295,8 @@ class WindowScan {
              const GridHistogram* histogram = nullptr);
 
   /// Drives the whole scan, calling `visit` with each in-window record
-  /// (id included) — the windowed-overlay plan writes them straight to
-  /// the join's input streams.
+  /// (id included) — the windowed-overlay plan fills its rect maps, which
+  /// are also the join's inputs, with them.
   Status Scan(const RecordVisitor& visit);
 
   /// Drives the whole scan into `out`, one row per record.

@@ -6,6 +6,7 @@
 
 #include "io/stream.h"
 #include "sort/external_sort.h"
+#include "sort/radix_sort.h"
 #include "util/logging.h"
 
 namespace sj {
@@ -15,6 +16,9 @@ namespace {
 /// The external path's least grant: its page index plus one page buffer
 /// (the id-sort clamps its own memory up to what a merge needs).
 constexpr size_t kExternalFloorBytes = 2 * kPageSize;
+
+/// The least room a resident table grows to when it fills.
+constexpr uint64_t kMinTableCapacity = 256;
 
 /// log2 of the hash index's slot count over `count` records: the least
 /// power of two holding twice as many slots as records (2 at least).
@@ -36,6 +40,10 @@ uint64_t RectTableBytes(uint64_t count) {
          (uint64_t{1} << IndexSlotBits(count)) * sizeof(uint32_t);
 }
 
+uint64_t ResidentTableBytes(uint64_t capacity) {
+  return 2 * capacity * sizeof(RectF);
+}
+
 size_t RectMapGrantBytes(size_t budget_bytes, size_t inputs) {
   return std::max(budget_bytes / (2 * std::max<size_t>(inputs, 1)),
                   kExternalFloorBytes);
@@ -46,6 +54,54 @@ GrantRequest RectResolver::Request(uint64_t count, size_t max_grant_bytes) {
                       static_cast<size_t>(std::min<uint64_t>(
                           RectTableBytes(count), max_grant_bytes)),
                       kExternalFloorBytes};
+}
+
+GrantRequest RectResolver::ResidentRequest(uint64_t expected_count,
+                                           size_t max_grant_bytes) {
+  return GrantRequest{grants::kOpRectMap,
+                      static_cast<size_t>(std::min<uint64_t>(
+                          ResidentTableBytes(expected_count), max_grant_bytes)),
+                      /*floor_bytes=*/0};
+}
+
+std::unique_ptr<RectResolver> RectResolver::StartTable(
+    MemoryArbiter* arbiter, uint64_t expected_count, size_t max_grant_bytes) {
+  SJ_CHECK(arbiter != nullptr);
+  auto table = std::unique_ptr<RectResolver>(new RectResolver());
+  table->max_grant_bytes_ = max_grant_bytes;
+  table->grant_ = arbiter->AcquireShrinkable(
+      ResidentRequest(expected_count, max_grant_bytes));
+  table->records_.reserve(table->grant_.bytes() / ResidentTableBytes(1));
+  return table;
+}
+
+bool RectResolver::Add(const RectF& r) {
+  if (records_.size() == records_.capacity()) {
+    // Double the room, within the cap. The grant grows first, and covers
+    // the old records while they move.
+    const uint64_t most = max_grant_bytes_ / ResidentTableBytes(1);
+    const uint64_t room = std::min<uint64_t>(
+        std::max<uint64_t>(2 * records_.capacity(), kMinTableCapacity), most);
+    if (room <= records_.capacity() ||
+        !grant_.TryGrow(static_cast<size_t>(ResidentTableBytes(room)))) {
+      return false;
+    }
+    records_.reserve(static_cast<size_t>(room));
+  }
+  records_.push_back(r);
+  return true;
+}
+
+void RectResolver::Seal() {
+  count_ = records_.size();
+  {
+    std::vector<RectF> scratch(records_.size());
+    grant_.NoteUsage((records_.capacity() + scratch.size()) * sizeof(RectF));
+    RadixSortByYLo(records_.data(), records_.size(), scratch.data());
+  }
+  IndexRecords();
+  grant_.NoteUsage(records_.capacity() * sizeof(RectF) +
+                   slots_.size() * sizeof(uint32_t));
 }
 
 Result<std::unique_ptr<RectResolver>> RectResolver::Build(
@@ -75,12 +131,9 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
   resolver->external_ = true;
   SJ_ASSIGN_OR_RETURN(resolver->scratch_,
                       MakePager(storage, disk, name + ".rectmap"));
-  StreamRange raw;
-  if (input.indexed()) {
-    SJ_ASSIGN_OR_RETURN(raw,
-                        input.rtree()->CopyLeaves(resolver->scratch_.get()));
-  } else {
-    raw = input.stream().range;
+  StreamRange raw = input.stream().range;
+  if (input.indexed() || input.resident()) {
+    SJ_ASSIGN_OR_RETURN(raw, WriteRecords(input, resolver->scratch_.get()));
   }
   ExternalSorter<RectF, OrderById> sorter(resolver->grant_.bytes(),
                                           resolver->scratch_.get(), OrderById(),
@@ -112,15 +165,15 @@ Result<std::unique_ptr<RectResolver>> RectResolver::Build(
 
 Status RectResolver::LoadTable(const JoinInput& input) {
   records_.reserve(static_cast<size_t>(count_));
-  if (input.indexed()) {
-    SJ_RETURN_IF_ERROR(input.rtree()->CollectAll(&records_));
-  } else {
-    const DatasetRef& ref = input.stream();
-    StreamReader<RectF> reader(ref.range.pager, ref.range.first_page,
-                               ref.range.count);
-    while (std::optional<RectF> r = reader.Next()) records_.push_back(*r);
-    SJ_RETURN_IF_ERROR(reader.status());
-  }
+  SJ_RETURN_IF_ERROR(VisitRecords(
+      input, [this](const RectF& r) { records_.push_back(r); }));
+  IndexRecords();
+  return Status::OK();
+}
+
+void RectResolver::IndexRecords() {
+  // An empty table needs no index (and a resident one may hold no grant).
+  if (records_.empty()) return;
   // Slots hold position + 1 in 32 bits, and the mask must fit them too.
   SJ_CHECK(records_.size() < (size_t{1} << 31))
       << "RectResolver: " << records_.size() << " records overflow the index";
@@ -133,7 +186,6 @@ Status RectResolver::LoadTable(const JoinInput& input) {
     while (slots_[s] != 0) s = (s + 1) & mask;
     slots_[s] = pos + 1;
   }
-  return Status::OK();
 }
 
 uint32_t RectResolver::HomeSlot(ObjectId id) const {
@@ -147,6 +199,9 @@ Status RectResolver::Lookup(const std::vector<ObjectId>& ids,
                             std::vector<RectF>* out) {
   out->resize(ids.size());
   if (external_) return LookupExternal(ids, out);
+  if (slots_.empty()) {
+    return ids.empty() ? Status::OK() : NotInInput(ids[0]);
+  }
   // The index is at most half full, so every probe run ends at an empty
   // slot.
   const uint32_t mask = static_cast<uint32_t>(slots_.size() - 1);

@@ -28,6 +28,13 @@ struct OrderById {
 /// op.rectmap request and its NoteUsage size the table with this.
 uint64_t RectTableBytes(uint64_t count);
 
+/// Bytes a resident table (RectResolver::StartTable) holds for room for
+/// `capacity` records while a scan fills it and Seal sorts it: the
+/// records and the radix sort's scratch copy of them. The hash index
+/// Seal builds after the sort needs less than the scratch, so the table
+/// never holds more than this.
+uint64_t ResidentTableBytes(uint64_t capacity);
+
 /// The most one of a pipeline's `inputs` RectResolvers asks of a
 /// `budget_bytes` query budget: budget / (2 x inputs), so the tables take
 /// at most half the budget together and the join keeps the rest. Never
@@ -49,6 +56,13 @@ size_t RectMapGrantBytes(size_t budget_bytes, size_t inputs);
 ///    in one pass by an open-addressing hash table: each 32-bit slot holds
 ///    a record position + 1 (0 = empty), probed linearly from the high
 ///    bits of a multiplicative hash of the id. A lookup is O(1) per id.
+///  * Resident path (StartTable, a windowed pipeline's): a window scan
+///    fills the table record by record under a grant that grows with it,
+///    and Seal sorts it by OrderByYLo and indexes it in that order. The
+///    sorted records are then also the join's input
+///    (JoinInput::FromSortedRects), so one copy serves both. A table that
+///    would outgrow its cap is abandoned by its caller, which then takes
+///    the stream path (Build).
 ///  * External path: when the grant (capped by the caller, or shrunk by
 ///    the arbiter) cannot hold the table, the records are external-sorted
 ///    by id into a scratch pager (MakePager — the query's storage backend
@@ -81,6 +95,34 @@ class RectResolver {
   /// path's 2 pages. PipelineQuery::Explain plans each table from it.
   static GrantRequest Request(uint64_t count, size_t max_grant_bytes);
 
+  /// Starts an empty resident table for a scan expected to hold
+  /// `expected_count` records. Its op.rectmap grant starts at
+  /// ResidentRequest and grows with the table (Add), never beyond
+  /// `max_grant_bytes`.
+  static std::unique_ptr<RectResolver> StartTable(MemoryArbiter* arbiter,
+                                                  uint64_t expected_count,
+                                                  size_t max_grant_bytes);
+
+  /// The op.rectmap request StartTable makes: the ResidentTableBytes of
+  /// `expected_count` records capped at `max_grant_bytes`, with no floor
+  /// (a table granted nothing spills its first record).
+  /// PipelineQuery::Explain plans a resident table from it.
+  static GrantRequest ResidentRequest(uint64_t expected_count,
+                                      size_t max_grant_bytes);
+
+  /// Appends `r` to a started table. False, with nothing appended, when
+  /// holding one more record would take the table past its cap or past
+  /// what the arbiter can grant.
+  bool Add(const RectF& r);
+
+  /// Ends a started table: sorts its records by OrderByYLo
+  /// (RadixSortByYLo) and indexes them in that order, inside the grant
+  /// the table grew to.
+  void Seal();
+
+  /// The in-memory table's records (in OrderByYLo order once sealed).
+  const std::vector<RectF>& records() const { return records_; }
+
   /// Resolves ids[i] into (*out)[i] (out is resized). Every id must exist
   /// in the input; an unknown id is an Internal error (it would mean the
   /// join emitted an id its own input never contained).
@@ -100,6 +142,8 @@ class RectResolver {
 
   /// The in-memory path: loads `input` and indexes it.
   Status LoadTable(const JoinInput& input);
+  /// Builds the hash index over records_ in their order.
+  void IndexRecords();
   uint32_t HomeSlot(ObjectId id) const;
   Status LookupExternal(const std::vector<ObjectId>& ids,
                         std::vector<RectF>* out);
@@ -107,9 +151,12 @@ class RectResolver {
   bool external_ = false;
   uint64_t count_ = 0;
   MemoryGrant grant_;
+  /// A started table's cap (StartTable's max_grant_bytes).
+  size_t max_grant_bytes_ = 0;
   SortStats sort_stats_;
 
-  // In-memory path: records in load order, and the hash index over them
+  // In-memory path: records in load order (in OrderByYLo order once a
+  // resident table is sealed), and the hash index over them
   // (slots_.size() is a power of two; slot_shift_ = 64 - its log2).
   std::vector<RectF> records_;
   std::vector<uint32_t> slots_;

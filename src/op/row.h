@@ -64,7 +64,6 @@ class CollectingRowSink final : public RowSink {
  public:
   void Emit(PipeRow row) override { rows_.push_back(std::move(row)); }
   const std::vector<PipeRow>& rows() const { return rows_; }
-  std::vector<PipeRow>& mutable_rows() { return rows_; }
 
  private:
   std::vector<PipeRow> rows_;

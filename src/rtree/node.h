@@ -108,13 +108,6 @@ class NodeBuilder {
     std::memcpy(page_, &h, sizeof(h));
   }
 
-  /// Removes all entries but keeps the level.
-  void ClearEntries() {
-    NodeHeader h = Header();
-    h.count = 0;
-    std::memcpy(page_, &h, sizeof(h));
-  }
-
   /// Removes entry `i` by swapping in the last entry (order not
   /// preserved).
   void RemoveEntry(uint32_t i) {

@@ -584,19 +584,6 @@ Status RTree::CollectAll(std::vector<RectF>* out) const {
   return WindowQuery(meta_.bounding_box, out);
 }
 
-Result<StreamRange> RTree::CopyLeaves(Pager* out) const {
-  StreamWriter<RectF> writer(out);
-  const PageId first = writer.first_page();
-  const Result<uint64_t> scanned = ScanLeaves(
-      meta_.bounding_box, [&writer](const RectF& r) { writer.Append(r); });
-  if (!scanned.ok()) {
-    writer.Abandon();
-    return scanned.status();
-  }
-  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-  return StreamRange{out, first, n};
-}
-
 double RTree::AveragePacking() const {
   if (meta_.leaf_count == 0) return 0.0;
   return static_cast<double>(meta_.entry_count) /

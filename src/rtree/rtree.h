@@ -130,12 +130,6 @@ class RTree {
   /// (ScanLeaves over the bounding box).
   Status CollectAll(std::vector<RectF>* out) const;
 
-  /// Writes every stored data rectangle as a RectF stream at the end of
-  /// `out`, in leaf-page order, record by record as ScanLeaves reads
-  /// them: how stream algorithms and sorts take a tree as their input. A
-  /// read error abandons the stream.
-  Result<StreamRange> CopyLeaves(Pager* out) const;
-
   const RTreeMeta& meta() const { return meta_; }
   const RTreeParams& params() const { return params_; }
   Pager* pager() const { return pager_; }

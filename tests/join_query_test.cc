@@ -742,5 +742,47 @@ TEST(JoinExplain, DistanceQueriesPlanWhatRunGrants) {
   }
 }
 
+// An ε-expansion drops the attached histograms, and PBSM builds its own:
+// Explain prices that pass whether histograms were attached or not, and
+// kAuto's choice does not move with it.
+TEST(JoinExplain, DistanceQueriesPricePBSMsHistogramPass) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 1000, 1000);
+  const std::vector<RectF> ra = UniformRects(20000, region, 1.0f, 1);
+  const std::vector<RectF> rb = UniformRects(20000, region, 1.0f, 2);
+  const DatasetRef da = MakeDataset(&td, ra, "a", &keep);
+  const DatasetRef db = MakeDataset(&td, rb, "b", &keep);
+  const std::unique_ptr<RTree> ta = BulkLoad(&td, da, &keep);
+  GridHistogram hist_a(region, 64, 64), hist_b(region, 64, 64);
+  for (const RectF& r : ra) hist_a.Add(r);
+  for (const RectF& r : rb) hist_b.Add(r);
+  SpatialJoiner joiner(&td.disk, JoinOptions());
+  for (const JoinInput& a :
+       {JoinInput::FromStream(da), JoinInput::FromRTree(ta.get())}) {
+    SCOPED_TRACE(a.indexed() ? "tree x stream" : "stream x stream");
+    auto explain = [&](bool histograms, double epsilon) {
+      JoinQuery q(joiner);
+      q.Input(a).Input(JoinInput::FromStream(db)).MemoryBytes(1 << 20);
+      if (epsilon > 0.0) q.Predicate(Predicate::kDistanceWithin, epsilon);
+      if (histograms) q.WithHistogram(0, &hist_a).WithHistogram(1, &hist_b);
+      auto plan = q.Explain();
+      SJ_CHECK_OK(plan.status());
+      return *plan;
+    };
+    const PlanDecision with = explain(true, 0.5);
+    const PlanDecision without = explain(false, 0.5);
+    EXPECT_GT(with.histogram_build_seconds, 0.0);
+    EXPECT_EQ(with.histogram_build_seconds, without.histogram_build_seconds);
+    EXPECT_EQ(with.pbsm_cost_seconds, without.pbsm_cost_seconds);
+    EXPECT_EQ(with.pbsm_partitions, without.pbsm_partitions);
+    // Without ε the attached histograms reach PBSM: no pass to price.
+    EXPECT_EQ(explain(true, 0.0).histogram_build_seconds, 0.0);
+    // The choice is priced before the expansion, with the histograms.
+    EXPECT_EQ(with.algorithm, explain(true, 0.0).algorithm);
+    EXPECT_EQ(with.index_cost_seconds, explain(true, 0.0).index_cost_seconds);
+  }
+}
+
 }  // namespace
 }  // namespace sj

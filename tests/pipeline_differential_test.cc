@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/memory_arbiter.h"
@@ -29,6 +30,7 @@
 #include "datagen/synthetic.h"
 #include "io/storage.h"
 #include "op/operators.h"
+#include "op/rect_resolver.h"
 #include "op/row.h"
 #include "rtree/rtree.h"
 #include "test_util.h"
@@ -372,6 +374,108 @@ TEST(PipelineDifferential, JoinAggregateAcrossConfigurations) {
       }
       EXPECT_GT(stats->peak_memory_bytes, 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rect-map paths: a window scan fills its input's resident table, or, past
+// the table's share, spills it to a stream. Resident, spilled and mixed
+// inputs produce the same rows in every configuration.
+// ---------------------------------------------------------------------------
+
+TEST(PipelineDifferential, RectMapPathsAcrossConfigurations) {
+  auto file_factory = FileFactory();
+  for (const uint64_t seed : Seeds(11, 2)) {
+    Trial t(seed);
+    SCOPED_TRACE(ReplayLine(seed));
+    // The window covers most of both inputs. Input 0, a stream, outgrows
+    // its share at 256 KiB; input 1, a tree, only at 64 KiB.
+    const RectF region(0, 0, 100, 100);
+    const std::vector<RectF> a = UniformRects(3000, region, 1.5f, seed * 7 + 3);
+    const std::vector<RectF> b = UniformRects(600, region, 1.5f, seed * 7 + 4);
+    const RectF window(5, 5, 95, 95);
+    t.keep.push_back(t.td.NewPager("tree.b"));
+    Pager* tree_pager = t.keep.back().get();
+    t.keep.push_back(t.td.NewPager("tree.b.scratch"));
+    auto tree_b = RTree::BulkLoadHilbert(
+        tree_pager, MakeDataset(&t.td, b, "b.sparse", &t.keep).range,
+        t.keep.back().get(), RTreeParams(), 1 << 22);
+    ASSERT_TRUE(tree_b.ok()) << tree_b.status().ToString();
+    const JoinInput inputs[2] = {
+        JoinInput::FromStream(MakeDataset(&t.td, a, "a.dense", &t.keep)),
+        JoinInput::FromRTree(&*tree_b)};
+    const std::vector<RectF>* records[2] = {&a, &b};
+
+    std::vector<RectF> in_window[2];
+    std::map<ObjectId, RectF> by_id[2];
+    for (int i = 0; i < 2; ++i) {
+      for (const RectF& r : *records[i]) {
+        if (!r.Intersects(window)) continue;
+        in_window[i].push_back(r);
+        by_id[i][r.id] = r;
+      }
+    }
+    std::vector<PipeRow> join_rows;
+    for (const IdPair& p : BruteForcePairs(in_window[0], in_window[1])) {
+      PipeRow row;
+      row.rect = JoinRowAdapter::ContactBox({by_id[0].at(p.a), by_id[1].at(p.b)});
+      row.ids = {p.a, p.b};
+      join_rows.push_back(std::move(row));
+    }
+    const std::vector<PipeRow> expected =
+        AggregateCountOracle(join_rows, window, t.nx, t.ny);
+
+    // Which inputs spilled, per run: {input 0, input 1}.
+    std::map<std::pair<bool, bool>, int> paths;
+    for (const size_t budget :
+         {kMinMemoryBytes, size_t{256} << 10, size_t{24} << 20}) {
+      for (const uint32_t threads : {1u, 8u}) {
+        for (const bool file_backend : {false, true}) {
+          const Config cfg{threads, budget, file_backend};
+          SCOPED_TRACE(cfg.Name());
+          CollectingRowSink sink;
+          PipelineQuery q(*t.joiner);
+          q.Input(inputs[0])
+              .Input(inputs[1])
+              .Window(window)
+              .AggregateByCell(AggregateMode::kCount, t.nx, t.ny, window);
+          t.Apply(q, cfg, file_factory);
+          auto stats = q.Run(&sink);
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          EXPECT_EQ(sink.rows(), expected);
+          ExpectExplainPlansRunGrants(q, /*windowed=*/true, *stats);
+
+          bool spilled[2];
+          for (int i = 0; i < 2; ++i) {
+            const OperatorStats& scan = stats->operators[i];
+            ASSERT_EQ(scan.name, "WindowScan");
+            EXPECT_EQ(scan.rows_out, in_window[i].size());
+            // A spilled scan reports the window stream's pages.
+            constexpr uint64_t kPerPage = kPageSize / sizeof(RectF);
+            spilled[i] = scan.spill_pages > 0;
+            if (spilled[i]) {
+              EXPECT_EQ(scan.spill_pages,
+                        (in_window[i].size() + kPerPage - 1) / kPerPage);
+            }
+            const bool fits = ResidentTableBytes(in_window[i].size()) <=
+                              RectMapGrantBytes(budget, 2);
+            EXPECT_EQ(spilled[i], !fits) << "input " << i;
+          }
+          if (!spilled[0] && !spilled[1]) {
+            EXPECT_EQ(stats->disk.pages_written, 0u);
+          } else {
+            EXPECT_GE(stats->disk.pages_written,
+                      stats->operators[0].spill_pages +
+                          stats->operators[1].spill_pages);
+          }
+          paths[{spilled[0], spilled[1]}]++;
+        }
+      }
+    }
+    // Every path ran: both resident, input 0 spilled, both spilled.
+    EXPECT_GT(paths[std::make_pair(false, false)], 0);
+    EXPECT_GT(paths[std::make_pair(true, false)], 0);
+    EXPECT_GT(paths[std::make_pair(true, true)], 0);
   }
 }
 

@@ -720,10 +720,10 @@ TEST(PipelineExplain, ScanSourceHasNoJoinDecision) {
   EXPECT_NE(plan->Describe().find("WindowScan"), std::string::npos);
 }
 
-// Explain plans each input's rect map as Run requests it: the hashed
-// table, capped at budget / (2 x inputs), over the records Run builds it
-// from — the whole relation without a window, the in-window estimate
-// with one.
+// Explain plans each input's rect map as Run requests it, capped at
+// budget / (2 x inputs): without a window the hashed table over the whole
+// relation; with one the resident table a window scan fills, sized for
+// the in-window estimate and the sort's scratch copy of it.
 TEST(PipelineExplain, RectMapLineFollowsTheRun) {
   SparseStreams s(2);
   const size_t table = static_cast<size_t>(RectTableBytes(s.kRecords));
@@ -749,7 +749,7 @@ TEST(PipelineExplain, RectMapLineFollowsTheRun) {
   for (const JoinInput& input : s.inputs) {
     const uint64_t rows = static_cast<uint64_t>(
         std::llround(WindowScan::EstimateRows(input, window, nullptr)));
-    in_window += std::min<size_t>(RectTableBytes(rows), share);
+    in_window += std::min<size_t>(ResidentTableBytes(rows), share);
     full += std::min(table, share);
   }
   auto plan = s.Query(24u << 20).Window(window).Explain();
@@ -921,7 +921,7 @@ TEST(PipelineExplain, NodesReportTheRowsTheyEmit) {
   EXPECT_DOUBLE_EQ(nodes[2].est_rows, nodes[3].est_rows / 3.0);
 }
 
-// A windowed k-way chain is priced over the in-window streams it joins,
+// A windowed k-way chain is priced over the in-window records it joins,
 // not over the whole relations.
 TEST(PipelineExplain, MultiwayChainIsPricedOverItsWindow) {
   TestDisk td;
@@ -981,6 +981,77 @@ TEST(PipelineMemory, RectMapsLeaveTheJoinHalfTheBudget) {
   ASSERT_TRUE(roomy.ok()) << roomy.status().ToString();
   EXPECT_FALSE(roomy_rows.rows().empty());
   EXPECT_EQ(tight_rows.rows(), roomy_rows.rows());
+}
+
+// A windowed overlay of two trees whose in-window tables fit their shares
+// joins the tables where they lie: the scans fill the rect maps, which are
+// also the join's sorted inputs, so the query sorts and writes nothing,
+// and a strict arbiter sees every table inside its grant.
+TEST(PipelineMemory, ResidentWindowTablesWriteNothing) {
+  SparseStreams s(2);
+  std::vector<std::unique_ptr<RTree>> trees;
+  for (size_t i = 0; i < 2; ++i) {
+    s.keep.push_back(s.td.NewPager("tree" + std::to_string(i)));
+    Pager* tree_pager = s.keep.back().get();
+    s.keep.push_back(s.td.NewPager("scratch" + std::to_string(i)));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, s.inputs[i].stream().range,
+                                       s.keep.back().get(), RTreeParams(),
+                                       1 << 22);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+  }
+  const RectF window(100, 100, 500, 600);
+  std::vector<RectF> in_window[2];
+  for (uint64_t i = 0; i < 2; ++i) {
+    for (const RectF& r : UniformRects(s.kRecords, RectF(0, 0, 1000, 1000),
+                                       4.0f, i + 1)) {
+      if (r.Intersects(window)) in_window[i].push_back(r);
+    }
+  }
+  const std::vector<IdPair> expected =
+      BruteForcePairs(in_window[0], in_window[1]);
+  std::optional<std::vector<PipeRow>> reference;
+  for (const size_t budget : {size_t{24} << 20, size_t{4} << 20,
+                              size_t{1} << 20}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    auto query = [&]() {
+      PipelineQuery q(*s.joiner);
+      q.Input(JoinInput::FromRTree(trees[0].get()))
+          .Input(JoinInput::FromRTree(trees[1].get()))
+          .Window(window)
+          .MemoryBytes(budget);
+      q.mutable_options().strict_memory_accounting = true;
+      return q;
+    };
+    CollectingRowSink pairs;
+    auto joined = query().Run(&pairs);
+    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+    EXPECT_EQ(Sorted(RowPairs(pairs.rows())), expected);
+
+    CollectingRowSink rows;
+    auto stats = query()
+                     .AggregateByCell(AggregateMode::kCount, 32, 32)
+                     .TopKByDistance(8, 300, 300)
+                     .Run(&rows);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!reference.has_value()) reference = rows.rows();
+    EXPECT_EQ(rows.rows(), *reference);
+    for (const PipelineStats* run : {&*joined, &*stats}) {
+      EXPECT_EQ(run->join_algorithm, JoinAlgorithm::kSSSJ);
+      EXPECT_EQ(run->disk.pages_written, 0u);
+      EXPECT_EQ(ComponentOf(*run, grants::kSortRuns).granted_high_water, 0u);
+      const MemoryComponentStats rectmap =
+          ComponentOf(*run, grants::kOpRectMap);
+      EXPECT_GT(rectmap.used_high_water, 0u);
+      EXPECT_LE(rectmap.used_high_water, rectmap.granted_high_water);
+      EXPECT_LE(rectmap.granted_high_water, 2 * RectMapGrantBytes(budget, 2));
+      for (size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(run->operators[i].name, "WindowScan");
+        EXPECT_EQ(run->operators[i].rows_out, in_window[i].size());
+        EXPECT_EQ(run->operators[i].spill_pages, 0u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1135,10 +1206,11 @@ TEST(PipelineStatsTest, DescribeAndKeyValuesAreStructured) {
 // Read faults in an index's leaf level
 // ---------------------------------------------------------------------------
 
-// A tree whose reads fail after its bulk load: every query that reads its
-// leaf level ends in the read's IoError, alone and through a service, with
-// no unfinished stream left behind and every grant back. Then the same
-// queries run.
+// A tree whose reads fail after its bulk load: every query that reads it
+// ends in the read's IoError, alone and through a service, with no
+// unfinished stream left behind and every grant back: the leaf scans
+// (extraction, window scans, rect maps) and PQ's traversal, pairwise and
+// in the k-way chain. Then the same queries run.
 TEST(LeafScanFaults, EveryReaderEndsInIoError) {
   SparseStreams s(2);
   auto failing = std::make_unique<FailingBackend>();
@@ -1185,8 +1257,33 @@ TEST(LeafScanFaults, EveryReaderEndsInIoError) {
          return service == nullptr ? q.Run(&sink).status()
                                    : service->Run(q, &sink).status();
        }},
-      // The scans write the in-window streams while they read.
+      // The scans fill the resident rect maps while they read.
       {"windowed pipeline", pipeline(24u << 20, true)},
+      // The traversal reads the tree node by node.
+      {"PQ, tree side",
+       [&](SpatialService* service) {
+         JoinQuery q(*s.joiner);
+         q.Input(a).Input(s.inputs[1]).Algorithm(JoinAlgorithm::kPQ);
+         CountingSink sink;
+         return service == nullptr ? q.Run(&sink).status()
+                                   : service->Run(q, &sink).status();
+       }},
+      // Standalone, the k-way JoinQuery traverses the tree; through the
+      // service, the k-way pipeline (the service schedules pairwise
+      // queries and pipelines) reads it into its rect map first.
+      {"k-way chain",
+       [&](SpatialService* service) {
+         if (service == nullptr) {
+           JoinQuery q(*s.joiner);
+           q.Input(a).Input(s.inputs[1]).Input(b);
+           CountingTupleSink sink;
+           return q.Run(static_cast<TupleSink*>(&sink)).status();
+         }
+         PipelineQuery q(*s.joiner);
+         q.Input(a).Input(s.inputs[1]).Input(b);
+         CountingRowSink sink;
+         return service->Run(q, &sink).status();
+       }},
       // The rect map loads its in-memory table from the tree.
       {"two-tree pipeline", pipeline(24u << 20, false)},
       // The table goes external, through a stream copy of the tree.

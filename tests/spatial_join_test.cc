@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/join_query.h"
 #include "datagen/synthetic.h"
 #include "test_util.h"
@@ -197,17 +199,123 @@ TEST_F(SpatialJoinerTest, SortedStreamInputSkipsSorting) {
   const DatasetRef da = Dataset(a, "a");
   const DatasetRef db = Dataset(b, "b");
   SpatialJoiner joiner(&td_.disk, JoinOptions());
-  td_.disk.ResetStats();
-  CollectingSink sink;
+  // PQ, and SSSJ forced or chosen (kAuto: no index), sweep the sorted
+  // streams as they are.
+  for (const JoinAlgorithm algorithm :
+       {JoinAlgorithm::kPQ, JoinAlgorithm::kSSSJ, JoinAlgorithm::kAuto}) {
+    SCOPED_TRACE(ToString(algorithm));
+    td_.disk.ResetStats();
+    CollectingSink sink;
+    auto stats = JoinQuery(joiner)
+                     .Input(JoinInput::FromSortedStream(da))
+                     .Input(JoinInput::FromSortedStream(db))
+                     .Algorithm(algorithm)
+                     .Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_NE(stats->algorithm, JoinAlgorithm::kPBSM);
+    EXPECT_EQ(Sorted(sink.pairs()), expected);
+    // One read pass, no writes (no sorting happened).
+    EXPECT_EQ(stats->disk.pages_written, 0u);
+    EXPECT_EQ(stats->disk.pages_read, da.range.count / 409 + 1 +
+                                          db.range.count / 409 + 1);
+  }
+}
+
+// Records sorted in memory (JoinInput::FromSortedRects) join with every
+// pairwise algorithm and in the k-way chain. The sweeps read them where
+// they lie; PBSM and SSSJ's strip fallback read streams, so they write
+// the records out first.
+TEST_F(SpatialJoinerTest, SortedRectsInputsJoinInMemory) {
+  auto a = UniformRects(3000, RectF(0, 0, 100, 100), 1.0f, 21);
+  auto b = UniformRects(2000, RectF(0, 0, 100, 100), 1.0f, 22);
+  auto c = UniformRects(1000, RectF(0, 0, 100, 100), 1.0f, 23);
+  const auto expected = BruteForcePairs(a, b);
+  for (auto* rects : {&a, &b, &c}) {
+    std::sort(rects->begin(), rects->end(), OrderByYLo());
+  }
+  auto resident = [](const std::vector<RectF>& rects) {
+    RectF extent = RectF::Empty();
+    for (const RectF& r : rects) extent.ExtendTo(r);
+    return JoinInput::FromSortedRects(rects.data(), rects.size(), extent);
+  };
+  RTree tb = BuildTree(b, "b");
+  SpatialJoiner joiner(&td_.disk, JoinOptions());
+  struct Case {
+    JoinAlgorithm algorithm;
+    JoinInput other;
+    bool writes;
+  };
+  for (const Case& c : {Case{JoinAlgorithm::kAuto, resident(b), false},
+                        Case{JoinAlgorithm::kSSSJ, resident(b), false},
+                        Case{JoinAlgorithm::kPQ, resident(b), false},
+                        Case{JoinAlgorithm::kPBSM, resident(b), true},
+                        // A tree side is flattened and sorted; PQ
+                        // traverses it.
+                        Case{JoinAlgorithm::kSSSJ, JoinInput::FromRTree(&tb),
+                             true},
+                        Case{JoinAlgorithm::kPQ, JoinInput::FromRTree(&tb),
+                             false}}) {
+    SCOPED_TRACE(std::string(ToString(c.algorithm)) +
+                 (c.other.indexed() ? " x tree" : " x resident"));
+    JoinQuery q(joiner);
+    q.Input(resident(a)).Input(c.other).Algorithm(c.algorithm);
+    auto plan = q.Explain();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    CollectingSink sink;
+    const DiskStats before = td_.disk.stats();
+    auto stats = q.Run(&sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(Sorted(sink.pairs()), expected);
+    EXPECT_EQ(stats->algorithm, plan->algorithm);
+    EXPECT_EQ(td_.disk.stats().pages_written > before.pages_written, c.writes);
+    // Explain replays the run's grants: no sort for a sorted side.
+    testing_util::ExpectPlanIsRunGrants(
+        plan->memory, stats->memory_components,
+        testing_util::DataDependentGrants(*stats));
+  }
+
+  // Too little memory for one sweep: SSSJ falls back to strips, which
+  // read the records as streams.
+  auto big_a = UniformRects(60000, RectF(0, 0, 1000, 1000), 1.0f, 24);
+  auto big_b = UniformRects(60000, RectF(0, 0, 1000, 1000), 1.0f, 25);
+  CollectingSink reference;
+  ASSERT_TRUE(JoinQuery(joiner)
+                  .Input(JoinInput::FromStream(Dataset(big_a, "big_a")))
+                  .Input(JoinInput::FromStream(Dataset(big_b, "big_b")))
+                  .Run(&reference)
+                  .ok());
+  std::sort(big_a.begin(), big_a.end(), OrderByYLo());
+  std::sort(big_b.begin(), big_b.end(), OrderByYLo());
+  CollectingSink strips;
   auto stats = JoinQuery(joiner)
-                   .Input(JoinInput::FromSortedStream(da))
-                   .Input(JoinInput::FromSortedStream(db))
-                   .Algorithm(JoinAlgorithm::kPQ)
-                   .Run(&sink);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(Sorted(sink.pairs()), expected);
-  // One read pass, no writes (no sorting happened).
-  EXPECT_EQ(stats->disk.pages_written, 0u);
+                   .Input(resident(big_a))
+                   .Input(resident(big_b))
+                   .MemoryBytes(kMinMemoryBytes)
+                   .Run(&strips);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->partitions_total, 0u);
+  EXPECT_EQ(Sorted(strips.pairs()), Sorted(reference.pairs()));
+
+  // The k-way chain sweeps resident inputs as PQ does.
+  CountingTupleSink tuples;
+  auto kway = JoinQuery(joiner)
+                  .Input(resident(a))
+                  .Input(resident(b))
+                  .Input(resident(c))
+                  .Run(static_cast<TupleSink*>(&tuples));
+  ASSERT_TRUE(kway.ok()) << kway.status().ToString();
+  uint64_t triples = 0;
+  for (const RectF& ra : a) {
+    for (const RectF& rb : b) {
+      if (!ra.Intersects(rb)) continue;
+      const RectF ab = ra.IntersectionWith(rb);
+      for (const RectF& rc : c) {
+        if (ab.Intersects(rc)) triples++;
+      }
+    }
+  }
+  EXPECT_EQ(kway->output_count, triples);
+  EXPECT_EQ(kway->disk.pages_written, 0u);
 }
 
 }  // namespace
