@@ -33,6 +33,7 @@
 #include "io/stream.h"
 #include "join/multiway.h"
 #include "join/pq_join.h"
+#include "join/sources.h"
 #include "join/sssj.h"
 #include "sort/external_sort.h"
 #include "sweep/interval_structures.h"
@@ -442,7 +443,7 @@ double SweepMs(const std::vector<RectF>& a, const std::vector<RectF>& b,
                const RectF& region, uint32_t strips, uint64_t* pairs) {
   double best = 1e100;
   for (int rep = 0; rep < 3; ++rep) {
-    VectorRectSource sa(&a), sb(&b);
+    SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
     Structure active_a(region, strips), active_b(region, strips);
     const auto t0 = std::chrono::steady_clock::now();
     *pairs = SweepJoinRun(sa, sb, active_a, active_b,

@@ -129,26 +129,6 @@ class CostModel {
     return static_cast<double>(touched) * rand;
   }
 
-  /// True when traversing `touched_fraction` of an index beats streaming.
-  bool PreferIndex(double touched_fraction) const {
-    return touched_fraction < IndexBreakEvenFraction();
-  }
-
-  // Sweep-kernel CPU term. The sweep inner loop (interval-structure
-  // scans, calibrated by timing the sweeps on the TIGER ladder)
-  // processes active-set lanes at roughly this per-lane cost in the SoA
-  // kernels (sweep/sweep_kernels.h). It tells the planner how much of a
-  // join is CPU-bound sweep work vs. modeled I/O.
-
-  /// 8-lane AVX2 / 4-lane SSE2-NEON blocks over SoA lanes.
-  static constexpr double kSweepNsPerLane = 0.4;
-
-  /// Modeled seconds of sweep CPU for `lanes` total active-set lanes
-  /// scanned (summed over every QueryAndExpire pass). Monotone in lanes.
-  double SweepCpuSeconds(uint64_t lanes) const {
-    return static_cast<double>(lanes) * kSweepNsPerLane * 1e-9;
-  }
-
   // External-sort CPU terms. Sorting is the one join phase whose CPU
   // scales down with worker threads (run formation parallelizes; the
   // merge stays on the coordinator), so the planner prices it

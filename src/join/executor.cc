@@ -1,6 +1,5 @@
 #include "join/executor.h"
 
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -12,53 +11,8 @@
 #include "join/sources.h"
 #include "join/sssj.h"
 #include "join/st_join.h"
-#include "sort/external_sort.h"
-#include "sweep/sweep_join.h"
 
 namespace sj {
-
-uint64_t JoinInput::pages() const {
-  if (indexed()) return rtree_->node_count();
-  constexpr uint64_t per_page = kPageSize / sizeof(RectF);
-  return (count() + per_page - 1) / per_page;
-}
-
-Status VisitRecords(const JoinInput& input,
-                    const std::function<void(const RectF&)>& visit) {
-  switch (input.kind()) {
-    case JoinInput::Kind::kRTree: {
-      const RTree& tree = *input.rtree();
-      return tree.ScanLeaves(tree.bounding_box(), visit).status();
-    }
-    case JoinInput::Kind::kSortedRects:
-      for (uint64_t i = 0; i < input.count(); ++i) visit(input.rects()[i]);
-      return Status::OK();
-    case JoinInput::Kind::kStream:
-    case JoinInput::Kind::kSortedStream: {
-      const StreamRange& range = input.stream().range;
-      StreamReader<RectF> reader(range.pager, range.first_page, range.count);
-      while (std::optional<RectF> r = reader.Next()) visit(*r);
-      return reader.status();
-    }
-  }
-  return Status::Internal("unreachable join input kind");
-}
-
-Result<StreamRange> WriteRecords(
-    const JoinInput& input, Pager* out,
-    const std::function<RectF(const RectF&)>& map) {
-  StreamWriter<RectF> writer(out);
-  const PageId first = writer.first_page();
-  const Status read = VisitRecords(input, [&](const RectF& r) {
-    writer.Append(map ? map(r) : r);
-  });
-  if (!read.ok()) {
-    writer.Abandon();
-    return read;
-  }
-  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
-  return StreamRange{out, first, n};
-}
 
 std::string PlanDecision::Describe() const {
   std::ostringstream os;
@@ -226,90 +180,25 @@ Status JoinExecutor::Validate(const CompiledPlan& plan) const {
 
 namespace {
 
-/// `input` as a stream, for the plans that read streams (PBSM, SSSJ and
-/// its strips): a stream input's own; a tree's leaf level (in page
-/// order) or resident records written to a scratch stream, whose pager
-/// is parked on the plan so the returned DatasetRef outlives the
-/// executor call.
+/// `input` as a stream, for PBSM: a stream input's own; a tree's leaf
+/// level or resident records written out (ExtractStream), whose pager is
+/// parked on the plan so the returned DatasetRef outlives the executor
+/// call.
 Result<DatasetRef> StreamOf(CompiledPlan& plan, const JoinInput& input) {
   if (!input.indexed() && !input.resident()) return input.stream();
+  std::unique_ptr<Pager> pager;
   SJ_ASSIGN_OR_RETURN(
-      auto out, MakePager(plan.options.storage.get(), plan.disk,
-                          input.indexed() ? "extract.leaves" : "extract.rects"));
-  DatasetRef ref;
-  SJ_ASSIGN_OR_RETURN(ref.range, WriteRecords(input, out.get()));
-  ref.extent = input.extent();
-  plan.owned_pagers.push_back(std::move(out));
+      const DatasetRef ref,
+      ExtractStream(input, plan.options.storage.get(), plan.disk, &pager));
+  plan.owned_pagers.push_back(std::move(pager));
   return ref;
 }
 
-/// Sorted source over any input (a stream sorts under PQ's sort request).
-/// The returned pagers (if any) own temporary space and must stay alive
-/// for the source's lifetime. Indexed inputs become *selective* PQ
-/// traversals pruned by the other input's extent (always safe) and
-/// occupancy histogram (when provided) — the §6.3 refinement that makes
-/// localized joins touch only the relevant part of the index.
-struct PreparedSource {
-  std::unique_ptr<SortedRectSource> source;
-  std::unique_ptr<Pager> scratch;
-  std::unique_ptr<Pager> sorted;
-  std::unique_ptr<RectF> filter;  // Owned pruning rectangle.
-  RTreePQSource* pq = nullptr;  // Set when the source is an index adapter.
-  SortStats sort;  // What a stream input's sort did.
-
-  uint64_t index_pages_read() const {
-    return pq != nullptr ? pq->pages_read() : 0;
-  }
-};
-
-Result<PreparedSource> PrepareSource(CompiledPlan& plan,
-                                     const JoinInput& input,
-                                     const RectF* other_extent = nullptr,
-                                     const GridHistogram* other_hist =
-                                         nullptr) {
-  PreparedSource prepared;
-  switch (input.kind()) {
-    case JoinInput::Kind::kRTree: {
-      RTreePQSource::Options options;
-      if (other_extent != nullptr && other_extent->Valid()) {
-        prepared.filter = std::make_unique<RectF>(*other_extent);
-        options.filter = prepared.filter.get();
-      }
-      options.occupancy = other_hist;
-      auto source = std::make_unique<RTreePQSource>(input.rtree(), options);
-      prepared.pq = source.get();
-      prepared.source = std::move(source);
-      return prepared;
-    }
-    case JoinInput::Kind::kSortedStream: {
-      prepared.source =
-          std::make_unique<SortedStreamSource>(input.stream().range);
-      return prepared;
-    }
-    case JoinInput::Kind::kSortedRects: {
-      prepared.source =
-          std::make_unique<SortedRectsSource>(input.rects(), input.count());
-      return prepared;
-    }
-    case JoinInput::Kind::kStream: {
-      SJ_ASSIGN_OR_RETURN(prepared.scratch,
-                          MakePager(plan.options.storage.get(), plan.disk,
-                                    "join.sort.runs"));
-      SJ_ASSIGN_OR_RETURN(prepared.sorted,
-                          MakePager(plan.options.storage.get(), plan.disk,
-                                    "join.sort.out"));
-      SJ_ASSIGN_OR_RETURN(
-          StreamRange sorted,
-          SortRectsByYLo(input.stream().range, prepared.scratch.get(),
-                         prepared.sorted.get(),
-                         PQGrantRequests(plan.options.memory_bytes).sort.bytes,
-                         plan.arbiter.get(), SortConfigOf(plan.options),
-                         &prepared.sort));
-      prepared.source = std::make_unique<SortedStreamSource>(sorted);
-      return prepared;
-    }
-  }
-  return Status::Internal("unreachable join input kind");
+/// How PQ and the k-way chain sort a stream input: under PQ's sort
+/// request, into "join.sort.*" pagers.
+SourceSort PQSort(const JoinOptions& options) {
+  return SourceSort{PQGrantRequests(options.memory_bytes).sort.bytes,
+                    "join.sort.runs", "join.sort.out"};
 }
 
 class SSSJExecutor final : public JoinExecutor {
@@ -318,99 +207,8 @@ class SSSJExecutor final : public JoinExecutor {
   const char* name() const override { return "SSSJ"; }
 
   Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    if (plan.inputs[0].sorted() || plan.inputs[1].sorted()) {
-      return SweepSorted(plan, sink);
-    }
-    // Plain SSSJ over streams; a tree's leaf level is flattened first.
-    SJ_ASSIGN_OR_RETURN(const DatasetRef a, StreamOf(plan, plan.inputs[0]));
-    SJ_ASSIGN_OR_RETURN(const DatasetRef b, StreamOf(plan, plan.inputs[1]));
-    return SSSJJoin(a, b, plan.disk, plan.options, sink, plan.arbiter.get());
-  }
-
- private:
-  /// SSSJ when an input arrives sorted: a sorted input is swept as it is,
-  /// and only an unsorted one sorts first, as SSSJJoin sorts it. The
-  /// strip fallback reads streams, so there every input is flattened.
-  static Result<JoinStats> SweepSorted(CompiledPlan& plan, JoinSink* sink) {
-    const JoinOptions& options = plan.options;
-    MemoryArbiter* arbiter = plan.arbiter.get();
-    const uint64_t records = plan.inputs[0].count() + plan.inputs[1].count();
-    const SSSJGrants requests =
-        SSSJGrantRequests(options.memory_bytes, records);
-    DatasetRef streams[2];
-    {
-      MemoryGrant probe = arbiter->AcquireShrinkable(requests.sweep);
-      const bool strips = probe.bytes() < requests.sweep.bytes;
-      probe.Release();
-      for (int i = 0; i < 2; ++i) {
-        const JoinInput& input = plan.inputs[i];
-        if (strips || !input.sorted()) {
-          SJ_ASSIGN_OR_RETURN(streams[i], StreamOf(plan, input));
-        } else if (!input.resident()) {
-          streams[i] = input.stream();
-        }
-      }
-      if (strips) {
-        return SSSJStripJoin(
-            streams[0], streams[1],
-            SSSJStripCount(requests.sweep.bytes, arbiter->budget()),
-            plan.disk, options, sink, arbiter);
-      }
-    }
-
-    JoinMeasurement measurement(plan.disk);
-    RectF extent = RectF::Empty();
-    SortStats sort_stats;
-    // The sorted streams' pagers outlive the sources reading them.
-    std::vector<std::unique_ptr<Pager>> scratch;
-    std::unique_ptr<SortedRectSource> sources[2];
-    for (int i = 0; i < 2; ++i) {
-      const JoinInput& input = plan.inputs[i];
-      if (input.resident()) {
-        extent.ExtendTo(input.extent());
-        sources[i] =
-            std::make_unique<SortedRectsSource>(input.rects(), input.count());
-        continue;
-      }
-      SJ_ASSIGN_OR_RETURN(const RectF input_extent, EnsureExtent(streams[i]));
-      extent.ExtendTo(input_extent);
-      StreamRange sorted = streams[i].range;
-      if (!input.sorted()) {
-        const std::string side = i == 0 ? "a" : "b";
-        SJ_ASSIGN_OR_RETURN(auto runs, MakePager(options.storage.get(),
-                                                 plan.disk, "sssj.runs." + side));
-        SJ_ASSIGN_OR_RETURN(auto out, MakePager(options.storage.get(), plan.disk,
-                                                "sssj.sorted." + side));
-        SJ_ASSIGN_OR_RETURN(
-            sorted, SortRectsByYLo(streams[i].range, runs.get(), out.get(),
-                                   requests.sort.bytes, arbiter,
-                                   SortConfigOf(options), &sort_stats));
-        scratch.push_back(std::move(runs));
-        scratch.push_back(std::move(out));
-      }
-      sources[i] = std::make_unique<SortedStreamSource>(sorted);
-    }
-
-    MemoryGrant sweep_grant = arbiter->AcquireShrinkable(requests.sweep);
-    auto emit = [sink](const RectF& ra, const RectF& rb) {
-      sink->Emit(ra.id, rb.id);
-    };
-    const SweepRunStats sweep = SweepJoinWithKind(
-        options.stream_sweep, extent,
-        SweepStrips(records, options.striped_strips), *sources[0],
-        *sources[1], emit);
-    SJ_RETURN_IF_ERROR(sources[0]->status());
-    SJ_RETURN_IF_ERROR(sources[1]->status());
-    sweep_grant.NoteUsage(sweep.max_structure_bytes);
-
-    JoinStats stats = measurement.Finish();
-    stats.output_count = sweep.output_count;
-    stats.max_sweep_bytes = sweep.max_structure_bytes;
-    stats.sweep_strips = sweep.strips;
-    stats.sweep_strips_collapsed = sweep.strips_collapsed;
-    stats.FoldSortStats(sort_stats);
-    FillMemoryStats(*arbiter, &stats);
-    return stats;
+    return SSSJJoin(plan.inputs[0], plan.inputs[1], plan.disk, plan.options,
+                    sink, plan.arbiter.get());
   }
 };
 
@@ -459,14 +257,15 @@ class PQExecutor final : public JoinExecutor {
   Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
     const RectF extent_a = plan.inputs[0].extent();
     const RectF extent_b = plan.inputs[1].extent();
+    const SourceSort sort = PQSort(plan.options);
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sa,
-        PrepareSource(plan, plan.inputs[0], &extent_b,
-                      plan.prune_histogram(1)));
+        PrepareSource(plan.inputs[0], sort, plan.disk, plan.options,
+                      plan.arbiter.get(), &extent_b, plan.prune_histogram(1)));
     SJ_ASSIGN_OR_RETURN(
         PreparedSource sb,
-        PrepareSource(plan, plan.inputs[1], &extent_a,
-                      plan.prune_histogram(0)));
+        PrepareSource(plan.inputs[1], sort, plan.disk, plan.options,
+                      plan.arbiter.get(), &extent_a, plan.prune_histogram(0)));
     RectF extent = extent_a;
     extent.ExtendTo(extent_b);
     SJ_ASSIGN_OR_RETURN(
@@ -523,9 +322,11 @@ Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
   RectF extent = RectF::Empty();
   // CPU of stream sorts' formation workers, which no measurement sees.
   double sort_worker_cpu = 0.0;
+  const SourceSort sort = PQSort(plan.options);
   for (const JoinInput& input : plan.inputs) {
     SJ_ASSIGN_OR_RETURN(PreparedSource p,
-                        PrepareSource(plan, input));
+                        PrepareSource(input, sort, plan.disk, plan.options,
+                                      plan.arbiter.get()));
     sort_worker_cpu += p.sort.worker_cpu_seconds;
     prepared.push_back(std::move(p));
     extent.ExtendTo(input.extent());

@@ -1,7 +1,6 @@
 #ifndef USJ_JOIN_EXECUTOR_H_
 #define USJ_JOIN_EXECUTOR_H_
 
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -13,107 +12,12 @@
 #include "join/join_types.h"
 #include "join/multiway.h"
 #include "join/predicate.h"
+#include "join/sources.h"
 #include "refine/feature_store.h"
 #include "rtree/rtree.h"
 #include "util/result.h"
 
 namespace sj {
-
-/// One side of a join in the unified API: a relation that is a stream of
-/// MBRs (sorted or not), records already sorted in memory, or a packed
-/// R-tree.
-class JoinInput {
- public:
-  enum class Kind { kStream, kSortedStream, kSortedRects, kRTree };
-
-  static JoinInput FromStream(const DatasetRef& ref) {
-    return JoinInput(Kind::kStream, ref, nullptr);
-  }
-  /// The stream must already be sorted by OrderByYLo.
-  static JoinInput FromSortedStream(const DatasetRef& ref) {
-    return JoinInput(Kind::kSortedStream, ref, nullptr);
-  }
-  /// `count` records in memory at `rects`, sorted by OrderByYLo, whose
-  /// bounding box is `extent` (a windowed pipeline's resident rect maps).
-  /// The caller keeps them alive through the join. Explain describes
-  /// records it has not read by their estimated count and null `rects`.
-  static JoinInput FromSortedRects(const RectF* rects, uint64_t count,
-                                   const RectF& extent) {
-    JoinInput input(Kind::kSortedRects,
-                    DatasetRef{StreamRange{nullptr, 0, count}, extent},
-                    nullptr);
-    input.rects_ = rects;
-    return input;
-  }
-  /// The tree must outlive the join.
-  static JoinInput FromRTree(const RTree* tree) {
-    return JoinInput(Kind::kRTree, DatasetRef{}, tree);
-  }
-
-  /// Attaches the relation's exact geometry (refinement step, see
-  /// JoinOptions::refine). The store must outlive the join. Chainable:
-  /// `JoinInput::FromStream(ref).WithFeatures(&store)` — the rvalue
-  /// overload returns by value, so chaining off a temporary never hands
-  /// out a dangling reference.
-  JoinInput& WithFeatures(const FeatureStore* store) & {
-    features_ = store;
-    return *this;
-  }
-  JoinInput WithFeatures(const FeatureStore* store) && {
-    features_ = store;
-    return *this;
-  }
-
-  Kind kind() const { return kind_; }
-  bool indexed() const { return kind_ == Kind::kRTree; }
-  /// Already in OrderByYLo order: a sweep reads it without sorting it.
-  bool sorted() const {
-    return kind_ == Kind::kSortedStream || kind_ == Kind::kSortedRects;
-  }
-  bool resident() const { return kind_ == Kind::kSortedRects; }
-  /// A stream input's stream (a resident input's holds only its count
-  /// and extent).
-  const DatasetRef& stream() const { return stream_; }
-  const RectF* rects() const { return rects_; }
-  const RTree* rtree() const { return rtree_; }
-  const FeatureStore* features() const { return features_; }
-
-  /// Number of MBR records in the relation.
-  uint64_t count() const {
-    return indexed() ? rtree_->meta().entry_count : stream_.count();
-  }
-  /// Pages occupied by the relation (index pages for trees; resident
-  /// records count the pages they would fill as a stream).
-  uint64_t pages() const;
-  /// Spatial extent (must be computable without I/O for indexed inputs).
-  RectF extent() const {
-    return indexed() ? rtree_->bounding_box() : stream_.extent;
-  }
-
- private:
-  JoinInput(Kind kind, const DatasetRef& stream, const RTree* rtree)
-      : kind_(kind), stream_(stream), rtree_(rtree) {}
-
-  Kind kind_;
-  DatasetRef stream_;
-  const RTree* rtree_;
-  const RectF* rects_ = nullptr;
-  const FeatureStore* features_ = nullptr;
-};
-
-/// Visits every record of `input` in its own order: a tree's leaf level
-/// in page order (RTree::ScanLeaves), a stream front to back, resident
-/// records as they lie. Returns the first read error.
-Status VisitRecords(const JoinInput& input,
-                    const std::function<void(const RectF&)>& visit);
-
-/// Writes every record of `input` (VisitRecords), each through `map` when
-/// one is given, as a new stream on `out`: how a tree or resident records
-/// become a stream for the plans that read one, and how the ε-expansion
-/// writes its expanded side.
-Result<StreamRange> WriteRecords(
-    const JoinInput& input, Pager* out,
-    const std::function<RectF(const RectF&)>& map = nullptr);
 
 /// The planner's verdict, with the numbers behind it.
 struct PlanDecision {

@@ -86,7 +86,10 @@ struct JoinOptions {
   bool adaptive_partitioning = true;
   /// SSSJ ablation: when true the merge phase of the final sort feeds the
   /// sweep directly instead of materializing the sorted stream, saving one
-  /// write and one read pass over each input.
+  /// write and one read pass over each input. Fusion happens only when
+  /// neither input arrives sorted and each input's runs fit one merge;
+  /// otherwise the join materializes its sorts. Sorted and resident
+  /// inputs never fuse (they are not sorted at all).
   bool fuse_merge_sweep = false;
   /// Worker threads for the parallel phases (PBSM partition pairs, SSSJ
   /// strips, external-sort run formation). 1 = serial.

@@ -8,6 +8,7 @@
 
 #include "join/partition_plan.h"
 #include "join/partitioned.h"
+#include "join/sources.h"
 #include "join/sssj.h"
 #include "sort/external_sort.h"
 #include "sweep/sweep_join.h"
@@ -181,7 +182,8 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
       }
       std::sort(rects[0].begin(), rects[0].end(), OrderByYLo());
       std::sort(rects[1].begin(), rects[1].end(), OrderByYLo());
-      VectorRectSource sa(&rects[0]), sb(&rects[1]);
+      SortedRectsSource sa(rects[0].data(), rects[0].size());
+      SortedRectsSource sb(rects[1].data(), rects[1].size());
       sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
                                       sa, sb, emit);
       load->NoteUsage(part_bytes);

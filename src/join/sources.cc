@@ -8,12 +8,74 @@
 
 namespace sj {
 
+uint64_t JoinInput::pages() const {
+  if (indexed()) return rtree_->node_count();
+  constexpr uint64_t per_page = kPageSize / sizeof(RectF);
+  return (count() + per_page - 1) / per_page;
+}
+
+Status VisitRecords(const JoinInput& input,
+                    const std::function<void(const RectF&)>& visit) {
+  switch (input.kind()) {
+    case JoinInput::Kind::kRTree: {
+      const RTree& tree = *input.rtree();
+      return tree.ScanLeaves(tree.bounding_box(), visit).status();
+    }
+    case JoinInput::Kind::kSortedRects:
+      for (uint64_t i = 0; i < input.count(); ++i) visit(input.rects()[i]);
+      return Status::OK();
+    case JoinInput::Kind::kStream:
+    case JoinInput::Kind::kSortedStream: {
+      const StreamRange& range = input.stream().range;
+      StreamReader<RectF> reader(range.pager, range.first_page, range.count);
+      while (std::optional<RectF> r = reader.Next()) visit(*r);
+      return reader.status();
+    }
+  }
+  return Status::Internal("unreachable join input kind");
+}
+
+Result<StreamRange> WriteRecords(
+    const JoinInput& input, Pager* out,
+    const std::function<RectF(const RectF&)>& map) {
+  StreamWriter<RectF> writer(out);
+  const PageId first = writer.first_page();
+  const Status read = VisitRecords(input, [&](const RectF& r) {
+    writer.Append(map ? map(r) : r);
+  });
+  if (!read.ok()) {
+    writer.Abandon();
+    return read;
+  }
+  SJ_ASSIGN_OR_RETURN(uint64_t n, writer.Finish());
+  return StreamRange{out, first, n};
+}
+
+Result<DatasetRef> ExtractStream(const JoinInput& input,
+                                 StorageFactory* storage, DiskModel* disk,
+                                 std::unique_ptr<Pager>* pager) {
+  SJ_ASSIGN_OR_RETURN(
+      *pager, MakePager(storage, disk,
+                        input.indexed() ? "extract.leaves" : "extract.rects"));
+  DatasetRef ref;
+  SJ_ASSIGN_OR_RETURN(ref.range, WriteRecords(input, pager->get()));
+  ref.extent = input.extent();
+  return ref;
+}
+
+Result<RectF> EnsureExtent(const JoinInput& input) {
+  if (input.indexed() || input.resident()) return input.extent();
+  return EnsureExtent(input.stream());
+}
+
 std::optional<RectF> SortedStreamSource::Next() { return reader_.Next(); }
 
 std::optional<RectF> SortedRectsSource::Next() {
   if (next_ == end_) return std::nullopt;
   return *next_++;
 }
+
+std::optional<RectF> MergedRunsSource::Next() { return merge_.Next(); }
 
 RTreePQSource::RTreePQSource(const RTree* tree)
     : RTreePQSource(tree, Options()) {}
@@ -117,6 +179,52 @@ std::optional<RectF> RTreePQSource::Next() {
 size_t RTreePQSource::MemoryBytes() const {
   return node_queue_.size() * sizeof(NodeRef) +
          leaf_queue_.size() * sizeof(LeafHead) + buffer_bytes_;
+}
+
+Result<PreparedSource> PrepareSource(const JoinInput& input,
+                                     const SourceSort& sort, DiskModel* disk,
+                                     const JoinOptions& options,
+                                     MemoryArbiter* arbiter,
+                                     const RectF* other_extent,
+                                     const GridHistogram* other_occupancy) {
+  PreparedSource prepared;
+  switch (input.kind()) {
+    case JoinInput::Kind::kRTree: {
+      RTreePQSource::Options pruning;
+      if (other_extent != nullptr && other_extent->Valid()) {
+        prepared.filter = std::make_unique<RectF>(*other_extent);
+        pruning.filter = prepared.filter.get();
+      }
+      pruning.occupancy = other_occupancy;
+      auto source = std::make_unique<RTreePQSource>(input.rtree(), pruning);
+      prepared.pq = source.get();
+      prepared.source = std::move(source);
+      return prepared;
+    }
+    case JoinInput::Kind::kSortedRects:
+      prepared.source =
+          std::make_unique<SortedRectsSource>(input.rects(), input.count());
+      return prepared;
+    case JoinInput::Kind::kSortedStream:
+      prepared.source =
+          std::make_unique<SortedStreamSource>(input.stream().range);
+      return prepared;
+    case JoinInput::Kind::kStream: {
+      StorageFactory* storage = options.storage.get();
+      SJ_ASSIGN_OR_RETURN(prepared.scratch,
+                          MakePager(storage, disk, sort.runs_name));
+      SJ_ASSIGN_OR_RETURN(prepared.sorted,
+                          MakePager(storage, disk, sort.sorted_name));
+      SJ_ASSIGN_OR_RETURN(
+          const StreamRange sorted,
+          SortRectsByYLo(input.stream().range, prepared.scratch.get(),
+                         prepared.sorted.get(), sort.memory_bytes, arbiter,
+                         SortConfigOf(options), &prepared.sort));
+      prepared.source = std::make_unique<SortedStreamSource>(sorted);
+      return prepared;
+    }
+  }
+  return Status::Internal("unreachable join input kind");
 }
 
 }  // namespace sj

@@ -1,8 +1,11 @@
 #include "join/sssj.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "io/stream.h"
 #include "join/partitioned.h"
@@ -42,12 +45,61 @@ WriterBlocks SSSJStripWriters(uint32_t strips) {
   return WriterBlocks{grants::kStripWriters, size_t{2} * strips, 4};
 }
 
-Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
+namespace {
+
+/// SSSJ's fused merge (JoinOptions::fuse_merge_sweep): both inputs form
+/// their runs under sorters alive together, and each input's runs merge
+/// straight into the sweep, which saves one write and one read pass per
+/// input. Only when each input's runs fit one merge pass; otherwise it
+/// returns false having read and written nothing, and the join
+/// materializes its sorts.
+Result<bool> FuseMerges(const JoinInput (&inputs)[2], size_t sort_bytes,
+                        DiskModel* disk, const JoinOptions& options,
+                        MemoryArbiter* arbiter,
+                        PreparedSource (&sources)[2]) {
+  StorageFactory* storage = options.storage.get();
+  SJ_ASSIGN_OR_RETURN(auto runs_a, MakePager(storage, disk, "sssj.runs.a"));
+  SJ_ASSIGN_OR_RETURN(auto runs_b, MakePager(storage, disk, "sssj.runs.b"));
+  std::vector<StreamRange> ra, rb;
+  {
+    // The sorters' run grants are released before the sweep acquires its
+    // own; the merge readers keep only their small blocks.
+    const SortConfig config = SortConfigOf(options);
+    ExternalSorter<RectF, OrderByYLo> sorter_a(sort_bytes, runs_a.get(),
+                                               OrderByYLo(), arbiter, config);
+    ExternalSorter<RectF, OrderByYLo> sorter_b(sort_bytes, runs_b.get(),
+                                               OrderByYLo(), arbiter, config);
+    // Run formation cuts an input into ceil(count / RunCapacity()) runs;
+    // the fused merge reads them all at once.
+    auto one_pass = [](const ExternalSorter<RectF, OrderByYLo>& sorter,
+                       uint64_t count) {
+      const uint64_t cap = sorter.RunCapacity();
+      return (count + cap - 1) / cap <= sorter.MaxFanIn();
+    };
+    if (!one_pass(sorter_a, inputs[0].count()) ||
+        !one_pass(sorter_b, inputs[1].count())) {
+      return false;
+    }
+    SJ_RETURN_IF_ERROR(sorter_a.FormRuns(inputs[0].stream().range, &ra));
+    SJ_RETURN_IF_ERROR(sorter_b.FormRuns(inputs[1].stream().range, &rb));
+    sources[0].sort = sorter_a.stats();
+    sources[1].sort = sorter_b.stats();
+  }
+  sources[0].source = std::make_unique<MergedRunsSource>(std::move(ra));
+  sources[1].source = std::make_unique<MergedRunsSource>(std::move(rb));
+  sources[0].scratch = std::move(runs_a);
+  sources[1].scratch = std::move(runs_b);
+  return true;
+}
+
+}  // namespace
+
+Result<JoinStats> SSSJJoin(const JoinInput& a, const JoinInput& b,
                            DiskModel* disk, const JoinOptions& options,
                            JoinSink* sink, MemoryArbiter* arbiter) {
   const ArbiterScope scope(arbiter, options);
-  const SSSJGrants requests =
-      SSSJGrantRequests(options.memory_bytes, a.count() + b.count());
+  const uint64_t records = a.count() + b.count();
+  const SSSJGrants requests = SSSJGrantRequests(options.memory_bytes, records);
 
   // Spill decision before any I/O: size the sweep grant by the paper's
   // square-root rule (Table 3 verifies the active sets stay near sqrt(N)
@@ -57,110 +109,79 @@ Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
   // strip's share fits — instead of over-allocating and hoping. Inputs
   // whose active sets defeat the estimate at run time are recorded in
   // the usage high-water marks (and abort a strict arbiter).
-  const uint32_t strips =
-      SweepStrips(a.count() + b.count(), options.striped_strips);
-  {
-    MemoryGrant probe = scope->AcquireShrinkable(requests.sweep);
-    if (probe.bytes() < requests.sweep.bytes) {
-      probe.Release();
-      return SSSJStripJoin(
-          a, b, SSSJStripCount(requests.sweep.bytes, scope->budget()), disk,
-          options, sink, scope.get());
+  MemoryGrant probe = scope->AcquireShrinkable(requests.sweep);
+  const bool strips = probe.bytes() < requests.sweep.bytes;
+  // Released so the sort phase gets the whole budget (both sorters at
+  // memory/2, also in the fused path where they are alive together); the
+  // sweep re-acquires its share once the sorters are gone.
+  probe.Release();
+
+  // SSSJ reads a tree's leaf level as a plain stream, and the strips read
+  // only streams: those sides are written out first, outside the join's
+  // measurement.
+  JoinInput inputs[2] = {a, b};
+  std::unique_ptr<Pager> extracted[2];
+  for (int i = 0; i < 2; ++i) {
+    if (inputs[i].indexed() || (strips && inputs[i].resident())) {
+      SJ_ASSIGN_OR_RETURN(
+          const DatasetRef stream,
+          ExtractStream(inputs[i], options.storage.get(), disk, &extracted[i]));
+      inputs[i] = JoinInput::FromStream(stream);
     }
-    // Released here so the sort phase gets the whole budget (both
-    // sorters at memory/2, also in the fused path where they are alive
-    // together); the sweep re-acquires its share once the sorters are
-    // gone.
+  }
+  if (strips) {
+    return SSSJStripJoin(
+        inputs[0].stream(), inputs[1].stream(),
+        SSSJStripCount(requests.sweep.bytes, scope->budget()), disk, options,
+        sink, scope.get());
   }
 
   JoinMeasurement measurement(disk);
-  SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
-  StorageFactory* storage = options.storage.get();
-  const SortConfig sort_config = SortConfigOf(options);
-  SortStats sort_stats;
+  // Both extents before any sort (a stream without one is scanned).
+  SJ_ASSIGN_OR_RETURN(RectF extent, EnsureExtent(inputs[0]));
+  SJ_ASSIGN_OR_RETURN(const RectF extent_b, EnsureExtent(inputs[1]));
+  extent.ExtendTo(extent_b);
 
-  // Per-input scratch devices for runs and sorted output, mirroring the
-  // paper's TPIE temporary streams.
-  SJ_ASSIGN_OR_RETURN(auto runs_a, MakePager(storage, disk, "sssj.runs.a"));
-  SJ_ASSIGN_OR_RETURN(auto runs_b, MakePager(storage, disk, "sssj.runs.b"));
+  // One sorted source per input: the fused merge when it applies, else
+  // each input prepared on its own, in the paper's TPIE-like per-input
+  // scratch streams.
+  PreparedSource sources[2];
+  bool fused = false;
+  if (options.fuse_merge_sweep && !inputs[0].sorted() &&
+      !inputs[1].sorted()) {
+    SJ_ASSIGN_OR_RETURN(fused, FuseMerges(inputs, requests.sort.bytes, disk,
+                                          options, scope.get(), sources));
+  }
+  for (int i = 0; i < 2 && !fused; ++i) {
+    const std::string side = i == 0 ? "a" : "b";
+    SJ_ASSIGN_OR_RETURN(
+        sources[i],
+        PrepareSource(inputs[i],
+                      SourceSort{requests.sort.bytes, "sssj.runs." + side,
+                                 "sssj.sorted." + side},
+                      disk, options, scope.get()));
+  }
 
-  SweepRunStats sweep_stats;
+  MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
   auto emit = [sink](const RectF& ra, const RectF& rb) {
     sink->Emit(ra.id, rb.id);
   };
-
-  // Ablation: merge the runs straight into the sweep. Saves one write
-  // and one read pass per input, but only when each input's runs fit one
-  // merge pass; otherwise the join materializes the sorted streams below.
-  bool fused = false;
-  if (options.fuse_merge_sweep) {
-    // The sorters' run grants are released before the sweep acquires its
-    // own; the merge readers keep only their small blocks.
-    std::vector<StreamRange> ra, rb;
-    {
-      ExternalSorter<RectF, OrderByYLo> sorter_a(requests.sort.bytes,
-                                                 runs_a.get(), OrderByYLo(),
-                                                 scope.get(), sort_config);
-      ExternalSorter<RectF, OrderByYLo> sorter_b(requests.sort.bytes,
-                                                 runs_b.get(), OrderByYLo(),
-                                                 scope.get(), sort_config);
-      // Run formation cuts an input into ceil(count / RunCapacity())
-      // runs; the fused merge reads them all at once.
-      auto one_pass = [](const ExternalSorter<RectF, OrderByYLo>& sorter,
-                         uint64_t count) {
-        const uint64_t cap = sorter.RunCapacity();
-        return (count + cap - 1) / cap <= sorter.MaxFanIn();
-      };
-      fused = one_pass(sorter_a, a.count()) && one_pass(sorter_b, b.count());
-      if (fused) {
-        SJ_RETURN_IF_ERROR(sorter_a.FormRuns(a.range, &ra));
-        SJ_RETURN_IF_ERROR(sorter_b.FormRuns(b.range, &rb));
-        sort_stats.Fold(sorter_a.stats());
-        sort_stats.Fold(sorter_b.stats());
-      }
-    }
-    if (fused) {
-      MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
-      MergingReader<RectF, OrderByYLo> source_a(std::move(ra),
-                                                /*block_pages=*/8);
-      MergingReader<RectF, OrderByYLo> source_b(std::move(rb),
-                                                /*block_pages=*/8);
-      sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
-                                      source_a, source_b, emit);
-      SJ_RETURN_IF_ERROR(FirstReadError(std::array{&source_a, &source_b}));
-      sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-    }
-  }
-  if (!fused) {
-    SJ_ASSIGN_OR_RETURN(auto sorted_a,
-                        MakePager(storage, disk, "sssj.sorted.a"));
-    SJ_ASSIGN_OR_RETURN(auto sorted_b,
-                        MakePager(storage, disk, "sssj.sorted.b"));
-    SJ_ASSIGN_OR_RETURN(
-        StreamRange sa,
-        SortRectsByYLo(a.range, runs_a.get(), sorted_a.get(),
-                       requests.sort.bytes, scope.get(), sort_config,
-                       &sort_stats));
-    SJ_ASSIGN_OR_RETURN(
-        StreamRange sb,
-        SortRectsByYLo(b.range, runs_b.get(), sorted_b.get(),
-                       requests.sort.bytes, scope.get(), sort_config,
-                       &sort_stats));
-    MemoryGrant sweep_grant = scope->AcquireShrinkable(requests.sweep);
-    StreamReader<RectF> source_a(sa.pager, sa.first_page, sa.count);
-    StreamReader<RectF> source_b(sb.pager, sb.first_page, sb.count);
-    sweep_stats = SweepJoinWithKind(options.stream_sweep, extent, strips,
-                                    source_a, source_b, emit);
-    SJ_RETURN_IF_ERROR(FirstReadError(std::array{&source_a, &source_b}));
-    sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-  }
+  const SweepRunStats sweep = SweepJoinWithKind(
+      options.stream_sweep, extent,
+      SweepStrips(records, options.striped_strips), *sources[0].source,
+      *sources[1].source, emit);
+  SJ_RETURN_IF_ERROR(
+      FirstReadError(std::array{sources[0].source.get(),
+                                sources[1].source.get()}));
+  sweep_grant.NoteUsage(sweep.max_structure_bytes);
 
   JoinStats stats = measurement.Finish();
-  stats.output_count = sweep_stats.output_count;
-  stats.max_sweep_bytes = sweep_stats.max_structure_bytes;
-  stats.sweep_strips = sweep_stats.strips;
-  stats.sweep_strips_collapsed = sweep_stats.strips_collapsed;
-  stats.FoldSortStats(sort_stats);
+  stats.output_count = sweep.output_count;
+  stats.max_sweep_bytes = sweep.max_structure_bytes;
+  stats.sweep_strips = sweep.strips;
+  stats.sweep_strips_collapsed = sweep.strips_collapsed;
+  stats.FoldSortStats(sources[0].sort);
+  stats.FoldSortStats(sources[1].sort);
   FillMemoryStats(*scope, &stats);
   return stats;
 }

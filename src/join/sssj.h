@@ -4,20 +4,30 @@
 #include "io/disk_model.h"
 #include "join/join_types.h"
 #include "join/partitioned.h"
+#include "join/sources.h"
 #include "util/result.h"
 
 namespace sj {
 
 /// Scalable Sweeping-based Spatial Join (Arge et al., VLDB'98) — §3.1.
 ///
-/// Externally sorts both inputs by lower y coordinate, then performs one
-/// plane sweep over the merged sorted streams using the configured
-/// interval structure (Striped-Sweep by default, as in the paper, with
-/// SweepStrips(N) strips for its N records).
-/// Excluding output, this costs two sequential read passes, one
-/// non-sequential read pass (the merge) and two sequential write passes
-/// over the data — all of which the DiskModel charges from the actual
-/// access pattern.
+/// Sorts both inputs by lower y coordinate, then performs one plane sweep
+/// over the two sorted sources using the configured interval structure
+/// (Striped-Sweep by default, as in the paper, with SweepStrips(N) strips
+/// for its N records). Every input kind comes to that one sweep as a
+/// prepared sorted source (PrepareSource in join/sources.h), and costs:
+///  - a plain stream: an external sort, two sequential read passes, one
+///    non-sequential read pass (the merge) and two sequential write
+///    passes over the data, excluding output; with
+///    JoinOptions::fuse_merge_sweep, and when neither input arrives
+///    sorted and each input's runs fit one merge, the merge feeds the
+///    sweep directly and one write and one read pass go;
+///  - a sorted stream: one sequential read pass, no sort;
+///  - resident records (JoinInput::FromSortedRects): no I/O;
+///  - a tree: its leaf level read in page order and written out as a
+///    plain stream first, outside the join's stats, then as a plain
+///    stream.
+/// The DiskModel charges all of it from the actual access pattern.
 ///
 /// The interval structures are assumed to fit in memory on the paper's
 /// data (Table 3 verifies this by orders of magnitude). Under the memory
@@ -26,14 +36,16 @@ namespace sj {
 /// whole input could be active at once) exceeds the granted memory the
 /// join degrades gracefully to SSSJStripJoin below — the paper's own
 /// single-dimension partitioning fallback — instead of over-allocating.
-/// A strict arbiter additionally aborts if the sweep structures outgrow
-/// their grant at run time.
+/// The strips read streams, so a resident or tree input is written out
+/// for them. A strict arbiter additionally aborts if the sweep
+/// structures outgrow their grant at run time.
 ///
-/// Temporary runs and sorted streams are held in memory-backed pagers
-/// registered on `disk` (charged like any other file). `arbiter` is the
-/// query's memory governor; nullptr runs against a private one over the
-/// options' budget.
-Result<JoinStats> SSSJJoin(const DatasetRef& a, const DatasetRef& b,
+/// Temporary runs and sorted streams are held in pagers made through
+/// options.storage on `disk` ("sssj.runs.a/b", "sssj.sorted.a/b"),
+/// charged like any other file. `arbiter` is the query's memory
+/// governor; nullptr runs against a private one over the options'
+/// budget.
+Result<JoinStats> SSSJJoin(const JoinInput& a, const JoinInput& b,
                            DiskModel* disk, const JoinOptions& options,
                            JoinSink* sink, MemoryArbiter* arbiter = nullptr);
 

@@ -93,24 +93,6 @@ SweepRunStats SweepJoinWithKind(SweepStructureKind kind, const RectF& extent,
   return SweepJoinWithKind(kind, extent, strips, a, b, emit, [] {});
 }
 
-/// An in-memory y-sorted source over a vector (PBSM partitions, tests).
-class VectorRectSource {
- public:
-  /// `rects` must already be sorted by OrderByYLo and must outlive the
-  /// source.
-  explicit VectorRectSource(const std::vector<RectF>* rects)
-      : rects_(rects) {}
-
-  std::optional<RectF> Next() {
-    if (pos_ >= rects_->size()) return std::nullopt;
-    return (*rects_)[pos_++];
-  }
-
- private:
-  const std::vector<RectF>* rects_;
-  size_t pos_ = 0;
-};
-
 }  // namespace sj
 
 #endif  // USJ_SWEEP_SWEEP_JOIN_H_

@@ -16,27 +16,11 @@ TEST(CostModel, BreakEvenNearPaperSixtyPercent) {
   EXPECT_LT(model.IndexBreakEvenFraction(), 0.70);
 }
 
-TEST(CostModel, PreferIndexBelowBreakEven) {
-  const CostModel model(MachineModel::Machine1());
-  const double f = model.IndexBreakEvenFraction();
-  EXPECT_TRUE(model.PreferIndex(f * 0.5));
-  EXPECT_FALSE(model.PreferIndex(f * 1.5));
-  EXPECT_TRUE(model.PreferIndex(0.0));
-}
-
 TEST(CostModel, SSSJCostIsSixSequentialPasses) {
   const CostModel model(MachineModel::Machine1());
   const double seq_page =
       MachineModel::Machine1().PageTransferMs(kPageSize) * 1e-3;
   EXPECT_NEAR(model.SSSJSeconds(1000), 6.0 * 1000 * seq_page, 1e-9);
-}
-
-TEST(CostModel, SweepCpuIsZeroAtZeroLanesAndMonotone) {
-  const CostModel model(MachineModel::Machine1());
-  EXPECT_EQ(model.SweepCpuSeconds(0), 0.0);
-  for (uint64_t lanes : {1000ull, 1000000ull, 1000000000ull}) {
-    EXPECT_LT(model.SweepCpuSeconds(lanes), model.SweepCpuSeconds(lanes * 10));
-  }
 }
 
 TEST(CostModel, GrantedMemoryPricingAddsMergePasses) {

@@ -7,6 +7,7 @@
 #include "datagen/synthetic.h"
 #include "histogram/grid_histogram.h"
 #include "sweep/interval_structures.h"
+#include "join/sources.h"
 #include "sweep/sweep_join.h"
 #include "test_util.h"
 
@@ -134,7 +135,8 @@ TEST(TigerGenerator, JoinSelectivityIsRealistic) {
   gen.GenerateHydro(5000, &hydro);
   std::sort(roads.begin(), roads.end(), OrderByYLo());
   std::sort(hydro.begin(), hydro.end(), OrderByYLo());
-  VectorRectSource sr(&roads), sh(&hydro);
+  SortedRectsSource sr(roads.data(), roads.size());
+  SortedRectsSource sh(hydro.data(), hydro.size());
   StripedSweep a(gen.region(), 1024), b(gen.region(), 1024);
   const SweepRunStats stats = SweepJoinRun(
       sr, sh, a, b, [](const RectF&, const RectF&) {}, [] {});
@@ -150,7 +152,8 @@ TEST(TigerGenerator, SquareRootRuleHolds) {
     std::vector<RectF> roads, empty_side;
     gen.GenerateRoads(n, &roads);
     std::sort(roads.begin(), roads.end(), OrderByYLo());
-    VectorRectSource sr(&roads), se(&empty_side);
+    SortedRectsSource sr(roads.data(), roads.size());
+    SortedRectsSource se(empty_side.data(), empty_side.size());
     ForwardSweep a{}, b{};
     // Join against an empty side: the sweep still inserts/expires side A.
     SweepRunStats stats = SweepJoinRun(

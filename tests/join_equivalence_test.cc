@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -156,8 +157,10 @@ INSTANTIATE_TEST_SUITE_P(
 // TIGER-skewed — cardinalities, density, fanout and memory budget all
 // drawn from the seed) × all five algorithm choices (SSSJ, PBSM, ST, PQ,
 // kAuto) × 1/2/8 threads × adaptive/fixed partitioning (for the
-// algorithms it reaches) × filter-only and filter+refine — every
-// configuration must produce the identical sorted result set. A failure
+// algorithms it reaches) × filter-only and filter+refine, plus SSSJ with
+// each side a plain stream, a sorted stream or resident records, and
+// fused over plain streams, at 1/8 threads — every configuration must
+// produce the identical sorted result set. A failure
 // prints the workload seed; replaying is deterministic:
 //
 //   SJ_DIFF_SEED=<seed> ./join_equivalence_test \
@@ -327,6 +330,46 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
                                      scratch.get(), params, 1 << 22);
     ASSERT_TRUE(ta.ok() && tb.ok());
 
+    // Every configuration runs as a filter query and as a refined one,
+    // each checked against the brute-force answers. One shared joiner per
+    // workload: every variation is a per-query override, never a joiner
+    // mutation. The buffer pool is no longer downsized by hand: it is
+    // grant-backed, so the arbiter shrinks it to the budget on its own.
+    JoinOptions options;
+    options.memory_bytes = w.memory_bytes;
+    SpatialJoiner joiner(&td.disk, options);
+    auto check = [&](JoinInput a, JoinInput b, JoinAlgorithm algo,
+                     uint32_t threads, bool adaptive, bool fused,
+                     const std::string& variant) {
+      a.WithFeatures(&*store_a);
+      b.WithFeatures(&*store_b);
+      for (const bool refine : {false, true}) {
+        CollectingSink sink;
+        JoinQuery query(joiner);
+        query.Input(a)
+            .Input(b)
+            .Algorithm(algo)
+            .Threads(threads)
+            .AdaptivePartitioning(adaptive)
+            .FuseMergeSweep(fused);
+        if (refine) query.MemoryBytes(kRefineChunksBudget).Refine(true);
+        auto stats = query.Run(&sink);
+        ASSERT_TRUE(stats.ok()) << variant << ": "
+                                << stats.status().ToString();
+        if (!refine) {
+          EXPECT_EQ(Sorted(sink.pairs()), expected_filter)
+              << variant << " filter";
+          continue;
+        }
+        EXPECT_EQ(Sorted(sink.pairs()), expected_exact)
+            << variant << " refined";
+        EXPECT_EQ(stats->candidate_count, expected_filter.size())
+            << variant << " refined";
+        EXPECT_FALSE(joiner.options().refine)
+            << "per-query override must not mutate the shared joiner";
+      }
+    };
+
     for (JoinAlgorithm algo : {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM,
                                JoinAlgorithm::kST, JoinAlgorithm::kPQ,
                                JoinAlgorithm::kAuto}) {
@@ -335,63 +378,54 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
       const bool indexed =
           algo == JoinAlgorithm::kST || algo == JoinAlgorithm::kPQ ||
           algo == JoinAlgorithm::kAuto;
-      JoinInput ia = indexed ? JoinInput::FromRTree(&*ta)
-                             : JoinInput::FromStream(da);
-      JoinInput ib = indexed ? JoinInput::FromRTree(&*tb)
-                             : JoinInput::FromStream(db);
-      ia.WithFeatures(&*store_a);
-      ib.WithFeatures(&*store_b);
+      const JoinInput ia = indexed ? JoinInput::FromRTree(&*ta)
+                                   : JoinInput::FromStream(da);
+      const JoinInput ib = indexed ? JoinInput::FromRTree(&*tb)
+                                   : JoinInput::FromStream(db);
       // The partitioning dimension only changes PBSM's execution (kAuto
       // may plan PBSM in the future), so only those algorithms double
       // their configurations with the fixed-grid escape hatch.
       const bool partitioning_applies =
           algo == JoinAlgorithm::kPBSM || algo == JoinAlgorithm::kAuto;
       for (uint32_t threads : {1u, 2u, 8u}) {
-        // One shared joiner per workload config; every variation below is
-        // a per-query override, never a joiner mutation. The buffer pool
-        // is no longer downsized by hand: it is grant-backed, so the
-        // arbiter shrinks it to the budget on its own.
-        JoinOptions options;
-        options.memory_bytes = w.memory_bytes;
-        SpatialJoiner joiner(&td.disk, options);
         for (bool adaptive : {true, false}) {
           if (!adaptive && !partitioning_applies) continue;
-          const std::string variant =
-              std::string(ToString(algo)) + " t" + std::to_string(threads) +
-              (adaptive ? " adaptive" : " fixed-grid");
-          {
-            CollectingSink sink;
-            auto stats = JoinQuery(joiner)
-                             .Input(ia)
-                             .Input(ib)
-                             .Algorithm(algo)
-                             .Threads(threads)
-                             .AdaptivePartitioning(adaptive)
-                             .Run(&sink);
-            ASSERT_TRUE(stats.ok()) << variant << ": "
-                                    << stats.status().ToString();
-            EXPECT_EQ(Sorted(sink.pairs()), expected_filter)
-                << variant << " filter";
-          }
-          {
-            CollectingSink sink;
-            auto stats = JoinQuery(joiner)
-                             .Input(ia)
-                             .Input(ib)
-                             .Algorithm(algo)
-                             .Threads(threads)
-                             .AdaptivePartitioning(adaptive)
-                             .MemoryBytes(kRefineChunksBudget)
-                             .Refine(true)
-                             .Run(&sink);
-            ASSERT_TRUE(stats.ok()) << variant << ": "
-                                    << stats.status().ToString();
-            EXPECT_EQ(Sorted(sink.pairs()), expected_exact)
-                << variant << " refined";
-            EXPECT_EQ(stats->candidate_count, expected_filter.size())
-                << variant << " refined";
-            EXPECT_FALSE(joiner.options().refine)
-                << "per-query override must not mutate the shared joiner";
+          check(ia, ib, algo, threads, adaptive, /*fused=*/false,
+                std::string(ToString(algo)) + " t" + std::to_string(threads) +
+                    (adaptive ? " adaptive" : " fixed-grid"));
+        }
+      }
+    }
+
+    // SSSJ over every input kind: each side a plain stream, a sorted
+    // stream or resident records (the workload sorted by ylo), and fused
+    // over plain streams. No workload holds enough records for the strip
+    // fallback at any budget; sssj_strip_test runs that over every input
+    // kind.
+    std::vector<RectF> ya = w.a, yb = w.b;
+    std::sort(ya.begin(), ya.end(), OrderByYLo());
+    std::sort(yb.begin(), yb.end(), OrderByYLo());
+    const DatasetRef sorted_a = MakeDataset(&td, ya, "sorted.a", &keep);
+    const DatasetRef sorted_b = MakeDataset(&td, yb, "sorted.b", &keep);
+    const JoinInput kinds_a[] = {
+        JoinInput::FromStream(da), JoinInput::FromSortedStream(sorted_a),
+        JoinInput::FromSortedRects(ya.data(), ya.size(), sorted_a.extent)};
+    const JoinInput kinds_b[] = {
+        JoinInput::FromStream(db), JoinInput::FromSortedStream(sorted_b),
+        JoinInput::FromSortedRects(yb.data(), yb.size(), sorted_b.extent)};
+    const char* kind_names[] = {"stream", "sorted stream", "resident"};
+    for (int ka = 0; ka < 3; ++ka) {
+      for (int kb = 0; kb < 3; ++kb) {
+        for (const bool fused : {false, true}) {
+          // Plain streams unfused ran above; only they can fuse.
+          const bool plain = ka == 0 && kb == 0;
+          if (fused != plain) continue;
+          for (uint32_t threads : {1u, 8u}) {
+            check(kinds_a[ka], kinds_b[kb], JoinAlgorithm::kSSSJ, threads,
+                  /*adaptive=*/true, fused,
+                  std::string("SSSJ ") + kind_names[ka] + " x " +
+                      kind_names[kb] + (fused ? " fused" : "") + " t" +
+                      std::to_string(threads));
           }
         }
       }

@@ -607,8 +607,10 @@ TEST(JoinQueryMemory, DistanceExpansionStaysWithinItsGrants) {
 // high-water mark and the run is granted no line the plan leaves out,
 // apart from the data-dependent lines named in the header. Every
 // algorithm, filter only and refining, from the least budget a query
-// accepts to the default: at 200,000 records per input SSSJ falls back to
-// strips at 64 KiB, and PBSM's partitions overflow there.
+// accepts to the default, and SSSJ over a sorted stream, resident records
+// or a tree beside a plain stream, and over two sorted inputs, fused and
+// not: at 200,000 records per input SSSJ falls back to strips at 64 KiB,
+// and PBSM's partitions overflow there.
 TEST(JoinExplain, PlansWhatRunGrants) {
   for (const uint64_t n : {uint64_t{20000}, uint64_t{200000}}) {
     TestDisk td;
@@ -643,9 +645,31 @@ TEST(JoinExplain, PlansWhatRunGrants) {
     const JoinInput sb = JoinInput::FromStream(db);
     const JoinInput tree_a = JoinInput::FromRTree(ta.get());
     const JoinInput tree_b = JoinInput::FromRTree(tb.get());
+    // Both relations sorted by ylo, as a stream and as resident records:
+    // SSSJ sweeps them without sorting them, and never fuses.
+    std::vector<RectF> ya = ra, yb = rb;
+    std::sort(ya.begin(), ya.end(), OrderByYLo());
+    std::sort(yb.begin(), yb.end(), OrderByYLo());
+    const JoinInput sorted_a =
+        JoinInput::FromSortedStream(MakeDataset(&td, ya, "sorted.a", &keep));
+    const JoinInput resident_a =
+        JoinInput::FromSortedRects(ya.data(), ya.size(), da.extent);
+    const JoinInput resident_b =
+        JoinInput::FromSortedRects(yb.data(), yb.size(), db.extent);
     const std::vector<Case> cases = {
         {"SSSJ", JoinAlgorithm::kSSSJ, sa, sb},
         {"SSSJ fused", JoinAlgorithm::kSSSJ, sa, sb, /*fused=*/true},
+        {"SSSJ sorted x stream", JoinAlgorithm::kSSSJ, sorted_a, sb},
+        {"SSSJ sorted x stream, fused", JoinAlgorithm::kSSSJ, sorted_a, sb,
+         true},
+        {"SSSJ resident x stream", JoinAlgorithm::kSSSJ, resident_a, sb},
+        {"SSSJ resident x stream, fused", JoinAlgorithm::kSSSJ, resident_a,
+         sb, true},
+        {"SSSJ tree x stream", JoinAlgorithm::kSSSJ, tree_a, sb},
+        {"SSSJ tree x stream, fused", JoinAlgorithm::kSSSJ, tree_a, sb, true},
+        {"SSSJ sorted x resident", JoinAlgorithm::kSSSJ, sorted_a, resident_b},
+        {"SSSJ sorted x resident, fused", JoinAlgorithm::kSSSJ, sorted_a,
+         resident_b, true},
         {"PBSM", JoinAlgorithm::kPBSM, sa, sb},
         {"PBSM, histograms", JoinAlgorithm::kPBSM, sa, sb, false, true},
         {"PQ tree x stream", JoinAlgorithm::kPQ, tree_a, sb},

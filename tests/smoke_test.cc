@@ -31,7 +31,8 @@ TEST(Smoke, AllFourAlgorithmsAgreeWithBruteForce) {
   // SSSJ.
   {
     CollectingSink sink;
-    auto stats = SSSJJoin(da, db, &td.disk, options, &sink);
+    auto stats = SSSJJoin(JoinInput::FromStream(da),
+                          JoinInput::FromStream(db), &td.disk, options, &sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(Sorted(sink.pairs()), expected);
     EXPECT_EQ(stats->output_count, expected.size());

@@ -7,6 +7,7 @@
 #include "datagen/synthetic.h"
 #include "join/sssj.h"
 #include "join/strip_map.h"
+#include "rtree/rtree.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -87,7 +88,9 @@ TEST(SSSJStripDeathTest, StrictArbiterAbortsOnUngovernedSweepGrowth) {
         tiny.memory_bytes = 64u << 10;
         tiny.strict_memory_accounting = true;
         CountingSink sink;
-        SSSJJoin(da, db, &td.disk, tiny, &sink).status();
+        SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                 &td.disk, tiny, &sink)
+            .status();
       },
       "ungoverned allocation");
 }
@@ -105,7 +108,8 @@ TEST(SSSJStrip, PlainSweepRecordsOvershootInsteadOfAborting) {
   JoinOptions tiny;
   tiny.memory_bytes = 64u << 10;
   CollectingSink sink;
-  auto stats = SSSJJoin(da, db, &td.disk, tiny, &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                        &td.disk, tiny, &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
   EXPECT_GT(stats->max_sweep_bytes, tiny.memory_bytes);
@@ -201,8 +205,72 @@ TEST(SSSJStrip, SingleStripEqualsPlain) {
   CollectingSink strip_sink, plain_sink;
   ASSERT_TRUE(
       SSSJStripJoin(da, db, 1, &td.disk, JoinOptions(), &strip_sink).ok());
-  ASSERT_TRUE(SSSJJoin(da, db, &td.disk, JoinOptions(), &plain_sink).ok());
+  ASSERT_TRUE(SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                       &td.disk, JoinOptions(), &plain_sink)
+                  .ok());
   EXPECT_EQ(Sorted(strip_sink.pairs()), Sorted(plain_sink.pairs()));
+}
+
+// SSSJ's one body over every pair of input kinds, where the grant is short
+// and where it is not: a sorted or resident side is swept as it is, a tree
+// side is read as a stream, and the strip fallback writes a resident or
+// tree side out. 22,000 records a side put the sweep estimate above 64 KiB
+// (the differential harness's workloads stay below it at any budget).
+TEST(SSSJStrip, EveryInputKindFallsBackAndMatchesPlainStreams) {
+  TestDisk td;
+  std::vector<std::unique_ptr<Pager>> keep;
+  const RectF region(0, 0, 1000, 1000);
+  std::vector<RectF> data[2] = {UniformRects(22000, region, 1.0f, 1),
+                                UniformRects(22000, region, 1.0f, 2)};
+  std::vector<RectF> sorted[2];
+  std::vector<std::unique_ptr<RTree>> trees;
+  std::vector<JoinInput> kinds[2];
+  for (int side = 0; side < 2; ++side) {
+    const std::string name = side == 0 ? "a" : "b";
+    const DatasetRef plain = MakeDataset(&td, data[side], name, &keep);
+    sorted[side] = data[side];
+    std::sort(sorted[side].begin(), sorted[side].end(), OrderByYLo());
+    const DatasetRef sorted_ref =
+        MakeDataset(&td, sorted[side], "sorted." + name, &keep);
+    keep.push_back(td.NewPager("tree." + name));
+    Pager* tree_pager = keep.back().get();
+    keep.push_back(td.NewPager("tree.scratch"));
+    auto tree = RTree::BulkLoadHilbert(tree_pager, plain.range,
+                                       keep.back().get(), RTreeParams(),
+                                       1 << 22);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    trees.push_back(std::make_unique<RTree>(std::move(*tree)));
+    kinds[side] = {JoinInput::FromStream(plain),
+                   JoinInput::FromSortedStream(sorted_ref),
+                   JoinInput::FromSortedRects(sorted[side].data(),
+                                              sorted[side].size(),
+                                              plain.extent),
+                   JoinInput::FromRTree(trees.back().get())};
+  }
+  CollectingSink reference;
+  ASSERT_TRUE(SSSJJoin(kinds[0][0], kinds[1][0], &td.disk, JoinOptions(),
+                       &reference)
+                  .ok());
+  const std::vector<IdPair> expected = Sorted(reference.pairs());
+  ASSERT_FALSE(expected.empty());
+
+  const char* names[] = {"stream", "sorted stream", "resident", "tree"};
+  for (const size_t budget : {size_t{64} << 10, size_t{24} << 20}) {
+    JoinOptions options;
+    options.memory_bytes = budget;
+    for (int ka = 0; ka < 4; ++ka) {
+      for (int kb = 0; kb < 4; ++kb) {
+        SCOPED_TRACE(std::string(names[ka]) + " x " + names[kb] +
+                     ", budget " + std::to_string(budget));
+        CollectingSink sink;
+        auto stats =
+            SSSJJoin(kinds[0][ka], kinds[1][kb], &td.disk, options, &sink);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(stats->partitions_total > 0, budget == (size_t{64} << 10));
+        EXPECT_EQ(Sorted(sink.pairs()), expected);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -28,7 +28,8 @@ TEST(SSSJ, MatchesBruteForceOnClusteredData) {
   const DatasetRef db = MakeDataset(&td, b, "b", &keep);
 
   CollectingSink sink;
-  auto stats = SSSJJoin(da, db, &td.disk, JoinOptions(), &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                        &td.disk, JoinOptions(), &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
 }
@@ -40,7 +41,9 @@ TEST(SSSJ, EmptyInputs) {
   const DatasetRef one =
       MakeDataset(&td, {RectF(0, 0, 1, 1, 7)}, "o", &keep);
   CountingSink sink;
-  auto stats = SSSJJoin(empty, one, &td.disk, JoinOptions(), &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(empty),
+                        JoinInput::FromStream(one), &td.disk, JoinOptions(),
+                        &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->output_count, 0u);
 }
@@ -55,7 +58,8 @@ TEST(SSSJ, ComputesExtentWhenMissing) {
   da.extent = RectF::Empty();  // Force the extra extent scan.
   db.extent = RectF::Empty();
   CollectingSink sink;
-  auto stats = SSSJJoin(da, db, &td.disk, JoinOptions(), &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                        &td.disk, JoinOptions(), &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(Sorted(sink.pairs()), BruteForcePairs(a, b));
 }
@@ -143,7 +147,8 @@ TEST(SSSJ, IoPassStructureMatchesPaper) {
   JoinOptions options;
   options.memory_bytes = 1 << 20;  // Small memory so sorting forms many runs.
   CountingSink sink;
-  auto stats = SSSJJoin(da, db, &td.disk, options, &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                        &td.disk, options, &sink);
   ASSERT_TRUE(stats.ok());
 
   const uint64_t data_pages = 2 * ((80000 + 408) / 409);
@@ -219,7 +224,8 @@ TEST(SSSJ, SweepStructureStaysSmall) {
   const DatasetRef da = MakeDataset(&td, a, "a", &keep);
   const DatasetRef db = MakeDataset(&td, b, "b", &keep);
   CountingSink sink;
-  auto stats = SSSJJoin(da, db, &td.disk, JoinOptions(), &sink);
+  auto stats = SSSJJoin(JoinInput::FromStream(da), JoinInput::FromStream(db),
+                        &td.disk, JoinOptions(), &sink);
   ASSERT_TRUE(stats.ok());
   const size_t input_bytes = (a.size() + b.size()) * sizeof(RectF);
   EXPECT_LT(stats->max_sweep_bytes, input_bytes / 10);
@@ -246,7 +252,8 @@ TEST(SSSJ, HostCpuCoversParallelRunFormation) {
     td.disk.ResetStats();
     CountingSink sink;
     ThreadCpuTimer caller;
-    auto stats = SSSJJoin(da, db, &td.disk, options, &sink);
+    auto stats = SSSJJoin(JoinInput::FromStream(da),
+                          JoinInput::FromStream(db), &td.disk, options, &sink);
     const double caller_cpu = caller.Elapsed();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     if (threads == 1) {

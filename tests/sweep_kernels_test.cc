@@ -21,6 +21,7 @@
 
 #include "join/entry_sweep.h"
 #include "join/predicate_batch.h"
+#include "join/sources.h"
 #include "sweep/sweep_join.h"
 #include "sweep/sweep_kernel_bodies.h"
 #include "test_util.h"
@@ -292,7 +293,7 @@ TEST(StructureDifferential, ForwardSweepMatchesBruteForce) {
     auto b = EdgyRects(500, rng);
     std::sort(a.begin(), a.end(), OrderByYLo());
     std::sort(b.begin(), b.end(), OrderByYLo());
-    VectorRectSource sa(&a), sb(&b);
+    SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
     ForwardSweep active_a, active_b;
     std::vector<IdPair> pairs;
     const SweepRunStats stats = SweepJoinRun(

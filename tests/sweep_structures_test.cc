@@ -8,6 +8,7 @@
 #include <set>
 
 #include "datagen/synthetic.h"
+#include "join/sources.h"
 #include "join/sssj.h"
 #include "sweep/sweep_join.h"
 #include "test_util.h"
@@ -29,7 +30,7 @@ std::vector<IdPair> SweepPairs(std::vector<RectF> a, std::vector<RectF> b,
                                size_t* peak_active = nullptr) {
   std::sort(a.begin(), a.end(), OrderByYLo());
   std::sort(b.begin(), b.end(), OrderByYLo());
-  VectorRectSource sa(&a), sb(&b);
+  SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
   Structure active_a(extent, strips), active_b(extent, strips);
   std::vector<IdPair> out;
   const SweepRunStats run =
@@ -267,7 +268,7 @@ TEST(SweepJoin, RunStatsSurfaceStripCollapse) {
   const float inf = std::numeric_limits<float>::infinity();
   std::vector<RectF> a = {RectF(0, 0, 1, 1, 1)};
   std::vector<RectF> b = {RectF(0, 0, 1, 1, 2)};
-  VectorRectSource sa(&a), sb(&b);
+  SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
   {
     StripedSweep active_a(RectF(-inf, 0, inf, 1), 64);
     StripedSweep active_b(RectF(-inf, 0, inf, 1), 64);
@@ -275,7 +276,7 @@ TEST(SweepJoin, RunStatsSurfaceStripCollapse) {
         sa, sb, active_a, active_b, [](const RectF&, const RectF&) {}, [] {});
     EXPECT_TRUE(stats.strips_collapsed);
   }
-  VectorRectSource sa2(&a), sb2(&b);
+  SortedRectsSource sa2(a.data(), a.size()), sb2(b.data(), b.size());
   {
     StripedSweep active_a(RectF(0, 0, 10, 1), 64);
     StripedSweep active_b(RectF(0, 0, 10, 1), 64);
@@ -368,7 +369,7 @@ TEST(SweepJoin, TracksMaxStructureSize) {
   auto b = UniformRects(500, region, 3.0f, 32);
   std::sort(a.begin(), a.end(), OrderByYLo());
   std::sort(b.begin(), b.end(), OrderByYLo());
-  VectorRectSource sa(&a), sb(&b);
+  SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
   StripedSweep active_a(region, 16), active_b(region, 16);
   const SweepRunStats stats = SweepJoinRun(
       sa, sb, active_a, active_b, [](const RectF&, const RectF&) {}, [] {});
