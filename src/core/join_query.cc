@@ -289,20 +289,13 @@ Result<JoinStats> JoinQuery::Run(JoinSink* sink) {
 
 Result<JoinStats> JoinQuery::RunDirect(JoinSink* sink) {
   SJ_ASSIGN_OR_RETURN(CompiledPlan plan, Compile(/*multiway=*/false));
-  const JoinExecutor* executor = FindExecutor(plan.decision.algorithm);
-  if (executor == nullptr) {
-    return Status::Internal(
-        std::string("no JoinExecutor registered for algorithm ") +
-        ToString(plan.decision.algorithm));
-  }
-  SJ_RETURN_IF_ERROR(executor->Validate(plan));
   // Filter step. With refinement the MBR join buffers candidates, which
   // refinement resolves against exact geometry, forwarding survivors to
   // the caller.
   CollectingSink candidates;
   SJ_ASSIGN_OR_RETURN(
       JoinStats stats,
-      executor->Execute(plan, plan.options.refine ? &candidates : sink));
+      ExecuteJoin(plan, plan.options.refine ? &candidates : sink));
   stats.algorithm = plan.decision.algorithm;
   stats.candidate_count = stats.output_count;
   if (plan.options.refine) {

@@ -173,8 +173,8 @@ class QueryBuilder {
 ///
 /// Histograms and FeatureStores attach to *inputs* (by position), every
 /// JoinOptions knob can be overridden without mutating the shared joiner,
-/// and Run dispatches through the ExecutorRegistry: two inputs with a
-/// JoinSink run the pairwise pipeline, two or more with a TupleSink run
+/// and Run dispatches on the compiled plan (ExecuteJoin): two inputs with
+/// a JoinSink run the pairwise pipeline, two or more with a TupleSink run
 /// the k-way chain. The query object is cheap to build and single-shot
 /// state-free: Run() may be called repeatedly and each call compiles a
 /// fresh plan.

@@ -143,6 +143,9 @@ std::vector<std::pair<std::string, std::string>> PipelineStats::ToKeyValues()
   kv.emplace_back("refine_pages_read", std::to_string(refine_pages_read));
   kv.emplace_back("join_algorithm", ToString(join_algorithm));
   kv.emplace_back("sweep_strips", std::to_string(sweep_strips));
+  kv.emplace_back("partitions_total", std::to_string(partitions_total));
+  kv.emplace_back("partitions_overflowed",
+                  std::to_string(partitions_overflowed));
   kv.emplace_back("host_cpu_seconds", FmtG(host_cpu_seconds));
   kv.emplace_back("disk.pages_read", std::to_string(disk.pages_read));
   kv.emplace_back("disk.pages_written", std::to_string(disk.pages_written));
@@ -641,6 +644,8 @@ Result<PipelineStats> PipelineQuery::RunDirect(RowSink* sink) {
       SJ_ASSIGN_OR_RETURN(JoinStats join_stats, jq.RunDirect(&adapter));
       out.join_algorithm = join_stats.algorithm;
       out.sweep_strips = join_stats.sweep_strips;
+      out.partitions_total = join_stats.partitions_total;
+      out.partitions_overflowed = join_stats.partitions_overflowed;
       fold_join(join_stats);
     } else {
       SJ_ASSIGN_OR_RETURN(MultiwayStats join_stats,

@@ -64,8 +64,11 @@ struct PipelineStats {
   uint64_t candidate_count = 0;
   uint64_t refine_pages_read = 0;
   JoinAlgorithm join_algorithm = JoinAlgorithm::kAuto;
-  /// The pairwise join's JoinStats::sweep_strips (0 for the k-way chain).
+  /// The pairwise join's JoinStats::sweep_strips, partitions_total and
+  /// partitions_overflowed (0 for the k-way chain).
   uint32_t sweep_strips = 0;
+  uint32_t partitions_total = 0;
+  uint32_t partitions_overflowed = 0;
   /// Memory governance: one arbiter spans the join and every operator.
   size_t peak_memory_bytes = 0;
   std::vector<MemoryComponentStats> memory_components;

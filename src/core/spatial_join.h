@@ -27,7 +27,7 @@ double SweepInputSeconds(const CostModel& cost, Span<const JoinInput> inputs,
 /// JoinOptions for every query posed against it.
 ///
 /// Queries are built with JoinQuery (core/join_query.h), which compiles a
-/// CompiledPlan and dispatches to the ExecutorRegistry. The joiner itself
+/// CompiledPlan and runs it through ExecuteJoin. The joiner itself
 /// only plans (Plan — pure cost-model arithmetic, no I/O) and carries
 /// state; it is never mutated by a query,
 /// so one joiner can serve many concurrent query *descriptions* (actual

@@ -85,6 +85,10 @@ std::vector<std::pair<std::string, std::string>> PlanDecision::ToKeyValues()
   return kv;
 }
 
+std::ostream& operator<<(std::ostream& os, const PlanDecision& decision) {
+  return os << decision.Describe();
+}
+
 void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
   const JoinOptions& options = plan.options;
   const size_t budget = arbiter->budget();
@@ -120,14 +124,11 @@ void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
           SSSJGrantRequests(options.memory_bytes, records);
       if (arbiter->AcquireShrinkable(requests.sweep).bytes() <
           requests.sweep.bytes) {
-        // The strip fallback: its writers, then every strip's sorts on a
-        // unit arbiter of the whole budget.
-        arbiter->AcquireShrinkable(
-            SSSJStripWriters(SSSJStripCount(requests.sweep.bytes, budget))
-                .Request(budget));
-        MemoryArbiter unit(budget);
-        unit.AcquireShrinkable(requests.sort);
-        arbiter->FoldChild(unit);
+        // The strip fallback: its writers, then its units, each on an
+        // arbiter of the whole budget.
+        const uint32_t strips = SSSJStripCount(requests.sweep.bytes, budget);
+        arbiter->AcquireShrinkable(SSSJStripWriters(strips).Request(budget));
+        PlanUnits(options, records, strips, budget, arbiter);
         break;
       }
       const bool sorted_input =
@@ -150,11 +151,10 @@ void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
       const PBSMGrants requests = PBSMGrantRequests(
           options, plan.prune_histogram(0), plan.prune_histogram(1));
       arbiter->AcquireShrinkable(requests.histogram);
-      arbiter->AcquireShrinkable(
-          PbsmWriters(plan.decision.pbsm_partitions, options).Request(budget));
-      MemoryArbiter unit(requests.partition_budget);
-      (void)unit.Acquire(grants::kPbsmPartition, requests.partition_budget);
-      arbiter->FoldChild(unit);
+      const uint32_t partitions = plan.decision.pbsm_partitions;
+      arbiter->AcquireShrinkable(PbsmWriters(partitions, options).Request(budget));
+      PlanUnits(options, records, partitions, requests.partition_budget,
+                arbiter);
       break;
     }
     case JoinAlgorithm::kST:
@@ -164,18 +164,6 @@ void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter) {
   if (options.refine) {
     arbiter->AcquireShrinkable(RefineGrantRequest(budget, plan.inputs.size()));
   }
-}
-
-std::ostream& operator<<(std::ostream& os, const PlanDecision& decision) {
-  return os << decision.Describe();
-}
-
-Status JoinExecutor::Validate(const CompiledPlan& plan) const {
-  if (plan.inputs.size() != 2) {
-    return Status::InvalidArgument(std::string(name()) +
-                                   " executes pairwise joins only");
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -201,115 +189,60 @@ SourceSort PQSort(const JoinOptions& options) {
                     "join.sort.runs", "join.sort.out"};
 }
 
-class SSSJExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kSSSJ; }
-  const char* name() const override { return "SSSJ"; }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    return SSSJJoin(plan.inputs[0], plan.inputs[1], plan.disk, plan.options,
-                    sink, plan.arbiter.get());
-  }
-};
-
-class PBSMExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kPBSM; }
-  const char* name() const override { return "PBSM"; }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    SJ_ASSIGN_OR_RETURN(const DatasetRef a, StreamOf(plan, plan.inputs[0]));
-    SJ_ASSIGN_OR_RETURN(const DatasetRef b, StreamOf(plan, plan.inputs[1]));
-    // Attached histograms spare the adaptive planner its build pass.
-    // (The compile step clears them when an ε-expansion makes them
-    // stale, so PBSM then re-derives density from the expanded stream.)
-    return PBSMJoin(a, b, plan.disk, plan.options, sink,
-                    plan.prune_histogram(0), plan.prune_histogram(1),
-                    plan.arbiter.get());
-  }
-};
-
-class STExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kST; }
-  const char* name() const override { return "ST"; }
-
-  Status Validate(const CompiledPlan& plan) const override {
-    SJ_RETURN_IF_ERROR(JoinExecutor::Validate(plan));
-    if (!plan.inputs[0].indexed() || !plan.inputs[1].indexed()) {
-      return Status::FailedPrecondition(
-          "ST requires R-tree indexes on both inputs");
-    }
-    return Status::OK();
-  }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    return STJoin(*plan.inputs[0].rtree(), *plan.inputs[1].rtree(), plan.disk,
-                  plan.options, sink, plan.arbiter.get());
-  }
-};
-
-class PQExecutor final : public JoinExecutor {
- public:
-  JoinAlgorithm algorithm() const override { return JoinAlgorithm::kPQ; }
-  const char* name() const override { return "PQ"; }
-
-  Result<JoinStats> Execute(CompiledPlan& plan, JoinSink* sink) const override {
-    const RectF extent_a = plan.inputs[0].extent();
-    const RectF extent_b = plan.inputs[1].extent();
-    const SourceSort sort = PQSort(plan.options);
-    SJ_ASSIGN_OR_RETURN(
-        PreparedSource sa,
-        PrepareSource(plan.inputs[0], sort, plan.disk, plan.options,
-                      plan.arbiter.get(), &extent_b, plan.prune_histogram(1)));
-    SJ_ASSIGN_OR_RETURN(
-        PreparedSource sb,
-        PrepareSource(plan.inputs[1], sort, plan.disk, plan.options,
-                      plan.arbiter.get(), &extent_a, plan.prune_histogram(0)));
-    RectF extent = extent_a;
-    extent.ExtendTo(extent_b);
-    SJ_ASSIGN_OR_RETURN(
-        JoinStats stats,
-        PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
-                      plan.options, sink, plan.arbiter.get()));
-    stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
-    stats.FoldSortStats(sa.sort);
-    stats.FoldSortStats(sb.sort);
-    return stats;
-  }
-};
-
 }  // namespace
 
-ExecutorRegistry::ExecutorRegistry() {
-  static const SSSJExecutor sssj;
-  static const PBSMExecutor pbsm;
-  static const STExecutor st;
-  static const PQExecutor pq;
-  Register(&sssj);
-  Register(&pbsm);
-  Register(&st);
-  Register(&pq);
-}
-
-ExecutorRegistry& ExecutorRegistry::Instance() {
-  static ExecutorRegistry registry;
-  return registry;
-}
-
-void ExecutorRegistry::Register(const JoinExecutor* executor) {
-  const size_t slot = static_cast<size_t>(executor->algorithm());
-  SJ_CHECK(slot < kSlots) << "JoinAlgorithm value out of registry range";
-  table_[slot] = executor;
-}
-
-const JoinExecutor* ExecutorRegistry::Find(JoinAlgorithm algo) const {
-  const size_t slot = static_cast<size_t>(algo);
-  return slot < kSlots ? table_[slot] : nullptr;
-}
-
-const JoinExecutor* FindExecutor(JoinAlgorithm algo) {
-  return ExecutorRegistry::Instance().Find(algo);
+Result<JoinStats> ExecuteJoin(CompiledPlan& plan, JoinSink* sink) {
+  const JoinInput& a = plan.inputs[0];
+  const JoinInput& b = plan.inputs[1];
+  MemoryArbiter* arbiter = plan.arbiter.get();
+  switch (plan.decision.algorithm) {
+    case JoinAlgorithm::kSSSJ:
+      return SSSJJoin(a, b, plan.disk, plan.options, sink, arbiter);
+    case JoinAlgorithm::kPBSM: {
+      SJ_ASSIGN_OR_RETURN(const DatasetRef sa, StreamOf(plan, a));
+      SJ_ASSIGN_OR_RETURN(const DatasetRef sb, StreamOf(plan, b));
+      // Attached histograms spare the adaptive planner its build pass.
+      // (The compile step clears them when an ε-expansion makes them
+      // stale, so PBSM then re-derives density from the expanded stream.)
+      return PBSMJoin(sa, sb, plan.disk, plan.options, sink,
+                      plan.prune_histogram(0), plan.prune_histogram(1),
+                      arbiter);
+    }
+    case JoinAlgorithm::kST:
+      if (!a.indexed() || !b.indexed()) {
+        return Status::FailedPrecondition(
+            "ST requires R-tree indexes on both inputs");
+      }
+      return STJoin(*a.rtree(), *b.rtree(), plan.disk, plan.options, sink,
+                    arbiter);
+    case JoinAlgorithm::kPQ: {
+      const RectF extent_a = a.extent();
+      const RectF extent_b = b.extent();
+      const SourceSort sort = PQSort(plan.options);
+      SJ_ASSIGN_OR_RETURN(
+          PreparedSource sa,
+          PrepareSource(a, sort, plan.disk, plan.options, arbiter, &extent_b,
+                        plan.prune_histogram(1)));
+      SJ_ASSIGN_OR_RETURN(
+          PreparedSource sb,
+          PrepareSource(b, sort, plan.disk, plan.options, arbiter, &extent_a,
+                        plan.prune_histogram(0)));
+      RectF extent = extent_a;
+      extent.ExtendTo(extent_b);
+      SJ_ASSIGN_OR_RETURN(
+          JoinStats stats,
+          PQJoinSources(sa.source.get(), sb.source.get(), extent, plan.disk,
+                        plan.options, sink, arbiter));
+      stats.index_pages_read = sa.index_pages_read() + sb.index_pages_read();
+      stats.FoldSortStats(sa.sort);
+      stats.FoldSortStats(sb.sort);
+      return stats;
+    }
+    case JoinAlgorithm::kAuto:
+      break;
+  }
+  return Status::Internal(std::string("no execution for algorithm ") +
+                          ToString(plan.decision.algorithm));
 }
 
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,

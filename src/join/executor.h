@@ -82,12 +82,11 @@ struct PlanDecision {
 
 std::ostream& operator<<(std::ostream& os, const PlanDecision& decision);
 
-/// The compile step's output: a JoinQuery resolved into exactly what an
-/// executor needs — filter-ready inputs (ε-expansion for distance
+/// The compile step's output: a JoinQuery resolved into exactly what
+/// ExecuteJoin needs — filter-ready inputs (ε-expansion for distance
 /// predicates already applied, temporaries owned here), the effective
 /// per-query options, the predicate, and the planner's decision. One plan
-/// structure for every algorithm, so adding an executor never touches the
-/// facade.
+/// structure for every algorithm.
 struct CompiledPlan {
   DiskModel* disk = nullptr;
   /// Effective options for this query (the joiner's defaults plus the
@@ -97,7 +96,7 @@ struct CompiledPlan {
   PredicateSpec predicate;
   /// Resolved inputs, in query order. For kDistanceWithin one side has
   /// been rewritten to an ε-expanded copy (a stream, or a rebuilt tree if
-  /// the ST executor needs an index on that side).
+  /// ST needs an index on that side).
   std::vector<JoinInput> inputs;
   /// Per-input occupancy histograms available for *pruning* index
   /// traversals (nullptr entries allowed). Cleared by the compile step
@@ -130,65 +129,23 @@ struct CompiledPlan {
   }
 };
 
-/// One join algorithm behind the unified facade. Executors run the MBR
-/// *filter step* only: predicates and refinement are applied by the query
-/// layer around them, so an executor is exactly "pairs of intersecting
-/// MBRs from plan.inputs[0] x plan.inputs[1] into sink".
-///
-/// Implementations are stateless (per-execution state lives on the plan
-/// or the executor's stack) and registered once in the ExecutorRegistry.
-class JoinExecutor {
- public:
-  virtual ~JoinExecutor() = default;
-
-  /// The algorithm this executor implements (its registry key).
-  virtual JoinAlgorithm algorithm() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Fast structural check (input kinds etc.) before any I/O.
-  virtual Status Validate(const CompiledPlan& plan) const;
-
-  /// Runs the filter join. May allocate temporaries on the plan
-  /// (leaf-extraction streams), which is why the plan is mutable.
-  virtual Result<JoinStats> Execute(CompiledPlan& plan,
-                                    JoinSink* sink) const = 0;
-};
-
-/// The table of executors, keyed by JoinAlgorithm. The four built-in
-/// algorithms (SSSJ, PBSM, ST, PQ) register themselves on first use; an
-/// out-of-tree algorithm registers with Register() once at startup and is
-/// then reachable through the whole JoinQuery/SpatialJoiner surface —
-/// adding an algorithm never touches the facade.
-class ExecutorRegistry {
- public:
-  static ExecutorRegistry& Instance();
-
-  /// Registers `executor` (not owned; must outlive the registry) under
-  /// executor->algorithm(). Replaces any previous registration.
-  void Register(const JoinExecutor* executor);
-
-  /// The executor for `algo`, or nullptr when none is registered (kAuto
-  /// never has one: it resolves to a concrete algorithm at plan time).
-  const JoinExecutor* Find(JoinAlgorithm algo) const;
-
- private:
-  ExecutorRegistry();
-
-  static constexpr size_t kSlots = 8;
-  const JoinExecutor* table_[kSlots] = {};
-};
-
-/// Convenience wrapper over ExecutorRegistry::Instance().Find().
-const JoinExecutor* FindExecutor(JoinAlgorithm algo);
-
 /// Explain's memory planner: replays on `arbiter`, in a run's order, the
 /// grant requests a run of Explain's `plan` makes (the compile step's,
 /// the executor's or the k-way chain's, then refinement's), each through
 /// the function its own acquisition calls. The arbiter's granted
 /// high-water marks are then the run's, except where a request follows
-/// data the plan has not read: PBSM's partition loads (replayed at their
-/// cap), an overflowing partition's sorts and sweep, and a strip's sweep.
+/// data the plan has not read: a partitioned plan's unit loads (replayed
+/// at their cap) and an overflowing unit's sweep, and its sorts where the
+/// plan replayed a load (PlanUnits).
 void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter);
+
+/// Runs the MBR filter step of a compiled pairwise plan: the pairs of
+/// intersecting MBRs from plan.inputs[0] x plan.inputs[1] into `sink`,
+/// by plan.decision.algorithm. Predicates and refinement are the query
+/// layer's. ST fails with FailedPrecondition, before any I/O of its own,
+/// unless both inputs are indexed. The plan is mutable because PBSM
+/// parks the streams it writes out for a tree or resident input there.
+Result<JoinStats> ExecuteJoin(CompiledPlan& plan, JoinSink* sink);
 
 /// The k-way filter execution (§4's extension): every plan.inputs entry
 /// becomes a sorted source (selective index traversals included) feeding
@@ -197,9 +154,8 @@ void PlanJoinMemory(const CompiledPlan& plan, MemoryArbiter* arbiter);
 /// options.num_threads reaches only the stream inputs' run formation, so
 /// output and modeled I/O are the same at every thread count. The
 /// returned I/O and CPU include those sorts as well as the chain.
-/// Algorithm dispatch does not apply (the chain is the only k-way
-/// execution), which is why this is a free function rather than a
-/// registry entry.
+/// Algorithm dispatch does not apply: the chain is the only k-way
+/// execution.
 Result<MultiwayStats> ExecuteMultiwayFilter(CompiledPlan& plan,
                                             TupleSink* sink);
 

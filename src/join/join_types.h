@@ -164,8 +164,10 @@ struct JoinStats {
   /// Maxima of the in-memory data structures (Table 3).
   size_t max_sweep_bytes = 0;
   size_t max_queue_bytes = 0;
-  /// PBSM partitioning behaviour (paper_repro's §3.2 tile-count rows;
-  /// adaptive against fixed grids).
+  /// Partitioned units, PBSM's partitions or SSSJ's strips: how many
+  /// ran, how many overflowed their load grant and sorted, and the
+  /// largest unit's records in bytes (PBSM's feed paper_repro's §3.2
+  /// tile-count rows).
   uint32_t partitions_total = 0;
   uint32_t partitions_overflowed = 0;
   size_t max_partition_bytes = 0;

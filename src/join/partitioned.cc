@@ -1,10 +1,14 @@
 #include "join/partitioned.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <thread>
 
 #include "io/stream.h"
+#include "join/sources.h"
+#include "join/sssj.h"
+#include "sweep/sweep_join.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -38,6 +42,8 @@ void PartitionedTotals::AddTo(JoinStats* stats) const {
   stats->sweep_strips_collapsed = strips_collapsed;
   stats->FoldSortStats(sort_stats);
   stats->partitions_total = units;
+  stats->partitions_overflowed = overflowed;
+  stats->max_partition_bytes = max_input_bytes;
 }
 
 Result<PartitionedJoin> PartitionedJoin::Distribute(
@@ -145,6 +151,85 @@ uint32_t WriterBlocks::Grant(MemoryArbiter* arbiter,
       grant->bytes() / (writers * kPageSize), 1, max_block_pages));
   grant->NoteUsage(writers * block_pages * kPageSize);
   return block_pages;
+}
+
+Status SweepUnit(const JoinOptions& options, const RectF& extent,
+                 SweepStructureKind structure, const OwnsPair& owns,
+                 const std::string& overflow_name, PartitionUnit& unit,
+                 JoinSink* out) {
+  const uint64_t records = unit.inputs[0].count + unit.inputs[1].count;
+  std::vector<RectF> loaded[2];
+  std::unique_ptr<Pager> scratch;
+  std::unique_ptr<SortedRectSource> sources[2];
+  MemoryGrant sweep_grant;
+  // The pair's load is a grant; denial is the overflow signal.
+  Result<MemoryGrant> load =
+      unit.memory->Acquire(grants::kPbsmPartition, unit.input_bytes());
+  if (load.ok()) {
+    for (int side = 0; side < 2; ++side) {
+      const StreamRange& in = unit.inputs[side];
+      StreamReader<RectF> reader(in.pager, in.first_page, in.count);
+      loaded[side].reserve(in.count);
+      while (std::optional<RectF> r = reader.Next()) {
+        loaded[side].push_back(*r);
+      }
+      SJ_RETURN_IF_ERROR(reader.status());
+      std::sort(loaded[side].begin(), loaded[side].end(), OrderByYLo());
+      sources[side] = std::make_unique<SortedRectsSource>(
+          loaded[side].data(), loaded[side].size());
+    }
+    load->NoteUsage(unit.input_bytes());
+  } else {
+    // Both sides' runs and sorted outputs share one scratch pager, so a
+    // side that sorts into one run is read where it was formed.
+    unit.overflowed = true;
+    const SSSJGrants requests =
+        SSSJGrantRequests(options.memory_bytes, records);
+    SJ_ASSIGN_OR_RETURN(scratch, MakePager(options.storage.get(),
+                                           unit.disk.get(), overflow_name));
+    for (int side = 0; side < 2; ++side) {
+      SJ_ASSIGN_OR_RETURN(
+          const StreamRange sorted,
+          SortRectsByYLo(unit.inputs[side], scratch.get(), scratch.get(),
+                         requests.sort.bytes, unit.memory.get(),
+                         UnitSortConfig(options), &unit.sort_stats));
+      sources[side] = std::make_unique<SortedStreamSource>(sorted);
+    }
+    sweep_grant = unit.memory->AcquireShrinkable(requests.sweep);
+  }
+  // The sweep may count a pair in several units; the reference-point
+  // test's count is authoritative.
+  const SweepRunStats sweep = SweepJoinWithKind(
+      structure, extent, SweepStrips(records, options.striped_strips),
+      *sources[0], *sources[1], [&](const RectF& ra, const RectF& rb) {
+        if (owns(ra, rb)) {
+          out->Emit(ra.id, rb.id);
+          unit.output++;
+        }
+      });
+  SJ_RETURN_IF_ERROR(
+      FirstReadError(std::array{sources[0].get(), sources[1].get()}));
+  unit.max_bytes = sweep.max_structure_bytes;
+  unit.sweep_strips = sweep.strips;
+  unit.strips_collapsed = sweep.strips_collapsed;
+  // A strict arbiter aborts here when an overflowed unit's active sets
+  // exceed its sweep grant (a loaded unit's sweep holds none); otherwise
+  // the overshoot lands in the usage marks.
+  sweep_grant.NoteUsage(sweep.max_structure_bytes);
+  return Status::OK();
+}
+
+void PlanUnits(const JoinOptions& options, uint64_t records, uint32_t units,
+               size_t unit_budget, MemoryArbiter* arbiter) {
+  MemoryArbiter unit(unit_budget);
+  units = std::max(1u, units);
+  if (records * sizeof(RectF) / units <= unit_budget) {
+    (void)unit.Acquire(grants::kPbsmPartition, unit_budget);
+  } else {
+    unit.AcquireShrinkable(
+        SSSJGrantRequests(options.memory_bytes, records / units).sort);
+  }
+  arbiter->FoldChild(unit);
 }
 
 SortConfig UnitSortConfig(const JoinOptions& options) {

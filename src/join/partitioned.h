@@ -37,7 +37,7 @@ struct PartitionUnit {
   size_t max_bytes = 0;   ///< Peak in-memory sweep state.
   uint32_t sweep_strips = 0;  ///< Strips of the unit's Striped-Sweep.
   bool strips_collapsed = false;
-  bool overflowed = false;  ///< Inputs exceeded the unit budget.
+  bool overflowed = false;  ///< Its load was denied, so it sorted.
   SortStats sort_stats;
 
   /// Bytes of the unit's routed records over all inputs.
@@ -60,14 +60,15 @@ struct PartitionedTotals {
 
   /// Adds the worker CPU to `stats` (the caller's finished measurement,
   /// whose disk delta already holds the folded shards) and sets the
-  /// fields every partitioned pair join reports.
+  /// fields every partitioned pair join reports, overflows included.
   void AddTo(JoinStats* stats) const;
 };
 
 /// The serial-equivalent protocol both partition-based join paths run:
 /// PBSM's partitions (§3.2) and SSSJ's single-dimension strip fallback
-/// (§3.1). The paths supply only what differs: the route, the file
-/// names, the writer blocks and the per-unit body with its
+/// (§3.1). Every unit runs one body, SweepUnit. A path supplies only
+/// what differs: its route, its file names, its writer blocks, and for
+/// each unit the sweep extent, the sweep structure and the
 /// reference-point test.
 ///
 /// Distribute() writes the inputs, one after another, into one file per
@@ -102,7 +103,7 @@ class PartitionedJoin {
       const Route& route, const FileName& file_name, uint32_t block_pages,
       StorageFactory* storage, DiskModel* disk);
 
-  /// A unit's body: joins unit `i` and reports its results to `out`.
+  /// A unit's body: SweepUnit over unit `i`, reporting to `out`.
   using Body =
       std::function<Status(uint64_t i, PartitionUnit& unit, JoinSink* out)>;
 
@@ -147,6 +148,32 @@ struct WriterBlocks {
   /// covers them all, fewer (smaller flushes, never over budget) if not.
   uint32_t Grant(MemoryArbiter* arbiter, MemoryGrant* grant) const;
 };
+
+/// A unit's reference-point test: true when the unit owns pair (a, b),
+/// so that a pair replicated into several units is reported once.
+using OwnsPair = std::function<bool(const RectF& a, const RectF& b)>;
+
+/// The one body of every partitioned unit, PBSM's partitions and SSSJ's
+/// strips alike. It loads the unit's pair under a `pbsm.partition` grant
+/// of the pair's bytes and std::sorts it. When that grant is denied the
+/// unit overflows: each side is external-sorted into one scratch pager
+/// named `overflow_name` under SSSJGrantRequests' sort request, and the
+/// sweep takes that function's square-root grant. Either way one
+/// `structure` sweep over `extent`, at SweepStrips strips of the unit's
+/// records, reports to `out` the pairs `owns` accepts, and the unit's
+/// fields record what it did.
+Status SweepUnit(const JoinOptions& options, const RectF& extent,
+                 SweepStructureKind structure, const OwnsPair& owns,
+                 const std::string& overflow_name, PartitionUnit& unit,
+                 JoinSink* out);
+
+/// Explain's replay of the units of a partitioned plan over `records`
+/// records in `units` units, each on a `unit_budget` arbiter folded into
+/// `arbiter`. When the average pair fits the unit budget, a unit replays
+/// its load at that cap (a run's load follows its pair). Otherwise it
+/// replays SweepUnit's sorts (its sweep follows its data).
+void PlanUnits(const JoinOptions& options, uint64_t records, uint32_t units,
+               size_t unit_budget, MemoryArbiter* arbiter);
 
 /// Sort settings for a sort inside a unit: units are the parallel grain,
 /// so their sorts stay single-threaded (nested run-formation fan-out

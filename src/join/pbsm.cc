@@ -4,14 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "join/partition_plan.h"
 #include "join/partitioned.h"
-#include "join/sources.h"
-#include "join/sssj.h"
-#include "sort/external_sort.h"
-#include "sweep/sweep_join.h"
 
 namespace sj {
 
@@ -149,89 +146,22 @@ Result<JoinStats> PBSMJoin(const DatasetRef& a, const DatasetRef& b,
           writer_block_pages, options.storage.get(), disk));
   writer_grant.Release();
 
-  // Phase 2: join each partition pair with a plane sweep, suppressing
-  // cross-partition duplicates via the reference-point test.
-  auto join_partition = [&](uint64_t i, PartitionUnit& unit,
-                            JoinSink* out) -> Status {
-    auto emit = [&](const RectF& ra, const RectF& rb) {
-      if (grid.ReferencePartition(ra, rb) == i) {
-        out->Emit(ra.id, rb.id);
-        unit.output++;
-      }
-    };
-    SweepRunStats sweep_stats;
-    const size_t part_bytes = unit.input_bytes();
-    // A Striped partition sweep is striped for the partition's records.
-    const uint32_t strips =
-        SweepStrips(unit.inputs[0].count + unit.inputs[1].count,
-                    options.striped_strips);
-    // The partition pair's load is a grant; denial IS the overflow
-    // signal.
-    Result<MemoryGrant> load =
-        unit.memory->Acquire(grants::kPbsmPartition, part_bytes);
-    if (load.ok()) {
-      std::vector<RectF> rects[2];
-      for (int side = 0; side < 2; ++side) {
-        const StreamRange& in = unit.inputs[side];
-        StreamReader<RectF> reader(in.pager, in.first_page, in.count);
-        rects[side].reserve(in.count);
-        while (std::optional<RectF> r = reader.Next()) {
-          rects[side].push_back(*r);
-        }
-        SJ_RETURN_IF_ERROR(reader.status());
-      }
-      std::sort(rects[0].begin(), rects[0].end(), OrderByYLo());
-      std::sort(rects[1].begin(), rects[1].end(), OrderByYLo());
-      SortedRectsSource sa(rects[0].data(), rects[0].size());
-      SortedRectsSource sb(rects[1].data(), rects[1].size());
-      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
-                                      sa, sb, emit);
-      load->NoteUsage(part_bytes);
-      // The deduplicating sweep may double-count in sweep_stats; the
-      // reference-point count is authoritative.
-    } else {
-      // Overflow fallback: external sort this partition and sweep the
-      // sorted streams (grant-governed through the unit's arbiter).
-      unit.overflowed = true;
-      SJ_ASSIGN_OR_RETURN(
-          std::unique_ptr<Pager> scratch,
-          MakePager(options.storage.get(), unit.disk.get(),
-                    "pbsm.overflow." + std::to_string(i)));
-      const SortConfig overflow_sort = UnitSortConfig(options);
-      SJ_ASSIGN_OR_RETURN(
-          StreamRange sa_range,
-          SortRectsByYLo(unit.inputs[0], scratch.get(), scratch.get(),
-                         options.memory_bytes / 2, unit.memory.get(),
-                         overflow_sort, &unit.sort_stats));
-      SJ_ASSIGN_OR_RETURN(
-          StreamRange sb_range,
-          SortRectsByYLo(unit.inputs[1], scratch.get(), scratch.get(),
-                         options.memory_bytes / 2, unit.memory.get(),
-                         overflow_sort, &unit.sort_stats));
-      MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(
-          grants::kSweep, part_bytes, /*floor_bytes=*/0);
-      StreamReader<RectF> reader_a(sa_range.pager, sa_range.first_page,
-                                   sa_range.count);
-      StreamReader<RectF> reader_b(sb_range.pager, sb_range.first_page,
-                                   sb_range.count);
-      sweep_stats = SweepJoinWithKind(options.partition_sweep, extent, strips,
-                                      reader_a, reader_b, emit);
-      SJ_RETURN_IF_ERROR(FirstReadError(std::array{&reader_a, &reader_b}));
-      sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-    }
-    unit.max_bytes = sweep_stats.max_structure_bytes;
-    unit.sweep_strips = sweep_stats.strips;
-    unit.strips_collapsed = sweep_stats.strips_collapsed;
-    return Status::OK();
-  };
-  SJ_ASSIGN_OR_RETURN(PartitionedTotals totals,
-                      join.Run(options, scope.get(), requests.partition_budget,
-                               sink, join_partition));
+  // Phase 2: sweep each partition pair, reporting a pair only in the
+  // partition that owns its reference point.
+  SJ_ASSIGN_OR_RETURN(
+      PartitionedTotals totals,
+      join.Run(options, scope.get(), requests.partition_budget, sink,
+               [&](uint64_t i, PartitionUnit& unit, JoinSink* out) {
+                 return SweepUnit(
+                     options, extent, options.partition_sweep,
+                     [&grid, i](const RectF& ra, const RectF& rb) {
+                       return grid.ReferencePartition(ra, rb) == i;
+                     },
+                     "pbsm.overflow." + std::to_string(i), unit, out);
+               }));
 
   JoinStats stats = measurement.Finish();
   totals.AddTo(&stats);
-  stats.partitions_overflowed = totals.overflowed;
-  stats.max_partition_bytes = totals.max_input_bytes;
   stats.pbsm_tiles_x = grid.tiles_x();
   stats.pbsm_tiles_y = grid.tiles_y();
   stats.pbsm_leaf_tiles = grid.leaf_tiles();

@@ -60,8 +60,10 @@ WriterBlocks PbsmWriters(uint32_t partitions, const JoinOptions& options);
 ///
 /// The space is cut into tiles, tiles are assigned to p partitions, and
 /// each rectangle is replicated into every partition one of its tiles
-/// maps to. Each partition is then joined in memory with a plane sweep
-/// (Forward-Sweep, following the original).
+/// maps to. Each partition pair then runs PartitionedJoin's one unit
+/// body (SweepUnit), as SSSJ's strips do, sweeping with
+/// options.partition_sweep (Forward-Sweep by default, following the
+/// original).
 ///
 /// Partitioning is pluggable (src/join/partition_plan.h). With
 /// options.adaptive_partitioning (the default) the tile grid is sized
@@ -78,12 +80,14 @@ WriterBlocks PbsmWriters(uint32_t partitions, const JoinOptions& options);
 /// lower corner of r ∩ s, which both r and s necessarily overlap — so
 /// the output is exact and duplicate free under either partitioning.
 ///
-/// A partition pair acquires its load as a memory grant; a denied grant
-/// (contents exceed the budget) falls back to an external sort +
-/// streaming sweep of that partition. The paper instead tuned the tile
-/// count (32^2 -> 128^2) to make overflows rare; paper_repro's §3.2 rows
-/// check that on the fixed grid, which the default adaptive planner
-/// replaces. Distribution writer blocks are granted too and
+/// A partition pair is loaded and sorted in memory under a
+/// `pbsm.partition` grant of its bytes. A denied grant (the pair exceeds
+/// the budget) overflows the partition: each side is external-sorted
+/// into one scratch pager, "pbsm.overflow.<i>", and the sorted streams
+/// are swept under a square-root sweep grant. The paper instead tuned
+/// the tile count (32^2 -> 128^2) to make overflows rare; paper_repro's
+/// §3.2 rows check that on the fixed grid, which the default adaptive
+/// planner replaces. Distribution writer blocks are granted too and
 /// shrink when the budget cannot cover 2p of the partition map's
 /// preferred flush block. `arbiter` is the query's memory governor;
 /// nullptr runs against a private one over the options' budget.

@@ -166,7 +166,7 @@ class SortedStreamSource final : public SortedRectSource {
 };
 
 /// Records already sorted by OrderByYLo in memory: a resident JoinInput,
-/// a loaded PBSM partition, a test's vector.
+/// a loaded partitioned unit, a test's vector.
 class SortedRectsSource final : public SortedRectSource {
  public:
   /// `rects` must outlive the source.

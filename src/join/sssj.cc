@@ -194,7 +194,6 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
   JoinMeasurement measurement(disk);
   SJ_ASSIGN_OR_RETURN(RectF extent, CombinedExtent(a, b));
   const StripMap map(extent, strips);
-  StorageFactory* storage = options.storage.get();
 
   MemoryGrant writer_grant;
   const uint32_t writer_block_pages =
@@ -210,59 +209,25 @@ Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
             return std::string("sssj.strip.") + (input == 0 ? "a" : "b") +
                    "." + std::to_string(strip);
           },
-          writer_block_pages, storage, disk));
+          writer_block_pages, options.storage.get(), disk));
   writer_grant.Release();
 
-  const SortConfig strip_sort_config = UnitSortConfig(options);
-  auto join_strip = [&](uint64_t s, PartitionUnit& unit,
-                        JoinSink* out) -> Status {
-    const SSSJGrants requests = SSSJGrantRequests(
-        options.memory_bytes, unit.inputs[0].count + unit.inputs[1].count);
-    SJ_ASSIGN_OR_RETURN(auto scratch, MakePager(storage, unit.disk.get(),
-                                                "sssj.strip.scratch"));
-    SJ_ASSIGN_OR_RETURN(auto sorted, MakePager(storage, unit.disk.get(),
-                                               "sssj.strip.sorted"));
-    SJ_ASSIGN_OR_RETURN(
-        StreamRange sa,
-        SortRectsByYLo(unit.inputs[0], scratch.get(), sorted.get(),
-                       requests.sort.bytes, unit.memory.get(),
-                       strip_sort_config, &unit.sort_stats));
-    SJ_ASSIGN_OR_RETURN(
-        StreamRange sb,
-        SortRectsByYLo(unit.inputs[1], scratch.get(), sorted.get(),
-                       requests.sort.bytes, unit.memory.get(),
-                       strip_sort_config, &unit.sort_stats));
-    MemoryGrant sweep_grant = unit.memory->AcquireShrinkable(requests.sweep);
-    StreamReader<RectF> reader_a(sa.pager, sa.first_page, sa.count);
-    StreamReader<RectF> reader_b(sb.pager, sb.first_page, sb.count);
-    auto emit = [&](const RectF& ra, const RectF& rb) {
-      // Report only in the strip owning the overlap's left edge.
-      if (map.StripOf(std::max(ra.xlo, rb.xlo)) == s) {
-        out->Emit(ra.id, rb.id);
-        unit.output++;
-      }
-    };
-    // The unit sweeps its own strip's x-range, striped for its own
-    // records; rectangles reaching past the range land in its boundary
-    // strips.
-    const SweepRunStats sweep_stats = SweepJoinWithKind(
-        options.stream_sweep, map.Strip(static_cast<uint32_t>(s), extent),
-        SweepStrips(sa.count + sb.count, options.striped_strips), reader_a,
-        reader_b, emit);
-    SJ_RETURN_IF_ERROR(FirstReadError(std::array{&reader_a, &reader_b}));
-    unit.max_bytes = sweep_stats.max_structure_bytes;
-    unit.sweep_strips = sweep_stats.strips;
-    unit.strips_collapsed = sweep_stats.strips_collapsed;
-    // A strict arbiter aborts here when the strip's active sets still
-    // exceed the grant (the old hard SJ_CHECK); otherwise the overshoot
-    // lands in the usage high-water marks.
-    sweep_grant.NoteUsage(sweep_stats.max_structure_bytes);
-    return Status::OK();
-  };
-  // Each strip runs with the full budget, as if alone.
+  // Each strip runs with the full budget, as if alone, and sweeps its
+  // own slice of the extent; rectangles reaching past the slice land in
+  // its boundary strips.
   SJ_ASSIGN_OR_RETURN(
       PartitionedTotals totals,
-      join.Run(options, scope.get(), scope->budget(), sink, join_strip));
+      join.Run(options, scope.get(), scope->budget(), sink,
+               [&](uint64_t s, PartitionUnit& unit, JoinSink* out) {
+                 const uint32_t strip = static_cast<uint32_t>(s);
+                 return SweepUnit(
+                     options, map.Strip(strip, extent), options.stream_sweep,
+                     // The strip owning the overlap's left edge.
+                     [&map, strip](const RectF& ra, const RectF& rb) {
+                       return map.StripOf(std::max(ra.xlo, rb.xlo)) == strip;
+                     },
+                     "sssj.strip.scratch", unit, out);
+               }));
 
   JoinStats stats = measurement.Finish();
   totals.AddTo(&stats);

@@ -54,12 +54,17 @@ Result<JoinStats> SSSJJoin(const JoinInput& a, const JoinInput& b,
 /// when the interval structures of a single sweep would exceed memory —
 /// which never happens on the paper's real data — the x-extent is split
 /// into `strips` vertical strips, rectangles are distributed (with
-/// replication) to every strip they overlap, and each strip is sorted and
-/// swept independently within the memory budget, its Striped-Sweep cut
-/// into SweepStrips(its records) strips over its own x-range. Duplicates are
-/// suppressed by reporting a pair only in the strip containing the left
-/// edge of its x-overlap. Costs one extra read+write pass over the data
-/// relative to plain SSSJ.
+/// replication) to every strip they overlap, and each strip runs
+/// PartitionedJoin's one unit body (SweepUnit), as PBSM's partitions do.
+/// A strip whose records fit the budget loads and sorts them in memory;
+/// any other sorts them into one scratch pager ("sssj.strip.scratch").
+/// Each strip sweeps its own x-range with options.stream_sweep, at
+/// SweepStrips(its records) strips. Duplicates are suppressed by
+/// reporting a pair only in the strip containing the left edge of its
+/// x-overlap. A strip that sorts costs one extra read+write pass over
+/// its records relative to plain SSSJ. SSSJJoin sizes its strips to fit
+/// the sweep, not the records, so its strips load only where a
+/// pipeline's operators or tables have drained the arbiter.
 Result<JoinStats> SSSJStripJoin(const DatasetRef& a, const DatasetRef& b,
                                 uint32_t strips, DiskModel* disk,
                                 const JoinOptions& options, JoinSink* sink,

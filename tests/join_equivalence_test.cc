@@ -159,9 +159,10 @@ INSTANTIATE_TEST_SUITE_P(
 // kAuto) × 1/2/8 threads × adaptive/fixed partitioning (for the
 // algorithms it reaches) × filter-only and filter+refine, plus SSSJ with
 // each side a plain stream, a sorted stream or resident records, and
-// fused over plain streams, at 1/8 threads — every configuration must
-// produce the identical sorted result set. A failure
-// prints the workload seed; replaying is deterministic:
+// fused over plain streams, at 1/8 threads, plus SSSJ's 7-strip fallback
+// called directly — every configuration must produce the identical sorted
+// result set. A failure prints the workload seed; replaying is
+// deterministic:
 //
 //   SJ_DIFF_SEED=<seed> ./join_equivalence_test \
 //       --gtest_filter='RandomizedDifferential.*'
@@ -183,14 +184,23 @@ struct GeneratedWorkload {
   std::string description;
 };
 
-GeneratedWorkload GenerateWorkload(uint64_t seed) {
+/// Cases of GenerateWorkload's distribution switch.
+enum WorkloadKind { kUniformKind = 0, kZipfKind = 2 };
+
+/// A workload of `min_records` + [0, `extra_records`) records a side, in
+/// the distribution the seed draws, or in `kind` when one is given (the
+/// seed's other draws are the same either way).
+GeneratedWorkload GenerateWorkload(uint64_t seed, uint64_t min_records = 400,
+                                   uint64_t extra_records = 1100,
+                                   int kind = -1) {
   Random rng(seed);
   GeneratedWorkload w;
-  const uint64_t na = 400 + rng.Uniform(1100);
-  const uint64_t nb = 400 + rng.Uniform(1100);
+  const uint64_t na = min_records + rng.Uniform(extra_records);
+  const uint64_t nb = min_records + rng.Uniform(extra_records);
   const RectF region(0, 0, 400, 400);
   std::ostringstream desc;
-  switch (rng.Uniform(6)) {
+  const uint64_t drawn = rng.Uniform(6);
+  switch (kind < 0 ? drawn : static_cast<uint64_t>(kind)) {
     case 0: {  // Uniform, density varied via rectangle size.
       const float sa = static_cast<float>(rng.UniformDouble(0.5, 4.0));
       const float sb = static_cast<float>(rng.UniformDouble(0.5, 4.0));
@@ -397,11 +407,25 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
       }
     }
 
+    // SSSJ's strip units load their pairs when they fit the budget, as
+    // every generated workload's 7 strips do.
+    for (uint32_t threads : {1u, 8u}) {
+      JoinOptions strip_options = options;
+      strip_options.num_threads = threads;
+      CollectingSink sink;
+      auto stats = SSSJStripJoin(da, db, /*strips=*/7, &td.disk,
+                                 strip_options, &sink);
+      const std::string variant = "SSSJ 7 strips t" + std::to_string(threads);
+      ASSERT_TRUE(stats.ok()) << variant << ": " << stats.status().ToString();
+      EXPECT_EQ(Sorted(sink.pairs()), expected_filter) << variant;
+      EXPECT_EQ(stats->partitions_total, 7u) << variant;
+      EXPECT_EQ(stats->partitions_overflowed, 0u) << variant;
+    }
+
     // SSSJ over every input kind: each side a plain stream, a sorted
     // stream or resident records (the workload sorted by ylo), and fused
-    // over plain streams. No workload holds enough records for the strip
-    // fallback at any budget; sssj_strip_test runs that over every input
-    // kind.
+    // over plain streams. Every generated workload fits one sweep at its
+    // budget; UnitPathsReachEveryBranch runs the strip fallback.
     std::vector<RectF> ya = w.a, yb = w.b;
     std::sort(ya.begin(), ya.end(), OrderByYLo());
     std::sort(yb.begin(), yb.end(), OrderByYLo());
@@ -440,9 +464,9 @@ TEST(RandomizedDifferential, AllAlgorithmsThreadsAndRefinementAgree) {
 // across 1 and 8 threads; the reported peak_memory_bytes stays within
 // the granted budget for every algorithm on every workload; and Explain
 // plans every grant the run was given.
-// Tiny budgets exercise the degradation paths (SSSJ strip spill, PBSM
-// writer-block shrink + overflow grants, the shrunken ST pool, smaller
-// refine chunks) which must all be invisible in the result set.
+// The generated workloads fit one sweep and every partition at each of
+// these budgets, so the ladder moves grant sizes but reaches no unit
+// path's degradation branch; UnitPathsReachEveryBranch below does.
 // ---------------------------------------------------------------------------
 
 TEST(RandomizedDifferential, MemoryBudgetDimensionAgreesAndStaysInBudget) {
@@ -527,8 +551,88 @@ TEST(RandomizedDifferential, MemoryBudgetDimensionAgreesAndStaysInBudget) {
           SCOPED_TRACE(variant);
           testing_util::ExpectPlanIsRunGrants(
               plan->memory, stats->memory_components,
-              testing_util::DataDependentGrants(*stats));
+              testing_util::DataDependentGrants(*stats, plan->memory));
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every branch of the partitioned unit body (SweepUnit), each run at 1 and
+// 8 threads against brute force, and where a JoinQuery runs it, with
+// Explain checked against the run:
+//  - SSSJ's strip fallback, whose units sort: a uniform workload of
+//    21,000-24,999 records a side at the 64 KiB floor, where one sweep's
+//    estimate exceeds the budget;
+//  - strip units that load (AllAlgorithmsThreadsAndRefinementAgree);
+//  - PBSM partitions that overflow: the fixed 32x32 grid over a Zipf
+//    workload at 64 KiB, below its largest partition pair.
+// Both JoinQuery legs also shrink their distribution writers' grant.
+// Their seeds are pinned, so that each leg reaches its branch.
+// ---------------------------------------------------------------------------
+
+TEST(RandomizedDifferential, UnitPathsReachEveryBranch) {
+  struct Leg {
+    const char* name;
+    GeneratedWorkload workload;
+    JoinAlgorithm algorithm;
+  };
+  const Leg legs[] = {
+      {"SSSJ strip fallback", GenerateWorkload(0x571B5u, 21000, 4000,
+                                               kUniformKind),
+       JoinAlgorithm::kSSSJ},
+      {"PBSM fixed-grid overflow",
+       GenerateWorkload(0x0BF10u, 4000, 2000, kZipfKind),
+       JoinAlgorithm::kPBSM},
+  };
+  for (const Leg& leg : legs) {
+    const GeneratedWorkload& w = leg.workload;
+    SCOPED_TRACE(std::string(leg.name) + " [" + w.description + "]");
+    const std::vector<IdPair> expected = BruteForcePairs(w.a, w.b);
+    TestDisk td;
+    std::vector<std::unique_ptr<Pager>> keep;
+    const DatasetRef da = MakeDataset(&td, w.a, "a", &keep);
+    const DatasetRef db = MakeDataset(&td, w.b, "b", &keep);
+    SpatialJoiner joiner(&td.disk, JoinOptions());
+    for (const uint32_t threads : {1u, 8u}) {
+      SCOPED_TRACE("t" + std::to_string(threads));
+      JoinQuery query(joiner);
+      query.Input(JoinInput::FromStream(da))
+          .Input(JoinInput::FromStream(db))
+          .Algorithm(leg.algorithm)
+          .MemoryBytes(kMinMemoryBytes)
+          .AdaptivePartitioning(false)
+          .PbsmTilesPerAxis(32)
+          .Threads(threads);
+      auto plan = query.Explain();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      CollectingSink sink;
+      auto stats = query.Run(&sink);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(Sorted(sink.pairs()), expected);
+      testing_util::ExpectPlanIsRunGrants(
+          plan->memory, stats->memory_components,
+          testing_util::DataDependentGrants(*stats, plan->memory));
+      EXPECT_GT(stats->partitions_total, 1u);
+      // Both paths' writers ask for 4-page blocks, which 64 KiB cannot
+      // cover: their grant shrinks.
+      const char* writers = leg.algorithm == JoinAlgorithm::kSSSJ
+                                ? grants::kStripWriters
+                                : grants::kPbsmWriters;
+      size_t writers_granted = 0;
+      for (const MemoryComponentStats& c : stats->memory_components) {
+        if (c.component == writers) writers_granted = c.granted_high_water;
+      }
+      EXPECT_GT(writers_granted, 0u);
+      EXPECT_LT(writers_granted,
+                size_t{2} * stats->partitions_total * 4 * kPageSize);
+      if (leg.algorithm == JoinAlgorithm::kSSSJ) {
+        EXPECT_EQ(stats->partitions_overflowed, stats->partitions_total);
+      } else {
+        EXPECT_GT(stats->partitions_overflowed, 0u);
+        EXPECT_LT(stats->partitions_overflowed, stats->partitions_total);
+        EXPECT_GT(stats->max_partition_bytes, kMinMemoryBytes);
       }
     }
   }

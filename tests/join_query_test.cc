@@ -1,15 +1,15 @@
 // The JoinQuery surface itself: builder validation (refine
 // misconfiguration is a real error with an actionable message, predicate
-// rules, index bounds), the executor registry, CPU accounting of the
+// rules, index bounds), ST's input-kind check, CPU accounting of the
 // compile step, Describe() output, Explain's memory plan against the
 // run's grants, and the basic semantics of the distance and containment
 // predicates on small hand-checkable inputs.
 //
 // Explain plans every grant line a run is granted, at the run's
-// high-water mark, except the lines that follow data the plan has not
-// read: PBSM's `pbsm.partition` (a partition pair's load, planned at its
-// cap), an overflowing PBSM partition's `sort.runs` and `sweep`, and a
-// strip's `sweep` under SSSJ's strip fallback (DataDependentGrants).
+// high-water mark, except the lines of a partitioned plan's units that
+// follow data the plan has not read: a loaded unit's `pbsm.partition`
+// (planned at its cap) and an overflowing unit's `sweep`, and its
+// `sort.runs` where the plan replayed a load (DataDependentGrants).
 
 #include <gtest/gtest.h>
 
@@ -273,22 +273,11 @@ TEST(JoinQueryErrors, AttachmentIndicesAreBoundsChecked) {
 }
 
 // ---------------------------------------------------------------------------
-// The executor registry.
+// Dispatch: ST checks its input kinds after the compile step, before any
+// I/O of its own.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorRegistry, BuiltInAlgorithmsAreRegistered) {
-  for (JoinAlgorithm algo : {JoinAlgorithm::kSSSJ, JoinAlgorithm::kPBSM,
-                             JoinAlgorithm::kST, JoinAlgorithm::kPQ}) {
-    const JoinExecutor* executor = FindExecutor(algo);
-    ASSERT_NE(executor, nullptr) << ToString(algo);
-    EXPECT_EQ(executor->algorithm(), algo);
-    EXPECT_STREQ(executor->name(), ToString(algo));
-  }
-  EXPECT_EQ(FindExecutor(JoinAlgorithm::kAuto), nullptr)
-      << "kAuto resolves at plan time and must have no executor";
-}
-
-TEST(ExecutorRegistry, StExecutorValidatesInputKinds) {
+TEST(ExecuteJoin, StExecutorValidatesInputKinds) {
   QueryFixture f;
   SpatialJoiner joiner(&f.td.disk, JoinOptions());
   CollectingSink sink;
@@ -701,7 +690,7 @@ TEST(JoinExplain, PlansWhatRunGrants) {
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
           EXPECT_EQ(stats->algorithm, plan->algorithm);
           ExpectPlanIsRunGrants(plan->memory, stats->memory_components,
-                                DataDependentGrants(*stats));
+                                DataDependentGrants(*stats, plan->memory));
         }
       }
     }
@@ -758,7 +747,7 @@ TEST(JoinExplain, DistanceQueriesPlanWhatRunGrants) {
       auto stats = q.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       ExpectPlanIsRunGrants(plan->memory, stats->memory_components,
-                            DataDependentGrants(*stats));
+                            DataDependentGrants(*stats, plan->memory));
       if (c.algorithm == JoinAlgorithm::kPBSM) {
         EXPECT_EQ(plan->pbsm_partitions, stats->partitions_total);
       }

@@ -491,7 +491,7 @@ TEST(ParallelJoin, StorageFaultsUnwindEveryPartitionedPath) {
   };
   const Spot spots[] = {
       {"sssj", "sssj.strip.b.4", ""},
-      {"sssj", "sssj.strip.sorted", ""},
+      {"sssj", "sssj.strip.scratch", ""},
       {"sssj", "sssj.strip.b.", ""},
       {"pbsm", "pbsm.b.0", ""},
       {"pbsm", "pbsm.overflow.", ""},

@@ -862,7 +862,8 @@ TEST(PipelineExplain, PlansWhatRunGrants) {
   // two unwindowed 50,000-record streams under a small and a large
   // aggregate. The large one leaves SSSJ too little for one sweep at
   // 512 KiB and 1 MiB, so it falls back to strips, whose sweeps follow
-  // each strip's records.
+  // each strip's records. At 1 MiB the two strips load; at 512 KiB they
+  // sort (DataDependentGrants).
   TestDisk td;
   std::vector<std::unique_ptr<Pager>> keep;
   std::vector<JoinInput> big;
@@ -889,12 +890,17 @@ TEST(PipelineExplain, PlansWhatRunGrants) {
       CountingRowSink sink;
       auto stats = ran.Run(&sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      std::vector<std::string> exempt;
-      if (plan->memory.GrantFor(grants::kStripWriters) > 0) {
-        exempt.push_back(grants::kSweep);
-      }
-      testing_util::ExpectPlanIsRunGrants(plan->memory,
-                                          stats->memory_components, exempt);
+      const bool strips = cells == 256 && budget <= (size_t{1} << 20);
+      EXPECT_EQ(stats->partitions_total, strips ? 2u : 0u);
+      EXPECT_EQ(stats->partitions_overflowed,
+                strips && budget < (size_t{1} << 20) ? 2u : 0u);
+      JoinStats join;
+      join.algorithm = stats->join_algorithm;
+      join.partitions_total = stats->partitions_total;
+      join.partitions_overflowed = stats->partitions_overflowed;
+      testing_util::ExpectPlanIsRunGrants(
+          plan->memory, stats->memory_components,
+          testing_util::DataDependentGrants(join, plan->memory));
     }
   }
 }

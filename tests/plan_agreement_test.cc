@@ -141,7 +141,7 @@ Outcome RunCase(AgreementFixture& f, Shape shape, const Case& c) {
     if (stats.ok()) {
       out.ran = stats->algorithm;
       ExpectPlanIsRunGrants(explained->memory, stats->memory_components,
-                            DataDependentGrants(*stats));
+                            DataDependentGrants(*stats, explained->memory));
     } else {
       out.ran = stats.status();
     }
@@ -161,8 +161,10 @@ Outcome RunCase(AgreementFixture& f, Shape shape, const Case& c) {
     if (shape == Shape::kPipeline) {
       JoinStats join;
       join.algorithm = stats->join_algorithm;
+      join.partitions_total = stats->partitions_total;
+      join.partitions_overflowed = stats->partitions_overflowed;
       ExpectPlanIsRunGrants(explained->memory, stats->memory_components,
-                            DataDependentGrants(join));
+                            DataDependentGrants(join, explained->memory));
     }
   } else {
     out.ran = stats.status();

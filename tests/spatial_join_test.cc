@@ -271,7 +271,7 @@ TEST_F(SpatialJoinerTest, SortedRectsInputsJoinInMemory) {
     // Explain replays the run's grants: no sort for a sorted side.
     testing_util::ExpectPlanIsRunGrants(
         plan->memory, stats->memory_components,
-        testing_util::DataDependentGrants(*stats));
+        testing_util::DataDependentGrants(*stats, plan->memory));
   }
 
   // Too little memory for one sweep: SSSJ falls back to strips, which

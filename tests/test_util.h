@@ -126,10 +126,12 @@ void ExpectPlanIsRunGrants(const MemoryPlan& plan,
                            const std::vector<MemoryComponentStats>& run,
                            const std::vector<std::string>& exempt = {});
 
-/// The lines a pairwise join's run may grant apart from its plan, by what
-/// the run did: PBSM's partition loads, and an overflowing partition's
-/// sorts and sweep; a strip fallback's per-strip sweeps.
-std::vector<std::string> DataDependentGrants(const JoinStats& stats);
+/// The lines of a pairwise join's unit path (PBSM, or SSSJ's strip
+/// fallback) that Explain's `plan` did not replay, by what the run did
+/// (PlanUnits): a loaded unit's `pbsm.partition`; where a unit sorted,
+/// its `sweep`, and its `sort.runs` too when the plan replayed the load.
+std::vector<std::string> DataDependentGrants(const JoinStats& stats,
+                                             const MemoryPlan& plan);
 
 }  // namespace testing_util
 }  // namespace sj
