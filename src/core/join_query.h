@@ -191,7 +191,7 @@ class JoinQuery : public QueryBuilder<JoinQuery> {
   Result<PlanDecision> Explain();
 
   /// Runs the pairwise pipeline (exactly 2 inputs): compile, execute the
-  /// filter through the registry, apply refinement when enabled. Results
+  /// filter through ExecuteJoin, apply refinement when enabled. Results
   /// go to `sink` as (id from input 0, id from input 1) pairs.
   ///
   /// This is a thin synchronous wrapper over a single-query

@@ -17,8 +17,8 @@ namespace sj {
 ///
 /// The inner scan runs as a batched kernel: each list is staged into
 /// struct-of-arrays lanes once, and the run of candidates for a sweep
-/// step is classified by kernels::BatchRectOverlap in contiguous SIMD
-/// blocks. The scan end (first lane with !(xlo <= a.xhi)) and the y-test
+/// step is classified by kernels::BatchRectOverlap over contiguous
+/// lanes. The scan end (first lane with !(xlo <= a.xhi)) and the y-test
 /// per lane follow IEEE comparison semantics, so the pairs and their
 /// order are those of the one-pair-at-a-time scan (tests/sweep_kernels_test.cc
 /// keeps that scan as the oracle).

@@ -89,7 +89,8 @@ class PairSourceImpl final : public PairSourceBase {
   std::optional<RectF> Next() override {
     while (pending_.empty() &&
            (head_a_.has_value() || head_b_.has_value())) {
-      Step();
+      SweepStep(*a_, *b_, head_a_, head_b_, active_a_, active_b_,
+                [&](const RectF& a, const RectF& b) { Found(a, b); });
     }
     if (pending_.empty()) return std::nullopt;
     RectF out = pending_.front();
@@ -106,22 +107,6 @@ class PairSourceImpl final : public PairSourceBase {
   const std::vector<IdPair>& pairs() const override { return pairs_; }
 
  private:
-  void Step() {
-    const bool take_a = head_a_.has_value() &&
-                        (!head_b_.has_value() || head_a_->ylo <= head_b_->ylo);
-    if (take_a) {
-      const RectF r = *head_a_;
-      active_b_.QueryAndExpire(r, [&](const RectF& other) { Found(r, other); });
-      active_a_.Insert(r);
-      head_a_ = a_->Next();
-    } else {
-      const RectF r = *head_b_;
-      active_a_.QueryAndExpire(r, [&](const RectF& other) { Found(other, r); });
-      active_b_.Insert(r);
-      head_b_ = b_->Next();
-    }
-  }
-
   void Found(const RectF& from_a, const RectF& from_b) {
     RectF overlap = from_a.IntersectionWith(from_b);
     overlap.id = static_cast<ObjectId>(pairs_.size());

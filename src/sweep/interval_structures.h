@@ -29,8 +29,9 @@ inline const char* ToString(SweepStructureKind k) {
 ///
 /// The active set is stored struct-of-arrays (parallel xlo/ylo/xhi/yhi/id
 /// lanes): a query classifies all lanes in one contiguous kernel pass
-/// (sweep/sweep_kernels.h: SIMD blocks with a portable tail), then a
-/// branch-light compaction drops expired lanes while matches are emitted.
+/// (sweep/sweep_kernels.h: 16-lane blocks the compiler vectorizes, then a
+/// scalar tail), then a branch-light compaction drops expired lanes while
+/// matches are emitted.
 /// Insertion is an append. Simple and cache friendly, but every query
 /// pays for the full active set.
 ///

@@ -8,17 +8,23 @@
 #include "geometry/rect.h"
 
 namespace sj {
-
-/// The instruction set the kernels below run on this machine: "avx2",
-/// "sse2", "neon", or "portable" (a branch-free loop the compiler can
-/// auto-vectorize). Every ISA's SIMD body hands its ragged tail to the
-/// portable loop, so all of them produce the same lane masks for every
-/// input, including NaN, infinite and inverted coordinates (IEEE
-/// comparison semantics are kept lane for lane); tests/sweep_kernels_test.cc
-/// checks each kernel against a one-lane-at-a-time oracle.
-const char* SweepKernelIsa();
-
 namespace kernels {
+
+// The lane kernels of Forward-Sweep and ST's entry lists, one portable
+// body each (sweep_kernels.cc). Masks follow IEEE comparisons lane for
+// lane, NaN, infinite and inverted coordinates included, and equal the
+// one-lane oracles of tests/sweep_kernels_test.cc. `out` must overlap
+// none of a kernel's input arrays: it is __restrict, which lets the
+// compiler vectorize without a run-time alias check.
+
+/// Classify and expiry run a call of at least this many lanes as whole
+/// blocks (the last one ends at lane n and may overlap the one before),
+/// and a shorter call one lane at a time. A block's byte mask fills one
+/// 128-bit vector (four vectors of floats per input), and a trip count
+/// that is a known multiple of the vector width is what GCC's -O2 cost
+/// model requires before it vectorizes a loop; a plain loop over n lanes
+/// vectorizes only at -O3.
+inline constexpr size_t kKernelBlockLanes = 16;
 
 /// Lane classification bits produced by ClassifySweepLanes.
 inline constexpr uint8_t kLaneKeep = 1;   // yhi has not passed the sweep line
@@ -34,11 +40,12 @@ inline constexpr uint8_t kLaneMatch = 2;  // kept AND x-intervals overlap
 /// NaN x endpoint never matches.
 void ClassifySweepLanes(const float* xlo, const float* xhi, const float* yhi,
                         size_t n, float qxlo, float qxhi, float qylo,
-                        uint8_t* out);
+                        uint8_t* __restrict out);
 
 /// Expiry-only form: out[i] = (yhi[i] < y) ? 0 : kLaneKeep. Used by the
 /// amortized self-purge passes.
-void ExpiryKeepMask(const float* yhi, size_t n, float y, uint8_t* out);
+void ExpiryKeepMask(const float* yhi, size_t n, float y,
+                    uint8_t* __restrict out);
 
 /// Batched MBR-overlap scan over an xlo-sorted entry list (ST's
 /// node-pairing kernel): tests lanes [0, n) against the query row
@@ -50,10 +57,11 @@ void ExpiryKeepMask(const float* yhi, size_t n, float y, uint8_t* out);
 /// !(xlo[k] <= qxhi), after which the caller's sorted-input invariant
 /// guarantees no further lane can overlap (out[k] is only valid below
 /// the returned end). The caller guarantees the full x test's other half
-/// (qxlo <= xhi[k]) by construction.
+/// (qxlo <= xhi[k]) by construction. The early exit keeps this loop
+/// scalar.
 size_t BatchRectOverlap(const float* xlo, const float* ylo, const float* yhi,
                         size_t n, float qxhi, float qylo, float qyhi,
-                        uint8_t* out);
+                        uint8_t* __restrict out);
 
 }  // namespace kernels
 

@@ -162,10 +162,8 @@ INSTANTIATE_TEST_SUITE_P(
 // fused over plain streams, at 1/8 threads, plus SSSJ's 7-strip fallback
 // called directly — every configuration must produce the identical sorted
 // result set. A failure prints the workload seed; replaying is
-// deterministic:
-//
-//   SJ_DIFF_SEED=<seed> ./join_equivalence_test \
-//       --gtest_filter='RandomizedDifferential.*'
+// deterministic: run ./join_equivalence_test with SJ_DIFF_SEED=<seed> in
+// its environment and --gtest_filter='RandomizedDifferential.*'.
 //
 // The nightly CI job scales the harness up with fresh seeds:
 // SJ_DIFF_WORKLOADS=<n> multiplies the workload count, and SJ_DIFF_SEED

@@ -1,12 +1,9 @@
 // Oracle tests for the sweep/predicate kernels: every kernel the library
-// dispatches to (sweep/sweep_kernels.h, join/predicate_batch.h) must equal
-// a one-lane-at-a-time reference on every input — including NaN, infinite,
+// runs (sweep/sweep_kernels.h, join/predicate_batch.h) must equal a
+// one-lane-at-a-time reference on every input — including NaN, infinite,
 // inverted and touching-edge geometry — at the kernel and structure
-// levels. The sweep kernels are checked through their dispatchers and
-// through every body the host CPU can run (sweep/sweep_kernel_bodies.h),
-// so an SSE2 body is tested on AVX2 hosts too. The references live here,
-// not in the library: the SIMD bodies and their portable tails are the
-// only kernels src/ keeps.
+// levels. The references live here, not in the library: each kernel's one
+// body in src/ is its only implementation.
 
 #include "sweep/sweep_kernels.h"
 
@@ -16,14 +13,12 @@
 #include <cmath>
 #include <limits>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "join/entry_sweep.h"
 #include "join/predicate_batch.h"
 #include "join/sources.h"
 #include "sweep/sweep_join.h"
-#include "sweep/sweep_kernel_bodies.h"
 #include "test_util.h"
 
 namespace sj {
@@ -129,115 +124,75 @@ bool NaNLast(float a, float b) {
   return std::isnan(b) ? !std::isnan(a) : a < b;
 }
 
-// Each kernel case runs every size from 0 to 39, so every full SIMD block
-// count and every ragged tail length (the portable loop's share) is hit.
-constexpr size_t kMaxLanes = 40;
+// Each kernel case runs every size from 0 to 47: every call shorter than
+// a block, and one and two whole blocks each followed by a last block
+// that overlaps them by every amount from 1 to 15 lanes (or by none).
+constexpr size_t kMaxLanes = 3 * kernels::kKernelBlockLanes;
 constexpr int kRoundsPerSize = 5;
 
-using ClassifyFn = void(const float*, const float*, const float*, size_t,
-                        float, float, float, uint8_t*);
-using ExpiryFn = void(const float*, size_t, float, uint8_t*);
-using OverlapFn = size_t(const float*, const float*, const float*, size_t,
-                         float, float, float, uint8_t*);
-
-struct KernelBodies {
-  const char* name;
-  ClassifyFn* classify;
-  ExpiryFn* expiry;
-  OverlapFn* overlap;
-};
-
-/// The dispatchers, then every body the host CPU can run: AVX2 when the
-/// CPU has it and SSE2 on x86, NEON on ARM, the portable loops anywhere.
-std::vector<KernelBodies> HostKernelBodies() {
-  namespace in = kernels::internal;
-  std::vector<KernelBodies> bodies = {
-      {"dispatched", kernels::ClassifySweepLanes, kernels::ExpiryKeepMask,
-       kernels::BatchRectOverlap},
-      {"portable", in::ClassifyPortable, in::ExpiryPortable,
-       in::OverlapPortable}};
-#if defined(SJ_KERNELS_X86)
-  if (std::string(SweepKernelIsa()) == "avx2") {
-    bodies.push_back(
-        {"avx2", in::ClassifyAvx2, in::ExpiryAvx2, in::OverlapAvx2});
-  }
-  bodies.push_back({"sse2", in::ClassifySse2, in::ExpirySse2, in::OverlapSse2});
-#elif defined(SJ_KERNELS_NEON)
-  bodies.push_back({"neon", in::ClassifyNeon, in::ExpiryNeon, in::OverlapNeon});
-#endif
-  return bodies;
-}
-
 TEST(KernelDifferential, ClassifySweepLanesMatchesScalar) {
-  for (const KernelBodies& body : HostKernelBodies()) {
-    std::mt19937_64 rng(7);
-    for (size_t n = 0; n < kMaxLanes; ++n) {
-      for (int round = 0; round < kRoundsPerSize; ++round) {
-        std::vector<float> xlo(n), xhi(n), yhi(n);
-        for (size_t i = 0; i < n; ++i) {
-          xlo[i] = EdgyFloat(rng);
-          xhi[i] = EdgyFloat(rng);
-          yhi[i] = EdgyFloat(rng);
-        }
-        const float qxlo = EdgyFloat(rng), qxhi = EdgyFloat(rng),
-                    qylo = EdgyFloat(rng);
-        std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
-        ClassifyScalar(xlo.data(), xhi.data(), yhi.data(), n, qxlo, qxhi,
-                       qylo, want.data());
-        body.classify(xlo.data(), xhi.data(), yhi.data(), n, qxlo, qxhi, qylo,
-                      got.data());
-        ASSERT_EQ(want, got) << body.name << " n=" << n << " round " << round;
+  std::mt19937_64 rng(7);
+  for (size_t n = 0; n < kMaxLanes; ++n) {
+    for (int round = 0; round < kRoundsPerSize; ++round) {
+      std::vector<float> xlo(n), xhi(n), yhi(n);
+      for (size_t i = 0; i < n; ++i) {
+        xlo[i] = EdgyFloat(rng);
+        xhi[i] = EdgyFloat(rng);
+        yhi[i] = EdgyFloat(rng);
       }
+      const float qxlo = EdgyFloat(rng), qxhi = EdgyFloat(rng),
+                  qylo = EdgyFloat(rng);
+      std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
+      ClassifyScalar(xlo.data(), xhi.data(), yhi.data(), n, qxlo, qxhi, qylo,
+                     want.data());
+      kernels::ClassifySweepLanes(xlo.data(), xhi.data(), yhi.data(), n, qxlo,
+                                  qxhi, qylo, got.data());
+      ASSERT_EQ(want, got) << "n=" << n << " round " << round;
     }
   }
 }
 
 TEST(KernelDifferential, ExpiryKeepMaskMatchesScalar) {
-  for (const KernelBodies& body : HostKernelBodies()) {
-    std::mt19937_64 rng(11);
-    for (size_t n = 0; n < kMaxLanes; ++n) {
-      for (int round = 0; round < kRoundsPerSize; ++round) {
-        std::vector<float> yhi(n);
-        for (size_t i = 0; i < n; ++i) yhi[i] = EdgyFloat(rng);
-        const float y = EdgyFloat(rng);
-        std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
-        ExpiryScalar(yhi.data(), n, y, want.data());
-        body.expiry(yhi.data(), n, y, got.data());
-        ASSERT_EQ(want, got) << body.name << " n=" << n << " round " << round;
-      }
+  std::mt19937_64 rng(11);
+  for (size_t n = 0; n < kMaxLanes; ++n) {
+    for (int round = 0; round < kRoundsPerSize; ++round) {
+      std::vector<float> yhi(n);
+      for (size_t i = 0; i < n; ++i) yhi[i] = EdgyFloat(rng);
+      const float y = EdgyFloat(rng);
+      std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
+      ExpiryScalar(yhi.data(), n, y, want.data());
+      kernels::ExpiryKeepMask(yhi.data(), n, y, got.data());
+      ASSERT_EQ(want, got) << "n=" << n << " round " << round;
     }
   }
 }
 
 TEST(KernelDifferential, BatchRectOverlapMatchesScalar) {
-  for (const KernelBodies& body : HostKernelBodies()) {
-    std::mt19937_64 rng(13);
-    for (size_t n = 0; n < kMaxLanes; ++n) {
-      for (int round = 0; round < kRoundsPerSize; ++round) {
-        std::vector<float> xlo(n), ylo(n), yhi(n);
-        for (size_t i = 0; i < n; ++i) {
-          xlo[i] = EdgyFloat(rng);
-          ylo[i] = EdgyFloat(rng);
-          yhi[i] = EdgyFloat(rng);
-        }
-        // Odd rounds sort xlo, as SweepEntryLists' lists are, so runs
-        // cross whole SIMD blocks; even rounds leave it unsorted, and the
-        // run end must still match.
-        if (round % 2 == 1) std::sort(xlo.begin(), xlo.end(), NaNLast);
-        const float qxhi = EdgyFloat(rng), qylo = EdgyFloat(rng),
-                    qyhi = EdgyFloat(rng);
-        std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
-        const size_t want_end =
-            OverlapScalar(xlo.data(), ylo.data(), yhi.data(), n, qxhi, qylo,
-                          qyhi, want.data());
-        const size_t got_end = body.overlap(xlo.data(), ylo.data(), yhi.data(),
-                                            n, qxhi, qylo, qyhi, got.data());
-        ASSERT_EQ(want_end, got_end)
-            << body.name << " n=" << n << " round " << round;
-        for (size_t k = 0; k < want_end; ++k) {
-          ASSERT_EQ(want[k], got[k]) << body.name << " n=" << n << " round "
-                                     << round << " lane " << k;
-        }
+  std::mt19937_64 rng(13);
+  for (size_t n = 0; n < kMaxLanes; ++n) {
+    for (int round = 0; round < kRoundsPerSize; ++round) {
+      std::vector<float> xlo(n), ylo(n), yhi(n);
+      for (size_t i = 0; i < n; ++i) {
+        xlo[i] = EdgyFloat(rng);
+        ylo[i] = EdgyFloat(rng);
+        yhi[i] = EdgyFloat(rng);
+      }
+      // Odd rounds sort xlo, as SweepEntryLists' lists are, so runs reach
+      // far into the lanes; even rounds leave it unsorted, and the run end
+      // must still match.
+      if (round % 2 == 1) std::sort(xlo.begin(), xlo.end(), NaNLast);
+      const float qxhi = EdgyFloat(rng), qylo = EdgyFloat(rng),
+                  qyhi = EdgyFloat(rng);
+      std::vector<uint8_t> want(n, 0xcc), got(n, 0x33);
+      const size_t want_end = OverlapScalar(xlo.data(), ylo.data(), yhi.data(),
+                                            n, qxhi, qylo, qyhi, want.data());
+      const size_t got_end =
+          kernels::BatchRectOverlap(xlo.data(), ylo.data(), yhi.data(), n,
+                                    qxhi, qylo, qyhi, got.data());
+      ASSERT_EQ(want_end, got_end) << "n=" << n << " round " << round;
+      for (size_t k = 0; k < want_end; ++k) {
+        ASSERT_EQ(want[k], got[k])
+            << "n=" << n << " round " << round << " lane " << k;
       }
     }
   }
@@ -401,14 +356,6 @@ TEST(PredicateBatchDifferential, AllPredicatesMatchScalar) {
       }
     }
   }
-}
-
-TEST(SweepKernelIsa, NameIsStable) {
-  // Smoke: the ISA string resolves to one of the known names.
-  const std::string isa = SweepKernelIsa();
-  EXPECT_TRUE(isa == "avx2" || isa == "sse2" || isa == "neon" ||
-              isa == "portable")
-      << isa;
 }
 
 }  // namespace
