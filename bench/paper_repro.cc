@@ -107,19 +107,19 @@ constexpr KnownDeviation kKnownDeviations[] = {
      "DiskModel charges 163 of PQ's 321 reads as sequential (1.82 s, "
      "where the cost model says 2.80 s for the index alone) and SSSJ "
      "1.81 s, where the cost model says 1.45 s"},
-    {"s3_1.striped@NJ", "0.51-0.68x", "host row; see s3_1.striped@DISK1"},
-    {"s3_1.striped@DISK1", "0.93-1.26x",
+    {"s3_1.striped@NJ", "0.38-0.53x", "host row; see s3_1.striped@DISK1"},
+    {"s3_1.striped@DISK1", "1.02-1.28x",
      "host row; Forward-Sweep classifies and expires its active set in "
      "16-lane blocks the compiler vectorizes, which cut its DISK1-6@0.02 "
      "time from 199 to 133 ms of CPU; the 2-5x figure predates them"},
-    {"s3_1.striped@DISK1-6", "1.59-2.09x",
-     "host row; see s3_1.striped@DISK1. This one straddles 2x from run to "
-     "run"},
+    {"s3_1.striped@DISK1-6", "2.21-2.38x",
+     "host row; see s3_1.striped@DISK1. It reads near 2x, so its verdict "
+     "follows the host"},
     {"fig3.sssj_fastest", "SSSJ wins 0-1 of 9",
      "host row; cause not established. ScaledOptions() floors the budget "
      "at 4 MiB, 8.3x the paper's scaled 24 MB at 0.02, so the "
      "data-to-memory ratio is more generous than the paper's"},
-    {"fig3.st_beats_pbsm", "DISK1-6: ST 27.6-31.9 s, PBSM 26.4-34.4 s",
+    {"fig3.st_beats_pbsm", "DISK1-6: ST 29.7-33.6 s, PBSM 29.3-36.8 s",
      "host row; PBSM's Forward-Sweep partitions run on the blocked "
      "kernels, so on DISK1-6 PBSM beats ST in some runs"},
 };

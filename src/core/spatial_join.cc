@@ -151,7 +151,8 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
       unsorted_records(a) + unsorted_records(b), sort_grant, sort_threads);
   const JoinInput both[] = {a, b};
   decision.stream_cost_seconds =
-      SweepInputSeconds(cost_model_, {both, 2}, sort_grant) +
+      SweepInputSeconds(cost_model_, Span<const JoinInput>(both, 2),
+                        sort_grant) +
       decision.sort_cpu_seconds + decision.refine_cost_seconds;
 
   // PBSM's partitioning pre-plan and cost, so Explain() reports the grid
@@ -170,7 +171,8 @@ PlanDecision SpatialJoiner::Plan(const JoinInput& a, const JoinInput& b,
       return cost_model_.PQSeconds(
           static_cast<uint64_t>(frac * static_cast<double>(self.pages())));
     }
-    return SweepInputSeconds(cost_model_, {&self, 1}, sort_grant) +
+    return SweepInputSeconds(cost_model_, Span<const JoinInput>(&self, 1),
+                             sort_grant) +
            cost_model_.SortCpuSeconds(unsorted_records(self), sort_grant,
                                       sort_threads);
   };

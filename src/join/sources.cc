@@ -100,14 +100,13 @@ bool RTreePQSource::Pruned(const RectF& mbr) const {
 }
 
 void RTreePQSource::ExpandNode(const NodeRef& ref) {
-  uint8_t buf[kPageSize];
-  Status read = tree_->ReadNode(ref.page, buf);
-  if (!read.ok()) {
-    status_ = std::move(read);
+  Result<const uint8_t*> bytes = tree_->ViewNode(ref.page, scratch_);
+  if (!bytes.ok()) {
+    status_ = bytes.status();
     return;
   }
   pages_read_++;
-  const NodeView node(buf);
+  const NodeView node(*bytes);
   SJ_CHECK(node.level() == ref.level) << "R-tree level corruption";
   if (ref.level > 0) {
     for (uint32_t i = 0; i < node.count(); ++i) {
@@ -118,29 +117,37 @@ void RTreePQSource::ExpandNode(const NodeRef& ref) {
     }
     return;
   }
-  // Leaf: sort its rectangles by ylo and enqueue only the head. Data
-  // rectangles that cannot join (outside the filter/occupancy region) are
-  // dropped here — they could only be discarded by the sweep anyway.
-  LeafBuffer leaf;
-  leaf.rects.reserve(node.count());
+  // Leaf: copy its rectangles into a free slot in ylo order and enqueue
+  // only the head. Data rectangles that cannot join (outside the
+  // filter/occupancy region) are dropped here — they could only be
+  // discarded by the sweep anyway. The slot is taken only once the leaf
+  // turns out to hold a record: slot numbers break ylo ties in the leaf
+  // queue, so a leaf that contributes nothing must not consume one.
+  const bool reuse = !free_buffers_.empty();
+  const uint32_t idx =
+      reuse ? free_buffers_.back() : static_cast<uint32_t>(buffers_.size());
+  if (slab_.size() < (static_cast<size_t>(idx) + 1) * kNodeCapacity) {
+    slab_.resize((static_cast<size_t>(idx) + 1) * kNodeCapacity);
+  }
+  RectF* slot = Slot(idx);
+  uint32_t n = 0;
+  bool sorted = true;
   for (uint32_t i = 0; i < node.count(); ++i) {
     const RectF e = node.Entry(i);
     if (Pruned(e)) continue;
-    leaf.rects.push_back(e);
+    if (n > 0 && OrderByYLo()(e, slot[n - 1])) sorted = false;
+    slot[n++] = e;
   }
-  if (leaf.rects.empty()) return;
-  std::sort(leaf.rects.begin(), leaf.rects.end(), OrderByYLo());
-  uint32_t idx;
-  if (!free_buffers_.empty()) {
-    idx = free_buffers_.back();
+  if (n == 0) return;
+  if (!sorted) std::sort(slot, slot + n, OrderByYLo());
+  if (reuse) {
     free_buffers_.pop_back();
-    buffers_[idx] = std::move(leaf);
   } else {
-    idx = static_cast<uint32_t>(buffers_.size());
-    buffers_.push_back(std::move(leaf));
+    buffers_.emplace_back();
   }
-  buffer_bytes_ += buffers_[idx].rects.size() * sizeof(RectF);
-  leaf_queue_.push(LeafHead{buffers_[idx].rects[0].ylo, idx});
+  buffers_[idx] = LeafBuffer{0, n};
+  buffer_bytes_ += n * sizeof(RectF);
+  leaf_queue_.push(LeafHead{slot[0].ylo, idx});
 }
 
 std::optional<RectF> RTreePQSource::Next() {
@@ -160,15 +167,12 @@ std::optional<RectF> RTreePQSource::Next() {
     const LeafHead head = leaf_queue_.top();
     leaf_queue_.pop();
     LeafBuffer& buffer = buffers_[head.buffer];
-    const RectF rect = buffer.rects[buffer.next++];
-    if (buffer.next < buffer.rects.size()) {
-      leaf_queue_.push(
-          LeafHead{buffer.rects[buffer.next].ylo, head.buffer});
+    const RectF* slot = Slot(head.buffer);
+    const RectF rect = slot[buffer.next++];
+    if (buffer.next < buffer.end) {
+      leaf_queue_.push(LeafHead{slot[buffer.next].ylo, head.buffer});
     } else {
-      buffer_bytes_ -= buffer.rects.size() * sizeof(RectF);
-      buffer.rects.clear();
-      buffer.rects.shrink_to_fit();
-      buffer.next = 0;
+      buffer_bytes_ -= buffer.end * sizeof(RectF);
       free_buffers_.push_back(head.buffer);
     }
     return rect;

@@ -203,10 +203,14 @@ class MergedRunsSource final : public SortedRectSource {
 ///
 /// Following the paper's implementation notes, two queues are kept: one of
 /// internal-node references (ylo + page id only) and one of per-leaf
-/// cursors. When a leaf is loaded, its rectangles are sorted by ylo once
-/// and only the head enters the leaf queue; popping the head pushes its
-/// successor. This keeps queue operations on small keys and bounds queue
-/// size by the number of *active* leaves.
+/// cursors. When a leaf is loaded, its rectangles are copied, in ylo
+/// order, into a slot of a slab the source reuses, and only the head
+/// enters the leaf queue; popping the head pushes its successor. This
+/// keeps queue operations on small keys and bounds queue size by the
+/// number of *active* leaves. Nodes are viewed in place where the
+/// backend allows (RTree::ViewNode). A bulk-loaded leaf is stored in
+/// OrderByYLo order, so its copy needs no sort; a leaf found out of
+/// order while copying (an insert-built tree's) is sorted in its slot.
 ///
 /// The selective variant (§4, §6.3): a filter rectangle and/or occupancy
 /// grid of the other input prunes subtrees that cannot produce join
@@ -260,13 +264,18 @@ class RTreePQSource final : public SortedRectSource {
       return a.buffer > b.buffer;
     }
   };
+  /// An active leaf's cursor over its slab slot.
   struct LeafBuffer {
-    std::vector<RectF> rects;
     uint32_t next = 0;
+    uint32_t end = 0;
   };
 
   bool Pruned(const RectF& mbr) const;
   void ExpandNode(const NodeRef& ref);
+  /// Slot `buffer` of the slab: kNodeCapacity records.
+  RectF* Slot(uint32_t buffer) {
+    return slab_.data() + static_cast<size_t>(buffer) * kNodeCapacity;
+  }
 
   const RTree* tree_;
   Options options_;
@@ -275,7 +284,9 @@ class RTreePQSource final : public SortedRectSource {
   std::priority_queue<LeafHead, std::vector<LeafHead>, LeafHeadGreater>
       leaf_queue_;
   std::vector<LeafBuffer> buffers_;
+  std::vector<RectF> slab_;  // One slot per entry of buffers_.
   std::vector<uint32_t> free_buffers_;
+  uint8_t scratch_[kPageSize];  // Backs node views off a memory backend.
   size_t buffer_bytes_ = 0;
   uint64_t pages_read_ = 0;
   Status status_;

@@ -88,6 +88,7 @@ class NodePacker {
 
  private:
   Status Flush() {
+    if (level_ == 0) SortLeafEntries();
     const PageId page = pager_->Allocate(1);
     SJ_RETURN_IF_ERROR(pager_->WritePage(page, builder_.data()));
     RectF parent_ref = mbr_;
@@ -99,6 +100,18 @@ class NodePacker {
     return Status::OK();
   }
 
+  /// A leaf goes to disk with its entries in OrderByYLo order, the order
+  /// PQ's traversal drains them in, so it reads them in place instead of
+  /// sorting them on every query. Which leaf an entry lands in does not
+  /// depend on the order inside one.
+  void SortLeafEntries() {
+    const uint32_t n = builder_.count();
+    leaf_.clear();
+    for (uint32_t i = 0; i < n; ++i) leaf_.push_back(builder_.Entry(i));
+    std::sort(leaf_.begin(), leaf_.end(), OrderByYLo());
+    for (uint32_t i = 0; i < n; ++i) builder_.SetEntry(i, leaf_[i]);
+  }
+
   Pager* pager_;
   const RTreeParams& params_;
   uint16_t level_;
@@ -108,6 +121,7 @@ class NodePacker {
   RectF mbr_ = RectF::Empty();
   uint32_t base_fill_;
   uint64_t nodes_written_ = 0;
+  std::vector<RectF> leaf_;  // SortLeafEntries' scratch.
 };
 
 }  // namespace
@@ -220,8 +234,17 @@ Result<RTree> RTree::CreateEmpty(Pager* tree_pager, const RTreeParams& params) {
   return RTree(tree_pager, params, meta);
 }
 
-Status RTree::ReadNode(PageId page, void* buf) const {
-  return pager_->ReadPage(page, buf);
+Result<const uint8_t*> RTree::ViewNode(PageId page, uint8_t* scratch) const {
+  pager_->ChargeRead(page, 1);
+  return ViewUncharged(page, scratch);
+}
+
+Result<const uint8_t*> RTree::ViewUncharged(PageId page,
+                                          uint8_t* scratch) const {
+  WallTimer wall;
+  Result<const uint8_t*> bytes = pager_->backend()->ViewPage(page, scratch);
+  pager_->disk()->AddIoWall(wall.Elapsed());
+  return bytes;
 }
 
 namespace {
@@ -516,18 +539,10 @@ Status RTree::DeleteRec(PageId page, uint16_t level, const RectF& rect,
 
 Result<uint64_t> RTree::ScanLeaves(const RectF& window,
                                    const EntryVisitor& visit) const {
-  StorageBackend* backend = pager_->backend();
-  DiskModel* disk = pager_->disk();
-  // Backs the views only where the backend cannot read in place.
-  uint8_t scratch[kPageSize];
-  // Only the views are timed: the visitor's own I/O (a leaf extraction's
+  // Backs the views only where the backend cannot read in place. Only
+  // the views are timed: the visitor's own I/O (a leaf extraction's
   // writes) adds its own wall time.
-  auto view = [&](PageId page) {
-    WallTimer wall;
-    Result<const uint8_t*> bytes = backend->ViewPage(page, scratch);
-    disk->AddIoWall(wall.Elapsed());
-    return bytes;
-  };
+  uint8_t scratch[kPageSize];
   uint64_t pages_read = 0;
 
   // The internal levels, top-down, each in page order; a root that is a
@@ -540,7 +555,8 @@ Result<uint64_t> RTree::ScanLeaves(const RectF& window,
     for (const PageId page : level) {
       pager_->ChargeRead(page, 1);
       pages_read++;
-      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes, view(page));
+      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes,
+                          ViewUncharged(page, scratch));
       const NodeView node(bytes);
       std::vector<PageId>& children = node.level() == 1 ? leaves : below;
       for (uint32_t i = 0; i < node.count(); ++i) {
@@ -564,7 +580,8 @@ Result<uint64_t> RTree::ScanLeaves(const RectF& window,
     pager_->ChargeRead(leaves[k], static_cast<uint32_t>(end - k));
     pages_read += end - k;
     for (; k < end; ++k) {
-      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes, view(leaves[k]));
+      SJ_ASSIGN_OR_RETURN(const uint8_t* bytes,
+                          ViewUncharged(leaves[k], scratch));
       const NodeView leaf(bytes);
       for (uint32_t i = 0; i < leaf.count(); ++i) {
         const RectF e = leaf.Entry(i);

@@ -54,7 +54,8 @@ struct RTreeMeta {
 ///  * BulkLoadHilbert — the paper's index: centers ordered along a Hilbert
 ///    curve (Kamel & Faloutsos), packed bottom-up with the 75 % fill +
 ///    ≤20 % area-growth top-off. Sibling nodes are allocated contiguously,
-///    which is what gives ST its sequential leaf reads (§6.2).
+///    which is what gives ST its sequential leaf reads (§6.2). Each leaf
+///    stores its entries in OrderByYLo order, the order PQ drains them in.
 ///  * CreateEmpty + Insert — Guttman's dynamic R-tree (quadratic split),
 ///    used to study how update-built ("ad-hoc") indexes degrade the
 ///    traversal locality that bulk loading provides.
@@ -109,7 +110,8 @@ class RTree {
   /// BulkLoadHilbert packs the leaves on consecutive pages, so a packed
   /// leaf level reads like a stream; an insert-built tree's scattered
   /// leaves still turn near neighbours into continuations. `visit` sees
-  /// the records in leaf-page order, and in entry order within a leaf.
+  /// the records in leaf-page order, and in entry order within a leaf:
+  /// (ylo, id) order in a bulk-loaded one.
   ///
   /// Pages are viewed in place on a memory backend, and read into one
   /// page of scratch on any other. Besides that page the traversal holds
@@ -144,14 +146,18 @@ class RTree {
   /// reports ~0.90 for its bulk-loaded trees).
   double AveragePacking() const;
 
-  /// Reads node `page` into `buf` (kPageSize bytes), charged to the disk
-  /// model. Exposed for the join algorithms (ST, PQ), which manage their
-  /// own caching policies.
-  Status ReadNode(PageId page, void* buf) const;
+  /// Node `page`'s bytes, charged to the disk model as a one-page read:
+  /// in place on a memory backend, else read into `scratch` (kPageSize
+  /// bytes). The view stays valid until the tree changes. PQ's traversal
+  /// reads its nodes this way.
+  Result<const uint8_t*> ViewNode(PageId page, uint8_t* scratch) const;
 
  private:
   RTree(Pager* pager, RTreeParams params, RTreeMeta meta)
       : pager_(pager), params_(params), meta_(meta) {}
+
+  // ViewNode without the charge, timed into the disk model's I/O wall.
+  Result<const uint8_t*> ViewUncharged(PageId page, uint8_t* scratch) const;
 
   // Packs one level's worth of entries into nodes at `level`, appending
   // the resulting parent entries (child MBR + child page id) to `parents`.

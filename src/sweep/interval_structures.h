@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -118,11 +120,21 @@ class ForwardSweep {
 /// x-overlap region. On the paper's data this is 2-5x faster than
 /// Forward-Sweep because queries touch a small fraction of the active set.
 ///
+/// A coordinate's strip is floor((x - xlo) / width), computed in double
+/// precision and clamped to [0, strips). The sweep never divides: the
+/// constructor finds each strip's edge, the smallest float that division
+/// puts in the strip or right of it, and StripIndex multiplies by
+/// 1 / width, whose floor is at most one strip off, then corrects against
+/// the edges. The dedup test needs no index at all: a stored copy whose
+/// overlap starts right of the query's first strip s0 is reported in
+/// strip s exactly when its xlo is at or right of edge s.
+///
 /// Each strip is a plain RectF array. A strip holds a handful of entries
-/// on real data, so a query classifies, compacts and emits in one inline
-/// scalar pass per strip; the lane kernels pay off only on ForwardSweep's
-/// long active lists. The ForwardSweep emit contract (by-value emission,
-/// no reentry) applies here too.
+/// on real data, so a query classifies and compacts each strip in one
+/// inline pass without a data-dependent branch, collecting the matching
+/// slots, and emits them after the pass in list order; the lane kernels
+/// pay off only on ForwardSweep's long active lists. The ForwardSweep
+/// emit contract (by-value emission, no reentry) applies here too.
 ///
 /// Striping arithmetic is hardened against degenerate extents: the strip
 /// width is computed in double precision (a float-sized extent such as
@@ -155,6 +167,13 @@ class StripedSweep {
     } else {
       width_ = span / static_cast<double>(strips_);
     }
+    inv_width_ = 1.0 / width_;
+    // edges_[0] admits every coordinate, and the NaN after the last edge
+    // admits none, so StripIndex reads s + 1 without a bound check.
+    edges_.resize(strips_ + 1);
+    edges_[0] = -std::numeric_limits<float>::infinity();
+    for (uint32_t s = 1; s < strips_; ++s) edges_[s] = FindEdge(s);
+    edges_[strips_] = std::numeric_limits<float>::quiet_NaN();
     lists_.resize(strips_);
   }
 
@@ -179,21 +198,32 @@ class StripedSweep {
     for (uint32_t s = s0; s <= s1; ++s) {
       std::vector<RectF>& list = lists_[s];
       const size_t n = list.size();
+      if (hits_.size() < n) hits_.resize(n);
+      // Dedup: report only in the strip holding the overlap's left edge,
+      // max(q.xlo, r.xlo): strip s0 reports every overlap, a later strip
+      // only copies whose xlo lies in it.
+      const float home =
+          s == s0 ? -std::numeric_limits<float>::infinity() : edges_[s];
+      RectF* rects = list.data();
+      uint32_t* hits = hits_.data();
       size_t keep = 0;
+      size_t found = 0;
       for (size_t i = 0; i < n; ++i) {
-        const RectF r = list[i];
-        if (r.yhi < q.ylo) continue;  // Expired: drop.
-        list[keep++] = r;
-        // Dedup: report only in the strip holding the overlap's left
-        // edge, max(q.xlo, r.xlo), which is strip s0 unless r starts
-        // right of the query.
-        if (r.xlo <= q.xhi && q.xlo <= r.xhi &&
-            (q.xlo < r.xlo ? StripIndex(r.xlo) : s0) == s) {
-          emit(r);
-        }
+        const RectF r = rects[i];
+        const bool live = !(r.yhi < q.ylo);  // Else expired: dropped.
+        const bool hit = live & (r.xlo <= q.xhi) & (q.xlo <= r.xhi) &
+                         (r.xlo >= home);
+        rects[keep] = r;
+        hits[found] = static_cast<uint32_t>(keep);
+        keep += live;
+        found += hit;
       }
       entries_ -= n - keep;
       list.resize(keep);
+      for (size_t j = 0; j < found; ++j) {
+        const RectF r = rects[hits[j]];
+        emit(r);
+      }
     }
   }
 
@@ -206,15 +236,76 @@ class StripedSweep {
   bool StripsCollapsed() const { return collapsed_; }
   uint32_t strips() const { return strips_; }
 
- private:
+  /// The strip `x` falls in: floor((x - xlo) / width) in double
+  /// precision, clamped to [0, strips). NaN coordinates and everything
+  /// left of the extent land in strip 0, everything right of it in the
+  /// last strip.
   uint32_t StripIndex(float x) const {
-    const double rel = (static_cast<double>(x) - xlo_) / width_;
-    // NaN coordinates and everything left of the extent land in strip 0;
-    // clamp *before* the integer cast — a huge rel cast straight to
+    const double rel = (static_cast<double>(x) - xlo_) * inv_width_;
+    // Clamp *before* the integer cast — a huge rel cast straight to
     // uint32_t is UB.
-    if (!(rel > 0.0)) return 0;
-    if (rel >= static_cast<double>(strips_)) return strips_ - 1;
-    return static_cast<uint32_t>(rel);
+    uint32_t s = 0;
+    if (rel >= static_cast<double>(strips_)) {
+      s = strips_ - 1;
+    } else if (rel > 0.0) {
+      s = static_cast<uint32_t>(rel);
+    }
+    // The product's floor is the quotient's or one off; the edges decide.
+    return s - (x < edges_[s]) + (x >= edges_[s + 1]);
+  }
+
+ private:
+  /// Whether the division puts `x` in strip `s` or right of it: for
+  /// 0 < s < strips that is exactly rel >= s, NaN excluded.
+  bool AtOrRightOfEdge(float x, uint32_t s) const {
+    return (static_cast<double>(x) - xlo_) / width_ >=
+           static_cast<double>(s);
+  }
+
+  /// The smallest float the division puts in strip `s` or right of it,
+  /// for 0 < s < strips. The division is monotone in x, so a bisection
+  /// over the float order finds it. Its first probes walk from
+  /// float(xlo + s * width), which is almost always the edge or a float
+  /// beside it; the halving takes over where many floats share one
+  /// quotient (near zero in a huge extent, whose (x - xlo) in double
+  /// absorbs every small x), where a walk would take up to ~10^9 steps.
+  float FindEdge(uint32_t s) const {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr int kWalk = 4;
+    auto at_or_right = [&](int64_t key) {
+      return AtOrRightOfEdge(FloatOfOrderKey(key), s);
+    };
+    int64_t lo = FloatOrderKey(-kInf);  // Left of the edge.
+    int64_t hi = FloatOrderKey(kInf);   // At or right of it.
+    int64_t key = FloatOrderKey(
+        static_cast<float>(xlo_ + static_cast<double>(s) * width_));
+    const int64_t step = at_or_right(key) ? -1 : 1;
+    (step < 0 ? hi : lo) = key;
+    for (int i = 0; i < kWalk && hi - lo > 1; ++i) {
+      key += step;
+      (at_or_right(key) ? hi : lo) = key;
+    }
+    while (hi - lo > 1) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      (at_or_right(mid) ? hi : lo) = mid;
+    }
+    return FloatOfOrderKey(hi);
+  }
+
+  /// Non-NaN floats as integers in their numeric order (-0 and +0 share
+  /// 0), and back.
+  static int64_t FloatOrderKey(float x) {
+    uint32_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    const int64_t magnitude = bits & 0x7fffffffu;
+    return (bits & 0x80000000u) != 0 ? -magnitude : magnitude;
+  }
+  static float FloatOfOrderKey(int64_t key) {
+    const uint32_t bits = key < 0 ? 0x80000000u | static_cast<uint32_t>(-key)
+                                  : static_cast<uint32_t>(key);
+    float x;
+    std::memcpy(&x, &bits, sizeof(x));
+    return x;
   }
 
   void Purge(float y) {
@@ -231,8 +322,13 @@ class StripedSweep {
   double xlo_;
   uint32_t strips_;
   double width_ = 1.0;
+  double inv_width_ = 1.0;
   bool collapsed_ = false;
+  /// edges_[s] is the smallest float in strip s or right of it; see the
+  /// constructor for the two sentinels.
+  std::vector<float> edges_;
   std::vector<std::vector<RectF>> lists_;
+  std::vector<uint32_t> hits_;  // A strip's matching slots, per query.
   size_t entries_ = 0;  // Total stored copies across strips.
   size_t inserts_since_purge_ = 0;  // Copies stored since the last purge.
 };

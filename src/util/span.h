@@ -2,7 +2,6 @@
 #define USJ_UTIL_SPAN_H_
 
 #include <cstddef>
-#include <initializer_list>
 #include <type_traits>
 #include <vector>
 
@@ -18,13 +17,12 @@ class Span {
 
  public:
   constexpr Span() = default;
-  constexpr Span(const Elem* data, size_t size) : data_(data), size_(size) {}
+  /// Explicit, so a braced list such as {ObjectId{0}, ObjectId{9}} cannot
+  /// silently become (nullptr, 9): pass a named array or a vector.
+  constexpr explicit Span(const Elem* data, size_t size)
+      : data_(data), size_(size) {}
   Span(const std::vector<Elem>& v)  // NOLINT(runtime/explicit)
       : data_(v.data()), size_(v.size()) {}
-  /// Views the initializer list's backing array, which only outlives the
-  /// full-expression — use for call arguments, never to store a Span.
-  constexpr Span(std::initializer_list<Elem> il)  // NOLINT(runtime/explicit)
-      : data_(il.begin()), size_(il.size()) {}
 
   constexpr const Elem* begin() const { return data_; }
   constexpr const Elem* end() const { return data_ + size_; }

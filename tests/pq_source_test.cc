@@ -142,6 +142,97 @@ TEST(RTreePQSource, OccupancyGridPrunes) {
   EXPECT_LT(source.pages_read(), tree.node_count());
 }
 
+/// Records with pairwise distinct ylo, so the drain order of any tree
+/// over them is their OrderByYLo order.
+std::vector<RectF> DistinctYLoRects(uint64_t n, uint64_t seed) {
+  std::vector<RectF> rects =
+      UniformRects(n, RectF(0, 0, 300, 300), 2.0f, seed);
+  std::vector<float> ylos;
+  std::vector<RectF> out;
+  for (const RectF& r : rects) ylos.push_back(r.ylo);
+  std::sort(ylos.begin(), ylos.end());
+  for (const RectF& r : rects) {
+    const auto [lo, hi] = std::equal_range(ylos.begin(), ylos.end(), r.ylo);
+    if (hi - lo == 1) out.push_back(r);
+  }
+  return out;
+}
+
+/// One drain: the records in order, the pages read, and MemoryBytes()
+/// sampled after every record, summed and at its peak.
+struct Drain {
+  std::vector<RectF> records;
+  uint64_t pages_read = 0;
+  uint64_t memory_sum = 0;
+  size_t memory_peak = 0;
+};
+
+Drain DrainSource(const RTree& tree, const RectF* filter) {
+  RTreePQSource::Options options;
+  options.filter = filter;
+  RTreePQSource source(&tree, options);
+  Drain drain;
+  while (std::optional<RectF> r = source.Next()) {
+    drain.records.push_back(*r);
+    drain.memory_sum += source.MemoryBytes();
+    drain.memory_peak = std::max(drain.memory_peak, source.MemoryBytes());
+  }
+  EXPECT_TRUE(source.status().ok());
+  drain.pages_read = source.pages_read();
+  return drain;
+}
+
+TEST(RTreePQSource, InsertBuiltTreeDrainsTheBulkLoadedSequence) {
+  // A bulk-loaded leaf is stored in (ylo, id) order and read in place; an
+  // insert-built leaf is not, so the source sorts it in its slot. Both
+  // drains are the records in OrderByYLo order, with and without a
+  // pruning filter. The pages read and the sampled MemoryBytes() are
+  // pinned: they are what the traversal reported when every leaf was
+  // sorted into a vector of its own on every query.
+  PQSourceFixture f;
+  const std::vector<RectF> rects = DistinctYLoRects(4000, 11);
+  ASSERT_GT(rects.size(), 3900u);
+  RTree bulk = f.Build(rects, 32);
+  auto pager = f.td.NewPager("inserted");
+  RTreeParams params;
+  params.max_entries = 32;
+  Result<RTree> inserted = RTree::CreateEmpty(pager.get(), params);
+  ASSERT_TRUE(inserted.ok());
+  for (const RectF& r : rects) ASSERT_TRUE(inserted->Insert(r).ok());
+
+  const RectF filter(40, 60, 220, 170);
+  struct Expected {
+    uint64_t pages_read;
+    uint64_t memory_sum;
+    size_t memory_peak;
+  };
+  const Expected bulk_expected[] = {{139, 31394756, 10468},
+                                    {46, 3721192, 6304}};
+  const Expected inserted_expected[] = {{199, 39073932, 12608},
+                                        {66, 4434308, 6608}};
+  for (int pruned = 0; pruned < 2; ++pruned) {
+    SCOPED_TRACE(pruned ? "filtered" : "unfiltered");
+    std::vector<RectF> want;
+    for (const RectF& r : rects) {
+      if (!pruned || r.Intersects(filter)) want.push_back(r);
+    }
+    std::sort(want.begin(), want.end(), OrderByYLo());
+    const Drain from_bulk = DrainSource(bulk, pruned ? &filter : nullptr);
+    const Drain from_inserted =
+        DrainSource(*inserted, pruned ? &filter : nullptr);
+    EXPECT_TRUE(from_bulk.records == want);
+    EXPECT_TRUE(from_inserted.records == want);
+    const Expected& b = bulk_expected[pruned];
+    const Expected& i = inserted_expected[pruned];
+    EXPECT_EQ(from_bulk.pages_read, b.pages_read);
+    EXPECT_EQ(from_bulk.memory_sum, b.memory_sum);
+    EXPECT_EQ(from_bulk.memory_peak, b.memory_peak);
+    EXPECT_EQ(from_inserted.pages_read, i.pages_read);
+    EXPECT_EQ(from_inserted.memory_sum, i.memory_sum);
+    EXPECT_EQ(from_inserted.memory_peak, i.memory_peak);
+  }
+}
+
 TEST(SortedStreamSource, ReadsBack) {
   TestDisk td;
   std::vector<std::unique_ptr<Pager>> keep;

@@ -116,7 +116,8 @@ TEST(FeatureStore, FetchBatchReadsEachPageOnce) {
   }
   // An out-of-range id anywhere in the batch fails the whole fetch.
   std::vector<Segment> unused;
-  EXPECT_FALSE(store->FetchBatch({ObjectId{5}, ObjectId{2000}}, &unused).ok());
+  const std::vector<ObjectId> out_of_range = {5, 2000};
+  EXPECT_FALSE(store->FetchBatch(out_of_range, &unused).ok());
 }
 
 TEST(FeatureStore, FetchBatchChargesExternalShard) {
@@ -131,8 +132,8 @@ TEST(FeatureStore, FetchBatchChargesExternalShard) {
   const uint32_t dev = shard.RegisterDevice("refine.test");
   const DiskStats own_before = td.disk.stats();
   std::vector<Segment> out;
-  auto pages = store->FetchBatch({ObjectId{0}, ObjectId{999}}, &out, &shard,
-                                 dev);
+  const std::vector<ObjectId> ids = {0, 999};
+  auto pages = store->FetchBatch(ids, &out, &shard, dev);
   ASSERT_TRUE(pages.ok());
   EXPECT_EQ(*pages, 2u);
   // All modeled I/O lands on the shard; the store's own disk is untouched.
@@ -183,9 +184,8 @@ TEST(Refine, ReadFaultsEndInIoError) {
   faults->fail_reads = true;
 
   std::vector<Segment> out;
-  EXPECT_EQ(store_a->FetchBatch({ObjectId{0}, ObjectId{599}}, &out)
-                .status()
-                .code(),
+  const std::vector<ObjectId> ids = {0, 599};
+  EXPECT_EQ(store_a->FetchBatch(ids, &out).status().code(),
             StatusCode::kIoError);
   EXPECT_EQ(store_a->Fetch(7).status().code(), StatusCode::kIoError);
 

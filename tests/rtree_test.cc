@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 
 #include "datagen/synthetic.h"
@@ -152,9 +153,48 @@ TEST(RTreeBulkLoad, LeavesAreContiguousLowPages) {
   // Leaves occupy pages [0, leaf_count).
   uint8_t buf[kPageSize];
   for (PageId p = 0; p < tree->meta().leaf_count; ++p) {
-    ASSERT_TRUE(tree->ReadNode(p, buf).ok());
-    EXPECT_EQ(NodeView(buf).level(), 0);
+    Result<const uint8_t*> node = tree->ViewNode(p, buf);
+    ASSERT_TRUE(node.ok());
+    EXPECT_EQ(NodeView(*node).level(), 0);
   }
+}
+
+TEST(RTreeBulkLoad, LeavesHoldTheirEntriesInYLoOrder) {
+  // Each leaf is written in (ylo, id) order, PQ's drain order, and the
+  // tree still validates. Ties in ylo (a coarse grid) exercise the id.
+  TreeFixture f;
+  std::vector<RectF> rects =
+      UniformRects(6000, RectF(0, 0, 100, 100), 0.5f, 4);
+  for (RectF& r : rects) {
+    r.ylo = std::floor(r.ylo);
+    r.yhi = std::max(r.yhi, r.ylo);
+  }
+  RTreeParams params;
+  params.max_entries = 48;
+  auto tree = f.Build(rects, params);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(tree->Validate().ok());
+  uint8_t buf[kPageSize];
+  uint64_t entries = 0;
+  for (PageId p = 0; p < tree->meta().leaf_count; ++p) {
+    Result<const uint8_t*> bytes = tree->ViewNode(p, buf);
+    ASSERT_TRUE(bytes.ok());
+    const NodeView leaf(*bytes);
+    ASSERT_EQ(leaf.level(), 0);
+    std::vector<RectF> stored;
+    for (uint32_t i = 0; i < leaf.count(); ++i) {
+      stored.push_back(leaf.Entry(i));
+    }
+    // Strictly increasing: the ids are unique.
+    EXPECT_EQ(std::adjacent_find(stored.begin(), stored.end(),
+                                 [](const RectF& a, const RectF& b) {
+                                   return !OrderByYLo()(a, b);
+                                 }),
+              stored.end())
+        << "leaf " << p;
+    entries += leaf.count();
+  }
+  EXPECT_EQ(entries, rects.size());
 }
 
 // A root that is a leaf is the whole read: one page in one request,
@@ -260,8 +300,9 @@ TEST(RTreeInsert, SplitRespectsMinEntries) {
   // Every non-root node must hold >= min_entries.
   uint8_t buf[kPageSize];
   for (PageId p = 0; p < pager->page_count(); ++p) {
-    ASSERT_TRUE(tree->ReadNode(p, buf).ok());
-    const NodeView node(buf);
+    Result<const uint8_t*> bytes = tree->ViewNode(p, buf);
+    ASSERT_TRUE(bytes.ok());
+    const NodeView node(*bytes);
     if (p != tree->root()) {
       EXPECT_GE(node.count(), params.min_entries);
     }

@@ -4,14 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "datagen/synthetic.h"
 #include "join/sources.h"
 #include "join/sssj.h"
 #include "sweep/sweep_join.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace sj {
 namespace {
@@ -361,6 +364,315 @@ TEST(StripedSweep, AmortizedPurgeBoundsOneSidedPileUp) {
   }
   EXPECT_LT(sweep.ActiveCount(), 300u);
   EXPECT_LT(sweep.MemoryBytes(), 300u * sizeof(RectF));
+}
+
+/// The reference Striped-Sweep: the strip of every endpoint and of every
+/// dedup test is a double division, and a query emits while it compacts.
+/// StripedSweep must reproduce its strips, its emission sequence and its
+/// accounting exactly.
+class DivisionStripedSweep {
+ public:
+  DivisionStripedSweep(const RectF& extent, uint32_t strips)
+      : xlo_(static_cast<double>(extent.xlo)),
+        strips_(std::max<uint32_t>(1, strips)) {
+    const double span =
+        static_cast<double>(extent.xhi) - static_cast<double>(extent.xlo);
+    if (!std::isfinite(xlo_) || !std::isfinite(span) || !(span > 0.0)) {
+      collapsed_ = strips_ > 1;
+      strips_ = 1;
+      xlo_ = 0.0;
+      width_ = 1.0;
+    } else {
+      width_ = span / static_cast<double>(strips_);
+    }
+    lists_.resize(strips_);
+  }
+
+  void Insert(const RectF& r) {
+    const uint32_t s0 = StripIndex(r.xlo);
+    const uint32_t s1 = std::max(s0, StripIndex(r.xhi));
+    for (uint32_t s = s0; s <= s1; ++s) lists_[s].push_back(r);
+    entries_ += s1 - s0 + 1;
+    inserts_since_purge_ += s1 - s0 + 1;
+    if (inserts_since_purge_ > entries_ / 2 + strips_) Purge(r.ylo);
+  }
+
+  template <typename Emit>
+  void QueryAndExpire(const RectF& q, Emit&& emit) {
+    const uint32_t s0 = StripIndex(q.xlo);
+    const uint32_t s1 = std::max(s0, StripIndex(q.xhi));
+    for (uint32_t s = s0; s <= s1; ++s) {
+      std::vector<RectF>& list = lists_[s];
+      const size_t n = list.size();
+      size_t keep = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const RectF r = list[i];
+        if (r.yhi < q.ylo) continue;
+        list[keep++] = r;
+        if (r.xlo <= q.xhi && q.xlo <= r.xhi &&
+            (q.xlo < r.xlo ? StripIndex(r.xlo) : s0) == s) {
+          emit(r);
+        }
+      }
+      entries_ -= n - keep;
+      list.resize(keep);
+    }
+  }
+
+  size_t ActiveCount() const { return entries_; }
+  size_t MemoryBytes() const { return entries_ * sizeof(RectF); }
+  bool StripsCollapsed() const { return collapsed_; }
+  uint32_t strips() const { return strips_; }
+
+  uint32_t StripIndex(float x) const {
+    const double rel = (static_cast<double>(x) - xlo_) / width_;
+    if (!(rel > 0.0)) return 0;
+    if (rel >= static_cast<double>(strips_)) return strips_ - 1;
+    return static_cast<uint32_t>(rel);
+  }
+
+ private:
+  void Purge(float y) {
+    for (std::vector<RectF>& list : lists_) {
+      const size_t n = list.size();
+      list.erase(std::remove_if(list.begin(), list.end(),
+                                [y](const RectF& r) { return r.yhi < y; }),
+                 list.end());
+      entries_ -= n - list.size();
+    }
+    inserts_since_purge_ = 0;
+  }
+
+  double xlo_;
+  uint32_t strips_;
+  double width_ = 1.0;
+  bool collapsed_ = false;
+  std::vector<std::vector<RectF>> lists_;
+  size_t entries_ = 0;
+  size_t inserts_since_purge_ = 0;
+};
+
+/// Non-NaN floats as integers in their numeric order.
+int64_t OrderedBits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  const int64_t magnitude = bits & 0x7fffffffu;
+  return (bits & 0x80000000u) != 0 ? -magnitude : magnitude;
+}
+float FromOrderedBits(int64_t key) {
+  const uint32_t bits = key < 0 ? 0x80000000u | static_cast<uint32_t>(-key)
+                                : static_cast<uint32_t>(key);
+  float x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
+/// Edge s (0 < s < strips) of the division's striping of a finite,
+/// non-degenerate `extent`: the smallest float it puts in strip s or
+/// right of it. Found by stepping from float(xlo + s * width) and, after
+/// a few steps, by bisection over the float order: near zero in the
+/// ±3e38 extent about 10^9 floats share one quotient.
+float DivisionEdge(const DivisionStripedSweep& ref, const RectF& extent,
+                   uint32_t s) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const double xlo = extent.xlo;
+  const double width =
+      (static_cast<double>(extent.xhi) - xlo) / ref.strips();
+  auto in_or_right = [&](float x) { return ref.StripIndex(x) >= s; };
+  float x = static_cast<float>(xlo + s * width);
+  for (int step = 0; step < 8; ++step) {
+    const float below = std::nextafter(x, -inf);
+    if (in_or_right(x) && !in_or_right(below)) return x;
+    x = in_or_right(x) ? below : std::nextafter(x, inf);
+  }
+  int64_t lo = OrderedBits(-inf), hi = OrderedBits(inf);
+  while (hi - lo > 1) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    (in_or_right(FromOrderedBits(mid)) ? hi : lo) = mid;
+  }
+  return FromOrderedBits(hi);
+}
+
+/// The division's edges of `extent` at `strips`, each checked to be one.
+std::vector<float> DivisionEdges(const RectF& extent, uint32_t strips) {
+  const DivisionStripedSweep ref(extent, strips);
+  std::vector<float> edges;
+  for (uint32_t s = 1; s < ref.strips(); ++s) {
+    const float e = DivisionEdge(ref, extent, s);
+    EXPECT_GE(ref.StripIndex(e), s);
+    EXPECT_LT(ref.StripIndex(std::nextafter(
+                  e, -std::numeric_limits<float>::infinity())),
+              s);
+    edges.push_back(e);
+  }
+  return edges;
+}
+
+/// What a sweep does, step by step: its pairs in emission order, both
+/// structures' copies after every step, and its run stats.
+struct SweepTrace {
+  std::vector<IdPair> pairs;
+  std::vector<std::pair<size_t, size_t>> active;
+  SweepRunStats stats;
+  bool collapsed = false;
+};
+
+/// Sweeps `a` and `b` (finite ylo, sorted here) with Structure.
+template <typename Structure>
+SweepTrace TraceSweep(std::vector<RectF> a, std::vector<RectF> b,
+                      const RectF& extent, uint32_t strips) {
+  std::sort(a.begin(), a.end(), OrderByYLo());
+  std::sort(b.begin(), b.end(), OrderByYLo());
+  SortedRectsSource sa(a.data(), a.size()), sb(b.data(), b.size());
+  Structure active_a(extent, strips), active_b(extent, strips);
+  SweepTrace trace;
+  trace.stats = SweepJoinRun(
+      sa, sb, active_a, active_b,
+      [&](const RectF& x, const RectF& y) {
+        trace.pairs.push_back({x.id, y.id});
+      },
+      [&] {
+        trace.active.emplace_back(active_a.ActiveCount(),
+                                  active_b.ActiveCount());
+      });
+  trace.collapsed = active_a.StripsCollapsed();
+  return trace;
+}
+
+/// StripedSweep against the division: the same pairs in the same order,
+/// the same copies after every step and the same stats.
+void ExpectDivisionSweep(const std::vector<RectF>& a,
+                         const std::vector<RectF>& b, const RectF& extent,
+                         uint32_t strips) {
+  SCOPED_TRACE(testing::Message() << "strips=" << strips << " extent="
+                                  << extent.ToString());
+  const SweepTrace want = TraceSweep<DivisionStripedSweep>(a, b, extent,
+                                                           strips);
+  const SweepTrace got = TraceSweep<StripedSweep>(a, b, extent, strips);
+  ASSERT_EQ(got.pairs.size(), want.pairs.size());
+  EXPECT_TRUE(got.pairs == want.pairs) << "emission order differs";
+  EXPECT_TRUE(got.active == want.active) << "stored copies differ";
+  EXPECT_EQ(got.stats.output_count, want.stats.output_count);
+  EXPECT_EQ(got.stats.max_structure_bytes, want.stats.max_structure_bytes);
+  EXPECT_EQ(got.stats.max_active, want.stats.max_active);
+  EXPECT_EQ(got.collapsed, want.collapsed);
+}
+
+/// The strip counts the sweeps run at: coarse, odd, fine, finer than the
+/// data, and the rule's.
+std::vector<uint32_t> StripCounts(uint64_t records) {
+  return {1u, 2u, 7u, 64u, 1024u, 4096u, SweepStrips(records, 1024)};
+}
+
+const RectF kEdgeExtents[] = {
+    RectF(0, 0, 200, 200),
+    RectF(-75.6f, 38.9f, -73.9f, 41.4f),  // A TIGER window's shape.
+    RectF(1e-30f, 0, 3e-30f, 1),
+    RectF(-3e38f, 0, 3e38f, 10),
+};
+
+TEST(StripedSweep, StripIndexIsTheDivisionsAroundEveryEdge) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float max = std::numeric_limits<float>::max();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  for (const RectF& extent : kEdgeExtents) {
+    for (const uint32_t strips : StripCounts(20000)) {
+      SCOPED_TRACE(testing::Message() << "strips=" << strips << " extent="
+                                      << extent.ToString());
+      const DivisionStripedSweep ref(extent, strips);
+      const StripedSweep sweep(extent, strips);
+      ASSERT_EQ(sweep.strips(), ref.strips());
+      std::vector<float> probes = {-inf, -max, -1.0f, -tiny, -0.0f, 0.0f,
+                                   tiny, 1.0f, max, inf, nan,
+                                   extent.xlo, extent.xhi};
+      for (const float e : DivisionEdges(extent, strips)) {
+        const float below = std::nextafter(e, -inf);
+        probes.insert(probes.end(), {std::nextafter(below, -inf), below, e,
+                                     std::nextafter(e, inf)});
+      }
+      Random rng(strips);
+      for (int i = 0; i < 1000; ++i) {
+        probes.push_back(static_cast<float>(
+            rng.UniformDouble(extent.xlo, extent.xhi)));
+      }
+      for (const float x : probes) {
+        ASSERT_EQ(sweep.StripIndex(x), ref.StripIndex(x)) << "x=" << x;
+      }
+    }
+  }
+}
+
+TEST(StripedSweep, EmitsTheDivisionsSequenceOnRandomWorkloads) {
+  const RectF region(0, 0, 200, 200);
+  const auto a = UniformRects(1500, region, 4.0f, 41);
+  const auto b = UniformRects(1200, region, 2.5f, 42);
+  for (const uint32_t strips : StripCounts(a.size() + b.size())) {
+    ExpectDivisionSweep(a, b, region, strips);
+  }
+  // Clustered inputs under strips narrower than the rectangles.
+  const SweepCase fine{2000, 2000, 0.016f, 0.016f, 1000, 43, true};
+  for (const uint32_t strips : StripCounts(fine.na + fine.nb)) {
+    ExpectDivisionSweep(FineStripInput(fine, false), FineStripInput(fine, true),
+                        kFineRegion, strips);
+  }
+}
+
+TEST(StripedSweep, EmitsTheDivisionsSequenceOnEdgeStraddlingRects) {
+  // Every x endpoint sits one float below, on or one float above a strip
+  // edge, or is NaN or infinite; some rectangles are inverted (xhi < xlo)
+  // and some have a NaN yhi, so they never expire.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-inf, inf, nan};
+  for (const RectF& extent : kEdgeExtents) {
+    for (const uint32_t strips : StripCounts(3000)) {
+      std::vector<float> xs = {extent.xlo};
+      for (const float e : DivisionEdges(extent, strips)) {
+        xs.insert(xs.end(),
+                  {std::nextafter(e, -inf), e, std::nextafter(e, inf)});
+      }
+      xs.push_back(extent.xhi);
+      Random rng(strips * 31 + 7);
+      auto endpoint = [&](size_t i) {
+        return rng.OneIn(0.03) ? specials[rng.Uniform(3)]
+                               : xs[std::min(i, xs.size() - 1)];
+      };
+      auto side = [&](ObjectId base) {
+        std::vector<RectF> out;
+        for (ObjectId i = 0; i < 1500; ++i) {
+          // Spans of up to a dozen edge floats, so up to four strips.
+          const size_t first = rng.Uniform(xs.size());
+          float x0 = endpoint(first);
+          float x1 = endpoint(first + rng.Uniform(12));
+          if (rng.OneIn(0.1)) std::swap(x0, x1);  // Inverted.
+          const float y = static_cast<float>(rng.UniformDouble(0, 100));
+          const float h = static_cast<float>(rng.UniformDouble(0, 3));
+          out.emplace_back(x0, y, x1, rng.OneIn(0.02) ? nan : y + h,
+                           base + i);
+        }
+        return out;
+      };
+      const std::vector<RectF> a = side(0);
+      const std::vector<RectF> b = side(100000);
+      ExpectDivisionSweep(a, b, extent, strips);
+    }
+  }
+}
+
+TEST(StripedSweep, DegenerateExtentsEmitTheDivisionsSequence) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const RectF region(0, 0, 50, 50);
+  const auto a = UniformRects(400, region, 3.0f, 44);
+  const auto b = UniformRects(400, region, 3.0f, 45);
+  for (const RectF& extent :
+       {RectF(5, 0, 5, 10), RectF(10, 0, 0, 10), RectF(nan, 0, nan, 10),
+        RectF(-inf, 0, inf, 10)}) {
+    for (const uint32_t strips : {1u, 64u}) {
+      ExpectDivisionSweep(a, b, extent, strips);
+    }
+  }
 }
 
 TEST(SweepJoin, TracksMaxStructureSize) {
